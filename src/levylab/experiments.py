@@ -317,8 +317,10 @@ def run(manifest: RunManifest, out_dir: str, seed: int | None = None,
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    # only these kinds hand work to a process pool; the others ignore workers
+    used = max(workers, 1) if manifest.kind in ("superposition", "limit") else 1
     with open(os.path.join(out_dir, "run_info.json"), "w") as fh:
-        json.dump({"elapsed_seconds": elapsed, "workers": workers}, fh)
+        json.dump({"elapsed_seconds": elapsed, "workers": used}, fh)
         fh.write("\n")
     return summary
 

@@ -51,18 +51,35 @@ def _logsumexp(v):
 # observation model
 # ---------------------------------------------------------------------------
 
+# caps the (particles x nodes) matrix of one lambda evaluation in a band
+# quadrature, so peak memory does not grow with the number of nodes
+_SLICE_ENTRIES = 1 << 16
+
+
+def _add_in_order(acc, terms):
+    """acc + terms[:, 0] + terms[:, 1] + ..., added left to right like a loop
+    over the columns.  numpy adds row by row along an array's slow axis but
+    pairs terms along its fast axis, hence rows of a (q + 1, n + 1) array:
+    the spare column keeps the particle axis the fast one when n = 1."""
+    rows = np.zeros((terms.shape[1] + 1, acc.size + 1))
+    rows[0, :-1], rows[1:, :-1] = acc, terms.T
+    return rows.sum(axis=0)[:-1]
+
+
 @dataclass
 class ObservationModel:
     """Sensor h, thinning intensity lambda, driving measure nu2, small band U0.
 
-    u0_region is (lo, hi]: the band whose jumps are compensated in the
-    observation and enter the likelihood.  lambda_floor is the positive
+    lam is vectorized over both arguments: for n states x (n, d) and q marks
+    U (q, k) it returns the (n, q) matrix lambda(x_i, U_j), every entry in
+    (0, 1).  u0_region is (lo, hi]: the band whose jumps are compensated in
+    the observation and enter the likelihood.  lambda_floor is the positive
     lower envelope L(u) with infimum iota.  eps_obs is the sampling floor
     inside the band when nu2 has infinite activity there.
     """
 
     h: callable                       # (n, d) -> (n, k)
-    lam: callable                     # ((n, d), (k,)) -> (n,)
+    lam: callable                     # ((n, d), (q, k)) -> (n, q)
     nu2: LevyMeasure
     u0_region: tuple = (0.0, 1.0)
     lambda_floor: callable = None     # (m, k) -> (m,)
@@ -80,22 +97,13 @@ class ObservationModel:
             raise FilterError("eps_obs must lie inside the band")
         self._quad = None
 
-    @property
-    def dim_obs(self):
-        return self.nu2.dim
-
     def band_floor(self) -> float:
         lo, _ = self.u0_region
         return max(lo, self.eps_obs)
 
     def outside_regions(self):
         lo, hi = self.u0_region
-        out = []
-        if lo > 0:
-            out.append((0.0, lo))
-        if math.isfinite(hi) or True:
-            out.append((hi, math.inf))
-        return out
+        return ([(0.0, lo)] if lo > 0 else []) + [(hi, math.inf)]
 
     def check_measure_invariants(self):
         lo, hi = self.u0_region
@@ -117,7 +125,7 @@ class ObservationModel:
             if isinstance(self.nu2, AtomicLevyMeasure):
                 radii = np.linalg.norm(self.nu2.atoms, axis=1)
                 sel = (radii > lo) & (radii <= hi)
-                self._quad = (self.nu2.atoms[sel], self.nu2.masses[sel], True)
+                self._quad = (self.nu2.atoms[sel], self.nu2.masses[sel])
             else:
                 mass = self.nu2.mass(lo, hi)
                 if not math.isfinite(mass):
@@ -129,7 +137,7 @@ class ObservationModel:
                 nodes = (self.nu2.sample(rng, self.n_quad, lo, hi)
                          if mass > 0 else np.empty((0, self.nu2.dim)))
                 w = np.full(nodes.shape[0], mass / max(nodes.shape[0], 1))
-                self._quad = (nodes, w, False)
+                self._quad = (nodes, w)
         return self._quad
 
     def band_integral(self, x: np.ndarray, integrand: str) -> np.ndarray:
@@ -138,54 +146,37 @@ class ObservationModel:
         integrand: 'one_minus_lambda' or 'log_lambda'.  Exact for atomic
         nu2; fixed-node Monte Carlo quadrature otherwise.
         """
-        x = np.atleast_2d(x)
-        nodes, weights, _ = self._quad_nodes()
-        out = np.zeros(x.shape[0])
-        for u, w in zip(nodes, weights):
-            lamv = self._lambda_checked(x, u)
-            out += w * ((1.0 - lamv) if integrand == "one_minus_lambda"
-                        else np.log(lamv))
-        return out
+        term = (lambda lamv: 1.0 - lamv) if integrand == "one_minus_lambda" else np.log
+        return self._band_sum(term, x)
 
     def band_integral_sq_log_gap(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
         """Integral over the band of |log lam(x1,u) - log lam(x2,u)|^2 nu2(du)."""
-        nodes, weights, _ = self._quad_nodes()
-        out = np.zeros(np.atleast_2d(x1).shape[0])
-        for u, w in zip(nodes, weights):
-            gap = np.log(self._lambda_checked(x1, u)) - np.log(self._lambda_checked(x2, u))
-            out += w * gap ** 2
+        return self._band_sum(lambda l1, l2: (np.log(l1) - np.log(l2)) ** 2, x1, x2)
+
+    def _band_sum(self, term, *xs):
+        """sum over the band nodes u of w(u) * term(lambda(x, u) for x in xs),
+        node by node in order, with one lambda call per x per slice of nodes."""
+        xs = [np.atleast_2d(x) for x in xs]
+        nodes, weights = self._quad_nodes()
+        out = np.zeros(xs[0].shape[0])
+        step = max(1, _SLICE_ENTRIES // max(out.size, 1))
+        for a in range(0, nodes.shape[0], step):
+            vals = term(*(self._lambda(x, nodes[a:a + step]) for x in xs))
+            out = _add_in_order(out, vals * weights[a:a + step])
         return out
 
-    def _lambda_checked(self, x, u):
-        lamv = np.asarray(self.lam(np.atleast_2d(x), np.asarray(u, dtype=float)))
-        if np.any(lamv <= 0.0) or np.any(lamv >= 1.0):
-            i = int(np.argmax((lamv <= 0.0) | (lamv >= 1.0)))
+    def _lambda(self, x, U):
+        """lambda(x, U) as an (n, q) matrix, checked to lie in (0, 1)."""
+        x, U = np.atleast_2d(x), np.atleast_2d(np.asarray(U, dtype=float))
+        lamv = np.asarray(self.lam(x, U))
+        if lamv.shape != (x.shape[0], U.shape[0]):
+            raise FilterError(f"lambda returned shape {lamv.shape} for "
+                              f"{x.shape[0]} states and {U.shape[0]} marks")
+        if lamv.size and not 0.0 < lamv.min() <= lamv.max() < 1.0:
+            i, j = np.unravel_index(np.argmin((lamv > 0.0) & (lamv < 1.0)), lamv.shape)
             raise FilterError(
-                f"lambda outside (0,1): value {lamv[i]} at x={np.atleast_2d(x)[i]}, u={u}")
+                f"lambda outside (0,1): value {lamv[i, j]} at x={x[i]}, u={U[j]}")
         return lamv
-
-    def validate_envelope(self, x_probes: np.ndarray, n_marks: int = 64) -> dict:
-        """Probe the envelope 0 < iota <= L(u) < lambda(x,u) < 1 and the
-        square-integrability of (1 - L)^2 / L over the band."""
-        if self.lambda_floor is None:
-            raise FilterError("no lambda_floor declared")
-        nodes, weights, _ = self._quad_nodes()
-        marks = nodes[:n_marks] if nodes.shape[0] else np.empty((0, self.nu2.dim))
-        worst = None
-        for u in marks:
-            Lv = float(np.atleast_1d(self.lambda_floor(u[None, :]))[0])
-            if self.iota is not None and Lv < self.iota - 1e-12:
-                worst = ("L(u) < iota", u)
-                break
-            lamv = self._lambda_checked(x_probes, u)
-            if np.any(lamv <= Lv):
-                worst = ("lambda <= L", u)
-                break
-        ratio = 0.0
-        for u, w in zip(nodes, weights):
-            Lv = float(np.atleast_1d(self.lambda_floor(u[None, :]))[0])
-            ratio += w * (1.0 - Lv) ** 2 / Lv
-        return {"witness": worst, "floor_square_integral": float(ratio)}
 
 
 # registries ----------------------------------------------------------------
@@ -213,7 +204,8 @@ def lambda_from_config(cfg: dict):
         c = float(params.get("c", 0.5))
         if not 0 < c < 1:
             raise FilterError("constant lambda needs c in (0,1)")
-        return (lambda x, u: np.full(np.atleast_2d(x).shape[0], c),
+        return (lambda x, U: np.full((np.atleast_2d(x).shape[0],
+                                      np.atleast_2d(U).shape[0]), c),
                 lambda u: np.full(np.atleast_2d(u).shape[0], 0.5 * c),
                 0.5 * c)
     if name == "state_logistic":
@@ -227,10 +219,9 @@ def lambda_from_config(cfg: dict):
             u = np.atleast_2d(u)
             return base * np.exp(-decay * np.linalg.norm(u, axis=1))
 
-        def lam(x, u):
-            x = np.atleast_2d(x)
-            s = 1.0 / (1.0 + np.exp(-np.linalg.norm(x, axis=1)))
-            return float(lbar(u[None, :])[0]) * s
+        def lam(x, U):
+            s = 1.0 / (1.0 + np.exp(-np.linalg.norm(np.atleast_2d(x), axis=1)))
+            return np.outer(s, lbar(U))
 
         return lam, (lambda u: 0.49 * lbar(u)), None
     raise FilterError(f"unknown lambda {name!r}")
@@ -336,11 +327,13 @@ class ObservationSetup:
     def record_for(self, signal_values: np.ndarray, truth_link: str = "") -> ObservationRecord:
         """Thin the shared proposals against one signal path on self.grid."""
         model = self.model
-        accept = np.zeros(self.prop_times.size, dtype=bool)
-        for i, (ti, u, v) in enumerate(zip(self._prop_idx, self.prop_marks,
-                                           self.uniforms)):
-            lamv = model._lambda_checked(signal_values[ti][None, :], u)
-            accept[i] = v < float(lamv[0])
+        # lambda at each proposal's own (x, u): diagonals of square blocks
+        x, U = signal_values[self._prop_idx], self.prop_marks
+        step = math.isqrt(_SLICE_ENTRIES)
+        lamv = np.concatenate(
+            [np.diagonal(model._lambda(x[a:a + step], U[a:a + step]))
+             for a in range(0, U.shape[0], step)] + [np.empty(0)])
+        accept = self.uniforms < lamv
         dts = np.diff(self.grid)
         hv = model.h(signal_values[:-1])
         cont = self.w_increments + hv * dts[:, None]
@@ -370,6 +363,18 @@ def simulate_observation(signal_path, model: ObservationModel, T: float,
 # log-likelihood
 # ---------------------------------------------------------------------------
 
+def _band_events_by_index(record: ObservationRecord) -> dict:
+    """Band event marks (q, k) keyed by the grid index of their time, each
+    group in record order; every event time must be a grid point."""
+    grid, ev = record.grid, record.events_band
+    idx = np.searchsorted(grid, ev.times, side="left")
+    off = (idx >= grid.size) | (grid[np.minimum(idx, grid.size - 1)] != ev.times)
+    if np.any(off):
+        t_ev = ev.times[np.argmax(off)]
+        raise FilterError(f"band event at t={t_ev} is not aligned with the grid")
+    return {int(j): ev.marks[idx == j] for j in np.unique(idx)}
+
+
 def loglik_cell_increments(values: np.ndarray, record: ObservationRecord,
                            model: ObservationModel) -> np.ndarray:
     """Per-cell increments of log S_t for every particle, shape (n, M).
@@ -382,6 +387,7 @@ def loglik_cell_increments(values: np.ndarray, record: ObservationRecord,
     n, M1, d = values.shape
     if M1 != grid.size:
         raise FilterError("particle values are not aligned with the record grid")
+    events = _band_events_by_index(record)
     dts = np.diff(grid)
     out = np.zeros((n, dts.size))
     for i in range(dts.size):
@@ -390,12 +396,9 @@ def loglik_cell_increments(values: np.ndarray, record: ObservationRecord,
         out[:, i] = (hv @ record.cont_increments[i]
                      - 0.5 * np.sum(hv * hv, axis=1) * dts[i]
                      + model.band_integral(x, "one_minus_lambda") * dts[i])
-    for t_ev, u in zip(record.events_band.times, record.events_band.marks):
-        j = int(np.searchsorted(grid, t_ev, side="left"))
-        if j >= grid.size or grid[j] != t_ev:
-            raise FilterError(f"band event at t={t_ev} is not aligned with the grid")
-        lamv = model._lambda_checked(values[:, j, :], u)
-        out[:, j - 1] += np.log(lamv)
+    for j, marks in events.items():
+        out[:, j - 1] = _add_in_order(out[:, j - 1],
+                                      np.log(model._lambda(values[:, j, :], marks)))
     return out
 
 
@@ -417,10 +420,10 @@ def compensated_log_jump_statistic(values: np.ndarray, record: ObservationRecord
     for i in range(dts.size):
         out[:, i + 1] = out[:, i] - model.band_integral(values[:, i, :],
                                                         "log_lambda") * dts[i]
-    for t_ev, u in zip(record.events_band.times, record.events_band.marks):
-        j = int(np.searchsorted(grid, t_ev, side="left"))
-        lamv = model._lambda_checked(values[:, j, :], u)
-        out[:, j:] += np.log(lamv)[:, None]
+    for j, marks in _band_events_by_index(record).items():
+        # each event's term moves every later column, one event at a time
+        for logv in np.log(model._lambda(values[:, j, :], marks)).T:
+            out[:, j:] += logv[:, None]
     return out
 
 
@@ -490,13 +493,7 @@ def filter_run(model: ObservationModel, coeffs: CoefficientSet,
     dts = np.diff(grid)
     lw = np.zeros(n_particles)
     log_norm = 0.0
-    # band events indexed by the cell they close
-    ev_cell = {}
-    for t_ev, u in zip(record.events_band.times, record.events_band.marks):
-        j = int(np.searchsorted(grid, t_ev, side="left"))
-        if j >= grid.size or grid[j] != t_ev:
-            raise FilterError(f"band event at t={t_ev} is not aligned with the grid")
-        ev_cell.setdefault(j - 1, []).append(u)
+    events = _band_events_by_index(record)
     states = []
     resampled_at = []
 
@@ -521,8 +518,8 @@ def filter_run(model: ObservationModel, coeffs: CoefficientSet,
                - 0.5 * np.sum(hv * hv, axis=1) * dts[i]
                + model.band_integral(x, "one_minus_lambda") * dts[i])
         march.advance_cell(i)
-        for u in ev_cell.get(i, ()):
-            lw += np.log(model._lambda_checked(march.x, u))
+        if i + 1 in events:
+            lw[:] = _add_in_order(lw, np.log(model._lambda(march.x, events[i + 1])))
         if not np.any(np.isfinite(lw)):
             raise FilterError(f"filter collapsed: all weights -inf at t={grid[i+1]:.6g}")
         if ess_threshold is not None:

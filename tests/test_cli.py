@@ -118,6 +118,7 @@ class TestRunAndReplay:
             out = tmp_path / f"w{w}"
             run(man, str(out), workers=w)
             outs[w] = out
+            assert json.loads((out / "run_info.json").read_text())["workers"] == w
         for name in ("fpe_residuals.csv", "martingale_residuals.csv",
                      "summary.json"):
             assert filecmp.cmp(outs[1] / name, outs[4] / name, shallow=False)
@@ -173,8 +174,10 @@ def test_diagnostics_kind(tmp_path):
             "truncation": {"level": 0.5},
             "mu0": {"name": "gaussian", "params": {"mean": [0.0], "std": [1.0]}},
         })
-    summary = run(man, str(tmp_path / "diag"))
+    summary = run(man, str(tmp_path / "diag"), workers=4)
     assert summary["verdicts"]["hypotheses_ok"]
+    # the diagnostics kind runs in one process whatever --workers says
+    assert json.loads((tmp_path / "diag" / "run_info.json").read_text())["workers"] == 1
     assert math.isfinite(summary["verdicts"]["lyapunov_moment"])
     assert (tmp_path / "diag" / "tightness.csv").exists()
 

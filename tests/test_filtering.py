@@ -64,6 +64,24 @@ class TestObservationSimulation:
         lam = c * mass * T
         assert abs(np.mean(counts) - lam) <= 3 * math.sqrt(lam / len(counts))
 
+    def test_thinning_matches_per_proposal_loop(self):
+        # over 256 proposals, so the thinning spans several square blocks
+        model = make_model(lam=("state_logistic", {"base": 0.8, "decay": 0.5}),
+                           nu2={"name": "atomic",
+                                "params": {"atoms": [[0.5], [2.0]],
+                                           "masses": [250.0, 150.0]}})
+        setup = ObservationSetup(model, 1.0, 0.1, seed=8)
+        assert setup.prop_times.size > 256
+        sig = np.sin(np.arange(setup.grid.size, dtype=float))[:, None]
+        rec = setup.record_for(sig)
+        lam = [model.lam(sig[ti][None, :], u[None, :])[0, 0]
+               for ti, u in zip(setup._prop_idx, setup.prop_marks)]
+        accept = setup.uniforms < np.array(lam)
+        assert np.array_equal(rec.events_band.times,
+                              setup.prop_times[accept & setup.prop_in_band])
+        assert np.array_equal(rec.events_big.times,
+                              setup.prop_times[accept & ~setup.prop_in_band])
+
     def test_sensor_drift_mean(self):
         # E Y_T = x0 (1 - exp(-theta T)) / theta for the mean-reverting signal
         theta, x0, T, h = 1.0, 2.0, 1.0, 0.02
@@ -149,13 +167,90 @@ class TestLogLikelihood:
 
     def test_lambda_out_of_range_rejected(self):
         model = make_model()
-        model.lam = lambda x, u: np.full(np.atleast_2d(x).shape[0], 1.5)
+        model.lam = lambda x, U: np.full((np.atleast_2d(x).shape[0],
+                                          np.atleast_2d(U).shape[0]), 1.5)
         grid = np.linspace(0, 1, 6)
         rec = ObservationRecord(grid, np.zeros((5, 1)),
                                 L.JumpEvents(np.array([0.2]), np.array([[0.4]])),
                                 L.JumpEvents.empty(1))
         with pytest.raises(FilterError, match="lambda outside"):
             log_likelihood(np.zeros((6, 1)), rec, model)
+
+    def test_lambda_of_old_shape_rejected(self):
+        # lam must return (n, q); one value per state is refused, not broadcast
+        model = make_model()
+        model.lam = lambda x, U: np.full(np.atleast_2d(x).shape[0], 0.5)
+        with pytest.raises(FilterError, match="lambda returned shape"):
+            model.band_integral(np.zeros((2, 1)), "one_minus_lambda")
+
+    def test_single_out_of_range_entry_named(self):
+        # one bad entry inside the (n, q) matrix: the message names its x and u
+        model = make_model(nu2=EIGHT_ATOMS)
+        model.lam = lambda x, U: np.where((x == 0.25) & (U.T == -0.41), 1.5, 0.5)
+        x = np.array([[-1.0], [0.25], [0.5], [2.0]])
+        with pytest.raises(FilterError,
+                           match=r"lambda outside \(0,1\): value 1.5 at "
+                                 r"x=\[0.25\], u=\[-0.41\]"):
+            model.band_integral(x, "one_minus_lambda")
+
+
+# eight atoms inside the band (0, 1]: enough nodes for ndarray.sum to pair them
+EIGHT_ATOMS = {"name": "atomic", "params": {
+    "atoms": [[0.05], [-0.12], [0.2], [0.33], [-0.41], [0.57], [0.7], [-0.95]],
+    "masses": [0.9, 0.35, 1.7, 0.21, 0.66, 1.3, 0.48, 0.77]}}
+EXP_NU2 = {"name": "exponential_tails_1d",
+           "params": {"intensity_pos": 1.0, "rate_pos": 2.0}}
+
+
+def node_by_node(model, term, *xs):
+    """The band quadrature as a loop over nodes, one lambda call per node,
+    with the state_logistic intensity written per mark (base 0.8, decay 0.5)."""
+    def lam(x, u):
+        s = 1.0 / (1.0 + np.exp(-np.linalg.norm(x, axis=1)))
+        return float(0.8 * np.exp(-0.5 * np.linalg.norm(u[None, :], axis=1))[0]) * s
+
+    nodes, weights = model._quad_nodes()
+    out = np.zeros(xs[0].shape[0])
+    for u, w in zip(nodes, weights):
+        out += w * term(*(lam(x, u) for x in xs))
+    return out
+
+
+class TestBandQuadrature:
+    @pytest.mark.parametrize("n", [1, 300])
+    @pytest.mark.parametrize("nu2", [None, EIGHT_ATOMS, EXP_NU2],
+                             ids=["three-atoms", "eight-atoms", "exponential"])
+    def test_matches_node_by_node_loop_bitwise(self, nu2, n):
+        model = make_model(lam=("state_logistic", {"base": 0.8, "decay": 0.5}),
+                           nu2=nu2)
+        # 300 states split the 2000 exponential nodes into several slices
+        x1 = np.linspace(-3.0, 3.0, 300)[:n, None]
+        x2 = np.cos(7.0 * x1)
+        assert np.array_equal(model.band_integral(x1, "one_minus_lambda"),
+                              node_by_node(model, lambda lv: 1.0 - lv, x1))
+        assert np.array_equal(model.band_integral(x1, "log_lambda"),
+                              node_by_node(model, np.log, x1))
+        assert np.array_equal(
+            model.band_integral_sq_log_gap(x1, x2),
+            node_by_node(model, lambda l1, l2: (np.log(l1) - np.log(l2)) ** 2, x1, x2))
+
+    def test_exponential_nu2_against_closed_form(self):
+        # lambda = Lbar(u) s(x) with Lbar(u) = base exp(-decay |u|): the band
+        # integral of 1 - lambda is nu2(band) - s(x) int_band Lbar dnu2
+        base, decay, intensity, rate = 0.8, 0.5, 1.0, 2.0
+        model = make_model(lam=("state_logistic", {"base": base, "decay": decay}),
+                           nu2=EXP_NU2)
+        mass = 2.0 * intensity * (1.0 - math.exp(-rate)) / rate
+        lbar_int = (2.0 * base * intensity * (1.0 - math.exp(-(decay + rate)))
+                    / (decay + rate))
+        x = np.array([[-2.0], [-0.3], [0.0], [0.7], [4.0]])
+        s = 1.0 / (1.0 + np.exp(-np.abs(x[:, 0])))
+        want = mass - s * lbar_int
+        got = model.band_integral(x, "one_minus_lambda")
+        nodes, _ = model._quad_nodes()
+        lbar = base * np.exp(-decay * np.abs(nodes[:, 0]))
+        se = mass * s * np.std(lbar, ddof=1) / math.sqrt(nodes.shape[0])
+        assert np.all(np.abs(got - want) <= 4.0 * se)
 
 
 class TestFilterRun:
