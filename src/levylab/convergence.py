@@ -289,6 +289,19 @@ class LimitReport:
                         "surrogate for path-space weak convergence")
 
 
+def decreasing_verdict(distances, ses):
+    """(non_increasing, ratio, passed) for distances ordered by n: no step up
+    beyond 2 s.e. of the pair, and final/initial <= 1/4, or initial and final
+    both <= 1e-14 (ratio None)."""
+    non_inc = not any(b > a + 2.0 * (sa + sb) for a, b, sa, sb
+                      in zip(distances, distances[1:], ses, ses[1:]))
+    d0, d1 = distances[0], distances[-1]
+    if d0 > 1e-14:
+        ratio = float(d1 / d0)
+        return non_inc, ratio, non_inc and ratio <= 0.25
+    return non_inc, None, non_inc and d1 <= 1e-14
+
+
 def enforce_level_bound(trunc_level: float, gamma_sup: float):
     """The limit experiment requires level <= 1 / (sqrt(2) * sup |gamma^n|)."""
     if gamma_sup > 0 and trunc_level > 1.0 / (math.sqrt(2.0) * gamma_sup) + 1e-12:
@@ -328,16 +341,7 @@ def limit_experiment(family, driver, trunc, mu0, n_particles: int, h: float,
                    for tc in checkpoints)
         rows.append({"n": n, "distance": best, "se": best_se,
                      "density_sup": dens})
-    non_inc = True
-    for a, b in zip(rows, rows[1:]):
-        if b["distance"] > a["distance"] + 2.0 * (a["se"] + b["se"]):
-            non_inc = False
-    d0, d1 = rows[0]["distance"], rows[-1]["distance"]
-    if d0 <= 1e-14:
-        ratio = None
-        passed = non_inc and d1 <= 1e-14
-    else:
-        ratio = d1 / d0
-        passed = non_inc and ratio <= 0.25
+    non_inc, ratio, passed = decreasing_verdict([r["distance"] for r in rows],
+                                                [r["se"] for r in rows])
     return LimitReport(rows=rows, checkpoints=checkpoints,
                        non_increasing=non_inc, ratio=ratio, passed=passed)

@@ -253,10 +253,18 @@ def make_base_grid(T: float, grid_step: float, extra_times=()) -> np.ndarray:
 
 
 class _BlockInputs:
-    """Pre-drawn randomness for one block of particles, reusable across a family."""
+    """Pre-drawn randomness for one block of particles, reusable across a family.
 
-    def __init__(self, x0, ev_particle, ev_time, ev_mark, ev_cell, noise, offsets,
-                 jump_times, jump_marks):
+    particles are the global indices of the block's slots, drawn from the
+    (seed, namespace) streams.  Every array is read-only: marches share one
+    draw, so a write into it would silently couple them.
+    """
+
+    def __init__(self, particles, seed, namespace, x0, ev_particle, ev_time,
+                 ev_mark, ev_cell, noise, offsets, jump_times, jump_marks):
+        self.particles = particles
+        self.seed = seed
+        self.namespace = namespace
         self.x0 = x0
         self.ev_particle = ev_particle
         self.ev_time = ev_time
@@ -315,8 +323,11 @@ def _prepare_block(driver: LevyMeasure, trunc: TruncationConfig, mu0: InitialLaw
         ev_t = np.empty(0)
         ev_z = np.empty((0, driver.dim))
         ev_c = np.empty(0, dtype=np.int64)
-    return _BlockInputs(x0, ev_p, ev_t, ev_z, ev_c, noise, offsets[:-1],
-                        jt_list, jm_list)
+    ids = np.array(particles, dtype=np.int64)
+    for a in [ids, x0, ev_p, ev_t, ev_z, ev_c, noise, offsets] + jt_list + jm_list:
+        a.flags.writeable = False
+    return _BlockInputs(ids, seed, namespace, x0, ev_p, ev_t, ev_z, ev_c, noise,
+                        offsets[:-1], jt_list, jm_list)
 
 
 class BlockMarch:
@@ -419,9 +430,11 @@ class BlockMarch:
             self.union_records.append((float(t1), self.x.copy()))
         if not np.all(np.isfinite(self.x)):
             bad = np.nonzero(~np.isfinite(self.x).all(axis=1))[0][0]
+            inp = self.inp
             raise SimulationError(
                 f"non-finite state first reached at t={float(t1):.6g} "
-                f"(block particle {int(bad)})")
+                f"(particle {int(inp.particles[bad])}, seed {inp.seed}, "
+                f"namespace {inp.namespace})")
         self.cell = i + 1
 
     def run(self, record_values: bool = True):

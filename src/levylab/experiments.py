@@ -21,8 +21,9 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .coefficients import coefficients_from_config, family_from_config
-from .convergence import (default_bl_dictionary, density_sup_estimate,
-                          enforce_level_bound, limit_experiment, lyapunov_moment,
+from .convergence import (decreasing_verdict, default_bl_dictionary,
+                          density_sup_estimate, enforce_level_bound,
+                          limit_experiment, lyapunov_moment,
                           tightness_diagnostics)
 from .engine import initial_law_from_config, simulate_coupled_family, simulate_ensemble
 from .filtering import observation_model_from_config, robustness_experiment, filter_run
@@ -178,17 +179,11 @@ def run_limit(man: RunManifest, seed: int, workers: int):
                 best, best_se = gap, se
             dens = max(dens, density_sup_estimate(vals[:, i, :]))
         rows.append([n, best, best_se, dens])
-    non_inc = True
-    for a, b in zip(rows, rows[1:]):
-        if b[1] > a[1] + 2.0 * (a[2] + b[2]):
-            non_inc = False
-    d0, d1 = rows[0][1], rows[-1][1]
-    ratio = (d1 / d0) if d0 > 1e-14 else None
-    passed = non_inc and ((ratio is not None and ratio <= 0.25)
-                          or (ratio is None and d1 <= 1e-14))
+    non_inc, ratio, passed = decreasing_verdict([r[1] for r in rows],
+                                                [r[2] for r in rows])
     tables = {"distances": (["n", "distance", "se", "density_sup"], rows)}
     verdicts = {"non_increasing": bool(non_inc),
-                "final_to_initial_ratio": ratio if ratio is None else float(ratio),
+                "final_to_initial_ratio": ratio,
                 "limit_pass": bool(passed)}
     return tables, verdicts
 
@@ -230,7 +225,7 @@ def run_filter_robustness(man: RunManifest, seed: int, workers: int):
         "filter_limit": (["t", "phi_id", "pi_t", "rho_t_1", "ess"], ftable),
     }
     verdicts = {"non_increasing": bool(rep.non_increasing),
-                "final_to_initial_ratio": rep.ratio if rep.ratio is None else float(rep.ratio),
+                "final_to_initial_ratio": rep.ratio,
                 "robustness_pass": bool(rep.passed)}
     return tables, verdicts
 

@@ -16,8 +16,10 @@ filter is the ratio of weighted means, computed with log-sum-exp.
 
 Coupling for the robustness experiment: family members share the Brownian
 observation noise, the proposal atoms, and one thinning uniform per atom
-(member n accepts iff the shared uniform is below lambda(X^n, u)), so runs
-with identical coefficients are bitwise identical.
+(member n accepts iff the shared uniform is below lambda(X^n, u)).  The
+filter particles' randomness (initial points, Brownian rows, driver jumps)
+is drawn once per rep and shared read-only by the limit filter and every
+member's filter, so runs with identical coefficients are bitwise identical.
 """
 
 from __future__ import annotations
@@ -482,11 +484,22 @@ def filter_run(model: ObservationModel, coeffs: CoefficientSet,
     ESS < ess_threshold * n (disabled when ess_threshold is None: exactness
     tests need weight paths uncontaminated by resampling noise).
     """
-    grid = record.grid
-    inputs = _prepare_block(driver, trunc, mu0, grid, coeffs.m,
+    inputs = _prepare_block(driver, trunc, mu0, record.grid, coeffs.m,
                             range(n_particles), seed, rngmod.FILTER)
+    return _march_filter(model, coeffs, driver, trunc, record, inputs,
+                         ess_threshold, checkpoints)
+
+
+def _march_filter(model: ObservationModel, coeffs: CoefficientSet,
+                  driver: LevyMeasure, trunc: TruncationConfig,
+                  record: ObservationRecord, inputs, ess_threshold,
+                  checkpoints) -> FilterResult:
+    """The filter of filter_run over particle randomness already drawn on
+    record.grid; inputs is only read, so one draw can feed many filters."""
+    grid = record.grid
     march = BlockMarch(coeffs, driver, trunc, grid, inputs)
-    rng_rs = rngmod.stream(seed, rngmod.RESAMPLE, namespace=rngmod.FILTER)
+    n_particles = march.x.shape[0]
+    rng_rs = rngmod.stream(inputs.seed, rngmod.RESAMPLE, namespace=rngmod.FILTER)
     if checkpoints is None:
         checkpoints = grid[np.linspace(0, grid.size - 1, min(21, grid.size)).astype(int)]
     checkpoints = np.asarray(checkpoints, dtype=float)
@@ -562,10 +575,15 @@ def robustness_experiment(family, model: ObservationModel, driver, trunc,
     D averages |pi^n_t(phi) - pi_t(phi)| over checkpoint times and a test
     dictionary; signals, observations (shared W / proposals / thinning
     uniforms) and filter particles are all coupled across members, so a
-    member equal to the limit reproduces it bitwise and D = 0.
+    member equal to the limit reproduces it bitwise and D = 0.  The filter
+    particles' randomness is drawn once per rep and every filter, the
+    limit's and each member's, marches over that one draw with its own
+    resample stream.
     """
-    from .convergence import enforce_level_bound
+    from .convergence import decreasing_verdict, enforce_level_bound
 
+    if reps < 1:
+        raise FilterError(f"reps must be at least 1, got {reps}")
     enforce_level_bound(trunc.level, family.gamma_sup)
     if phis is None:
         phis = [("tanh", lambda x: np.tanh(np.atleast_2d(x)[:, 0])),
@@ -583,15 +601,13 @@ def robustness_experiment(family, model: ObservationModel, driver, trunc,
         records = {n: setup.record_for(sig_members[n].values[0], f"member-{n}")
                    for n in keys}
         record_lim = setup.record_for(sig_limit.values[0], "limit")
-        run_lim = filter_run(model, family.limit, driver, trunc, mu0,
-                             record_lim, n_particles, rep_seed,
-                             ess_threshold=ess_threshold,
-                             checkpoints=checkpoints)
+        inputs = _prepare_block(driver, trunc, mu0, setup.grid, family.limit.m,
+                                range(n_particles), rep_seed, rngmod.FILTER)
+        run_lim = _march_filter(model, family.limit, driver, trunc, record_lim,
+                                inputs, ess_threshold, checkpoints)
         for jn, n in enumerate(keys):
-            run_n = filter_run(model, family.members[n], driver, trunc, mu0,
-                               records[n], n_particles, rep_seed,
-                               ess_threshold=ess_threshold,
-                               checkpoints=checkpoints)
+            run_n = _march_filter(model, family.members[n], driver, trunc,
+                                  records[n], inputs, ess_threshold, checkpoints)
             gaps = []
             for st_n, st_l in zip(run_n.states, run_lim.states):
                 for _, fn in phis:
@@ -601,16 +617,8 @@ def robustness_experiment(family, model: ObservationModel, driver, trunc,
     se_d = dists.std(axis=0, ddof=1) / math.sqrt(reps) if reps > 1 else np.zeros(len(keys))
     rows = [{"n": n, "distance": float(mean_d[j]), "se": float(se_d[j])}
             for j, n in enumerate(keys)]
-    non_inc = True
-    for a, b in zip(rows, rows[1:]):
-        if b["distance"] > a["distance"] + 2.0 * (a["se"] + b["se"]):
-            non_inc = False
-    d0, d1 = rows[0]["distance"], rows[-1]["distance"]
-    if d0 <= 1e-14:
-        ratio, passed = None, non_inc and d1 <= 1e-14
-    else:
-        ratio = d1 / d0
-        passed = non_inc and ratio <= 0.25
+    non_inc, ratio, passed = decreasing_verdict([r["distance"] for r in rows],
+                                                [r["se"] for r in rows])
     return RobustnessReport(rows=rows, checkpoint_times=checkpoints,
                             non_increasing=non_inc, ratio=ratio, passed=passed)
 

@@ -402,9 +402,6 @@ def fpe_weak_residual(ensemble: PathEnsemble, ctx: GeneratorContext,
     acc = np.zeros(n)
     residual = np.zeros(M1)
     se = np.zeros(M1)
-    stat0 = phi0 - phi0  # zero, kept for symmetry of the loop below
-    residual[0] = float(stat0.mean())
-    se[0] = 0.0
     h_eff = float(np.max(np.diff(times)))
     for i in range(M1 - 1):
         gv, _ = generator_apply(ctx, phi, float(times[i]), vals[:, i, :])

@@ -79,6 +79,11 @@ class RunManifest:
             errors.append("grid step h must lie in (0, T]")
         if self.n_particles <= 0:
             errors.append("n_particles must be positive")
+        if self.kind == "filter_robustness":
+            reps = self.spec.get("reps", 3)
+            if isinstance(reps, bool) or not isinstance(reps, int) or reps < 2:
+                errors.append(f"spec.reps must be an integer >= 2 (the distance "
+                              f"s.e. needs two reps), got {reps!r}")
         missing = set()
         for key in _REQUIRED[self.kind]:
             if key not in self.spec:

@@ -182,8 +182,8 @@ def test_diagnostics_kind(tmp_path):
     assert (tmp_path / "diag" / "tightness.csv").exists()
 
 
-def test_filter_robustness_kind(tmp_path):
-    man = RunManifest(
+def filter_robustness_manifest(reps=2):
+    return RunManifest(
         kind="filter_robustness", seed=5, T=0.5, h=0.05, n_particles=300,
         spec={
             "family": {
@@ -208,9 +208,20 @@ def test_filter_robustness_kind(tmp_path):
                                   "masses": [0.25, 0.25]}},
             "truncation": {"level": 0.5},
             "mu0": {"name": "gaussian", "params": {"mean": [0.0], "std": [0.5]}},
-            "reps": 2,
+            "reps": reps,
         })
+
+
+def test_filter_robustness_kind(tmp_path):
+    man = filter_robustness_manifest()
     summary = run(man, str(tmp_path / "rob"))
     assert summary["verdicts"]["robustness_pass"]
     lines = open(tmp_path / "rob" / "filter_limit.csv").read().splitlines()
     assert lines[0] == "t,phi_id,pi_t,rho_t_1,ess"
+
+
+@pytest.mark.parametrize("reps", [0, 1, 2.5])
+def test_filter_robustness_bad_reps_rejected(reps):
+    errors = filter_robustness_manifest(reps).validate()
+    assert errors == [f"spec.reps must be an integer >= 2 (the distance s.e. "
+                      f"needs two reps), got {reps!r}"]

@@ -6,7 +6,7 @@ from scipy import stats
 
 import levylab as L
 from levylab import rng as R
-from levylab.engine import SimulationError, make_base_grid
+from levylab.engine import BlockMarch, SimulationError, _prepare_block, make_base_grid
 from levylab.measures import TruncationConfig
 
 from oracles import ou_euler_chain_variance, quad_radial
@@ -118,6 +118,25 @@ class TestEnsembleLaws:
             L.simulate_ensemble(cs, NO_JUMPS, TR, L.PointMass([5.0]), 4, 0.5,
                                 3.0, seed=1)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_names_global_particle(self):
+        # state leaves [-1, 1] -> infinite drift at once; with blocks of 2 the
+        # first bad particle sits past the first block, and the message must
+        # name it globally so simulate_path can replay it alone
+        cs = L.CoefficientSet(
+            b=lambda t, x: np.where(np.abs(np.atleast_2d(x)) > 1.0, np.inf, 0.0),
+            sigma=lambda t, x: np.zeros((np.atleast_2d(x).shape[0], 1, 1)), d=1, m=1)
+        mu0, seed = L.GaussianLaw([0.0], [1.0]), 3
+        x0 = L.simulate_ensemble(L.coefficients_from_config({"name": "zero", "d": 1, "m": 1}),
+                                 NO_JUMPS, TR, mu0, 8, 0.5, 1.0, seed).values[:, 0, 0]
+        bad = int(np.argmax(np.abs(x0) > 1.0))
+        assert bad >= 2 and abs(x0[bad]) > 1.0
+        msg = rf"t=0\.5 \(particle {bad}, seed {seed}, namespace {R.SIGNAL}\)"
+        with pytest.raises(SimulationError, match=msg):
+            L.simulate_ensemble(cs, NO_JUMPS, TR, mu0, 8, 0.5, 1.0, seed, block_size=2)
+        with pytest.raises(SimulationError, match=msg):
+            L.simulate_path(cs, NO_JUMPS, TR, mu0, 0.5, 1.0, seed, particle_index=bad)
+
 
 class TestNoiseProtocol:
     def test_no_jump_reduction_matches_reference_euler(self):
@@ -147,6 +166,20 @@ class TestNoiseProtocol:
         b = L.simulate_ensemble(cs, drv, TR, L.GaussianLaw([0.0], [1.0]), 300,
                                 0.05, 1.0, seed=13, block_size=4096)
         assert np.array_equal(a.values, b.values)
+
+    def test_block_inputs_read_only(self):
+        # marches share one draw, so the draw must reject writes
+        drv = L.AtomicLevyMeasure([[0.9], [-0.9]], [2.0, 2.0])
+        grid = make_base_grid(1.0, 0.1)
+        inp = _prepare_block(drv, TR, L.GaussianLaw([0.0], [1.0]), grid, 1,
+                             range(4, 9), 13, R.FILTER)
+        assert inp.ev_time.size and inp.particles.tolist() == [4, 5, 6, 7, 8]
+        arrays = [inp.particles, inp.x0, inp.ev_particle, inp.ev_time, inp.ev_mark,
+                  inp.ev_cell, inp.noise, inp.offsets] + inp.jump_times + inp.jump_marks
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+        BlockMarch(ou_coeffs(gamma=0.5), drv, TR, grid, inp).run()
 
     def test_weak_order_one(self):
         # engine matches the exact Euler-chain variance at two step sizes,

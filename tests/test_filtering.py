@@ -435,6 +435,70 @@ class TestRobustness:
                                     [1, 2], 100, 0.05, 0.5, seed=23, reps=1)
         assert all(r["distance"] == 0.0 for r in rep.rows)
 
+    def test_matches_independent_filter_runs(self):
+        # reference: every filter, the limit's and each member's, run on its
+        # own by filter_run, which draws the particle randomness per call
+        fam = self.family()
+        drv = L.AtomicLevyMeasure([[0.8], [-0.8]], [0.25, 0.25])
+        model = make_model(lam=("state_logistic", {"base": 0.8, "decay": 0.5}))
+        mu0 = L.GaussianLaw([0.0], [0.5])
+        n_part, h, T, seed, reps, ess = 150, 0.05, 0.5, 24, 2, 0.9
+        phis = [("first", lambda x: x[:, 0]), ("tanh", lambda x: np.tanh(x[:, 0]))]
+        checkpoints = np.linspace(T / 5, T, 5)
+        keys = sorted(fam.members)
+        dists = np.zeros((reps, len(keys)))
+        resampled = 0
+        for r in range(reps):
+            rep_seed = seed + 1000 * r
+            setup = ObservationSetup(model, T, h, rep_seed)
+            sig_members, sig_limit = L.simulate_coupled_family(
+                fam, drv, TR, mu0, 1, h, T, rep_seed, extra_times=setup.prop_times)
+
+            def run(cs, sig, link):
+                rec = setup.record_for(sig.values[0], link)
+                return filter_run(model, cs, drv, TR, mu0, rec, n_part, rep_seed,
+                                  ess_threshold=ess, checkpoints=checkpoints)
+
+            lim = run(fam.limit, sig_limit, "limit")
+            resampled += len(lim.resampled_at)
+            for j, n in enumerate(keys):
+                mem = run(fam.members[n], sig_members[n], f"member-{n}")
+                dists[r, j] = float(np.mean([abs(a.estimate(fn) - b.estimate(fn))
+                                             for a, b in zip(mem.states, lim.states)
+                                             for _, fn in phis]))
+        assert resampled > 0
+        rep = robustness_experiment(fam, model, drv, TR, mu0, keys, n_part, h, T,
+                                    seed, phis=phis, n_checkpoints=5, reps=reps,
+                                    ess_threshold=ess)
+        se = dists.std(axis=0, ddof=1) / math.sqrt(reps)
+        assert [r["n"] for r in rep.rows] == keys
+        assert [r["distance"] for r in rep.rows] == dists.mean(axis=0).tolist()
+        assert [r["se"] for r in rep.rows] == se.tolist()
+
+    def test_filter_particles_drawn_once_per_rep(self, monkeypatch):
+        import levylab.filtering as F
+
+        drawn = []
+        prepare = F._prepare_block
+
+        def counting(*args, **kwargs):
+            inputs = prepare(*args, **kwargs)
+            drawn.append((inputs.seed, inputs.namespace, inputs.particles.size))
+            return inputs
+
+        monkeypatch.setattr(F, "_prepare_block", counting)
+        fam = self.family()
+        drv = L.AtomicLevyMeasure([[0.8]], [0.4])
+        robustness_experiment(fam, make_model(), drv, TR, L.PointMass([0.2]),
+                              [1, 2, 4, 8], 50, 0.1, 0.5, seed=25, reps=3)
+        assert drawn == [(25 + 1000 * r, R.FILTER, 50) for r in range(3)]
+
+    def test_reps_below_one_rejected(self):
+        with pytest.raises(FilterError, match="reps"):
+            robustness_experiment(self.family(), make_model(), L.zero_measure(1),
+                                  TR, L.PointMass([0.2]), [1, 2], 10, 0.1, 0.5,
+                                  seed=26, reps=0)
+
 
 class TestHypothesisChecksAndShadow:
     def test_trivial_family_zero_gaps(self):
