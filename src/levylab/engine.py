@@ -290,8 +290,6 @@ def _prepare_block(driver: LevyMeasure, trunc: TruncationConfig, mu0: InitialLaw
     d = mu0.dim
     x0 = np.empty((B, d))
     jt_list, jm_list = [], []
-    n_cells = grid.size - 1
-    rows = np.empty(B, dtype=np.int64)
     for j, p in enumerate(particles):
         x0[j] = mu0.sample_one(rngmod.stream(seed, rngmod.INIT, p, namespace))
         if sampled_mass > 0.0:
@@ -301,28 +299,31 @@ def _prepare_block(driver: LevyMeasure, trunc: TruncationConfig, mu0: InitialLaw
             ev = JumpEvents.empty(driver.dim)
         jt_list.append(ev.times)
         jm_list.append(ev.marks)
-        interior = np.count_nonzero(~np.isin(ev.times, grid)) if len(ev) else 0
-        rows[j] = n_cells + interior
+    # flatten events; a jump off the grid adds one row to its particle's cells
+    if any(len(t) for t in jt_list):
+        ev_p = np.repeat(np.arange(B, dtype=np.int64), [len(t) for t in jt_list])
+        ev_t = np.concatenate(jt_list)
+        ev_z = np.vstack([mk for mk in jm_list if mk.shape[0]])
+        at = np.searchsorted(grid, ev_t, side="left")
+        on_grid = grid[np.minimum(at, grid.size - 1)] == ev_t
+        interior = np.bincount(ev_p[~on_grid], minlength=B)
+        ev_c = at - 1
+    else:
+        ev_p = np.empty(0, dtype=np.int64)
+        ev_t = np.empty(0)
+        ev_z = np.empty((0, driver.dim))
+        ev_c = np.empty(0, dtype=np.int64)
+        interior = np.zeros(B, dtype=np.int64)
+    rows = (grid.size - 1) + interior
     offsets = np.zeros(B + 1, dtype=np.int64)
     np.cumsum(rows, out=offsets[1:])
     noise = np.empty((int(offsets[-1]), m))
     for j, p in enumerate(particles):
         g = rngmod.stream(seed, rngmod.BROWNIAN, p, namespace)
         noise[offsets[j]:offsets[j + 1]] = g.standard_normal((int(rows[j]), m))
-    # flatten events, sorted by (cell, particle, time)
-    if jt_list and any(len(t) for t in jt_list):
-        ev_p = np.concatenate([np.full(len(t), j, dtype=np.int64)
-                               for j, t in enumerate(jt_list)])
-        ev_t = np.concatenate(jt_list)
-        ev_z = np.vstack([mk for mk in jm_list if mk.shape[0]])
-        ev_c = np.searchsorted(grid, ev_t, side="left") - 1
-        order = np.lexsort((ev_t, ev_p, ev_c))
-        ev_p, ev_t, ev_z, ev_c = ev_p[order], ev_t[order], ev_z[order], ev_c[order]
-    else:
-        ev_p = np.empty(0, dtype=np.int64)
-        ev_t = np.empty(0)
-        ev_z = np.empty((0, driver.dim))
-        ev_c = np.empty(0, dtype=np.int64)
+    # events sorted by (cell, particle, time)
+    order = np.lexsort((ev_t, ev_p, ev_c))
+    ev_p, ev_t, ev_z, ev_c = ev_p[order], ev_t[order], ev_z[order], ev_c[order]
     ids = np.array(particles, dtype=np.int64)
     for a in [ids, x0, ev_p, ev_t, ev_z, ev_c, noise, offsets] + jt_list + jm_list:
         a.flags.writeable = False

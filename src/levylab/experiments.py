@@ -81,14 +81,16 @@ def run_superposition(man: RunManifest, seed: int, workers: int):
     ens_half = simulate_ensemble(coeffs, driver, trunc, mu0, man.n_particles,
                                  man.h / 2, man.T, seed + 1, workers=workers,
                                  parallel_cfg=parallel_cfg, block_size=block)
+    # one march per ensemble for the whole dictionary; the h run's march also
+    # accumulates the martingale increments on the sub-window
+    s_win = man.spec.get("martingale_window", [0.25 * man.T, 0.5 * man.T])
+    window = (float(s_win[0]), float(s_win[1]))
+    reports = fpe_weak_residual(ens, ctx, dictionary, martingale_window=window)
+    halves = fpe_weak_residual(ens_half, ctx, dictionary, run_guards=False)
     fpe_rows = []
     all_pass = True
     halving_ok = True
-    run_guards = True
-    for phi in dictionary:
-        rep = fpe_weak_residual(ens, ctx, phi, run_guards=run_guards)
-        run_guards = False
-        rep_half = fpe_weak_residual(ens_half, ctx, phi, run_guards=False)
+    for phi, rep, rep_half in zip(dictionary, reports, halves):
         slope = 2.5 * abs(rep.sup_abs - rep_half.sup_abs) / (man.h / 2)
         combined = 3.0 * (rep_half.sup_se + 0.5 * rep.sup_se)
         if rep_half.sup_abs > 0.5 * rep.sup_abs + combined:
@@ -99,12 +101,11 @@ def run_superposition(man: RunManifest, seed: int, workers: int):
             all_pass = all_pass and ok
             fpe_rows.append([float(t), phi.name, rep.residual[k], rep.mc_se[k],
                              budget, ok])
-    # martingale residual on a sub-window, all dictionary entries
-    s_win = man.spec.get("martingale_window", [0.25 * man.T, 0.5 * man.T])
     mart_rows = []
     mart_pass = True
-    for phi in dictionary:
-        mrep = martingale_residual(ens, ctx, phi, float(s_win[0]), float(s_win[1]))
+    for phi, rep in zip(dictionary, reports):
+        mrep = martingale_residual(ens, ctx, phi, *window,
+                                   increments=rep.martingale_increments)
         mart_pass = mart_pass and mrep.within
         for b in mrep.bins:
             mart_rows.append([phi.name, b["bin"], b["count"], b["estimate"],

@@ -20,6 +20,16 @@ The two residual tests:
   mu_t(phi) = mu_0(phi) + int mu_s(L phi) ds on empirical marginals,
   which together with the simulation engine is the empirical rendering of
   the equivalence between path laws and weak forward solutions.
+
+Both are evaluated for a whole test-function dictionary in one march over
+the ensemble's time slices.  Each slice makes one generator_apply call:
+b, a, f, the jump images and the small-jump mask are computed once, and
+each function's phi, grad and hess come from one fused `jet` pass.  The
+jet's phi(x_i) is both the generator's base value and the FPE statistic at
+t_i, and the martingale increments on a sub-window accumulate in the same
+march.  Only O(K n) accumulators are kept, never per-slice values.  A single
+function is the one-element dictionary of the same code; all results are
+bit for bit those of evaluating each function on its own.
 """
 
 from __future__ import annotations
@@ -77,9 +87,6 @@ class GeneratorContext:
             self._quad_nodes = (nodes, total)
         return self._quad_nodes
 
-    def a_matrix(self, t, x):
-        return self.coeffs.a(t, np.atleast_2d(x))
-
 
 @dataclass
 class GeneratorValue:
@@ -87,49 +94,56 @@ class GeneratorValue:
     quad_se: float = 0.0
 
 
-def _jump_term(ctx: GeneratorContext, phi: TestFunction, t, X: np.ndarray,
-               grad_vals: np.ndarray):
-    """Non-local term and its quadrature s.e. for all rows of X at once."""
+def _jump_terms(ctx: GeneratorContext, phis: list, jets: list, t, X: np.ndarray):
+    """Non-local term and its quadrature s.e., (K, n) each, for the whole
+    dictionary: the images X + f(X) z and the small-jump mask are built once."""
     n, d = X.shape
+    vals = np.zeros((len(phis), n))
+    ses = np.zeros((len(phis), n))
     fv = ctx.coeffs.f(t, X)
-    level = ctx.trunc.level
     if ctx.jump_quadrature == ATOMIC_SUM:
-        z = ctx.driver.atoms            # (k, d)
-        w = ctx.driver.masses           # (k,)
-        if z.shape[0] == 0:
-            return np.zeros(n), np.zeros(n)
-        U = fv[:, None, None] * z[None, :, :]                    # (n, k, d)
-        shifted = phi.phi((X[:, None, :] + U).reshape(-1, d)).reshape(n, -1)
-        base = phi.phi(X)[:, None]
-        comp = np.einsum("nkd,nd->nk", U, grad_vals)
-        small = np.linalg.norm(U, axis=2) <= level
-        vals = (shifted - base - np.where(small, comp, 0.0)) @ w
-        return vals, np.zeros(n)
-    nodes, total = ctx.quad_nodes()
-    if total == 0.0 or nodes.shape[0] == 0:
-        return np.zeros(n), np.zeros(n)
-    U = fv[:, None, None] * nodes[None, :, :]                    # (n, q, d)
-    q = nodes.shape[0]
-    shifted = phi.phi((X[:, None, :] + U).reshape(-1, d)).reshape(n, q)
-    base = phi.phi(X)[:, None]
-    comp = np.einsum("nqd,nd->nq", U, grad_vals)
-    small = np.linalg.norm(U, axis=2) <= level
-    integrand = shifted - base - np.where(small, comp, 0.0)
-    vals = total * integrand.mean(axis=1)
-    ses = total * integrand.std(axis=1, ddof=1) / math.sqrt(q)
+        z, total = ctx.driver.atoms, None                         # (k, d)
+    else:
+        z, total = ctx.quad_nodes()                               # (q, d)
+        if total == 0.0:
+            return vals, ses
+    q = z.shape[0]
+    if q == 0:
+        return vals, ses
+    U = fv[:, None, None] * z[None, :, :]                        # (n, q, d)
+    images = (X[:, None, :] + U).reshape(-1, d)
+    small = np.linalg.norm(U, axis=2) <= ctx.trunc.level
+    for k, (phi, (base, grad, _)) in enumerate(zip(phis, jets)):
+        shifted = phi.phi(images).reshape(n, q)
+        comp = np.einsum("nqd,nd->nq", U, grad)
+        integrand = shifted - base[:, None] - np.where(small, comp, 0.0)
+        if total is None:
+            vals[k] = integrand @ ctx.driver.masses
+        else:
+            vals[k] = total * integrand.mean(axis=1)
+            ses[k] = total * integrand.std(axis=1, ddof=1) / math.sqrt(q)
     return vals, ses
 
 
-def generator_apply(ctx: GeneratorContext, phi: TestFunction, t, X: np.ndarray):
-    """Vectorized generator values over rows of X; returns (values, quad_se)."""
+def generator_apply(ctx: GeneratorContext, phis, t, X: np.ndarray, jets=None):
+    """Generator values over rows of X for one function or a whole dictionary.
+
+    One TestFunction gives (values, quad_se) of shape (n,); a sequence of K
+    functions gives (K, n) arrays, with b, a and the jump images computed
+    once.  `jets` are the functions' (phi, grad, hess) at X when the caller
+    already has them.
+    """
+    single = isinstance(phis, TestFunction)
+    phis = [phis] if single else list(phis)
     X = np.atleast_2d(X)
-    g = phi.grad(X)
-    h = phi.hess(X)
+    if jets is None:
+        jets = [phi.jet(X) for phi in phis]
     a = ctx.coeffs.a(t, X)
     b = ctx.coeffs.b(t, X)
-    local = np.einsum("nij,nij->n", a, h) + np.einsum("ni,ni->n", b, g)
-    jump, se = _jump_term(ctx, phi, t, X, g)
-    return local + jump, se
+    vals, ses = _jump_terms(ctx, phis, jets, t, X)
+    for k, (_, g, h) in enumerate(jets):
+        vals[k] = np.einsum("nij,nij->n", a, h) + np.einsum("ni,ni->n", b, g) + vals[k]
+    return (vals[0], ses[0]) if single else (vals, ses)
 
 
 def eval_generator(ctx: GeneratorContext, phi: TestFunction, t: float,
@@ -255,36 +269,104 @@ class MartingaleReport:
         return self.max_sigmas <= 3.0
 
 
-def _per_path_increment(ensemble: PathEnsemble, ctx: GeneratorContext,
-                        phi: TestFunction, i_s: int, i_t: int):
-    """phi(x_t) - phi(x_s) - sum of generator values times dt, per path."""
-    times = ensemble.times
-    vals = ensemble.values
-    acc = np.zeros(vals.shape[0])
-    for i in range(i_s, i_t):
-        gv, _ = generator_apply(ctx, phi, float(times[i]), vals[:, i, :])
-        acc += gv * (times[i + 1] - times[i])
-    return phi.phi(vals[:, i_t, :]) - phi.phi(vals[:, i_s, :]) - acc
+@dataclass
+class MartingaleIncrements:
+    """Per-path compensated increments of one function over one window."""
+
+    phi_name: str
+    window: tuple        # (i_s, i_t), slice indices of s and t
+    values: np.ndarray   # (n,) phi(x_t) - phi(x_s) - sum_{[s, t)} (L phi) dt
+
+
+def _window_indices(ensemble: PathEnsemble, s: float, t: float):
+    if not s < t:
+        raise GeneratorError("need s < t")
+    return ensemble.index_at(s), ensemble.index_at(t)
+
+
+def _march(ensemble: PathEnsemble, ctx: GeneratorContext, phis: list,
+           fpe: bool, window=None):
+    """One pass over the ensemble's time slices for the whole dictionary.
+
+    Each slice i makes one generator_apply call.  The jets at x_i give the
+    generator its base values and are also phi(x_i) for the FPE statistic
+    at t_i, so phi is evaluated once per slice and function.  With
+    fpe=False only the slices of window = (i_s, i_t) are marched.  Returns
+    the (K, M1) residual and s.e. curves and, when a window is given, the
+    per-function MartingaleIncrements over it.  Only (K, n) accumulators
+    are kept, never per-slice generator values.
+    """
+    times, vals = ensemble.times, ensemble.values
+    n, M1, _ = vals.shape
+    K = len(phis)
+    first, last = (0, M1 - 1) if fpe else window
+    residual = np.zeros((K, M1))
+    se = np.zeros((K, M1))
+    acc = np.zeros((K, n))        # int_0^{t_i} L phi dr per path
+    win_acc = np.zeros((K, n))    # the same over the martingale window
+    i_s, i_t = window if window is not None else (None, None)
+    for i in range(first, last + 1):
+        X = vals[:, i, :]
+        jets = [phi.jet(X) for phi in phis] if i < last else None
+        base = ([jet[0] for jet in jets] if jets is not None
+                else [phi.phi(X) for phi in phis])
+        if i == first:
+            phi0 = base
+        if i == i_s:
+            phi_s = base
+        if i == i_t:
+            phi_t = base
+        if fpe and i > first:
+            for k in range(K):
+                stat = base[k] - phi0[k] - acc[k]
+                residual[k, i] = float(stat.mean())
+                se[k, i] = float(stat.std(ddof=1) / math.sqrt(n))
+        if i == last:
+            break
+        gv, _ = generator_apply(ctx, phis, float(times[i]), X, jets=jets)
+        step = gv * (times[i + 1] - times[i])
+        acc += step
+        if window is not None and i_s <= i < i_t:
+            win_acc += step
+    increments = None
+    if window is not None:
+        increments = [MartingaleIncrements(phi.name, (i_s, i_t),
+                                           phi_t[k] - phi_s[k] - win_acc[k])
+                      for k, phi in enumerate(phis)]
+    return residual, se, increments
 
 
 def martingale_residual(ensemble: PathEnsemble, ctx: GeneratorContext,
                         phi: TestFunction, s: float, t: float,
-                        n_bins: int = 8, min_bin: int = 100) -> MartingaleReport:
+                        n_bins: int = 8, min_bin: int = 100,
+                        increments=None) -> MartingaleReport:
     """Conditional-mean test of the compensated increment over [s, t].
 
     Bins the ensemble on the state at time s (a coarse measurable partition
     of the past, hence a necessary condition for the martingale property)
-    and reports the worst normalized bin mean.
+    and reports the worst normalized bin mean.  `increments` are the
+    MartingaleIncrements of phi over [s, t] when the caller already has them
+    (`fpe_weak_residual(..., martingale_window=(s, t))`); they must be of
+    this phi, this window and one value per path.  Otherwise the window's
+    slices are marched here.
     """
     if phi.support_class not in (COMPACT, LOG_GROWTH):
         raise GeneratorError("martingale test needs a compact or log-growth function")
     caveat = ("log-growth test function: only a local-martingale statement "
               "is available, residual interpreted under localization"
               if phi.support_class == LOG_GROWTH else None)
-    if not s < t:
-        raise GeneratorError("need s < t")
-    i_s, i_t = ensemble.index_at(s), ensemble.index_at(t)
-    inc = _per_path_increment(ensemble, ctx, phi, i_s, i_t)
+    i_s, i_t = _window_indices(ensemble, s, t)
+    if increments is None:
+        increments = _march(ensemble, ctx, [phi], fpe=False, window=(i_s, i_t))[2][0]
+    if increments.phi_name != phi.name:
+        raise GeneratorError(f"increments are of {increments.phi_name!r}, "
+                             f"not of {phi.name!r}")
+    if tuple(increments.window) != (i_s, i_t):
+        raise GeneratorError(f"increments are over slices {tuple(increments.window)}, "
+                             f"not over the window's slices {(i_s, i_t)}")
+    inc = increments.values
+    if inc.shape != (ensemble.n_particles,):
+        raise GeneratorError(f"need one increment per path, got shape {inc.shape}")
     xs = ensemble.values[:, i_s, :]
     # bin on each coordinate with spread; combine bin ids
     active = [j for j in range(xs.shape[1]) if np.ptp(xs[:, j]) > 0]
@@ -340,6 +422,7 @@ class FpeReport:
     sup_se: float
     guards: dict
     h: float
+    martingale_increments: MartingaleIncrements | None = None   # see fpe_weak_residual
 
     @property
     def sup_index(self) -> int:
@@ -390,29 +473,35 @@ def integrability_guards(ensemble: PathEnsemble, ctx: GeneratorContext,
 
 
 def fpe_weak_residual(ensemble: PathEnsemble, ctx: GeneratorContext,
-                      phi: TestFunction, run_guards: bool = True) -> FpeReport:
-    """Residual curve of the empirical weak forward identity for one phi."""
-    if phi.support_class != COMPACT:
+                      phis, run_guards: bool = True, martingale_window=None):
+    """Residual curves of the empirical weak forward identity.
+
+    `phis` is one TestFunction, giving one FpeReport, or a dictionary, giving
+    a list of reports in its order; either way the ensemble's slices are
+    marched once.  With martingale_window=(s, t) each report also carries
+    the per-path compensated increments over [s, t], accumulated in the same
+    march, for martingale_residual(..., increments=...).
+    """
+    single = isinstance(phis, TestFunction)
+    phis = [phis] if single else list(phis)
+    if any(phi.support_class != COMPACT for phi in phis):
         raise GeneratorError("the weak forward identity is tested on "
                              "compactly supported functions")
+    window = (None if martingale_window is None
+              else _window_indices(ensemble, *martingale_window))
     guards = integrability_guards(ensemble, ctx) if run_guards else {}
-    times, vals = ensemble.times, ensemble.values
-    n, M1, _ = vals.shape
-    phi0 = phi.phi(vals[:, 0, :])
-    acc = np.zeros(n)
-    residual = np.zeros(M1)
-    se = np.zeros(M1)
+    times = ensemble.times
     h_eff = float(np.max(np.diff(times)))
-    for i in range(M1 - 1):
-        gv, _ = generator_apply(ctx, phi, float(times[i]), vals[:, i, :])
-        acc += gv * (times[i + 1] - times[i])
-        stat = phi.phi(vals[:, i + 1, :]) - phi0 - acc
-        residual[i + 1] = float(stat.mean())
-        se[i + 1] = float(stat.std(ddof=1) / math.sqrt(n))
-    k = int(np.argmax(np.abs(residual)))
-    return FpeReport(phi_name=phi.name, times=times.copy(), residual=residual,
-                     mc_se=se, sup_abs=float(abs(residual[k])), sup_se=float(se[k]),
-                     guards=guards, h=h_eff)
+    residual, se, increments = _march(ensemble, ctx, phis, fpe=True, window=window)
+    reports = []
+    for k, phi in enumerate(phis):
+        j = int(np.argmax(np.abs(residual[k])))
+        reports.append(FpeReport(
+            phi_name=phi.name, times=times.copy(), residual=residual[k],
+            mc_se=se[k], sup_abs=float(abs(residual[k, j])), sup_se=float(se[k, j]),
+            guards=guards, h=h_eff,
+            martingale_increments=None if increments is None else increments[k]))
+    return reports[0] if single else reports
 
 
 # ---------------------------------------------------------------------------
@@ -463,20 +552,18 @@ def superposition_crosscheck(ctx: GeneratorContext, mu0, dictionary,
         raise GeneratorError(f"hypothesis validation failed: {hyp}")
     ens = simulate_ensemble(ctx.coeffs, ctx.driver, ctx.trunc, mu0, n_particles,
                             h, T, seed)
-    ens_half = None
+    reports = fpe_weak_residual(ens, ctx, dictionary)
+    halves = [None] * len(reports)
     if refine:
         ens_half = simulate_ensemble(ctx.coeffs, ctx.driver, ctx.trunc, mu0,
                                      n_particles, h / 2, T, seed + 1)
+        halves = fpe_weak_residual(ens_half, ctx, dictionary, run_guards=False)
     rows = []
     halving_ok = None if not refine else True
     slopes = {}
-    run_guards = True
-    for phi in dictionary:
-        rep = fpe_weak_residual(ens, ctx, phi, run_guards=run_guards)
-        run_guards = False  # guards are phi-independent; once per ensemble
+    for phi, rep, rep_half in zip(dictionary, reports, halves):
         sup_half = None
         if refine:
-            rep_half = fpe_weak_residual(ens_half, ctx, phi, run_guards=False)
             sup_half = rep_half.sup_abs
             slope = 2.5 * abs(rep.sup_abs - rep_half.sup_abs) / (h / 2)
             combined = se_factor * (rep_half.sup_se + 0.5 * rep.sup_se)

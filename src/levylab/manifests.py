@@ -8,6 +8,7 @@ lists and nested dicts only).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 KINDS = ("superposition", "limit", "filter_robustness", "diagnostics")
@@ -18,6 +19,14 @@ _REQUIRED = {
     "filter_robustness": ("family", "observation", "driver", "truncation", "mu0"),
     "diagnostics": ("coefficients", "driver", "truncation", "mu0"),
 }
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 class ManifestError(ValueError):
@@ -81,9 +90,20 @@ class RunManifest:
             errors.append("n_particles must be positive")
         if self.kind == "filter_robustness":
             reps = self.spec.get("reps", 3)
-            if isinstance(reps, bool) or not isinstance(reps, int) or reps < 2:
+            if not _is_int(reps) or reps < 2:
                 errors.append(f"spec.reps must be an integer >= 2 (the distance "
                               f"s.e. needs two reps), got {reps!r}")
+        if self.kind == "superposition":
+            block = self.spec.get("block_size", 4096)
+            if not _is_int(block) or block < 1:
+                errors.append(f"spec.block_size must be an integer >= 1, got {block!r}")
+            window = self.spec.get("martingale_window", [0.25 * self.T, 0.5 * self.T])
+            if not (isinstance(window, (list, tuple)) and len(window) == 2
+                    and all(_is_real(v) and math.isfinite(v) for v in window)
+                    and 0 <= window[0] < window[1] <= self.T):
+                errors.append(f"spec.martingale_window must be two finite numbers "
+                              f"[s, t] with 0 <= s < t <= T = {self.T!r}, "
+                              f"got {window!r}")
         missing = set()
         for key in _REQUIRED[self.kind]:
             if key not in self.spec:

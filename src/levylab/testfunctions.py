@@ -9,12 +9,16 @@ compactly supported function.
 
 Analytic derivatives are cross-validated against finite differences at
 registration; a silent derivative bug fails construction, not a later test.
+The library shapes compute phi, grad and hess together in one fused `jet`
+(one window evaluation; the generator calls it once per time slice) and
+read grad and hess off it, so the check covers the jet itself; its phi must
+equal the standalone phi bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,15 +44,24 @@ class TestFunction:
     support_class: str = COMPACT
     support_radius: float | None = None   # |x - center| beyond which phi == 0
     center: np.ndarray | None = None
+    # x -> (phi, grad, hess) from one pass over x; defaults to the three calls
+    jet: callable | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.jet is None:
+            self.jet = lambda x: (self.phi(x), self.grad(x), self.hess(x))
 
     def __call__(self, x):
         return self.phi(np.atleast_2d(x))
 
     def validate_derivatives(self, probes: np.ndarray, rel_tol: float = 1e-5,
                              fd_step: float = 1e-6):
-        """Cross-check grad/hess against central finite differences of phi."""
+        """Cross-check grad/hess against central finite differences of phi,
+        and the jet's phi against phi bit for bit."""
         probes = np.atleast_2d(probes)
         n, d = probes.shape
+        if not np.array_equal(self.jet(probes)[0], self.phi(probes)):
+            raise TestFunctionError(f"{self.name}: jet value disagrees with phi")
         g = self.grad(probes)
         h = self.hess(probes)
         scale = float(np.max(np.abs(self.phi(probes))) + 1.0)
@@ -141,21 +154,17 @@ def plateau_bump(center=0.0, r0=1.0, r1=2.0, height=1.0, dim=None,
         W, _, _ = _window(r, r0, r1)
         return height * W
 
-    def grad(x):
+    def jet(x):
         y, r = _radial_parts(x, center)
-        _, W1, _ = _window(r, r0, r1)
-        out = np.zeros_like(y)
+        W, W1, W2 = _window(r, r0, r1)
+        g = np.zeros_like(y)
         pos = r > 0
-        out[pos] = height * (W1[pos] / r[pos])[:, None] * y[pos]
-        return out
-
-    def hess(x):
-        y, r = _radial_parts(x, center)
-        _, W1, W2 = _window(r, r0, r1)
-        return height * _radial_hess(y, r, W1, W2)
+        g[pos] = height * (W1[pos] / r[pos])[:, None] * y[pos]
+        return height * W, g, height * _radial_hess(y, r, W1, W2)
 
     fn = TestFunction(name or f"bump(c={center.tolist()},r0={r0},r1={r1})",
-                      phi, grad, hess, d, COMPACT, support_radius=r1, center=center)
+                      phi, lambda x: jet(x)[1], lambda x: jet(x)[2], d, COMPACT,
+                      support_radius=r1, center=center, jet=jet)
     return fn
 
 
@@ -218,29 +227,22 @@ def windowed_monomial(powers, center=0.0, r0=2.0, r1=4.0, coef=1.0,
         W, _, _ = _window(r, r0, r1)
         return mono(y) * W
 
-    def grad(x):
-        y, r = _radial_parts(x, center)
-        W, W1, _ = _window(r, r0, r1)
-        gW = np.zeros_like(y)
-        pos = r > 0
-        gW[pos] = (W1[pos] / r[pos])[:, None] * y[pos]
-        return mono_grad(y) * W[:, None] + mono(y)[:, None] * gW
-
-    def hess(x):
+    def jet(x):
         y, r = _radial_parts(x, center)
         W, W1, W2 = _window(r, r0, r1)
         gW = np.zeros_like(y)
         pos = r > 0
         gW[pos] = (W1[pos] / r[pos])[:, None] * y[pos]
-        hW = _radial_hess(y, r, W1, W2)
-        gm = mono_grad(y)
+        m, gm = mono(y), mono_grad(y)
         cross = np.einsum("ni,nj->nij", gm, gW)
-        return (mono_hess(y) * W[:, None, None]
+        hess = (mono_hess(y) * W[:, None, None]
                 + cross + np.transpose(cross, (0, 2, 1))
-                + mono(y)[:, None, None] * hW)
+                + m[:, None, None] * _radial_hess(y, r, W1, W2))
+        return m * W, gm * W[:, None] + m[:, None] * gW, hess
 
     fn = TestFunction(name or f"wmono(p={powers.tolist()},c={center.tolist()},r0={r0})",
-                      phi, grad, hess, d, COMPACT, support_radius=r1, center=center)
+                      phi, lambda x: jet(x)[1], lambda x: jet(x)[2], d, COMPACT,
+                      support_radius=r1, center=center, jet=jet)
     return fn
 
 

@@ -225,3 +225,51 @@ def test_filter_robustness_bad_reps_rejected(reps):
     errors = filter_robustness_manifest(reps).validate()
     assert errors == [f"spec.reps must be an integer >= 2 (the distance s.e. "
                       f"needs two reps), got {reps!r}"]
+
+
+def test_superposition_one_generator_call_per_slice(tmp_path, monkeypatch):
+    import levylab.generator as gen
+    from levylab.engine import make_base_grid
+
+    calls = []
+    real = gen.generator_apply
+
+    def counting(ctx, phis, t, X, jets=None):
+        calls.append((len(phis), t))
+        return real(ctx, phis, t, X, jets=jets)
+
+    monkeypatch.setattr(gen, "generator_apply", counting)
+    man = small_superposition_manifest()
+    run(man, str(tmp_path / "sup"))
+    slices = [float(t) for h in (man.h, man.h / 2)
+              for t in make_base_grid(man.T, h)[:-1]]
+    assert calls == [(6, t) for t in slices]
+
+
+@pytest.mark.parametrize("block", [0, -4, 2.5, True, "256"])
+def test_superposition_bad_block_size_rejected(block):
+    man = small_superposition_manifest()
+    man.spec = dict(man.spec, block_size=block)
+    assert man.validate() == [f"spec.block_size must be an integer >= 1, "
+                              f"got {block!r}"]
+
+
+@pytest.mark.parametrize("window", [[0.3, 0.2], [0.2, 0.2], [-0.1, 0.2],
+                                    [0.1, 0.6], [0.1, math.nan], [0.1, math.inf],
+                                    [0.1], [0.1, 0.2, 0.3], "0.1,0.2",
+                                    [False, 0.2], [0.1, "0.2"]])
+def test_superposition_bad_martingale_window_rejected(tmp_path, window):
+    man = small_superposition_manifest()
+    man.spec = dict(man.spec, martingale_window=window)
+    message = (f"spec.martingale_window must be two finite numbers [s, t] with "
+               f"0 <= s < t <= T = 0.5, got {window!r}")
+    assert man.validate() == [message]
+    with pytest.raises(ManifestError, match="martingale_window"):
+        run(man, str(tmp_path / "never"))
+    assert not (tmp_path / "never").exists()
+
+
+def test_superposition_window_and_block_boundaries_valid():
+    man = small_superposition_manifest()
+    man.spec = dict(man.spec, martingale_window=[0, 0.5], block_size=1)
+    assert man.validate() == []

@@ -181,6 +181,24 @@ class TestNoiseProtocol:
                 a[...] = 0
         BlockMarch(ou_coeffs(gamma=0.5), drv, TR, grid, inp).run()
 
+    def test_jumps_on_the_grid_add_no_noise_rows(self):
+        # a jump at a grid time needs no extra Brownian row; check the
+        # vectorized count against a per-particle membership test, with
+        # some of the block's own jump times inserted into the grid
+        drv = L.AtomicLevyMeasure([[0.9], [-0.9]], [2.0, 2.0])
+        law = L.GaussianLaw([0.0], [1.0])
+        base = make_base_grid(1.0, 0.1)
+        first = _prepare_block(drv, TR, law, base, 1, range(6), 13, R.FILTER)
+        taken = np.concatenate([t[::2] for t in first.jump_times])
+        assert taken.size
+        grid = np.union1d(base, taken)
+        inp = _prepare_block(drv, TR, law, grid, 1, range(6), 13, R.FILTER)
+        rows = [grid.size - 1 + np.count_nonzero(~np.isin(t, grid))
+                for t in inp.jump_times]
+        assert inp.offsets.tolist() == np.cumsum([0] + rows[:-1]).tolist()
+        assert inp.noise.shape[0] == sum(rows)
+        assert sum(rows) < 6 * (grid.size - 1) + sum(len(t) for t in inp.jump_times)
+
     def test_weak_order_one(self):
         # engine matches the exact Euler-chain variance at two step sizes,
         # and the chain bias halves with the step (first weak order)

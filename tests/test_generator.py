@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import levylab as L
-from levylab.generator import (GeneratorContext, GeneratorError, eval_generator,
+from levylab.generator import (GeneratorContext, GeneratorError,
+                               MartingaleIncrements, eval_generator,
                                fpe_weak_residual, generator_apply,
                                integrability_guards, martingale_residual,
                                superposition_crosscheck, validate_hypotheses)
@@ -338,3 +339,141 @@ class TestSuperpositionCrosscheck:
         phi = default_dictionary(1)[0]
         rep = fpe_weak_residual(ens, bad_ctx, phi)
         assert rep.sup_abs > 3 * rep.sup_se + 0.02
+
+
+# ---------------------------------------------------------------------------
+# the dictionary pass against the per-function formulas it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_apply(ctx, phi, t, X):
+    """Generator values for one function, every piece recomputed per call."""
+    n, d = X.shape
+    g, h = phi.grad(X), phi.hess(X)
+    local = (np.einsum("nij,nij->n", ctx.coeffs.a(t, X), h)
+             + np.einsum("ni,ni->n", ctx.coeffs.b(t, X), g))
+    fv = ctx.coeffs.f(t, X)
+    if ctx.jump_quadrature == "atomic_sum":
+        z, total = ctx.driver.atoms, None
+    else:
+        z, total = ctx.quad_nodes()
+    U = fv[:, None, None] * z[None, :, :]
+    shifted = phi.phi((X[:, None, :] + U).reshape(-1, d)).reshape(n, -1)
+    comp = np.einsum("nkd,nd->nk", U, g)
+    small = np.linalg.norm(U, axis=2) <= ctx.trunc.level
+    integrand = shifted - phi.phi(X)[:, None] - np.where(small, comp, 0.0)
+    if total is None:
+        return local + integrand @ ctx.driver.masses, np.zeros(n)
+    q = z.shape[0]
+    return (local + total * integrand.mean(axis=1),
+            total * integrand.std(axis=1, ddof=1) / math.sqrt(q))
+
+
+def _reference_fpe(ens, ctx, phi):
+    times, vals = ens.times, ens.values
+    n, M1, _ = vals.shape
+    phi0 = phi.phi(vals[:, 0, :])
+    acc = np.zeros(n)
+    residual, se = np.zeros(M1), np.zeros(M1)
+    for i in range(M1 - 1):
+        gv, _ = _reference_apply(ctx, phi, float(times[i]), vals[:, i, :])
+        acc += gv * (times[i + 1] - times[i])
+        stat = phi.phi(vals[:, i + 1, :]) - phi0 - acc
+        residual[i + 1] = float(stat.mean())
+        se[i + 1] = float(stat.std(ddof=1) / math.sqrt(n))
+    return residual, se
+
+
+def _reference_increment(ens, ctx, phi, i_s, i_t):
+    acc = np.zeros(ens.n_particles)
+    for i in range(i_s, i_t):
+        gv, _ = _reference_apply(ctx, phi, float(ens.times[i]), ens.values[:, i, :])
+        acc += gv * (ens.times[i + 1] - ens.times[i])
+    return phi.phi(ens.values[:, i_t, :]) - phi.phi(ens.values[:, i_s, :]) - acc
+
+
+def _handmade(dim):
+    """A user-built function with no fused jet."""
+    f = plateau_bump(center=np.full(dim, 0.3), r0=0.5, r1=1.7, height=1.7)
+    return L.TestFunction("handmade", lambda y: f.phi(y), lambda y: f.grad(y),
+                          lambda y: f.hess(y), dim, "compact", support_radius=1.7)
+
+
+def _pass_context(case):
+    """(context, dim) of an atomic or a Monte Carlo driver."""
+    if case == "atomic-1d":
+        drv = L.AtomicLevyMeasure([[0.3], [-1.6], [2.4]], [0.5, 0.8, 0.2])
+        return GeneratorContext(ou_coeffs(0.7), drv, TruncationConfig(level=0.5)), 1
+    if case == "monte-carlo-1d":
+        return GeneratorContext(ou_coeffs(0.7), L.exponential_tails_1d(),
+                                TruncationConfig(level=0.5), n_quad=400), 1
+    cs = L.coefficients_from_config({"name": "bounded_nonlinear", "d": 2, "m": 2,
+                                     "gamma": 0.6})
+    drv = L.AtomicLevyMeasure([[0.4, -0.2], [-1.5, 1.0]], [0.6, 0.3])
+    return GeneratorContext(cs, drv, TruncationConfig(level=0.7)), 2
+
+
+@pytest.mark.parametrize("case", ["atomic-1d", "monte-carlo-1d", "atomic-2d"])
+def test_dictionary_pass_matches_per_function_reference(case):
+    ctx, dim = _pass_context(case)
+    dictionary = default_dictionary(dim) + [_handmade(dim)]
+    X = np.random.default_rng(23).uniform(-3.0, 3.0, size=(150, dim))
+    vals, ses = generator_apply(ctx, dictionary, 0.4, X)
+    assert vals.shape == ses.shape == (len(dictionary), 150)
+    for k, phi in enumerate(dictionary):
+        want_v, want_se = _reference_apply(ctx, phi, 0.4, X)
+        assert np.array_equal(vals[k], want_v), phi.name
+        assert np.array_equal(ses[k], want_se), phi.name
+        one_v, one_se = generator_apply(ctx, phi, 0.4, X)
+        assert np.array_equal(one_v, want_v) and np.array_equal(one_se, want_se)
+    if case == "monte-carlo-1d":
+        assert np.all(ses > 0.0)
+
+
+def test_fpe_and_martingale_share_one_pass_bitwise():
+    ctx, ens = _acceptance_setup(n=600, h=0.05, seed=12)
+    dictionary = default_dictionary(1) + [_handmade(1)]
+    reports = fpe_weak_residual(ens, ctx, dictionary, martingale_window=(0.25, 0.5))
+    i_s, i_t = ens.index_at(0.25), ens.index_at(0.5)
+    for phi, rep in zip(dictionary, reports):
+        residual, se = _reference_fpe(ens, ctx, phi)
+        assert np.array_equal(rep.residual, residual), phi.name
+        assert np.array_equal(rep.mc_se, se), phi.name
+        single = fpe_weak_residual(ens, ctx, phi, run_guards=False)
+        assert np.array_equal(single.residual, residual)
+        assert rep.martingale_increments.phi_name == phi.name
+        assert rep.martingale_increments.window == (i_s, i_t)
+        assert np.array_equal(rep.martingale_increments.values,
+                              _reference_increment(ens, ctx, phi, i_s, i_t))
+        shared = martingale_residual(ens, ctx, phi, 0.25, 0.5,
+                                     increments=rep.martingale_increments)
+        alone = martingale_residual(ens, ctx, phi, 0.25, 0.5)
+        assert shared.bins == alone.bins
+        assert shared.overall == alone.overall
+
+
+def test_martingale_window_reaching_the_horizon():
+    ctx, ens = _acceptance_setup(n=300, h=0.1, seed=13)
+    phi = default_dictionary(1)[0]
+    rep = fpe_weak_residual(ens, ctx, phi, martingale_window=(0.3, 1.0))
+    i_s, i_t = ens.index_at(0.3), ens.index_at(1.0)
+    assert np.array_equal(rep.martingale_increments.values,
+                          _reference_increment(ens, ctx, phi, i_s, i_t))
+
+
+def test_handed_increments_must_match_phi_window_and_paths():
+    ctx, ens = _acceptance_setup(n=300, h=0.1, seed=13)
+    bump0, bump1 = default_dictionary(1)[:2]
+    reports = fpe_weak_residual(ens, ctx, [bump0, bump1], run_guards=False,
+                                martingale_window=(0.2, 0.5))
+    inc = reports[0].martingale_increments
+    with pytest.raises(GeneratorError, match="not over the window"):
+        martingale_residual(ens, ctx, bump0, 0.2, 0.75, increments=inc)
+    with pytest.raises(GeneratorError, match="not over the window"):
+        martingale_residual(ens, ctx, bump0, 0.05, 0.5, increments=inc)
+    with pytest.raises(GeneratorError, match="not of 'bump\\+1'"):
+        martingale_residual(ens, ctx, bump1, 0.2, 0.5, increments=inc)
+    short = MartingaleIncrements(inc.phi_name, inc.window, inc.values[:-1])
+    with pytest.raises(GeneratorError, match="one increment per path"):
+        martingale_residual(ens, ctx, bump0, 0.2, 0.5, increments=short)
+    assert (martingale_residual(ens, ctx, bump0, 0.2, 0.5, increments=inc).bins
+            == martingale_residual(ens, ctx, bump0, 0.2, 0.5).bins)

@@ -77,3 +77,55 @@ def test_bad_radii_rejected():
         plateau_bump(r0=2.0, r1=1.0)
     with pytest.raises(TestFunctionError):
         windowed_monomial([3])
+
+
+def _radial_probes(f, rng):
+    """Points at r = 0, on the plateau, in the annulus and beyond r1."""
+    r1 = f.support_radius
+    radii = np.repeat([0.0, 0.3 * r1, 0.9 * r1, 1.5 * r1], 5)
+    u = rng.normal(size=(radii.size, f.dim))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    return f.center + radii[:, None] * u
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_jet_equals_separate_calls_bitwise(dim):
+    rng = np.random.default_rng(17)
+    for f in default_dictionary(dim):
+        x = _radial_probes(f, rng)
+        for got, want in zip(f.jet(x), (f.phi(x), f.grad(x), f.hess(x))):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want), f.name
+
+
+def test_jet_falls_back_to_separate_calls():
+    good = plateau_bump(center=0.0, r0=0.8, r1=2.0)
+    hand = TestFunction("hand", lambda x: good.phi(x), lambda x: good.grad(x),
+                        lambda x: good.hess(x), 1, "compact", support_radius=2.0)
+    x = np.linspace(-2.5, 2.5, 11)[:, None]
+    for got, want in zip(hand.jet(x), good.jet(x)):
+        assert np.array_equal(got, want)
+
+
+def test_validation_covers_the_jet():
+    good = plateau_bump(center=0.0, r0=0.8, r1=2.0)
+    probes = np.linspace(-2.5, 2.5, 21)[:, None]
+
+    def bad_grad_jet(x):
+        v, g, h = good.jet(x)
+        return v, 1.01 * g, h
+
+    bad = TestFunction("bad_grad", good.phi, lambda x: bad_grad_jet(x)[1],
+                       lambda x: bad_grad_jet(x)[2], 1, "compact",
+                       support_radius=2.0, jet=bad_grad_jet)
+    with pytest.raises(TestFunctionError, match="gradient"):
+        bad.validate_derivatives(probes)
+
+    def bad_value_jet(x):
+        v, g, h = good.jet(x)
+        return v + 1e-15, g, h
+
+    off = TestFunction("bad_value", good.phi, good.grad, good.hess, 1, "compact",
+                       support_radius=2.0, jet=bad_value_jet)
+    with pytest.raises(TestFunctionError, match="jet value"):
+        off.validate_derivatives(probes)
