@@ -13,14 +13,14 @@ every particle p owns three streams keyed by (seed, namespace, purpose, p) --
 one for its initial condition, one for its driver atoms, one for its Brownian
 rows.  Brownian rows are consumed one row per positive-length sub-interval of
 the particle's own grid (base grid plus its jump times), in time order.
-Block partitioning and worker counts cannot change any drawn number.
+A block builds one generator and re-keys it (rng.rekey) to each particle's
+three streams in turn; a stream is still a pure function of its four labels,
+so block partitioning and worker counts cannot change any drawn number.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -199,39 +199,6 @@ class PathEnsemble:
         i = self.index_at(t)
         return EnsembleLaw.equal_weight(self.values[:, i, :], float(self.times[i]))
 
-    def sup_norm_per_path(self) -> np.ndarray:
-        return np.linalg.norm(self.values, axis=2).max(axis=1)
-
-    # -- persistence: columnar binary, header + particle-major float64 body --
-
-    _MAGIC = b"LVLB0001"
-
-    def save(self, path: str):
-        header = {
-            "n": int(self.values.shape[0]),
-            "grid": [float(t) for t in self.times],
-            "dim": int(self.values.shape[2]),
-        }
-        hb = json.dumps(header).encode()
-        with open(path, "wb") as fh:
-            fh.write(self._MAGIC)
-            fh.write(struct.pack("<q", len(hb)))
-            fh.write(hb)
-            fh.write(np.ascontiguousarray(self.values, dtype="<f8").tobytes())
-
-    @classmethod
-    def load(cls, path: str) -> "PathEnsemble":
-        with open(path, "rb") as fh:
-            if fh.read(8) != cls._MAGIC:
-                raise SimulationError("not an ensemble file")
-            (hlen,) = struct.unpack("<q", fh.read(8))
-            header = json.loads(fh.read(hlen).decode())
-            body = np.frombuffer(fh.read(), dtype="<f8")
-        n, dim = header["n"], header["dim"]
-        grid = np.asarray(header["grid"])
-        values = body.reshape(n, grid.size, dim).copy()
-        return cls(grid, values, [None] * n, [None] * n)
-
 
 def marginal_law(ensemble: PathEnsemble, t: float) -> EnsembleLaw:
     """Equal-weight cloud of path values at the grid point left of t."""
@@ -252,6 +219,7 @@ def make_base_grid(T: float, grid_step: float, extra_times=()) -> np.ndarray:
     return grid
 
 
+@dataclass
 class _BlockInputs:
     """Pre-drawn randomness for one block of particles, reusable across a family.
 
@@ -260,20 +228,18 @@ class _BlockInputs:
     draw, so a write into it would silently couple them.
     """
 
-    def __init__(self, particles, seed, namespace, x0, ev_particle, ev_time,
-                 ev_mark, ev_cell, noise, offsets, jump_times, jump_marks):
-        self.particles = particles
-        self.seed = seed
-        self.namespace = namespace
-        self.x0 = x0
-        self.ev_particle = ev_particle
-        self.ev_time = ev_time
-        self.ev_mark = ev_mark
-        self.ev_cell = ev_cell
-        self.noise = noise
-        self.offsets = offsets
-        self.jump_times = jump_times
-        self.jump_marks = jump_marks
+    particles: np.ndarray
+    seed: int
+    namespace: int
+    x0: np.ndarray
+    ev_particle: np.ndarray     # events sorted by (cell, particle, time)
+    ev_time: np.ndarray
+    ev_mark: np.ndarray
+    ev_cell: np.ndarray
+    noise: np.ndarray           # Brownian rows, particle-major
+    offsets: np.ndarray         # first noise row of each particle
+    jump_times: list
+    jump_marks: list
 
 
 def _prepare_block(driver: LevyMeasure, trunc: TruncationConfig, mu0: InitialLaw,
@@ -287,40 +253,34 @@ def _prepare_block(driver: LevyMeasure, trunc: TruncationConfig, mu0: InitialLaw
             "driver has infinite activity above the sampling floor; use "
             "discard_below_eps with a positive eps")
     B = len(particles)
-    d = mu0.dim
-    x0 = np.empty((B, d))
+    x0 = np.empty((B, mu0.dim))
     jt_list, jm_list = [], []
+    # one generator per block, re-keyed to each particle's streams
+    gen = rngmod.stream(seed, rngmod.INIT, 0, namespace)
     for j, p in enumerate(particles):
-        x0[j] = mu0.sample_one(rngmod.stream(seed, rngmod.INIT, p, namespace))
+        x0[j] = mu0.sample_one(rngmod.rekey(gen, seed, rngmod.INIT, p, namespace))
         if sampled_mass > 0.0:
             ev = sample_jump_events(driver, (floor, math.inf), T,
-                                    rngmod.stream(seed, rngmod.DRIVER, p, namespace))
+                                    rngmod.rekey(gen, seed, rngmod.DRIVER, p, namespace))
         else:
             ev = JumpEvents.empty(driver.dim)
         jt_list.append(ev.times)
         jm_list.append(ev.marks)
     # flatten events; a jump off the grid adds one row to its particle's cells
-    if any(len(t) for t in jt_list):
-        ev_p = np.repeat(np.arange(B, dtype=np.int64), [len(t) for t in jt_list])
-        ev_t = np.concatenate(jt_list)
-        ev_z = np.vstack([mk for mk in jm_list if mk.shape[0]])
-        at = np.searchsorted(grid, ev_t, side="left")
-        on_grid = grid[np.minimum(at, grid.size - 1)] == ev_t
-        interior = np.bincount(ev_p[~on_grid], minlength=B)
-        ev_c = at - 1
-    else:
-        ev_p = np.empty(0, dtype=np.int64)
-        ev_t = np.empty(0)
-        ev_z = np.empty((0, driver.dim))
-        ev_c = np.empty(0, dtype=np.int64)
-        interior = np.zeros(B, dtype=np.int64)
+    ev_p = np.repeat(np.arange(B, dtype=np.int64), [len(t) for t in jt_list])
+    ev_t = np.concatenate([np.empty(0), *jt_list])
+    ev_z = np.vstack([np.empty((0, driver.dim)), *jm_list])
+    at = np.searchsorted(grid, ev_t, side="left")
+    on_grid = grid[np.minimum(at, grid.size - 1)] == ev_t
+    interior = np.bincount(ev_p[~on_grid], minlength=B)
+    ev_c = at - 1
     rows = (grid.size - 1) + interior
     offsets = np.zeros(B + 1, dtype=np.int64)
     np.cumsum(rows, out=offsets[1:])
     noise = np.empty((int(offsets[-1]), m))
     for j, p in enumerate(particles):
-        g = rngmod.stream(seed, rngmod.BROWNIAN, p, namespace)
-        noise[offsets[j]:offsets[j + 1]] = g.standard_normal((int(rows[j]), m))
+        rngmod.rekey(gen, seed, rngmod.BROWNIAN, p, namespace).standard_normal(
+            out=noise[offsets[j]:offsets[j + 1]])
     # events sorted by (cell, particle, time)
     order = np.lexsort((ev_t, ev_p, ev_c))
     ev_p, ev_t, ev_z, ev_c = ev_p[order], ev_t[order], ev_z[order], ev_c[order]
@@ -458,14 +418,18 @@ class BlockMarch:
 DEFAULT_BLOCK = 4096
 
 
+def _trunc_report(driver, trunc):
+    return {"sampling_floor": trunc.sampling_floor,
+            "discarded_second_moment": discarded_second_moment(driver, trunc)}
+
+
 def _block_ranges(n: int, block_size: int = DEFAULT_BLOCK):
     return [range(lo, min(lo + block_size, n)) for lo in range(0, n, block_size)]
 
 
 def _simulate_one_block(coeffs, driver, trunc, mu0, grid, particles, seed, namespace):
     inputs = _prepare_block(driver, trunc, mu0, grid, coeffs.m, particles, seed, namespace)
-    march = BlockMarch(coeffs, driver, trunc, grid, inputs)
-    vals = march.run()
+    vals = BlockMarch(coeffs, driver, trunc, grid, inputs).run()
     return vals, inputs.jump_times, inputs.jump_marks
 
 
@@ -515,12 +479,8 @@ def simulate_ensemble(coeffs: CoefficientSet, driver: LevyMeasure,
         np.empty((0, grid.size, coeffs.d))
     jump_times = [t for r in results for t in r[1]]
     jump_marks = [z for r in results for z in r[2]]
-    report = {
-        "sampling_floor": trunc.sampling_floor,
-        "discarded_second_moment": discarded_second_moment(driver, trunc),
-    }
     return PathEnsemble(grid, values, jump_times, jump_marks, seed=seed,
-                        trunc_report=report)
+                        trunc_report=_trunc_report(driver, trunc))
 
 
 def simulate_path(coeffs: CoefficientSet, driver: LevyMeasure,
@@ -559,15 +519,12 @@ def simulate_coupled_family(family: CoefficientFamily, driver: LevyMeasure,
     Returns (members: dict n -> PathEnsemble, limit: PathEnsemble).
     """
     if validate:
-        for n, cs in family.members.items():
-            rep = require_linear_growth(cs)
-            del rep
-        require_linear_growth(family.limit)
+        for cs in [*family.members.values(), family.limit]:
+            require_linear_growth(cs)
     grid = make_base_grid(T, grid_step, extra_times)
     keys = list(family.members.keys())
     all_sets = [family.members[k] for k in keys] + [family.limit]
-    n_sets = len(all_sets)
-    values = [np.empty((n_particles, grid.size, family.limit.d)) for _ in range(n_sets)]
+    values = [np.empty((n_particles, grid.size, family.limit.d)) for _ in all_sets]
     jump_times, jump_marks = [], []
     for r in _block_ranges(n_particles, block_size):
         inputs = _prepare_block(driver, trunc, mu0, grid, family.limit.m,
@@ -575,16 +532,8 @@ def simulate_coupled_family(family: CoefficientFamily, driver: LevyMeasure,
         jump_times.extend(inputs.jump_times)
         jump_marks.extend(inputs.jump_marks)
         for si, cs in enumerate(all_sets):
-            march = BlockMarch(cs, driver, trunc, grid, inputs)
-            values[si][r.start:r.stop] = march.run()
-    report = {
-        "sampling_floor": trunc.sampling_floor,
-        "discarded_second_moment": discarded_second_moment(driver, trunc),
-    }
-    members = {}
-    for i, k in enumerate(keys):
-        members[k] = PathEnsemble(grid, values[i], jump_times, jump_marks,
-                                  seed=seed, trunc_report=report)
-    limit = PathEnsemble(grid, values[-1], jump_times, jump_marks, seed=seed,
-                         trunc_report=report)
-    return members, limit
+            values[si][r.start:r.stop] = BlockMarch(cs, driver, trunc, grid, inputs).run()
+    report = _trunc_report(driver, trunc)
+    ensembles = [PathEnsemble(grid, v, jump_times, jump_marks, seed=seed,
+                              trunc_report=report) for v in values]
+    return dict(zip(keys, ensembles)), ensembles[-1]

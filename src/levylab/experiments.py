@@ -23,12 +23,11 @@ import numpy as np
 from .coefficients import coefficients_from_config, family_from_config
 from .convergence import (decreasing_verdict, default_bl_dictionary,
                           density_sup_estimate, enforce_level_bound,
-                          limit_experiment, lyapunov_moment,
-                          tightness_diagnostics)
+                          lyapunov_moment, tightness_diagnostics)
 from .engine import initial_law_from_config, simulate_coupled_family, simulate_ensemble
 from .filtering import observation_model_from_config, robustness_experiment, filter_run
 from .generator import (GeneratorContext, fpe_weak_residual, martingale_residual,
-                        superposition_crosscheck, validate_hypotheses)
+                        validate_hypotheses)
 from .manifests import ManifestError, RunManifest
 from .measures import TruncationConfig, measure_from_config
 from .psi import construct_psi, weighted_big_psi_sum

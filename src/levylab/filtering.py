@@ -466,10 +466,6 @@ class FilterResult:
     checkpoint_times: np.ndarray
     resampled_at: list = field(default_factory=list)
 
-    def state_at(self, t: float) -> FilterState:
-        i = int(np.argmin(np.abs(self.checkpoint_times - t)))
-        return self.states[i]
-
 
 def filter_run(model: ObservationModel, coeffs: CoefficientSet,
                driver: LevyMeasure, trunc: TruncationConfig, mu0: InitialLaw,

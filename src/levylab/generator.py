@@ -94,9 +94,16 @@ class GeneratorValue:
     quad_se: float = 0.0
 
 
+# cap on the entries of one (paths, nodes, d) Monte Carlo jump-image temporary
+_IMAGE_ENTRIES = 1 << 20
+
+
 def _jump_terms(ctx: GeneratorContext, phis: list, jets: list, t, X: np.ndarray):
     """Non-local term and its quadrature s.e., (K, n) each, for the whole
-    dictionary: the images X + f(X) z and the small-jump mask are built once."""
+    dictionary: the images X + f(X) z and the small-jump mask are built once.
+    Monte Carlo nodes are taken in chunks of paths (mean and std reduce each
+    row alone, so no bit changes); an atomic driver's sum is a matmul, which
+    may round a row differently in a smaller batch, so it is never chunked."""
     n, d = X.shape
     vals = np.zeros((len(phis), n))
     ses = np.zeros((len(phis), n))
@@ -110,18 +117,21 @@ def _jump_terms(ctx: GeneratorContext, phis: list, jets: list, t, X: np.ndarray)
     q = z.shape[0]
     if q == 0:
         return vals, ses
-    U = fv[:, None, None] * z[None, :, :]                        # (n, q, d)
-    images = (X[:, None, :] + U).reshape(-1, d)
-    small = np.linalg.norm(U, axis=2) <= ctx.trunc.level
-    for k, (phi, (base, grad, _)) in enumerate(zip(phis, jets)):
-        shifted = phi.phi(images).reshape(n, q)
-        comp = np.einsum("nqd,nd->nq", U, grad)
-        integrand = shifted - base[:, None] - np.where(small, comp, 0.0)
-        if total is None:
-            vals[k] = integrand @ ctx.driver.masses
-        else:
-            vals[k] = total * integrand.mean(axis=1)
-            ses[k] = total * integrand.std(axis=1, ddof=1) / math.sqrt(q)
+    step = max(1, n if total is None else _IMAGE_ENTRIES // (q * d))
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        U = fv[rows, None, None] * z[None, :, :]                  # (chunk, q, d)
+        images = (X[rows, None, :] + U).reshape(-1, d)
+        small = np.linalg.norm(U, axis=2) <= ctx.trunc.level
+        for k, (phi, (base, grad, _)) in enumerate(zip(phis, jets)):
+            shifted = phi.phi(images).reshape(-1, q)
+            comp = np.einsum("nqd,nd->nq", U, grad[rows])
+            integrand = shifted - base[rows, None] - np.where(small, comp, 0.0)
+            if total is None:
+                vals[k, rows] = integrand @ ctx.driver.masses
+            else:
+                vals[k, rows] = total * integrand.mean(axis=1)
+                ses[k, rows] = total * integrand.std(axis=1, ddof=1) / math.sqrt(q)
     return vals, ses
 
 
@@ -423,10 +433,6 @@ class FpeReport:
     guards: dict
     h: float
     martingale_increments: MartingaleIncrements | None = None   # see fpe_weak_residual
-
-    @property
-    def sup_index(self) -> int:
-        return int(np.argmax(np.abs(self.residual)))
 
 
 def integrability_guards(ensemble: PathEnsemble, ctx: GeneratorContext,

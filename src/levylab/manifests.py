@@ -29,6 +29,12 @@ def _is_real(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _positive_reals(v) -> bool:
+    """A non-empty list of finite numbers > 0."""
+    return (isinstance(v, (list, tuple)) and len(v) > 0
+            and all(_is_real(x) and math.isfinite(x) and x > 0 for x in v))
+
+
 class ManifestError(ValueError):
     def __init__(self, errors):
         self.errors = list(errors)
@@ -104,6 +110,19 @@ class RunManifest:
                 errors.append(f"spec.martingale_window must be two finite numbers "
                               f"[s, t] with 0 <= s < t <= T = {self.T!r}, "
                               f"got {window!r}")
+        if self.kind == "limit":
+            nc = self.spec.get("n_checkpoints", 10)
+            if not _is_int(nc) or nc < 1:
+                errors.append(f"spec.n_checkpoints must be an integer >= 1, got {nc!r}")
+        if self.kind == "diagnostics":
+            checks = {"K_grid": ("a non-empty list of finite numbers > 0", _positive_reals),
+                      "theta_grid": (f"a non-empty list of numbers in (0, T] with T = "
+                                     f"{self.T!r}", lambda v: _positive_reals(v)
+                                     and max(v) <= self.T),
+                      "N_threshold": ("a finite number > 0", lambda v: _positive_reals([v]))}
+            for key, (what, ok) in checks.items():
+                if key in self.spec and not ok(self.spec[key]):
+                    errors.append(f"spec.{key} must be {what}, got {self.spec[key]!r}")
         missing = set()
         for key in _REQUIRED[self.kind]:
             if key not in self.spec:

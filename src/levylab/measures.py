@@ -127,21 +127,15 @@ class LevyMeasure:
         Returns shape (len(r_hi), dim).  Used by the SDE engine, whose
         compensated region has a state-dependent upper radius.
         """
-        r_hi = np.asarray(r_hi, dtype=float)
-        out = np.empty((r_hi.size, self.dim))
-        for i, r in enumerate(r_hi.ravel()):
-            out[i] = self.first_moment(r_lo, float(r))
-        return out
+        raise NotImplementedError
 
     def second_moment_upper(self, r_lo: float, r_hi: np.ndarray) -> np.ndarray:
         """Vectorized second_moment(r_lo, r) for an array of upper radii."""
-        r_hi = np.asarray(r_hi, dtype=float)
-        return np.array([self.second_moment(r_lo, float(r)) for r in r_hi.ravel()])
+        raise NotImplementedError
 
     def mass_lower(self, r_lo: np.ndarray, r_hi: float) -> np.ndarray:
         """Vectorized mass(r, r_hi) for an array of lower radii."""
-        r_lo = np.asarray(r_lo, dtype=float)
-        return np.array([self.mass(float(r), r_hi) for r in r_lo.ravel()])
+        raise NotImplementedError
 
     # -- sampling --------------------------------------------------------
 
@@ -181,12 +175,33 @@ class AtomicLevyMeasure(LevyMeasure):
         self.dim = atoms.shape[1] if atoms.size else 1
         self._radii = np.linalg.norm(atoms, axis=1) if atoms.size else np.empty(0)
         self.max_radius = float(self._radii.max()) if self._radii.size else 0.0
+        self._restrictions = {}
+        # first moments summed in increasing radius, for first_moment_upper
+        order = np.argsort(self._radii, kind="stable")
+        self._sorted_radii = self._radii[order]
+        self._moment_prefix = np.zeros((order.size + 1, atoms.shape[1]))
+        np.cumsum((masses[:, None] * atoms)[order], axis=0, out=self._moment_prefix[1:])
 
     def _sel(self, r_lo, r_hi):
         return (self._radii > r_lo) & (self._radii <= r_hi)
 
+    _MAX_RESTRICTIONS = 256
+
+    def _restriction(self, r_lo, r_hi):
+        """(mass, atoms, normalized cumulative masses) of the annulus, memoized:
+        the engine asks for the same sampling region once per particle."""
+        key = (r_lo, r_hi)
+        if key not in self._restrictions:
+            if len(self._restrictions) >= self._MAX_RESTRICTIONS:
+                self._restrictions.clear()
+            sel = self._sel(r_lo, r_hi)
+            total = float(self.masses[sel].sum())
+            cum = np.cumsum(self.masses[sel]) / total if total > 0 else None
+            self._restrictions[key] = (total, self.atoms[sel], cum)
+        return self._restrictions[key]
+
     def mass(self, r_lo=0.0, r_hi=math.inf):
-        return float(self.masses[self._sel(r_lo, r_hi)].sum())
+        return self._restriction(r_lo, r_hi)[0]
 
     def first_moment(self, r_lo, r_hi):
         sel = self._sel(r_lo, r_hi)
@@ -205,10 +220,12 @@ class AtomicLevyMeasure(LevyMeasure):
         return float(np.sum(self.masses[sel] * fn(self._radii[sel])))
 
     def first_moment_upper(self, r_lo, r_hi):
+        # a difference of prefix sums rounds a row the same in any batch (a
+        # matmul does not), so the march does not depend on the block size
         r_hi = np.asarray(r_hi, dtype=float)
-        # indicator (n, k): atom k inside (r_lo, r_hi[n]]
-        ind = (self._radii[None, :] > r_lo) & (self._radii[None, :] <= r_hi[:, None])
-        return (ind * self.masses[None, :]) @ self.atoms
+        lo = np.searchsorted(self._sorted_radii, r_lo, side="right")
+        hi = np.maximum(np.searchsorted(self._sorted_radii, r_hi, side="right"), lo)
+        return self._moment_prefix[hi] - self._moment_prefix[lo]
 
     def second_moment_upper(self, r_lo, r_hi):
         r_hi = np.asarray(r_hi, dtype=float)
@@ -221,17 +238,13 @@ class AtomicLevyMeasure(LevyMeasure):
         return ind @ self.masses
 
     def sample(self, rng, n, r_lo=0.0, r_hi=math.inf):
-        sel = self._sel(r_lo, r_hi)
-        total = self.masses[sel].sum()
+        total, atoms, cum = self._restriction(r_lo, r_hi)
         if total <= 0:
             if n == 0:
                 return np.empty((0, self.dim))
             raise LevyConfigError("cannot sample from a zero-mass region")
-        atoms = self.atoms[sel]
-        cum = np.cumsum(self.masses[sel]) / total
         idx = np.searchsorted(cum, rng.random(n), side="right")
-        idx = np.minimum(idx, atoms.shape[0] - 1)
-        return atoms[idx]
+        return atoms[np.minimum(idx, atoms.shape[0] - 1)]
 
 
 

@@ -6,6 +6,11 @@ pure function of those four labels, so ensembles partitioned across workers
 produce bit-identical results regardless of scheduling: particle p always
 draws the same numbers no matter which worker simulates it, or in what order.
 
+Philox is counter-based, so the key is the whole stream: `rekey` resets a
+generator to the start of another stream, and it then draws exactly what a
+fresh `stream` would.  The engine re-keys one generator per particle block
+instead of constructing three per particle.
+
 Layout of the key (most significant first):
 
     bits 127..64   master seed (64 bits)
@@ -52,3 +57,15 @@ def stream_key(seed: int, purpose: int, index: int = 0, namespace: int = SIGNAL)
 def stream(seed: int, purpose: int, index: int = 0, namespace: int = SIGNAL) -> np.random.Generator:
     """Dedicated generator for one (seed, namespace, purpose, index) stream."""
     return np.random.Generator(np.random.Philox(key=stream_key(seed, purpose, index, namespace)))
+
+
+def rekey(gen: np.random.Generator, seed: int, purpose: int, index: int = 0,
+          namespace: int = SIGNAL) -> np.random.Generator:
+    """Reset a Philox generator to the state `stream(...)` starts in (zero
+    counter and buffer, no half-used 32-bit word) and return it."""
+    key = stream_key(seed, purpose, index, namespace)
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (key & _MASK64, key >> 64)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return gen

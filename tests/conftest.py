@@ -1,3 +1,10 @@
+from hypothesis import settings
+
+# Property tests replay the same examples on every run and machine: no
+# random example generation, no example database, no wall-clock deadline.
+settings.register_profile("levylab", derandomize=True, deadline=None, database=None)
+settings.load_profile("levylab")
+
 _ACCEPTANCE_LINES = []
 
 

@@ -162,8 +162,8 @@ class TestCliEntry:
         assert proc.stdout.strip() == "OK"
 
 
-def test_diagnostics_kind(tmp_path):
-    man = RunManifest(
+def diagnostics_manifest(**settings):
+    return RunManifest(
         kind="diagnostics", seed=3, T=0.5, h=0.05, n_particles=400,
         spec={
             "coefficients": {"name": "ou", "d": 1, "m": 1,
@@ -173,7 +173,12 @@ def test_diagnostics_kind(tmp_path):
                        "params": {"atoms": [[0.8]], "masses": [0.4]}},
             "truncation": {"level": 0.5},
             "mu0": {"name": "gaussian", "params": {"mean": [0.0], "std": [1.0]}},
+            **settings,
         })
+
+
+def test_diagnostics_kind(tmp_path):
+    man = diagnostics_manifest()
     summary = run(man, str(tmp_path / "diag"), workers=4)
     assert summary["verdicts"]["hypotheses_ok"]
     # the diagnostics kind runs in one process whatever --workers says
@@ -273,3 +278,54 @@ def test_superposition_window_and_block_boundaries_valid():
     man = small_superposition_manifest()
     man.spec = dict(man.spec, martingale_window=[0, 0.5], block_size=1)
     assert man.validate() == []
+
+
+@pytest.mark.parametrize("n_checkpoints", [0, -3, 2.5, True, "10", None])
+def test_limit_bad_n_checkpoints_rejected_before_compute(tmp_path, n_checkpoints):
+    man = small_limit_manifest()
+    man.spec = dict(man.spec, n_checkpoints=n_checkpoints)
+    assert man.validate() == [f"spec.n_checkpoints must be an integer >= 1, "
+                              f"got {n_checkpoints!r}"]
+    with pytest.raises(ManifestError, match="n_checkpoints"):
+        run(man, str(tmp_path / "never"))
+    assert not (tmp_path / "never").exists()
+
+
+_BAD_DIAGNOSTICS = [
+    ("K_grid", [], "spec.K_grid must be a non-empty list of finite numbers > 0"),
+    ("K_grid", [1, 0], "spec.K_grid must be a non-empty list of finite numbers > 0"),
+    ("K_grid", [1, math.inf], "spec.K_grid must be a non-empty list of finite numbers > 0"),
+    ("K_grid", [1, "2"], "spec.K_grid must be a non-empty list of finite numbers > 0"),
+    ("K_grid", 4, "spec.K_grid must be a non-empty list of finite numbers > 0"),
+    ("theta_grid", [], "spec.theta_grid must be a non-empty list of numbers in (0, T] "
+                       "with T = 0.5"),
+    ("theta_grid", [0.1, 0.0], "spec.theta_grid must be a non-empty list of numbers "
+                               "in (0, T] with T = 0.5"),
+    ("theta_grid", [0.1, 0.6], "spec.theta_grid must be a non-empty list of numbers "
+                               "in (0, T] with T = 0.5"),
+    ("theta_grid", [math.nan], "spec.theta_grid must be a non-empty list of numbers "
+                               "in (0, T] with T = 0.5"),
+    ("N_threshold", 0.0, "spec.N_threshold must be a finite number > 0"),
+    ("N_threshold", -1, "spec.N_threshold must be a finite number > 0"),
+    ("N_threshold", math.inf, "spec.N_threshold must be a finite number > 0"),
+    ("N_threshold", math.nan, "spec.N_threshold must be a finite number > 0"),
+    ("N_threshold", [1.0], "spec.N_threshold must be a finite number > 0"),
+    ("N_threshold", False, "spec.N_threshold must be a finite number > 0"),
+]
+
+
+@pytest.mark.parametrize("key,value,message", _BAD_DIAGNOSTICS)
+def test_diagnostics_bad_settings_rejected_before_compute(tmp_path, key, value, message):
+    man = diagnostics_manifest(**{key: value})
+    assert man.validate() == [f"{message}, got {value!r}"]
+    with pytest.raises(ManifestError, match=key):
+        run(man, str(tmp_path / "never"))
+    assert not (tmp_path / "never").exists()
+
+
+def test_limit_and_diagnostics_boundaries_valid():
+    man = small_limit_manifest()
+    man.spec = dict(man.spec, n_checkpoints=1)
+    assert man.validate() == []
+    assert diagnostics_manifest(K_grid=[0.5], theta_grid=[0.5, 1e-9],
+                                N_threshold=1e-12).validate() == []

@@ -7,7 +7,7 @@ from scipy import stats
 import levylab as L
 from levylab import rng as R
 from levylab.engine import BlockMarch, SimulationError, _prepare_block, make_base_grid
-from levylab.measures import TruncationConfig
+from levylab.measures import TruncationConfig, sample_jump_events
 
 from oracles import ou_euler_chain_variance, quad_radial
 
@@ -158,14 +158,46 @@ class TestNoiseProtocol:
                 x = x + (-theta * x + 0.0) * dt + sig * dw
                 assert x == ens.values[p, i + 1, 0], (p, i)
 
+    def test_block_inputs_match_fresh_per_particle_streams(self):
+        # the block re-keys one generator; every draw must be the one a fresh
+        # (seed, namespace, purpose, particle) stream gives: INIT for the
+        # Gaussian start, DRIVER for the jump atoms, BROWNIAN for the rows
+        drv = L.AtomicLevyMeasure([[0.9], [-0.9]], [2.0, 2.0])
+        law = L.GaussianLaw([0.5, -1.0], [1.0, 0.3])
+        grid = make_base_grid(1.0, 0.1)
+        particles = range(3, 10)
+        inp = _prepare_block(drv, TR, law, grid, 2, particles, 17, R.FILTER)
+        rows = 0
+        for j, p in enumerate(particles):
+            z = R.stream(17, R.INIT, p, R.FILTER).standard_normal(2)
+            assert inp.x0[j].tobytes() == (law.mean + law.std * z).tobytes()
+            ev = sample_jump_events(drv, (0.0, math.inf), 1.0,
+                                    R.stream(17, R.DRIVER, p, R.FILTER))
+            assert inp.jump_times[j].tobytes() == ev.times.tobytes()
+            assert inp.jump_marks[j].tobytes() == ev.marks.tobytes()
+            n_rows = grid.size - 1 + np.count_nonzero(~np.isin(ev.times, grid))
+            want = R.stream(17, R.BROWNIAN, p, R.FILTER).standard_normal((n_rows, 2))
+            assert inp.offsets[j] == rows
+            assert inp.noise[rows:rows + n_rows].tobytes() == want.tobytes()
+            rows += n_rows
+        assert inp.noise.shape == (rows, 2)
+        assert sum(len(t) for t in inp.jump_times) > len(particles)
+
     def test_block_size_invariance(self):
+        # both atoms lie in the compensated band, so the compensator sums a
+        # cancelling pair; a lone particle must round it as a batch does
         cs = ou_coeffs(gamma=0.5)
         drv = L.AtomicLevyMeasure([[0.9], [-0.9]], [0.3, 0.3])
-        a = L.simulate_ensemble(cs, drv, TR, L.GaussianLaw([0.0], [1.0]), 300,
-                                0.05, 1.0, seed=13, block_size=64)
         b = L.simulate_ensemble(cs, drv, TR, L.GaussianLaw([0.0], [1.0]), 300,
                                 0.05, 1.0, seed=13, block_size=4096)
-        assert np.array_equal(a.values, b.values)
+        for block in (1, 3, 64, 300):
+            a = L.simulate_ensemble(cs, drv, TR, L.GaussianLaw([0.0], [1.0]), 300,
+                                    0.05, 1.0, seed=13, block_size=block)
+            assert a.values.tobytes() == b.values.tobytes(), block
+            assert [t.tobytes() for t in a.jump_times] == \
+                [t.tobytes() for t in b.jump_times]
+            assert [z.tobytes() for z in a.jump_marks] == \
+                [z.tobytes() for z in b.jump_marks]
 
     def test_block_inputs_read_only(self):
         # marches share one draw, so the draw must reject writes
@@ -258,16 +290,3 @@ class TestCoupledFamily:
         with pytest.raises(Exception, match="violated"):
             L.simulate_coupled_family(fam, drv, TR, L.PointMass([0.0]), 10,
                                       0.1, 1.0, seed=6)
-
-
-class TestPersistence:
-    def test_roundtrip(self, tmp_path):
-        cs = ou_coeffs(gamma=0.3)
-        drv = L.AtomicLevyMeasure([[1.2]], [0.4])
-        ens = L.simulate_ensemble(cs, drv, TR, L.GaussianLaw([0.0], [1.0]), 50,
-                                  0.1, 1.0, seed=77)
-        path = tmp_path / "ens.bin"
-        ens.save(str(path))
-        back = L.PathEnsemble.load(str(path))
-        assert np.array_equal(back.values, ens.values)
-        assert np.array_equal(back.times, ens.times)

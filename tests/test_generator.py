@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import levylab as L
+from levylab import generator as G
 from levylab.generator import (GeneratorContext, GeneratorError,
                                MartingaleIncrements, eval_generator,
                                fpe_weak_residual, generator_apply,
@@ -427,6 +429,45 @@ def test_dictionary_pass_matches_per_function_reference(case):
         assert np.array_equal(one_v, want_v) and np.array_equal(one_se, want_se)
     if case == "monte-carlo-1d":
         assert np.all(ses > 0.0)
+
+
+@pytest.mark.parametrize("cap", [1, 450, 3000])
+def test_monte_carlo_chunks_equal_one_pass_bitwise(cap, monkeypatch):
+    ctx, dim = _pass_context("monte-carlo-1d")
+    seen = []
+    f = _handmade(dim)
+    recording = L.TestFunction("recording", lambda y: seen.append(len(y)) or f.phi(y),
+                               f.grad, f.hess, dim, "compact", support_radius=1.7)
+    dictionary = default_dictionary(dim) + [recording]
+    X = np.random.default_rng(31).uniform(-3.0, 3.0, size=(37, dim))
+    whole = generator_apply(ctx, dictionary, 0.4, X)
+    monkeypatch.setattr(G, "_IMAGE_ENTRIES", cap)
+    seen.clear()
+    chunked = generator_apply(ctx, dictionary, 0.4, X)
+    # 400 nodes: chunks of 1, 1 and 7 paths; the jet sees all 37 paths once
+    rows = {1: [1] * 37, 450: [1] * 37, 3000: [7] * 5 + [2]}[cap]
+    assert seen == [37] + [400 * r for r in rows]
+    for a, b in zip(whole, chunked):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_monte_carlo_jump_terms_memory_is_bounded(monkeypatch):
+    # one unchunked (paths, nodes) float temporary would take 8 MB here
+    cap = 1 << 13
+    monkeypatch.setattr(G, "_IMAGE_ENTRIES", cap)
+    ctx = GeneratorContext(ou_coeffs(0.7), L.exponential_tails_1d(),
+                           TruncationConfig(level=0.5), n_quad=2000)
+    ctx.quad_nodes()
+    X = np.random.default_rng(5).uniform(-3.0, 3.0, size=(500, 1))
+    dictionary = default_dictionary(1)
+    tracemalloc.start()
+    try:
+        vals, _ = generator_apply(ctx, dictionary, 0.4, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(vals))
+    assert peak < 32 * cap * 8 + 64 * X.size * 8
 
 
 def test_fpe_and_martingale_share_one_pass_bitwise():

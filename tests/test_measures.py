@@ -34,6 +34,49 @@ class TestAtomic:
         np.testing.assert_array_equal(m.mass_lower(radii, 5.0),
                                       [m.mass(float(r), 5.0) for r in radii])
 
+    ANNULI = [(0.0, math.inf), (0.0, 1.0), (0.5, 2.0), (0.95, 4.9), (1.0, 5.0),
+              (2.0, 2.2), (5.0, math.inf), (0.0, 0.3)]
+
+    def test_memoized_restriction_matches_formulas(self):
+        atoms = np.array([[0.5, 0.0], [0.0, -1.0], [3.0, 4.0], [-1.2, 1.6], [0.6, 0.8]])
+        masses = np.array([0.3, 1.1, 0.25, 0.7, 0.45])
+        m = AtomicLevyMeasure(atoms, masses)
+        radii = np.linalg.norm(atoms, axis=1)
+        for i, (lo, hi) in enumerate(self.ANNULI * 2):  # second pass reads the memo
+            sel = (radii > lo) & (radii <= hi)
+            total = masses[sel].sum()
+            assert m.mass(lo, hi) == float(total)
+            assert m.require_finite(lo, hi) == float(total)
+            if total > 0:
+                cum = np.cumsum(masses[sel]) / total
+                u = R.stream(5, R.PROBE, i).random(40)
+                idx = np.minimum(np.searchsorted(cum, u, side="right"), sel.sum() - 1)
+                got = m.sample(R.stream(5, R.PROBE, i), 40, lo, hi)
+                assert got.tobytes() == atoms[sel][idx].tobytes()
+            else:
+                assert m.sample(R.stream(5, R.PROBE, i), 0, lo, hi).shape == (0, 2)
+                with pytest.raises(LevyConfigError, match="zero-mass region"):
+                    m.sample(R.stream(5, R.PROBE, i), 3, lo, hi)
+                ev = sample_jump_events(m, (lo, hi), 1.0, R.stream(5, R.DRIVER, i))
+                assert len(ev) == 0 and ev.marks.shape == (0, 2)
+
+    def test_restriction_memo_stays_bounded(self):
+        m = AtomicLevyMeasure([[0.5], [-1.0], [2.0]], [1.0, 2.0, 3.0])
+        for r in np.linspace(0.0, 3.0, 3 * AtomicLevyMeasure._MAX_RESTRICTIONS):
+            assert m.mass(float(r), math.inf) == float(
+                m.masses[m._radii > r].sum())
+        assert len(m._restrictions) <= AtomicLevyMeasure._MAX_RESTRICTIONS
+
+    def test_first_moment_upper_is_rowwise(self):
+        # a row's compensator moment must not depend on the batch it comes in
+        m = AtomicLevyMeasure([[0.9], [-0.9], [0.4], [1.7]], [0.6, 0.6, 0.35, 0.2])
+        r_hi = np.random.default_rng(8).uniform(0.1, 2.5, 200)
+        whole = m.first_moment_upper(0.2, r_hi)
+        alone = np.vstack([m.first_moment_upper(0.2, r_hi[i:i + 1]) for i in range(200)])
+        assert whole.tobytes() == alone.tobytes()
+        want = np.vstack([m.first_moment(0.2, float(r)) for r in r_hi])
+        np.testing.assert_allclose(whole, want, rtol=0.0, atol=1e-15)
+
     def test_negative_mass_rejected(self):
         with pytest.raises(LevyConfigError):
             AtomicLevyMeasure([[1.0]], [-0.5])
