@@ -15,8 +15,8 @@ from .convergence import (EmpiricalDistanceConfig, bl_distance,
                           limit_experiment, lyapunov_moment,
                           tightness_diagnostics)
 from .engine import (CadlagPath, EnsembleLaw, GaussianLaw, PathEnsemble,
-                     PointMass, marginal_law, simulate_coupled_family,
-                     simulate_ensemble, simulate_path)
+                     PointMass, simulate_coupled_family, simulate_ensemble,
+                     simulate_path)
 from .filtering import (FilterState, ObservationModel, ObservationRecord,
                         ObservationSetup, filter_run, log_likelihood,
                         robustness_experiment, simulate_observation)

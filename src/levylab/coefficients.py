@@ -96,9 +96,9 @@ class CoefficientFamily:
             raise CoefficientError("family gamma sequence is not uniformly bounded")
         return sup
 
-    def all_sets(self):
-        yield from self.members.items()
-        yield None, self.limit
+    def all_sets(self) -> list:
+        """The members in schedule order, then the limit."""
+        return [*self.members.values(), self.limit]
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +229,13 @@ def _build_linear(params, d, m):
         mat = mat * np.eye(d, m)
 
     def b(t, x):
-        return np.atleast_2d(x) @ A.T + c
+        # a fixed-order sum over columns, not a matmul: BLAS may round a lone
+        # row differently from a batch, which would tie bits to the block size
+        x = np.atleast_2d(x)
+        out = x[:, 0:1] * A[:, 0]
+        for j in range(1, x.shape[1]):
+            out = out + x[:, j:j + 1] * A[:, j]
+        return out + c
 
     return b, _const_sigma(mat)
 

@@ -16,6 +16,13 @@ the particle's own grid (base grid plus its jump times), in time order.
 A block builds one generator and re-keys it (rng.rekey) to each particle's
 three streams in turn; a stream is still a pure function of its four labels,
 so block partitioning and worker counts cannot change any drawn number.
+
+Every simulation runs through one block runner: each particle block's
+randomness is drawn once (_prepare_block) and every coefficient set of a
+family marches over that draw; an ensemble is a family with no members.
+With several workers the blocks go to one process pool, and each worker
+rebuilds the coefficient sets from the family's registry config, because
+coefficient closures do not pickle.
 """
 
 from __future__ import annotations
@@ -27,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .coefficients import CoefficientFamily, CoefficientSet, require_linear_growth
+from .coefficients import (CoefficientFamily, CoefficientSet, family_from_config,
+                           require_linear_growth)
 from .measures import (JumpEvents, LevyConfigError, LevyMeasure,
                        TruncationConfig, discarded_second_moment,
                        sample_jump_events)
@@ -200,11 +208,6 @@ class PathEnsemble:
         return EnsembleLaw.equal_weight(self.values[:, i, :], float(self.times[i]))
 
 
-def marginal_law(ensemble: PathEnsemble, t: float) -> EnsembleLaw:
-    """Equal-weight cloud of path values at the grid point left of t."""
-    return ensemble.marginal(t)
-
-
 # ---------------------------------------------------------------------------
 # the block march
 # ---------------------------------------------------------------------------
@@ -301,8 +304,7 @@ class BlockMarch:
     """
 
     def __init__(self, coeffs: CoefficientSet, driver: LevyMeasure,
-                 trunc: TruncationConfig, grid: np.ndarray, inputs: _BlockInputs,
-                 record_union: bool = False):
+                 trunc: TruncationConfig, grid: np.ndarray, inputs: _BlockInputs):
         self.coeffs = coeffs
         self.driver = driver
         self.trunc = trunc
@@ -314,8 +316,6 @@ class BlockMarch:
         self._ev_cell_starts = np.searchsorted(inputs.ev_cell, np.arange(grid.size))
         self._has_jumps = inputs.ev_time.size > 0
         self._needs_comp = driver.mass(trunc.sampling_floor, math.inf) > 0.0
-        self.record_union = record_union
-        self.union_records = [(float(grid[0]), self.x.copy())] if record_union else None
 
     # -- pieces ----------------------------------------------------------
 
@@ -332,7 +332,7 @@ class BlockMarch:
             out[nz] = -fv[nz, None] * fm
         return out
 
-    def _euler(self, idx, t0, dt, record_t=None):
+    def _euler(self, idx, t0, dt):
         xs = self.x[idx]
         rows = self.inp.offsets[idx] + self.cursor[idx]
         dw = self.inp.noise[rows] * np.sqrt(np.asarray(dt))[..., None]
@@ -342,14 +342,10 @@ class BlockMarch:
         dtc = np.asarray(dt)[..., None]
         self.x[idx] = xs + (bv + comp) * dtc + np.einsum("kim,km->ki", sv, dw)
         self.cursor[idx] += 1
-        if self.record_union and record_t is not None:
-            self.union_records.append((record_t, self.x.copy()))
 
-    def _apply_jumps(self, idx, t, marks, record_t=None):
+    def _apply_jumps(self, idx, t, marks):
         fv = self.coeffs.f(t, self.x[idx])
         self.x[idx] = self.x[idx] + fv[:, None] * marks
-        if self.record_union and record_t is not None:
-            self.union_records.append((record_t, self.x.copy()))
 
     # -- one cell --------------------------------------------------------
 
@@ -381,14 +377,10 @@ class BlockMarch:
                 self._euler(pk, cur_t[has], tk - cur_t[has])
                 self._apply_jumps(pk, tk, jz[rows])
                 cur_t[has] = tk
-                if self.record_union:
-                    self.union_records.append((float(tk[-1]), self.x.copy()))
             last = cur_t < t1
             if last.any():
                 pk = involved[last]
                 self._euler(pk, cur_t[last], t1 - cur_t[last])
-        if self.record_union:
-            self.union_records.append((float(t1), self.x.copy()))
         if not np.all(np.isfinite(self.x)):
             bad = np.nonzero(~np.isfinite(self.x).all(axis=1))[0][0]
             inp = self.inp
@@ -398,17 +390,14 @@ class BlockMarch:
                 f"namespace {inp.namespace})")
         self.cell = i + 1
 
-    def run(self, record_values: bool = True):
-        n_cells = self.grid.size - 1
-        vals = None
-        if record_values:
-            vals = np.empty((self.x.shape[0], n_cells + 1, self.x.shape[1]))
-            vals[:, 0] = self.x
-        for i in range(n_cells):
+    def run(self, out=None):
+        if out is None:
+            out = np.empty((self.x.shape[0], self.grid.size, self.x.shape[1]))
+        out[:, 0] = self.x
+        for i in range(self.grid.size - 1):
             self.advance_cell(i)
-            if record_values:
-                vals[:, i + 1] = self.x
-        return vals
+            out[:, i + 1] = self.x
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -418,69 +407,77 @@ class BlockMarch:
 DEFAULT_BLOCK = 4096
 
 
-def _trunc_report(driver, trunc):
-    return {"sampling_floor": trunc.sampling_floor,
-            "discarded_second_moment": discarded_second_moment(driver, trunc)}
+def _run_block(sets, driver, trunc, mu0, grid, block, seed, namespace, out):
+    """Draw one block's randomness once; every coefficient set marches over it.
+
+    Set k's (B, M+1, d) values are written into out[k], one set at a time.
+    Returns the block's jump times and marks.
+    """
+    inputs = _prepare_block(driver, trunc, mu0, grid, sets[0].m, block, seed, namespace)
+    for cs, vals in zip(sets, out):
+        BlockMarch(cs, driver, trunc, grid, inputs).run(vals)
+    return inputs.jump_times, inputs.jump_marks
 
 
-def _block_ranges(n: int, block_size: int = DEFAULT_BLOCK):
-    return [range(lo, min(lo + block_size, n)) for lo in range(0, n, block_size)]
+def _pool_block(args):
+    """Worker task: one block, with the sets rebuilt from the family config."""
+    config, driver, trunc, mu0, grid, block, *rest = args
+    sets = family_from_config(config).all_sets()
+    out = np.empty((len(sets), len(block), grid.size, sets[0].d))
+    return out, *_run_block(sets, driver, trunc, mu0, grid, block, *rest, out)
 
 
-def _simulate_one_block(coeffs, driver, trunc, mu0, grid, particles, seed, namespace):
-    inputs = _prepare_block(driver, trunc, mu0, grid, coeffs.m, particles, seed, namespace)
-    vals = BlockMarch(coeffs, driver, trunc, grid, inputs).run()
-    return vals, inputs.jump_times, inputs.jump_marks
-
-
-def _worker_task(args):
-    # runs in a worker process: rebuild everything from registry configs
-    from .coefficients import coefficients_from_config
-    from .measures import measure_from_config
-
-    cfg, lo, hi, seed, namespace = args
-    coeffs = coefficients_from_config(cfg["coefficients"])
-    driver = measure_from_config(cfg["driver"])
-    trunc = TruncationConfig(**cfg["truncation"])
-    mu0 = initial_law_from_config(cfg["mu0"])
-    grid = np.asarray(cfg["grid"])
-    vals, jt, jm = _simulate_one_block(coeffs, driver, trunc, mu0, grid,
-                                       range(lo, hi), seed, namespace)
-    return vals, jt, jm
+def _simulate_blocks(family: CoefficientFamily, driver, trunc, mu0, n_particles,
+                     grid_step, T, seed, namespace, extra_times, block_size, workers):
+    """One PathEnsemble per set of family.all_sets(), block by block."""
+    grid = make_base_grid(T, grid_step, extra_times)
+    sets = family.all_sets()
+    values = [np.empty((n_particles, grid.size, family.limit.d)) for _ in sets]
+    jump_times, jump_marks = [], []
+    ranges = [range(lo, min(lo + block_size, n_particles))
+              for lo in range(0, n_particles, block_size)]
+    if workers > 1 and family.config is not None:
+        tasks = [(family.config, driver, trunc, mu0, grid, r, seed, namespace)
+                 for r in ranges]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for r, (out, jt, jm) in zip(ranges, pool.map(_pool_block, tasks)):
+                for v, vals in zip(values, out):
+                    v[r.start:r.stop] = vals
+                jump_times += jt
+                jump_marks += jm
+    else:
+        for r in ranges:
+            jt, jm = _run_block(sets, driver, trunc, mu0, grid, r, seed, namespace,
+                                [v[r.start:r.stop] for v in values])
+            jump_times += jt
+            jump_marks += jm
+    report = {"sampling_floor": trunc.sampling_floor,
+              "discarded_second_moment": discarded_second_moment(driver, trunc)}
+    return [PathEnsemble(grid, v, jump_times, jump_marks, seed=seed,
+                         trunc_report=report) for v in values]
 
 
 def simulate_ensemble(coeffs: CoefficientSet, driver: LevyMeasure,
                       trunc: TruncationConfig, mu0: InitialLaw, n_particles: int,
                       grid_step: float, T: float, seed: int,
                       namespace: int = rngmod.SIGNAL, extra_times=(),
-                      workers: int = 1, parallel_cfg: dict | None = None,
-                      block_size: int = DEFAULT_BLOCK,
+                      workers: int = 1, block_size: int = DEFAULT_BLOCK,
                       validate: bool = True) -> PathEnsemble:
     """Simulate n_particles independent paths on a uniform grid of step h.
 
-    Worker processes are only used when parallel_cfg (a registry description
-    of the dynamics) is given; results are identical for any worker count
-    because blocks are fixed and each particle owns its streams.
+    The ensemble runs through the block runner as a family with no members.
+    With workers > 1 the blocks go to a process pool when coeffs carries a
+    registry config, which the workers rebuild the coefficients from;
+    hand-built coefficients (config None) run in this process.  Results are
+    identical for any worker count and block size, because every particle
+    owns its streams.
     """
     if validate and coeffs.growth_bound is not None:
         require_linear_growth(coeffs)
-    grid = make_base_grid(T, grid_step, extra_times)
-    ranges = _block_ranges(n_particles, block_size)
-    if workers > 1 and parallel_cfg is not None:
-        cfg = dict(parallel_cfg)
-        cfg["grid"] = [float(t) for t in grid]
-        tasks = [(cfg, r.start, r.stop, seed, namespace) for r in ranges]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_worker_task, tasks))
-    else:
-        results = [_simulate_one_block(coeffs, driver, trunc, mu0, grid, r,
-                                       seed, namespace) for r in ranges]
-    values = np.concatenate([r[0] for r in results], axis=0) if results else \
-        np.empty((0, grid.size, coeffs.d))
-    jump_times = [t for r in results for t in r[1]]
-    jump_marks = [z for r in results for z in r[2]]
-    return PathEnsemble(grid, values, jump_times, jump_marks, seed=seed,
-                        trunc_report=_trunc_report(driver, trunc))
+    config = None if coeffs.config is None else {"base": coeffs.config, "schedule": []}
+    family = CoefficientFamily(limit=coeffs, config=config)
+    return _simulate_blocks(family, driver, trunc, mu0, n_particles, grid_step, T,
+                            seed, namespace, extra_times, block_size, workers)[-1]
 
 
 def simulate_path(coeffs: CoefficientSet, driver: LevyMeasure,
@@ -491,49 +488,34 @@ def simulate_path(coeffs: CoefficientSet, driver: LevyMeasure,
     if coeffs.growth_bound is not None:
         require_linear_growth(coeffs)
     mu0 = x0 if isinstance(x0, InitialLaw) else PointMass(x0)
-    grid = make_base_grid(T, grid_step, extra_times)
-    inputs = _prepare_block(driver, trunc, mu0, grid, coeffs.m,
-                            [particle_index], seed, namespace)
-    march = BlockMarch(coeffs, driver, trunc, grid, inputs, record_union=True)
-    march.run(record_values=False)
-    times = np.array([t for t, _ in march.union_records])
-    vals = np.vstack([v[0][None, :] for _, v in march.union_records])
-    # the union records may contain duplicate timestamps (pre/post jump);
-    # keep the last record at each time (cadlag: value includes the jump)
-    keep = np.ones(times.size, dtype=bool)
-    keep[:-1] = np.diff(times) > 0
-    jumps = JumpEvents(inputs.jump_times[0], inputs.jump_marks[0])
-    return CadlagPath(times[keep], vals[keep], jumps)
+    base = _prepare_block(driver, trunc, mu0, make_base_grid(T, grid_step, extra_times),
+                          coeffs.m, [particle_index], seed, namespace)
+    jumps = JumpEvents(base.jump_times[0], base.jump_marks[0])
+    # on the grid with the jumps inserted the particle consumes the same rows
+    grid = make_base_grid(T, grid_step, [*extra_times, *jumps.times])
+    inputs = _prepare_block(driver, trunc, mu0, grid, coeffs.m, [particle_index],
+                            seed, namespace)
+    values = BlockMarch(coeffs, driver, trunc, grid, inputs).run()
+    return CadlagPath(grid, values[0], jumps)
 
 
 def simulate_coupled_family(family: CoefficientFamily, driver: LevyMeasure,
                             trunc: TruncationConfig, mu0: InitialLaw,
                             n_particles: int, grid_step: float, T: float,
                             seed: int, namespace: int = rngmod.SIGNAL,
-                            extra_times=(), block_size: int = DEFAULT_BLOCK,
+                            extra_times=(), workers: int = 1,
+                            block_size: int = DEFAULT_BLOCK,
                             validate: bool = True):
     """Simulate every family member and the limit under the same randomness.
 
     For each particle index the same initial draw, the same driver atoms and
     the same Brownian rows feed every member; only coefficients differ.
+    Workers are used as in simulate_ensemble, keyed on family.config.
     Returns (members: dict n -> PathEnsemble, limit: PathEnsemble).
     """
     if validate:
-        for cs in [*family.members.values(), family.limit]:
+        for cs in family.all_sets():
             require_linear_growth(cs)
-    grid = make_base_grid(T, grid_step, extra_times)
-    keys = list(family.members.keys())
-    all_sets = [family.members[k] for k in keys] + [family.limit]
-    values = [np.empty((n_particles, grid.size, family.limit.d)) for _ in all_sets]
-    jump_times, jump_marks = [], []
-    for r in _block_ranges(n_particles, block_size):
-        inputs = _prepare_block(driver, trunc, mu0, grid, family.limit.m,
-                                r, seed, namespace)
-        jump_times.extend(inputs.jump_times)
-        jump_marks.extend(inputs.jump_marks)
-        for si, cs in enumerate(all_sets):
-            values[si][r.start:r.stop] = BlockMarch(cs, driver, trunc, grid, inputs).run()
-    report = _trunc_report(driver, trunc)
-    ensembles = [PathEnsemble(grid, v, jump_times, jump_marks, seed=seed,
-                              trunc_report=report) for v in values]
-    return dict(zip(keys, ensembles)), ensembles[-1]
+    ensembles = _simulate_blocks(family, driver, trunc, mu0, n_particles, grid_step,
+                                 T, seed, namespace, extra_times, block_size, workers)
+    return dict(zip(family.members, ensembles)), ensembles[-1]

@@ -89,7 +89,6 @@ class ObservationModel:
     eps_obs: float = 0.0
     n_quad: int = 2000
     quad_seed: int = 77
-    config: dict | None = None
 
     def __post_init__(self):
         lo, hi = self.u0_region
@@ -238,8 +237,7 @@ def observation_model_from_config(cfg: dict) -> ObservationModel:
         lam=lam, lambda_floor=floor, iota=iota,
         nu2=measure_from_config(cfg["nu2"]),
         u0_region=tuple(cfg.get("u0_region", (0.0, 1.0))),
-        eps_obs=float(cfg.get("eps_obs", 0.0)),
-        config=cfg)
+        eps_obs=float(cfg.get("eps_obs", 0.0)))
 
 
 # ---------------------------------------------------------------------------

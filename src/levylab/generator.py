@@ -539,6 +539,19 @@ class CrosscheckReport:
         return row_ok and (self.halving_ok is not False)
 
 
+def richardson_slope(rep, rep_half, h: float, se_factor: float = 3.0):
+    """Slope C of the C * h budget term, and whether the residual halves.
+
+    C is the first-order decay between the h and h/2 runs' sup-residuals,
+    with 25% headroom.  The refined sup-residual passes the halving check
+    unless it exceeds half the coarse one by more than se_factor combined
+    standard errors, so a NaN residual does not fail it.
+    """
+    slope = 2.5 * abs(rep.sup_abs - rep_half.sup_abs) / (h / 2)
+    combined = se_factor * (rep_half.sup_se + 0.5 * rep.sup_se)
+    return slope, not rep_half.sup_abs > 0.5 * rep.sup_abs + combined
+
+
 def superposition_crosscheck(ctx: GeneratorContext, mu0, dictionary,
                              h: float, n_particles: int, T: float, seed: int,
                              refine: bool = True,
@@ -571,10 +584,8 @@ def superposition_crosscheck(ctx: GeneratorContext, mu0, dictionary,
         sup_half = None
         if refine:
             sup_half = rep_half.sup_abs
-            slope = 2.5 * abs(rep.sup_abs - rep_half.sup_abs) / (h / 2)
-            combined = se_factor * (rep_half.sup_se + 0.5 * rep.sup_se)
-            if rep_half.sup_abs > 0.5 * rep.sup_abs + combined:
-                halving_ok = False
+            slope, halves_ok = richardson_slope(rep, rep_half, h, se_factor)
+            halving_ok = halving_ok and halves_ok
         else:
             slope = 0.0
         slopes[phi.name] = slope

@@ -465,6 +465,8 @@ def sample_jump_events(spec: LevyMeasure, region: tuple[float, float],
     if total == 0.0 or t_max == 0.0:
         return JumpEvents.empty(spec.dim)
     n = int(rng.poisson(total * t_max))
+    if n == 0:
+        return JumpEvents.empty(spec.dim)
     times = np.sort(t_max * (1.0 - rng.random(n)))  # in (0, t_max]
     marks = spec.sample(rng, n, r_lo, r_hi)
     # ties have probability zero but would break strict ordering; nudge them

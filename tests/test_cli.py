@@ -123,6 +123,19 @@ class TestRunAndReplay:
                      "summary.json"):
             assert filecmp.cmp(outs[1] / name, outs[4] / name, shallow=False)
 
+    def test_limit_worker_counts_bitwise_identical(self, tmp_path):
+        # the coupled family runs by particle block, every member inside
+        # each block, in one pool
+        man = small_limit_manifest()
+        outs = {}
+        for w in (1, 2):
+            out = tmp_path / f"w{w}"
+            run(man, str(out), workers=w)
+            outs[w] = out
+            assert json.loads((out / "run_info.json").read_text())["workers"] == w
+        for name in ("distances.csv", "summary.json", "manifest.json"):
+            assert filecmp.cmp(outs[1] / name, outs[2] / name, shallow=False)
+
     def test_invalid_manifest_rejected_before_compute(self, tmp_path):
         man = small_superposition_manifest()
         man.spec = dict(man.spec)

@@ -6,8 +6,9 @@ from scipy import stats
 
 import levylab as L
 from levylab import rng as R
+from levylab import engine
 from levylab.engine import BlockMarch, SimulationError, _prepare_block, make_base_grid
-from levylab.measures import TruncationConfig, sample_jump_events
+from levylab.measures import AtomicLevyMeasure, TruncationConfig, sample_jump_events
 
 from oracles import ou_euler_chain_variance, quad_radial
 
@@ -21,6 +22,84 @@ def ou_coeffs(theta=1.0, sigma=math.sqrt(2.0), gamma=0.0, bound=4.0):
 
 NO_JUMPS = L.zero_measure(1)
 TR = TruncationConfig(level=0.5)
+
+
+class UnionRecordMarch(BlockMarch):
+    """Reference single-path march on the base grid that records the state
+    after every sub-step: at each jump and at each cell end.
+
+    simulate_path once marched this way; it now inserts the jump times into
+    its grid instead, and must give the same bits.
+    """
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.records = [(float(self.grid[0]), self.x.copy())]
+
+    def advance_cell(self, i):
+        grid = self.grid
+        t0, t1 = grid[i], grid[i + 1]
+        e0, e1 = self._ev_cell_starts[i], self._ev_cell_starts[i + 1]
+        if e0 == e1:
+            self._euler(slice(None), float(t0), t1 - t0)
+        else:
+            inp = self.inp
+            jp = inp.ev_particle[e0:e1]
+            jt = inp.ev_time[e0:e1]
+            jz = inp.ev_mark[e0:e1]
+            involved, counts = np.unique(jp, return_counts=True)
+            starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+            cur_t = np.full(involved.size, float(t0))
+            for k in range(int(counts.max())):
+                has = counts > k
+                rows = starts[has] + k
+                pk = involved[has]
+                tk = jt[rows]
+                self._euler(pk, cur_t[has], tk - cur_t[has])
+                self._apply_jumps(pk, tk, jz[rows])
+                cur_t[has] = tk
+                self.records.append((float(tk[-1]), self.x.copy()))
+            last = cur_t < t1
+            if last.any():
+                pk = involved[last]
+                self._euler(pk, cur_t[last], t1 - cur_t[last])
+        self.records.append((float(t1), self.x.copy()))
+        self.cell = i + 1
+
+
+def union_record_path(cs, driver, x0, h, T, seed, particle, extra_times):
+    grid = make_base_grid(T, h, extra_times)
+    inp = _prepare_block(driver, TR, L.PointMass(x0), grid, cs.m, [particle], seed,
+                         R.SIGNAL)
+    march = UnionRecordMarch(cs, driver, TR, grid, inp)
+    for i in range(grid.size - 1):
+        march.advance_cell(i)
+    times = np.array([t for t, _ in march.records])
+    values = np.vstack([v[0] for _, v in march.records])
+    # a jump on a grid point is recorded twice; keep the post-jump record
+    keep = np.append(np.diff(times) > 0, True)
+    return times[keep], values[keep], grid
+
+
+def _time_dependent_1d():
+    return L.CoefficientSet(
+        b=lambda t, x: -np.atleast_2d(x) + np.cos(3.0 * np.asarray(t, float)).reshape(-1, 1),
+        sigma=lambda t, x: 0.4 * (1.0 + np.asarray(t, float)).reshape(-1, 1, 1)
+        * np.ones((np.atleast_2d(x).shape[0], 1, 1)),
+        d=1, m=1, gamma=0.6, g=lambda t, x: 1.0 + 0.5 * np.sin(np.atleast_2d(x)[:, 0]))
+
+
+SINGLE_PATH_CASES = {
+    "atomic-1d": (AtomicLevyMeasure([[0.9], [-0.6]], [2.5, 2.0]), _time_dependent_1d, [0.2]),
+    "atomic-2d": (AtomicLevyMeasure([[0.9, 0.1], [-0.6, 0.4], [0.2, -1.1]],
+                                    [2.0, 1.5, 1.0]),
+                  lambda: L.coefficients_from_config({
+                      "name": "linear", "d": 2, "m": 2, "gamma": 0.5,
+                      "params": {"A": [[-1.0, 0.3], [0.2, -0.7]], "sigma": 0.6},
+                      "g": {"name": "cosine"}}), [0.2, -0.1]),
+    "exponential": (L.exponential_tails_1d(intensity_pos=2.5, rate_pos=2.0),
+                    lambda: ou_coeffs(gamma=0.5), [0.2]),
+}
 
 
 class TestSinglePath:
@@ -45,6 +124,30 @@ class TestSinglePath:
         for ev in p.jumps:
             i = int(np.searchsorted(p.grid, ev.time))
             assert p.values[i, 0] - p.values[i - 1, 0] == pytest.approx(ev.mark[0])
+
+    @pytest.mark.parametrize("case", sorted(SINGLE_PATH_CASES))
+    def test_matches_union_record_march(self, case):
+        # off-grid jumps, a jump put exactly on a grid point through
+        # extra_times, and several jumps in one cell of the coarse grid
+        driver, make_coeffs, x0 = SINGLE_PATH_CASES[case]
+        cs = make_coeffs()
+        seen = {"on_grid": 0, "shared_cell": 0}
+        for seed in range(6):
+            for h, particle in ((0.1, 0), (0.5, 3)):
+                drawn = _prepare_block(driver, TR, L.PointMass(x0), make_base_grid(1.0, h),
+                                       cs.m, [particle], seed, R.SIGNAL).jump_times[0]
+                extra = drawn[:1] if seed % 2 else ()
+                times, values, grid = union_record_path(cs, driver, x0, h, 1.0, seed,
+                                                        particle, extra)
+                p = L.simulate_path(cs, driver, TR, x0, h, 1.0, seed,
+                                    particle_index=particle, extra_times=extra)
+                assert p.grid.tobytes() == times.tobytes()
+                assert p.values.tobytes() == values.tobytes()
+                assert p.jumps.times.tobytes() == drawn.tobytes()
+                seen["on_grid"] += np.isin(drawn, grid).sum()
+                cells = np.searchsorted(grid, drawn, side="left")
+                seen["shared_cell"] += np.count_nonzero(np.bincount(cells) > 1)
+        assert seen["on_grid"] >= 3 and seen["shared_cell"] >= 3
 
 
 class TestEnsembleLaws:
@@ -103,11 +206,11 @@ class TestEnsembleLaws:
         cs = L.coefficients_from_config({"name": "zero", "d": 1, "m": 1})
         ens = L.simulate_ensemble(cs, NO_JUMPS, TR, L.PointMass([2.0]), 50, 0.1,
                                   1.0, seed=4)
-        law = L.marginal_law(ens, 0.55)
+        law = ens.marginal(0.55)
         assert np.all(law.points == 2.0)
         assert law.weights.sum() == pytest.approx(1.0)
         with pytest.raises(SimulationError):
-            L.marginal_law(L.PathEnsemble(ens.times, ens.values[:0], [], []), 0.5)
+            L.PathEnsemble(ens.times, ens.values[:0], [], []).marginal(0.5)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_reports_first_time(self):
@@ -290,3 +393,75 @@ class TestCoupledFamily:
         with pytest.raises(Exception, match="violated"):
             L.simulate_coupled_family(fam, drv, TR, L.PointMass([0.0]), 10,
                                       0.1, 1.0, seed=6)
+
+
+class TestBlockRunner:
+    """Block partition and worker count must not change a single bit.
+
+    The 2-d linear drift mixes coordinates, so a row rounded differently in
+    a lone-row batch than in a full block would show here.
+    """
+
+    N = 150
+    DRIVER = AtomicLevyMeasure([[0.9, 0.2], [-0.5, 0.8]], [0.6, 0.6])
+    MU0 = L.GaussianLaw([0.0, 0.5], [1.0, 0.5])
+    FAMILY = {"base": {"name": "linear", "d": 2, "m": 2, "gamma": 0.5,
+                       "params": {"A": [[-1.0, 0.3], [0.2, -0.7]], "sigma": 0.4}},
+              "drift_perturbation": {"name": "sine", "amp": 1.0},
+              "gamma_perturbation": 0.3, "schedule": [1, 2, 4]}
+
+    def ensemble(self, coeffs, **kw):
+        return L.simulate_ensemble(coeffs, self.DRIVER, TR, self.MU0, self.N, 0.05,
+                                   1.0, seed=13, **kw)
+
+    def family(self, fam, **kw):
+        return L.simulate_coupled_family(fam, self.DRIVER, TR, self.MU0, self.N, 0.05,
+                                         1.0, seed=13, **kw)
+
+    @staticmethod
+    def same(a, b):
+        assert a.values.tobytes() == b.values.tobytes()
+        assert [t.tobytes() for t in a.jump_times] == [t.tobytes() for t in b.jump_times]
+        assert [z.tobytes() for z in a.jump_marks] == [z.tobytes() for z in b.jump_marks]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("block", [1, 3, 64, N])
+    def test_ensemble_bitwise(self, block, workers):
+        cs = L.coefficients_from_config(self.FAMILY["base"])
+        want = self.ensemble(cs, block_size=4096)
+        self.same(self.ensemble(cs, block_size=block, workers=workers), want)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("block", [1, 3, 64, N])
+    def test_family_bitwise(self, block, workers):
+        fam = L.family_from_config(self.FAMILY)
+        want_members, want_limit = self.family(fam, block_size=4096)
+        members, limit = self.family(fam, block_size=block, workers=workers)
+        assert list(members) == list(want_members) == [1, 2, 4]
+        for n in members:
+            self.same(members[n], want_members[n])
+        self.same(limit, want_limit)
+        # the limit of the family is the plain ensemble of its limit dynamics
+        self.same(limit, self.ensemble(fam.limit, block_size=block))
+
+    def test_hand_built_coefficients_run_in_process(self, monkeypatch):
+        # closures without a registry config cannot be rebuilt in a worker,
+        # so workers > 1 must run them here, with the same bits
+        A = np.array([[-1.0, 0.3], [0.2, -0.7]])
+        cs = L.CoefficientSet(
+            b=lambda t, x: np.atleast_2d(x) * np.diag(A),
+            sigma=lambda t, x: np.broadcast_to(0.4 * np.eye(2),
+                                               (np.atleast_2d(x).shape[0], 2, 2)),
+            d=2, m=2, gamma=0.5)
+        fam = L.CoefficientFamily(limit=cs, members={2: cs})
+        want = self.ensemble(cs)
+        want_members, want_limit = self.family(fam)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", no_pool)
+        self.same(self.ensemble(cs, block_size=7, workers=2), want)
+        members, limit = self.family(fam, block_size=7, workers=2)
+        self.same(members[2], want_members[2])
+        self.same(limit, want_limit)

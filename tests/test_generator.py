@@ -10,7 +10,8 @@ from levylab.generator import (GeneratorContext, GeneratorError,
                                MartingaleIncrements, eval_generator,
                                fpe_weak_residual, generator_apply,
                                integrability_guards, martingale_residual,
-                               superposition_crosscheck, validate_hypotheses)
+                               richardson_slope, superposition_crosscheck,
+                               validate_hypotheses)
 from levylab.measures import TruncationConfig
 from levylab.testfunctions import (constant_function, default_dictionary,
                                    plateau_bump, windowed_monomial)
@@ -328,6 +329,22 @@ class TestSuperpositionCrosscheck:
                                        n_particles=300, T=0.5, seed=6)
         assert rep.passed
         assert all(r.sup_abs == 0.0 for r in rep.rows)
+
+    def test_richardson_slope_and_halving(self):
+        from types import SimpleNamespace as Rep
+        coarse = Rep(sup_abs=0.2, sup_se=0.01)
+        slope, ok = richardson_slope(coarse, Rep(sup_abs=0.1, sup_se=0.02), h=0.1)
+        assert slope == 2.5 * abs(0.2 - 0.1) / 0.05 and ok
+        # the refined residual may exceed half the coarse one by 3 combined s.e.
+        edge = 0.5 * 0.2 + 3.0 * (0.02 + 0.5 * 0.01)
+        assert richardson_slope(coarse, Rep(sup_abs=edge, sup_se=0.02), h=0.1)[1]
+        assert not richardson_slope(coarse, Rep(sup_abs=edge + 1e-9, sup_se=0.02),
+                                    h=0.1)[1]
+        assert not richardson_slope(coarse, Rep(sup_abs=edge, sup_se=0.02), h=0.1,
+                                    se_factor=2.0)[1]
+        # a NaN residual gives a NaN slope and does not fail the halving check
+        slope, ok = richardson_slope(coarse, Rep(sup_abs=math.nan, sup_se=0.02), h=0.1)
+        assert math.isnan(slope) and ok
 
     def test_corrupted_jump_scale_fails(self):
         cs = ou_coeffs(0.5)

@@ -144,6 +144,24 @@ class TestSampling:
                                 R.stream(1, R.DRIVER))
         assert len(ev) == 0
 
+    @pytest.mark.parametrize("spec", [AtomicLevyMeasure([[0.7, 0.1], [-0.4, 0.3]], [0.2, 0.3]),
+                                      exponential_tails_1d(rate_pos=2.0)],
+                             ids=["atomic-2d", "exponential"])
+    def test_zero_count_draws_nothing_more(self, spec):
+        # a particle with no events draws its Poisson count and nothing else,
+        # so the stream continues exactly where the count left it
+        seen = 0
+        for i in range(40):
+            rng = R.stream(19, R.DRIVER, i)
+            ev = sample_jump_events(spec, (0.0, math.inf), 1.0, rng)
+            alone = R.stream(19, R.DRIVER, i)
+            if alone.poisson(spec.mass(0.0, math.inf)) == 0:
+                seen += 1
+                assert len(ev) == 0 and ev.marks.shape == (0, spec.dim)
+                assert repr(rng.bit_generator.state) == repr(alone.bit_generator.state)
+                assert rng.random() == alone.random()
+        assert seen >= 5
+
     def test_atomic_poisson_mean(self):
         spec = AtomicLevyMeasure([[1.0]], [3.0])
         counts = [len(sample_jump_events(spec, (0.0, math.inf), 2.0,
