@@ -36,30 +36,36 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
 
+    def invalid(errors):
+        for e in errors:
+            print(f"INVALID: {e}", file=sys.stderr)
+        return 1
+
     if args.command == "validate":
-        manifest = RunManifest.load(args.manifest)
-        errors = manifest.validate()
+        try:
+            errors = RunManifest.load(args.manifest).validate()
+        except ManifestError as exc:
+            return invalid(exc.errors)
         if errors:
-            for e in errors:
-                print(f"INVALID: {e}", file=sys.stderr)
-            return 1
+            return invalid(errors)
         print("OK")
         return 0
 
     if args.command == "run":
-        manifest = RunManifest.load(args.manifest)
         try:
-            summary = run(manifest, args.out, seed=args.seed, workers=args.workers)
+            summary = run(RunManifest.load(args.manifest), args.out, seed=args.seed,
+                          workers=args.workers)
         except ManifestError as exc:
-            for e in exc.errors:
-                print(f"INVALID: {e}", file=sys.stderr)
-            return 1
+            return invalid(exc.errors)
         print(json.dumps(summary["verdicts"], indent=2, sort_keys=True))
         print("PASS" if summary["overall_pass"] else "FAIL")
         return 0 if summary["overall_pass"] else 1
 
     if args.command == "replay":
-        result = replay(args.bundle, workers=args.workers)
+        try:
+            result = replay(args.bundle, workers=args.workers)
+        except ManifestError as exc:
+            return invalid(exc.errors)
         for d in result["diffs"]:
             print(f"DIFF: {d}", file=sys.stderr)
         print("identical" if result["identical"] else "divergent")

@@ -47,8 +47,10 @@ class CoefficientSet:
     gamma: float = 0.0
     g: callable = None
     growth_bound: float | None = None   # declared linear-growth constant, if any
-    config: dict | None = None          # registry config, for worker processes
     vectorized: bool = True
+    # registry config the set was built from, for worker processes; set only
+    # by coefficients_from_config, so a dataclasses.replace copy has none
+    config: dict | None = field(default=None, init=False)
 
     def __post_init__(self):
         if self.g is None:
@@ -78,7 +80,8 @@ class CoefficientFamily:
 
     limit: CoefficientSet
     members: dict = field(default_factory=dict)  # n -> CoefficientSet
-    config: dict | None = None
+    # registry config, set only by family_from_config and simulate_ensemble
+    config: dict | None = field(default=None, init=False)
 
     def __post_init__(self):
         for n, cs in self.members.items():
@@ -336,10 +339,11 @@ def coefficients_from_config(cfg: dict) -> CoefficientSet:
     if gname not in G_REGISTRY:
         raise CoefficientError(f"unknown jump shape {gname!r}")
     g = G_REGISTRY[gname](gcfg.get("params", {}))
-    return CoefficientSet(
-        b=b, sigma=sigma, d=d, m=m,
-        gamma=float(cfg.get("gamma", 0.0)), g=g,
-        growth_bound=cfg.get("growth_bound"), config=cfg)
+    cs = CoefficientSet(b=b, sigma=sigma, d=d, m=m,
+                        gamma=float(cfg.get("gamma", 0.0)), g=g,
+                        growth_bound=cfg.get("growth_bound"))
+    cs.config = cfg
+    return cs
 
 
 def _perturbed_drift(base_b, kind: str, amp: float, n: int):
@@ -377,4 +381,6 @@ def family_from_config(cfg: dict) -> CoefficientFamily:
             b=b_n, sigma=sigma_n, d=limit.d, m=limit.m,
             gamma=limit.gamma + gp / n, g=limit.g,
             growth_bound=limit.growth_bound)
-    return CoefficientFamily(limit=limit, members=members, config=cfg)
+    family = CoefficientFamily(limit=limit, members=members)
+    family.config = cfg
+    return family

@@ -474,8 +474,9 @@ def simulate_ensemble(coeffs: CoefficientSet, driver: LevyMeasure,
     """
     if validate and coeffs.growth_bound is not None:
         require_linear_growth(coeffs)
-    config = None if coeffs.config is None else {"base": coeffs.config, "schedule": []}
-    family = CoefficientFamily(limit=coeffs, config=config)
+    family = CoefficientFamily(limit=coeffs)
+    if coeffs.config is not None:
+        family.config = {"base": coeffs.config, "schedule": []}
     return _simulate_blocks(family, driver, trunc, mu0, n_particles, grid_step, T,
                             seed, namespace, extra_times, block_size, workers)[-1]
 

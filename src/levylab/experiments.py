@@ -257,15 +257,19 @@ _RUNNERS = {
 
 def run(manifest: RunManifest, out_dir: str, seed: int | None = None,
         workers: int = 1) -> dict:
-    """Execute a manifest into a bundle directory; returns the summary."""
-    manifest.require_valid()
-    seed = manifest.seed if seed is None else int(seed)
+    """Execute a manifest into a bundle directory; returns the summary.
+
+    `seed` overrides the manifest's seed; the bundle's manifest records the
+    seed used.  Everything is validated before any compute."""
+    effective = RunManifest.from_dict(manifest.to_dict())
+    if seed is not None:
+        effective.seed = int(seed)
+    effective.require_valid()
+    seed = effective.seed
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
     tables, verdicts = _RUNNERS[manifest.kind](manifest, seed, workers)
     elapsed = time.perf_counter() - t0
-    effective = RunManifest.from_dict(manifest.to_dict())
-    effective.seed = seed
     effective.save(os.path.join(out_dir, "manifest.json"))
     for name, (header, rows) in tables.items():
         write_csv(os.path.join(out_dir, f"{name}.csv"), header, rows)

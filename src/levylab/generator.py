@@ -24,12 +24,14 @@ The two residual tests:
 Both are evaluated for a whole test-function dictionary in one march over
 the ensemble's time slices.  Each slice makes one generator_apply call:
 b, a, f, the jump images and the small-jump mask are computed once, and
-each function's phi, grad and hess come from one fused `jet` pass.  The
-jet's phi(x_i) is both the generator's base value and the FPE statistic at
-t_i, and the martingale increments on a sub-window accumulate in the same
-march.  Only O(K n) accumulators are kept, never per-slice values.  A single
-function is the one-element dictionary of the same code; all results are
-bit for bit those of evaluating each function on its own.
+the whole dictionary's phi, grad and hess come from one dictionary pass
+(`testfunctions.evaluate`) over the slice, and its phi alone from one pass
+over each chunk of jump images.  The slice's phi(x_i) is both the
+generator's base value and the FPE statistic at t_i, and the martingale
+increments on a sub-window accumulate in the same march.  Only O(K n)
+accumulators are kept, never per-slice values.  A single function is the
+one-element dictionary of the same code; all results are bit for bit those
+of evaluating each function on its own.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from . import rng as rngmod
 from .coefficients import CoefficientSet, linear_growth_report
 from .engine import PathEnsemble
 from .measures import AtomicLevyMeasure, LevyMeasure, TruncationConfig
-from .testfunctions import COMPACT, LOG_GROWTH, TestFunction
+from .testfunctions import COMPACT, LOG_GROWTH, TestFunction, evaluate
 
 
 class GeneratorError(RuntimeError):
@@ -94,16 +96,20 @@ class GeneratorValue:
     quad_se: float = 0.0
 
 
-# cap on the entries of one (paths, nodes, d) Monte Carlo jump-image temporary
-_IMAGE_ENTRIES = 1 << 20
+# cap on the entries of one (paths, nodes, d) Monte Carlo jump-image temporary;
+# a chunk's value-only dictionary pass holds every function's phi at once,
+# so a chunk peaks at about 20 arrays of this size
+_IMAGE_ENTRIES = 1 << 19
 
 
 def _jump_terms(ctx: GeneratorContext, phis: list, jets: list, t, X: np.ndarray):
     """Non-local term and its quadrature s.e., (K, n) each, for the whole
-    dictionary: the images X + f(X) z and the small-jump mask are built once.
-    Monte Carlo nodes are taken in chunks of paths (mean and std reduce each
-    row alone, so no bit changes); an atomic driver's sum is a matmul, which
-    may round a row differently in a smaller batch, so it is never chunked."""
+    dictionary: the images X + f(X) z and the small-jump mask are built
+    once, and one value-only dictionary pass gives every phi at a chunk's
+    images.  `jets` are the functions' (phi, grad, hess) at X.  Monte Carlo
+    nodes are taken in chunks of paths (mean and std reduce each row alone,
+    so no bit changes); an atomic driver's sum is a matmul, which may round
+    a row differently in a smaller batch, so it is never chunked."""
     n, d = X.shape
     vals = np.zeros((len(phis), n))
     ses = np.zeros((len(phis), n))
@@ -123,8 +129,9 @@ def _jump_terms(ctx: GeneratorContext, phis: list, jets: list, t, X: np.ndarray)
         U = fv[rows, None, None] * z[None, :, :]                  # (chunk, q, d)
         images = (X[rows, None, :] + U).reshape(-1, d)
         small = np.linalg.norm(U, axis=2) <= ctx.trunc.level
-        for k, (phi, (base, grad, _)) in enumerate(zip(phis, jets)):
-            shifted = phi.phi(images).reshape(-1, q)
+        at_images = evaluate(phis, images, derivatives=False)
+        for k, (phi_images, (base, grad, _)) in enumerate(zip(at_images, jets)):
+            shifted = phi_images.reshape(-1, q)
             comp = np.einsum("nqd,nd->nq", U, grad[rows])
             integrand = shifted - base[rows, None] - np.where(small, comp, 0.0)
             if total is None:
@@ -147,7 +154,7 @@ def generator_apply(ctx: GeneratorContext, phis, t, X: np.ndarray, jets=None):
     phis = [phis] if single else list(phis)
     X = np.atleast_2d(X)
     if jets is None:
-        jets = [phi.jet(X) for phi in phis]
+        jets = evaluate(phis, X)
     a = ctx.coeffs.a(t, X)
     b = ctx.coeffs.b(t, X)
     vals, ses = _jump_terms(ctx, phis, jets, t, X)
@@ -298,9 +305,11 @@ def _march(ensemble: PathEnsemble, ctx: GeneratorContext, phis: list,
            fpe: bool, window=None):
     """One pass over the ensemble's time slices for the whole dictionary.
 
-    Each slice i makes one generator_apply call.  The jets at x_i give the
+    Each slice i makes one dictionary pass (`testfunctions.evaluate`) for
+    the jets at x_i and one generator_apply call.  The jets give the
     generator its base values and are also phi(x_i) for the FPE statistic
-    at t_i, so phi is evaluated once per slice and function.  With
+    at t_i, so phi is evaluated once per slice and function.  The last
+    slice needs phi alone, from each function's own phi.  With
     fpe=False only the slices of window = (i_s, i_t) are marched.  Returns
     the (K, M1) residual and s.e. curves and, when a window is given, the
     per-function MartingaleIncrements over it.  Only (K, n) accumulators
@@ -317,7 +326,7 @@ def _march(ensemble: PathEnsemble, ctx: GeneratorContext, phis: list,
     i_s, i_t = window if window is not None else (None, None)
     for i in range(first, last + 1):
         X = vals[:, i, :]
-        jets = [phi.jet(X) for phi in phis] if i < last else None
+        jets = evaluate(phis, X) if i < last else None
         base = ([jet[0] for jet in jets] if jets is not None
                 else [phi.phi(X) for phi in phis])
         if i == first:

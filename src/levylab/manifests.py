@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 KINDS = ("superposition", "limit", "filter_robustness", "diagnostics")
@@ -19,6 +20,14 @@ _REQUIRED = {
     "filter_robustness": ("family", "observation", "driver", "truncation", "mu0"),
     "diagnostics": ("coefficients", "driver", "truncation", "mu0"),
 }
+_OPTIONAL = {
+    "superposition": ("block_size", "martingale_window"),
+    "limit": ("n_checkpoints",),
+    "filter_robustness": ("reps",),
+    "diagnostics": ("K_grid", "theta_grid", "N_threshold"),
+}
+_FIELDS = ("kind", "seed", "T", "h", "n_particles", "spec", "assumptions")
+_SEEDS = 1 << 64    # rng.stream_key keeps 64 bits of the seed
 
 
 def _is_int(v) -> bool:
@@ -58,6 +67,10 @@ class RunManifest:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunManifest":
+        unknown = [k for k in d if k not in _FIELDS]
+        if unknown:
+            raise ManifestError([f"unknown manifest key {k!r}; allowed: "
+                                 f"{', '.join(_FIELDS)}" for k in unknown])
         return cls(kind=d["kind"], seed=int(d["seed"]), T=float(d["T"]),
                    h=float(d["h"]), n_particles=int(d["n_particles"]),
                    spec=dict(d.get("spec", {})),
@@ -88,6 +101,14 @@ class RunManifest:
         if self.kind not in KINDS:
             errors.append(f"unknown kind {self.kind!r}; known: {KINDS}")
             return errors
+        if not (isinstance(self.seed, numbers.Integral) and not isinstance(self.seed, bool)
+                and 0 <= self.seed < _SEEDS):
+            errors.append(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        allowed = _REQUIRED[self.kind] + _OPTIONAL[self.kind]
+        for key in self.spec:
+            if key not in allowed:
+                errors.append(f"unknown key spec.{key} for kind {self.kind!r}; "
+                              f"allowed: {', '.join(allowed)}")
         if self.T <= 0:
             errors.append("T must be positive")
         if self.h <= 0 or self.h > self.T:

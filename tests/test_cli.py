@@ -1,9 +1,13 @@
+import csv
 import filecmp
 import json
 import math
 import os
+import re
+import runpy
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -287,6 +291,33 @@ def test_superposition_bad_martingale_window_rejected(tmp_path, window):
     assert not (tmp_path / "never").exists()
 
 
+def test_superposition_monte_carlo_driver_end_to_end(tmp_path):
+    # a non-atomic driver takes the Monte Carlo branch of the generator's
+    # jump terms: phi at chunks of jump images from the value-only pass
+    man = small_superposition_manifest(seed=11)
+    man.T, man.h, man.n_particles = 0.2, 0.1, 150
+    man.spec = dict(man.spec, driver={"name": "exponential_tails_1d",
+                                      "params": {"intensity_pos": 1.0,
+                                                 "rate_pos": 2.0}})
+    first, second = tmp_path / "a", tmp_path / "b"
+    run(man, str(first))
+    run(man, str(second))
+    with open(first / "fpe_residuals.csv") as fh:
+        fpe = list(csv.DictReader(fh))
+    assert len(fpe) == 6 * 3
+    assert all(math.isfinite(float(r[k])) for r in fpe
+               for k in ("residual", "mc_se", "budget"))
+    with open(first / "martingale_residuals.csv") as fh:
+        bins = list(csv.DictReader(fh))
+    assert bins and all(math.isfinite(float(r["estimate"])) for r in bins)
+    assert all(math.isfinite(float(r["se"])) for r in bins if r["scored"] == "True")
+    names = sorted(os.listdir(first))
+    assert names == sorted(os.listdir(second))
+    for name in names:
+        if name != "run_info.json":
+            assert filecmp.cmp(first / name, second / name, shallow=False), name
+
+
 def test_superposition_window_and_block_boundaries_valid():
     man = small_superposition_manifest()
     man.spec = dict(man.spec, martingale_window=[0, 0.5], block_size=1)
@@ -342,3 +373,85 @@ def test_limit_and_diagnostics_boundaries_valid():
     assert man.validate() == []
     assert diagnostics_manifest(K_grid=[0.5], theta_grid=[0.5, 1e-9],
                                 N_threshold=1e-12).validate() == []
+
+
+# ---------------------------------------------------------------------------
+# unknown keys and out-of-range seeds are rejected before any compute
+# ---------------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _bench_manifests():
+    """The benchmark's workload manifests at its default seed."""
+    workloads = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))
+    seed = workloads["DEFAULT_SEED"]
+    return [w.manifest(seed) for w in workloads["WORKLOADS"].values()]
+
+
+def _readme_manifests():
+    text = (ROOT / "README.md").read_text()
+    return [json.loads(block) for block in re.findall(r"```json\n(.*?)```", text, re.S)]
+
+
+def test_bench_and_readme_manifests_valid():
+    manifests = _bench_manifests() + _readme_manifests()
+    assert len(manifests) == 5
+    for d in manifests:
+        assert RunManifest.from_dict(d).validate() == []
+
+
+SUPERPOSITION_KEYS = ("coefficients, driver, truncation, mu0, block_size, "
+                      "martingale_window")
+TOP_KEYS = "kind, seed, T, h, n_particles, spec, assumptions"
+
+
+@pytest.mark.parametrize("edit, args, message", [
+    (lambda d: d.update(blok_size=64), [],
+     f"unknown manifest key 'blok_size'; allowed: {TOP_KEYS}"),
+    (lambda d: d["spec"].update(blok_size=64), [],
+     f"unknown key spec.blok_size for kind 'superposition'; "
+     f"allowed: {SUPERPOSITION_KEYS}"),
+    (lambda d: d.update(seed=-1), [], "seed must be an integer in [0, 2**64), got -1"),
+    (lambda d: d.update(seed=2 ** 64), [],
+     f"seed must be an integer in [0, 2**64), got {2 ** 64}"),
+    (lambda d: None, ["--seed=-1"], "seed must be an integer in [0, 2**64), got -1"),
+], ids=["top-level-key", "spec-key", "seed-negative", "seed-2**64", "seed-flag"])
+def test_unknown_keys_and_bad_seeds_rejected_before_compute(tmp_path, capsys, edit,
+                                                            args, message):
+    d = small_superposition_manifest().to_dict()
+    d["spec"] = dict(d["spec"])
+    edit(d)
+    mpath = tmp_path / "man.json"
+    mpath.write_text(json.dumps(d))
+    out = tmp_path / "never"
+    if not args:
+        assert main(["validate", str(mpath)]) == 1
+        assert f"INVALID: {message}" in capsys.readouterr().err
+    assert main(["run", str(mpath), "--out", str(out), *args]) == 1
+    assert f"INVALID: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_replay_of_a_bundle_without_a_valid_manifest_fails_cleanly(tmp_path, capsys):
+    bundle = tmp_path / "bundle"
+    bundle.mkdir()
+    assert main(["replay", str(bundle)]) == 1
+    assert "INVALID: bundle has no manifest.json" in capsys.readouterr().err
+    d = small_superposition_manifest().to_dict()
+    (bundle / "manifest.json").write_text(json.dumps(dict(d, blok_size=64)))
+    assert main(["replay", str(bundle)]) == 1
+    assert "INVALID: unknown manifest key 'blok_size'" in capsys.readouterr().err
+
+
+def test_seed_bounds_and_seed_override_checked_by_run(tmp_path):
+    man = small_superposition_manifest()
+    for seed in (0, 2 ** 64 - 1):
+        man.seed = seed
+        assert man.validate() == []
+    man.seed = 42
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(ManifestError, match=re.escape("seed must be an integer "
+                                                          "in [0, 2**64)")):
+            run(man, str(tmp_path / "never"), seed=seed)
+        assert not (tmp_path / "never").exists()

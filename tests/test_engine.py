@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -465,3 +466,21 @@ class TestBlockRunner:
         members, limit = self.family(fam, block_size=7, workers=2)
         self.same(members[2], want_members[2])
         self.same(limit, want_limit)
+
+    def test_replaced_coefficients_keep_their_dynamics_across_workers(self):
+        # a dataclasses.replace copy no longer matches the registry config it
+        # was built from, so it must not be rebuilt from that config
+        cs = replace(L.coefficients_from_config(self.FAMILY["base"]), gamma=1.0)
+        assert cs.config is None
+        self.same(self.ensemble(cs, block_size=64, workers=2),
+                  self.ensemble(cs, block_size=64))
+        fam = L.family_from_config(self.FAMILY)
+        fam = replace(fam, limit=replace(fam.limit, gamma=1.0))
+        assert fam.config is None
+        want_members, want_limit = self.family(fam, block_size=64)
+        members, limit = self.family(fam, block_size=64, workers=2)
+        for n in members:
+            self.same(members[n], want_members[n])
+        self.same(limit, want_limit)
+        assert limit.values.tobytes() != self.family(L.family_from_config(
+            self.FAMILY), block_size=64)[1].values.tobytes()
