@@ -23,6 +23,17 @@ family marches over that draw; an ensemble is a family with no members.
 With several workers the blocks go to one process pool, and each worker
 rebuilds the coefficient sets from the family's registry config, because
 coefficient closures do not pickle.
+
+The draw also carries each cell's jump schedule: the slots that jump in the
+cell, their sub-step start times, the jump times and marks, and each
+slot's noise row in the next cell.  Every march over the draw, family
+members and filters alike, reads that schedule instead of rebuilding it.
+BlockMarch takes one Euler step of the whole block per cell, then replays
+only the slots that jump in the cell through their sub-steps and jumps and
+writes them back.  This gives the bits of a march that steps the quiet
+slots and the jumping slots apart, provided the coefficients are
+row-independent (a row's value does not depend on the rows evaluated with
+it), which the block-size contract already requires.
 """
 
 from __future__ import annotations
@@ -222,12 +233,46 @@ def make_base_grid(T: float, grid_step: float, extra_times=()) -> np.ndarray:
     return grid
 
 
+@dataclass(frozen=True)
+class _JumpSchedule:
+    """The driver jumps of one block, laid out for the march, cell by cell.
+
+    A jump is replayed as an Euler sub-step from start to time, then the
+    jump by mark.  Jumps are sorted by (cell, k, slot), where k counts the
+    slot's earlier jumps in the cell; a step is the jumps of one k in one
+    cell, and its sub-steps read the k-th noise row after each slot's row
+    for the cell.  Each (cell, slot) pair with a jump has one entry of
+    slots and of next_row (the slot's noise row in the next cell), sorted
+    by (cell, slot), and idx places a jump among its cell's pairs.  A pair
+    whose last jump is off the grid has a tail sub-step from tail_start to
+    the cell end, on the row before next_row; tail_idx places it among the
+    cell's pairs.
+
+    Cell i owns pairs[i]:pairs[i+1], tails[i]:tails[i+1] and steps
+    steps[i]:steps[i+1]; step j owns jumps step_jumps[j]:step_jumps[j+1].
+    """
+
+    pairs: tuple
+    tails: tuple
+    steps: tuple
+    step_jumps: tuple
+    slots: np.ndarray
+    next_row: np.ndarray
+    idx: np.ndarray
+    start: np.ndarray
+    time: np.ndarray
+    mark: np.ndarray
+    tail_idx: np.ndarray
+    tail_start: np.ndarray
+
+
 @dataclass
 class _BlockInputs:
     """Pre-drawn randomness for one block of particles, reusable across a family.
 
     particles are the global indices of the block's slots, drawn from the
-    (seed, namespace) streams.  Every array is read-only: marches share one
+    (seed, namespace) streams.  schedule holds the block's jumps in the order
+    the march replays them.  Every array is read-only: marches share one
     draw, so a write into it would silently couple them.
     """
 
@@ -235,10 +280,7 @@ class _BlockInputs:
     seed: int
     namespace: int
     x0: np.ndarray
-    ev_particle: np.ndarray     # events sorted by (cell, particle, time)
-    ev_time: np.ndarray
-    ev_mark: np.ndarray
-    ev_cell: np.ndarray
+    schedule: _JumpSchedule
     noise: np.ndarray           # Brownian rows, particle-major
     offsets: np.ndarray         # first noise row of each particle
     jump_times: list
@@ -269,33 +311,81 @@ def _prepare_block(driver: LevyMeasure, trunc: TruncationConfig, mu0: InitialLaw
             ev = JumpEvents.empty(driver.dim)
         jt_list.append(ev.times)
         jm_list.append(ev.marks)
-    # flatten events; a jump off the grid adds one row to its particle's cells
+    # flatten events in (particle, time) order; a jump off the grid adds one
+    # row to its particle's cells
     ev_p = np.repeat(np.arange(B, dtype=np.int64), [len(t) for t in jt_list])
     ev_t = np.concatenate([np.empty(0), *jt_list])
     ev_z = np.vstack([np.empty((0, driver.dim)), *jm_list])
     at = np.searchsorted(grid, ev_t, side="left")
-    on_grid = grid[np.minimum(at, grid.size - 1)] == ev_t
-    interior = np.bincount(ev_p[~on_grid], minlength=B)
-    ev_c = at - 1
-    rows = (grid.size - 1) + interior
+    inner = grid[np.minimum(at, grid.size - 1)] != ev_t
+    n_cells = grid.size - 1
     offsets = np.zeros(B + 1, dtype=np.int64)
-    np.cumsum(rows, out=offsets[1:])
+    np.cumsum(n_cells + np.bincount(ev_p[inner], minlength=B), out=offsets[1:])
+    # the row of the sub-step that ends at a jump: its particle's rows, one
+    # per earlier cell and one per earlier off-grid jump
+    ev_row = ev_p * n_cells + (at - 1) + (np.cumsum(inner) - inner)
+    # built before the noise, so its temporaries are gone before that is drawn
+    schedule = _jump_schedule(grid, ev_p, ev_t, ev_z, at - 1, ev_row)
     noise = np.empty((int(offsets[-1]), m))
     for j, p in enumerate(particles):
         rngmod.rekey(gen, seed, rngmod.BROWNIAN, p, namespace).standard_normal(
             out=noise[offsets[j]:offsets[j + 1]])
-    # events sorted by (cell, particle, time)
-    order = np.lexsort((ev_t, ev_p, ev_c))
-    ev_p, ev_t, ev_z, ev_c = ev_p[order], ev_t[order], ev_z[order], ev_c[order]
     ids = np.array(particles, dtype=np.int64)
-    for a in [ids, x0, ev_p, ev_t, ev_z, ev_c, noise, offsets] + jt_list + jm_list:
+    arrays = [a for a in vars(schedule).values() if isinstance(a, np.ndarray)]
+    for a in [ids, x0, noise, offsets, *arrays] + jt_list + jm_list:
         a.flags.writeable = False
-    return _BlockInputs(ids, seed, namespace, x0, ev_p, ev_t, ev_z, ev_c, noise,
-                        offsets[:-1], jt_list, jm_list)
+    return _BlockInputs(ids, seed, namespace, x0, schedule, noise, offsets[:-1],
+                        jt_list, jm_list)
+
+
+def _run_starts(*keys) -> np.ndarray:
+    """True where a run of equal consecutive key tuples begins."""
+    new = np.ones(keys[0].size, dtype=bool)
+    new[1:] = np.any([k[1:] != k[:-1] for k in keys], axis=0)
+    return new
+
+
+def _jump_schedule(grid, ev_p, ev_t, ev_z, ev_c, ev_row) -> _JumpSchedule:
+    """The _JumpSchedule of a block's events, given in (particle, time) order."""
+    # sorted by (cell, slot, time); a pair is one slot in one cell
+    order = np.lexsort((ev_t, ev_p, ev_c))
+    ev_p, ev_t, ev_z, ev_c, ev_row = (a[order] for a in (ev_p, ev_t, ev_z, ev_c, ev_row))
+    new = _run_starts(ev_c, ev_p)
+    first, last = np.flatnonzero(new), np.flatnonzero(np.roll(new, -1))
+    pair = np.cumsum(new) - 1
+    k = np.arange(ev_t.size) - first[pair]
+    start = np.where(new, grid[ev_c], np.roll(ev_t, 1))
+    p_cell = ev_c[first]
+    p_local = np.arange(first.size) - np.searchsorted(p_cell, p_cell)
+    tail = ev_t[last] < grid[p_cell + 1]
+    # replay order (cell, k, slot)
+    by_step = np.lexsort((ev_p, k, ev_c))
+    step_lo = np.flatnonzero(_run_starts(ev_c[by_step], k[by_step]))
+    # each cell's first pair, tail and step, and each step's first jump
+    cells = np.arange(grid.size)
+    pairs, tails, steps = (tuple(np.searchsorted(key, cells).tolist())
+                           for key in (p_cell, p_cell[tail], ev_c[by_step][step_lo]))
+    # slot indices fit int32; the schedule lives through every march of the block
+    return _JumpSchedule(
+        pairs=pairs, tails=tails, steps=steps,
+        step_jumps=tuple(step_lo.tolist()) + (ev_t.size,),
+        slots=ev_p[first].astype(np.int32), next_row=ev_row[last] + 1 + tail,
+        idx=p_local[pair[by_step]].astype(np.int32), start=start[by_step],
+        time=ev_t[by_step], mark=ev_z[by_step], tail_idx=p_local[tail].astype(np.int32),
+        tail_start=ev_t[last[tail]])
 
 
 class BlockMarch:
     """Marches one block of particles cell by cell over a shared base grid.
+
+    Each cell is one Euler step of the whole block over the cell.  The slots
+    that jump inside the cell (the draw's schedule, shared by every march
+    over it) are then replayed from their saved start states: an Euler
+    sub-step to each jump, the jump, and a last sub-step to the cell end,
+    each on the slot's next Brownian row.  The replayed states overwrite the
+    whole-cell step of those slots, so coefficients must be row-independent
+    (a row's value may not depend on the other rows passed with it), which
+    the block-size contract already requires.
 
     Used directly by the particle filter, which interleaves weight updates
     and resampling between cells; whole-path simulation just runs all cells.
@@ -311,10 +401,8 @@ class BlockMarch:
         self.grid = grid
         self.inp = inputs
         self.x = inputs.x0.copy()
-        self.cursor = np.zeros(len(inputs.offsets), dtype=np.int64)
+        self.row = inputs.offsets.copy()    # each slot's noise row in this cell
         self.cell = 0
-        self._ev_cell_starts = np.searchsorted(inputs.ev_cell, np.arange(grid.size))
-        self._has_jumps = inputs.ev_time.size > 0
         self._needs_comp = driver.mass(trunc.sampling_floor, math.inf) > 0.0
 
     # -- pieces ----------------------------------------------------------
@@ -324,6 +412,12 @@ class BlockMarch:
         if not self._needs_comp:
             return 0.0
         fv = self.coeffs.f(t, xs)
+        # a row with f = 0 must get +0.0: its radius l/|f| is infinite, and
+        # -0 * moment would be -0.0, or NaN for an infinite first moment
+        if fv.all():
+            r_hi = self.trunc.level / np.abs(fv)
+            return -fv[:, None] * self.driver.first_moment_upper(self.trunc.sampling_floor,
+                                                                 r_hi)
         out = np.zeros_like(xs)
         nz = fv != 0.0
         if nz.any():
@@ -332,57 +426,46 @@ class BlockMarch:
             out[nz] = -fv[nz, None] * fm
         return out
 
-    def _euler(self, idx, t0, dt):
-        xs = self.x[idx]
-        rows = self.inp.offsets[idx] + self.cursor[idx]
-        dw = self.inp.noise[rows] * np.sqrt(np.asarray(dt))[..., None]
-        bv = self.coeffs.b(t0, xs)
-        sv = self.coeffs.sigma(t0, xs)
-        comp = self._compensator(t0, xs)
-        dtc = np.asarray(dt)[..., None]
-        self.x[idx] = xs + (bv + comp) * dtc + np.einsum("kim,km->ki", sv, dw)
-        self.cursor[idx] += 1
-
-    def _apply_jumps(self, idx, t, marks):
-        fv = self.coeffs.f(t, self.x[idx])
-        self.x[idx] = self.x[idx] + fv[:, None] * marks
+    def _step(self, t, dt, xs, rows):
+        """Euler step of the states xs from t over dt, on the noise rows `rows`."""
+        dt = np.asarray(dt)[..., None]
+        dw = self.inp.noise[rows]
+        dw *= np.sqrt(dt)
+        # xs + (b + comp) dt + sigma dw, computed in place in the drift array
+        out = self.coeffs.b(t, xs) + self._compensator(t, xs)
+        out *= dt
+        out += xs
+        out += np.einsum("kim,km->ki", self.coeffs.sigma(t, xs), dw)
+        return out
 
     # -- one cell --------------------------------------------------------
 
     def advance_cell(self, i: int):
-        grid = self.grid
-        t0, t1 = grid[i], grid[i + 1]
-        e0, e1 = self._ev_cell_starts[i], self._ev_cell_starts[i + 1]
-        if e0 == e1:
-            self._euler(slice(None), float(t0), t1 - t0)
-        else:
-            inp = self.inp
-            jp = inp.ev_particle[e0:e1]
-            jt = inp.ev_time[e0:e1]
-            jz = inp.ev_mark[e0:e1]
-            involved, counts = np.unique(jp, return_counts=True)
-            quiet = np.ones(self.x.shape[0], dtype=bool)
-            quiet[involved] = False
-            qi = np.nonzero(quiet)[0]
-            if qi.size:
-                self._euler(qi, float(t0), t1 - t0)
-            # events are contiguous per particle and time-ordered within it
-            starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-            cur_t = np.full(involved.size, float(t0))
-            for k in range(int(counts.max())):
-                has = counts > k
-                rows = starts[has] + k
-                pk = involved[has]
-                tk = jt[rows]
-                self._euler(pk, cur_t[has], tk - cur_t[has])
-                self._apply_jumps(pk, tk, jz[rows])
-                cur_t[has] = tk
-            last = cur_t < t1
-            if last.any():
-                pk = involved[last]
-                self._euler(pk, cur_t[last], t1 - cur_t[last])
-        if not np.all(np.isfinite(self.x)):
-            bad = np.nonzero(~np.isfinite(self.x).all(axis=1))[0][0]
+        t0, t1 = self.grid[i], self.grid[i + 1]
+        x = self._step(float(t0), t1 - t0, self.x, self.row)
+        self.row += 1
+        sch = self.inp.schedule
+        pairs = slice(sch.pairs[i], sch.pairs[i + 1])
+        if pairs.start < pairs.stop:
+            slots = sch.slots[pairs]
+            xs = self.x[slots]
+            # the k-th sub-step of a slot reads the k-th row after its cell row
+            rows = self.row[slots] - 1
+            for k, j in enumerate(range(sch.steps[i], sch.steps[i + 1])):
+                s = slice(sch.step_jumps[j], sch.step_jumps[j + 1])
+                idx, t = sch.idx[s], sch.time[s]
+                xk = self._step(sch.start[s], t - sch.start[s], xs[idx], rows[idx] + k)
+                xs[idx] = xk + self.coeffs.f(t, xk)[:, None] * sch.mark[s]
+            next_row = sch.next_row[pairs]
+            tails = slice(sch.tails[i], sch.tails[i + 1])
+            if tails.start < tails.stop:
+                idx, start = sch.tail_idx[tails], sch.tail_start[tails]
+                xs[idx] = self._step(start, t1 - start, xs[idx], next_row[idx] - 1)
+            x[slots] = xs
+            self.row[slots] = next_row
+        self.x = x
+        if not np.all(np.isfinite(x)):
+            bad = np.nonzero(~np.isfinite(x).all(axis=1))[0][0]
             inp = self.inp
             raise SimulationError(
                 f"non-finite state first reached at t={float(t1):.6g} "

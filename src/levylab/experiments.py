@@ -261,14 +261,15 @@ def run(manifest: RunManifest, out_dir: str, seed: int | None = None,
 
     `seed` overrides the manifest's seed; the bundle's manifest records the
     seed used.  Everything is validated before any compute."""
-    effective = RunManifest.from_dict(manifest.to_dict())
+    fields = manifest.to_dict()
     if seed is not None:
-        effective.seed = int(seed)
+        fields["seed"] = seed
+    effective = RunManifest.from_dict(fields)
     effective.require_valid()
     seed = effective.seed
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
-    tables, verdicts = _RUNNERS[manifest.kind](manifest, seed, workers)
+    tables, verdicts = _RUNNERS[manifest.kind](effective, seed, workers)
     elapsed = time.perf_counter() - t0
     effective.save(os.path.join(out_dir, "manifest.json"))
     for name, (header, rows) in tables.items():

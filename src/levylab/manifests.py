@@ -38,6 +38,14 @@ def _is_real(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _integral(v):
+    """v as an int when it is a finite whole number (not a bool); anything
+    else is returned unchanged, for validate() to report."""
+    if _is_real(v) and math.isfinite(v) and v == int(v):
+        return int(v)
+    return v
+
+
 def _positive_reals(v) -> bool:
     """A non-empty list of finite numbers > 0."""
     return (isinstance(v, (list, tuple)) and len(v) > 0
@@ -71,8 +79,8 @@ class RunManifest:
         if unknown:
             raise ManifestError([f"unknown manifest key {k!r}; allowed: "
                                  f"{', '.join(_FIELDS)}" for k in unknown])
-        return cls(kind=d["kind"], seed=int(d["seed"]), T=float(d["T"]),
-                   h=float(d["h"]), n_particles=int(d["n_particles"]),
+        return cls(kind=d["kind"], seed=_integral(d["seed"]), T=float(d["T"]),
+                   h=float(d["h"]), n_particles=_integral(d["n_particles"]),
                    spec=dict(d.get("spec", {})),
                    assumptions=dict(d.get("assumptions", {})))
 
@@ -113,8 +121,8 @@ class RunManifest:
             errors.append("T must be positive")
         if self.h <= 0 or self.h > self.T:
             errors.append("grid step h must lie in (0, T]")
-        if self.n_particles <= 0:
-            errors.append("n_particles must be positive")
+        if not _is_int(self.n_particles) or self.n_particles < 1:
+            errors.append(f"n_particles must be an integer >= 1, got {self.n_particles!r}")
         if self.kind == "filter_robustness":
             reps = self.spec.get("reps", 3)
             if not _is_int(reps) or reps < 2:

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import levylab
 from levylab.cli import main
 from levylab.experiments import replay, run
 from levylab.manifests import ManifestError, RunManifest
@@ -172,9 +173,13 @@ class TestCliEntry:
         man = small_limit_manifest()
         mpath = tmp_path / "man.json"
         man.save(str(mpath))
+        # the child imports levylab from where this process found it
+        src = str(Path(levylab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
         proc = subprocess.run(
             [sys.executable, "-m", "levylab.cli", "validate", str(mpath)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert proc.stdout.strip() == "OK"
 
@@ -416,7 +421,16 @@ TOP_KEYS = "kind, seed, T, h, n_particles, spec, assumptions"
     (lambda d: d.update(seed=2 ** 64), [],
      f"seed must be an integer in [0, 2**64), got {2 ** 64}"),
     (lambda d: None, ["--seed=-1"], "seed must be an integer in [0, 2**64), got -1"),
-], ids=["top-level-key", "spec-key", "seed-negative", "seed-2**64", "seed-flag"])
+    (lambda d: d.update(seed=2.5), [], "seed must be an integer in [0, 2**64), got 2.5"),
+    (lambda d: d.update(seed=True), [], "seed must be an integer in [0, 2**64), got True"),
+    (lambda d: d.update(n_particles=10.7), [],
+     "n_particles must be an integer >= 1, got 10.7"),
+    (lambda d: d.update(n_particles=True), [],
+     "n_particles must be an integer >= 1, got True"),
+    (lambda d: d.update(n_particles="1500"), [],
+     "n_particles must be an integer >= 1, got '1500'"),
+], ids=["top-level-key", "spec-key", "seed-negative", "seed-2**64", "seed-flag",
+        "seed-fraction", "seed-bool", "n-fraction", "n-bool", "n-string"])
 def test_unknown_keys_and_bad_seeds_rejected_before_compute(tmp_path, capsys, edit,
                                                             args, message):
     d = small_superposition_manifest().to_dict()
@@ -454,4 +468,25 @@ def test_seed_bounds_and_seed_override_checked_by_run(tmp_path):
         with pytest.raises(ManifestError, match=re.escape("seed must be an integer "
                                                           "in [0, 2**64)")):
             run(man, str(tmp_path / "never"), seed=seed)
+        assert not (tmp_path / "never").exists()
+
+
+def test_whole_numbers_kept_and_fractions_rejected(tmp_path):
+    # a whole-valued float is read as that integer; a fraction or a bool is
+    # reported, never truncated
+    d = small_superposition_manifest().to_dict()
+    man = RunManifest.from_dict(dict(d, seed=7.0, n_particles=1500.0))
+    assert (man.seed, man.n_particles) == (7, 1500)
+    assert type(man.seed) is int and type(man.n_particles) is int
+    assert man.validate() == []
+    # run() computes from the manifest it validated, so 800.0 particles work
+    whole = small_limit_manifest()
+    whole.n_particles = 800.0
+    run(whole, str(tmp_path / "whole"))
+    assert json.loads((tmp_path / "whole" / "manifest.json").read_text())[
+        "n_particles"] == 800
+    for seed in (2.5, True):
+        with pytest.raises(ManifestError, match=re.escape(
+                f"seed must be an integer in [0, 2**64), got {seed!r}")):
+            run(small_superposition_manifest(), str(tmp_path / "never"), seed=seed)
         assert not (tmp_path / "never").exists()

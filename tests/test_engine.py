@@ -1,8 +1,11 @@
+import hashlib
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import levylab as L
@@ -25,47 +28,89 @@ NO_JUMPS = L.zero_measure(1)
 TR = TruncationConfig(level=0.5)
 
 
-class UnionRecordMarch(BlockMarch):
-    """Reference single-path march on the base grid that records the state
-    after every sub-step: at each jump and at each cell end.
+class UnionRecordMarch:
+    """Reference march of one block, independent of BlockMarch: the
+    per-subset sub-step algorithm, recording the state after every sub-step
+    (at each jump and at each cell end).
 
-    simulate_path once marched this way; it now inserts the jump times into
-    its grid instead, and must give the same bits.
+    In a cell, the slots with no jump take one Euler step together; a slot
+    with jumps steps to each of its jumps in turn, jumps, and steps on to
+    the cell end.  Every sub-step reads its slot's next row of inp.noise,
+    counted from inp.offsets.  The compensator always masks the slots with
+    f = 0.  simulate_path once marched this way on the base grid; it now
+    inserts the jump times into its grid instead, and must give the same bits.
     """
 
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.records = [(float(self.grid[0]), self.x.copy())]
+    def __init__(self, coeffs, driver, trunc, grid, inp):
+        self.coeffs, self.driver, self.trunc, self.grid, self.inp = \
+            coeffs, driver, trunc, grid, inp
+        self.x = inp.x0.copy()
+        self.cursor = np.zeros(len(inp.offsets), dtype=np.int64)
+        self.needs_comp = driver.mass(trunc.sampling_floor, math.inf) > 0.0
+        # every jump of the block, sorted by (cell, slot, time)
+        p = np.repeat(np.arange(len(inp.jump_times)), [len(t) for t in inp.jump_times])
+        t = np.concatenate([np.empty(0), *inp.jump_times])
+        z = np.vstack([np.empty((0, driver.dim)), *inp.jump_marks])
+        c = np.searchsorted(grid, t, side="left") - 1
+        order = np.lexsort((t, p, c))
+        self.jp, self.jt, self.jz, jc = p[order], t[order], z[order], c[order]
+        self.cell_starts = np.searchsorted(jc, np.arange(grid.size))
+        self.records = [(float(grid[0]), self.x.copy())]
+
+    def compensator(self, t, xs):
+        if not self.needs_comp:
+            return 0.0
+        fv = self.coeffs.f(t, xs)
+        out = np.zeros_like(xs)
+        nz = fv != 0.0
+        if nz.any():
+            r_hi = self.trunc.level / np.abs(fv[nz])
+            out[nz] = -fv[nz, None] * self.driver.first_moment_upper(
+                self.trunc.sampling_floor, r_hi)
+        return out
+
+    def euler(self, idx, t0, dt):
+        xs = self.x[idx]
+        rows = self.inp.offsets[idx] + self.cursor[idx]
+        dw = self.inp.noise[rows] * np.sqrt(np.asarray(dt))[..., None]
+        drift = self.coeffs.b(t0, xs) + self.compensator(t0, xs)
+        self.x[idx] = (xs + drift * np.asarray(dt)[..., None]
+                       + np.einsum("kim,km->ki", self.coeffs.sigma(t0, xs), dw))
+        self.cursor[idx] += 1
 
     def advance_cell(self, i):
-        grid = self.grid
-        t0, t1 = grid[i], grid[i + 1]
-        e0, e1 = self._ev_cell_starts[i], self._ev_cell_starts[i + 1]
-        if e0 == e1:
-            self._euler(slice(None), float(t0), t1 - t0)
-        else:
-            inp = self.inp
-            jp = inp.ev_particle[e0:e1]
-            jt = inp.ev_time[e0:e1]
-            jz = inp.ev_mark[e0:e1]
-            involved, counts = np.unique(jp, return_counts=True)
-            starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-            cur_t = np.full(involved.size, float(t0))
-            for k in range(int(counts.max())):
-                has = counts > k
-                rows = starts[has] + k
-                pk = involved[has]
-                tk = jt[rows]
-                self._euler(pk, cur_t[has], tk - cur_t[has])
-                self._apply_jumps(pk, tk, jz[rows])
-                cur_t[has] = tk
-                self.records.append((float(tk[-1]), self.x.copy()))
-            last = cur_t < t1
-            if last.any():
-                pk = involved[last]
-                self._euler(pk, cur_t[last], t1 - cur_t[last])
+        t0, t1 = self.grid[i], self.grid[i + 1]
+        e0, e1 = self.cell_starts[i], self.cell_starts[i + 1]
+        jp, jt, jz = self.jp[e0:e1], self.jt[e0:e1], self.jz[e0:e1]
+        involved, counts = np.unique(jp, return_counts=True)
+        quiet = np.ones(self.x.shape[0], dtype=bool)
+        quiet[involved] = False
+        if quiet.any():
+            self.euler(np.flatnonzero(quiet), float(t0), t1 - t0)
+        # events are contiguous per slot and time-ordered within it
+        starts = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int64)
+        cur_t = np.full(involved.size, float(t0))
+        for k in range(int(counts.max(initial=0))):
+            has = counts > k
+            rows = starts[has] + k
+            pk = involved[has]
+            tk = jt[rows]
+            self.euler(pk, cur_t[has], tk - cur_t[has])
+            self.x[pk] = self.x[pk] + self.coeffs.f(tk, self.x[pk])[:, None] * jz[rows]
+            cur_t[has] = tk
+            self.records.append((float(tk[-1]), self.x.copy()))
+        last = cur_t < t1
+        if last.any():
+            self.euler(involved[last], cur_t[last], t1 - cur_t[last])
         self.records.append((float(t1), self.x.copy()))
-        self.cell = i + 1
+
+    def run(self):
+        """The state at every base-grid point, (B, M+1, d)."""
+        out = [self.x.copy()]
+        for i in range(self.grid.size - 1):
+            self.advance_cell(i)
+            out.append(self.x.copy())
+        return np.stack(out, axis=1)
 
 
 def union_record_path(cs, driver, x0, h, T, seed, particle, extra_times):
@@ -149,6 +194,78 @@ class TestSinglePath:
                 cells = np.searchsorted(grid, drawn, side="left")
                 seen["shared_cell"] += np.count_nonzero(np.bincount(cells) > 1)
         assert seen["on_grid"] >= 3 and seen["shared_cell"] >= 3
+
+
+def _zero_f_time_dependent_1d():
+    # f = 0 where x < 0, so the compensator masks part of a batch, and b,
+    # sigma and g all depend on time
+    return L.CoefficientSet(
+        b=lambda t, x: -np.atleast_2d(x) + np.cos(3.0 * np.asarray(t, float)).reshape(-1, 1),
+        sigma=lambda t, x: 0.4 * (1.0 + np.asarray(t, float)).reshape(-1, 1, 1)
+        * np.ones((np.atleast_2d(x).shape[0], 1, 1)),
+        d=1, m=1, gamma=0.6,
+        g=lambda t, x: np.where(np.atleast_2d(x)[:, 0] > 0.0,
+                                1.0 + 0.5 * np.sin(np.atleast_2d(x)[:, 0] + t), 0.0))
+
+
+# driver, coefficients, initial law; each driver has an atom inside the
+# compensated band |f z| <= level, and about 6 jumps per unit time
+MARCH_CASES = {
+    "zero-f-time-1d": (AtomicLevyMeasure([[0.9], [-0.6], [0.3]], [2.5, 2.0, 2.0]),
+                       _zero_f_time_dependent_1d, L.GaussianLaw([0.0], [1.0])),
+    "linear-2d": (AtomicLevyMeasure([[0.9, 0.1], [-0.6, 0.4], [0.2, -0.1]],
+                                    [2.0, 2.0, 2.0]),
+                  SINGLE_PATH_CASES["atomic-2d"][1], L.GaussianLaw([0.0, 0.5], [1.0, 0.5])),
+}
+
+
+class TestWholeBlockMarch:
+    """BlockMarch steps the whole block per cell and replays the jumping
+    slots; it must give the bits of the per-subset reference march for any
+    block partition."""
+
+    N = 80
+
+    def draw(self, case, seed):
+        # the first jump of every eighth particle is put on the grid
+        driver, make_coeffs, mu0 = MARCH_CASES[case]
+        cs = make_coeffs()
+        base = make_base_grid(1.0, 0.1)
+        drawn = _prepare_block(driver, TR, mu0, base, cs.m, range(self.N), seed,
+                               R.SIGNAL).jump_times
+        grid = make_base_grid(1.0, 0.1, [t[0] for t in drawn[::8] if t.size])
+        return cs, driver, mu0, grid
+
+    @settings(max_examples=24)
+    @given(case=st.sampled_from(sorted(MARCH_CASES)), seed=st.integers(0, 2 ** 16),
+           block=st.sampled_from([1, 3, 64, N]))
+    def test_matches_reference_for_any_block_size(self, case, seed, block):
+        cs, driver, mu0, grid = self.draw(case, seed)
+        want = UnionRecordMarch(cs, driver, TR, grid, _prepare_block(
+            driver, TR, mu0, grid, cs.m, range(self.N), seed, R.SIGNAL)).run()
+        got = [BlockMarch(cs, driver, TR, grid, _prepare_block(
+            driver, TR, mu0, grid, cs.m, range(lo, min(lo + block, self.N)), seed,
+            R.SIGNAL)).run() for lo in range(0, self.N, block)]
+        assert np.concatenate(got).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("case", sorted(MARCH_CASES))
+    def test_cases_reach_the_edge_cases(self, case):
+        # at seed 0 the draw has jumps on grid points, cells where one slot
+        # jumps twice, and slots that start with f = 0 and with f != 0
+        cs, driver, mu0, grid = self.draw(case, 0)
+        inp = _prepare_block(driver, TR, mu0, grid, cs.m, range(self.N), 0, R.SIGNAL)
+        sch = inp.schedule
+        on_grid = sum(np.isin(t, grid).sum() for t in inp.jump_times)
+        cells = range(grid.size - 1)
+        assert on_grid >= 5
+        # a second step in a cell replays a slot's second jump there
+        assert sum(sch.steps[i + 1] - sch.steps[i] >= 2 for i in cells) >= 5
+        # a cell where some slot's last jump sits on the cell end has no tail for it
+        assert sum(sch.tails[i + 1] - sch.tails[i] < sch.pairs[i + 1] - sch.pairs[i]
+                   for i in cells) >= 5
+        if case == "zero-f-time-1d":
+            f0 = cs.f(0.0, inp.x0)
+            assert (f0 == 0.0).sum() >= 10 and (f0 != 0.0).sum() >= 10
 
 
 class TestEnsembleLaws:
@@ -309,9 +426,11 @@ class TestNoiseProtocol:
         grid = make_base_grid(1.0, 0.1)
         inp = _prepare_block(drv, TR, L.GaussianLaw([0.0], [1.0]), grid, 1,
                              range(4, 9), 13, R.FILTER)
-        assert inp.ev_time.size and inp.particles.tolist() == [4, 5, 6, 7, 8]
-        arrays = [inp.particles, inp.x0, inp.ev_particle, inp.ev_time, inp.ev_mark,
-                  inp.ev_cell, inp.noise, inp.offsets] + inp.jump_times + inp.jump_marks
+        sch = inp.schedule
+        assert sch.time.size and inp.particles.tolist() == [4, 5, 6, 7, 8]
+        arrays = [inp.particles, inp.x0, inp.noise, inp.offsets, sch.slots, sch.next_row,
+                  sch.idx, sch.start, sch.time, sch.mark, sch.tail_idx,
+                  sch.tail_start] + inp.jump_times + inp.jump_marks
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
@@ -369,6 +488,25 @@ class TestCoupledFamily:
             fam, drv, TR, L.GaussianLaw([0.0], [1.0]), 200, 0.05, 1.0, seed=5)
         for n, ens in members.items():
             assert np.array_equal(ens.values, limit.values)
+
+    def test_coupled_family_bits_pinned(self):
+        # sha256 of a d = 2 family with the cosine jump shape, marched in
+        # blocks of 16, as computed by the per-subset march it replaced
+        fam = L.family_from_config({
+            "base": {"name": "linear", "d": 2, "m": 2, "gamma": 0.5,
+                     "params": {"A": [[-1.0, 0.3], [0.2, -0.7]], "sigma": 0.4},
+                     "g": {"name": "cosine"}},
+            "drift_perturbation": {"name": "sine", "amp": 1.0},
+            "gamma_perturbation": 0.3, "schedule": [1, 2, 4]})
+        drv = AtomicLevyMeasure([[0.9, 0.2], [-0.5, 0.8], [0.2, -0.1]], [1.5, 1.5, 1.0])
+        members, limit = L.simulate_coupled_family(
+            fam, drv, TR, L.GaussianLaw([0.0, 0.5], [1.0, 0.5]), 40, 0.1, 1.0,
+            seed=43, block_size=16)
+        digest = hashlib.sha256()
+        for ens in [*members.values(), limit]:
+            digest.update(ens.values.tobytes())
+        assert digest.hexdigest() == (
+            "f2f812b3178e40f5414f25e1570dfa97255839ee29eee79d42d7c7de683e6c28")
 
     def test_linear_gap_bound(self):
         # constant drift shift 1/n with shared noise: the coupled gap obeys

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -336,6 +337,27 @@ class TestFilterRun:
         with pytest.raises(FilterError, match="collapsed"):
             filter_run(model, cs, L.zero_measure(1), TR,
                        L.GaussianLaw([0.0], [1.0]), rec, 50, seed=13)
+
+    def test_resampling_filter_bits_pinned(self):
+        # sha256 of a jumping filter that resamples six times, as computed by
+        # the per-subset march it replaced
+        model = make_model(lam=("state_logistic", {"base": 0.8, "decay": 0.5}))
+        cs = ou_dynamics(gamma=0.4)
+        drv = L.AtomicLevyMeasure([[0.8], [-0.8]], [1.5, 1.5])
+        setup = ObservationSetup(model, 1.0, 0.05, seed=41)
+        sig = L.simulate_path(cs, drv, TR, [0.5], 0.05, 1.0, seed=410,
+                              extra_times=setup.prop_times)
+        rec = setup.record_for(np.vstack([sig.value_at(t) for t in setup.grid]))
+        res = filter_run(model, cs, drv, TR, L.GaussianLaw([0.0], [0.5]), rec, 120,
+                         seed=42, ess_threshold=0.98)
+        assert len(res.resampled_at) == 6
+        digest = hashlib.sha256()
+        for st in res.states:
+            digest.update(st.particles.tobytes())
+            digest.update(st.log_weights.tobytes())
+        digest.update(np.array(res.resampled_at).tobytes())
+        assert digest.hexdigest() == (
+            "db275b95417887f7c2f93b597487d0708271056fd04ca35d528e244a66ef84a6")
 
     def test_resampling_keeps_normalization(self):
         model = make_model()
