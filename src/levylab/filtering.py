@@ -16,17 +16,19 @@ filter is the ratio of weighted means, computed with log-sum-exp.
 
 Coupling for the robustness experiment: family members share the Brownian
 observation noise, the proposal atoms, and one thinning uniform per atom
-(member n accepts iff the shared uniform is below lambda(X^n, u)).  The
+(member n accepts iff the shared uniform is below lambda(X^n, u)).  Each
+rep is one filter_run over sequences of coefficient sets and records: the
 filter particles' randomness (initial points, Brownian rows, driver jumps)
-is drawn once per rep and shared read-only by the limit filter and every
-member's filter, so runs with identical coefficients are bitwise identical.
+is drawn once and shared read-only by the limit filter and every member's
+filter, which march one at a time as the caller takes their results, so
+runs with identical coefficients are bitwise identical.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -259,32 +261,6 @@ class ObservationRecord:
     events_big: JumpEvents
     truth_link: str = ""
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "grid": self.grid.tolist(),
-            "cont_increments": self.cont_increments.tolist(),
-            "band_times": self.events_band.times.tolist(),
-            "band_marks": self.events_band.marks.tolist(),
-            "big_times": self.events_big.times.tolist(),
-            "big_marks": self.events_big.marks.tolist(),
-            "truth_link": self.truth_link,
-        })
-
-    @classmethod
-    def from_json(cls, s: str) -> "ObservationRecord":
-        d = json.loads(s)
-        k = np.asarray(d["cont_increments"]).shape[1] if d["cont_increments"] else 1
-        return cls(
-            grid=np.asarray(d["grid"]),
-            cont_increments=np.asarray(d["cont_increments"]).reshape(-1, k),
-            events_band=JumpEvents(np.asarray(d["band_times"]),
-                                   np.asarray(d["band_marks"]).reshape(len(d["band_times"]), -1)
-                                   if d["band_times"] else np.empty((0, k))),
-            events_big=JumpEvents(np.asarray(d["big_times"]),
-                                  np.asarray(d["big_marks"]).reshape(len(d["big_times"]), -1)
-                                  if d["big_times"] else np.empty((0, k))),
-            truth_link=d["truth_link"])
-
 
 class ObservationSetup:
     """Shared observation randomness: proposals, thinning uniforms, Brownian.
@@ -294,10 +270,8 @@ class ObservationSetup:
     """
 
     def __init__(self, model: ObservationModel, T: float, grid_step: float,
-                 seed: int, signal_extra_times=()):
+                 seed: int):
         self.model = model
-        self.T = T
-        self.seed = seed
         lo, hi = model.u0_region
         rng_prop = rngmod.stream(seed, rngmod.OBS_PROPOSAL, namespace=rngmod.OBSERVATION)
         band = sample_jump_events(model.nu2, (model.band_floor(), hi), T, rng_prop)
@@ -314,10 +288,7 @@ class ObservationSetup:
         self.prop_in_band = in_band[order]
         rng_thin = rngmod.stream(seed, rngmod.OBS_THIN, namespace=rngmod.OBSERVATION)
         self.uniforms = rng_thin.random(self.prop_times.size)
-        extra = np.unique(np.concatenate([self.prop_times,
-                                          np.asarray(signal_extra_times, dtype=float)])) \
-            if (self.prop_times.size or len(signal_extra_times)) else ()
-        self.grid = make_base_grid(T, grid_step, extra)
+        self.grid = make_base_grid(T, grid_step, self.prop_times)
         rng_w = rngmod.stream(seed, rngmod.OBS_W, namespace=rngmod.OBSERVATION)
         dts = np.diff(self.grid)
         self.w_increments = (rng_w.standard_normal((dts.size, model.nu2.dim))
@@ -375,6 +346,15 @@ def _band_events_by_index(record: ObservationRecord) -> dict:
     return {int(j): ev.marks[idx == j] for j in np.unique(idx)}
 
 
+def _cell_loglik(model: ObservationModel, x: np.ndarray, cont: np.ndarray,
+                 dt: float) -> np.ndarray:
+    """The continuous and compensator terms of log S over one cell of length
+    dt, for states x at its left end and continuous increment cont."""
+    hv = model.h(x)
+    return (hv @ cont - 0.5 * np.sum(hv * hv, axis=1) * dt
+            + model.band_integral(x, "one_minus_lambda") * dt)
+
+
 def loglik_cell_increments(values: np.ndarray, record: ObservationRecord,
                            model: ObservationModel) -> np.ndarray:
     """Per-cell increments of log S_t for every particle, shape (n, M).
@@ -391,11 +371,8 @@ def loglik_cell_increments(values: np.ndarray, record: ObservationRecord,
     dts = np.diff(grid)
     out = np.zeros((n, dts.size))
     for i in range(dts.size):
-        x = values[:, i, :]
-        hv = model.h(x)
-        out[:, i] = (hv @ record.cont_increments[i]
-                     - 0.5 * np.sum(hv * hv, axis=1) * dts[i]
-                     + model.band_integral(x, "one_minus_lambda") * dts[i])
+        out[:, i] = _cell_loglik(model, values[:, i, :], record.cont_increments[i],
+                                 dts[i])
     for j, marks in events.items():
         out[:, j - 1] = _add_in_order(out[:, j - 1],
                                       np.log(model._lambda(values[:, j, :], marks)))
@@ -465,11 +442,15 @@ class FilterResult:
     resampled_at: list = field(default_factory=list)
 
 
-def filter_run(model: ObservationModel, coeffs: CoefficientSet,
-               driver: LevyMeasure, trunc: TruncationConfig, mu0: InitialLaw,
-               record: ObservationRecord, n_particles: int, seed: int,
-               ess_threshold: float | None = None,
-               checkpoints=None) -> FilterResult:
+def _default_checkpoints(grid: np.ndarray) -> np.ndarray:
+    """filter_run's checkpoints when none are given: 21 grid points, evenly
+    spaced by index and including both ends (all points on a shorter grid)."""
+    return grid[np.linspace(0, grid.size - 1, min(21, grid.size)).astype(int)]
+
+
+def filter_run(model: ObservationModel, coeffs, driver: LevyMeasure,
+               trunc: TruncationConfig, mu0: InitialLaw, record, n_particles: int,
+               seed: int, ess_threshold: float | None = None, checkpoints=None):
     """Reference-measure particle filter against one observation record.
 
     Particles evolve under the signal law on the record grid (so the band
@@ -477,11 +458,26 @@ def filter_run(model: ObservationModel, coeffs: CoefficientSet,
     log-likelihood increments.  Optional multinomial resampling fires when
     ESS < ess_threshold * n (disabled when ess_threshold is None: exactness
     tests need weight paths uncontaminated by resampling noise).
+
+    One CoefficientSet and one record give one FilterResult.  Equal-length
+    sequences of sets and of records on one grid give an iterator of
+    FilterResults, in order: the particle randomness is drawn once, now,
+    and each filter marches over it, with its own resample stream, only
+    when the iterator is advanced.  Each result equals a filter_run of its
+    set and record alone, bit for bit.
     """
-    inputs = _prepare_block(driver, trunc, mu0, record.grid, coeffs.m,
+    many = not isinstance(coeffs, CoefficientSet)
+    sets, records = (list(coeffs), list(record)) if many else ([coeffs], [record])
+    if len(sets) != len(records) or not sets:
+        raise FilterError(f"{len(sets)} coefficient sets for {len(records)} records")
+    grid = records[0].grid
+    if any(not np.array_equal(rec.grid, grid) for rec in records[1:]):
+        raise FilterError("the records lie on different grids")
+    inputs = _prepare_block(driver, trunc, mu0, grid, sets[0].m,
                             range(n_particles), seed, rngmod.FILTER)
-    return _march_filter(model, coeffs, driver, trunc, record, inputs,
-                         ess_threshold, checkpoints)
+    results = (_march_filter(model, cs, driver, trunc, rec, inputs, ess_threshold,
+                             checkpoints) for cs, rec in zip(sets, records))
+    return results if many else next(results)
 
 
 def _march_filter(model: ObservationModel, coeffs: CoefficientSet,
@@ -494,9 +490,8 @@ def _march_filter(model: ObservationModel, coeffs: CoefficientSet,
     march = BlockMarch(coeffs, driver, trunc, grid, inputs)
     n_particles = march.x.shape[0]
     rng_rs = rngmod.stream(inputs.seed, rngmod.RESAMPLE, namespace=rngmod.FILTER)
-    if checkpoints is None:
-        checkpoints = grid[np.linspace(0, grid.size - 1, min(21, grid.size)).astype(int)]
-    checkpoints = np.asarray(checkpoints, dtype=float)
+    checkpoints = np.asarray(_default_checkpoints(grid) if checkpoints is None
+                             else checkpoints, dtype=float)
     dts = np.diff(grid)
     lw = np.zeros(n_particles)
     log_norm = 0.0
@@ -519,11 +514,7 @@ def _march_filter(model: ObservationModel, coeffs: CoefficientSet,
         snapshot(grid[0])
         ck += 1
     for i in range(dts.size):
-        x = march.x
-        hv = model.h(x)
-        lw += (hv @ record.cont_increments[i]
-               - 0.5 * np.sum(hv * hv, axis=1) * dts[i]
-               + model.band_integral(x, "one_minus_lambda") * dts[i])
+        lw += _cell_loglik(model, march.x, record.cont_increments[i], dts[i])
         march.advance_cell(i)
         if i + 1 in events:
             lw[:] = _add_in_order(lw, np.log(model._lambda(march.x, events[i + 1])))
@@ -557,6 +548,7 @@ class RobustnessReport:
     non_increasing: bool
     ratio: float | None
     passed: bool
+    limit_states: list     # rep 0's limit filter at filter_run's default checkpoints
 
 
 def robustness_experiment(family, model: ObservationModel, driver, trunc,
@@ -569,10 +561,11 @@ def robustness_experiment(family, model: ObservationModel, driver, trunc,
     D averages |pi^n_t(phi) - pi_t(phi)| over checkpoint times and a test
     dictionary; signals, observations (shared W / proposals / thinning
     uniforms) and filter particles are all coupled across members, so a
-    member equal to the limit reproduces it bitwise and D = 0.  The filter
-    particles' randomness is drawn once per rep and every filter, the
-    limit's and each member's, marches over that one draw with its own
-    resample stream.
+    member equal to the limit reproduces it bitwise and D = 0.  Each rep is
+    one filter_run over the limit and every member: the particle randomness
+    is drawn once and every filter marches over it with its own resample
+    stream.  Rep 0's filters also snapshot at filter_run's default
+    checkpoints; the report keeps the limit's states there.
     """
     from .convergence import decreasing_verdict, enforce_level_bound
 
@@ -592,21 +585,29 @@ def robustness_experiment(family, model: ObservationModel, driver, trunc,
         sig_members, sig_limit = simulate_coupled_family(
             family, driver, trunc, mu0, 1, h, T, rep_seed,
             extra_times=setup.prop_times, validate=(r == 0))
-        records = {n: setup.record_for(sig_members[n].values[0], f"member-{n}")
-                   for n in keys}
-        record_lim = setup.record_for(sig_limit.values[0], "limit")
-        inputs = _prepare_block(driver, trunc, mu0, setup.grid, family.limit.m,
-                                range(n_particles), rep_seed, rngmod.FILTER)
-        run_lim = _march_filter(model, family.limit, driver, trunc, record_lim,
-                                inputs, ess_threshold, checkpoints)
-        for jn, n in enumerate(keys):
-            run_n = _march_filter(model, family.members[n], driver, trunc,
-                                  records[n], inputs, ess_threshold, checkpoints)
+        records = [setup.record_for(sig_limit.values[0], "limit")] + [
+            setup.record_for(sig_members[n].values[0], f"member-{n}") for n in keys]
+        wanted = checkpoints if r else np.concatenate(
+            [checkpoints, _default_checkpoints(setup.grid)])
+        order = np.argsort(wanted, kind="stable")
+        scored = order < checkpoints.size   # snapshots at the robustness checkpoints
+        runs = filter_run(model, [family.limit] + [family.members[n] for n in keys],
+                          driver, trunc, mu0, records, n_particles, rep_seed,
+                          ess_threshold, wanted[order])
+        states_lim = next(runs).states
+        if r == 0:
+            limit_states = list(compress(states_lim, ~scored))
+        states_lim = list(compress(states_lim, scored))
+
+        def distance(run_n):
             gaps = []
-            for st_n, st_l in zip(run_n.states, run_lim.states):
+            for st_n, st_l in zip(compress(run_n.states, scored), states_lim):
                 for _, fn in phis:
                     gaps.append(abs(st_n.estimate(fn) - st_l.estimate(fn)))
-            dists[r, jn] = float(np.mean(gaps))
+            return float(np.mean(gaps))
+
+        # map holds no member's states while the next member marches
+        dists[r] = list(map(distance, runs))
     mean_d = dists.mean(axis=0)
     se_d = dists.std(axis=0, ddof=1) / math.sqrt(reps) if reps > 1 else np.zeros(len(keys))
     rows = [{"n": n, "distance": float(mean_d[j]), "se": float(se_d[j])}
@@ -614,7 +615,8 @@ def robustness_experiment(family, model: ObservationModel, driver, trunc,
     non_inc, ratio, passed = decreasing_verdict([r["distance"] for r in rows],
                                                 [r["se"] for r in rows])
     return RobustnessReport(rows=rows, checkpoint_times=checkpoints,
-                            non_increasing=non_inc, ratio=ratio, passed=passed)
+                            non_increasing=non_inc, ratio=ratio, passed=passed,
+                            limit_states=limit_states)
 
 
 def hypothesis_checks_h_lambda(member_ensembles: dict, limit_ensemble: PathEnsemble,

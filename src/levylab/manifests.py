@@ -46,6 +46,12 @@ def _integral(v):
     return v
 
 
+def _real(v):
+    """v as a float when it is a number (not a bool); anything else is
+    returned unchanged, for validate() to report."""
+    return float(v) if _is_real(v) else v
+
+
 def _positive_reals(v) -> bool:
     """A non-empty list of finite numbers > 0."""
     return (isinstance(v, (list, tuple)) and len(v) > 0
@@ -79,8 +85,8 @@ class RunManifest:
         if unknown:
             raise ManifestError([f"unknown manifest key {k!r}; allowed: "
                                  f"{', '.join(_FIELDS)}" for k in unknown])
-        return cls(kind=d["kind"], seed=_integral(d["seed"]), T=float(d["T"]),
-                   h=float(d["h"]), n_particles=_integral(d["n_particles"]),
+        return cls(kind=d["kind"], seed=_integral(d["seed"]), T=_real(d["T"]),
+                   h=_real(d["h"]), n_particles=_integral(d["n_particles"]),
                    spec=dict(d.get("spec", {})),
                    assumptions=dict(d.get("assumptions", {})))
 
@@ -117,10 +123,12 @@ class RunManifest:
             if key not in allowed:
                 errors.append(f"unknown key spec.{key} for kind {self.kind!r}; "
                               f"allowed: {', '.join(allowed)}")
-        if self.T <= 0:
-            errors.append("T must be positive")
-        if self.h <= 0 or self.h > self.T:
-            errors.append("grid step h must lie in (0, T]")
+        # the checks against T below are skipped when T itself is invalid
+        T_ok = _positive_reals([self.T])
+        if not T_ok:
+            errors.append(f"T must be a finite number > 0, got {self.T!r}")
+        if not (_positive_reals([self.h]) and (not T_ok or self.h <= self.T)):
+            errors.append(f"grid step h must be a finite number in (0, T], got {self.h!r}")
         if not _is_int(self.n_particles) or self.n_particles < 1:
             errors.append(f"n_particles must be an integer >= 1, got {self.n_particles!r}")
         if self.kind == "filter_robustness":
@@ -132,13 +140,15 @@ class RunManifest:
             block = self.spec.get("block_size", 4096)
             if not _is_int(block) or block < 1:
                 errors.append(f"spec.block_size must be an integer >= 1, got {block!r}")
-            window = self.spec.get("martingale_window", [0.25 * self.T, 0.5 * self.T])
-            if not (isinstance(window, (list, tuple)) and len(window) == 2
-                    and all(_is_real(v) and math.isfinite(v) for v in window)
-                    and 0 <= window[0] < window[1] <= self.T):
-                errors.append(f"spec.martingale_window must be two finite numbers "
-                              f"[s, t] with 0 <= s < t <= T = {self.T!r}, "
-                              f"got {window!r}")
+            if T_ok:    # the window is checked against T
+                window = self.spec.get("martingale_window",
+                                       [0.25 * self.T, 0.5 * self.T])
+                if not (isinstance(window, (list, tuple)) and len(window) == 2
+                        and all(_is_real(v) and math.isfinite(v) for v in window)
+                        and 0 <= window[0] < window[1] <= self.T):
+                    errors.append(f"spec.martingale_window must be two finite "
+                                  f"numbers [s, t] with 0 <= s < t <= T = {self.T!r}, "
+                                  f"got {window!r}")
         if self.kind == "limit":
             nc = self.spec.get("n_checkpoints", 10)
             if not _is_int(nc) or nc < 1:
@@ -147,7 +157,7 @@ class RunManifest:
             checks = {"K_grid": ("a non-empty list of finite numbers > 0", _positive_reals),
                       "theta_grid": (f"a non-empty list of numbers in (0, T] with T = "
                                      f"{self.T!r}", lambda v: _positive_reals(v)
-                                     and max(v) <= self.T),
+                                     and (not T_ok or max(v) <= self.T)),
                       "N_threshold": ("a finite number > 0", lambda v: _positive_reals([v]))}
             for key, (what, ok) in checks.items():
                 if key in self.spec and not ok(self.spec[key]):

@@ -247,6 +247,25 @@ def test_filter_robustness_kind(tmp_path):
     assert lines[0] == "t,phi_id,pi_t,rho_t_1,ess"
 
 
+def test_filter_robustness_draws_filter_particles_once_per_rep(tmp_path, monkeypatch):
+    # filter_limit.csv is read from rep 0, so no filter runs outside the reps
+    import levylab.filtering as F
+    from levylab import rng as R
+
+    drawn = []
+    prepare = F._prepare_block
+
+    def counting(*args, **kwargs):
+        inputs = prepare(*args, **kwargs)
+        drawn.append((inputs.seed, inputs.namespace, inputs.particles.size))
+        return inputs
+
+    monkeypatch.setattr(F, "_prepare_block", counting)
+    man = filter_robustness_manifest(reps=3)
+    run(man, str(tmp_path / "rob"))
+    assert drawn == [(man.seed + 1000 * r, R.FILTER, man.n_particles) for r in range(3)]
+
+
 @pytest.mark.parametrize("reps", [0, 1, 2.5])
 def test_filter_robustness_bad_reps_rejected(reps):
     errors = filter_robustness_manifest(reps).validate()
@@ -445,6 +464,34 @@ def test_unknown_keys_and_bad_seeds_rejected_before_compute(tmp_path, capsys, ed
     assert main(["run", str(mpath), "--out", str(out), *args]) == 1
     assert f"INVALID: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, what", [("T", "T must be a finite number > 0"),
+                                       ("h", "grid step h must be a finite number "
+                                             "in (0, T]")])
+# a number is stored as a float; anything else is kept for validate to name
+@pytest.mark.parametrize("value, shown", [
+    (True, "True"), ("abc", "'abc'"), (math.nan, "nan"), (math.inf, "inf"),
+    (0, "0.0"), (-1, "-1.0")], ids=["bool", "string", "nan", "inf", "zero", "negative"])
+def test_bad_horizon_and_step_reported_not_converted(tmp_path, capsys, key, what,
+                                                     value, shown):
+    d = small_superposition_manifest().to_dict()
+    d[key] = value
+    message = f"{what}, got {shown}"
+    assert RunManifest.from_dict(d).validate() == [message]
+    mpath = tmp_path / "man.json"
+    mpath.write_text(json.dumps(d))
+    assert main(["validate", str(mpath)]) == 1
+    assert capsys.readouterr().err == f"INVALID: {message}\n"
+
+
+def test_horizon_and_step_stored_as_floats(tmp_path):
+    d = dict(small_limit_manifest().to_dict(), T=1, h=0.05)
+    man = RunManifest.from_dict(d)
+    assert type(man.T) is float and man.validate() == []
+    man.save(str(tmp_path / "m.json"))
+    assert json.loads((tmp_path / "m.json").read_text())["T"] == 1.0
+    assert '"T": 1.0' in (tmp_path / "m.json").read_text()
 
 
 def test_replay_of_a_bundle_without_a_valid_manifest_fails_cleanly(tmp_path, capsys):

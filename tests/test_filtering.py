@@ -6,7 +6,8 @@ import pytest
 
 import levylab as L
 from levylab import rng as R
-from levylab.filtering import (FilterError, ObservationRecord, ObservationSetup,
+from levylab.filtering import (FilterError, FilterResult, ObservationRecord,
+                               ObservationSetup,
                                compensated_log_jump_statistic, filter_run,
                                hypothesis_checks_h_lambda,
                                lambda_from_config, log_likelihood,
@@ -118,16 +119,6 @@ class TestObservationSimulation:
         assert rec.truth_link == "p51"
         assert rec.cont_increments.shape == (rec.grid.size - 1, 1)
         assert np.all(np.isin(rec.events_band.times, rec.grid))
-
-    def test_record_roundtrip(self):
-        model = make_model()
-        setup = ObservationSetup(model, 1.0, 0.1, seed=2)
-        rec = setup.record_for(np.zeros((setup.grid.size, 1)), "truth-7")
-        back = ObservationRecord.from_json(rec.to_json())
-        assert np.array_equal(back.grid, rec.grid)
-        assert np.array_equal(back.cont_increments, rec.cont_increments)
-        assert np.array_equal(back.events_band.times, rec.events_band.times)
-        assert back.truth_link == "truth-7"
 
 
 class TestLogLikelihood:
@@ -374,6 +365,81 @@ class TestFilterRun:
             assert st.estimate(lambda x: np.ones(x.shape[0])) == pytest.approx(1.0)
 
 
+def _same_states(a, b) -> bool:
+    """Bitwise equality of two lists of filter states."""
+    return len(a) == len(b) and all(
+        x.t == y.t and np.array_equal(x.particles, y.particles)
+        and np.array_equal(x.log_weights, y.log_weights)
+        and x.log_normalizer == y.log_normalizer and x.ess == y.ess
+        for x, y in zip(a, b))
+
+
+class TestFilterRunSequences:
+    """filter_run over sequences of coefficient sets and records."""
+
+    def setup_method(self):
+        self.model = make_model(lam=("state_logistic", {"base": 0.8, "decay": 0.5}))
+        self.drv = L.AtomicLevyMeasure([[0.8], [-0.8]], [1.5, 1.5])
+        self.mu0 = L.GaussianLaw([0.0], [0.5])
+        self.sets = [ou_dynamics(gamma=0.4), ou_dynamics(theta=2.0, gamma=0.2),
+                     ou_dynamics(sigma=0.5, gamma=0.4)]
+        self.setup = ObservationSetup(self.model, 1.0, 0.05, seed=43)
+        self.records = []
+        for k, cs in enumerate(self.sets):
+            sig = L.simulate_path(cs, self.drv, TR, [0.5], 0.05, 1.0, seed=430 + k,
+                                  extra_times=self.setup.prop_times)
+            self.records.append(self.setup.record_for(
+                np.vstack([sig.value_at(t) for t in self.setup.grid])))
+
+    def run(self, coeffs, records, **kw):
+        return filter_run(self.model, coeffs, self.drv, TR, self.mu0, records, 120,
+                          seed=44, ess_threshold=0.98, **kw)
+
+    def test_sequence_equals_independent_runs(self):
+        results = self.run(self.sets, self.records)
+        assert not isinstance(results, FilterResult)
+        count = 0
+        for cs, rec, got in zip(self.sets, self.records, results):
+            want = self.run(cs, rec)
+            assert want.resampled_at and got.resampled_at == want.resampled_at
+            assert _same_states(got.states, want.states)
+            count += 1
+        assert count == len(self.sets)
+
+    def test_draws_once_and_marches_lazily(self, monkeypatch):
+        import levylab.filtering as F
+
+        drawn, marched = [], []
+
+        def counted(calls, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(1)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(F, "_prepare_block", counted(drawn, F._prepare_block))
+        monkeypatch.setattr(F, "_march_filter", counted(marched, F._march_filter))
+        results = self.run(self.sets, self.records)
+        assert (len(drawn), len(marched)) == (1, 0)
+        next(results)
+        assert (len(drawn), len(marched)) == (1, 1)
+        assert len(list(results)) == 2
+        assert (len(drawn), len(marched)) == (1, 3)
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(FilterError, match="2 coefficient sets for 3 records"):
+            self.run(self.sets[:2], self.records)
+        with pytest.raises(FilterError, match="0 coefficient sets for 0 records"):
+            self.run([], [])
+
+    def test_records_on_different_grids_rejected(self):
+        other = ObservationSetup(self.model, 1.0, 0.05, seed=45)
+        assert not np.array_equal(other.grid, self.setup.grid)
+        rec = other.record_for(np.zeros((other.grid.size, 1)))
+        with pytest.raises(FilterError, match="different grids"):
+            self.run(self.sets[:2], [self.records[0], rec])
+
+
 class TestKalmanBenchmark:
     def test_linear_gaussian_matches_kalman(self):
         theta, sig_x = 1.0, 1.0
@@ -496,6 +562,24 @@ class TestRobustness:
         assert [r["n"] for r in rep.rows] == keys
         assert [r["distance"] for r in rep.rows] == dists.mean(axis=0).tolist()
         assert [r["se"] for r in rep.rows] == se.tolist()
+
+    def test_limit_states_are_rep_zero_limit_filter(self):
+        # reference: rep 0's limit filter run again on its own at filter_run's
+        # default checkpoints, as the filter_limit table once did
+        fam = self.family()
+        drv = L.AtomicLevyMeasure([[0.8], [-0.8]], [0.25, 0.25])
+        model = make_model(lam=("state_logistic", {"base": 0.8, "decay": 0.5}))
+        mu0 = L.GaussianLaw([0.0], [0.5])
+        n_part, h, T, seed = 200, 0.02, 0.5, 27
+        rep = robustness_experiment(fam, model, drv, TR, mu0, sorted(fam.members),
+                                    n_part, h, T, seed, reps=2)
+        setup = ObservationSetup(model, T, h, seed)
+        _, sig_limit = L.simulate_coupled_family(fam, drv, TR, mu0, 1, h, T, seed,
+                                                 extra_times=setup.prop_times)
+        rec = setup.record_for(sig_limit.values[0], "limit")
+        want = filter_run(model, fam.limit, drv, TR, mu0, rec, n_part, seed)
+        assert len(want.states) == 21
+        assert _same_states(rep.limit_states, want.states)
 
     def test_filter_particles_drawn_once_per_rep(self, monkeypatch):
         import levylab.filtering as F
