@@ -161,12 +161,19 @@ class ObservationModel:
         node by node in order, with one lambda call per x per slice of nodes."""
         xs = [np.atleast_2d(x) for x in xs]
         nodes, weights = self._quad_nodes()
-        out = np.zeros(xs[0].shape[0])
-        step = max(1, _SLICE_ENTRIES // max(out.size, 1))
+        n = xs[0].shape[0]
+        step = max(1, _SLICE_ENTRIES // max(n, 1))
+        # _add_in_order's layout, allocated once: row 0 takes the running sum,
+        # rows 1..q a slice's weighted terms, and the spare column stays 0
+        rows = np.zeros((min(step, nodes.shape[0]) + 1, n + 1))
+        acc = np.zeros(n + 1)
         for a in range(0, nodes.shape[0], step):
             vals = term(*(self._lambda(x, nodes[a:a + step]) for x in xs))
-            out = _add_in_order(out, vals * weights[a:a + step])
-        return out
+            q = vals.shape[1]
+            rows[0] = acc
+            np.multiply(vals.T, weights[a:a + step, None], out=rows[1:q + 1, :-1])
+            np.add.reduce(rows[:q + 1], axis=0, out=acc)
+        return acc[:-1]
 
     def _lambda(self, x, U):
         """lambda(x, U) as an (n, q) matrix, checked to lie in (0, 1)."""

@@ -28,34 +28,43 @@ _OPTIONAL = {
 }
 _FIELDS = ("kind", "seed", "T", "h", "n_particles", "spec", "assumptions")
 _SEEDS = 1 << 64    # rng.stream_key keeps 64 bits of the seed
+_PARTICLES = 1 << 63    # numpy indexes arrays with int64
 
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _is_real(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _is_finite(v) -> bool:
+    """A number (not a bool) that is finite as a float: NaN, inf and an int
+    too large for a float are not."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def _integral(v):
-    """v as an int when it is a finite whole number (not a bool); anything
-    else is returned unchanged, for validate() to report."""
-    if _is_real(v) and math.isfinite(v) and v == int(v):
+    """A finite whole-valued float as that int; anything else, an int of any
+    size included, is returned unchanged, for validate() to report."""
+    if isinstance(v, float) and v.is_integer():
         return int(v)
     return v
 
 
 def _real(v):
-    """v as a float when it is a number (not a bool); anything else is
-    returned unchanged, for validate() to report."""
-    return float(v) if _is_real(v) else v
+    """v as a float when it is a finite number (not a bool); anything else,
+    NaN, inf and an int too large for a float included, is returned
+    unchanged, for validate() to report."""
+    return float(v) if _is_finite(v) else v
 
 
 def _positive_reals(v) -> bool:
     """A non-empty list of finite numbers > 0."""
     return (isinstance(v, (list, tuple)) and len(v) > 0
-            and all(_is_real(x) and math.isfinite(x) and x > 0 for x in v))
+            and all(_is_finite(x) and x > 0 for x in v))
 
 
 class ManifestError(ValueError):
@@ -129,8 +138,9 @@ class RunManifest:
             errors.append(f"T must be a finite number > 0, got {self.T!r}")
         if not (_positive_reals([self.h]) and (not T_ok or self.h <= self.T)):
             errors.append(f"grid step h must be a finite number in (0, T], got {self.h!r}")
-        if not _is_int(self.n_particles) or self.n_particles < 1:
-            errors.append(f"n_particles must be an integer >= 1, got {self.n_particles!r}")
+        if not (_is_int(self.n_particles) and 1 <= self.n_particles < _PARTICLES):
+            errors.append(f"n_particles must be an integer in [1, 2**63), "
+                          f"got {self.n_particles!r}")
         if self.kind == "filter_robustness":
             reps = self.spec.get("reps", 3)
             if not _is_int(reps) or reps < 2:
@@ -144,7 +154,7 @@ class RunManifest:
                 window = self.spec.get("martingale_window",
                                        [0.25 * self.T, 0.5 * self.T])
                 if not (isinstance(window, (list, tuple)) and len(window) == 2
-                        and all(_is_real(v) and math.isfinite(v) for v in window)
+                        and all(_is_finite(v) for v in window)
                         and 0 <= window[0] < window[1] <= self.T):
                     errors.append(f"spec.martingale_window must be two finite "
                                   f"numbers [s, t] with 0 <= s < t <= T = {self.T!r}, "
@@ -180,7 +190,7 @@ class RunManifest:
             try:
                 return fn(*args)
             except (LevyConfigError, CoefficientError, FilterError, KeyError,
-                    TypeError, ValueError) as exc:
+                    TypeError, ValueError, OverflowError) as exc:
                 errors.append(f"{label}: {exc}")
                 return None
 

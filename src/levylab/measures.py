@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 
 class LevyConfigError(ValueError):
@@ -118,7 +117,8 @@ class LevyMeasure:
         raise NotImplementedError
 
     def radial_integral(self, fn, r_lo: float, r_hi: float) -> float:
-        """Integral of fn(|z|) over the annulus."""
+        """Integral of fn(|z|) over the annulus; fn maps an array of radii
+        elementwise."""
         raise NotImplementedError
 
     def first_moment_upper(self, r_lo: float, r_hi: np.ndarray) -> np.ndarray:
@@ -255,6 +255,9 @@ class _RadialSide:
     def moment(self, k: int, a: float, b: float) -> float:
         raise NotImplementedError
 
+    def density(self, r):
+        raise NotImplementedError
+
     def inverse_cdf(self, u, a: float, b: float):
         raise NotImplementedError
 
@@ -286,6 +289,9 @@ class _ExpSide(_RadialSide):
         out = i * (anti(a) - anti(b))
         return float(out) if out.ndim == 0 else out
 
+    def density(self, r):
+        return self.i * np.exp(-self.rate * r)
+
     def inverse_cdf(self, u, a, b):
         lam = self.rate
         ea = math.exp(-lam * a)
@@ -295,8 +301,8 @@ class _ExpSide(_RadialSide):
 
 class _PowerSide(_RadialSide):
     def __init__(self, coef: float, exponent: float, r_max: float):
-        if coef < 0 or r_max <= 0:
-            raise LevyConfigError("power side needs coef >= 0 and r_max > 0")
+        if coef < 0 or not 0 < r_max < math.inf:
+            raise LevyConfigError("power side needs coef >= 0 and a finite r_max > 0")
         self.c = coef
         self.beta = exponent
         self.r_max = r_max
@@ -326,12 +332,21 @@ class _PowerSide(_RadialSide):
         out = out.reshape(shape)
         return float(out) if shape == () else out
 
+    def density(self, r):
+        return self.c * r ** -self.beta
+
     def inverse_cdf(self, u, a, b):
         b = min(b, self.r_max)
         p = 1.0 - self.beta
         if p == 0.0:
             return a * (b / a) ** u
         return (a ** p + u * (b ** p - a ** p)) ** (1.0 / p)
+
+
+# radial_integral's rule: geometric panels follow both the r^-beta spike at a
+# small r_lo and the exponential decay over a long [r_lo, hi]
+_PANELS = 16
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 class Radial1DMeasure(LevyMeasure):
@@ -378,20 +393,27 @@ class Radial1DMeasure(LevyMeasure):
         return np.asarray(p + n, dtype=float)
 
     def radial_integral(self, fn, r_lo, r_hi):
+        """Integral of fn(|z|) over the annulus, for r_lo > 0 and a vectorized
+        fn.  Per side: 16-point Gauss-Legendre on each of 16 geometric panels
+        of [r_lo, hi], with hi = r_max on a power side and r_lo + 60/rate on
+        an exponential one, where the density has fallen by e^-60; fn is
+        called once per side, on all the nodes."""
+        if not r_lo > 0:
+            raise LevyConfigError(f"radial_integral needs r_lo > 0, got {r_lo}")
         total = 0.0
-        for side, sign in ((self.pos, +1), (self.neg, -1)):
+        for side in (self.pos, self.neg):
             if side is None:
                 continue
             if isinstance(side, _ExpSide):
-                dens = lambda r, s=side: s.i * math.exp(-s.rate * r)
-                hi = min(r_hi, 60.0 / side.rate + r_lo)  # density underflows beyond
+                hi = min(r_hi, 60.0 / side.rate + r_lo)
             else:
-                dens = lambda r, s=side: s.c * r ** (-s.beta)
                 hi = min(r_hi, side.r_max)
             if hi <= r_lo:
                 continue
-            val, _ = integrate.quad(lambda r: fn(r) * dens(r), r_lo, hi, limit=200)
-            total += val
+            edges = np.geomspace(r_lo, hi, _PANELS + 1)[:, None]
+            half = 0.5 * np.diff(edges, axis=0)
+            r = edges[:-1] + half * (1.0 + _GL_NODES)       # (panels, nodes)
+            total += float(np.sum(half * _GL_WEIGHTS * fn(r) * side.density(r)))
         return total
 
     def sample(self, rng, n, r_lo=0.0, r_hi=math.inf):

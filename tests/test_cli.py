@@ -17,6 +17,14 @@ from levylab.experiments import replay, run
 from levylab.manifests import ManifestError, RunManifest
 
 
+def child_env():
+    """The environment for a child that imports levylab from where this
+    process found it."""
+    src = str(Path(levylab.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
 def small_superposition_manifest(seed=42):
     return RunManifest(
         kind="superposition", seed=seed, T=0.5, h=0.025, n_particles=1500,
@@ -173,13 +181,9 @@ class TestCliEntry:
         man = small_limit_manifest()
         mpath = tmp_path / "man.json"
         man.save(str(mpath))
-        # the child imports levylab from where this process found it
-        src = str(Path(levylab.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
         proc = subprocess.run(
             [sys.executable, "-m", "levylab.cli", "validate", str(mpath)],
-            capture_output=True, text=True, env=env)
+            capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0
         assert proc.stdout.strip() == "OK"
 
@@ -443,11 +447,11 @@ TOP_KEYS = "kind, seed, T, h, n_particles, spec, assumptions"
     (lambda d: d.update(seed=2.5), [], "seed must be an integer in [0, 2**64), got 2.5"),
     (lambda d: d.update(seed=True), [], "seed must be an integer in [0, 2**64), got True"),
     (lambda d: d.update(n_particles=10.7), [],
-     "n_particles must be an integer >= 1, got 10.7"),
+     "n_particles must be an integer in [1, 2**63), got 10.7"),
     (lambda d: d.update(n_particles=True), [],
-     "n_particles must be an integer >= 1, got True"),
+     "n_particles must be an integer in [1, 2**63), got True"),
     (lambda d: d.update(n_particles="1500"), [],
-     "n_particles must be an integer >= 1, got '1500'"),
+     "n_particles must be an integer in [1, 2**63), got '1500'"),
 ], ids=["top-level-key", "spec-key", "seed-negative", "seed-2**64", "seed-flag",
         "seed-fraction", "seed-bool", "n-fraction", "n-bool", "n-string"])
 def test_unknown_keys_and_bad_seeds_rejected_before_compute(tmp_path, capsys, edit,
@@ -483,6 +487,35 @@ def test_bad_horizon_and_step_reported_not_converted(tmp_path, capsys, key, what
     mpath.write_text(json.dumps(d))
     assert main(["validate", str(mpath)]) == 1
     assert capsys.readouterr().err == f"INVALID: {message}\n"
+
+
+HUGE = 10 ** 400     # an integer too large for a float
+
+
+@pytest.mark.parametrize("key, message", [
+    ("T", f"T must be a finite number > 0, got {HUGE}"),
+    ("h", f"grid step h must be a finite number in (0, T], got {HUGE}"),
+    ("seed", f"seed must be an integer in [0, 2**64), got {HUGE}"),
+    ("n_particles", f"n_particles must be an integer in [1, 2**63), got {HUGE}")])
+def test_integers_too_large_for_a_float_reported(tmp_path, capsys, key, message):
+    d = dict(next(m for m in _readme_manifests() if m["kind"] == "limit"))
+    d[key] = HUGE
+    assert RunManifest.from_dict(d).validate() == [message]
+    mpath = tmp_path / "man.json"
+    mpath.write_text(json.dumps(d))
+    assert main(["validate", str(mpath)]) == 1
+    assert capsys.readouterr().err == f"INVALID: {message}\n"
+
+
+def test_import_loads_no_scipy():
+    # scipy is only a test-side oracle: importing it would add its import
+    # time to the set-up of every run
+    code = ("import sys, levylab, levylab.experiments, levylab.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_horizon_and_step_stored_as_floats(tmp_path):

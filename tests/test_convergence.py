@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 import levylab as L
 from levylab.convergence import (ConvergenceError, EmpiricalDistanceConfig,
@@ -83,6 +84,24 @@ class TestBlDistance:
         a = EnsembleLaw.equal_weight(np.zeros((10, 1)), 0.0)
         b = EnsembleLaw.equal_weight(np.full((10, 1), 0.7), 0.0)
         assert bl_distance(a, b, cfg) == pytest.approx(0.7)
+
+    # integer points make ties within and across the samples; a weight may be 0
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_wasserstein_mode_against_scipy(self, data):
+        cfg = EmpiricalDistanceConfig([], mode="wasserstein1_marginal")
+        laws = []
+        for _ in range(2):
+            n = data.draw(st.integers(1, 40))
+            points = data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+            weights = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.25]),
+                                         min_size=n, max_size=n)
+                                .filter(lambda w: sum(w) > 0))
+            laws.append(EnsembleLaw(np.array(points, dtype=float)[:, None],
+                                    np.array(weights), 0.0))
+        want = stats.wasserstein_distance(laws[0].points[:, 0], laws[1].points[:, 0],
+                                          laws[0].weights, laws[1].weights)
+        assert bl_distance(*laws, cfg) == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 class TestLyapunovAndTightness:

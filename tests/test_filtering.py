@@ -1,13 +1,16 @@
+import dataclasses
 import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import levylab as L
 from levylab import rng as R
-from levylab.filtering import (FilterError, FilterResult, ObservationRecord,
-                               ObservationSetup,
+from levylab.filtering import (_SLICE_ENTRIES, FilterError, FilterResult,
+                               ObservationRecord, ObservationSetup,
                                compensated_log_jump_statistic, filter_run,
                                hypothesis_checks_h_lambda,
                                lambda_from_config, log_likelihood,
@@ -225,6 +228,34 @@ class TestBandQuadrature:
         assert np.array_equal(
             model.band_integral_sq_log_gap(x1, x2),
             node_by_node(model, lambda l1, l2: (np.log(l1) - np.log(l2)) ** 2, x1, x2))
+
+    # the slice holds _SLICE_ENTRIES // n nodes; k whole slices plus a part
+    @settings(max_examples=25)
+    @given(n=st.sampled_from([1, 2, 7, 200, 3000]), k=st.integers(0, 2),
+           part=st.integers(0, 10 ** 6))
+    def test_sliced_sum_equals_column_by_column_sum(self, n, k, part):
+        step = _SLICE_ENTRIES // n
+        model = dataclasses.replace(
+            make_model(lam=("state_logistic", {"base": 0.8, "decay": 0.5}),
+                       nu2=EXP_NU2),
+            n_quad=k * step + 1 + part % (step - 1))
+        nodes, weights = model._quad_nodes()
+        x1 = np.linspace(-3.0, 3.0, n)[:, None]
+        x2 = np.cos(7.0 * x1)
+        lam1, lam2 = model._lambda(x1, nodes), model._lambda(x2, nodes)
+
+        def column_by_column(terms):
+            acc = np.zeros(n)
+            for j in range(weights.size):
+                acc = acc + weights[j] * terms[:, j]
+            return acc
+
+        assert np.array_equal(model.band_integral(x1, "one_minus_lambda"),
+                              column_by_column(1.0 - lam1))
+        assert np.array_equal(model.band_integral(x1, "log_lambda"),
+                              column_by_column(np.log(lam1)))
+        assert np.array_equal(model.band_integral_sq_log_gap(x1, x2),
+                              column_by_column((np.log(lam1) - np.log(lam2)) ** 2))
 
     def test_exponential_nu2_against_closed_form(self):
         # lambda = Lbar(u) s(x) with Lbar(u) = base exp(-decay |u|): the band

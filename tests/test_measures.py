@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 from levylab import rng as R
 from levylab.measures import (AtomicLevyMeasure, InfiniteMassError, JumpEvents,
@@ -110,6 +110,39 @@ class TestExponential:
         want = quad_radial(lambda r: math.log1p(r), lambda r: 2 * math.exp(-r),
                           0.5, 80.0)
         assert got == pytest.approx(want, rel=1e-8)
+
+
+@pytest.mark.parametrize("rate", [0.5, 1.0, 2.0, 5.0])
+@pytest.mark.parametrize("r_lo", [0.01, 0.3, 2.0, 10.0])
+@pytest.mark.parametrize("s", [0.05, 1.0, 20.0])
+def test_exponential_radial_integral_against_quad(rate, r_lo, s):
+    m = exponential_tails_1d(1.0, rate, 0.0, 1.0)
+    got = m.radial_integral(lambda r: np.log1p(s * r), r_lo, math.inf)
+    want, _ = integrate.quad(lambda r: math.log1p(s * r) * math.exp(-rate * r),
+                             r_lo, math.inf, epsabs=0.0, epsrel=1e-12, limit=200)
+    assert got == pytest.approx(want, rel=1e-8)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.5, 2.5, 3.5])
+@pytest.mark.parametrize("r_max", [1.0, 10.0])
+@pytest.mark.parametrize("r_lo", [1e-3, 0.1, 0.9])
+@pytest.mark.parametrize("s", [0.05, 1.0, 20.0])
+def test_power_radial_integral_against_quad(beta, r_max, r_lo, s):
+    m = power_law_tails_1d(coef=1.0, exponent=beta, r_max=r_max, two_sided=False)
+    got = m.radial_integral(lambda r: np.log1p(s * r), r_lo, math.inf)
+    want, _ = integrate.quad(lambda r: math.log1p(s * r) * r ** -beta,
+                             r_lo, r_max, epsabs=0.0, epsrel=1e-12, limit=200)
+    assert got == pytest.approx(want, rel=1e-8)
+
+
+def test_radial_integral_needs_positive_lower_radius():
+    with pytest.raises(LevyConfigError, match="r_lo > 0"):
+        exponential_tails_1d().radial_integral(np.log1p, 0.0, math.inf)
+
+
+def test_power_side_needs_finite_support():
+    with pytest.raises(LevyConfigError, match="finite r_max"):
+        power_law_tails_1d(r_max=math.inf)
 
 
 class TestPowerLaw:
