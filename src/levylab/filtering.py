@@ -12,7 +12,9 @@ log-likelihood
               + int int_band (1 - lambda(X, u)) nu2(du) dt
 
 with left-point (predictable) evaluation of h and lambda.  The normalized
-filter is the ratio of weighted means, computed with log-sum-exp.
+filter is the ratio of weighted means, computed with log-sum-exp.  The band
+integral is exact for an atomic nu2 or a separable lambda(x, u) = c(x) rho(|u|)
+on a radial nu2, and a fixed-node Monte Carlo quadrature otherwise.
 
 Coupling for the robustness experiment: family members share the Brownian
 observation noise, the proposal atoms, and one thinning uniform per atom
@@ -34,9 +36,10 @@ import numpy as np
 
 from . import rng as rngmod
 from .coefficients import CoefficientSet
-from .engine import (BlockMarch, InitialLaw, PathEnsemble, _prepare_block,
-                     make_base_grid, simulate_coupled_family)
-from .measures import (AtomicLevyMeasure, JumpEvents, LevyMeasure,
+from .engine import (BlockMarch, InitialLaw, _prepare_block, make_base_grid,
+                     simulate_coupled_family)
+from .manifests import _is_finite
+from .measures import (AtomicLevyMeasure, JumpEvents, LevyMeasure, Radial1DMeasure,
                        TruncationConfig, sample_jump_events)
 
 
@@ -76,10 +79,12 @@ class ObservationModel:
 
     lam is vectorized over both arguments: for n states x (n, d) and q marks
     U (q, k) it returns the (n, q) matrix lambda(x_i, U_j), every entry in
-    (0, 1).  u0_region is (lo, hi]: the band whose jumps are compensated in
-    the observation and enter the likelihood.  lambda_floor is the positive
-    lower envelope L(u) with infimum iota.  eps_obs is the sampling floor
-    inside the band when nu2 has infinite activity there.
+    (0, 1); a mark_profile attribute Lbar declares it separable, lambda(x, u)
+    = lambda(x, 0) Lbar(|u|) / Lbar(0).  u0_region is (lo, hi]: the band
+    whose jumps are compensated in the observation and enter the likelihood.
+    lambda_floor is the positive lower envelope L(u) with infimum iota.
+    eps_obs is the sampling floor inside the band when nu2 has infinite
+    activity there.
     """
 
     h: callable                       # (n, d) -> (n, k)
@@ -98,7 +103,7 @@ class ObservationModel:
             raise FilterError("u0_region must be (lo, hi] with 0 <= lo < hi")
         if self.eps_obs and not lo < self.eps_obs < hi:
             raise FilterError("eps_obs must lie inside the band")
-        self._quad = None
+        self._quad = self._sep = None
 
     def band_floor(self) -> float:
         lo, _ = self.u0_region
@@ -143,32 +148,57 @@ class ObservationModel:
                 self._quad = (nodes, w)
         return self._quad
 
+    def _separable(self):
+        """(m, A0, G0, rho, nodes), computed once, for a lam with a mark profile
+        Lbar on a radial nu2, else None: m = nu2(band), A0 and G0 the band
+        integrals of rho = Lbar / Lbar(0) and of log rho, rho at the nodes."""
+        profile = getattr(self.lam, "mark_profile", None)
+        if profile is None or not isinstance(self.nu2, Radial1DMeasure):
+            return None
+        if self._sep is None:
+            (lo, hi), (nodes, _), p0 = self.u0_region, self._quad_nodes(), profile(0.0)
+            self._sep = (self.nu2.mass(lo, hi),
+                         self.nu2.radial_integral(lambda r: profile(r) / p0, lo, hi),
+                         self.nu2.radial_integral(lambda r: np.log(profile(r) / p0), lo, hi),
+                         profile(np.abs(nodes[:, 0])) / p0, nodes)
+        return self._sep
+
     def band_integral(self, x: np.ndarray, integrand: str) -> np.ndarray:
         """Integral over the band of a function of lambda(x, u) against nu2.
 
-        integrand: 'one_minus_lambda' or 'log_lambda'.  Exact for atomic
-        nu2; fixed-node Monte Carlo quadrature otherwise.
+        integrand: 'one_minus_lambda' or 'log_lambda'.  Exact for atomic nu2
+        (a sum over the atoms) and for a separable lambda on a radial nu2:
+        m - c A0 and m log c + G0 with c = lambda(x, 0) (see _separable).
+        Otherwise a fixed-node Monte Carlo quadrature.
         """
-        term = (lambda lamv: 1.0 - lamv) if integrand == "one_minus_lambda" else np.log
-        return self._band_sum(term, x)
+        sep = self._separable()
+        if sep is None:
+            term = (lambda lamv: 1.0 - lamv) if integrand == "one_minus_lambda" else np.log
+            return self._band_sum(term, x)
+        mass, a0, g0, rho, nodes = sep
+        x = np.atleast_2d(x)
+        c = self._lambda(x, np.zeros((1, self.nu2.dim)))        # (n, 1)
+        if c.size and rho.size:
+            # lambda = c rho: its extremes over x and the nodes are c's times rho's
+            for i, j in ((c.argmin(), rho.argmin()), (c.argmax(), rho.argmax())):
+                if not 0.0 < c[i, 0] * rho[j] < 1.0:
+                    self._lambda(x[[i]], nodes[[j]])    # raises there, naming x and u
+        col = mass - c * a0 if integrand == "one_minus_lambda" else mass * np.log(c) + g0
+        return col[:, 0]
 
-    def band_integral_sq_log_gap(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-        """Integral over the band of |log lam(x1,u) - log lam(x2,u)|^2 nu2(du)."""
-        return self._band_sum(lambda l1, l2: (np.log(l1) - np.log(l2)) ** 2, x1, x2)
-
-    def _band_sum(self, term, *xs):
-        """sum over the band nodes u of w(u) * term(lambda(x, u) for x in xs),
-        node by node in order, with one lambda call per x per slice of nodes."""
-        xs = [np.atleast_2d(x) for x in xs]
+    def _band_sum(self, term, x):
+        """sum over the band nodes u of w(u) * term(lambda(x, u)), node by node
+        in order, with one lambda call per slice of nodes."""
+        x = np.atleast_2d(x)
         nodes, weights = self._quad_nodes()
-        n = xs[0].shape[0]
+        n = x.shape[0]
         step = max(1, _SLICE_ENTRIES // max(n, 1))
         # _add_in_order's layout, allocated once: row 0 takes the running sum,
         # rows 1..q a slice's weighted terms, and the spare column stays 0
         rows = np.zeros((min(step, nodes.shape[0]) + 1, n + 1))
         acc = np.zeros(n + 1)
         for a in range(0, nodes.shape[0], step):
-            vals = term(*(self._lambda(x, nodes[a:a + step]) for x in xs))
+            vals = term(self._lambda(x, nodes[a:a + step]))
             q = vals.shape[1]
             rows[0] = acc
             np.multiply(vals.T, weights[a:a + step, None], out=rows[1:q + 1, :-1])
@@ -208,16 +238,18 @@ def sensor_from_config(cfg: dict):
 
 
 def lambda_from_config(cfg: dict):
-    """Returns (lam, lambda_floor, iota)."""
+    """Returns (lam, lambda_floor, iota); lam carries its mark_profile."""
     name, params = cfg["name"], cfg.get("params", {})
     if name == "constant":
         c = float(params.get("c", 0.5))
         if not 0 < c < 1:
             raise FilterError("constant lambda needs c in (0,1)")
-        return (lambda x, U: np.full((np.atleast_2d(x).shape[0],
-                                      np.atleast_2d(U).shape[0]), c),
-                lambda u: np.full(np.atleast_2d(u).shape[0], 0.5 * c),
-                0.5 * c)
+
+        def lam(x, U):
+            return np.full((np.atleast_2d(x).shape[0], np.atleast_2d(U).shape[0]), c)
+
+        lam.mark_profile = np.ones_like
+        return lam, (lambda u: np.full(np.atleast_2d(u).shape[0], 0.5 * c)), 0.5 * c
     if name == "state_logistic":
         # lambda(x, u) = Lbar(u) / (1 + exp(-|x|)), in (Lbar/2, Lbar)
         base = float(params.get("base", 0.8))
@@ -233,6 +265,7 @@ def lambda_from_config(cfg: dict):
             s = 1.0 / (1.0 + np.exp(-np.linalg.norm(np.atleast_2d(x), axis=1)))
             return np.outer(s, lbar(U))
 
+        lam.mark_profile = lambda r: base * np.exp(-decay * r)
         return lam, (lambda u: 0.49 * lbar(u)), None
     raise FilterError(f"unknown lambda {name!r}")
 
@@ -240,12 +273,16 @@ def lambda_from_config(cfg: dict):
 def observation_model_from_config(cfg: dict) -> ObservationModel:
     from .measures import measure_from_config
 
+    region = cfg.get("u0_region", (0.0, 1.0))
+    if not (isinstance(region, (list, tuple)) and len(region) == 2
+            and all(map(_is_finite, region))):
+        raise FilterError(f"u0_region must be two finite numbers [lo, hi], got {region!r}")
     lam, floor, iota = lambda_from_config(cfg["lambda"])
     return ObservationModel(
         h=sensor_from_config(cfg["sensor"]),
         lam=lam, lambda_floor=floor, iota=iota,
         nu2=measure_from_config(cfg["nu2"]),
-        u0_region=tuple(cfg.get("u0_region", (0.0, 1.0))),
+        u0_region=tuple(map(float, region)),
         eps_obs=float(cfg.get("eps_obs", 0.0)))
 
 
@@ -625,27 +662,3 @@ def robustness_experiment(family, model: ObservationModel, driver, trunc,
                             non_increasing=non_inc, ratio=ratio, passed=passed,
                             limit_states=limit_states)
 
-
-def hypothesis_checks_h_lambda(member_ensembles: dict, limit_ensemble: PathEnsemble,
-                               model: ObservationModel) -> list:
-    """Coupled trend diagnostics for the sensor and thinning-intensity gaps:
-    per member n, Monte Carlo estimates of
-
-        E int |h(X^n_t) - h(X_t)|^2 dt
-        E int int_band |log lam(X^n, u) - log lam(X, u)|^2 nu2(du) dt
-    """
-    times = limit_ensemble.times
-    dts = np.diff(times)
-    rows = []
-    for n in sorted(member_ensembles):
-        ens = member_ensembles[n]
-        h_gap = 0.0
-        lam_gap = 0.0
-        for i in range(dts.size):
-            xn = ens.values[:, i, :]
-            xl = limit_ensemble.values[:, i, :]
-            dh = model.h(xn) - model.h(xl)
-            h_gap += float(np.mean(np.sum(dh * dh, axis=1))) * dts[i]
-            lam_gap += float(np.mean(model.band_integral_sq_log_gap(xn, xl))) * dts[i]
-        rows.append({"n": n, "sensor_l2_gap": h_gap, "log_lambda_l2_gap": lam_gap})
-    return rows

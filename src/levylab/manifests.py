@@ -108,8 +108,12 @@ class RunManifest:
 
     @classmethod
     def load(cls, path: str) -> "RunManifest":
-        with open(path) as fh:
-            return cls.from_json(fh.read())
+        try:
+            with open(path) as fh:
+                d = json.load(fh)
+        except (OSError, ValueError) as exc:    # unreadable, not JSON, a huge int
+            raise ManifestError([f"cannot load manifest {path}: {exc}"]) from exc
+        return cls.from_dict(d)
 
     def save(self, path: str):
         with open(path, "w") as fh:

@@ -393,13 +393,16 @@ class Radial1DMeasure(LevyMeasure):
         return np.asarray(p + n, dtype=float)
 
     def radial_integral(self, fn, r_lo, r_hi):
-        """Integral of fn(|z|) over the annulus, for r_lo > 0 and a vectorized
+        """Integral of fn(|z|) over the annulus, for r_lo >= 0 and a vectorized
         fn.  Per side: 16-point Gauss-Legendre on each of 16 geometric panels
         of [r_lo, hi], with hi = r_max on a power side and r_lo + 60/rate on
         an exponential one, where the density has fallen by e^-60; fn is
-        called once per side, on all the nodes."""
-        if not r_lo > 0:
-            raise LevyConfigError(f"radial_integral needs r_lo > 0, got {r_lo}")
+        called once per side on all the panel nodes.  r_lo = 0 needs finite
+        mass: the panels start at a = 1e-6 hi, and [0, a] gets 16 points in
+        the side's CDF."""
+        if not (r_lo > 0 or r_lo == 0 and math.isfinite(self.mass(0.0, r_hi))):
+            raise LevyConfigError(f"radial_integral needs r_lo > 0, or r_lo = 0 with "
+                                  f"finite mass near 0; got {r_lo}")
         total = 0.0
         for side in (self.pos, self.neg):
             if side is None:
@@ -410,7 +413,12 @@ class Radial1DMeasure(LevyMeasure):
                 hi = min(r_hi, side.r_max)
             if hi <= r_lo:
                 continue
-            edges = np.geomspace(r_lo, hi, _PANELS + 1)[:, None]
+            a = r_lo or 1e-6 * hi
+            if r_lo == 0:
+                u = 0.5 * (1.0 + _GL_NODES)
+                total += side.moment(0, 0.0, a) * float(
+                    np.sum(0.5 * _GL_WEIGHTS * fn(side.inverse_cdf(u, 0.0, a))))
+            edges = np.geomspace(a, hi, _PANELS + 1)[:, None]
             half = 0.5 * np.diff(edges, axis=0)
             r = edges[:-1] + half * (1.0 + _GL_NODES)       # (panels, nodes)
             total += float(np.sum(half * _GL_WEIGHTS * fn(r) * side.density(r)))

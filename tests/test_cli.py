@@ -507,6 +507,36 @@ def test_integers_too_large_for_a_float_reported(tmp_path, capsys, key, message)
     assert capsys.readouterr().err == f"INVALID: {message}\n"
 
 
+@pytest.mark.parametrize("name, text, message", [
+    ("missing.json", None, "No such file or directory"),
+    ("truncated.json", '{"kind": "limit", "seed": ', "Expecting value"),
+    # Python refuses to parse an integer of more than 4300 digits
+    ("long-seed.json", '{"kind": "limit", "seed": ' + "9" * 5000 + "}", "digits")],
+    ids=["missing", "truncated", "5000-digit-seed"])
+def test_unloadable_manifest_reported(tmp_path, capsys, name, text, message):
+    mpath = tmp_path / name
+    if text is not None:
+        mpath.write_text(text)
+    out = tmp_path / "never"
+    for args in (["validate", str(mpath)], ["run", str(mpath), "--out", str(out)]):
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"INVALID: cannot load manifest {mpath}: ")
+        assert message in err
+    assert not out.exists()
+
+
+def test_unbounded_u0_region_reported(tmp_path, capsys):
+    d = filter_robustness_manifest().to_dict()
+    d["spec"]["observation"]["u0_region"] = [0, HUGE]
+    mpath = tmp_path / "man.json"
+    mpath.write_text(json.dumps(d))
+    assert main(["validate", str(mpath)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "INVALID: observation: u0_region must be two finite numbers [lo, hi], "
+        "got [0, 1000")
+
+
 def test_import_loads_no_scipy():
     # scipy is only a test-side oracle: importing it would add its import
     # time to the set-up of every run

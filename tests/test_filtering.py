@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ from levylab import rng as R
 from levylab.filtering import (_SLICE_ENTRIES, FilterError, FilterResult,
                                ObservationRecord, ObservationSetup,
                                compensated_log_jump_statistic, filter_run,
-                               hypothesis_checks_h_lambda,
                                lambda_from_config, log_likelihood,
                                loglik_cell_increments,
                                observation_model_from_config,
@@ -197,18 +198,35 @@ EXP_NU2 = {"name": "exponential_tails_1d",
            "params": {"intensity_pos": 1.0, "rate_pos": 2.0}}
 
 
-def node_by_node(model, term, *xs):
+def plain_logistic(x, U):
+    """state_logistic's intensity (base 0.8, decay 0.5) with no mark profile,
+    so band integrals take the quadrature path."""
+    s = 1.0 / (1.0 + np.exp(-np.linalg.norm(np.atleast_2d(x), axis=1)))
+    return np.outer(s, 0.8 * np.exp(-0.5 * np.linalg.norm(np.atleast_2d(U), axis=1)))
+
+
+def quadrature_model(nu2, **kw):
+    return dataclasses.replace(make_model(nu2=nu2), lam=plain_logistic, **kw)
+
+
+def node_by_node(model, term, x):
     """The band quadrature as a loop over nodes, one lambda call per node,
     with the state_logistic intensity written per mark (base 0.8, decay 0.5)."""
-    def lam(x, u):
-        s = 1.0 / (1.0 + np.exp(-np.linalg.norm(x, axis=1)))
-        return float(0.8 * np.exp(-0.5 * np.linalg.norm(u[None, :], axis=1))[0]) * s
-
+    s = 1.0 / (1.0 + np.exp(-np.linalg.norm(x, axis=1)))
     nodes, weights = model._quad_nodes()
-    out = np.zeros(xs[0].shape[0])
+    out = np.zeros(x.shape[0])
     for u, w in zip(nodes, weights):
-        out += w * term(*(lam(x, u) for x in xs))
+        out += w * term(float(0.8 * np.exp(-0.5 * np.linalg.norm(u[None, :], axis=1))[0]) * s)
     return out
+
+
+def exponential_side_integrals(base=0.8, decay=0.5, intensity=1.0, rate=2.0):
+    """m = nu2(band), A = int Lbar dnu2 and G = int log Lbar dnu2 over the band
+    (0, 1] of the symmetric exponential nu2, with Lbar(u) = base exp(-decay |u|)."""
+    mass = 2.0 * intensity * (1.0 - math.exp(-rate)) / rate
+    a = 2.0 * base * intensity * (1.0 - math.exp(-(decay + rate))) / (decay + rate)
+    first = 2.0 * intensity * (1.0 - math.exp(-rate) * (1.0 + rate)) / rate ** 2
+    return mass, a, mass * math.log(base) - decay * first
 
 
 class TestBandQuadrature:
@@ -216,18 +234,13 @@ class TestBandQuadrature:
     @pytest.mark.parametrize("nu2", [None, EIGHT_ATOMS, EXP_NU2],
                              ids=["three-atoms", "eight-atoms", "exponential"])
     def test_matches_node_by_node_loop_bitwise(self, nu2, n):
-        model = make_model(lam=("state_logistic", {"base": 0.8, "decay": 0.5}),
-                           nu2=nu2)
+        model = quadrature_model(nu2)
         # 300 states split the 2000 exponential nodes into several slices
         x1 = np.linspace(-3.0, 3.0, 300)[:n, None]
-        x2 = np.cos(7.0 * x1)
         assert np.array_equal(model.band_integral(x1, "one_minus_lambda"),
                               node_by_node(model, lambda lv: 1.0 - lv, x1))
         assert np.array_equal(model.band_integral(x1, "log_lambda"),
                               node_by_node(model, np.log, x1))
-        assert np.array_equal(
-            model.band_integral_sq_log_gap(x1, x2),
-            node_by_node(model, lambda l1, l2: (np.log(l1) - np.log(l2)) ** 2, x1, x2))
 
     # the slice holds _SLICE_ENTRIES // n nodes; k whole slices plus a part
     @settings(max_examples=25)
@@ -235,14 +248,10 @@ class TestBandQuadrature:
            part=st.integers(0, 10 ** 6))
     def test_sliced_sum_equals_column_by_column_sum(self, n, k, part):
         step = _SLICE_ENTRIES // n
-        model = dataclasses.replace(
-            make_model(lam=("state_logistic", {"base": 0.8, "decay": 0.5}),
-                       nu2=EXP_NU2),
-            n_quad=k * step + 1 + part % (step - 1))
+        model = quadrature_model(EXP_NU2, n_quad=k * step + 1 + part % (step - 1))
         nodes, weights = model._quad_nodes()
         x1 = np.linspace(-3.0, 3.0, n)[:, None]
-        x2 = np.cos(7.0 * x1)
-        lam1, lam2 = model._lambda(x1, nodes), model._lambda(x2, nodes)
+        lam1 = model._lambda(x1, nodes)
 
         def column_by_column(terms):
             acc = np.zeros(n)
@@ -254,26 +263,88 @@ class TestBandQuadrature:
                               column_by_column(1.0 - lam1))
         assert np.array_equal(model.band_integral(x1, "log_lambda"),
                               column_by_column(np.log(lam1)))
-        assert np.array_equal(model.band_integral_sq_log_gap(x1, x2),
-                              column_by_column((np.log(lam1) - np.log(lam2)) ** 2))
 
-    def test_exponential_nu2_against_closed_form(self):
-        # lambda = Lbar(u) s(x) with Lbar(u) = base exp(-decay |u|): the band
-        # integral of 1 - lambda is nu2(band) - s(x) int_band Lbar dnu2
-        base, decay, intensity, rate = 0.8, 0.5, 1.0, 2.0
-        model = make_model(lam=("state_logistic", {"base": base, "decay": decay}),
+    def test_exponential_nu2_closed_form_is_analytic(self):
+        # lambda = s(x) Lbar(u): the band integrals are m - s(x) A and
+        # m log s(x) + G, with m, A and G of the exponential side in closed form
+        model = make_model(lam=("state_logistic", {"base": 0.8, "decay": 0.5}),
                            nu2=EXP_NU2)
-        mass = 2.0 * intensity * (1.0 - math.exp(-rate)) / rate
-        lbar_int = (2.0 * base * intensity * (1.0 - math.exp(-(decay + rate)))
-                    / (decay + rate))
+        mass, a, g = exponential_side_integrals()
+        m0, a0, g0, _, _ = model._separable()
+        assert m0 == pytest.approx(mass, rel=1e-13)
+        assert 0.8 * a0 == pytest.approx(a, rel=1e-13)
+        assert g0 + mass * math.log(0.8) == pytest.approx(g, rel=1e-13)
         x = np.array([[-2.0], [-0.3], [0.0], [0.7], [4.0]])
         s = 1.0 / (1.0 + np.exp(-np.abs(x[:, 0])))
-        want = mass - s * lbar_int
-        got = model.band_integral(x, "one_minus_lambda")
+        np.testing.assert_allclose(model.band_integral(x, "one_minus_lambda"),
+                                   mass - s * a, rtol=1e-13)
+        np.testing.assert_allclose(model.band_integral(x, "log_lambda"),
+                                   mass * np.log(s) + g, rtol=1e-13)
+
+    def test_constant_lambda_closed_form(self):
+        model = make_model(lam=("constant", {"c": 0.3}), nu2=EXP_NU2)
+        mass, _, _ = exponential_side_integrals()
+        x = np.array([[-1.0], [2.0]])
+        np.testing.assert_allclose(model.band_integral(x, "one_minus_lambda"),
+                                   0.7 * mass, rtol=1e-13)
+        np.testing.assert_allclose(model.band_integral(x, "log_lambda"),
+                                   math.log(0.3) * mass, rtol=1e-13)
+
+    def test_exponential_nu2_against_closed_form(self):
+        # the quadrature of a lambda with no profile meets the closed form
+        # within 4 s.e. of its 2000 nodes
+        closed = make_model(lam=("state_logistic", {"base": 0.8, "decay": 0.5}),
+                            nu2=EXP_NU2)
+        quad = quadrature_model(EXP_NU2)
+        mass = closed._separable()[0]
+        x = np.array([[-2.0], [-0.3], [0.0], [0.7], [4.0]])
+        s = 1.0 / (1.0 + np.exp(-np.abs(x[:, 0])))
+        nodes, _ = quad._quad_nodes()
+        r = np.abs(nodes[:, 0])
+        root_n = math.sqrt(nodes.shape[0])
+        se_one = mass * s * np.std(0.8 * np.exp(-0.5 * r), ddof=1) / root_n
+        se_log = mass * 0.5 * np.std(r, ddof=1) / root_n
+        for integrand, se in (("one_minus_lambda", se_one), ("log_lambda", se_log)):
+            gap = quad.band_integral(x, integrand) - closed.band_integral(x, integrand)
+            assert np.all(np.abs(gap) <= 4.0 * se)
+
+    def test_closed_form_names_out_of_range_x_and_u(self):
+        # decay < 0 makes lambda grow with |u|: above 1 for large |x| and |u|
+        model = make_model(lam=("state_logistic", {"base": 0.9, "decay": -1.0}),
+                           nu2=EXP_NU2)
         nodes, _ = model._quad_nodes()
-        lbar = base * np.exp(-decay * np.abs(nodes[:, 0]))
-        se = mass * s * np.std(lbar, ddof=1) / math.sqrt(nodes.shape[0])
-        assert np.all(np.abs(got - want) <= 4.0 * se)
+        u = nodes[np.argmax(np.abs(nodes[:, 0]))]
+        x = np.array([[0.1], [4.0], [-0.5]])
+        with pytest.raises(FilterError,
+                           match=rf"lambda outside \(0,1\): value .* at "
+                                 rf"x=\[4\.\], u={re.escape(str(u))}"):
+            model.band_integral(x, "one_minus_lambda")
+
+    def test_wrapped_lambda_keeps_the_closed_form_bits(self):
+        # a functools.wraps wrapper copies mark_profile, so a counting wrapper
+        # (as a tracer installs) changes neither the path nor the bits
+        model = make_model(lam=("state_logistic", {"base": 0.8, "decay": 0.5}),
+                           nu2=EXP_NU2)
+        calls = []
+
+        @functools.wraps(model.lam)
+        def counted(x, U):
+            calls.append(U.shape[0])
+            return model.lam(x, U)
+
+        wrapped = dataclasses.replace(model, lam=counted)
+        x = np.linspace(-3.0, 3.0, 50)[:, None]
+        for integrand in ("one_minus_lambda", "log_lambda"):
+            assert np.array_equal(wrapped.band_integral(x, integrand),
+                                  model.band_integral(x, integrand))
+        assert calls == [1, 1]
+
+    @pytest.mark.parametrize("region", [[0, 10 ** 400], [0.0, math.inf],
+                                        [math.nan, 1.0], [0.5, 0.5], [-1.0, 1.0],
+                                        [0.0], "01", [True, 2.0]])
+    def test_bad_u0_region_rejected(self, region):
+        with pytest.raises(FilterError, match="u0_region must be"):
+            make_model(u0=region)
 
 
 class TestFilterRun:
@@ -638,53 +709,6 @@ class TestRobustness:
 
 
 class TestHypothesisChecksAndShadow:
-    def test_trivial_family_zero_gaps(self):
-        fam = L.family_from_config({
-            "base": {"name": "ou", "d": 1, "m": 1,
-                     "params": {"theta": 1.0, "sigma": 1.0},
-                     "gamma": 0.3, "growth_bound": 4.0},
-            "schedule": [1, 2]})
-        drv = L.AtomicLevyMeasure([[0.8]], [0.4])
-        members, limit = L.simulate_coupled_family(
-            fam, drv, TR, L.PointMass([0.1]), 100, 0.05, 0.5, seed=31)
-        model = make_model(lam=("state_logistic", {"base": 0.8}))
-        rows = hypothesis_checks_h_lambda(members, limit, model)
-        for row in rows:
-            assert row["sensor_l2_gap"] == 0.0
-            assert row["log_lambda_l2_gap"] == 0.0
-
-    def test_state_free_lambda_zero_log_gap(self):
-        fam = L.family_from_config({
-            "base": {"name": "ou", "d": 1, "m": 1,
-                     "params": {"theta": 1.0, "sigma": 1.0},
-                     "gamma": 0.0, "growth_bound": 4.0},
-            "drift_perturbation": {"name": "shift", "amp": 1.0},
-            "schedule": [1, 2]})
-        members, limit = L.simulate_coupled_family(
-            fam, L.zero_measure(1), TR, L.PointMass([0.1]), 100, 0.05, 0.5,
-            seed=32)
-        model = make_model(lam=("constant", {"c": 0.5}))
-        rows = hypothesis_checks_h_lambda(members, limit, model)
-        gaps = [row["sensor_l2_gap"] for row in rows]
-        assert gaps[0] > gaps[1] > 0
-        assert all(row["log_lambda_l2_gap"] == 0.0 for row in rows)
-
-    def test_lipschitz_gap_scaling(self):
-        # coupled gap ~ 1/n and a Lipschitz sensor: squared gap ~ 1/n^2
-        fam = L.family_from_config({
-            "base": {"name": "linear", "d": 1, "m": 1,
-                     "params": {"A": [[-1.0]], "sigma": 1.0},
-                     "gamma": 0.0, "growth_bound": 4.0},
-            "drift_perturbation": {"name": "shift", "amp": 1.0},
-            "schedule": [2, 8]})
-        members, limit = L.simulate_coupled_family(
-            fam, L.zero_measure(1), TR, L.PointMass([0.0]), 200, 0.02, 1.0,
-            seed=33)
-        model = make_model(sensor={"name": "tanh"})
-        rows = hypothesis_checks_h_lambda(members, limit, model)
-        ratio = rows[0]["sensor_l2_gap"] / rows[1]["sensor_l2_gap"]
-        assert ratio == pytest.approx((8 / 2) ** 2, rel=0.2)
-
     def test_compensated_jump_statistic_stochastic_continuity(self):
         # the running compensated band statistic converges in probability
         # along refinements of the left endpoint

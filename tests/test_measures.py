@@ -135,9 +135,26 @@ def test_power_radial_integral_against_quad(beta, r_max, r_lo, s):
     assert got == pytest.approx(want, rel=1e-8)
 
 
-def test_radial_integral_needs_positive_lower_radius():
-    with pytest.raises(LevyConfigError, match="r_lo > 0"):
-        exponential_tails_1d().radial_integral(np.log1p, 0.0, math.inf)
+@pytest.mark.parametrize("beta", [0.3, 0.9])
+@pytest.mark.parametrize("rate", [0.5, 5.0])
+def test_radial_integral_from_zero_against_quad(rate, beta):
+    # r_lo = 0 on sides with finite mass there: exponential, and power with beta < 1
+    exp = exponential_tails_1d(1.0, rate, 0.0, 1.0)
+    power = power_law_tails_1d(coef=1.0, exponent=beta, r_max=2.0, two_sided=False)
+    for m, density, hi in ((exp, lambda r: math.exp(-rate * r), math.inf),
+                           (power, lambda r: r ** -beta, 2.0)):
+        want, _ = integrate.quad(lambda r: math.log1p(3.0 * r) * density(r), 0.0, hi,
+                                 epsabs=0.0, epsrel=1e-12, limit=200)
+        got = m.radial_integral(lambda r: np.log1p(3.0 * r), 0.0, math.inf)
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_radial_integral_needs_finite_mass_at_zero():
+    message = "needs r_lo > 0, or r_lo = 0 with finite mass near 0; got "
+    with pytest.raises(LevyConfigError, match=message + "-0.1"):
+        exponential_tails_1d().radial_integral(np.log1p, -0.1, math.inf)
+    with pytest.raises(LevyConfigError, match=message + "0.0"):
+        power_law_tails_1d(exponent=1.5).radial_integral(np.log1p, 0.0, math.inf)
 
 
 def test_power_side_needs_finite_support():
