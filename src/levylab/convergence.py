@@ -339,9 +339,9 @@ def limit_experiment(family, driver, trunc, mu0, n_particles: int, h: float,
     enforce_level_bound(trunc.level, family.gamma_sup)
     if cfg is None:
         cfg = default_bl_dictionary(family.limit.d)
-    members, limit = simulate_coupled_family(
-        family, driver, trunc, mu0, n_particles, h, T, seed)
     checkpoints = np.linspace(T / n_checkpoints, T, n_checkpoints)
+    members, limit = simulate_coupled_family(
+        family, driver, trunc, mu0, n_particles, h, T, seed, record_times=checkpoints)
     rows = []
     for n in sorted(members):
         ens = members[n]

@@ -22,7 +22,9 @@ randomness is drawn once (_prepare_block) and every coefficient set of a
 family marches over that draw; an ensemble is a family with no members.
 With several workers the blocks go to one process pool, and each worker
 rebuilds the coefficient sets from the family's registry config, because
-coefficient closures do not pickle.
+coefficient closures do not pickle.  A caller that reads only some times
+(record_times) gets only those grid slices: every cell is still marched,
+but no other slice is stored, nor sent back from a worker.
 
 The draw also carries each cell's jump schedule: the slots that jump in the
 cell, their sub-step start times, the jump times and marks, and each
@@ -186,7 +188,8 @@ class EnsembleLaw:
 class PathEnsemble:
     """Ensemble of paths recorded on a shared base grid.
 
-    values has shape (n, M+1, d); per-particle jump events are kept for
+    values has shape (n, len(times), d): every grid slice, or the ones a
+    caller asked to record; per-particle jump events are kept for
     diagnostics.  Values at a grid time are post-jump (cadlag convention).
     """
 
@@ -473,13 +476,19 @@ class BlockMarch:
                 f"namespace {inp.namespace})")
         self.cell = i + 1
 
-    def run(self, out=None):
+    def run(self, out=None, keep=None):
+        """March every cell; out[:, j] gets the state at grid index keep[j]
+        (increasing from 0; default every grid index)."""
+        if keep is None:
+            keep = range(self.grid.size)
         if out is None:
-            out = np.empty((self.x.shape[0], self.grid.size, self.x.shape[1]))
+            out = np.empty((self.x.shape[0], len(keep), self.x.shape[1]))
+        col = {int(k): j for j, k in enumerate(keep)}
         out[:, 0] = self.x
         for i in range(self.grid.size - 1):
             self.advance_cell(i)
-            out[:, i + 1] = self.x
+            if i + 1 in col:
+                out[:, col[i + 1]] = self.x
         return out
 
 
@@ -490,37 +499,51 @@ class BlockMarch:
 DEFAULT_BLOCK = 4096
 
 
-def _run_block(sets, driver, trunc, mu0, grid, block, seed, namespace, out):
+def kept_slices(grid: np.ndarray, record_times=None) -> np.ndarray:
+    """Grid indices an ensemble records: every one for record_times None,
+    else index 0 and, per time t, the last index whose grid time is <= t
+    (PathEnsemble.index_at's rule), without duplicates."""
+    if record_times is None:
+        return np.arange(grid.size)
+    at = np.searchsorted(grid, np.asarray(record_times, dtype=float), side="right") - 1
+    return np.unique(np.concatenate([[0], np.maximum(at, 0)]))
+
+
+def _run_block(sets, driver, trunc, mu0, grid, keep, block, seed, namespace, out):
     """Draw one block's randomness once; every coefficient set marches over it.
 
-    Set k's (B, M+1, d) values are written into out[k], one set at a time.
-    Returns the block's jump times and marks.
+    Set k's (B, len(keep), d) values at the grid indices keep are written
+    into out[k], one set at a time.  Returns the block's jump times and marks.
     """
     inputs = _prepare_block(driver, trunc, mu0, grid, sets[0].m, block, seed, namespace)
     for cs, vals in zip(sets, out):
-        BlockMarch(cs, driver, trunc, grid, inputs).run(vals)
+        BlockMarch(cs, driver, trunc, grid, inputs).run(vals, keep)
     return inputs.jump_times, inputs.jump_marks
 
 
 def _pool_block(args):
-    """Worker task: one block, with the sets rebuilt from the family config."""
-    config, driver, trunc, mu0, grid, block, *rest = args
+    """Worker task: one block, with the sets rebuilt from the family config;
+    returns only the kept slices."""
+    config, driver, trunc, mu0, grid, keep, block, *rest = args
     sets = family_from_config(config).all_sets()
-    out = np.empty((len(sets), len(block), grid.size, sets[0].d))
-    return out, *_run_block(sets, driver, trunc, mu0, grid, block, *rest, out)
+    out = np.empty((len(sets), len(block), len(keep), sets[0].d))
+    return out, *_run_block(sets, driver, trunc, mu0, grid, keep, block, *rest, out)
 
 
 def _simulate_blocks(family: CoefficientFamily, driver, trunc, mu0, n_particles,
-                     grid_step, T, seed, namespace, extra_times, block_size, workers):
-    """One PathEnsemble per set of family.all_sets(), block by block."""
+                     grid_step, T, seed, namespace, extra_times, block_size, workers,
+                     record_times=None):
+    """One PathEnsemble per set of family.all_sets(), block by block, holding
+    the grid slices kept_slices(grid, record_times)."""
     grid = make_base_grid(T, grid_step, extra_times)
+    keep = kept_slices(grid, record_times)
     sets = family.all_sets()
-    values = [np.empty((n_particles, grid.size, family.limit.d)) for _ in sets]
+    values = [np.empty((n_particles, keep.size, family.limit.d)) for _ in sets]
     jump_times, jump_marks = [], []
     ranges = [range(lo, min(lo + block_size, n_particles))
               for lo in range(0, n_particles, block_size)]
     if workers > 1 and family.config is not None:
-        tasks = [(family.config, driver, trunc, mu0, grid, r, seed, namespace)
+        tasks = [(family.config, driver, trunc, mu0, grid, keep, r, seed, namespace)
                  for r in ranges]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for r, (out, jt, jm) in zip(ranges, pool.map(_pool_block, tasks)):
@@ -530,13 +553,13 @@ def _simulate_blocks(family: CoefficientFamily, driver, trunc, mu0, n_particles,
                 jump_marks += jm
     else:
         for r in ranges:
-            jt, jm = _run_block(sets, driver, trunc, mu0, grid, r, seed, namespace,
+            jt, jm = _run_block(sets, driver, trunc, mu0, grid, keep, r, seed, namespace,
                                 [v[r.start:r.stop] for v in values])
             jump_times += jt
             jump_marks += jm
     report = {"sampling_floor": trunc.sampling_floor,
               "discarded_second_moment": discarded_second_moment(driver, trunc)}
-    return [PathEnsemble(grid, v, jump_times, jump_marks, seed=seed,
+    return [PathEnsemble(grid[keep], v, jump_times, jump_marks, seed=seed,
                          trunc_report=report) for v in values]
 
 
@@ -589,17 +612,20 @@ def simulate_coupled_family(family: CoefficientFamily, driver: LevyMeasure,
                             seed: int, namespace: int = rngmod.SIGNAL,
                             extra_times=(), workers: int = 1,
                             block_size: int = DEFAULT_BLOCK,
-                            validate: bool = True):
+                            validate: bool = True, record_times=None):
     """Simulate every family member and the limit under the same randomness.
 
     For each particle index the same initial draw, the same driver atoms and
     the same Brownian rows feed every member; only coefficients differ.
-    Workers are used as in simulate_ensemble, keyed on family.config.
+    Workers are used as in simulate_ensemble, keyed on family.config.  With
+    record_times every ensemble holds only the grid slices kept_slices picks
+    for them, the same bits as the full paths there.
     Returns (members: dict n -> PathEnsemble, limit: PathEnsemble).
     """
     if validate:
         for cs in family.all_sets():
             require_linear_growth(cs)
     ensembles = _simulate_blocks(family, driver, trunc, mu0, n_particles, grid_step,
-                                 T, seed, namespace, extra_times, block_size, workers)
+                                 T, seed, namespace, extra_times, block_size, workers,
+                                 record_times)
     return dict(zip(family.members, ensembles)), ensembles[-1]

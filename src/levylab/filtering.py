@@ -84,7 +84,8 @@ class ObservationModel:
     whose jumps are compensated in the observation and enter the likelihood.
     lambda_floor is the positive lower envelope L(u) with infimum iota.
     eps_obs is the sampling floor inside the band when nu2 has infinite
-    activity there.
+    activity there: marks are observed, and the band integrals taken, on
+    (band_floor(), hi].
     """
 
     h: callable                       # (n, d) -> (n, k)
@@ -127,9 +128,10 @@ class ObservationModel:
                 "band_second_moment": sm}
 
     def _quad_nodes(self):
-        """Fixed nodes and weights for integrals of g(x, u) over the band."""
+        """Fixed nodes and weights for integrals of g(x, u) over the observed
+        band (band_floor(), hi]."""
         if self._quad is None:
-            lo, hi = self.u0_region
+            lo, hi = self.band_floor(), self.u0_region[1]
             if isinstance(self.nu2, AtomicLevyMeasure):
                 radii = np.linalg.norm(self.nu2.atoms, axis=1)
                 sel = (radii > lo) & (radii <= hi)
@@ -151,12 +153,14 @@ class ObservationModel:
     def _separable(self):
         """(m, A0, G0, rho, nodes), computed once, for a lam with a mark profile
         Lbar on a radial nu2, else None: m = nu2(band), A0 and G0 the band
-        integrals of rho = Lbar / Lbar(0) and of log rho, rho at the nodes."""
+        integrals of rho = Lbar / Lbar(0) and of log rho, rho at the nodes;
+        the band is the observed one, (band_floor(), hi]."""
         profile = getattr(self.lam, "mark_profile", None)
         if profile is None or not isinstance(self.nu2, Radial1DMeasure):
             return None
         if self._sep is None:
-            (lo, hi), (nodes, _), p0 = self.u0_region, self._quad_nodes(), profile(0.0)
+            lo, hi = self.band_floor(), self.u0_region[1]
+            (nodes, _), p0 = self._quad_nodes(), profile(0.0)
             self._sep = (self.nu2.mass(lo, hi),
                          self.nu2.radial_integral(lambda r: profile(r) / p0, lo, hi),
                          self.nu2.radial_integral(lambda r: np.log(profile(r) / p0), lo, hi),
@@ -164,7 +168,7 @@ class ObservationModel:
         return self._sep
 
     def band_integral(self, x: np.ndarray, integrand: str) -> np.ndarray:
-        """Integral over the band of a function of lambda(x, u) against nu2.
+        """Integral over the observed band of a function of lambda(x, u) against nu2.
 
         integrand: 'one_minus_lambda' or 'log_lambda'.  Exact for atomic nu2
         (a sum over the atoms) and for a separable lambda on a radial nu2:

@@ -444,6 +444,15 @@ class FpeReport:
     martingale_increments: MartingaleIncrements | None = None   # see fpe_weak_residual
 
 
+def path_sup_norms(vals: np.ndarray) -> np.ndarray:
+    """max over slices of |vals[p, i]| per path p of an (n, M+1, d) tensor,
+    taken slice by slice, so no (n, M+1) temporary is built."""
+    sup = np.linalg.norm(vals[:, 0, :], axis=1)
+    for i in range(1, vals.shape[1]):
+        np.maximum(sup, np.linalg.norm(vals[:, i, :], axis=1), out=sup)
+    return sup
+
+
 def integrability_guards(ensemble: PathEnsemble, ctx: GeneratorContext,
                          radius: float | None = None) -> dict:
     """Empirical finiteness checks of the two integrability conditions that
@@ -452,7 +461,7 @@ def integrability_guards(ensemble: PathEnsemble, ctx: GeneratorContext,
     n = vals.shape[0]
     level = ctx.trunc.level
     if radius is None:
-        radius = float(np.quantile(np.linalg.norm(vals, axis=2).max(axis=1), 0.95))
+        radius = float(np.quantile(path_sup_norms(vals), 0.95))
     g1 = 0.0
     g2 = 0.0
     for i in range(times.size - 1):

@@ -90,10 +90,17 @@ class RunManifest:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunManifest":
-        unknown = [k for k in d if k not in _FIELDS]
-        if unknown:
-            raise ManifestError([f"unknown manifest key {k!r}; allowed: "
-                                 f"{', '.join(_FIELDS)}" for k in unknown])
+        if not isinstance(d, dict):
+            raise ManifestError([f"a manifest must be a JSON object, got "
+                                 f"{type(d).__name__}"])
+        required, objects = _FIELDS[:5], _FIELDS[5:]
+        errors = [f"unknown manifest key {k!r}; allowed: {', '.join(_FIELDS)}"
+                  for k in d if k not in _FIELDS]
+        errors += [f"manifest needs key {k!r}" for k in required if k not in d]
+        errors += [f"{k} must be a JSON object, got {type(d[k]).__name__}"
+                   for k in objects if not isinstance(d.get(k, {}), dict)]
+        if errors:
+            raise ManifestError(errors)
         return cls(kind=d["kind"], seed=_integral(d["seed"]), T=_real(d["T"]),
                    h=_real(d["h"]), n_particles=_integral(d["n_particles"]),
                    spec=dict(d.get("spec", {})),

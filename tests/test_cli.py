@@ -526,6 +526,41 @@ def test_unloadable_manifest_reported(tmp_path, capsys, name, text, message):
     assert not out.exists()
 
 
+TOP_LEVEL = ("kind", "seed", "T", "h", "n_particles")
+
+
+@pytest.mark.parametrize("manifest, messages", [
+    ([], ["a manifest must be a JSON object, got list"]),
+    (None, ["a manifest must be a JSON object, got NoneType"]),
+    ({}, [f"manifest needs key {k!r}" for k in TOP_LEVEL]),
+    ({"kind": "limit"}, [f"manifest needs key {k!r}" for k in TOP_LEVEL[1:]]),
+    (dict(small_limit_manifest().to_dict(), spec=[]),
+     ["spec must be a JSON object, got list"]),
+    (dict(small_limit_manifest().to_dict(), spec="limit", assumptions=[["a", 1]]),
+     ["spec must be a JSON object, got str", "assumptions must be a JSON object, got list"]),
+    ({"kind": "limit", "sede": 1, "spec": 3},
+     ["unknown manifest key 'sede'; allowed: kind, seed, T, h, n_particles, spec, "
+      "assumptions", *[f"manifest needs key {k!r}" for k in TOP_LEVEL[1:]],
+      "spec must be a JSON object, got int"]),
+], ids=["list", "null", "empty", "kind-only", "spec-list", "spec-and-assumptions",
+        "all-at-once"])
+def test_malformed_manifest_object_reported(tmp_path, capsys, manifest, messages):
+    want = "".join(f"INVALID: {m}\n" for m in messages)
+    with pytest.raises(ManifestError) as exc:
+        RunManifest.from_dict(manifest)
+    assert exc.value.errors == messages
+    bundle = tmp_path / "bundle"
+    bundle.mkdir()
+    mpath = bundle / "manifest.json"
+    mpath.write_text(json.dumps(manifest))
+    out = tmp_path / "never"
+    for args in (["validate", str(mpath)], ["run", str(mpath), "--out", str(out)],
+                 ["replay", str(bundle)]):
+        assert main(args) == 1
+        assert capsys.readouterr().err == want
+    assert not out.exists()
+
+
 def test_unbounded_u0_region_reported(tmp_path, capsys):
     d = filter_robustness_manifest().to_dict()
     d["spec"]["observation"]["u0_region"] = [0, HUGE]

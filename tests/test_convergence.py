@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import levylab as L
+from levylab import engine
 from levylab.convergence import (ConvergenceError, EmpiricalDistanceConfig,
                                  bl_distance, default_bl_dictionary,
                                  density_sup_estimate, enforce_level_bound,
@@ -277,6 +278,26 @@ class TestLimitExperiment:
         assert rep.non_increasing
         assert ds[-1] < ds[0]
         assert all(math.isfinite(r["density_sup"]) for r in rep.rows)
+
+    def test_checkpoint_slices_give_the_full_path_rows(self, monkeypatch):
+        # the family records only the checkpoints' slices; the rows must be
+        # those of the full paths, bit for bit.  h = 0.03 over T = 0.7 puts
+        # the checkpoints 0.1, 0.2, ... off the grid
+        args = (self.family(), L.AtomicLevyMeasure([[0.9], [-0.9]], [0.3, 0.3]),
+                TruncationConfig(level=0.3), L.GaussianLaw([0.0], [0.5]), 500, 0.03, 0.7)
+        thinned = limit_experiment(*args, seed=5, n_checkpoints=7)
+        asked = []
+        simulate = engine.simulate_coupled_family
+
+        def full_paths(*a, record_times=None, **kw):
+            asked.append(record_times)
+            return simulate(*a, **kw)
+
+        monkeypatch.setattr(engine, "simulate_coupled_family", full_paths)
+        full = limit_experiment(*args, seed=5, n_checkpoints=7)
+        assert len(asked) == 1 and len(asked[0]) == 7
+        assert full.rows == thinned.rows
+        assert np.array_equal(full.checkpoints, thinned.checkpoints)
 
     def test_level_bound_enforced(self):
         fam = self.family()   # gamma_sup = 1.0 -> level must be <= 0.7071

@@ -583,6 +583,54 @@ class TestBlockRunner:
         # the limit of the family is the plain ensemble of its limit dynamics
         self.same(limit, self.ensemble(fam.limit, block_size=block))
 
+    # record times on the grid (the 0.05 grid's own points, 0 and T among
+    # them), off it, outside [0, T] and repeated
+    GRID = make_base_grid(1.0, 0.05)
+    TIMES = st.lists(st.one_of(st.sampled_from(list(GRID)), st.floats(-0.2, 1.2)),
+                     max_size=8).map(lambda ts: ts + ts[:2])
+
+    @staticmethod
+    def last_at_or_before(grid, times):
+        """Slice 0 and, per time, the last grid index at or before it."""
+        return sorted({0} | {max([i for i, g in enumerate(grid) if g <= t], default=0)
+                             for t in times})
+
+    def same_slices(self, thin, full, keep, times):
+        assert thin.times.tobytes() == full.times[keep].tobytes()
+        assert thin.values.tobytes() == full.values[:, keep].tobytes()
+        assert [t.tobytes() for t in thin.jump_times] == [t.tobytes() for t in full.jump_times]
+        assert [z.tobytes() for z in thin.jump_marks] == [z.tobytes() for z in full.jump_marks]
+        # a recorded time reads the slice it reads on the full grid; index_at
+        # refuses times past the last recorded slice (checkpoints end at T)
+        for t in (t for t in times if 0.0 <= t <= thin.times[-1]):
+            assert thin.times[thin.index_at(t)] == full.times[full.index_at(t)]
+
+    @settings(max_examples=12, deadline=None)
+    @given(block=st.sampled_from([1, 3, 64, N]), workers=st.sampled_from([1, 2]),
+           times=TIMES)
+    def test_recorded_slices_are_the_full_paths_slices(self, block, workers, times):
+        keep = self.last_at_or_before(self.GRID, times)
+        fam = L.family_from_config(self.FAMILY)
+        full_members, full_limit = self.family(fam)
+        members, limit = self.family(fam, block_size=block, workers=workers,
+                                     record_times=times)
+        for n in members:
+            self.same_slices(members[n], full_members[n], keep, times)
+        self.same_slices(limit, full_limit, keep, times)
+
+    def test_pool_block_returns_only_the_kept_slices(self):
+        fam = L.family_from_config(self.FAMILY)
+        # grid[6] = 6/20 and grid[14] round above 0.3 and 0.7
+        keep = engine.kept_slices(self.GRID, [0.3, 0.7, 1.0])
+        assert keep.tolist() == [0, 5, 13, 20]
+        out, jt, jm = engine._pool_block((self.FAMILY, self.DRIVER, TR, self.MU0,
+                                          self.GRID, keep, range(3, 40), 13, R.SIGNAL))
+        assert out.shape == (4, 37, keep.size, 2)
+        full_members, full_limit = self.family(fam)
+        for vals, ens in zip(out, [*full_members.values(), full_limit]):
+            assert vals.tobytes() == ens.values[3:40, keep].tobytes()
+        assert [t.tobytes() for t in jt] == [t.tobytes() for t in full_limit.jump_times[3:40]]
+
     def test_hand_built_coefficients_run_in_process(self, monkeypatch):
         # closures without a registry config cannot be rebuilt in a worker,
         # so workers > 1 must run them here, with the same bits

@@ -20,13 +20,13 @@ from levylab.filtering import (_SLICE_ENTRIES, FilterError, FilterResult,
                                robustness_experiment)
 from levylab.measures import TruncationConfig
 
-from oracles import discrete_kalman, riccati_closed_form
+from oracles import discrete_kalman, quad_radial, riccati_closed_form
 
 TR = TruncationConfig(level=0.5)
 
 
 def make_model(sensor="identity", lam=("constant", {"c": 0.5}),
-               nu2=None, u0=(0.0, 1.0)):
+               nu2=None, u0=(0.0, 1.0), eps_obs=0.0):
     if nu2 is None:
         nu2 = {"name": "atomic", "params": {"atoms": [[0.3], [-0.5], [1.8]],
                                             "masses": [0.8, 0.7, 0.4]}}
@@ -34,7 +34,7 @@ def make_model(sensor="identity", lam=("constant", {"c": 0.5}),
         "sensor": {"name": sensor} if isinstance(sensor, str) else sensor,
         "lambda": {"name": lam[0], "params": lam[1]},
         "nu2": nu2,
-        "u0_region": list(u0)})
+        "u0_region": list(u0), "eps_obs": eps_obs})
 
 
 def ou_dynamics(theta=1.0, sigma=1.0, gamma=0.0):
@@ -338,6 +338,36 @@ class TestBandQuadrature:
             assert np.array_equal(wrapped.band_integral(x, integrand),
                                   model.band_integral(x, integrand))
         assert calls == [1, 1]
+
+    def test_eps_obs_floors_the_closed_form_band(self):
+        # power-law nu2 has infinite mass on (0, 1]; with eps_obs = 0.1 the
+        # marks are observed, and the integrals taken, on 0.1 < |u| <= 1
+        model = make_model(lam=("state_logistic", {"base": 0.8, "decay": 0.5}),
+                           nu2={"name": "power_law_tails_1d", "params": {"exponent": 1.5}},
+                           eps_obs=0.1)
+        density = lambda r: 2.0 * r ** -1.5         # noqa: E731 (both sides)
+        x = np.array([[-2.0], [0.0], [0.7]])
+        one = model.band_integral(x, "one_minus_lambda")
+        log = model.band_integral(x, "log_lambda")
+        for k, s in enumerate(1.0 / (1.0 + np.exp(-np.abs(x[:, 0])))):
+            lam = lambda r: s * 0.8 * np.exp(-0.5 * r)      # noqa: E731
+            assert one[k] == pytest.approx(
+                quad_radial(lambda r: 1.0 - lam(r), density, 0.1, 1.0), rel=1e-12)
+            assert log[k] == pytest.approx(
+                quad_radial(lambda r: np.log(lam(r)), density, 0.1, 1.0), rel=1e-12)
+
+    def test_eps_obs_floors_the_quadrature_and_atomic_bands(self):
+        quad = dataclasses.replace(make_model(
+            nu2={"name": "power_law_tails_1d", "params": {"exponent": 1.5}},
+            eps_obs=0.1), lam=plain_logistic)
+        nodes, weights = quad._quad_nodes()
+        assert np.all((np.abs(nodes) > 0.1) & (np.abs(nodes) <= 1.0))
+        assert weights.sum() == pytest.approx(quad.nu2.mass(0.1, 1.0), rel=1e-12)
+        # of the atoms 0.3, -0.5 and 1.8 only -0.5 (mass 0.7) is above 0.4 in the band
+        atomic = make_model(lam=("constant", {"c": 0.3}), eps_obs=0.4)
+        np.testing.assert_array_equal(atomic._quad_nodes()[0], [[-0.5]])
+        assert np.array_equal(atomic.band_integral(np.zeros((2, 1)), "one_minus_lambda"),
+                              np.full(2, 0.7 * 0.7))
 
     @pytest.mark.parametrize("region", [[0, 10 ** 400], [0.0, math.inf],
                                         [math.nan, 1.0], [0.5, 0.5], [-1.0, 1.0],

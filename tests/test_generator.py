@@ -3,6 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import levylab as L
 from levylab import generator as G
@@ -10,7 +13,7 @@ from levylab.generator import (GeneratorContext, GeneratorError,
                                MartingaleIncrements, eval_generator,
                                fpe_weak_residual, generator_apply,
                                integrability_guards, martingale_residual,
-                               richardson_slope, superposition_crosscheck,
+                               path_sup_norms, richardson_slope, superposition_crosscheck,
                                validate_hypotheses)
 from levylab.measures import TruncationConfig
 from levylab.testfunctions import (constant_function, default_dictionary,
@@ -311,6 +314,17 @@ class TestFpeResidual:
                                   0.5, seed=5)
         with pytest.raises(GeneratorError, match="integrability guard"):
             integrability_guards(ens, ctx)
+
+    @settings(max_examples=60, deadline=None)
+    @given(vals=hnp.arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 12),
+                                                 st.integers(1, 3)),
+                           elements=st.floats(allow_nan=False)))
+    def test_path_sup_norms_equal_the_full_tensor_formula(self, vals):
+        # the integrability guards' radius, slice by slice, against the
+        # (n, M+1) norm tensor it replaces; huge entries overflow to inf
+        with np.errstate(over="ignore"):
+            assert np.array_equal(path_sup_norms(vals),
+                                  np.linalg.norm(vals, axis=2).max(axis=1))
 
     def test_unbounded_function_rejected(self):
         ctx, ens = _acceptance_setup(n=500)
