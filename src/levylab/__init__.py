@@ -12,8 +12,7 @@ from .coefficients import (CoefficientFamily, CoefficientSet,
                            coefficients_from_config, family_from_config)
 from .convergence import (EmpiricalDistanceConfig, bl_distance,
                           default_bl_dictionary, gronwall_check,
-                          limit_experiment, lyapunov_moment,
-                          tightness_diagnostics)
+                          lyapunov_moment, tightness_diagnostics)
 from .engine import (CadlagPath, EnsembleLaw, GaussianLaw, PathEnsemble,
                      PointMass, simulate_coupled_family, simulate_ensemble,
                      simulate_path)
@@ -21,8 +20,7 @@ from .filtering import (FilterState, ObservationModel, ObservationRecord,
                         ObservationSetup, filter_run, log_likelihood,
                         robustness_experiment, simulate_observation)
 from .generator import (GeneratorContext, eval_generator, fpe_weak_residual,
-                        martingale_residual, superposition_crosscheck,
-                        validate_hypotheses)
+                        martingale_residual, validate_hypotheses)
 from .manifests import RunManifest
 from .measures import (AtomicLevyMeasure, JumpEvent, JumpEvents, LevyMeasure,
                        TruncationConfig, compensator_drift,

@@ -139,15 +139,14 @@ class TightnessReport:
     increment_tail_decays: bool
 
 
-def tightness_diagnostics(ensembles: dict, psi: PsiFunction, K_grid,
-                          theta_grid, N_threshold: float) -> TightnessReport:
+def tightness_diagnostics(ensembles: dict, K_grid, theta_grid,
+                          N_threshold: float) -> TightnessReport:
     """Empirical renderings of the two tightness criteria for a family.
 
     Stopping times cannot be enumerated; the surrogate lattice uses
     deterministic times and first-exit times of centered balls, which are
     the stopping times the estimates actually manipulate.
     """
-    del psi  # the profile is used upstream for the moment bound report
     sup_rows = []
     members = list(ensembles.values())
     sups = [np.linalg.norm(e.values, axis=2).max(axis=1) for e in members]
@@ -289,20 +288,8 @@ def density_sup_estimate(points: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the limit experiment
+# the limit experiment's verdict and level bound
 # ---------------------------------------------------------------------------
-
-@dataclass
-class LimitReport:
-    rows: list            # dicts: n, distance, se, density_sup
-    checkpoints: np.ndarray
-    non_increasing: bool
-    ratio: float | None
-    passed: bool
-    metric_note: str = ("distances are dictionary bounded-Lipschitz gaps on "
-                        "finitely many marginals, a finite-dimensional "
-                        "surrogate for path-space weak convergence")
-
 
 def decreasing_verdict(distances, ses):
     """(non_increasing, ratio, passed) for distances ordered by n: no step up
@@ -324,39 +311,3 @@ def enforce_level_bound(trunc_level: float, gamma_sup: float):
             f"truncation level {trunc_level} exceeds 1/(sqrt(2)*Gamma) = "
             f"{1.0 / (math.sqrt(2.0) * gamma_sup):.6g} required by the "
             "limit experiment")
-
-
-def limit_experiment(family, driver, trunc, mu0, n_particles: int, h: float,
-                     T: float, seed: int, cfg: EmpiricalDistanceConfig = None,
-                     n_checkpoints: int = 10) -> LimitReport:
-    """Coupled-family distance table: n -> sup over checkpoints of bl distance.
-
-    PASS iff the distances are non-increasing up to 2 sigma of the coupled
-    noise and the final distance is at most a quarter of the initial one.
-    """
-    from .engine import simulate_coupled_family
-
-    enforce_level_bound(trunc.level, family.gamma_sup)
-    if cfg is None:
-        cfg = default_bl_dictionary(family.limit.d)
-    checkpoints = np.linspace(T / n_checkpoints, T, n_checkpoints)
-    members, limit = simulate_coupled_family(
-        family, driver, trunc, mu0, n_particles, h, T, seed, record_times=checkpoints)
-    rows = []
-    for n in sorted(members):
-        ens = members[n]
-        best, best_se = 0.0, 0.0
-        for tc in checkpoints:
-            i = ens.index_at(float(tc))
-            gap, se = bl_distance_coupled(ens.values[:, i, :],
-                                          limit.values[:, i, :], cfg)
-            if gap >= best:
-                best, best_se = gap, se
-        dens = max(density_sup_estimate(ens.values[:, ens.index_at(float(tc)), :])
-                   for tc in checkpoints)
-        rows.append({"n": n, "distance": best, "se": best_se,
-                     "density_sup": dens})
-    non_inc, ratio, passed = decreasing_verdict([r["distance"] for r in rows],
-                                                [r["se"] for r in rows])
-    return LimitReport(rows=rows, checkpoints=checkpoints,
-                       non_increasing=non_inc, ratio=ratio, passed=passed)

@@ -193,13 +193,11 @@ class PathEnsemble:
     diagnostics.  Values at a grid time are post-jump (cadlag convention).
     """
 
-    def __init__(self, times, values, jump_times, jump_marks, seed=None,
-                 trunc_report=None):
+    def __init__(self, times, values, jump_times, jump_marks, trunc_report=None):
         self.times = np.asarray(times, dtype=float)
         self.values = values
         self.jump_times = jump_times
         self.jump_marks = jump_marks
-        self.seed = seed
         self.trunc_report = trunc_report or {}
 
     @property
@@ -559,8 +557,8 @@ def _simulate_blocks(family: CoefficientFamily, driver, trunc, mu0, n_particles,
             jump_marks += jm
     report = {"sampling_floor": trunc.sampling_floor,
               "discarded_second_moment": discarded_second_moment(driver, trunc)}
-    return [PathEnsemble(grid[keep], v, jump_times, jump_marks, seed=seed,
-                         trunc_report=report) for v in values]
+    return [PathEnsemble(grid[keep], v, jump_times, jump_marks, trunc_report=report)
+            for v in values]
 
 
 def simulate_ensemble(coeffs: CoefficientSet, driver: LevyMeasure,

@@ -204,7 +204,7 @@ def run_diagnostics(man: RunManifest, seed: int, workers: int):
     x0 = ens.values[:, 0, :]
     psi = construct_psi(x0)
     moment, moment_se = lyapunov_moment(ens, psi)
-    tight = tightness_diagnostics({"0": ens}, psi,
+    tight = tightness_diagnostics({"0": ens},
                                   K_grid=man.spec.get("K_grid", [1, 2, 4, 8, 16]),
                                   theta_grid=man.spec.get("theta_grid",
                                                           [0.2, 0.1, 0.05]),

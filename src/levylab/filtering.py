@@ -82,7 +82,6 @@ class ObservationModel:
     (0, 1); a mark_profile attribute Lbar declares it separable, lambda(x, u)
     = lambda(x, 0) Lbar(|u|) / Lbar(0).  u0_region is (lo, hi]: the band
     whose jumps are compensated in the observation and enter the likelihood.
-    lambda_floor is the positive lower envelope L(u) with infimum iota.
     eps_obs is the sampling floor inside the band when nu2 has infinite
     activity there: marks are observed, and the band integrals taken, on
     (band_floor(), hi].
@@ -92,8 +91,6 @@ class ObservationModel:
     lam: callable                     # ((n, d), (q, k)) -> (n, q)
     nu2: LevyMeasure
     u0_region: tuple = (0.0, 1.0)
-    lambda_floor: callable = None     # (m, k) -> (m,)
-    iota: float = None
     eps_obs: float = 0.0
     n_quad: int = 2000
     quad_seed: int = 77
@@ -242,7 +239,9 @@ def sensor_from_config(cfg: dict):
 
 
 def lambda_from_config(cfg: dict):
-    """Returns (lam, lambda_floor, iota); lam carries its mark_profile."""
+    """Returns (lam, floor, iota): lam carries its mark_profile, floor is a
+    positive lower envelope of lam in the mark and iota its infimum."""
+    # models keep only lam; the triple stays because the benchmark's layer trace unpacks it
     name, params = cfg["name"], cfg.get("params", {})
     if name == "constant":
         c = float(params.get("c", 0.5))
@@ -281,10 +280,9 @@ def observation_model_from_config(cfg: dict) -> ObservationModel:
     if not (isinstance(region, (list, tuple)) and len(region) == 2
             and all(map(_is_finite, region))):
         raise FilterError(f"u0_region must be two finite numbers [lo, hi], got {region!r}")
-    lam, floor, iota = lambda_from_config(cfg["lambda"])
     return ObservationModel(
         h=sensor_from_config(cfg["sensor"]),
-        lam=lam, lambda_floor=floor, iota=iota,
+        lam=lambda_from_config(cfg["lambda"])[0],
         nu2=measure_from_config(cfg["nu2"]),
         u0_region=tuple(map(float, region)),
         eps_obs=float(cfg.get("eps_obs", 0.0)))

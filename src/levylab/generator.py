@@ -37,7 +37,7 @@ of evaluating each function on its own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,25 +52,15 @@ class GeneratorError(RuntimeError):
     pass
 
 
-ATOMIC_SUM = "atomic_sum"
-MONTE_CARLO = "monte_carlo"
-
-
 @dataclass
 class GeneratorContext:
     coeffs: CoefficientSet
     driver: LevyMeasure
     trunc: TruncationConfig
-    jump_quadrature: str = None
     n_quad: int = 10_000
     quad_seed: int = 2024
 
     def __post_init__(self):
-        if self.jump_quadrature is None:
-            self.jump_quadrature = (ATOMIC_SUM if isinstance(self.driver, AtomicLevyMeasure)
-                                    else MONTE_CARLO)
-        if self.jump_quadrature == ATOMIC_SUM and not isinstance(self.driver, AtomicLevyMeasure):
-            raise GeneratorError("atomic_sum quadrature needs an atomic driver")
         self._quad_nodes = None
 
     def quad_nodes(self):
@@ -114,7 +104,7 @@ def _jump_terms(ctx: GeneratorContext, phis: list, jets: list, t, X: np.ndarray)
     vals = np.zeros((len(phis), n))
     ses = np.zeros((len(phis), n))
     fv = ctx.coeffs.f(t, X)
-    if ctx.jump_quadrature == ATOMIC_SUM:
+    if isinstance(ctx.driver, AtomicLevyMeasure):
         z, total = ctx.driver.atoms, None                         # (k, d)
     else:
         z, total = ctx.quad_nodes()                               # (q, d)
@@ -529,89 +519,17 @@ def fpe_weak_residual(ensemble: PathEnsemble, ctx: GeneratorContext,
 
 
 # ---------------------------------------------------------------------------
-# superposition cross-check
+# the superposition budget's step-size term
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CrosscheckRow:
-    phi_name: str
-    sup_abs: float
-    mc_se: float
-    budget: float
-    passed: bool
-    sup_abs_refined: float | None = None
-
-
-@dataclass
-class CrosscheckReport:
-    rows: list
-    hypothesis: HypothesisReport
-    h: float
-    n_particles: int
-    halving_ok: bool | None
-    slope_constants: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        row_ok = all(r.passed for r in self.rows)
-        return row_ok and (self.halving_ok is not False)
-
-
-def richardson_slope(rep, rep_half, h: float, se_factor: float = 3.0):
+def richardson_slope(rep, rep_half, h: float):
     """Slope C of the C * h budget term, and whether the residual halves.
 
     C is the first-order decay between the h and h/2 runs' sup-residuals,
     with 25% headroom.  The refined sup-residual passes the halving check
-    unless it exceeds half the coarse one by more than se_factor combined
-    standard errors, so a NaN residual does not fail it.
+    unless it exceeds half the coarse one by more than 3 combined standard
+    errors, so a NaN residual does not fail it.
     """
     slope = 2.5 * abs(rep.sup_abs - rep_half.sup_abs) / (h / 2)
-    combined = se_factor * (rep_half.sup_se + 0.5 * rep.sup_se)
+    combined = 3.0 * (rep_half.sup_se + 0.5 * rep.sup_se)
     return slope, not rep_half.sup_abs > 0.5 * rep.sup_abs + combined
-
-
-def superposition_crosscheck(ctx: GeneratorContext, mu0, dictionary,
-                             h: float, n_particles: int, T: float, seed: int,
-                             refine: bool = True,
-                             se_factor: float = 3.0) -> CrosscheckReport:
-    """Simulate an ensemble and test the weak forward identity per phi.
-
-    The error budget per function is se_factor * (MC s.e.) + C * h where C
-    is calibrated from the first-order decay between the h and h/2 runs
-    (Richardson estimate with 25% headroom).  With refine=True the h/2 run
-    also powers the halving check: the refined sup-residual must be at most
-    half the coarse one, within combined noise.
-    """
-    from .engine import simulate_ensemble
-
-    hyp = validate_hypotheses(ctx)
-    if not hyp.ok:
-        raise GeneratorError(f"hypothesis validation failed: {hyp}")
-    ens = simulate_ensemble(ctx.coeffs, ctx.driver, ctx.trunc, mu0, n_particles,
-                            h, T, seed)
-    reports = fpe_weak_residual(ens, ctx, dictionary)
-    halves = [None] * len(reports)
-    if refine:
-        ens_half = simulate_ensemble(ctx.coeffs, ctx.driver, ctx.trunc, mu0,
-                                     n_particles, h / 2, T, seed + 1)
-        halves = fpe_weak_residual(ens_half, ctx, dictionary, run_guards=False)
-    rows = []
-    halving_ok = None if not refine else True
-    slopes = {}
-    for phi, rep, rep_half in zip(dictionary, reports, halves):
-        sup_half = None
-        if refine:
-            sup_half = rep_half.sup_abs
-            slope, halves_ok = richardson_slope(rep, rep_half, h, se_factor)
-            halving_ok = halving_ok and halves_ok
-        else:
-            slope = 0.0
-        slopes[phi.name] = slope
-        budget = se_factor * rep.sup_se + slope * h
-        rows.append(CrosscheckRow(phi_name=phi.name, sup_abs=rep.sup_abs,
-                                  mc_se=rep.sup_se, budget=budget,
-                                  passed=rep.sup_abs <= budget,
-                                  sup_abs_refined=sup_half))
-    return CrosscheckReport(rows=rows, hypothesis=hyp, h=h,
-                            n_particles=n_particles, halving_ok=halving_ok,
-                            slope_constants=slopes)

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import levylab as L
-from levylab.convergence import gronwall_check, limit_experiment
+from levylab.convergence import gronwall_check
+from levylab.experiments import run_limit
 from levylab.filtering import ObservationSetup, filter_run, log_likelihood, \
     observation_model_from_config, robustness_experiment
 from levylab.generator import (GeneratorContext, eval_generator,
@@ -233,22 +234,24 @@ def test_criterion_05_stochastic_gronwall():
 def test_criterion_06_limit_theorem():
     """Coupled-family distances non-increasing (2 s.e.) with ratio <= 1/4."""
     t0 = time.perf_counter()
-    fam = L.family_from_config({
-        "base": BENCH_COEFFS,
-        "drift_perturbation": {"name": "sine", "amp": 1.0},
-        "gamma_perturbation": 0.5,
-        "schedule": [1, 2, 4, 8, 16, 32]})
-    drv = L.AtomicLevyMeasure(**BENCH_ATOMS)
-    rep = limit_experiment(fam, drv, TruncationConfig(level=BENCH_LEVEL),
-                           L.GaussianLaw([0.0], [0.5]), 10_000, 0.01, 1.0,
-                           seed=SEED)
+    man = RunManifest(
+        kind="limit", seed=SEED, T=1.0, h=0.01, n_particles=10_000,
+        spec={"family": {"base": BENCH_COEFFS,
+                         "drift_perturbation": {"name": "sine", "amp": 1.0},
+                         "gamma_perturbation": 0.5,
+                         "schedule": [1, 2, 4, 8, 16, 32]},
+              "driver": {"name": "atomic", "params": BENCH_ATOMS},
+              "truncation": {"level": BENCH_LEVEL},
+              "mu0": {"name": "gaussian", "params": {"mean": [0.0], "std": [0.5]}}})
+    tables, verdicts = run_limit(man, SEED, workers=1)
     elapsed = time.perf_counter() - t0
-    ok = rep.passed and elapsed < 600.0
-    dists = ", ".join(f"{r['distance']:.4f}" for r in rep.rows)
+    ratio = verdicts["final_to_initial_ratio"]
+    ok = verdicts["limit_pass"] and elapsed < 600.0
+    dists = ", ".join(f"{row[1]:.4f}" for row in tables["distances"][1])
     record_acceptance(6, "coefficient-limit", ok,
-                      f"distances [{dists}], ratio {rep.ratio:.3f}, {elapsed:.0f} s")
-    assert rep.non_increasing
-    assert rep.ratio is not None and rep.ratio <= 0.25
+                      f"distances [{dists}], ratio {ratio:.3f}, {elapsed:.0f} s")
+    assert verdicts["non_increasing"]
+    assert ratio is not None and ratio <= 0.25
     assert elapsed < 600.0
 
 

@@ -7,17 +7,20 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import levylab as L
-from levylab import engine
+from levylab import experiments
 from levylab.convergence import (ConvergenceError, EmpiricalDistanceConfig,
                                  bl_distance, default_bl_dictionary,
                                  density_sup_estimate, enforce_level_bound,
-                                 gronwall_check, limit_experiment,
-                                 lyapunov_moment, tightness_diagnostics)
+                                 gronwall_check, lyapunov_moment,
+                                 tightness_diagnostics)
 from levylab.engine import EnsembleLaw
+from levylab.manifests import RunManifest
 from levylab.measures import TruncationConfig
 from levylab.psi import construct_psi, identity_psi
 
 from oracles import bl_gap_normal_oracle
+
+GAUSSIAN = {"name": "gaussian", "params": {"mean": [0.0], "std": [0.5]}}
 
 
 class TestBlDistance:
@@ -125,8 +128,7 @@ class TestLyapunovAndTightness:
         times = np.linspace(0, 1, 11)
         values = np.full((30, 11, 1), 0.5)
         ens = L.PathEnsemble(times, values, [None] * 30, [None] * 30)
-        rep = tightness_diagnostics({"0": ens}, identity_psi(),
-                                    K_grid=[0.4, 0.6, 1.0],
+        rep = tightness_diagnostics({"0": ens}, K_grid=[0.4, 0.6, 1.0],
                                     theta_grid=[0.2, 0.1], N_threshold=0.1)
         assert rep.sup_tail[0][1] == 1.0     # below the constant radius
         assert rep.sup_tail[1][1] == 0.0     # above it
@@ -146,9 +148,8 @@ class TestLyapunovAndTightness:
         n = 4000
         ens_a = L.simulate_ensemble(cs, drv, tr, mu0, n, 0.02, 1.0, seed=100)
         ens_b = L.simulate_ensemble(cs, drv, tr, mu0, n, 0.02, 1.0, seed=200)
-        rep = tightness_diagnostics({"0": ens_a}, identity_psi(),
-                                    K_grid=[1.0, 2.0, 3.0], theta_grid=[0.1],
-                                    N_threshold=1.0)
+        rep = tightness_diagnostics({"0": ens_a}, K_grid=[1.0, 2.0, 3.0],
+                                    theta_grid=[0.1], N_threshold=1.0)
         sup_b = np.linalg.norm(ens_b.values, axis=2).max(axis=1)
         for K, p in rep.sup_tail:
             direct = float(np.mean(sup_b > K))
@@ -251,60 +252,65 @@ class TestGronwall:
 
 
 class TestLimitExperiment:
-    def family(self, amp=1.0, gamma_pert=0.5):
-        return L.family_from_config({
-            "base": {"name": "ou", "d": 1, "m": 1,
-                     "params": {"theta": 1.0, "sigma": math.sqrt(2.0)},
-                     "gamma": 0.5, "growth_bound": 4.0},
-            "drift_perturbation": {"name": "sine", "amp": amp},
-            "gamma_perturbation": gamma_pert,
-            "schedule": [1, 2, 4, 8]})
+    """The `limit` kind's runner on manifests of a perturbed OU family."""
+
+    def manifest(self, mu0, n, h, T, seed, amp=1.0, gamma_pert=0.5, level=0.3, **spec):
+        return RunManifest(
+            kind="limit", seed=seed, T=T, h=h, n_particles=n,
+            spec={"family": {"base": {"name": "ou", "d": 1, "m": 1,
+                                      "params": {"theta": 1.0, "sigma": math.sqrt(2.0)},
+                                      "gamma": 0.5, "growth_bound": 4.0},
+                             "drift_perturbation": {"name": "sine", "amp": amp},
+                             "gamma_perturbation": gamma_pert,
+                             "schedule": [1, 2, 4, 8]},
+                  "driver": {"name": "atomic",
+                             "params": {"atoms": [[0.9], [-0.9]], "masses": [0.3, 0.3]}},
+                  "truncation": {"level": level},
+                  "mu0": mu0, **spec})
+
+    def run(self, man):
+        tables, verdicts = experiments.run_limit(man, man.seed, workers=1)
+        return tables["distances"][1], verdicts
 
     def test_trivial_family_all_zero(self):
-        fam = self.family(amp=0.0, gamma_pert=0.0)
-        drv = L.AtomicLevyMeasure([[0.9], [-0.9]], [0.3, 0.3])
-        rep = limit_experiment(fam, drv, TruncationConfig(level=0.3),
-                               L.PointMass([0.2]), 400, 0.05, 0.5, seed=3)
-        assert all(r["distance"] == 0.0 for r in rep.rows)
-        assert rep.passed
+        rows, verdicts = self.run(self.manifest(
+            {"name": "point", "params": {"x0": [0.2]}}, 400, 0.05, 0.5, seed=3,
+            amp=0.0, gamma_pert=0.0))
+        assert all(distance == 0.0 for _, distance, _, _ in rows)
+        assert verdicts["limit_pass"]
 
     def test_perturbed_family_decreasing(self):
-        fam = self.family()
-        drv = L.AtomicLevyMeasure([[0.9], [-0.9]], [0.3, 0.3])
-        rep = limit_experiment(fam, drv, TruncationConfig(level=0.3),
-                               L.GaussianLaw([0.0], [0.5]), 3000, 0.02, 1.0,
-                               seed=4)
-        ds = [r["distance"] for r in rep.rows]
-        assert rep.non_increasing
+        rows, verdicts = self.run(self.manifest(GAUSSIAN, 3000, 0.02, 1.0, seed=4))
+        ds = [distance for _, distance, _, _ in rows]
+        assert verdicts["non_increasing"]
         assert ds[-1] < ds[0]
-        assert all(math.isfinite(r["density_sup"]) for r in rep.rows)
+        assert all(math.isfinite(dens) for _, _, _, dens in rows)
 
     def test_checkpoint_slices_give_the_full_path_rows(self, monkeypatch):
         # the family records only the checkpoints' slices; the rows must be
         # those of the full paths, bit for bit.  h = 0.03 over T = 0.7 puts
         # the checkpoints 0.1, 0.2, ... off the grid
-        args = (self.family(), L.AtomicLevyMeasure([[0.9], [-0.9]], [0.3, 0.3]),
-                TruncationConfig(level=0.3), L.GaussianLaw([0.0], [0.5]), 500, 0.03, 0.7)
-        thinned = limit_experiment(*args, seed=5, n_checkpoints=7)
+        man = self.manifest(GAUSSIAN, 500, 0.03, 0.7, seed=5, n_checkpoints=7)
+        thinned, _ = self.run(man)
         asked = []
-        simulate = engine.simulate_coupled_family
+        simulate = experiments.simulate_coupled_family
 
         def full_paths(*a, record_times=None, **kw):
             asked.append(record_times)
             return simulate(*a, **kw)
 
-        monkeypatch.setattr(engine, "simulate_coupled_family", full_paths)
-        full = limit_experiment(*args, seed=5, n_checkpoints=7)
-        assert len(asked) == 1 and len(asked[0]) == 7
-        assert full.rows == thinned.rows
-        assert np.array_equal(full.checkpoints, thinned.checkpoints)
+        monkeypatch.setattr(experiments, "simulate_coupled_family", full_paths)
+        full, _ = self.run(man)
+        assert len(asked) == 1
+        assert np.array_equal(asked[0], np.linspace(0.7 / 7, 0.7, 7))
+        assert full == thinned
 
     def test_level_bound_enforced(self):
-        fam = self.family()   # gamma_sup = 1.0 -> level must be <= 0.7071
-        drv = L.AtomicLevyMeasure([[0.9]], [0.3])
+        # gamma_sup = 1.0 -> level must be <= 0.7071
+        man = self.manifest({"name": "point", "params": {"x0": [0.0]}}, 10, 0.1, 0.5,
+                            seed=1, level=1.0)
         with pytest.raises(ConvergenceError, match="exceeds"):
-            limit_experiment(fam, drv, TruncationConfig(level=1.0),
-                             L.PointMass([0.0]), 10, 0.1, 0.5, seed=1)
+            self.run(man)
         enforce_level_bound(0.5, 1.0)  # fine
 
 

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import levylab as L
+from levylab import experiments
 from levylab import generator as G
 from levylab.generator import (GeneratorContext, GeneratorError,
                                MartingaleIncrements, eval_generator,
                                fpe_weak_residual, generator_apply,
                                integrability_guards, martingale_residual,
-                               path_sup_norms, richardson_slope, superposition_crosscheck,
-                               validate_hypotheses)
+                               path_sup_norms, richardson_slope, validate_hypotheses)
+from levylab.manifests import RunManifest
 from levylab.measures import TruncationConfig
 from levylab.testfunctions import (constant_function, default_dictionary,
                                    plateau_bump, windowed_monomial)
@@ -336,13 +337,15 @@ class TestFpeResidual:
 
 class TestSuperpositionCrosscheck:
     def test_zero_dynamics_pass(self):
-        cs = zero_coeffs()
-        ctx = GeneratorContext(cs, L.zero_measure(1), TruncationConfig(level=1.0))
-        rep = superposition_crosscheck(ctx, L.PointMass([0.1]),
-                                       default_dictionary(1), h=0.1,
-                                       n_particles=300, T=0.5, seed=6)
-        assert rep.passed
-        assert all(r.sup_abs == 0.0 for r in rep.rows)
+        man = RunManifest(
+            kind="superposition", seed=6, T=0.5, h=0.1, n_particles=300,
+            spec={"coefficients": {"name": "zero", "d": 1, "m": 1, "gamma": 0.0},
+                  "driver": {"name": "zero", "params": {"dim": 1}},
+                  "truncation": {"level": 1.0},
+                  "mu0": {"name": "point", "params": {"x0": [0.1]}}})
+        tables, verdicts = experiments.run_superposition(man, man.seed, workers=1)
+        assert all(verdicts.values())
+        assert all(residual == 0.0 for _, _, residual, *_ in tables["fpe_residuals"][1])
 
     def test_richardson_slope_and_halving(self):
         from types import SimpleNamespace as Rep
@@ -354,8 +357,6 @@ class TestSuperpositionCrosscheck:
         assert richardson_slope(coarse, Rep(sup_abs=edge, sup_se=0.02), h=0.1)[1]
         assert not richardson_slope(coarse, Rep(sup_abs=edge + 1e-9, sup_se=0.02),
                                     h=0.1)[1]
-        assert not richardson_slope(coarse, Rep(sup_abs=edge, sup_se=0.02), h=0.1,
-                                    se_factor=2.0)[1]
         # a NaN residual gives a NaN slope and does not fail the halving check
         slope, ok = richardson_slope(coarse, Rep(sup_abs=math.nan, sup_se=0.02), h=0.1)
         assert math.isnan(slope) and ok
@@ -373,6 +374,32 @@ class TestSuperpositionCrosscheck:
         rep = fpe_weak_residual(ens, bad_ctx, phi)
         assert rep.sup_abs > 3 * rep.sup_se + 0.02
 
+    def test_corrupted_generator_fails_the_fpe_budget(self, monkeypatch):
+        # the superposition kind simulates gamma = 0.5 while its generator
+        # sees the gamma = 1.0 set above: some residual must leave its
+        # 3 s.e. + C h budget.  The martingale verdict is not asserted: its
+        # 48 uncorrected 3-s.e. bin tests can fail on a clean run
+        man = RunManifest(
+            kind="superposition", seed=7, T=1.0, h=0.01, n_particles=10_000,
+            spec={"coefficients": {"name": "ou", "d": 1, "m": 1,
+                                   "params": {"theta": 1.0, "sigma": math.sqrt(2.0)},
+                                   "gamma": 0.5, "growth_bound": 3.0},
+                  "driver": {"name": "atomic",
+                             "params": {"atoms": [[0.9], [-0.9]], "masses": [0.3, 0.3]}},
+                  "truncation": {"level": 0.3},
+                  "mu0": {"name": "gaussian", "params": {"mean": [0.0], "std": [0.5]}}})
+        clean = experiments.run_superposition(man, man.seed, workers=1)[1]
+        assert clean["fpe_within_budget"]
+
+        def corrupted(cs, driver, trunc):
+            bad = L.CoefficientSet(b=cs.b, sigma=cs.sigma, d=1, m=1, gamma=1.0,
+                                   g=cs.g, growth_bound=4.0)
+            return GeneratorContext(bad, driver, trunc)
+
+        monkeypatch.setattr(experiments, "GeneratorContext", corrupted)
+        verdicts = experiments.run_superposition(man, man.seed, workers=1)[1]
+        assert not verdicts["fpe_within_budget"]
+
 
 # ---------------------------------------------------------------------------
 # the dictionary pass against the per-function formulas it replaced
@@ -385,7 +412,7 @@ def _reference_apply(ctx, phi, t, X):
     local = (np.einsum("nij,nij->n", ctx.coeffs.a(t, X), h)
              + np.einsum("ni,ni->n", ctx.coeffs.b(t, X), g))
     fv = ctx.coeffs.f(t, X)
-    if ctx.jump_quadrature == "atomic_sum":
+    if isinstance(ctx.driver, L.AtomicLevyMeasure):
         z, total = ctx.driver.atoms, None
     else:
         z, total = ctx.quad_nodes()
