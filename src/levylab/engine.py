@@ -328,9 +328,10 @@ def _prepare_block(driver: LevyMeasure, trunc: TruncationConfig, mu0: InitialLaw
     # built before the noise, so its temporaries are gone before that is drawn
     schedule = _jump_schedule(grid, ev_p, ev_t, ev_z, at - 1, ev_row)
     noise = np.empty((int(offsets[-1]), m))
+    bounds = offsets.tolist()
     for j, p in enumerate(particles):
         rngmod.rekey(gen, seed, rngmod.BROWNIAN, p, namespace).standard_normal(
-            out=noise[offsets[j]:offsets[j + 1]])
+            out=noise[bounds[j]:bounds[j + 1]])
     ids = np.array(particles, dtype=np.int64)
     arrays = [a for a in vars(schedule).values() if isinstance(a, np.ndarray)]
     for a in [ids, x0, noise, offsets, *arrays] + jt_list + jm_list:
@@ -405,8 +406,18 @@ class BlockMarch:
         self.row = inputs.offsets.copy()    # each slot's noise row in this cell
         self.cell = 0
         self._needs_comp = driver.mass(trunc.sampling_floor, math.inf) > 0.0
+        # the band moment as one row when it is the same at every radius
+        # (a symmetric atomic driver): it is then never looked up per step
+        self._moment = driver.constant_first_moment_upper(trunc.sampling_floor)
 
     # -- pieces ----------------------------------------------------------
+
+    def _band_moment(self, fv):
+        """int_{floor<|z|<=l/|f|} z nu(dz) for each nonzero f in fv."""
+        if self._moment is not None:
+            return self._moment
+        return self.driver.first_moment_upper(self.trunc.sampling_floor,
+                                              self.trunc.level / np.abs(fv))
 
     def _compensator(self, t, xs):
         """Drift of the compensated jump band: -f * int_{floor<|z|<=l/|f|} z nu(dz)."""
@@ -416,15 +427,11 @@ class BlockMarch:
         # a row with f = 0 must get +0.0: its radius l/|f| is infinite, and
         # -0 * moment would be -0.0, or NaN for an infinite first moment
         if fv.all():
-            r_hi = self.trunc.level / np.abs(fv)
-            return -fv[:, None] * self.driver.first_moment_upper(self.trunc.sampling_floor,
-                                                                 r_hi)
+            return -fv[:, None] * self._band_moment(fv)
         out = np.zeros_like(xs)
         nz = fv != 0.0
         if nz.any():
-            r_hi = self.trunc.level / np.abs(fv[nz])
-            fm = self.driver.first_moment_upper(self.trunc.sampling_floor, r_hi)
-            out[nz] = -fv[nz, None] * fm
+            out[nz] = -fv[nz, None] * self._band_moment(fv[nz])
         return out
 
     def _step(self, t, dt, xs, rows):
@@ -538,9 +545,10 @@ def _simulate_blocks(family: CoefficientFamily, driver, trunc, mu0, n_particles,
     sets = family.all_sets()
     values = [np.empty((n_particles, keep.size, family.limit.d)) for _ in sets]
     jump_times, jump_marks = [], []
-    ranges = [range(lo, min(lo + block_size, n_particles))
-              for lo in range(0, n_particles, block_size)]
     if workers > 1 and family.config is not None:
+        # a multiple of workers of near-equal blocks, none over block_size
+        k = min(-(-n_particles // (block_size * workers)) * workers, n_particles)
+        ranges = [range(n_particles * i // k, n_particles * (i + 1) // k) for i in range(k)]
         tasks = [(family.config, driver, trunc, mu0, grid, keep, r, seed, namespace)
                  for r in ranges]
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -550,7 +558,8 @@ def _simulate_blocks(family: CoefficientFamily, driver, trunc, mu0, n_particles,
                 jump_times += jt
                 jump_marks += jm
     else:
-        for r in ranges:
+        for lo in range(0, n_particles, block_size):
+            r = range(lo, min(lo + block_size, n_particles))
             jt, jm = _run_block(sets, driver, trunc, mu0, grid, keep, r, seed, namespace,
                                 [v[r.start:r.stop] for v in values])
             jump_times += jt

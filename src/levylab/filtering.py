@@ -62,6 +62,9 @@ def _logsumexp(v):
 # quadrature, so peak memory does not grow with the number of nodes
 _SLICE_ENTRIES = 1 << 16
 
+# master seed of the Monte Carlo band-quadrature nodes
+_QUAD_SEED = 77
+
 
 def _add_in_order(acc, terms):
     """acc + terms[:, 0] + terms[:, 1] + ..., added left to right like a loop
@@ -93,7 +96,6 @@ class ObservationModel:
     u0_region: tuple = (0.0, 1.0)
     eps_obs: float = 0.0
     n_quad: int = 2000
-    quad_seed: int = 77
 
     def __post_init__(self):
         lo, hi = self.u0_region
@@ -139,7 +141,7 @@ class ObservationModel:
                     raise FilterError(
                         "band quadrature needs finite nu2 mass on the band; "
                         "set eps_obs > 0 for infinite-activity nu2")
-                rng = rngmod.stream(self.quad_seed, rngmod.QUADRATURE,
+                rng = rngmod.stream(_QUAD_SEED, rngmod.QUADRATURE,
                                     namespace=rngmod.OBSERVATION)
                 nodes = (self.nu2.sample(rng, self.n_quad, lo, hi)
                          if mass > 0 else np.empty((0, self.nu2.dim)))

@@ -52,13 +52,16 @@ class GeneratorError(RuntimeError):
     pass
 
 
+# master seed of the Monte Carlo jump-quadrature nodes
+_QUAD_SEED = 2024
+
+
 @dataclass
 class GeneratorContext:
     coeffs: CoefficientSet
     driver: LevyMeasure
     trunc: TruncationConfig
     n_quad: int = 10_000
-    quad_seed: int = 2024
 
     def __post_init__(self):
         self._quad_nodes = None
@@ -72,7 +75,7 @@ class GeneratorContext:
                     "Monte Carlo jump quadrature needs a finite-activity driver; "
                     "the small-jump square integrability must be checked via "
                     "validate_hypotheses instead")
-            rng = rngmod.stream(self.quad_seed, rngmod.QUADRATURE,
+            rng = rngmod.stream(_QUAD_SEED, rngmod.QUADRATURE,
                                 namespace=rngmod.EXPERIMENT)
             nodes = (self.driver.sample(rng, self.n_quad, 0.0, math.inf)
                      if total > 0 else np.empty((0, self.driver.dim)))
@@ -119,11 +122,14 @@ def _jump_terms(ctx: GeneratorContext, phis: list, jets: list, t, X: np.ndarray)
         U = fv[rows, None, None] * z[None, :, :]                  # (chunk, q, d)
         images = (X[rows, None, :] + U).reshape(-1, d)
         small = np.linalg.norm(U, axis=2) <= ctx.trunc.level
+        # with no image in the band the compensator term is +0.0 everywhere,
+        # and subtracting +0.0 changes no bit
+        any_small = small.any()
         at_images = evaluate(phis, images, derivatives=False)
         for k, (phi_images, (base, grad, _)) in enumerate(zip(at_images, jets)):
-            shifted = phi_images.reshape(-1, q)
-            comp = np.einsum("nqd,nd->nq", U, grad[rows])
-            integrand = shifted - base[rows, None] - np.where(small, comp, 0.0)
+            integrand = phi_images.reshape(-1, q) - base[rows, None]
+            if any_small:
+                integrand -= np.where(small, np.einsum("nqd,nd->nq", U, grad[rows]), 0.0)
             if total is None:
                 vals[k, rows] = integrand @ ctx.driver.masses
             else:

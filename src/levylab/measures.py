@@ -14,6 +14,7 @@ All annulus conventions are half-open: region(r_lo, r_hi) means
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -63,8 +64,12 @@ class JumpEvents:
             yield self[i]
 
     @staticmethod
+    @functools.cache
     def empty(dim: int) -> "JumpEvents":
-        return JumpEvents(np.empty(0), np.empty((0, dim)))
+        """No events in dimension dim: one shared instance with read-only arrays."""
+        ev = JumpEvents(np.empty(0), np.empty((0, dim)))
+        ev.times.flags.writeable = ev.marks.flags.writeable = False
+        return ev
 
 
 @dataclass(frozen=True)
@@ -128,6 +133,11 @@ class LevyMeasure:
         compensated region has a state-dependent upper radius.
         """
         raise NotImplementedError
+
+    def constant_first_moment_upper(self, r_lo: float) -> np.ndarray | None:
+        """The row that first_moment_upper(r_lo, r) returns for every r > 0,
+        bit for bit, or None when the rows differ or it is not known."""
+        return None
 
     def second_moment_upper(self, r_lo: float, r_hi: np.ndarray) -> np.ndarray:
         """Vectorized second_moment(r_lo, r) for an array of upper radii."""
@@ -226,6 +236,14 @@ class AtomicLevyMeasure(LevyMeasure):
         lo = np.searchsorted(self._sorted_radii, r_lo, side="right")
         hi = np.maximum(np.searchsorted(self._sorted_radii, r_hi, side="right"), lo)
         return self._moment_prefix[hi] - self._moment_prefix[lo]
+
+    def constant_first_moment_upper(self, r_lo):
+        # the rows are the empty band (r = r_lo) and the band up to each radius
+        # above r_lo; compared as bits, so a -0.0 row differs from +0.0
+        radii = self._sorted_radii
+        rows = self.first_moment_upper(r_lo, np.append(r_lo, radii[radii > r_lo]))
+        bits = rows.view(np.int64)
+        return rows[0] if np.all(bits == bits[0]) else None
 
     def second_moment_upper(self, r_lo, r_hi):
         r_hi = np.asarray(r_hi, dtype=float)

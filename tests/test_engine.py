@@ -209,10 +209,17 @@ def _zero_f_time_dependent_1d():
 
 
 # driver, coefficients, initial law; each driver has an atom inside the
-# compensated band |f z| <= level, and about 6 jumps per unit time
+# compensated band |f z| <= level, and about 6 jumps per unit time.  The
+# symmetric driver's band moment is +0.0 at every radius, so BlockMarch
+# uses its one constant row; the one-sided driver's moment is 0 below its
+# smaller atom and not above it.
 MARCH_CASES = {
     "zero-f-time-1d": (AtomicLevyMeasure([[0.9], [-0.6], [0.3]], [2.5, 2.0, 2.0]),
                        _zero_f_time_dependent_1d, L.GaussianLaw([0.0], [1.0])),
+    "symmetric-1d": (AtomicLevyMeasure([[0.9], [-0.9], [0.3], [-0.3]], [1.5] * 4),
+                     _zero_f_time_dependent_1d, L.GaussianLaw([0.0], [1.0])),
+    "one-sided-1d": (AtomicLevyMeasure([[0.75], [2.0]], [3.0, 3.0]),
+                     _time_dependent_1d, L.GaussianLaw([0.0], [1.0])),
     "linear-2d": (AtomicLevyMeasure([[0.9, 0.1], [-0.6, 0.4], [0.2, -0.1]],
                                     [2.0, 2.0, 2.0]),
                   SINGLE_PATH_CASES["atomic-2d"][1], L.GaussianLaw([0.0, 0.5], [1.0, 0.5])),
@@ -263,9 +270,56 @@ class TestWholeBlockMarch:
         # a cell where some slot's last jump sits on the cell end has no tail for it
         assert sum(sch.tails[i + 1] - sch.tails[i] < sch.pairs[i + 1] - sch.pairs[i]
                    for i in cells) >= 5
-        if case == "zero-f-time-1d":
+        if case in ("zero-f-time-1d", "symmetric-1d"):
             f0 = cs.f(0.0, inp.x0)
             assert (f0 == 0.0).sum() >= 10 and (f0 != 0.0).sum() >= 10
+        march = BlockMarch(cs, driver, TR, grid, inp)
+        assert (march._moment is not None) == (case == "symmetric-1d")
+        if case == "one-sided-1d":
+            fv = np.abs(cs.f(0.0, inp.x0))
+            assert (TR.level / fv < 0.75).sum() >= 5 and (TR.level / fv > 0.75).sum() >= 5
+
+
+class TestConstantBandMoment:
+    """AtomicLevyMeasure.constant_first_moment_upper gives the row that
+    first_moment_upper returns at every radius, bit for bit, or None."""
+
+    @staticmethod
+    def rows(drv, floor):
+        radii = np.linalg.norm(drv.atoms, axis=1)
+        r = np.concatenate([[floor, 1e-3, 1e9, np.inf], radii, np.nextafter(radii, 0.0)])
+        return drv.first_moment_upper(floor, r)
+
+    def test_symmetric_driver_has_the_zero_row(self):
+        drv = AtomicLevyMeasure([[0.9, 0.2], [-0.9, -0.2], [0.2, -0.1], [-0.2, 0.1]],
+                                [1.5, 1.5, 1.0, 1.0])
+        c = drv.constant_first_moment_upper(0.0)
+        assert c.tobytes() == np.zeros(2).tobytes()
+        rows = self.rows(drv, 0.0)
+        assert rows.tobytes() == np.tile(c, (len(rows), 1)).tobytes()
+
+    def test_the_empty_band_row_counts(self):
+        # every nonempty band holds the one atom; the empty band gives 0
+        assert AtomicLevyMeasure([[0.9]], [1.0]).constant_first_moment_upper(0.0) is None
+
+    def test_minus_zero_differs_from_plus_zero(self):
+        # a zero-mass negative atom makes the prefix -0.0, which is == 0.0
+        drv = AtomicLevyMeasure([[-0.5]], [0.0])
+        assert np.all(self.rows(drv, 0.0) == 0.0)
+        assert drv.constant_first_moment_upper(0.0) is None
+
+    def test_rows_start_at_the_sampling_floor(self):
+        drv = AtomicLevyMeasure([[0.25], [0.75], [-0.75]], [1.0, 1.0, 1.0])
+        assert drv.constant_first_moment_upper(0.0) is None
+        assert drv.constant_first_moment_upper(0.5).tobytes() == np.zeros(1).tobytes()
+        # 0.1 + 0.9 - 0.9 rounds away from 0.1, so above a floor of 0.2 the
+        # band moment is not exactly 0
+        drv = AtomicLevyMeasure([[0.1], [0.9], [-0.9]], [1.0, 1.0, 1.0])
+        assert np.any(self.rows(drv, 0.2) != 0.0)
+        assert drv.constant_first_moment_upper(0.2) is None
+
+    def test_non_atomic_driver_has_no_constant_row(self):
+        assert L.exponential_tails_1d().constant_first_moment_upper(0.0) is None
 
 
 class TestEnsembleLaws:
@@ -508,6 +562,26 @@ class TestCoupledFamily:
         assert digest.hexdigest() == (
             "f2f812b3178e40f5414f25e1570dfa97255839ee29eee79d42d7c7de683e6c28")
 
+    def test_symmetric_driver_family_bits_pinned(self):
+        # the same family over a symmetric driver, whose band moment is one
+        # constant row; sha256 as computed when every step looked it up
+        fam = L.family_from_config({
+            "base": {"name": "linear", "d": 2, "m": 2, "gamma": 0.5,
+                     "params": {"A": [[-1.0, 0.3], [0.2, -0.7]], "sigma": 0.4},
+                     "g": {"name": "cosine"}},
+            "drift_perturbation": {"name": "sine", "amp": 1.0},
+            "gamma_perturbation": 0.3, "schedule": [1, 2, 4]})
+        drv = AtomicLevyMeasure([[0.9, 0.2], [-0.9, -0.2], [0.2, -0.1], [-0.2, 0.1]],
+                                [1.5, 1.5, 1.0, 1.0])
+        members, limit = L.simulate_coupled_family(
+            fam, drv, TR, L.GaussianLaw([0.0, 0.5], [1.0, 0.5]), 40, 0.1, 1.0,
+            seed=43, block_size=16)
+        digest = hashlib.sha256()
+        for ens in [*members.values(), limit]:
+            digest.update(ens.values.tobytes())
+        assert digest.hexdigest() == (
+            "e947c59bf891ded80c0b893ee83a4e04ec99cd0f5354d7c49038bd931ca25495")
+
     def test_linear_gap_bound(self):
         # constant drift shift 1/n with shared noise: the coupled gap obeys
         # the exponential bound e^(C T) * T / n with C = 1, per particle
@@ -630,6 +704,32 @@ class TestBlockRunner:
         for vals, ens in zip(out, [*full_members.values(), full_limit]):
             assert vals.tobytes() == ens.values[3:40, keep].tobytes()
         assert [t.tobytes() for t in jt] == [t.tobytes() for t in full_limit.jump_times[3:40]]
+
+    @pytest.mark.parametrize("workers, sizes", [(2, [37, 38, 37, 38]), (3, [50, 50, 50])])
+    def test_pool_blocks_are_balanced(self, monkeypatch, workers, sizes):
+        # a multiple of workers of near-equal blocks, none over block_size 64
+        seen = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                tasks = list(tasks)
+                seen.extend(len(task[6]) for task in tasks)
+                return map(fn, tasks)
+
+        fam = L.family_from_config(self.FAMILY)
+        want = self.family(fam)[1]
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", InProcessPool)
+        self.same(self.family(fam, block_size=64, workers=workers)[1], want)
+        assert seen == sizes
 
     def test_hand_built_coefficients_run_in_process(self, monkeypatch):
         # closures without a registry config cannot be rebuilt in a worker,

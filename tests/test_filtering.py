@@ -14,9 +14,7 @@ from levylab import rng as R
 from levylab.filtering import (_SLICE_ENTRIES, FilterError, FilterResult,
                                ObservationRecord, ObservationSetup,
                                compensated_log_jump_statistic, filter_run,
-                               lambda_from_config, log_likelihood,
-                               loglik_cell_increments,
-                               observation_model_from_config,
+                               log_likelihood, observation_model_from_config,
                                robustness_experiment)
 from levylab.measures import TruncationConfig
 

@@ -466,13 +466,18 @@ def _pass_context(case):
     if case == "monte-carlo-1d":
         return GeneratorContext(ou_coeffs(0.7), L.exponential_tails_1d(),
                                 TruncationConfig(level=0.5), n_quad=400), 1
+    if case == "atomic-no-band":
+        # every image |0.5 * 0.9| lies above the level: no compensator term
+        drv = L.AtomicLevyMeasure([[0.9], [-0.9]], [0.3, 0.3])
+        return GeneratorContext(ou_coeffs(0.5), drv, TruncationConfig(level=0.3)), 1
     cs = L.coefficients_from_config({"name": "bounded_nonlinear", "d": 2, "m": 2,
                                      "gamma": 0.6})
     drv = L.AtomicLevyMeasure([[0.4, -0.2], [-1.5, 1.0]], [0.6, 0.3])
     return GeneratorContext(cs, drv, TruncationConfig(level=0.7)), 2
 
 
-@pytest.mark.parametrize("case", ["atomic-1d", "monte-carlo-1d", "atomic-2d"])
+@pytest.mark.parametrize("case", ["atomic-1d", "monte-carlo-1d", "atomic-2d",
+                                  "atomic-no-band"])
 def test_dictionary_pass_matches_per_function_reference(case):
     ctx, dim = _pass_context(case)
     dictionary = default_dictionary(dim) + [_handmade(dim)]

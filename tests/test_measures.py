@@ -193,6 +193,10 @@ class TestSampling:
         ev = sample_jump_events(zero_measure(1), (0.0, math.inf), 1.0,
                                 R.stream(1, R.DRIVER))
         assert len(ev) == 0
+        # no events is one shared instance per dimension, with read-only arrays
+        assert ev is JumpEvents.empty(1) and JumpEvents.empty(2).marks.shape == (0, 2)
+        with pytest.raises(ValueError):
+            ev.times[...] = 1.0
 
     @pytest.mark.parametrize("spec", [AtomicLevyMeasure([[0.7, 0.1], [-0.4, 0.3]], [0.2, 0.3]),
                                       exponential_tails_1d(rate_pos=2.0)],
