@@ -10,21 +10,19 @@ experiment bundles with bitwise replay (manifests, experiments, cli).
 
 from .coefficients import (CoefficientFamily, CoefficientSet,
                            coefficients_from_config, family_from_config)
-from .convergence import (EmpiricalDistanceConfig, bl_distance,
-                          default_bl_dictionary, gronwall_check,
-                          lyapunov_moment, tightness_diagnostics)
-from .engine import (CadlagPath, EnsembleLaw, GaussianLaw, PathEnsemble,
-                     PointMass, simulate_coupled_family, simulate_ensemble,
-                     simulate_path)
+from .convergence import (EmpiricalDistanceConfig, default_bl_dictionary,
+                          gronwall_check, lyapunov_moment,
+                          tightness_diagnostics)
+from .engine import (CadlagPath, GaussianLaw, PathEnsemble, PointMass,
+                     simulate_coupled_family, simulate_ensemble, simulate_path)
 from .filtering import (FilterState, ObservationModel, ObservationRecord,
                         ObservationSetup, filter_run, log_likelihood,
-                        robustness_experiment, simulate_observation)
+                        robustness_experiment)
 from .generator import (GeneratorContext, eval_generator, fpe_weak_residual,
                         martingale_residual, validate_hypotheses)
 from .manifests import RunManifest
 from .measures import (AtomicLevyMeasure, JumpEvent, JumpEvents, LevyMeasure,
-                       TruncationConfig, compensator_drift,
-                       exponential_tails_1d, power_law_tails_1d,
+                       TruncationConfig, exponential_tails_1d, power_law_tails_1d,
                        sample_jump_events, zero_measure)
 from .psi import PsiFunction, construct_psi
 from .testfunctions import (TestFunction, default_dictionary, plateau_bump,

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .manifests import _check_keys
+
 
 class CoefficientError(ValueError):
     pass
@@ -155,32 +157,6 @@ def require_linear_growth(cs: CoefficientSet, probes=None):
             f"linear growth bound {cs.growth_bound} violated at t={t}, x={x} "
             f"(fitted constant {rep['constant']:.6g})")
     return rep
-
-
-def log_lipschitz_report(cs: CoefficientSet, pairs=None, T: float = 1.0) -> dict:
-    """Fit the smallest constants of the log-Lipschitz moduli on probe pairs:
-
-        |b(t,x)-b(t,y)|        <= C_b |x-y| log(|x-y|^-1 + e)
-        ||sigma(t,x)-sigma(t,y)||^2 <= C_sigma |x-y|^2 log(|x-y|^-1 + e)
-    """
-    if pairs is None:
-        rng = np.random.Generator(np.random.Philox(key=11))
-        base = rng.standard_normal((64, cs.d)) * 2.0
-        delta = rng.standard_normal((64, cs.d))
-        delta *= (10.0 ** rng.uniform(-6, 0, size=(64, 1)))
-        pairs = (base, base + delta)
-    x, y = pairs
-    cb = 0.0
-    csig = 0.0
-    for t in (0.0, 0.5 * T, T):
-        gap = np.linalg.norm(x - y, axis=1)
-        ok = gap > 0
-        mod = gap * np.log(1.0 / gap + math.e)
-        db = np.linalg.norm(cs.b(t, x) - cs.b(t, y), axis=1)
-        ds = np.linalg.norm(cs.sigma(t, x) - cs.sigma(t, y), axis=(1, 2)) ** 2
-        cb = max(cb, float(np.max(db[ok] / mod[ok], initial=0.0)))
-        csig = max(csig, float(np.max(ds[ok] / (gap[ok] * mod[ok]), initial=0.0)))
-    return {"C_b": cb, "C_sigma": csig}
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +304,8 @@ def coefficients_from_config(cfg: dict) -> CoefficientSet:
     Expected keys: name, d, m, params, gamma, g ({"name":..., "params":...}),
     growth_bound (optional).
     """
+    _check_keys(cfg, ("name", "d", "m", "params", "g", "gamma", "growth_bound"),
+                CoefficientError, "a coefficient set")
     name = cfg["name"]
     if name not in _DRIFT_SIGMA_REGISTRY:
         raise CoefficientError(f"unknown coefficients {name!r}")
@@ -335,6 +313,7 @@ def coefficients_from_config(cfg: dict) -> CoefficientSet:
     m = int(cfg.get("m", d))
     b, sigma = _DRIFT_SIGMA_REGISTRY[name](cfg.get("params", {}), d, m)
     gcfg = cfg.get("g", {"name": "one"})
+    _check_keys(gcfg, ("name", "params"), CoefficientError, "the jump shape g")
     gname = gcfg["name"]
     if gname not in G_REGISTRY:
         raise CoefficientError(f"unknown jump shape {gname!r}")
@@ -364,8 +343,11 @@ def family_from_config(cfg: dict) -> CoefficientFamily:
     perturbations drift_perturbation {name, amp}, gamma_perturbation (amp),
     sigma_perturbation (amp, multiplicative 1 + amp/n).
     """
+    _check_keys(cfg, ("base", "schedule", "drift_perturbation", "gamma_perturbation",
+                      "sigma_perturbation"), CoefficientError, "a family")
     limit = coefficients_from_config(cfg["base"])
     dp = cfg.get("drift_perturbation", {"name": "shift", "amp": 0.0})
+    _check_keys(dp, ("name", "amp"), CoefficientError, "a drift perturbation")
     gp = float(cfg.get("gamma_perturbation", 0.0))
     sp = float(cfg.get("sigma_perturbation", 0.0))
     members = {}

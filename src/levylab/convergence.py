@@ -11,11 +11,11 @@ numerical checker for the stochastic Gronwall inequality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import EnsembleLaw, PathEnsemble
+from .engine import PathEnsemble
 from .psi import PsiFunction
 
 
@@ -27,18 +27,20 @@ class ConvergenceError(ValueError):
 # bounded-Lipschitz distance
 # ---------------------------------------------------------------------------
 
+# the random pairs on which validate() checks each dictionary entry
+_PROBES, _PROBE_SEED = 256, 5
+
+
 @dataclass
 class EmpiricalDistanceConfig:
-    """Finite dictionary of 1-bounded, 1-Lipschitz functions plus a mode."""
+    """Finite dictionary of 1-bounded, 1-Lipschitz functions."""
 
     dictionary: list                  # (name, fn) with fn: (n, d) -> (n,)
-    mode: str = "marginal_sup"        # or "wasserstein1_marginal"
-    validated: bool = field(default=False, repr=False)
 
-    def validate(self, dim: int, n_probes: int = 256, seed: int = 5):
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        x = rng.uniform(-6, 6, size=(n_probes, dim))
-        y = x + rng.standard_normal((n_probes, dim)) * rng.uniform(0, 2, (n_probes, 1))
+    def validate(self, dim: int):
+        rng = np.random.Generator(np.random.Philox(key=_PROBE_SEED))
+        x = rng.uniform(-6, 6, size=(_PROBES, dim))
+        y = x + rng.standard_normal((_PROBES, dim)) * rng.uniform(0, 2, (_PROBES, 1))
         tol = 1e-9
         for name, fn in self.dictionary:
             fx, fy = fn(x), fn(y)
@@ -47,7 +49,6 @@ class EmpiricalDistanceConfig:
             gap = np.linalg.norm(x - y, axis=1)
             if np.any(np.abs(fx - fy) > gap + tol):
                 raise ConvergenceError(f"dictionary entry {name} is not 1-Lipschitz")
-        self.validated = True
         return self
 
 
@@ -64,41 +65,6 @@ def default_bl_dictionary(dim: int = 1) -> EmpiricalDistanceConfig:
             return np.maximum(0.0, 1.0 - np.linalg.norm(x - c, axis=1))
         entries.append((f"hat@{c:g}", fn))
     return EmpiricalDistanceConfig(entries).validate(dim)
-
-
-def _wasserstein1(x1, w1, x2, w2) -> float:
-    """W1 between two weighted samples on the line: the integral of |F1 - F2|,
-    with each F a step function of cumulative weights over their total."""
-    grid = np.sort(np.concatenate([x1, x2]))
-    cdfs = []
-    for x, w in ((x1, w1), (x2, w2)):
-        order = np.argsort(x)
-        cum = np.concatenate([[0.0], np.cumsum(w[order])])
-        cdfs.append(cum[np.searchsorted(x[order], grid[:-1], side="right")] / cum[-1])
-    return float(np.sum(np.abs(cdfs[0] - cdfs[1]) * np.diff(grid)))
-
-
-def bl_distance(law1: EnsembleLaw, law2: EnsembleLaw,
-                cfg: EmpiricalDistanceConfig) -> float:
-    """Max over the dictionary of |E_1 phi - E_2 phi|; a pseudometric <= 2.
-
-    In mode 'wasserstein1_marginal' (dim 1 only) it is instead the weighted
-    W1 distance of the two marginals, the integral of |F1 - F2| over the line.
-    """
-    if law1.dim != law2.dim:
-        raise ConvergenceError(f"dimension mismatch: {law1.dim} vs {law2.dim}")
-    if cfg.mode == "wasserstein1_marginal":
-        if law1.dim != 1:
-            raise ConvergenceError("wasserstein1_marginal supports dim 1 only")
-        return _wasserstein1(law1.points[:, 0], law1.weights,
-                             law2.points[:, 0], law2.weights)
-    best = 0.0
-    for _, fn in cfg.dictionary:
-        gap = abs(float(law1.weights @ fn(law1.points))
-                  - float(law2.weights @ fn(law2.points)))
-        if gap > best:
-            best = gap
-    return best
 
 
 def bl_distance_coupled(values1: np.ndarray, values2: np.ndarray,

@@ -49,6 +49,7 @@ import numpy as np
 from . import rng as rngmod
 from .coefficients import (CoefficientFamily, CoefficientSet, family_from_config,
                            require_linear_growth)
+from .manifests import _check_keys
 from .measures import (JumpEvents, LevyConfigError, LevyMeasure,
                        TruncationConfig, discarded_second_moment,
                        sample_jump_events)
@@ -133,6 +134,7 @@ INITIAL_LAW_REGISTRY = {
 
 
 def initial_law_from_config(cfg: dict) -> InitialLaw:
+    _check_keys(cfg, ("name", "params"), LevyConfigError, "an initial law")
     return INITIAL_LAW_REGISTRY[cfg["name"]](cfg.get("params", {}))
 
 
@@ -163,28 +165,6 @@ class CadlagPath:
         return self.values[max(i, 0)]
 
 
-@dataclass
-class EnsembleLaw:
-    """Weighted particle cloud representing a law on R^d at one time."""
-
-    points: np.ndarray
-    weights: np.ndarray
-    t: float
-
-    @classmethod
-    def equal_weight(cls, points, t):
-        points = np.atleast_2d(points)
-        n = points.shape[0]
-        return cls(points=points, weights=np.full(n, 1.0 / n), t=t)
-
-    @property
-    def dim(self):
-        return self.points.shape[1]
-
-    def mean(self, fn) -> float:
-        return float(self.weights @ fn(self.points))
-
-
 class PathEnsemble:
     """Ensemble of paths recorded on a shared base grid.
 
@@ -212,12 +192,6 @@ class PathEnsemble:
         if t < self.times[0] - 1e-12 or t > self.times[-1] + 1e-12:
             raise SimulationError(f"time {t} outside [{self.times[0]}, {self.times[-1]}]")
         return max(int(np.searchsorted(self.times, t, side="right")) - 1, 0)
-
-    def marginal(self, t: float) -> EnsembleLaw:
-        if self.n_particles == 0:
-            raise SimulationError("empty ensemble has no marginal law")
-        i = self.index_at(t)
-        return EnsembleLaw.equal_weight(self.values[:, i, :], float(self.times[i]))
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from . import rng as rngmod
 from .coefficients import CoefficientSet
 from .engine import (BlockMarch, InitialLaw, _prepare_block, make_base_grid,
                      simulate_coupled_family)
-from .manifests import _is_finite
+from .manifests import _check_keys, _is_finite
 from .measures import (AtomicLevyMeasure, JumpEvents, LevyMeasure, Radial1DMeasure,
                        TruncationConfig, sample_jump_events)
 
@@ -150,10 +150,10 @@ class ObservationModel:
         return self._quad
 
     def _separable(self):
-        """(m, A0, G0, rho, nodes), computed once, for a lam with a mark profile
-        Lbar on a radial nu2, else None: m = nu2(band), A0 and G0 the band
-        integrals of rho = Lbar / Lbar(0) and of log rho, rho at the nodes;
-        the band is the observed one, (band_floor(), hi]."""
+        """(m, A0, rho, nodes), computed once, for a lam with a mark profile
+        Lbar on a radial nu2, else None: m = nu2(band), A0 the band integral
+        of rho = Lbar / Lbar(0), rho at the nodes; the band is the observed
+        one, (band_floor(), hi]."""
         profile = getattr(self.lam, "mark_profile", None)
         if profile is None or not isinstance(self.nu2, Radial1DMeasure):
             return None
@@ -162,23 +162,20 @@ class ObservationModel:
             (nodes, _), p0 = self._quad_nodes(), profile(0.0)
             self._sep = (self.nu2.mass(lo, hi),
                          self.nu2.radial_integral(lambda r: profile(r) / p0, lo, hi),
-                         self.nu2.radial_integral(lambda r: np.log(profile(r) / p0), lo, hi),
                          profile(np.abs(nodes[:, 0])) / p0, nodes)
         return self._sep
 
-    def band_integral(self, x: np.ndarray, integrand: str) -> np.ndarray:
-        """Integral over the observed band of a function of lambda(x, u) against nu2.
+    def band_integral(self, x: np.ndarray) -> np.ndarray:
+        """Integral of 1 - lambda(x, u) over the observed band against nu2.
 
-        integrand: 'one_minus_lambda' or 'log_lambda'.  Exact for atomic nu2
-        (a sum over the atoms) and for a separable lambda on a radial nu2:
-        m - c A0 and m log c + G0 with c = lambda(x, 0) (see _separable).
-        Otherwise a fixed-node Monte Carlo quadrature.
+        Exact for atomic nu2 (a sum over the atoms) and for a separable
+        lambda on a radial nu2: m - c A0 with c = lambda(x, 0) (see
+        _separable).  Otherwise a fixed-node Monte Carlo quadrature.
         """
         sep = self._separable()
         if sep is None:
-            term = (lambda lamv: 1.0 - lamv) if integrand == "one_minus_lambda" else np.log
-            return self._band_sum(term, x)
-        mass, a0, g0, rho, nodes = sep
+            return self._band_sum(x)
+        mass, a0, rho, nodes = sep
         x = np.atleast_2d(x)
         c = self._lambda(x, np.zeros((1, self.nu2.dim)))        # (n, 1)
         if c.size and rho.size:
@@ -186,11 +183,10 @@ class ObservationModel:
             for i, j in ((c.argmin(), rho.argmin()), (c.argmax(), rho.argmax())):
                 if not 0.0 < c[i, 0] * rho[j] < 1.0:
                     self._lambda(x[[i]], nodes[[j]])    # raises there, naming x and u
-        col = mass - c * a0 if integrand == "one_minus_lambda" else mass * np.log(c) + g0
-        return col[:, 0]
+        return (mass - c * a0)[:, 0]
 
-    def _band_sum(self, term, x):
-        """sum over the band nodes u of w(u) * term(lambda(x, u)), node by node
+    def _band_sum(self, x):
+        """sum over the band nodes u of w(u) * (1 - lambda(x, u)), node by node
         in order, with one lambda call per slice of nodes."""
         x = np.atleast_2d(x)
         nodes, weights = self._quad_nodes()
@@ -201,7 +197,7 @@ class ObservationModel:
         rows = np.zeros((min(step, nodes.shape[0]) + 1, n + 1))
         acc = np.zeros(n + 1)
         for a in range(0, nodes.shape[0], step):
-            vals = term(self._lambda(x, nodes[a:a + step]))
+            vals = 1.0 - self._lambda(x, nodes[a:a + step])
             q = vals.shape[1]
             rows[0] = acc
             np.multiply(vals.T, weights[a:a + step, None], out=rows[1:q + 1, :-1])
@@ -225,6 +221,7 @@ class ObservationModel:
 # registries ----------------------------------------------------------------
 
 def sensor_from_config(cfg: dict):
+    _check_keys(cfg, ("name", "params"), FilterError, "a sensor")
     name, params = cfg["name"], cfg.get("params", {})
     if name == "identity":
         return lambda x: np.atleast_2d(x)
@@ -244,6 +241,7 @@ def lambda_from_config(cfg: dict):
     """Returns (lam, floor, iota): lam carries its mark_profile, floor is a
     positive lower envelope of lam in the mark and iota its infimum."""
     # models keep only lam; the triple stays because the benchmark's layer trace unpacks it
+    _check_keys(cfg, ("name", "params"), FilterError, "a lambda")
     name, params = cfg["name"], cfg.get("params", {})
     if name == "constant":
         c = float(params.get("c", 0.5))
@@ -278,6 +276,8 @@ def lambda_from_config(cfg: dict):
 def observation_model_from_config(cfg: dict) -> ObservationModel:
     from .measures import measure_from_config
 
+    _check_keys(cfg, ("sensor", "lambda", "nu2", "u0_region", "eps_obs"), FilterError,
+                "an observation")
     region = cfg.get("u0_region", (0.0, 1.0))
     if not (isinstance(region, (list, tuple)) and len(region) == 2
             and all(map(_is_finite, region))):
@@ -365,19 +365,6 @@ class ObservationSetup:
             truth_link=truth_link)
 
 
-def simulate_observation(signal_path, model: ObservationModel, T: float,
-                         grid_step: float, seed: int,
-                         truth_link: str = "") -> ObservationRecord:
-    """Observation record for a signal given as a CadlagPath-like object.
-
-    The signal must be defined on (at least) the setup grid; values are
-    taken by left lookup.
-    """
-    setup = ObservationSetup(model, T, grid_step, seed)
-    vals = np.vstack([signal_path.value_at(float(t)) for t in setup.grid])
-    return setup.record_for(vals, truth_link)
-
-
 # ---------------------------------------------------------------------------
 # log-likelihood
 # ---------------------------------------------------------------------------
@@ -400,7 +387,7 @@ def _cell_loglik(model: ObservationModel, x: np.ndarray, cont: np.ndarray,
     dt, for states x at its left end and continuous increment cont."""
     hv = model.h(x)
     return (hv @ cont - 0.5 * np.sum(hv * hv, axis=1) * dt
-            + model.band_integral(x, "one_minus_lambda") * dt)
+            + model.band_integral(x) * dt)
 
 
 def loglik_cell_increments(values: np.ndarray, record: ObservationRecord,
@@ -432,24 +419,6 @@ def log_likelihood(path_values: np.ndarray, record: ObservationRecord,
     """log S_T for one particle path aligned with the record grid."""
     inc = loglik_cell_increments(path_values[None, :, :], record, model)
     return float(inc.sum())
-
-
-def compensated_log_jump_statistic(values: np.ndarray, record: ObservationRecord,
-                                   model: ObservationModel) -> np.ndarray:
-    """Running compensated band statistic per grid time, shape (n, M+1):
-    sum of log lambda over band events minus its reference compensator."""
-    grid = record.grid
-    n = values.shape[0]
-    out = np.zeros((n, grid.size))
-    dts = np.diff(grid)
-    for i in range(dts.size):
-        out[:, i + 1] = out[:, i] - model.band_integral(values[:, i, :],
-                                                        "log_lambda") * dts[i]
-    for j, marks in _band_events_by_index(record).items():
-        # each event's term moves every later column, one event at a time
-        for logv in np.log(model._lambda(values[:, j, :], marks)).T:
-            out[:, j:] += logv[:, None]
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ from . import rng as rngmod
 from .coefficients import CoefficientSet, linear_growth_report
 from .engine import PathEnsemble
 from .measures import AtomicLevyMeasure, LevyMeasure, TruncationConfig
-from .testfunctions import COMPACT, LOG_GROWTH, TestFunction, evaluate
+from .testfunctions import COMPACT, TestFunction, evaluate
 
 
 class GeneratorError(RuntimeError):
@@ -275,7 +275,6 @@ class MartingaleReport:
     max_se: float        # s.e. at the argmax bin
     max_sigmas: float    # max |estimate| / se over scored bins
     overall: tuple       # (estimate, se) without conditioning
-    caveat: str | None = None
 
     @property
     def within(self) -> bool:
@@ -365,11 +364,8 @@ def martingale_residual(ensemble: PathEnsemble, ctx: GeneratorContext,
     this phi, this window and one value per path.  Otherwise the window's
     slices are marched here.
     """
-    if phi.support_class not in (COMPACT, LOG_GROWTH):
-        raise GeneratorError("martingale test needs a compact or log-growth function")
-    caveat = ("log-growth test function: only a local-martingale statement "
-              "is available, residual interpreted under localization"
-              if phi.support_class == LOG_GROWTH else None)
+    if phi.support_class != COMPACT:
+        raise GeneratorError("martingale test needs a compactly supported function")
     i_s, i_t = _window_indices(ensemble, s, t)
     if increments is None:
         increments = _march(ensemble, ctx, [phi], fpe=False, window=(i_s, i_t))[2][0]
@@ -420,7 +416,7 @@ def martingale_residual(ensemble: PathEnsemble, ctx: GeneratorContext,
     overall = (float(inc.mean()), float(inc.std(ddof=1) / math.sqrt(inc.size)))
     return MartingaleReport(s=s, t=t, phi_name=phi.name, bins=bins,
                             max_abs=max_abs, max_se=max_se, max_sigmas=max_sig,
-                            overall=overall, caveat=caveat)
+                            overall=overall)
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,16 @@ def _is_finite(v) -> bool:
         return False
 
 
+def _check_keys(cfg: dict, allowed: tuple, error, what: str):
+    """Raise error unless the config object cfg is a dict whose keys are all
+    in allowed: a misspelt key would otherwise fall back to a default."""
+    if not isinstance(cfg, dict):
+        raise error(f"{what} must be a JSON object, got {type(cfg).__name__}")
+    for key in cfg:
+        if key not in allowed:
+            raise error(f"unknown key {key!r} in {what}; allowed: {', '.join(allowed)}")
+
+
 def _integral(v):
     """A finite whole-valued float as that int; anything else, an int of any
     size included, is returned unchanged, for validate() to report."""
@@ -108,10 +118,6 @@ class RunManifest:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, s: str) -> "RunManifest":
-        return cls.from_dict(json.loads(s))
 
     @classmethod
     def load(cls, path: str) -> "RunManifest":

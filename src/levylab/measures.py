@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .manifests import _check_keys
+
 
 class LevyConfigError(ValueError):
     """Raised for ill-posed measure or truncation configurations."""
@@ -524,21 +526,6 @@ def sample_jump_events(spec: LevyMeasure, region: tuple[float, float],
     return JumpEvents(times, marks)
 
 
-def compensator_drift(spec: LevyMeasure, trunc: TruncationConfig, dt: float) -> np.ndarray:
-    """Drift correction -dt * integral of z over {eps < |z| <= level}.
-
-    This is the compensator of the small-jump band that the sampler actually
-    produces atoms for; adding it keeps a run with discarded sub-eps jumps
-    consistent with the compensated jump integral.
-    """
-    eps = trunc.sampling_floor
-    fm = spec.first_moment(eps, trunc.level)
-    if not np.all(np.isfinite(fm)):
-        raise InfiniteMassError(
-            f"first moment not integrable on {eps} < |z| <= {trunc.level}")
-    return -dt * fm
-
-
 def discarded_second_moment(spec: LevyMeasure, trunc: TruncationConfig) -> float:
     """Variance integral of the jumps dropped below the sampling floor."""
     eps = trunc.sampling_floor
@@ -574,6 +561,7 @@ MEASURE_REGISTRY = {
 
 
 def measure_from_config(cfg: dict) -> LevyMeasure:
+    _check_keys(cfg, ("name", "params"), LevyConfigError, "a measure")
     name = cfg["name"]
     if name not in MEASURE_REGISTRY:
         raise LevyConfigError(f"unknown measure {name!r}; known: {sorted(MEASURE_REGISTRY)}")

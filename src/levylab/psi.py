@@ -119,10 +119,6 @@ class PsiFunction:
         return {"breaks": [float(b) for b in self.breaks],
                 "deriv_values": [float(v) for v in self.deriv_values]}
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(np.asarray(d["breaks"]), np.asarray(d["deriv_values"]))
-
 
 def identity_psi() -> PsiFunction:
     return PsiFunction(np.array([0.0]), np.array([1.0]))

@@ -15,8 +15,8 @@ distinct (centre, r0, r1); each function then takes its phi, grad and hess
 from its own expressions.  When only phi is needed, as at the generator's
 jump images, W is computed alone.  A shape's own phi and jet are the same
 pass on a dictionary of one, so the results are bit for bit the same either
-way.  Functions without that structure (constants, log-growth functions,
-hand-built ones) run their own jet or phi in their place in the dictionary.
+way.  Functions without that structure (hand-built ones) run their own jet
+or phi in their place in the dictionary.
 
 Analytic derivatives are cross-validated against finite differences at
 registration; a silent derivative bug fails construction, not a later test.
@@ -26,13 +26,11 @@ itself; its phi must equal the standalone phi bit for bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 COMPACT = "compact"
-LOG_GROWTH = "log_growth"
 
 
 class TestFunctionError(ValueError):
@@ -329,53 +327,6 @@ def windowed_monomial(powers, center=0.0, r0=2.0, r1=4.0, coef=1.0,
     return _windowed_function(
         name or f"wmono(p={powers.tolist()},c={center.tolist()},r0={r0})",
         _Monomial(center, float(r0), float(r1), coef, powers), r1)
-
-
-def constant_function(value=1.0, dim=1) -> TestFunction:
-    def phi(x):
-        return np.full(np.atleast_2d(x).shape[0], value)
-
-    def grad(x):
-        return np.zeros_like(np.atleast_2d(x))
-
-    def hess(x):
-        x = np.atleast_2d(x)
-        return np.zeros((x.shape[0], dim, dim))
-
-    return TestFunction(f"const({value})", phi, grad, hess, dim, COMPACT,
-                        support_radius=math.inf)
-
-
-def log_growth_from_psi(psi, dim=1, name="psi_log_growth") -> TestFunction:
-    """psi(log(1 + |x|^2)) with derivatives from psi', psi''; log-growth class."""
-
-    def parts(x):
-        x = np.atleast_2d(x)
-        s = np.sum(x * x, axis=1)
-        w = np.log1p(s)
-        return x, s, w
-
-    def phi(x):
-        _, _, w = parts(x)
-        return psi.value(w)
-
-    def grad(x):
-        x, s, w = parts(x)
-        return (2.0 * psi.deriv(w) / (1.0 + s))[:, None] * x
-
-    def hess(x):
-        x, s, w = parts(x)
-        n, d = x.shape
-        p1 = psi.deriv(w)
-        p2 = psi.second(w)
-        outer = np.einsum("ni,nj->nij", x, x)
-        eye = np.eye(d)[None]
-        c1 = (4.0 * (p2 - p1) / (1.0 + s) ** 2)[:, None, None]
-        c2 = (2.0 * p1 / (1.0 + s))[:, None, None]
-        return c1 * outer + c2 * eye
-
-    return TestFunction(name, phi, grad, hess, dim, LOG_GROWTH,
-                        support_radius=None)
 
 
 def default_dictionary(dim: int = 1, validate: bool = True) -> list[TestFunction]:

@@ -429,6 +429,40 @@ def test_bench_and_readme_manifests_valid():
         assert RunManifest.from_dict(d).validate() == []
 
 
+# a misspelt key inside a nested object would otherwise fall back to a default
+@pytest.mark.parametrize("path, typo, field", [
+    (("family", "base", "gamma"), "gama", "family"),
+    (("driver", "params"), "parms", "driver"),
+    (("mu0", "params"), "prams", "mu0"),
+    (("family", "schedule"), "shedule", "family"),
+    (("family", "drift_perturbation", "amp"), "ampl", "family")],
+    ids=["family.base.gama", "driver.parms", "mu0.prams", "family.shedule",
+         "drift_perturbation.ampl"])
+def test_unknown_nested_keys_rejected(path, typo, field):
+    d = next(m for m in _readme_manifests() if m["kind"] == "limit")
+    obj = d["spec"]
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[typo] = obj.pop(path[-1])
+    errors = RunManifest.from_dict(d).validate()
+    assert len(errors) == 1 and errors[0].startswith(f"{field}: unknown key {typo!r} in ")
+
+
+# a nested value that is not a JSON object is named, not iterated or indexed
+@pytest.mark.parametrize("kind, edit, message", [
+    ("limit", lambda spec: spec["family"].update(drift_perturbation="sine"),
+     "family: a drift perturbation must be a JSON object, got str"),
+    ("limit", lambda spec: spec.update(mu0=[]),
+     "mu0: an initial law must be a JSON object, got list"),
+    ("filter_robustness", lambda spec: spec.update(observation=[]),
+     "observation: an observation must be a JSON object, got list")],
+    ids=["drift_perturbation-string", "mu0-list", "observation-list"])
+def test_nested_non_objects_rejected(kind, edit, message):
+    d = next(m for m in _bench_manifests() + _readme_manifests() if m["kind"] == kind)
+    edit(d["spec"])
+    assert RunManifest.from_dict(d).validate() == [message]
+
+
 SUPERPOSITION_KEYS = ("coefficients, driver, truncation, mu0, block_size, "
                       "martingale_window")
 TOP_KEYS = "kind, seed, T, h, n_particles, spec, assumptions"

@@ -5,8 +5,7 @@ import pytest
 
 from levylab.coefficients import (CoefficientError, CoefficientSet,
                                   coefficients_from_config, family_from_config,
-                                  linear_growth_report, log_lipschitz_report,
-                                  require_linear_growth)
+                                  linear_growth_report, require_linear_growth)
 
 
 def test_zero_coefficients_constants():
@@ -51,15 +50,6 @@ def test_rotation_degenerate_sigma_rank():
     assert s[0, 1, 0] == 0.0
     b = cs.b(0.0, np.array([[1.0, 0.0]]))
     np.testing.assert_allclose(b[0], [0.0, 2.0])
-
-
-def test_log_lipschitz_fit_linear():
-    cs = coefficients_from_config({"name": "linear", "d": 1, "m": 1,
-                                   "params": {"A": [[-2.0]], "sigma": 1.0}})
-    rep = log_lipschitz_report(cs)
-    # |b(x)-b(y)| = 2|x-y| <= C |x-y| log(|x-y|^-1 + e) with C = 2
-    assert rep["C_b"] <= 2.0 + 1e-9
-    assert rep["C_sigma"] == 0.0
 
 
 def test_rowwise_wrapping():

@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
 
 import levylab as L
 from levylab import experiments
 from levylab.convergence import (ConvergenceError, EmpiricalDistanceConfig,
-                                 bl_distance, default_bl_dictionary,
+                                 bl_distance_coupled, default_bl_dictionary,
                                  density_sup_estimate, enforce_level_bound,
                                  gronwall_check, lyapunov_moment,
                                  tightness_diagnostics)
-from levylab.engine import EnsembleLaw
 from levylab.manifests import RunManifest
 from levylab.measures import TruncationConfig
 from levylab.psi import construct_psi, identity_psi
@@ -27,37 +25,41 @@ class TestBlDistance:
     def test_identical_clouds_zero(self):
         cfg = default_bl_dictionary(1)
         pts = np.random.default_rng(0).normal(size=(200, 1))
-        law = EnsembleLaw.equal_weight(pts, 0.0)
-        assert bl_distance(law, law, cfg) == 0.0
+        assert bl_distance_coupled(pts, pts, cfg) == (0.0, 0.0)
 
     def test_point_masses(self):
         cfg = default_bl_dictionary(1)
-        a = EnsembleLaw.equal_weight(np.zeros((4, 1)), 0.0)
-        b = EnsembleLaw.equal_weight(np.full((4, 1), 8.0), 0.0)
-        d = bl_distance(a, b, cfg)
-        assert 0.0 < d <= 2.0
+        a, b = np.zeros((4, 1)), np.full((4, 1), 8.0)
+        d, se = bl_distance_coupled(a, b, cfg)
+        assert 0.0 < d <= 2.0 and se == 0.0
         # a unit hat centered at 0 separates the two by exactly 1
         hat = EmpiricalDistanceConfig(
             [("hat0", lambda x: np.maximum(0.0, 1.0 - np.abs(np.atleast_2d(x)[:, 0])))])
         hat.validate(1)
-        assert bl_distance(a, b, hat) == 1.0
+        assert bl_distance_coupled(a, b, hat) == (1.0, 0.0)
 
     def test_matches_quadrature_oracle_for_normals(self):
         cfg = default_bl_dictionary(1)
         rng = np.random.default_rng(3)
         n = 100_000
-        a = EnsembleLaw.equal_weight(rng.normal(0.0, 1.0, size=(n, 1)), 0.0)
-        b = EnsembleLaw.equal_weight(rng.normal(0.5, 1.0, size=(n, 1)), 0.0)
-        got = bl_distance(a, b, cfg)
+        a = rng.normal(0.0, 1.0, size=(n, 1))
+        b = rng.normal(0.5, 1.0, size=(n, 1))
+        got, _ = bl_distance_coupled(a, b, cfg)
         want = bl_gap_normal_oracle(cfg.dictionary, 0.0, 0.5)
         assert abs(got - want) <= 3.5 * 2.0 / math.sqrt(n)
 
-    def test_dimension_mismatch(self):
-        cfg = default_bl_dictionary(1)
-        a = EnsembleLaw.equal_weight(np.zeros((4, 1)), 0.0)
-        b = EnsembleLaw.equal_weight(np.zeros((4, 2)), 0.0)
-        with pytest.raises(ConvergenceError):
-            bl_distance(a, b, cfg)
+    def test_se_is_that_of_the_argmax_entry(self):
+        cfg = default_bl_dictionary(2)
+        rng = np.random.default_rng(12)
+        n = 500
+        a = rng.normal(size=(n, 2))
+        b = a + rng.normal(0.3, 0.5, size=(n, 2))
+        diffs = [fn(a) - fn(b) for _, fn in cfg.dictionary]
+        k = int(np.argmax([abs(float(diff.mean())) for diff in diffs]))
+        assert bl_distance_coupled(a, b, cfg) == (
+            abs(float(diffs[k].mean())), float(diffs[k].std(ddof=1) / math.sqrt(n)))
+        d, se = bl_distance_coupled(a[:1], b[:1], cfg)
+        assert d > 0.0 and se == 0.0
 
     def test_dictionary_validation_rejects_violations(self):
         too_big = EmpiricalDistanceConfig([("bad", lambda x: 2.0 * np.tanh(
@@ -75,37 +77,14 @@ class TestBlDistance:
     def test_pseudometric_properties(self, shift, scale, seed):
         cfg = default_bl_dictionary(1)
         rng = np.random.default_rng(seed)
-        a = EnsembleLaw.equal_weight(rng.normal(size=(64, 1)), 0.0)
-        b = EnsembleLaw.equal_weight(shift + scale * rng.normal(size=(64, 1)), 0.0)
-        c = EnsembleLaw.equal_weight(rng.normal(1.0, 1.0, size=(64, 1)), 0.0)
-        dab, dba = bl_distance(a, b, cfg), bl_distance(b, a, cfg)
+        a = rng.normal(size=(64, 1))
+        b = shift + scale * rng.normal(size=(64, 1))
+        c = rng.normal(1.0, 1.0, size=(64, 1))
+        (dab, _), (dba, _) = bl_distance_coupled(a, b, cfg), bl_distance_coupled(b, a, cfg)
         assert dab == dba
         assert dab <= 2.0
-        assert bl_distance(a, c, cfg) <= dab + bl_distance(b, c, cfg) + 1e-12
-
-    def test_wasserstein_mode(self):
-        cfg = EmpiricalDistanceConfig([], mode="wasserstein1_marginal")
-        a = EnsembleLaw.equal_weight(np.zeros((10, 1)), 0.0)
-        b = EnsembleLaw.equal_weight(np.full((10, 1), 0.7), 0.0)
-        assert bl_distance(a, b, cfg) == pytest.approx(0.7)
-
-    # integer points make ties within and across the samples; a weight may be 0
-    @settings(max_examples=60)
-    @given(data=st.data())
-    def test_wasserstein_mode_against_scipy(self, data):
-        cfg = EmpiricalDistanceConfig([], mode="wasserstein1_marginal")
-        laws = []
-        for _ in range(2):
-            n = data.draw(st.integers(1, 40))
-            points = data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
-            weights = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.25]),
-                                         min_size=n, max_size=n)
-                                .filter(lambda w: sum(w) > 0))
-            laws.append(EnsembleLaw(np.array(points, dtype=float)[:, None],
-                                    np.array(weights), 0.0))
-        want = stats.wasserstein_distance(laws[0].points[:, 0], laws[1].points[:, 0],
-                                          laws[0].weights, laws[1].weights)
-        assert bl_distance(*laws, cfg) == pytest.approx(want, rel=1e-12, abs=1e-15)
+        assert (bl_distance_coupled(a, c, cfg)[0]
+                <= dab + bl_distance_coupled(b, c, cfg)[0] + 1e-12)
 
 
 class TestLyapunovAndTightness:

@@ -374,16 +374,6 @@ class TestEnsembleLaws:
             L.simulate_ensemble(cs, drv, TruncationConfig(level=0.5),
                                 L.PointMass([0.0]), 10, 0.1, 1.0, seed=1)
 
-    def test_marginal_law(self):
-        cs = L.coefficients_from_config({"name": "zero", "d": 1, "m": 1})
-        ens = L.simulate_ensemble(cs, NO_JUMPS, TR, L.PointMass([2.0]), 50, 0.1,
-                                  1.0, seed=4)
-        law = ens.marginal(0.55)
-        assert np.all(law.points == 2.0)
-        assert law.weights.sum() == pytest.approx(1.0)
-        with pytest.raises(SimulationError):
-            L.PathEnsemble(ens.times, ens.values[:0], [], []).marginal(0.5)
-
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_reports_first_time(self):
         cs = L.CoefficientSet(b=lambda t, x: np.atleast_2d(x) ** 3,

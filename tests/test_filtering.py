@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 import levylab as L
 from levylab import rng as R
 from levylab.filtering import (_SLICE_ENTRIES, FilterError, FilterResult,
-                               ObservationRecord, ObservationSetup,
-                               compensated_log_jump_statistic, filter_run,
+                               ObservationRecord, ObservationSetup, filter_run,
                                log_likelihood, observation_model_from_config,
                                robustness_experiment)
 from levylab.measures import TruncationConfig
@@ -111,18 +110,6 @@ class TestObservationSimulation:
             assert np.all(np.linalg.norm(rec.events_big.marks, axis=1) > 1.0)
         assert np.all(np.linalg.norm(rec.events_band.marks, axis=1) <= 1.0)
 
-    def test_simulate_observation_from_path(self):
-        cs = ou_dynamics(gamma=0.3)
-        drv = L.AtomicLevyMeasure([[0.8]], [0.5])
-        model = make_model()
-        sig = L.simulate_path(cs, drv, TR, [0.4], 0.01, 1.0, seed=51)
-        rec = L.simulate_observation(sig, model, 1.0, 0.05, seed=52,
-                                     truth_link="p51")
-        assert rec.truth_link == "p51"
-        assert rec.cont_increments.shape == (rec.grid.size - 1, 1)
-        assert np.all(np.isin(rec.events_band.times, rec.grid))
-
-
 class TestLogLikelihood:
     def test_compensator_only(self):
         # no sensor, constant lambda, no events: log S_T = (1-c) m T exactly
@@ -175,7 +162,7 @@ class TestLogLikelihood:
         model = make_model()
         model.lam = lambda x, U: np.full(np.atleast_2d(x).shape[0], 0.5)
         with pytest.raises(FilterError, match="lambda returned shape"):
-            model.band_integral(np.zeros((2, 1)), "one_minus_lambda")
+            model.band_integral(np.zeros((2, 1)))
 
     def test_single_out_of_range_entry_named(self):
         # one bad entry inside the (n, q) matrix: the message names its x and u
@@ -185,7 +172,7 @@ class TestLogLikelihood:
         with pytest.raises(FilterError,
                            match=r"lambda outside \(0,1\): value 1.5 at "
                                  r"x=\[0.25\], u=\[-0.41\]"):
-            model.band_integral(x, "one_minus_lambda")
+            model.band_integral(x)
 
 
 # eight atoms inside the band (0, 1]: enough nodes for ndarray.sum to pair them
@@ -207,24 +194,23 @@ def quadrature_model(nu2, **kw):
     return dataclasses.replace(make_model(nu2=nu2), lam=plain_logistic, **kw)
 
 
-def node_by_node(model, term, x):
+def node_by_node(model, x):
     """The band quadrature as a loop over nodes, one lambda call per node,
     with the state_logistic intensity written per mark (base 0.8, decay 0.5)."""
     s = 1.0 / (1.0 + np.exp(-np.linalg.norm(x, axis=1)))
     nodes, weights = model._quad_nodes()
     out = np.zeros(x.shape[0])
     for u, w in zip(nodes, weights):
-        out += w * term(float(0.8 * np.exp(-0.5 * np.linalg.norm(u[None, :], axis=1))[0]) * s)
+        out += w * (1.0 - float(0.8 * np.exp(-0.5 * np.linalg.norm(u[None, :], axis=1))[0]) * s)
     return out
 
 
 def exponential_side_integrals(base=0.8, decay=0.5, intensity=1.0, rate=2.0):
-    """m = nu2(band), A = int Lbar dnu2 and G = int log Lbar dnu2 over the band
-    (0, 1] of the symmetric exponential nu2, with Lbar(u) = base exp(-decay |u|)."""
+    """m = nu2(band) and A = int Lbar dnu2 over the band (0, 1] of the
+    symmetric exponential nu2, with Lbar(u) = base exp(-decay |u|)."""
     mass = 2.0 * intensity * (1.0 - math.exp(-rate)) / rate
     a = 2.0 * base * intensity * (1.0 - math.exp(-(decay + rate))) / (decay + rate)
-    first = 2.0 * intensity * (1.0 - math.exp(-rate) * (1.0 + rate)) / rate ** 2
-    return mass, a, mass * math.log(base) - decay * first
+    return mass, a
 
 
 class TestBandQuadrature:
@@ -235,10 +221,7 @@ class TestBandQuadrature:
         model = quadrature_model(nu2)
         # 300 states split the 2000 exponential nodes into several slices
         x1 = np.linspace(-3.0, 3.0, 300)[:n, None]
-        assert np.array_equal(model.band_integral(x1, "one_minus_lambda"),
-                              node_by_node(model, lambda lv: 1.0 - lv, x1))
-        assert np.array_equal(model.band_integral(x1, "log_lambda"),
-                              node_by_node(model, np.log, x1))
+        assert np.array_equal(model.band_integral(x1), node_by_node(model, x1))
 
     # the slice holds _SLICE_ENTRIES // n nodes; k whole slices plus a part
     @settings(max_examples=25)
@@ -257,36 +240,26 @@ class TestBandQuadrature:
                 acc = acc + weights[j] * terms[:, j]
             return acc
 
-        assert np.array_equal(model.band_integral(x1, "one_minus_lambda"),
-                              column_by_column(1.0 - lam1))
-        assert np.array_equal(model.band_integral(x1, "log_lambda"),
-                              column_by_column(np.log(lam1)))
+        assert np.array_equal(model.band_integral(x1), column_by_column(1.0 - lam1))
 
     def test_exponential_nu2_closed_form_is_analytic(self):
-        # lambda = s(x) Lbar(u): the band integrals are m - s(x) A and
-        # m log s(x) + G, with m, A and G of the exponential side in closed form
+        # lambda = s(x) Lbar(u): the band integral is m - s(x) A, with m and A
+        # of the exponential side in closed form
         model = make_model(lam=("state_logistic", {"base": 0.8, "decay": 0.5}),
                            nu2=EXP_NU2)
-        mass, a, g = exponential_side_integrals()
-        m0, a0, g0, _, _ = model._separable()
+        mass, a = exponential_side_integrals()
+        m0, a0, _, _ = model._separable()
         assert m0 == pytest.approx(mass, rel=1e-13)
         assert 0.8 * a0 == pytest.approx(a, rel=1e-13)
-        assert g0 + mass * math.log(0.8) == pytest.approx(g, rel=1e-13)
         x = np.array([[-2.0], [-0.3], [0.0], [0.7], [4.0]])
         s = 1.0 / (1.0 + np.exp(-np.abs(x[:, 0])))
-        np.testing.assert_allclose(model.band_integral(x, "one_minus_lambda"),
-                                   mass - s * a, rtol=1e-13)
-        np.testing.assert_allclose(model.band_integral(x, "log_lambda"),
-                                   mass * np.log(s) + g, rtol=1e-13)
+        np.testing.assert_allclose(model.band_integral(x), mass - s * a, rtol=1e-13)
 
     def test_constant_lambda_closed_form(self):
         model = make_model(lam=("constant", {"c": 0.3}), nu2=EXP_NU2)
-        mass, _, _ = exponential_side_integrals()
+        mass, _ = exponential_side_integrals()
         x = np.array([[-1.0], [2.0]])
-        np.testing.assert_allclose(model.band_integral(x, "one_minus_lambda"),
-                                   0.7 * mass, rtol=1e-13)
-        np.testing.assert_allclose(model.band_integral(x, "log_lambda"),
-                                   math.log(0.3) * mass, rtol=1e-13)
+        np.testing.assert_allclose(model.band_integral(x), 0.7 * mass, rtol=1e-13)
 
     def test_exponential_nu2_against_closed_form(self):
         # the quadrature of a lambda with no profile meets the closed form
@@ -300,11 +273,9 @@ class TestBandQuadrature:
         nodes, _ = quad._quad_nodes()
         r = np.abs(nodes[:, 0])
         root_n = math.sqrt(nodes.shape[0])
-        se_one = mass * s * np.std(0.8 * np.exp(-0.5 * r), ddof=1) / root_n
-        se_log = mass * 0.5 * np.std(r, ddof=1) / root_n
-        for integrand, se in (("one_minus_lambda", se_one), ("log_lambda", se_log)):
-            gap = quad.band_integral(x, integrand) - closed.band_integral(x, integrand)
-            assert np.all(np.abs(gap) <= 4.0 * se)
+        se = mass * s * np.std(0.8 * np.exp(-0.5 * r), ddof=1) / root_n
+        gap = quad.band_integral(x) - closed.band_integral(x)
+        assert np.all(np.abs(gap) <= 4.0 * se)
 
     def test_closed_form_names_out_of_range_x_and_u(self):
         # decay < 0 makes lambda grow with |u|: above 1 for large |x| and |u|
@@ -316,7 +287,7 @@ class TestBandQuadrature:
         with pytest.raises(FilterError,
                            match=rf"lambda outside \(0,1\): value .* at "
                                  rf"x=\[4\.\], u={re.escape(str(u))}"):
-            model.band_integral(x, "one_minus_lambda")
+            model.band_integral(x)
 
     def test_wrapped_lambda_keeps_the_closed_form_bits(self):
         # a functools.wraps wrapper copies mark_profile, so a counting wrapper
@@ -332,10 +303,8 @@ class TestBandQuadrature:
 
         wrapped = dataclasses.replace(model, lam=counted)
         x = np.linspace(-3.0, 3.0, 50)[:, None]
-        for integrand in ("one_minus_lambda", "log_lambda"):
-            assert np.array_equal(wrapped.band_integral(x, integrand),
-                                  model.band_integral(x, integrand))
-        assert calls == [1, 1]
+        assert np.array_equal(wrapped.band_integral(x), model.band_integral(x))
+        assert calls == [1]
 
     def test_eps_obs_floors_the_closed_form_band(self):
         # power-law nu2 has infinite mass on (0, 1]; with eps_obs = 0.1 the
@@ -345,14 +314,11 @@ class TestBandQuadrature:
                            eps_obs=0.1)
         density = lambda r: 2.0 * r ** -1.5         # noqa: E731 (both sides)
         x = np.array([[-2.0], [0.0], [0.7]])
-        one = model.band_integral(x, "one_minus_lambda")
-        log = model.band_integral(x, "log_lambda")
+        one = model.band_integral(x)
         for k, s in enumerate(1.0 / (1.0 + np.exp(-np.abs(x[:, 0])))):
             lam = lambda r: s * 0.8 * np.exp(-0.5 * r)      # noqa: E731
             assert one[k] == pytest.approx(
                 quad_radial(lambda r: 1.0 - lam(r), density, 0.1, 1.0), rel=1e-12)
-            assert log[k] == pytest.approx(
-                quad_radial(lambda r: np.log(lam(r)), density, 0.1, 1.0), rel=1e-12)
 
     def test_eps_obs_floors_the_quadrature_and_atomic_bands(self):
         quad = dataclasses.replace(make_model(
@@ -364,8 +330,7 @@ class TestBandQuadrature:
         # of the atoms 0.3, -0.5 and 1.8 only -0.5 (mass 0.7) is above 0.4 in the band
         atomic = make_model(lam=("constant", {"c": 0.3}), eps_obs=0.4)
         np.testing.assert_array_equal(atomic._quad_nodes()[0], [[-0.5]])
-        assert np.array_equal(atomic.band_integral(np.zeros((2, 1)), "one_minus_lambda"),
-                              np.full(2, 0.7 * 0.7))
+        assert np.array_equal(atomic.band_integral(np.zeros((2, 1))), np.full(2, 0.7 * 0.7))
 
     @pytest.mark.parametrize("region", [[0, 10 ** 400], [0.0, math.inf],
                                         [math.nan, 1.0], [0.5, 0.5], [-1.0, 1.0],
@@ -734,32 +699,3 @@ class TestRobustness:
             robustness_experiment(self.family(), make_model(), L.zero_measure(1),
                                   TR, L.PointMass([0.2]), [1, 2], 10, 0.1, 0.5,
                                   seed=26, reps=0)
-
-
-class TestHypothesisChecksAndShadow:
-    def test_compensated_jump_statistic_stochastic_continuity(self):
-        # the running compensated band statistic converges in probability
-        # along refinements of the left endpoint
-        model = make_model(lam=("state_logistic", {"base": 0.8, "decay": 0.3}))
-        cs = ou_dynamics()
-        t_end = 1.0
-        deltas = [0.4, 0.2, 0.1, 0.05]
-        eps = 0.3
-        probs = []
-        reps = 300
-        for delta in deltas:
-            hits = 0
-            for rep in range(reps):
-                setup = ObservationSetup(model, t_end, 0.05, seed=5000 + rep)
-                sig = L.simulate_path(cs, L.zero_measure(1), TR, [0.5], 0.05,
-                                      t_end, seed=6000 + rep,
-                                      extra_times=setup.prop_times)
-                vals = np.vstack([sig.value_at(t) for t in setup.grid])
-                rec = setup.record_for(vals)
-                stat = compensated_log_jump_statistic(vals[None, :, :], rec, model)[0]
-                i_t = rec.grid.size - 1
-                i_s = int(np.searchsorted(rec.grid, t_end - delta, side="right")) - 1
-                hits += abs(stat[i_t] - stat[i_s]) >= eps
-            probs.append(hits / reps)
-        assert probs[-1] <= probs[0]
-        assert probs[-1] <= 0.2

@@ -17,8 +17,7 @@ from levylab.generator import (GeneratorContext, GeneratorError,
                                path_sup_norms, richardson_slope, validate_hypotheses)
 from levylab.manifests import RunManifest
 from levylab.measures import TruncationConfig
-from levylab.testfunctions import (constant_function, default_dictionary,
-                                   plateau_bump, windowed_monomial)
+from levylab.testfunctions import default_dictionary, plateau_bump, windowed_monomial
 
 from oracles import brute_force_generator, poisson_marginal_expectation
 
@@ -40,8 +39,11 @@ class TestEvalGenerator:
         ctx = GeneratorContext(ou_coeffs(0.5),
                                L.AtomicLevyMeasure([[1.0]], [2.0]),
                                TruncationConfig(level=0.5))
+        const = L.TestFunction(
+            "const", phi=lambda y: np.full(len(y), 4.0), grad=np.zeros_like,
+            hess=lambda y: np.zeros((len(y), 1, 1)), dim=1, support_class="compact")
         for x in (-3.0, 0.0, 1.7):
-            assert eval_generator(ctx, constant_function(4.0, 1), 0.3, [x]).value == 0.0
+            assert eval_generator(ctx, const, 0.3, [x]).value == 0.0
 
     def test_pure_drift(self):
         cs = L.coefficients_from_config({"name": "constant_drift", "d": 1, "m": 1,
@@ -237,15 +239,6 @@ class TestMartingaleResidual:
         oracle = -float(acc.mean())
         assert rep.overall[0] - oracle == pytest.approx(0.0, abs=5 * rep.overall[1])
 
-    def test_log_growth_function_carries_caveat(self):
-        from levylab.psi import identity_psi
-        from levylab.testfunctions import log_growth_from_psi
-        ctx, ens = _acceptance_setup(n=2000)
-        phi = log_growth_from_psi(identity_psi(), dim=1)
-        rep = martingale_residual(ens, ctx, phi, 0.25, 0.5)
-        assert rep.caveat is not None
-        assert rep.max_sigmas <= 4.0
-
     def test_small_bins_flagged_not_scored(self):
         ctx, ens = _acceptance_setup(n=900)
         rep = martingale_residual(ens, ctx, default_dictionary(1)[0], 0.25, 0.5,
@@ -328,11 +321,17 @@ class TestFpeResidual:
                                   np.linalg.norm(vals, axis=2).max(axis=1))
 
     def test_unbounded_function_rejected(self):
+        # log(1 + x^2) is not compactly supported: both residual tests refuse it
         ctx, ens = _acceptance_setup(n=500)
-        from levylab.psi import identity_psi
-        from levylab.testfunctions import log_growth_from_psi
-        with pytest.raises(GeneratorError):
-            fpe_weak_residual(ens, ctx, log_growth_from_psi(identity_psi(), 1))
+        unbounded = L.TestFunction(
+            "log1p", phi=lambda y: np.log1p(y[:, 0] ** 2),
+            grad=lambda y: 2.0 * y / (1.0 + y ** 2),
+            hess=lambda y: (2.0 * (1.0 - y ** 2) / (1.0 + y ** 2) ** 2)[:, :, None],
+            dim=1, support_class="log_growth")
+        with pytest.raises(GeneratorError, match="compactly supported"):
+            fpe_weak_residual(ens, ctx, unbounded)
+        with pytest.raises(GeneratorError, match="compactly supported"):
+            martingale_residual(ens, ctx, unbounded, 0.25, 0.5)
 
 
 class TestSuperpositionCrosscheck:

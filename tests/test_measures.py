@@ -7,7 +7,7 @@ from scipy import integrate, stats
 from levylab import rng as R
 from levylab.measures import (AtomicLevyMeasure, InfiniteMassError, JumpEvents,
                               LevyConfigError, TruncationConfig,
-                              compensator_drift, discarded_second_moment,
+                              discarded_second_moment,
                               exponential_tails_1d, measure_from_config,
                               power_law_tails_1d, sample_jump_events,
                               zero_measure)
@@ -289,22 +289,6 @@ class TestTruncation:
             TruncationConfig(level=1.0, small_jump_mode="discard_below_eps", eps=2.0)
         cfg = TruncationConfig(level=1.0, small_jump_mode="discard_below_eps", eps=0.1)
         assert cfg.sampling_floor == 0.1
-
-    def test_compensator_symmetric_zero(self):
-        cfg = TruncationConfig(level=1.0)
-        assert compensator_drift(exponential_tails_1d(), cfg, 1.0)[0] == 0.0
-
-    def test_compensator_atomic(self):
-        # single atom at 0.5 with mass 2, within (0.1, 1]: correction -1.0
-        spec = AtomicLevyMeasure([[0.5]], [2.0])
-        cfg = TruncationConfig(level=1.0, small_jump_mode="discard_below_eps", eps=0.1)
-        assert compensator_drift(spec, cfg, 1.0)[0] == -1.0
-
-    def test_compensator_parametric_quadrature(self):
-        spec = exponential_tails_1d(1.0, 1.0, 0.0, 1.0)
-        cfg = TruncationConfig(level=1.0, small_jump_mode="discard_below_eps", eps=0.1)
-        want = -quad_radial(lambda r: r, lambda r: math.exp(-r), 0.1, 1.0)
-        assert compensator_drift(spec, cfg, 1.0)[0] == pytest.approx(want, rel=1e-10)
 
     def test_discarded_variance_report(self):
         spec = power_law_tails_1d(coef=1.0, exponent=1.5, r_max=1.0)

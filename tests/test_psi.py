@@ -74,7 +74,7 @@ def test_serialization_roundtrip():
     xs = np.sqrt(np.expm1(np.exp(js)))[:, None]
     ws = 1.0 / (js * np.log(js) ** 2)
     psi = construct_psi(xs, weights=ws, budget_factor=1.0)
-    back = PsiFunction.from_dict(psi.to_dict())
+    back = PsiFunction(**psi.to_dict())
     r = np.linspace(0, 500, 777)
     assert np.array_equal(back.value(r), psi.value(r))
     assert np.array_equal(back.deriv(r), psi.deriv(r))

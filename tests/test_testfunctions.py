@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from levylab.testfunctions import (COMPACT, TestFunction, TestFunctionError, _window,
-                                   constant_function, default_dictionary, evaluate,
-                                   plateau_bump, windowed_monomial)
+                                   default_dictionary, evaluate, plateau_bump,
+                                   windowed_monomial)
 
 
 def test_plateau_is_exact_inside():
@@ -48,13 +48,6 @@ def test_derivative_validation_catches_planted_bug():
                         support_radius=2.0)
     with pytest.raises(TestFunctionError, match="hessian"):
         bad2.validate_derivatives(probes)
-
-
-def test_constant_function():
-    f = constant_function(2.5, 2)
-    x = np.random.default_rng(0).normal(size=(4, 2))
-    assert np.all(f.phi(x) == 2.5)
-    assert np.all(f.grad(x) == 0.0)
 
 
 def test_window_is_c2_smooth_at_seams():
@@ -344,11 +337,10 @@ def test_dictionary_pass_matches_parent_bitwise(d):
     specs = _shared_specs(d)
     ref = _build(specs, _ref_plateau_bump, _ref_windowed_monomial)
     new = _build(specs, plateau_bump, windowed_monomial)
-    # functions without radial structure, in the middle of the dictionary
+    # a function without radial structure, in the middle of the dictionary
     hand = TestFunction("hand", ref[1].phi, ref[1].grad, ref[1].hess, d, "compact",
                         support_radius=2.5)
-    const = constant_function(2.5, d)
-    ref[3:3] = new[3:3] = [hand, const]
+    ref[3:3] = new[3:3] = [hand]
     x = _seam_points(specs, d, rng)
     for _, kw in specs:
         r = np.linalg.norm(x - kw["center"], axis=1)
