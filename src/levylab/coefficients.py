@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .manifests import _check_keys
+from .manifests import _check_keys, _registry_entry
 
 
 class CoefficientError(ValueError):
@@ -75,6 +75,10 @@ class CoefficientSet:
         s = self.sigma(t, x)
         return 0.5 * np.einsum("nim,njm->nij", s, s)
 
+    def on_rows(self, slots):
+        """The coefficients of the rows slots of a march: a set's, on any row."""
+        return self
+
 
 @dataclass
 class CoefficientFamily:
@@ -84,6 +88,10 @@ class CoefficientFamily:
     members: dict = field(default_factory=dict)  # n -> CoefficientSet
     # registry config, set only by family_from_config and simulate_ensemble
     config: dict | None = field(default=None, init=False)
+    # (drift kind, drift amp, sigma amp, sets) of a family_from_config family:
+    # while all_sets() are those sets, each member is the limit plus scalars;
+    # a dataclasses.replace copy has none
+    perturbation: tuple | None = field(default=None, init=False)
 
     def __post_init__(self):
         for n, cs in self.members.items():
@@ -104,6 +112,70 @@ class CoefficientFamily:
     def all_sets(self) -> list:
         """The members in schedule order, then the limit."""
         return [*self.members.values(), self.limit]
+
+    def stacked(self, B: int):
+        """All sets as one StackedFamily on blocks of B slots, while they are
+        the parametric sets family_from_config built."""
+        built = self.perturbation and self.perturbation[3]
+        if self.members and built == (*self.members.values(), self.limit):
+            return StackedFamily(self, B)
+        return None
+
+
+class StackedFamily:
+    """Every set of a parametric family on one stacked block of S*B rows.
+
+    Row s*B + p is slot p under set s of all_sets().  A member is the limit
+    plus three scalars: a drift term amp/n, a sigma factor 1 + sp/n and its
+    gamma.  The limit's b, sigma and g run once on all the rows, and each
+    member scalar is applied to the leading member rows only, as the member
+    sets' closures apply it; limit rows keep the limit's bits.
+    """
+
+    def __init__(self, family: CoefficientFamily, B: int):
+        kind, amp, sp, _ = family.perturbation
+        n = np.array(list(family.members), dtype=float)
+        self.limit, self.B, self.cut, self.sine = family.limit, B, n.size * B, kind == "sine"
+        self.names = [f"member n={k}" for k in family.members] + ["limit"]
+        self.scale = amp / n if amp != 0.0 else None
+        self.fac = 1.0 + sp / n if sp != 0.0 else None
+        self.gamma = np.array([cs.gamma for cs in family.all_sets()])
+
+    def on_rows(self, slots):
+        """b, sigma and f on the sorted rows slots (None: every row)."""
+        if slots is None:
+            return _StackedRows(self, np.repeat(np.arange(self.gamma.size), self.B), self.cut)
+        return _StackedRows(self, slots // self.B, int(np.searchsorted(slots, self.cut)))
+
+
+class _StackedRows:
+    """A StackedFamily on rows of the sets s; the first cut are member rows."""
+
+    def __init__(self, fam: StackedFamily, s, cut: int):
+        self.lim, self.cut, self.sine, self.gamma = fam.limit, cut, fam.sine, fam.gamma[s]
+        self.scale = None if fam.scale is None else fam.scale[s[:cut], None]
+        self.fac = None if fam.fac is None else fam.fac[s[:cut], None, None]
+        self.nz = None if self.gamma.all() else self.gamma != 0.0
+
+    def b(self, t, x):
+        bv, c = self.lim.b(t, x), self.cut
+        if self.scale is None:
+            return bv
+        return np.concatenate([bv[:c] + (self.scale * np.sin(x[:c]) if self.sine
+                                         else self.scale), bv[c:]])
+
+    def sigma(self, t, x):
+        sv, c = self.lim.sigma(t, x), self.cut
+        return sv if self.fac is None else np.concatenate([self.fac * sv[:c], sv[c:]])
+
+    def f(self, t, x):
+        """gamma * g; a row with gamma = 0 gets +0.0 without a call of g."""
+        if self.nz is None:
+            return self.gamma * self.lim.g(t, x)
+        out, nz = np.zeros(self.nz.size), self.nz
+        if nz.any():
+            out[nz] = self.gamma[nz] * self.lim.g(t if np.ndim(t) == 0 else t[nz], x[nz])
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +334,10 @@ _DRIFT_SIGMA_REGISTRY = {
     "rotation_degenerate": _build_rotation_degenerate,
     "bounded_nonlinear": _build_bounded_nonlinear,
 }
+# the params each builder reads: any other key would be silently ignored
+_DRIFT_SIGMA_PARAMS = {"zero": (), "constant_drift": ("c",), "ou": ("theta", "mean", "sigma"),
+                       "linear": ("A", "c", "sigma"), "rotation_degenerate": ("omega", "s"),
+                       "bounded_nonlinear": ("amp", "freq", "s0", "s1")}
 
 
 def _g_one(params):
@@ -296,6 +372,7 @@ G_REGISTRY = {
     "cosine": _g_cosine,
     "linear_growth": _g_linear_growth,
 }
+G_PARAMS = {"one": (), "cosine": ("a", "k"), "linear_growth": ("c",)}
 
 
 def coefficients_from_config(cfg: dict) -> CoefficientSet:
@@ -306,18 +383,16 @@ def coefficients_from_config(cfg: dict) -> CoefficientSet:
     """
     _check_keys(cfg, ("name", "d", "m", "params", "g", "gamma", "growth_bound"),
                 CoefficientError, "a coefficient set")
-    name = cfg["name"]
-    if name not in _DRIFT_SIGMA_REGISTRY:
-        raise CoefficientError(f"unknown coefficients {name!r}")
+    build, params = _registry_entry(cfg, _DRIFT_SIGMA_REGISTRY, _DRIFT_SIGMA_PARAMS,
+                                    CoefficientError, "coefficients")
     d = int(cfg.get("d", 1))
     m = int(cfg.get("m", d))
-    b, sigma = _DRIFT_SIGMA_REGISTRY[name](cfg.get("params", {}), d, m)
+    b, sigma = build(params, d, m)
     gcfg = cfg.get("g", {"name": "one"})
     _check_keys(gcfg, ("name", "params"), CoefficientError, "the jump shape g")
-    gname = gcfg["name"]
-    if gname not in G_REGISTRY:
-        raise CoefficientError(f"unknown jump shape {gname!r}")
-    g = G_REGISTRY[gname](gcfg.get("params", {}))
+    build, params = _registry_entry(gcfg, G_REGISTRY, G_PARAMS, CoefficientError,
+                                    "jump shape")
+    g = build(params)
     cs = CoefficientSet(b=b, sigma=sigma, d=d, m=m,
                         gamma=float(cfg.get("gamma", 0.0)), g=g,
                         growth_bound=cfg.get("growth_bound"))
@@ -365,4 +440,6 @@ def family_from_config(cfg: dict) -> CoefficientFamily:
             growth_bound=limit.growth_bound)
     family = CoefficientFamily(limit=limit, members=members)
     family.config = cfg
+    family.perturbation = (dp.get("name", "shift"), float(dp.get("amp", 0.0)), sp,
+                           (*members.values(), limit))
     return family

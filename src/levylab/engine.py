@@ -19,10 +19,14 @@ so block partitioning and worker counts cannot change any drawn number.
 
 Every simulation runs through one block runner: each particle block's
 randomness is drawn once (_prepare_block) and every coefficient set of a
-family marches over that draw; an ensemble is a family with no members.
+family marches over that draw.  The S sets of a family built from its
+registry config march as one: one BlockMarch of S*B rows (member-major
+copies of the block, on the block's noise rows) under its StackedFamily, so
+each cell pays the numpy calls, noise gather and schedule loop once.  A
+hand-built family marches set by set; an ensemble marches alone.
 With several workers the blocks go to one process pool, and each worker
-rebuilds the coefficient sets from the family's registry config, because
-coefficient closures do not pickle.  A caller that reads only some times
+rebuilds the family from its registry config, because coefficient closures
+do not pickle.  A caller that reads only some times
 (record_times) gets only those grid slices: every cell is still marched,
 but no other slice is stored, nor sent back from a worker.
 
@@ -49,7 +53,7 @@ import numpy as np
 from . import rng as rngmod
 from .coefficients import (CoefficientFamily, CoefficientSet, family_from_config,
                            require_linear_growth)
-from .manifests import _check_keys
+from .manifests import _check_keys, _registry_entry
 from .measures import (JumpEvents, LevyConfigError, LevyMeasure,
                        TruncationConfig, discarded_second_moment,
                        sample_jump_events)
@@ -131,11 +135,15 @@ INITIAL_LAW_REGISTRY = {
     "uniform_ball": lambda p: UniformBallLaw(p["center"], p["radius"]),
     "atomic": lambda p: AtomicLaw(p["points"], p["weights"]),
 }
+INITIAL_LAW_PARAMS = {"point": ("x0",), "gaussian": ("mean", "std", "density_sup"),
+                      "uniform_ball": ("center", "radius"), "atomic": ("points", "weights")}
 
 
 def initial_law_from_config(cfg: dict) -> InitialLaw:
     _check_keys(cfg, ("name", "params"), LevyConfigError, "an initial law")
-    return INITIAL_LAW_REGISTRY[cfg["name"]](cfg.get("params", {}))
+    build, params = _registry_entry(cfg, INITIAL_LAW_REGISTRY, INITIAL_LAW_PARAMS,
+                                    LevyConfigError, "initial law")
+    return build(params)
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +268,14 @@ class _BlockInputs:
     offsets: np.ndarray         # first noise row of each particle
     jump_times: list
     jump_marks: list
+    copies: int = 1             # stacked copies of the block the schedule lays out
 
 
 def _prepare_block(driver: LevyMeasure, trunc: TruncationConfig, mu0: InitialLaw,
                    grid: np.ndarray, m: int, particles, seed: int,
-                   namespace: int) -> _BlockInputs:
+                   namespace: int, copies: int = 1) -> _BlockInputs:
+    """One block's randomness, for `copies` stacked copies of the block
+    (row s*B + j is slot j of copy s) that all read the same noise rows."""
     T = float(grid[-1])
     floor = trunc.sampling_floor
     sampled_mass = driver.mass(floor, math.inf)
@@ -299,8 +310,12 @@ def _prepare_block(driver: LevyMeasure, trunc: TruncationConfig, mu0: InitialLaw
     # the row of the sub-step that ends at a jump: its particle's rows, one
     # per earlier cell and one per earlier off-grid jump
     ev_row = ev_p * n_cells + (at - 1) + (np.cumsum(inner) - inner)
-    # built before the noise, so its temporaries are gone before that is drawn
-    schedule = _jump_schedule(grid, ev_p, ev_t, ev_z, at - 1, ev_row)
+    # the events once per copy, copy s's on its slots s*B + p; built before
+    # the noise, so its temporaries are gone before that is drawn
+    each = np.tile(np.arange(ev_t.size), copies)
+    slot = ev_p[each] + B * np.repeat(np.arange(copies), ev_t.size)
+    schedule = _jump_schedule(grid, slot, ev_t[each], ev_z[each], (at - 1)[each],
+                              ev_row[each])
     noise = np.empty((int(offsets[-1]), m))
     bounds = offsets.tolist()
     for j, p in enumerate(particles):
@@ -311,7 +326,7 @@ def _prepare_block(driver: LevyMeasure, trunc: TruncationConfig, mu0: InitialLaw
     for a in [ids, x0, noise, offsets, *arrays] + jt_list + jm_list:
         a.flags.writeable = False
     return _BlockInputs(ids, seed, namespace, x0, schedule, noise, offsets[:-1],
-                        jt_list, jm_list)
+                        jt_list, jm_list, copies)
 
 
 def _run_starts(*keys) -> np.ndarray:
@@ -363,6 +378,9 @@ class BlockMarch:
     (a row's value may not depend on the other rows passed with it), which
     the block-size contract already requires.
 
+    coeffs is a CoefficientSet, or a StackedFamily marching every set of a
+    family on stacked copies of the block (each step asks it for its rows).
+
     Used directly by the particle filter, which interleaves weight updates
     and resampling between cells; whole-path simulation just runs all cells.
     Resampling may overwrite `x` between cells: a particle slot keeps its own
@@ -376,9 +394,11 @@ class BlockMarch:
         self.trunc = trunc
         self.grid = grid
         self.inp = inputs
-        self.x = inputs.x0.copy()
-        self.row = inputs.offsets.copy()    # each slot's noise row in this cell
+        # each slot's state and its noise row in this cell
+        self.x = np.tile(inputs.x0, (inputs.copies, 1))
+        self.row = np.tile(inputs.offsets, inputs.copies)
         self.cell = 0
+        self._whole = coeffs.on_rows(None)
         self._needs_comp = driver.mass(trunc.sampling_floor, math.inf) > 0.0
         # the band moment as one row when it is the same at every radius
         # (a symmetric atomic driver): it is then never looked up per step
@@ -393,11 +413,11 @@ class BlockMarch:
         return self.driver.first_moment_upper(self.trunc.sampling_floor,
                                               self.trunc.level / np.abs(fv))
 
-    def _compensator(self, t, xs):
+    def _compensator(self, cs, t, xs):
         """Drift of the compensated jump band: -f * int_{floor<|z|<=l/|f|} z nu(dz)."""
         if not self._needs_comp:
             return 0.0
-        fv = self.coeffs.f(t, xs)
+        fv = cs.f(t, xs)
         # a row with f = 0 must get +0.0: its radius l/|f| is infinite, and
         # -0 * moment would be -0.0, or NaN for an infinite first moment
         if fv.all():
@@ -408,23 +428,23 @@ class BlockMarch:
             out[nz] = -fv[nz, None] * self._band_moment(fv[nz])
         return out
 
-    def _step(self, t, dt, xs, rows):
-        """Euler step of the states xs from t over dt, on the noise rows `rows`."""
+    def _step(self, cs, t, dt, xs, rows):
+        """Euler step of the states xs under cs from t over dt, on the noise rows `rows`."""
         dt = np.asarray(dt)[..., None]
         dw = self.inp.noise[rows]
         dw *= np.sqrt(dt)
         # xs + (b + comp) dt + sigma dw, computed in place in the drift array
-        out = self.coeffs.b(t, xs) + self._compensator(t, xs)
+        out = cs.b(t, xs) + self._compensator(cs, t, xs)
         out *= dt
         out += xs
-        out += np.einsum("kim,km->ki", self.coeffs.sigma(t, xs), dw)
+        out += np.einsum("kim,km->ki", cs.sigma(t, xs), dw)
         return out
 
     # -- one cell --------------------------------------------------------
 
     def advance_cell(self, i: int):
         t0, t1 = self.grid[i], self.grid[i + 1]
-        x = self._step(float(t0), t1 - t0, self.x, self.row)
+        x = self._step(self._whole, float(t0), t1 - t0, self.x, self.row)
         self.row += 1
         sch = self.inp.schedule
         pairs = slice(sch.pairs[i], sch.pairs[i + 1])
@@ -436,38 +456,44 @@ class BlockMarch:
             for k, j in enumerate(range(sch.steps[i], sch.steps[i + 1])):
                 s = slice(sch.step_jumps[j], sch.step_jumps[j + 1])
                 idx, t = sch.idx[s], sch.time[s]
-                xk = self._step(sch.start[s], t - sch.start[s], xs[idx], rows[idx] + k)
-                xs[idx] = xk + self.coeffs.f(t, xk)[:, None] * sch.mark[s]
+                cs = self.coeffs.on_rows(slots[idx])
+                xk = self._step(cs, sch.start[s], t - sch.start[s], xs[idx], rows[idx] + k)
+                xs[idx] = xk + cs.f(t, xk)[:, None] * sch.mark[s]
             next_row = sch.next_row[pairs]
             tails = slice(sch.tails[i], sch.tails[i + 1])
             if tails.start < tails.stop:
                 idx, start = sch.tail_idx[tails], sch.tail_start[tails]
-                xs[idx] = self._step(start, t1 - start, xs[idx], next_row[idx] - 1)
+                xs[idx] = self._step(self.coeffs.on_rows(slots[idx]), start, t1 - start,
+                                     xs[idx], next_row[idx] - 1)
             x[slots] = xs
             self.row[slots] = next_row
         self.x = x
         if not np.all(np.isfinite(x)):
             bad = np.nonzero(~np.isfinite(x).all(axis=1))[0][0]
-            inp = self.inp
+            inp, B = self.inp, self.inp.particles.size
+            # a stacked row is a particle under one set of the family
+            which = f"{self.coeffs.names[bad // B]}, " if inp.copies > 1 else ""
             raise SimulationError(
                 f"non-finite state first reached at t={float(t1):.6g} "
-                f"(particle {int(inp.particles[bad])}, seed {inp.seed}, "
+                f"({which}particle {int(inp.particles[bad % B])}, seed {inp.seed}, "
                 f"namespace {inp.namespace})")
         self.cell = i + 1
 
     def run(self, out=None, keep=None):
-        """March every cell; out[:, j] gets the state at grid index keep[j]
-        (increasing from 0; default every grid index)."""
+        """March every cell; out[..., j, :] gets the state at grid index
+        keep[j] (increasing from 0; default every grid index).  out is
+        (rows, len(keep), d), or (S, B, len(keep), d) for S stacked copies."""
         if keep is None:
             keep = range(self.grid.size)
         if out is None:
             out = np.empty((self.x.shape[0], len(keep), self.x.shape[1]))
         col = {int(k): j for j, k in enumerate(keep)}
-        out[:, 0] = self.x
+        rows = out.shape[:-2] + self.x.shape[1:]
+        out[..., 0, :] = self.x.reshape(rows)
         for i in range(self.grid.size - 1):
             self.advance_cell(i)
             if i + 1 in col:
-                out[:, col[i + 1]] = self.x
+                out[..., col[i + 1], :] = self.x.reshape(rows)
         return out
 
 
@@ -488,25 +514,30 @@ def kept_slices(grid: np.ndarray, record_times=None) -> np.ndarray:
     return np.unique(np.concatenate([[0], np.maximum(at, 0)]))
 
 
-def _run_block(sets, driver, trunc, mu0, grid, keep, block, seed, namespace, out):
-    """Draw one block's randomness once; every coefficient set marches over it.
+def _run_block(family, driver, trunc, mu0, grid, keep, block, seed, namespace, out):
+    """Draw one block's randomness once; every set of the family marches
+    over it, a parametric family in one march of its StackedFamily and a
+    hand-built one set by set.
 
     Set k's (B, len(keep), d) values at the grid indices keep are written
-    into out[k], one set at a time.  Returns the block's jump times and marks.
+    into out[k].  Returns the block's jump times and marks.
     """
-    inputs = _prepare_block(driver, trunc, mu0, grid, sets[0].m, block, seed, namespace)
-    for cs, vals in zip(sets, out):
-        BlockMarch(cs, driver, trunc, grid, inputs).run(vals, keep)
+    stacked = family.stacked(len(block))
+    marches = [(stacked, out)] if stacked else list(zip(family.all_sets(), out))
+    inputs = _prepare_block(driver, trunc, mu0, grid, family.limit.m, block, seed,
+                            namespace, len(out) if stacked else 1)
+    for coeffs, vals in marches:
+        BlockMarch(coeffs, driver, trunc, grid, inputs).run(vals, keep)
     return inputs.jump_times, inputs.jump_marks
 
 
 def _pool_block(args):
-    """Worker task: one block, with the sets rebuilt from the family config;
+    """Worker task: one block, with the family rebuilt from its config;
     returns only the kept slices."""
     config, driver, trunc, mu0, grid, keep, block, *rest = args
-    sets = family_from_config(config).all_sets()
-    out = np.empty((len(sets), len(block), len(keep), sets[0].d))
-    return out, *_run_block(sets, driver, trunc, mu0, grid, keep, block, *rest, out)
+    family = family_from_config(config)
+    out = np.empty((len(family.all_sets()), len(block), len(keep), family.limit.d))
+    return out, *_run_block(family, driver, trunc, mu0, grid, keep, block, *rest, out)
 
 
 def _simulate_blocks(family: CoefficientFamily, driver, trunc, mu0, n_particles,
@@ -516,8 +547,7 @@ def _simulate_blocks(family: CoefficientFamily, driver, trunc, mu0, n_particles,
     the grid slices kept_slices(grid, record_times)."""
     grid = make_base_grid(T, grid_step, extra_times)
     keep = kept_slices(grid, record_times)
-    sets = family.all_sets()
-    values = [np.empty((n_particles, keep.size, family.limit.d)) for _ in sets]
+    values = np.empty((len(family.all_sets()), n_particles, keep.size, family.limit.d))
     jump_times, jump_marks = [], []
     if workers > 1 and family.config is not None:
         # a multiple of workers of near-equal blocks, none over block_size
@@ -527,15 +557,14 @@ def _simulate_blocks(family: CoefficientFamily, driver, trunc, mu0, n_particles,
                  for r in ranges]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for r, (out, jt, jm) in zip(ranges, pool.map(_pool_block, tasks)):
-                for v, vals in zip(values, out):
-                    v[r.start:r.stop] = vals
+                values[:, r.start:r.stop] = out
                 jump_times += jt
                 jump_marks += jm
     else:
         for lo in range(0, n_particles, block_size):
             r = range(lo, min(lo + block_size, n_particles))
-            jt, jm = _run_block(sets, driver, trunc, mu0, grid, keep, r, seed, namespace,
-                                [v[r.start:r.stop] for v in values])
+            jt, jm = _run_block(family, driver, trunc, mu0, grid, keep, r, seed,
+                                namespace, values[:, r.start:r.stop])
             jump_times += jt
             jump_marks += jm
     report = {"sampling_floor": trunc.sampling_floor,

@@ -56,6 +56,16 @@ def _check_keys(cfg: dict, allowed: tuple, error, what: str):
             raise error(f"unknown key {key!r} in {what}; allowed: {', '.join(allowed)}")
 
 
+def _registry_entry(cfg: dict, registry: dict, params: dict, error, what: str):
+    """The builder cfg's name picks from registry, and cfg's params, whose
+    keys must be among those params lists for that name."""
+    name = cfg["name"]
+    if name not in registry:
+        raise error(f"unknown {what} {name!r}; known: {sorted(registry)}")
+    _check_keys(cfg.get("params", {}), params[name], error, f"the params of {what} {name!r}")
+    return registry[name], cfg.get("params", {})
+
+
 def _integral(v):
     """A finite whole-valued float as that int; anything else, an int of any
     size included, is returned unchanged, for validate() to report."""

@@ -448,6 +448,40 @@ def test_unknown_nested_keys_rejected(path, typo, field):
     assert len(errors) == 1 and errors[0].startswith(f"{field}: unknown key {typo!r} in ")
 
 
+def _rename(obj, key, typo):
+    obj[typo] = obj.pop(key)
+
+
+# a misspelt registry name or parameter would otherwise raise a bare
+# KeyError, or fall back to the builder's default
+@pytest.mark.parametrize("edit, message", [
+    (lambda spec: _rename(spec["family"]["base"]["params"], "theta", "thetta"),
+     "family: unknown key 'thetta' in the params of coefficients 'ou'; "
+     "allowed: theta, mean, sigma"),
+    (lambda spec: spec["family"]["base"].update(g={"name": "cosine",
+                                                   "params": {"a": 0.5, "kk": 2.0}}),
+     "family: unknown key 'kk' in the params of jump shape 'cosine'; allowed: a, k"),
+    (lambda spec: _rename(spec["mu0"]["params"], "std", "sdt"),
+     "mu0: unknown key 'sdt' in the params of initial law 'gaussian'; "
+     "allowed: mean, std, density_sup"),
+    (lambda spec: spec["mu0"].update(name="gauss"),
+     "mu0: unknown initial law 'gauss'; known: ['atomic', 'gaussian', 'point', "
+     "'uniform_ball']")],
+    ids=["base.params.thetta", "g.params.kk", "mu0.params.sdt", "mu0.gauss"])
+def test_unknown_registry_params_rejected(edit, message):
+    d = next(m for m in _readme_manifests() if m["kind"] == "limit")
+    edit(d["spec"])
+    assert RunManifest.from_dict(d).validate() == [message]
+
+
+def test_every_registry_entry_lists_its_params():
+    from levylab import coefficients as C
+    from levylab import engine as E
+    assert list(C._DRIFT_SIGMA_PARAMS) == list(C._DRIFT_SIGMA_REGISTRY)
+    assert list(C.G_PARAMS) == list(C.G_REGISTRY)
+    assert list(E.INITIAL_LAW_PARAMS) == list(E.INITIAL_LAW_REGISTRY)
+
+
 # a nested value that is not a JSON object is named, not iterated or indexed
 @pytest.mark.parametrize("kind, edit, message", [
     ("limit", lambda spec: spec["family"].update(drift_perturbation="sine"),

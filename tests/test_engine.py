@@ -760,3 +760,129 @@ class TestBlockRunner:
         self.same(limit, want_limit)
         assert limit.values.tobytes() != self.family(L.family_from_config(
             self.FAMILY), block_size=64)[1].values.tobytes()
+
+
+# the family test's drivers: MARCH_CASES' atomic ones (symmetric, one-sided,
+# 2-d) and a radial one, whose band moment is looked up per row
+FAMILY_DRIVERS = {**{case: (drv, mu0) for case, (drv, _, mu0) in MARCH_CASES.items()},
+                  "radial-1d": (L.exponential_tails_1d(intensity_pos=3.0, rate_pos=2.0),
+                                L.GaussianLaw([0.0], [1.0]))}
+# (base gamma, gamma perturbation): no jump coefficient anywhere, only on
+# the members, everywhere, and on all but the n = 2 member
+GAMMAS = [(0.0, 0.0), (0.0, 0.6), (0.4, 0.6), (-0.3, 0.6)]
+
+
+def parametric_family(d, gamma, gp, kind, amp, sp, schedule=(1, 2, 4)):
+    base = ({"name": "bounded_nonlinear", "d": 1, "m": 1} if d == 1 else
+            {"name": "linear", "d": 2, "m": 2,
+             "params": {"A": [[-1.0, 0.3], [0.2, -0.7]], "sigma": 0.4}})
+    return L.family_from_config({
+        "base": {**base, "gamma": gamma, "g": {"name": "cosine"}},
+        "drift_perturbation": {"name": kind, "amp": amp}, "sigma_perturbation": sp,
+        "gamma_perturbation": gp, "schedule": list(schedule)})
+
+
+class TestStackedFamily:
+    """A family_from_config family marches as one StackedFamily over
+    stacked copies of each block; every set must get the bits it gets
+    marched alone."""
+
+    N = 80
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=st.sampled_from(sorted(FAMILY_DRIVERS)),
+           kind=st.sampled_from(["sine", "shift"]),
+           amp=st.sampled_from([0.0, 1.0]), sp=st.sampled_from([0.0, 0.5]),
+           gammas=st.sampled_from(GAMMAS), block=st.sampled_from([1, 3, 64, N]),
+           workers=st.sampled_from([1, 2]), seed=st.integers(0, 2 ** 16))
+    def test_matches_per_set_marches(self, case, kind, amp, sp, gammas, block, workers,
+                                     seed):
+        driver, mu0 = FAMILY_DRIVERS[case]
+        fam = parametric_family(driver.dim, *gammas, kind, amp, sp)
+        grid = make_base_grid(1.0, 0.1)
+        inputs = _prepare_block(driver, TR, mu0, grid, fam.limit.m, range(self.N), seed,
+                                R.SIGNAL)
+        want = [BlockMarch(cs, driver, TR, grid, inputs).run() for cs in fam.all_sets()]
+        members, limit = L.simulate_coupled_family(
+            fam, driver, TR, mu0, self.N, 0.1, 1.0, seed, block_size=block,
+            workers=workers, validate=False)
+        for ens, vals in zip([*members.values(), limit], want):
+            assert ens.values.tobytes() == vals.tobytes()
+
+    # rows 0-11 of a block of B = 3 under sets n = 1, 2, 4 and the limit:
+    # signed zeros, inf and NaN show a stray + 0.0 or 0 * sin(x)
+    X = np.array([[-0.0], [0.7], [np.inf], [np.nan], [-2.0], [-0.0],
+                  [1.5], [-np.inf], [0.0], [-0.0], [np.inf], [0.3]])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("kind", ["sine", "shift"])
+    @pytest.mark.parametrize("amp", [0.0, 1.0])
+    @pytest.mark.parametrize("sp", [0.0, 0.5])
+    @pytest.mark.parametrize("gammas", GAMMAS)
+    def test_rows_get_their_own_sets_bits(self, kind, amp, sp, gammas):
+        fam = parametric_family(1, *gammas, kind, amp, sp)
+        sets, g = fam.all_sets(), fam.limit.g
+        stacked = fam.stacked(3)
+        for slots in (None, np.array([0, 2, 4, 5, 7, 9, 10]), np.array([1, 6]),
+                      np.array([9, 11])):
+            rows = np.arange(12) if slots is None else slots
+            x = self.X[rows]
+            t = 0.3 if slots is None else np.linspace(0.0, 1.0, rows.size)
+            called = []
+            fam.limit.g = lambda t, x: called.append(len(x)) or g(t, x)
+            cs = stacked.on_rows(slots)
+            got = [cs.b(t, x), cs.sigma(t, x), cs.f(t, x)]
+            # a row with gamma = 0 gets +0.0 from f without a call of g
+            assert sum(called) == sum(sets[r // 3].gamma != 0.0 for r in rows)
+            for j, r in enumerate(rows):
+                own, tj = sets[r // 3], t if np.ndim(t) == 0 else t[j:j + 1]
+                want = [own.b(tj, x[j:j + 1]), own.sigma(tj, x[j:j + 1]),
+                        own.f(tj, x[j:j + 1])]
+                assert [v[j].tobytes() for v in got] == [w[0].tobytes() for w in want]
+
+    def test_only_parametric_families_are_stacked(self):
+        fam = parametric_family(1, 0.4, 0.6, "sine", 1.0, 0.5)
+        assert fam.stacked(4) is not None
+        assert replace(fam, limit=replace(fam.limit, gamma=1.0)).stacked(4) is None
+        assert L.CoefficientFamily(limit=fam.limit, members=fam.members).stacked(4) is None
+        assert parametric_family(1, 0.4, 0.6, "sine", 1.0, 0.5, schedule=()).stacked(4) is None
+        # a set changed in place is no longer the limit plus its scalars
+        fam.members[2] = fam.members[1]
+        assert fam.stacked(4) is None
+        members, _ = L.simulate_coupled_family(fam, FAMILY_DRIVERS["radial-1d"][0], TR,
+                                               L.GaussianLaw([0.0], [1.0]), 20, 0.1, 1.0,
+                                               seed=3, validate=False)
+        assert members[2].values.tobytes() == members[1].values.tobytes()
+
+    def test_pool_task_is_one_stacked_march(self, monkeypatch):
+        fam = parametric_family(2, 0.4, 0.6, "sine", 1.0, 0.5)
+        marched = []
+        run = BlockMarch.run
+        monkeypatch.setattr(BlockMarch, "run",
+                            lambda self, *a: marched.append(self.x.shape[0]) or run(self, *a))
+        grid = make_base_grid(1.0, 0.1)
+        out, _, _ = engine._pool_block((fam.config, FAMILY_DRIVERS["linear-2d"][0], TR,
+                                        FAMILY_DRIVERS["linear-2d"][1], grid,
+                                        engine.kept_slices(grid), range(5, 30), 13,
+                                        R.SIGNAL))
+        assert marched == [4 * 25] and out.shape == (4, 25, grid.size, 2)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("amp, big, which", [(1e307, 4e307, "member n=1"),
+                                                 (-1e307, 4.6e307, "limit")])
+    def test_failure_names_set_and_global_particle(self, amp, big, which):
+        # x0 + (x0 + amp/n) per unit cell gives 4 x0 + 3 amp/n at t = 2: only
+        # the named set overflows, and only where x0 = big; rows are
+        # member-major, so the first bad row is past the first copy
+        fam = L.family_from_config({
+            "base": {"name": "linear", "d": 1, "m": 1, "params": {"A": [[1.0]]}},
+            "drift_perturbation": {"name": "shift", "amp": amp}, "schedule": [2, 1, 4]})
+        mu0, seed = engine.AtomicLaw([[0.0], [big]], [0.8, 0.2]), 5
+        x0 = _prepare_block(NO_JUMPS, TR, mu0, make_base_grid(2.0, 1.0), 1, range(9), seed,
+                            R.SIGNAL).x0[:, 0]
+        bad = int(np.argmax(x0 == big))
+        assert bad >= 3 and bad % 3 != 0
+        msg = rf"t=2 \({which}, particle {bad}, seed {seed}, namespace {R.SIGNAL}\)"
+        with pytest.raises(SimulationError, match=msg):
+            L.simulate_coupled_family(fam, NO_JUMPS, TR, mu0, 9, 1.0, 2.0, seed,
+                                      block_size=3, validate=False)
