@@ -113,13 +113,14 @@ class CoefficientFamily:
         """The members in schedule order, then the limit."""
         return [*self.members.values(), self.limit]
 
+    def as_built(self) -> bool:
+        """Whether all_sets() are still the sets family_from_config built."""
+        return bool(self.perturbation) and self.perturbation[3] == tuple(self.all_sets())
+
     def stacked(self, B: int):
         """All sets as one StackedFamily on blocks of B slots, while they are
         the parametric sets family_from_config built."""
-        built = self.perturbation and self.perturbation[3]
-        if self.members and built == (*self.members.values(), self.limit):
-            return StackedFamily(self, B)
-        return None
+        return StackedFamily(self, B) if self.members and self.as_built() else None
 
 
 class StackedFamily:

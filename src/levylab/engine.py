@@ -22,13 +22,15 @@ randomness is drawn once (_prepare_block) and every coefficient set of a
 family marches over that draw.  The S sets of a family built from its
 registry config march as one: one BlockMarch of S*B rows (member-major
 copies of the block, on the block's noise rows) under its StackedFamily, so
-each cell pays the numpy calls, noise gather and schedule loop once.  A
-hand-built family marches set by set; an ensemble marches alone.
+each cell pays the numpy calls, noise gather and schedule loop once (the
+filter marches a family's filters so too).  A hand-built family, or one
+whose sets were changed in place, marches set by set; an ensemble alone.
 With several workers the blocks go to one process pool, and each worker
 rebuilds the family from its registry config, because coefficient closures
-do not pickle.  A caller that reads only some times
-(record_times) gets only those grid slices: every cell is still marched,
-but no other slice is stored, nor sent back from a worker.
+do not pickle, so a family changed in place stays in process.  A caller
+that reads only some times (record_times) gets only those grid slices:
+every cell is still marched, but no other slice is stored, nor sent back
+from a worker.
 
 The draw also carries each cell's jump schedule: the slots that jump in the
 cell, their sub-step start times, the jump times and marks, and each
@@ -549,7 +551,8 @@ def _simulate_blocks(family: CoefficientFamily, driver, trunc, mu0, n_particles,
     keep = kept_slices(grid, record_times)
     values = np.empty((len(family.all_sets()), n_particles, keep.size, family.limit.d))
     jump_times, jump_marks = [], []
-    if workers > 1 and family.config is not None:
+    # workers rebuild the sets from config: an ensemble's, or a family's unchanged ones
+    if workers > 1 and family.config and (not family.perturbation or family.as_built()):
         # a multiple of workers of near-equal blocks, none over block_size
         k = min(-(-n_particles // (block_size * workers)) * workers, n_particles)
         ranges = [range(n_particles * i // k, n_particles * (i + 1) // k) for i in range(k)]
@@ -627,7 +630,8 @@ def simulate_coupled_family(family: CoefficientFamily, driver: LevyMeasure,
 
     For each particle index the same initial draw, the same driver atoms and
     the same Brownian rows feed every member; only coefficients differ.
-    Workers are used as in simulate_ensemble, keyed on family.config.  With
+    Workers are used as in simulate_ensemble, keyed on family.config, while
+    all_sets() are the sets that config builds; otherwise in process.  With
     record_times every ensemble holds only the grid slices kept_slices picks
     for them, the same bits as the full paths there.
     Returns (members: dict n -> PathEnsemble, limit: PathEnsemble).

@@ -19,11 +19,13 @@ on a radial nu2, and a fixed-node Monte Carlo quadrature otherwise.
 Coupling for the robustness experiment: family members share the Brownian
 observation noise, the proposal atoms, and one thinning uniform per atom
 (member n accepts iff the shared uniform is below lambda(X^n, u)).  Each
-rep is one filter_run over sequences of coefficient sets and records: the
-filter particles' randomness (initial points, Brownian rows, driver jumps)
-is drawn once and shared read-only by the limit filter and every member's
-filter, which march one at a time as the caller takes their results, so
-runs with identical coefficients are bitwise identical.
+rep is one filter_run over the family, one record per set: the filter
+particles' randomness is drawn once, and a family from family_from_config
+marches every filter as one BlockMarch over S stacked copies of the block.
+h, |h|^2 and the band integral are taken once per cell on all rows; each
+filter's record, weights, resampling stream and snapshots stay on its own
+rows, so each filter equals a filter_run of its set alone, bit for bit.  A
+hand-built family's filters march one at a time over the draw.
 """
 
 from __future__ import annotations
@@ -35,10 +37,10 @@ from itertools import compress
 import numpy as np
 
 from . import rng as rngmod
-from .coefficients import CoefficientSet
+from .coefficients import CoefficientFamily, CoefficientSet
 from .engine import (BlockMarch, InitialLaw, _prepare_block, make_base_grid,
                      simulate_coupled_family)
-from .manifests import _check_keys, _is_finite
+from .manifests import _check_keys, _is_finite, _registry_entry
 from .measures import (AtomicLevyMeasure, JumpEvents, LevyMeasure, Radial1DMeasure,
                        TruncationConfig, sample_jump_events)
 
@@ -116,15 +118,11 @@ class ObservationModel:
     def check_measure_invariants(self):
         lo, hi = self.u0_region
         for r in self.outside_regions():
-            m = self.nu2.mass(*r)
-            if not math.isfinite(m):
+            if not math.isfinite(self.nu2.mass(*r)):
                 raise FilterError(
                     f"nu2 must have finite mass outside the band; region {r} fails")
-        sm = self.nu2.second_moment(lo, hi)
-        if not math.isfinite(sm):
+        if not math.isfinite(self.nu2.second_moment(lo, hi)):
             raise FilterError("nu2 must have a finite second moment on the band")
-        return {"outside_mass": sum(self.nu2.mass(*r) for r in self.outside_regions()),
-                "band_second_moment": sm}
 
     def _quad_nodes(self):
         """Fixed nodes and weights for integrals of g(x, u) over the observed
@@ -220,21 +218,61 @@ class ObservationModel:
 
 # registries ----------------------------------------------------------------
 
+SENSOR_REGISTRY = {
+    "identity": lambda params: np.atleast_2d,
+    "zero": lambda params: (
+        lambda x, k=int(params.get("k", 1)): np.zeros((np.atleast_2d(x).shape[0], k))),
+    "tanh": lambda params: (
+        lambda x, c=float(params.get("scale", 1.0)): np.tanh(c * np.atleast_2d(x))),
+    # a sum over columns, not a matmul: BLAS may round a row differently in
+    # a larger batch, and the filter stacks its blocks
+    "linear": lambda params: (
+        lambda x, H=np.atleast_2d(np.asarray(params["H"], dtype=float)):
+        np.sum(np.atleast_2d(x)[:, None, :] * H, axis=2)),
+}
+SENSOR_PARAMS = {"identity": (), "zero": ("k",), "tanh": ("scale",), "linear": ("H",)}
+
+
 def sensor_from_config(cfg: dict):
     _check_keys(cfg, ("name", "params"), FilterError, "a sensor")
-    name, params = cfg["name"], cfg.get("params", {})
-    if name == "identity":
-        return lambda x: np.atleast_2d(x)
-    if name == "zero":
-        k = int(params.get("k", 1))
-        return lambda x: np.zeros((np.atleast_2d(x).shape[0], k))
-    if name == "tanh":
-        scale = float(params.get("scale", 1.0))
-        return lambda x: np.tanh(scale * np.atleast_2d(x))
-    if name == "linear":
-        H = np.atleast_2d(np.asarray(params["H"], dtype=float))
-        return lambda x: np.atleast_2d(x) @ H.T
-    raise FilterError(f"unknown sensor {name!r}")
+    build, params = _registry_entry(cfg, SENSOR_REGISTRY, SENSOR_PARAMS, FilterError,
+                                    "sensor")
+    return build(params)
+
+
+def _constant_lambda(params):
+    c = float(params.get("c", 0.5))
+    if not 0 < c < 1:
+        raise FilterError("constant lambda needs c in (0,1)")
+
+    def lam(x, U):
+        return np.full((np.atleast_2d(x).shape[0], np.atleast_2d(U).shape[0]), c)
+
+    lam.mark_profile = np.ones_like
+    return lam, (lambda u: np.full(np.atleast_2d(u).shape[0], 0.5 * c)), 0.5 * c
+
+
+def _state_logistic_lambda(params):
+    # lambda(x, u) = Lbar(u) / (1 + exp(-|x|)), in (Lbar/2, Lbar)
+    base = float(params.get("base", 0.8))
+    decay = float(params.get("decay", 0.0))
+    if not 0 < base < 1:
+        raise FilterError("state_logistic needs base in (0,1)")
+
+    def lbar(u):
+        u = np.atleast_2d(u)
+        return base * np.exp(-decay * np.linalg.norm(u, axis=1))
+
+    def lam(x, U):
+        s = 1.0 / (1.0 + np.exp(-np.linalg.norm(np.atleast_2d(x), axis=1)))
+        return np.outer(s, lbar(U))
+
+    lam.mark_profile = lambda r: base * np.exp(-decay * r)
+    return lam, (lambda u: 0.49 * lbar(u)), None
+
+
+LAMBDA_REGISTRY = {"constant": _constant_lambda, "state_logistic": _state_logistic_lambda}
+LAMBDA_PARAMS = {"constant": ("c",), "state_logistic": ("base", "decay")}
 
 
 def lambda_from_config(cfg: dict):
@@ -242,35 +280,9 @@ def lambda_from_config(cfg: dict):
     positive lower envelope of lam in the mark and iota its infimum."""
     # models keep only lam; the triple stays because the benchmark's layer trace unpacks it
     _check_keys(cfg, ("name", "params"), FilterError, "a lambda")
-    name, params = cfg["name"], cfg.get("params", {})
-    if name == "constant":
-        c = float(params.get("c", 0.5))
-        if not 0 < c < 1:
-            raise FilterError("constant lambda needs c in (0,1)")
-
-        def lam(x, U):
-            return np.full((np.atleast_2d(x).shape[0], np.atleast_2d(U).shape[0]), c)
-
-        lam.mark_profile = np.ones_like
-        return lam, (lambda u: np.full(np.atleast_2d(u).shape[0], 0.5 * c)), 0.5 * c
-    if name == "state_logistic":
-        # lambda(x, u) = Lbar(u) / (1 + exp(-|x|)), in (Lbar/2, Lbar)
-        base = float(params.get("base", 0.8))
-        decay = float(params.get("decay", 0.0))
-        if not 0 < base < 1:
-            raise FilterError("state_logistic needs base in (0,1)")
-
-        def lbar(u):
-            u = np.atleast_2d(u)
-            return base * np.exp(-decay * np.linalg.norm(u, axis=1))
-
-        def lam(x, U):
-            s = 1.0 / (1.0 + np.exp(-np.linalg.norm(np.atleast_2d(x), axis=1)))
-            return np.outer(s, lbar(U))
-
-        lam.mark_profile = lambda r: base * np.exp(-decay * r)
-        return lam, (lambda u: 0.49 * lbar(u)), None
-    raise FilterError(f"unknown lambda {name!r}")
+    build, params = _registry_entry(cfg, LAMBDA_REGISTRY, LAMBDA_PARAMS, FilterError,
+                                    "lambda")
+    return build(params)
 
 
 def observation_model_from_config(cfg: dict) -> ObservationModel:
@@ -381,13 +393,16 @@ def _band_events_by_index(record: ObservationRecord) -> dict:
     return {int(j): ev.marks[idx == j] for j in np.unique(idx)}
 
 
-def _cell_loglik(model: ObservationModel, x: np.ndarray, cont: np.ndarray,
+def _cell_loglik(model: ObservationModel, x: np.ndarray, conts: np.ndarray,
                  dt: float) -> np.ndarray:
     """The continuous and compensator terms of log S over one cell of length
-    dt, for states x at its left end and continuous increment cont."""
+    dt for states x at its left end, as (S, n): row s for the s-th block of
+    rows of x and continuous increment conts[s]."""
     hv = model.h(x)
-    return (hv @ cont - 0.5 * np.sum(hv * hv, axis=1) * dt
-            + model.band_integral(x) * dt)
+    n = hv.shape[0] // len(conts)
+    drift = np.stack([hv[s * n:(s + 1) * n] @ c for s, c in enumerate(conts)])
+    return (drift - (0.5 * np.sum(hv * hv, axis=1) * dt).reshape(drift.shape)
+            + (model.band_integral(x) * dt).reshape(drift.shape))
 
 
 def loglik_cell_increments(values: np.ndarray, record: ObservationRecord,
@@ -406,8 +421,8 @@ def loglik_cell_increments(values: np.ndarray, record: ObservationRecord,
     dts = np.diff(grid)
     out = np.zeros((n, dts.size))
     for i in range(dts.size):
-        out[:, i] = _cell_loglik(model, values[:, i, :], record.cont_increments[i],
-                                 dts[i])
+        out[:, i] = _cell_loglik(model, values[:, i, :], record.cont_increments[i, None],
+                                 dts[i])[0]
     for j, marks in events.items():
         out[:, j - 1] = _add_in_order(out[:, j - 1],
                                       np.log(model._lambda(values[:, j, :], marks)))
@@ -467,7 +482,8 @@ def _default_checkpoints(grid: np.ndarray) -> np.ndarray:
 
 def filter_run(model: ObservationModel, coeffs, driver: LevyMeasure,
                trunc: TruncationConfig, mu0: InitialLaw, record, n_particles: int,
-               seed: int, ess_threshold: float | None = None, checkpoints=None):
+               seed: int, ess_threshold: float | None = None, checkpoints=None,
+               keep=None):
     """Reference-measure particle filter against one observation record.
 
     Particles evolve under the signal law on the record grid (so the band
@@ -477,81 +493,97 @@ def filter_run(model: ObservationModel, coeffs, driver: LevyMeasure,
     tests need weight paths uncontaminated by resampling noise).
 
     One CoefficientSet and one record give one FilterResult.  Equal-length
-    sequences of sets and of records on one grid give an iterator of
-    FilterResults, in order: the particle randomness is drawn once, now,
-    and each filter marches over it, with its own resample stream, only
-    when the iterator is advanced.  Each result equals a filter_run of its
-    set and record alone, bit for bit.
+    sequences of sets and records on one grid, or a CoefficientFamily and
+    records in all_sets() order, give an iterator of FilterResults in order.
+    The particle randomness is drawn once, now; a family that stacks marches
+    all its filters now, as one BlockMarch of S*n rows, else each filter
+    marches when the iterator reaches it.  Each filter has its own resample
+    stream and equals a filter_run of its set alone, bit for bit.  keep, one
+    callable per set, maps (k, state) to the result's k-th state.
     """
-    many = not isinstance(coeffs, CoefficientSet)
-    sets, records = (list(coeffs), list(record)) if many else ([coeffs], [record])
+    family = coeffs if isinstance(coeffs, CoefficientFamily) else None
+    one = isinstance(coeffs, CoefficientSet)
+    sets = [coeffs] if one else family.all_sets() if family else list(coeffs)
+    records = [record] if one else list(record)
     if len(sets) != len(records) or not sets:
         raise FilterError(f"{len(sets)} coefficient sets for {len(records)} records")
     grid = records[0].grid
     if any(not np.array_equal(rec.grid, grid) for rec in records[1:]):
         raise FilterError("the records lie on different grids")
-    inputs = _prepare_block(driver, trunc, mu0, grid, sets[0].m,
-                            range(n_particles), seed, rngmod.FILTER)
-    results = (_march_filter(model, cs, driver, trunc, rec, inputs, ess_threshold,
-                             checkpoints) for cs, rec in zip(sets, records))
-    return results if many else next(results)
+    stacked = family.stacked(n_particles) if family else None
+    inputs = _prepare_block(driver, trunc, mu0, grid, sets[0].m, range(n_particles),
+                            seed, rngmod.FILTER, len(sets) if stacked else 1)
+    keeps = [None] * len(sets) if keep is None else list(keep)
+    if stacked:
+        return iter(_march_filter(model, stacked, driver, trunc, records, inputs,
+                                  ess_threshold, checkpoints, keeps))
+    results = (_march_filter(model, cs, driver, trunc, [rec], inputs, ess_threshold,
+                             checkpoints, [kp])[0]
+               for cs, rec, kp in zip(sets, records, keeps))
+    return next(results) if one else results
 
 
-def _march_filter(model: ObservationModel, coeffs: CoefficientSet,
-                  driver: LevyMeasure, trunc: TruncationConfig,
-                  record: ObservationRecord, inputs, ess_threshold,
-                  checkpoints) -> FilterResult:
-    """The filter of filter_run over particle randomness already drawn on
-    record.grid; inputs is only read, so one draw can feed many filters."""
-    grid = record.grid
+def _march_filter(model: ObservationModel, coeffs, driver: LevyMeasure,
+                  trunc: TruncationConfig, records: list, inputs, ess_threshold,
+                  checkpoints, keeps) -> list:
+    """filter_run's filters, one per record, over the particle draw inputs
+    (only read): coeffs is one set, or a StackedFamily of S sets on the S
+    copies of the block that inputs lays out.  Filter s owns the states'
+    rows s*n..(s+1)*n - 1 and row s of the log-weights."""
+    grid, S, n = records[0].grid, len(records), inputs.particles.size
     march = BlockMarch(coeffs, driver, trunc, grid, inputs)
-    n_particles = march.x.shape[0]
-    rng_rs = rngmod.stream(inputs.seed, rngmod.RESAMPLE, namespace=rngmod.FILTER)
     checkpoints = np.asarray(_default_checkpoints(grid) if checkpoints is None
                              else checkpoints, dtype=float)
     dts = np.diff(grid)
-    lw = np.zeros(n_particles)
-    log_norm = 0.0
-    events = _band_events_by_index(record)
-    states = []
-    resampled_at = []
+    conts = np.stack([rec.cont_increments for rec in records], axis=1)
+    events = [_band_events_by_index(rec) for rec in records]
+    rngs = [rngmod.stream(inputs.seed, rngmod.RESAMPLE, namespace=rngmod.FILTER)
+            for _ in records]
+    lw = np.zeros((S, n))
+    log_norm = [0.0] * S
+    results = [FilterResult(states=[], checkpoint_times=checkpoints) for _ in records]
+    tag = f"seed {inputs.seed}, namespace {inputs.namespace})"
+    where = [f"({name}, {tag}" for name in coeffs.names] if S > 1 else [f"({tag}"]
 
     def snapshot(t):
-        ln = log_norm + _logsumexp(lw) - math.log(n_particles)
-        if not math.isfinite(ln):
-            raise FilterError(f"filter collapsed: all weights vanished by t={t:.6g}")
-        w = np.exp(lw - np.max(lw))
-        ess = float(w.sum() ** 2 / np.sum(w * w))
-        states.append(FilterState(t=float(t), particles=march.x.copy(),
-                                  log_weights=lw.copy(), log_normalizer=ln,
-                                  ess=ess))
+        for s, res in enumerate(results):
+            ln = log_norm[s] + _logsumexp(lw[s]) - math.log(n)
+            if not math.isfinite(ln):
+                raise FilterError(f"filter collapsed: all weights vanished by "
+                                  f"t={t:.6g} {where[s]}")
+            w = np.exp(lw[s] - np.max(lw[s]))
+            st = FilterState(t=float(t), particles=march.x[s * n:(s + 1) * n].copy(),
+                             log_weights=lw[s].copy(), log_normalizer=ln,
+                             ess=float(w.sum() ** 2 / np.sum(w * w)))
+            res.states.append(st if keeps[s] is None else keeps[s](len(res.states), st))
 
     ck = 0
     if ck < checkpoints.size and abs(grid[0] - checkpoints[ck]) < 1e-12:
         snapshot(grid[0])
         ck += 1
     for i in range(dts.size):
-        lw += _cell_loglik(model, march.x, record.cont_increments[i], dts[i])
+        lw += _cell_loglik(model, march.x, conts[i], dts[i])
         march.advance_cell(i)
-        if i + 1 in events:
-            lw[:] = _add_in_order(lw, np.log(model._lambda(march.x, events[i + 1])))
-        if not np.any(np.isfinite(lw)):
-            raise FilterError(f"filter collapsed: all weights -inf at t={grid[i+1]:.6g}")
-        if ess_threshold is not None:
-            w = np.exp(lw - np.max(lw))
-            ess = float(w.sum() ** 2 / np.sum(w * w))
-            if ess < ess_threshold * n_particles:
-                probs = w / w.sum()
-                parents = rng_rs.choice(n_particles, size=n_particles, p=probs)
-                march.x[:] = march.x[parents]
-                log_norm += _logsumexp(lw) - math.log(n_particles)
-                lw[:] = 0.0
-                resampled_at.append(float(grid[i + 1]))
+        for s, res in enumerate(results):
+            rows, lws = slice(s * n, (s + 1) * n), lw[s]
+            if i + 1 in events[s]:
+                lws[:] = _add_in_order(lws, np.log(model._lambda(march.x[rows],
+                                                                 events[s][i + 1])))
+            if not np.any(np.isfinite(lws)):
+                raise FilterError(f"filter collapsed: all weights -inf at "
+                                  f"t={grid[i + 1]:.6g} {where[s]}")
+            if ess_threshold is not None:
+                w = np.exp(lws - np.max(lws))
+                if float(w.sum() ** 2 / np.sum(w * w)) < ess_threshold * n:
+                    parents = rngs[s].choice(n, size=n, p=w / w.sum())
+                    march.x[rows] = march.x[rows][parents]
+                    log_norm[s] += _logsumexp(lws) - math.log(n)
+                    lws[:] = 0.0
+                    res.resampled_at.append(float(grid[i + 1]))
         while ck < checkpoints.size and grid[i + 1] >= checkpoints[ck] - 1e-12:
             snapshot(grid[i + 1])
             ck += 1
-    return FilterResult(states=states, checkpoint_times=checkpoints,
-                        resampled_at=resampled_at)
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -579,10 +611,11 @@ def robustness_experiment(family, model: ObservationModel, driver, trunc,
     dictionary; signals, observations (shared W / proposals / thinning
     uniforms) and filter particles are all coupled across members, so a
     member equal to the limit reproduces it bitwise and D = 0.  Each rep is
-    one filter_run over the limit and every member: the particle randomness
-    is drawn once and every filter marches over it with its own resample
-    stream.  Rep 0's filters also snapshot at filter_run's default
-    checkpoints; the report keeps the limit's states there.
+    one filter_run over the family (one particle draw; a family_from_config
+    family marches as one stacked block).  A filter keeps only its phi
+    estimates at the checkpoints, taken at each snapshot.  Rep 0's filters
+    also snapshot at filter_run's default checkpoints; the report keeps the
+    limit's states there.
     """
     from .convergence import decreasing_verdict, enforce_level_bound
 
@@ -602,29 +635,27 @@ def robustness_experiment(family, model: ObservationModel, driver, trunc,
         sig_members, sig_limit = simulate_coupled_family(
             family, driver, trunc, mu0, 1, h, T, rep_seed,
             extra_times=setup.prop_times, validate=(r == 0))
-        records = [setup.record_for(sig_limit.values[0], "limit")] + [
-            setup.record_for(sig_members[n].values[0], f"member-{n}") for n in keys]
+        records = [setup.record_for(sig_members[n].values[0], f"member-{n}")
+                   for n in family.members] + [setup.record_for(sig_limit.values[0], "limit")]
         wanted = checkpoints if r else np.concatenate(
             [checkpoints, _default_checkpoints(setup.grid)])
         order = np.argsort(wanted, kind="stable")
         scored = order < checkpoints.size   # snapshots at the robustness checkpoints
-        runs = filter_run(model, [family.limit] + [family.members[n] for n in keys],
-                          driver, trunc, mu0, records, n_particles, rep_seed,
-                          ess_threshold, wanted[order])
-        states_lim = next(runs).states
+
+        def keep(limit):
+            return lambda k, st: ([st.estimate(fn) for _, fn in phis] if scored[k]
+                                  else st if limit else None)
+
+        *members, lim = filter_run(model, family, driver, trunc, mu0, records,
+                                   n_particles, rep_seed, ess_threshold, wanted[order],
+                                   [keep(False)] * len(family.members) + [keep(True)])
         if r == 0:
-            limit_states = list(compress(states_lim, ~scored))
-        states_lim = list(compress(states_lim, scored))
-
-        def distance(run_n):
-            gaps = []
-            for st_n, st_l in zip(compress(run_n.states, scored), states_lim):
-                for _, fn in phis:
-                    gaps.append(abs(st_n.estimate(fn) - st_l.estimate(fn)))
-            return float(np.mean(gaps))
-
-        # map holds no member's states while the next member marches
-        dists[r] = list(map(distance, runs))
+            limit_states = list(compress(lim.states, ~scored))
+        runs = dict(zip(family.members, members))
+        for j, n in enumerate(keys):
+            dists[r, j] = np.mean([abs(a - b) for e_n, e_l in zip(
+                compress(runs[n].states, scored), compress(lim.states, scored))
+                for a, b in zip(e_n, e_l)])
     mean_d = dists.mean(axis=0)
     se_d = dists.std(axis=0, ddof=1) / math.sqrt(reps) if reps > 1 else np.zeros(len(keys))
     rows = [{"n": n, "distance": float(mean_d[j]), "se": float(se_d[j])}

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manifests import _check_keys
+from .manifests import _check_keys, _registry_entry
 
 
 class LevyConfigError(ValueError):
@@ -558,11 +558,14 @@ MEASURE_REGISTRY = {
     "power_law_tails_1d": _build_power_law,
     "zero": _build_zero,
 }
+MEASURE_PARAMS = {
+    "atomic": ("atoms", "masses"),
+    "exponential_tails_1d": ("intensity_pos", "rate_pos", "intensity_neg", "rate_neg"),
+    "power_law_tails_1d": ("coef", "exponent", "r_max", "two_sided"), "zero": ("dim",)}
 
 
 def measure_from_config(cfg: dict) -> LevyMeasure:
     _check_keys(cfg, ("name", "params"), LevyConfigError, "a measure")
-    name = cfg["name"]
-    if name not in MEASURE_REGISTRY:
-        raise LevyConfigError(f"unknown measure {name!r}; known: {sorted(MEASURE_REGISTRY)}")
-    return MEASURE_REGISTRY[name](cfg.get("params", {}))
+    build, params = _registry_entry(cfg, MEASURE_REGISTRY, MEASURE_PARAMS,
+                                    LevyConfigError, "measure")
+    return build(params)

@@ -474,12 +474,36 @@ def test_unknown_registry_params_rejected(edit, message):
     assert RunManifest.from_dict(d).validate() == [message]
 
 
+# the same for the driver, the sensor and lambda; decay 0 was the silent default
+@pytest.mark.parametrize("edit, message", [
+    (lambda spec: _rename(spec["driver"]["params"], "masses", "mases"),
+     "driver: unknown key 'mases' in the params of measure 'atomic'; "
+     "allowed: atoms, masses"),
+    (lambda spec: spec["observation"].update(sensor={"name": "tanh",
+                                                     "params": {"scal": 2.0}}),
+     "observation: unknown key 'scal' in the params of sensor 'tanh'; allowed: scale"),
+    (lambda spec: _rename(spec["observation"]["lambda"]["params"], "decay", "decy"),
+     "observation: unknown key 'decy' in the params of lambda 'state_logistic'; "
+     "allowed: base, decay")],
+    ids=["driver.params.mases", "sensor.params.scal", "lambda.params.decy"])
+def test_unknown_observation_and_driver_params_rejected(edit, message):
+    d = next(m for m in _bench_manifests() if m["kind"] == "filter_robustness")
+    assert d["spec"]["observation"]["nu2"]["name"] == "atomic"     # filter-atomic
+    edit(d["spec"])
+    assert RunManifest.from_dict(d).validate() == [message]
+
+
 def test_every_registry_entry_lists_its_params():
     from levylab import coefficients as C
     from levylab import engine as E
+    from levylab import filtering as F
+    from levylab import measures as M
     assert list(C._DRIFT_SIGMA_PARAMS) == list(C._DRIFT_SIGMA_REGISTRY)
     assert list(C.G_PARAMS) == list(C.G_REGISTRY)
     assert list(E.INITIAL_LAW_PARAMS) == list(E.INITIAL_LAW_REGISTRY)
+    assert list(M.MEASURE_PARAMS) == list(M.MEASURE_REGISTRY)
+    assert list(F.SENSOR_PARAMS) == list(F.SENSOR_REGISTRY)
+    assert list(F.LAMBDA_PARAMS) == list(F.LAMBDA_REGISTRY)
 
 
 # a nested value that is not a JSON object is named, not iterated or indexed

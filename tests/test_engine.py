@@ -761,6 +761,27 @@ class TestBlockRunner:
         assert limit.values.tobytes() != self.family(L.family_from_config(
             self.FAMILY), block_size=64)[1].values.tobytes()
 
+    def test_sets_changed_in_place_keep_their_dynamics_across_workers(self, monkeypatch):
+        # workers rebuild a family from its config, which still builds the
+        # old member 2, so the changed family must run in process
+        fam = L.family_from_config(self.FAMILY)
+        fam.members[2] = fam.members[1]
+        want_members, want_limit = self.family(fam, block_size=64)
+        members, limit = self.family(fam, block_size=64, workers=2)
+        assert members[2].values.tobytes() == members[1].values.tobytes()
+        for n in members:
+            self.same(members[n], want_members[n])
+        self.same(limit, want_limit)
+        # an ensemble's one-set family and an unchanged family still pool
+        def pooled(max_workers):
+            raise AssertionError("pooled")
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", pooled)
+        with pytest.raises(AssertionError, match="pooled"):
+            self.ensemble(L.coefficients_from_config(self.FAMILY["base"]), workers=2)
+        with pytest.raises(AssertionError, match="pooled"):
+            self.family(L.family_from_config(self.FAMILY), workers=2)
+
 
 # the family test's drivers: MARCH_CASES' atomic ones (symmetric, one-sided,
 # 2-d) and a radial one, whose band moment is looked up per row

@@ -699,3 +699,96 @@ class TestRobustness:
             robustness_experiment(self.family(), make_model(), L.zero_measure(1),
                                   TR, L.PointMass([0.2]), [1, 2], 10, 0.1, 0.5,
                                   seed=26, reps=0)
+
+
+def filter_family(kind="sine", amp=1.0, gpert=0.4):
+    return L.family_from_config({
+        "base": {"name": "ou", "d": 1, "m": 1, "params": {"theta": 1.0, "sigma": 1.0},
+                 "gamma": 0.4, "growth_bound": 4.0},
+        "drift_perturbation": {"name": kind, "amp": amp},
+        "gamma_perturbation": gpert, "schedule": [2, 1, 4]})
+
+
+NU2S = {"atomic": None,
+        "exponential": {"name": "exponential_tails_1d",
+                        "params": {"intensity_pos": 1.0, "rate_pos": 2.0}}}
+
+
+class TestStackedFilter:
+    """A family_from_config family's filters march as one BlockMarch over
+    stacked copies of the particle block; each filter must get the bits of
+    a filter_run of its set and record alone."""
+
+    DRV = L.AtomicLevyMeasure([[0.8], [-0.8]], [1.5, 1.5])
+    MU0 = L.GaussianLaw([0.0], [0.5])
+    T, H = 0.5, 0.05
+
+    def records(self, fam, model, seed):
+        """One record per set of fam, in all_sets() order."""
+        setup = ObservationSetup(model, self.T, self.H, seed)
+        members, limit = L.simulate_coupled_family(fam, self.DRV, TR, self.MU0, 1, self.H,
+                                                   self.T, seed, extra_times=setup.prop_times)
+        return [setup.record_for(e.values[0]) for e in [*members.values(), limit]]
+
+    @settings(max_examples=30, deadline=None)
+    @given(ess=st.sampled_from([None, 0.98]), nu2=st.sampled_from(sorted(NU2S)),
+           kind=st.sampled_from(["sine", "shift"]), amp=st.sampled_from([0.0, 1.0]),
+           gpert=st.sampled_from([0.0, 0.4]), n=st.sampled_from([1, 3, 64]),
+           custom=st.booleans(), seed=st.integers(0, 2 ** 16))
+    def test_matches_per_set_filter_runs(self, ess, nu2, kind, amp, gpert, n, custom,
+                                         seed):
+        fam = filter_family(kind, amp, gpert)
+        assert fam.stacked(n) is not None
+        model = make_model(lam=("state_logistic", {"base": 0.8, "decay": 0.5}),
+                           nu2=NU2S[nu2])
+        records = self.records(fam, model, seed)
+        checkpoints = np.linspace(0.1, self.T, 4) if custom else None
+        got = filter_run(model, fam, self.DRV, TR, self.MU0, records, n, seed + 1, ess,
+                         checkpoints)
+        count = 0
+        for cs, rec, res in zip(fam.all_sets(), records, got):
+            want = filter_run(model, cs, self.DRV, TR, self.MU0, rec, n, seed + 1, ess,
+                              checkpoints)
+            assert res.resampled_at == want.resampled_at
+            assert _same_states(res.states, want.states)
+            count += 1
+        assert count == 4
+
+    def test_family_marches_once_and_hand_built_set_by_set(self, monkeypatch):
+        import levylab.filtering as F
+
+        marched = []
+        march = F._march_filter
+        monkeypatch.setattr(F, "_march_filter", lambda model, coeffs, *a: marched.append(
+            (type(coeffs).__name__, len(a[2]))) or march(model, coeffs, *a))
+        fam = filter_family()
+        model = make_model(lam=("state_logistic", {"base": 0.8, "decay": 0.5}))
+        records = self.records(fam, model, 46)
+        results = list(filter_run(model, fam, self.DRV, TR, self.MU0, records, 60, 47,
+                                  0.98))
+        assert marched == [("StackedFamily", 4)]
+        assert all(res.resampled_at for res in results)
+        hand = L.CoefficientFamily(limit=fam.limit, members=dict(fam.members))
+        assert hand.stacked(60) is None
+        again = filter_run(model, hand, self.DRV, TR, self.MU0, records, 60, 47, 0.98)
+        assert len(marched) == 1        # lazily, one set per step
+        for res, want in zip(again, results):
+            assert marched[-1] == ("CoefficientSet", 1)
+            assert res.resampled_at == want.resampled_at
+            assert _same_states(res.states, want.states)
+        assert len(marched) == 5
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("index, which", [(1, "member n=1"), (3, "limit")])
+    def test_collapse_names_the_filter(self, index, which):
+        fam = filter_family()
+        model = make_model(lam=("state_logistic", {"base": 0.8, "decay": 0.5}))
+        records = self.records(fam, model, 48)
+        cont = records[index].cont_increments.copy()
+        cont[3] = np.inf          # only this filter's weights all leave the reals
+        records[index] = dataclasses.replace(records[index], cont_increments=cont)
+        t = records[index].grid[4]
+        with pytest.raises(FilterError, match=re.escape(
+                f"filter collapsed: all weights -inf at t={t:.6g} ({which}, seed 49, "
+                f"namespace {R.FILTER})")):
+            list(filter_run(model, fam, self.DRV, TR, self.MU0, records, 40, 49))
