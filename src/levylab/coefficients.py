@@ -1,6 +1,6 @@
 """Drift/diffusion/jump coefficient sets, indexed families, and validators.
 
-Coefficient callables are vectorized over particles:
+Coefficient callables take every particle in one call:
 
     b(t, x)     -> (n, d)   with x of shape (n, d), t a float or (n,) array
     sigma(t, x) -> (n, d, m)
@@ -12,30 +12,17 @@ The jump coefficient of the state equation is f(t, x) = gamma * g(t, x).
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
-from .manifests import _check_keys, _registry_entry
+from .manifests import _check_keys, _is_finite, _is_int, _registry_entry
 
 
 class CoefficientError(ValueError):
     pass
-
-
-def _wrap_rowwise(fn, out_shape_fn):
-    """Adapt a per-point callable to the vectorized (t, x) contract."""
-
-    def wrapped(t, x):
-        x = np.atleast_2d(x)
-        n = x.shape[0]
-        ts = np.broadcast_to(np.asarray(t, dtype=float), (n,))
-        out = np.empty(out_shape_fn(n))
-        for i in range(n):
-            out[i] = fn(float(ts[i]), x[i])
-        return out
-
-    return wrapped
 
 
 @dataclass
@@ -49,7 +36,6 @@ class CoefficientSet:
     gamma: float = 0.0
     g: callable = None
     growth_bound: float | None = None   # declared linear-growth constant, if any
-    vectorized: bool = True
     # registry config the set was built from, for worker processes; set only
     # by coefficients_from_config, so a dataclasses.replace copy has none
     config: dict | None = field(default=None, init=False)
@@ -57,12 +43,6 @@ class CoefficientSet:
     def __post_init__(self):
         if self.g is None:
             self.g = lambda t, x: np.ones(np.atleast_2d(x).shape[0])
-        if not self.vectorized:
-            b0, s0, g0 = self.b, self.sigma, self.g
-            self.b = _wrap_rowwise(b0, lambda n: (n, self.d))
-            self.sigma = _wrap_rowwise(s0, lambda n: (n, self.d, self.m))
-            self.g = _wrap_rowwise(g0, lambda n: (n,)) if g0 is not None else None
-            self.vectorized = True
 
     def f(self, t, x):
         """Jump coefficient gamma * g(t, x), shape (n,)."""
@@ -80,31 +60,48 @@ class CoefficientSet:
         return self
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoefficientFamily:
-    """Indexed coefficient sets sharing the jump shape g, plus their limit."""
+    """The sets (b_n, sigma_n, gamma_n) of a 1/n perturbation of a limit set.
+
+    Member n has the drift b + amp/n * sin(x) ("sine") or b + amp/n
+    ("shift"), the diffusion (1 + sigma_amp/n) sigma and the jump
+    coefficient (gamma + gamma_amp/n) g: the limit's closures plus three
+    scalars.  members (n -> CoefficientSet, in schedule order) is built once
+    from these fields and is read-only; dataclasses.replace builds a family
+    with consistent members.  With no schedule the family is its limit alone.
+    """
 
     limit: CoefficientSet
-    members: dict = field(default_factory=dict)  # n -> CoefficientSet
-    # registry config, set only by family_from_config and simulate_ensemble
-    config: dict | None = field(default=None, init=False)
-    # (drift kind, drift amp, sigma amp, sets) of a family_from_config family:
-    # while all_sets() are those sets, each member is the limit plus scalars;
-    # a dataclasses.replace copy has none
-    perturbation: tuple | None = field(default=None, init=False)
+    schedule: tuple = ()
+    drift: str = "shift"
+    drift_amp: float = 0.0
+    gamma_amp: float = 0.0
+    sigma_amp: float = 0.0
+    members: Mapping = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for n, cs in self.members.items():
-            if (cs.d, cs.m) != (self.limit.d, self.limit.m):
-                raise CoefficientError(f"member {n} has mismatched dimensions")
-            if cs.g is not self.limit.g:
-                raise CoefficientError(f"member {n} does not share the jump shape g")
+        if self.drift not in _DRIFTS:
+            raise CoefficientError(f"unknown drift perturbation {self.drift!r}; "
+                                   f"known: {list(_DRIFTS)}")
+        object.__setattr__(self, "members", MappingProxyType(
+            {n: self._member(n) for n in self.schedule}))
+
+    def _member(self, n) -> CoefficientSet:
+        lim = self.limit
+        sigma = lim.sigma
+        if self.sigma_amp != 0.0:
+            fac = 1.0 + self.sigma_amp / n
+            sigma = lambda t, x, _s=lim.sigma: fac * _s(t, x)
+        return CoefficientSet(b=_perturbed_drift(lim.b, self.drift, self.drift_amp, n),
+                              sigma=sigma, d=lim.d, m=lim.m,
+                              gamma=lim.gamma + self.gamma_amp / n, g=lim.g,
+                              growth_bound=lim.growth_bound)
 
     @property
     def gamma_sup(self) -> float:
         """Uniform bound on the jump coefficients across the family."""
-        gammas = [abs(cs.gamma) for cs in self.members.values()] + [abs(self.limit.gamma)]
-        sup = max(gammas)
+        sup = max(abs(cs.gamma) for cs in self.all_sets())
         if not math.isfinite(sup):
             raise CoefficientError("family gamma sequence is not uniformly bounded")
         return sup
@@ -113,18 +110,14 @@ class CoefficientFamily:
         """The members in schedule order, then the limit."""
         return [*self.members.values(), self.limit]
 
-    def as_built(self) -> bool:
-        """Whether all_sets() are still the sets family_from_config built."""
-        return bool(self.perturbation) and self.perturbation[3] == tuple(self.all_sets())
-
     def stacked(self, B: int):
-        """All sets as one StackedFamily on blocks of B slots, while they are
-        the parametric sets family_from_config built."""
-        return StackedFamily(self, B) if self.members and self.as_built() else None
+        """What one march of every set on blocks of B slots runs: the
+        StackedFamily, or the limit set for a family with no members."""
+        return StackedFamily(self, B) if self.schedule else self.limit
 
 
 class StackedFamily:
-    """Every set of a parametric family on one stacked block of S*B rows.
+    """Every set of a family on one stacked block of S*B rows.
 
     Row s*B + p is slot p under set s of all_sets().  A member is the limit
     plus three scalars: a drift term amp/n, a sigma factor 1 + sp/n and its
@@ -134,10 +127,11 @@ class StackedFamily:
     """
 
     def __init__(self, family: CoefficientFamily, B: int):
-        kind, amp, sp, _ = family.perturbation
-        n = np.array(list(family.members), dtype=float)
-        self.limit, self.B, self.cut, self.sine = family.limit, B, n.size * B, kind == "sine"
-        self.names = [f"member n={k}" for k in family.members] + ["limit"]
+        amp, sp = family.drift_amp, family.sigma_amp
+        n = np.array(family.schedule, dtype=float)
+        self.limit, self.B, self.cut = family.limit, B, n.size * B
+        self.sine = family.drift == "sine"
+        self.names = [f"member n={k}" for k in family.schedule] + ["limit"]
         self.scale = amp / n if amp != 0.0 else None
         self.fac = 1.0 + sp / n if sp != 0.0 else None
         self.gamma = np.array([cs.gamma for cs in family.all_sets()])
@@ -401,46 +395,42 @@ def coefficients_from_config(cfg: dict) -> CoefficientSet:
     return cs
 
 
+_DRIFTS = ("sine", "shift")
+
+
 def _perturbed_drift(base_b, kind: str, amp: float, n: int):
     if amp == 0.0:
         return base_b
     scale = amp / n
     if kind == "sine":
         return lambda t, x, _b=base_b: _b(t, x) + scale * np.sin(np.atleast_2d(x))
-    if kind == "shift":
-        return lambda t, x, _b=base_b: _b(t, x) + scale
-    raise CoefficientError(f"unknown drift perturbation {kind!r}")
+    return lambda t, x, _b=base_b: _b(t, x) + scale
 
 
 def family_from_config(cfg: dict) -> CoefficientFamily:
     """Coefficient family with 1/n-type perturbations of a base config.
 
-    cfg keys: base (coefficient config), schedule (list of n), and the
-    perturbations drift_perturbation {name, amp}, gamma_perturbation (amp),
-    sigma_perturbation (amp, multiplicative 1 + amp/n).
+    cfg keys: base (coefficient config), schedule (a non-empty list of
+    distinct integers n >= 1), and the perturbations drift_perturbation
+    {name, amp}, gamma_perturbation (amp), sigma_perturbation (amp,
+    multiplicative 1 + amp/n); every amp a finite number.
     """
     _check_keys(cfg, ("base", "schedule", "drift_perturbation", "gamma_perturbation",
                       "sigma_perturbation"), CoefficientError, "a family")
     limit = coefficients_from_config(cfg["base"])
-    dp = cfg.get("drift_perturbation", {"name": "shift", "amp": 0.0})
+    schedule = cfg.get("schedule")
+    if not (isinstance(schedule, (list, tuple)) and schedule
+            and all(_is_int(n) and _is_finite(n) and n >= 1 for n in schedule)
+            and len(set(schedule)) == len(schedule)):
+        raise CoefficientError(f"schedule must be a non-empty list of distinct integers "
+                               f">= 1, got {schedule!r}")
+    dp = cfg.get("drift_perturbation", {})
     _check_keys(dp, ("name", "amp"), CoefficientError, "a drift perturbation")
-    gp = float(cfg.get("gamma_perturbation", 0.0))
-    sp = float(cfg.get("sigma_perturbation", 0.0))
-    members = {}
-    for n in cfg["schedule"]:
-        n = int(n)
-        b_n = _perturbed_drift(limit.b, dp.get("name", "shift"), float(dp.get("amp", 0.0)), n)
-        if sp != 0.0:
-            fac = 1.0 + sp / n
-            sigma_n = lambda t, x, _s=limit.sigma, _f=fac: _f * _s(t, x)
-        else:
-            sigma_n = limit.sigma
-        members[n] = CoefficientSet(
-            b=b_n, sigma=sigma_n, d=limit.d, m=limit.m,
-            gamma=limit.gamma + gp / n, g=limit.g,
-            growth_bound=limit.growth_bound)
-    family = CoefficientFamily(limit=limit, members=members)
-    family.config = cfg
-    family.perturbation = (dp.get("name", "shift"), float(dp.get("amp", 0.0)), sp,
-                           (*members.values(), limit))
-    return family
+    amps = {"drift_perturbation.amp": dp.get("amp", 0.0),
+            "gamma_perturbation": cfg.get("gamma_perturbation", 0.0),
+            "sigma_perturbation": cfg.get("sigma_perturbation", 0.0)}
+    for key, amp in amps.items():
+        if not _is_finite(amp):
+            raise CoefficientError(f"{key} must be a finite number, got {amp!r}")
+    return CoefficientFamily(limit, tuple(schedule), dp.get("name", "shift"),
+                             *map(float, amps.values()))

@@ -18,19 +18,18 @@ three streams in turn; a stream is still a pure function of its four labels,
 so block partitioning and worker counts cannot change any drawn number.
 
 Every simulation runs through one block runner: each particle block's
-randomness is drawn once (_prepare_block) and every coefficient set of a
-family marches over that draw.  The S sets of a family built from its
-registry config march as one: one BlockMarch of S*B rows (member-major
-copies of the block, on the block's noise rows) under its StackedFamily, so
-each cell pays the numpy calls, noise gather and schedule loop once (the
-filter marches a family's filters so too).  A hand-built family, or one
-whose sets were changed in place, marches set by set; an ensemble alone.
-With several workers the blocks go to one process pool, and each worker
-rebuilds the family from its registry config, because coefficient closures
-do not pickle, so a family changed in place stays in process.  A caller
-that reads only some times (record_times) gets only those grid slices:
-every cell is still marched, but no other slice is stored, nor sent back
-from a worker.
+randomness is drawn once (_prepare_block) and the S sets of a family march
+over that draw as one: one BlockMarch of S*B rows (member-major copies of
+the block, on the block's noise rows) under its StackedFamily, so each
+cell pays the numpy calls, noise gather and schedule loop once (the filter
+marches a family's filters so too).  An ensemble is a family with no
+members, and marches its one set.  With several workers the blocks go to
+one process pool when the limit carries its registry config: coefficient
+closures do not pickle, so each worker rebuilds the limit from that config
+and the members from the family's scalars; a limit with no config stays in
+process.  A caller that reads only some times (record_times) gets only
+those grid slices: every cell is still marched, but no other slice is
+stored, nor sent back from a worker.
 
 The draw also carries each cell's jump schedule: the slots that jump in the
 cell, their sub-step start times, the jump times and marks, and each
@@ -53,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .coefficients import (CoefficientFamily, CoefficientSet, family_from_config,
+from .coefficients import (CoefficientFamily, CoefficientSet, coefficients_from_config,
                            require_linear_growth)
 from .manifests import _check_keys, _registry_entry
 from .measures import (JumpEvents, LevyConfigError, LevyMeasure,
@@ -517,27 +516,23 @@ def kept_slices(grid: np.ndarray, record_times=None) -> np.ndarray:
 
 
 def _run_block(family, driver, trunc, mu0, grid, keep, block, seed, namespace, out):
-    """Draw one block's randomness once; every set of the family marches
-    over it, a parametric family in one march of its StackedFamily and a
-    hand-built one set by set.
+    """Draw one block's randomness once and march every set of the family
+    over it, as one BlockMarch of family.stacked(B).
 
     Set k's (B, len(keep), d) values at the grid indices keep are written
     into out[k].  Returns the block's jump times and marks.
     """
-    stacked = family.stacked(len(block))
-    marches = [(stacked, out)] if stacked else list(zip(family.all_sets(), out))
     inputs = _prepare_block(driver, trunc, mu0, grid, family.limit.m, block, seed,
-                            namespace, len(out) if stacked else 1)
-    for coeffs, vals in marches:
-        BlockMarch(coeffs, driver, trunc, grid, inputs).run(vals, keep)
+                            namespace, len(out))
+    BlockMarch(family.stacked(len(block)), driver, trunc, grid, inputs).run(out, keep)
     return inputs.jump_times, inputs.jump_marks
 
 
 def _pool_block(args):
-    """Worker task: one block, with the family rebuilt from its config;
-    returns only the kept slices."""
-    config, driver, trunc, mu0, grid, keep, block, *rest = args
-    family = family_from_config(config)
+    """Worker task: one block, with the family rebuilt from its limit's
+    config and its scalars; returns only the kept slices."""
+    (config, *scalars), driver, trunc, mu0, grid, keep, block, *rest = args
+    family = CoefficientFamily(coefficients_from_config(config), *scalars)
     out = np.empty((len(family.all_sets()), len(block), len(keep), family.limit.d))
     return out, *_run_block(family, driver, trunc, mu0, grid, keep, block, *rest, out)
 
@@ -551,12 +546,14 @@ def _simulate_blocks(family: CoefficientFamily, driver, trunc, mu0, n_particles,
     keep = kept_slices(grid, record_times)
     values = np.empty((len(family.all_sets()), n_particles, keep.size, family.limit.d))
     jump_times, jump_marks = [], []
-    # workers rebuild the sets from config: an ensemble's, or a family's unchanged ones
-    if workers > 1 and family.config and (not family.perturbation or family.as_built()):
+    # workers rebuild the family from its limit's registry config and its scalars
+    if workers > 1 and family.limit.config is not None:
         # a multiple of workers of near-equal blocks, none over block_size
         k = min(-(-n_particles // (block_size * workers)) * workers, n_particles)
         ranges = [range(n_particles * i // k, n_particles * (i + 1) // k) for i in range(k)]
-        tasks = [(family.config, driver, trunc, mu0, grid, keep, r, seed, namespace)
+        params = (family.limit.config, family.schedule, family.drift, family.drift_amp,
+                  family.gamma_amp, family.sigma_amp)
+        tasks = [(params, driver, trunc, mu0, grid, keep, r, seed, namespace)
                  for r in ranges]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for r, (out, jt, jm) in zip(ranges, pool.map(_pool_block, tasks)):
@@ -593,11 +590,9 @@ def simulate_ensemble(coeffs: CoefficientSet, driver: LevyMeasure,
     """
     if validate and coeffs.growth_bound is not None:
         require_linear_growth(coeffs)
-    family = CoefficientFamily(limit=coeffs)
-    if coeffs.config is not None:
-        family.config = {"base": coeffs.config, "schedule": []}
-    return _simulate_blocks(family, driver, trunc, mu0, n_particles, grid_step, T,
-                            seed, namespace, extra_times, block_size, workers)[-1]
+    return _simulate_blocks(CoefficientFamily(limit=coeffs), driver, trunc, mu0,
+                            n_particles, grid_step, T, seed, namespace, extra_times,
+                            block_size, workers)[-1]
 
 
 def simulate_path(coeffs: CoefficientSet, driver: LevyMeasure,
@@ -630,10 +625,10 @@ def simulate_coupled_family(family: CoefficientFamily, driver: LevyMeasure,
 
     For each particle index the same initial draw, the same driver atoms and
     the same Brownian rows feed every member; only coefficients differ.
-    Workers are used as in simulate_ensemble, keyed on family.config, while
-    all_sets() are the sets that config builds; otherwise in process.  With
-    record_times every ensemble holds only the grid slices kept_slices picks
-    for them, the same bits as the full paths there.
+    Workers are used as in simulate_ensemble, keyed on family.limit.config:
+    a worker rebuilds the limit from it and the members from the family's
+    scalars.  With record_times every ensemble holds only the grid slices
+    kept_slices picks for them, the same bits as the full paths there.
     Returns (members: dict n -> PathEnsemble, limit: PathEnsemble).
     """
     if validate:

@@ -169,8 +169,8 @@ def run_filter_robustness(man: RunManifest, seed: int, workers: int):
     model = observation_model_from_config(man.spec["observation"])
     model.check_measure_invariants()
     reps = int(man.spec.get("reps", 3))
-    rep = robustness_experiment(family, model, driver, trunc, mu0, sorted(family.members),
-                                man.n_particles, man.h, man.T, seed, reps=reps)
+    rep = robustness_experiment(family, model, driver, trunc, mu0, man.n_particles, man.h,
+                                man.T, seed, reps=reps)
     rows = [[r["n"], r["distance"], r["se"]] for r in rep.rows]
     # one filter table for the limit dynamics, per the CSV interface: rep 0's
     # limit filter at filter_run's default checkpoints

@@ -20,12 +20,11 @@ Coupling for the robustness experiment: family members share the Brownian
 observation noise, the proposal atoms, and one thinning uniform per atom
 (member n accepts iff the shared uniform is below lambda(X^n, u)).  Each
 rep is one filter_run over the family, one record per set: the filter
-particles' randomness is drawn once, and a family from family_from_config
-marches every filter as one BlockMarch over S stacked copies of the block.
-h, |h|^2 and the band integral are taken once per cell on all rows; each
-filter's record, weights, resampling stream and snapshots stay on its own
-rows, so each filter equals a filter_run of its set alone, bit for bit.  A
-hand-built family's filters march one at a time over the draw.
+particles' randomness is drawn once, and every filter marches in one
+BlockMarch over S stacked copies of the block.  h, |h|^2 and the band
+integral are taken once per cell on all rows; each filter's record,
+weights, resampling stream and snapshots stay on its own rows, so each
+filter equals a filter_run of its set alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -82,7 +81,7 @@ def _add_in_order(acc, terms):
 class ObservationModel:
     """Sensor h, thinning intensity lambda, driving measure nu2, small band U0.
 
-    lam is vectorized over both arguments: for n states x (n, d) and q marks
+    lam takes arrays in both arguments: for n states x (n, d) and q marks
     U (q, k) it returns the (n, q) matrix lambda(x_i, U_j), every entry in
     (0, 1); a mark_profile attribute Lbar declares it separable, lambda(x, u)
     = lambda(x, 0) Lbar(|u|) / Lbar(0).  u0_region is (lo, hi]: the band
@@ -492,35 +491,29 @@ def filter_run(model: ObservationModel, coeffs, driver: LevyMeasure,
     ESS < ess_threshold * n (disabled when ess_threshold is None: exactness
     tests need weight paths uncontaminated by resampling noise).
 
-    One CoefficientSet and one record give one FilterResult.  Equal-length
-    sequences of sets and records on one grid, or a CoefficientFamily and
-    records in all_sets() order, give an iterator of FilterResults in order.
-    The particle randomness is drawn once, now; a family that stacks marches
-    all its filters now, as one BlockMarch of S*n rows, else each filter
-    marches when the iterator reaches it.  Each filter has its own resample
-    stream and equals a filter_run of its set alone, bit for bit.  keep, one
-    callable per set, maps (k, state) to the result's k-th state.
+    One CoefficientSet and one record give one FilterResult.  A
+    CoefficientFamily and one record per set, in all_sets() order, give a
+    list of FilterResults in that order: the particle randomness is drawn
+    once and every filter marches in one BlockMarch of family.stacked(n)
+    over S*n rows.  Each filter has its own resample stream and equals a
+    filter_run of its set alone, bit for bit.  keep, one callable per set,
+    maps (k, state) to the result's k-th state.
     """
-    family = coeffs if isinstance(coeffs, CoefficientFamily) else None
     one = isinstance(coeffs, CoefficientSet)
-    sets = [coeffs] if one else family.all_sets() if family else list(coeffs)
+    family = CoefficientFamily(limit=coeffs) if one else coeffs
     records = [record] if one else list(record)
-    if len(sets) != len(records) or not sets:
-        raise FilterError(f"{len(sets)} coefficient sets for {len(records)} records")
+    S = len(family.all_sets())
+    if len(records) != S:
+        raise FilterError(f"{S} coefficient sets for {len(records)} records")
     grid = records[0].grid
     if any(not np.array_equal(rec.grid, grid) for rec in records[1:]):
         raise FilterError("the records lie on different grids")
-    stacked = family.stacked(n_particles) if family else None
-    inputs = _prepare_block(driver, trunc, mu0, grid, sets[0].m, range(n_particles),
-                            seed, rngmod.FILTER, len(sets) if stacked else 1)
-    keeps = [None] * len(sets) if keep is None else list(keep)
-    if stacked:
-        return iter(_march_filter(model, stacked, driver, trunc, records, inputs,
-                                  ess_threshold, checkpoints, keeps))
-    results = (_march_filter(model, cs, driver, trunc, [rec], inputs, ess_threshold,
-                             checkpoints, [kp])[0]
-               for cs, rec, kp in zip(sets, records, keeps))
-    return next(results) if one else results
+    inputs = _prepare_block(driver, trunc, mu0, grid, family.limit.m, range(n_particles),
+                            seed, rngmod.FILTER, S)
+    results = _march_filter(model, family.stacked(n_particles), driver, trunc, records,
+                            inputs, ess_threshold, checkpoints,
+                            [None] * S if keep is None else list(keep))
+    return results[0] if one else results
 
 
 def _march_filter(model: ObservationModel, coeffs, driver: LevyMeasure,
@@ -601,21 +594,21 @@ class RobustnessReport:
 
 
 def robustness_experiment(family, model: ObservationModel, driver, trunc,
-                          mu0, schedule, n_particles: int, h: float, T: float,
+                          mu0, n_particles: int, h: float, T: float,
                           seed: int, phis=None, n_checkpoints: int = 10,
                           reps: int = 3,
                           ess_threshold: float | None = None) -> RobustnessReport:
-    """Distance table n -> D(pi^n, pi) under fully coupled randomness.
+    """Distance table n -> D(pi^n, pi), for every member n of the family,
+    under fully coupled randomness.
 
     D averages |pi^n_t(phi) - pi_t(phi)| over checkpoint times and a test
     dictionary; signals, observations (shared W / proposals / thinning
     uniforms) and filter particles are all coupled across members, so a
     member equal to the limit reproduces it bitwise and D = 0.  Each rep is
-    one filter_run over the family (one particle draw; a family_from_config
-    family marches as one stacked block).  A filter keeps only its phi
-    estimates at the checkpoints, taken at each snapshot.  Rep 0's filters
-    also snapshot at filter_run's default checkpoints; the report keeps the
-    limit's states there.
+    one filter_run over the family (one particle draw, one stacked march).
+    A filter keeps only its phi estimates at the checkpoints, taken at each
+    snapshot.  Rep 0's filters also snapshot at filter_run's default
+    checkpoints; the report keeps the limit's states there.
     """
     from .convergence import decreasing_verdict, enforce_level_bound
 
@@ -626,7 +619,7 @@ def robustness_experiment(family, model: ObservationModel, driver, trunc,
         phis = [("tanh", lambda x: np.tanh(np.atleast_2d(x)[:, 0])),
                 ("first", lambda x: np.atleast_2d(x)[:, 0]),
                 ("bump", lambda x: np.exp(-0.5 * np.sum(np.atleast_2d(x) ** 2, axis=1)))]
-    keys = sorted(int(n) for n in schedule)
+    keys = sorted(family.members)
     dists = np.zeros((reps, len(keys)))
     checkpoints = np.linspace(T / n_checkpoints, T, n_checkpoints)
     for r in range(reps):

@@ -413,8 +413,8 @@ class Radial1DMeasure(LevyMeasure):
         return np.asarray(p + n, dtype=float)
 
     def radial_integral(self, fn, r_lo, r_hi):
-        """Integral of fn(|z|) over the annulus, for r_lo >= 0 and a vectorized
-        fn.  Per side: 16-point Gauss-Legendre on each of 16 geometric panels
+        """Integral of fn(|z|) over the annulus, for r_lo >= 0 and an fn that
+        takes an array of radii.  Per side: 16-point Gauss-Legendre on each of 16 geometric panels
         of [r_lo, hi], with hi = r_max on a power side and r_lo + 60/rate on
         an exponential one, where the density has fallen by e^-60; fn is
         called once per side on all the panel nodes.  r_lo = 0 needs finite

@@ -363,8 +363,7 @@ def test_criterion_09_filter_robustness():
                                              "masses": [0.8, 0.7, 0.4]}},
         "u0_region": [0.0, 1.0]})
     rep = robustness_experiment(fam, model, drv, TruncationConfig(level=0.5),
-                                L.GaussianLaw([0.0], [0.5]),
-                                [1, 2, 4, 8, 16, 32], 10_000, 0.01, 1.0,
+                                L.GaussianLaw([0.0], [0.5]), 10_000, 0.01, 1.0,
                                 seed=SEED, reps=3)
     elapsed = time.perf_counter() - t0
     ok = rep.passed and elapsed < 900.0

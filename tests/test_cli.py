@@ -10,8 +10,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import levylab
+from levylab.coefficients import family_from_config
 from levylab.cli import main
 from levylab.experiments import replay, run
 from levylab.manifests import ManifestError, RunManifest
@@ -519,6 +522,64 @@ def test_nested_non_objects_rejected(kind, edit, message):
     d = next(m for m in _bench_manifests() + _readme_manifests() if m["kind"] == kind)
     edit(d["spec"])
     assert RunManifest.from_dict(d).validate() == [message]
+
+
+# a bad family is named before any compute; each of these once crashed
+# (ZeroDivisionError, or IndexError after the whole run) or ran as
+# something else ("12" as [1, 2], [1, 1, 2] as two rows, 1.5 as 1)
+SCHEDULE = "schedule must be a non-empty list of distinct integers >= 1, got "
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"schedule": [0, 1]}, SCHEDULE + "[0, 1]"),
+    ({"schedule": []}, SCHEDULE + "[]"),
+    ({"schedule": "12"}, SCHEDULE + "'12'"),
+    ({"schedule": [1, 1, 2]}, SCHEDULE + "[1, 1, 2]"),
+    ({"schedule": 1.5}, SCHEDULE + "1.5"),
+    ({"schedule": [4, -2, 1]}, SCHEDULE + "[4, -2, 1]"),
+    ({"schedule": [1, 2.0]}, SCHEDULE + "[1, 2.0]"),
+    ({"drift_perturbation": {"name": "sinx", "amp": 0.0}},
+     "unknown drift perturbation 'sinx'; known: ['sine', 'shift']"),
+    ({"drift_perturbation": {"name": "sine", "amp": math.inf}},
+     "drift_perturbation.amp must be a finite number, got inf"),
+    ({"gamma_perturbation": math.nan}, "gamma_perturbation must be a finite number, got nan"),
+    ({"sigma_perturbation": "0.5"}, "sigma_perturbation must be a finite number, got '0.5'")],
+    ids=["zero", "empty", "string", "repeated", "float", "negative", "whole-float",
+         "drift-name-at-amp-0", "drift-amp-inf", "gamma-nan", "sigma-string"])
+def test_bad_family_rejected_before_compute(tmp_path, capsys, edit, message):
+    d = small_limit_manifest().to_dict()
+    d["spec"]["family"] = {**d["spec"]["family"], **edit}
+    mpath = tmp_path / "man.json"
+    mpath.write_text(json.dumps(d))
+    out = tmp_path / "never"
+    assert main(["validate", str(mpath)]) == 1
+    assert capsys.readouterr().err == f"INVALID: family: {message}\n"
+    assert main(["run", str(mpath), "--out", str(out)]) == 1
+    assert f"INVALID: family: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+NUMBERS = st.one_of(st.integers(-3, 10 ** 400), st.floats(), st.text(max_size=2),
+                    st.booleans())
+
+
+@settings(max_examples=80, deadline=None)
+@given(schedule=st.one_of(st.lists(NUMBERS, max_size=5),
+                          st.lists(st.integers(1, 2 ** 70), max_size=5, unique=True),
+                          NUMBERS),
+       name=st.sampled_from(["sine", "shift", "sinx"]), amps=st.tuples(*[NUMBERS] * 3))
+def test_random_family_configs_validate_and_accepted_ones_build(schedule, name, amps):
+    family = dict(small_limit_manifest().spec["family"], schedule=schedule,
+                  drift_perturbation={"name": name, "amp": amps[0]},
+                  gamma_perturbation=amps[1], sigma_perturbation=amps[2])
+    man = small_limit_manifest()
+    man.spec = dict(man.spec, family=family)
+    errors = man.validate()
+    assert all(e.startswith("family: ") for e in errors)
+    if not errors:
+        fam = family_from_config(family)
+        assert list(fam.members) == schedule
+        assert math.isfinite(fam.gamma_sup)
 
 
 SUPERPOSITION_KEYS = ("coefficients, driver, truncation, mu0, block_size, "

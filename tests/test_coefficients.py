@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from levylab.coefficients import (CoefficientError, CoefficientSet,
-                                  coefficients_from_config, family_from_config,
-                                  linear_growth_report, require_linear_growth)
+from levylab.coefficients import (CoefficientError, coefficients_from_config,
+                                  family_from_config, linear_growth_report,
+                                  require_linear_growth)
 
 
 def test_zero_coefficients_constants():
@@ -52,15 +53,6 @@ def test_rotation_degenerate_sigma_rank():
     np.testing.assert_allclose(b[0], [0.0, 2.0])
 
 
-def test_rowwise_wrapping():
-    cs = CoefficientSet(
-        b=lambda t, x: -x, sigma=lambda t, x: np.array([[0.5]]),
-        d=1, m=1, gamma=1.0, g=lambda t, x: 1.0 + 0.0 * t, vectorized=False)
-    out = cs.b(0.0, np.array([[1.0], [2.0]]))
-    np.testing.assert_allclose(out, [[-1.0], [-2.0]])
-    assert cs.sigma(0.0, np.array([[1.0], [2.0]])).shape == (2, 1, 1)
-
-
 class TestFamily:
     cfg = {
         "base": {"name": "ou", "d": 1, "m": 1,
@@ -86,10 +78,22 @@ class TestFamily:
                 2.0 / n * math.sin(0.7), rel=1e-12)
             assert cs.gamma == pytest.approx(0.5 + 1.0 / n)
 
-    def test_mismatched_g_rejected(self):
-        from levylab.coefficients import CoefficientFamily
+    def test_members_are_read_only(self):
+        # a member is the limit plus its scalars: it cannot be swapped in place
         fam = family_from_config(self.cfg)
-        rogue = CoefficientSet(b=fam.limit.b, sigma=fam.limit.sigma, d=1, m=1,
-                               gamma=0.5, g=lambda t, x: np.ones(np.atleast_2d(x).shape[0]))
-        with pytest.raises(CoefficientError):
-            CoefficientFamily(limit=fam.limit, members={1: rogue})
+        with pytest.raises(TypeError):
+            fam.members[2] = fam.members[1]
+        with pytest.raises(TypeError):
+            del fam.members[2]
+        assert list(fam.members) == [1, 2, 4]
+
+    def test_replace_rebuilds_consistent_members(self):
+        fam = family_from_config(self.cfg)
+        sub = replace(fam, schedule=(4, 1))
+        assert list(sub.members) == [4, 1] and sub.limit is fam.limit
+        x = np.array([[0.7], [-1.3]])
+        for n in (4, 1):
+            assert sub.members[n].b(0.0, x).tobytes() == fam.members[n].b(0.0, x).tobytes()
+            assert sub.members[n].gamma == fam.members[n].gamma
+        moved = replace(fam, limit=replace(fam.limit, gamma=0.25))
+        assert [cs.gamma for cs in moved.all_sets()] == [1.25, 0.75, 0.5, 0.25]

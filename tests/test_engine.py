@@ -11,6 +11,7 @@ from scipy import stats
 import levylab as L
 from levylab import rng as R
 from levylab import engine
+from levylab.coefficients import StackedFamily
 from levylab.engine import BlockMarch, SimulationError, _prepare_block, make_base_grid
 from levylab.measures import AtomicLevyMeasure, TruncationConfig, sample_jump_events
 
@@ -687,7 +688,7 @@ class TestBlockRunner:
         # grid[6] = 6/20 and grid[14] round above 0.3 and 0.7
         keep = engine.kept_slices(self.GRID, [0.3, 0.7, 1.0])
         assert keep.tolist() == [0, 5, 13, 20]
-        out, jt, jm = engine._pool_block((self.FAMILY, self.DRIVER, TR, self.MU0,
+        out, jt, jm = engine._pool_block((pool_params(fam), self.DRIVER, TR, self.MU0,
                                           self.GRID, keep, range(3, 40), 13, R.SIGNAL))
         assert out.shape == (4, 37, keep.size, 2)
         full_members, full_limit = self.family(fam)
@@ -730,7 +731,7 @@ class TestBlockRunner:
             sigma=lambda t, x: np.broadcast_to(0.4 * np.eye(2),
                                                (np.atleast_2d(x).shape[0], 2, 2)),
             d=2, m=2, gamma=0.5)
-        fam = L.CoefficientFamily(limit=cs, members={2: cs})
+        fam = L.CoefficientFamily(limit=cs, schedule=(2,))
         want = self.ensemble(cs)
         want_members, want_limit = self.family(fam)
 
@@ -752,7 +753,7 @@ class TestBlockRunner:
                   self.ensemble(cs, block_size=64))
         fam = L.family_from_config(self.FAMILY)
         fam = replace(fam, limit=replace(fam.limit, gamma=1.0))
-        assert fam.config is None
+        assert fam.limit.config is None
         want_members, want_limit = self.family(fam, block_size=64)
         members, limit = self.family(fam, block_size=64, workers=2)
         for n in members:
@@ -761,26 +762,23 @@ class TestBlockRunner:
         assert limit.values.tobytes() != self.family(L.family_from_config(
             self.FAMILY), block_size=64)[1].values.tobytes()
 
-    def test_sets_changed_in_place_keep_their_dynamics_across_workers(self, monkeypatch):
-        # workers rebuild a family from its config, which still builds the
-        # old member 2, so the changed family must run in process
-        fam = L.family_from_config(self.FAMILY)
-        fam.members[2] = fam.members[1]
-        want_members, want_limit = self.family(fam, block_size=64)
-        members, limit = self.family(fam, block_size=64, workers=2)
-        assert members[2].values.tobytes() == members[1].values.tobytes()
-        for n in members:
-            self.same(members[n], want_members[n])
-        self.same(limit, want_limit)
-        # an ensemble's one-set family and an unchanged family still pool
+    def test_pool_iff_the_limit_has_a_registry_config(self, monkeypatch):
+        # workers rebuild the limit from its config and the members from the
+        # family's scalars: an ensemble and a family pool alike, a copy whose
+        # limit has no config runs here
         def pooled(max_workers):
             raise AssertionError("pooled")
 
         monkeypatch.setattr(engine, "ProcessPoolExecutor", pooled)
-        with pytest.raises(AssertionError, match="pooled"):
-            self.ensemble(L.coefficients_from_config(self.FAMILY["base"]), workers=2)
-        with pytest.raises(AssertionError, match="pooled"):
-            self.family(L.family_from_config(self.FAMILY), workers=2)
+        cs = L.coefficients_from_config(self.FAMILY["base"])
+        fam = L.family_from_config(self.FAMILY)
+        for run in (lambda: self.ensemble(cs, workers=2),
+                    lambda: self.family(fam, workers=2),
+                    lambda: self.family(L.CoefficientFamily(cs, (3,)), workers=2)):
+            with pytest.raises(AssertionError, match="pooled"):
+                run()
+        self.ensemble(replace(cs), workers=2)
+        self.family(replace(fam, limit=replace(cs)), workers=2)
 
 
 # the family test's drivers: MARCH_CASES' atomic ones (symmetric, one-sided,
@@ -793,20 +791,25 @@ FAMILY_DRIVERS = {**{case: (drv, mu0) for case, (drv, _, mu0) in MARCH_CASES.ite
 GAMMAS = [(0.0, 0.0), (0.0, 0.6), (0.4, 0.6), (-0.3, 0.6)]
 
 
-def parametric_family(d, gamma, gp, kind, amp, sp, schedule=(1, 2, 4)):
+def parametric_family(d, gamma, gp, kind, amp, sp):
     base = ({"name": "bounded_nonlinear", "d": 1, "m": 1} if d == 1 else
             {"name": "linear", "d": 2, "m": 2,
              "params": {"A": [[-1.0, 0.3], [0.2, -0.7]], "sigma": 0.4}})
     return L.family_from_config({
         "base": {**base, "gamma": gamma, "g": {"name": "cosine"}},
         "drift_perturbation": {"name": kind, "amp": amp}, "sigma_perturbation": sp,
-        "gamma_perturbation": gp, "schedule": list(schedule)})
+        "gamma_perturbation": gp, "schedule": [1, 2, 4]})
+
+
+def pool_params(fam):
+    """The family part of a pool task: the limit's config and the scalars."""
+    return (fam.limit.config, fam.schedule, fam.drift, fam.drift_amp, fam.gamma_amp,
+            fam.sigma_amp)
 
 
 class TestStackedFamily:
-    """A family_from_config family marches as one StackedFamily over
-    stacked copies of each block; every set must get the bits it gets
-    marched alone."""
+    """A family marches as one StackedFamily over stacked copies of each
+    block; every set must get the bits it gets marched alone."""
 
     N = 80
 
@@ -815,11 +818,14 @@ class TestStackedFamily:
            kind=st.sampled_from(["sine", "shift"]),
            amp=st.sampled_from([0.0, 1.0]), sp=st.sampled_from([0.0, 0.5]),
            gammas=st.sampled_from(GAMMAS), block=st.sampled_from([1, 3, 64, N]),
-           workers=st.sampled_from([1, 2]), seed=st.integers(0, 2 ** 16))
+           workers=st.sampled_from([1, 2]), hand=st.booleans(),
+           seed=st.integers(0, 2 ** 16))
     def test_matches_per_set_marches(self, case, kind, amp, sp, gammas, block, workers,
-                                     seed):
+                                     hand, seed):
         driver, mu0 = FAMILY_DRIVERS[case]
         fam = parametric_family(driver.dim, *gammas, kind, amp, sp)
+        if hand:    # a hand-built limit (no registry config): marched in process
+            fam = replace(fam, limit=replace(fam.limit))
         grid = make_base_grid(1.0, 0.1)
         inputs = _prepare_block(driver, TR, mu0, grid, fam.limit.m, range(self.N), seed,
                                 R.SIGNAL)
@@ -861,19 +867,15 @@ class TestStackedFamily:
                         own.f(tj, x[j:j + 1])]
                 assert [v[j].tobytes() for v in got] == [w[0].tobytes() for w in want]
 
-    def test_only_parametric_families_are_stacked(self):
+    def test_every_family_is_stacked(self):
         fam = parametric_family(1, 0.4, 0.6, "sine", 1.0, 0.5)
-        assert fam.stacked(4) is not None
-        assert replace(fam, limit=replace(fam.limit, gamma=1.0)).stacked(4) is None
-        assert L.CoefficientFamily(limit=fam.limit, members=fam.members).stacked(4) is None
-        assert parametric_family(1, 0.4, 0.6, "sine", 1.0, 0.5, schedule=()).stacked(4) is None
-        # a set changed in place is no longer the limit plus its scalars
-        fam.members[2] = fam.members[1]
-        assert fam.stacked(4) is None
-        members, _ = L.simulate_coupled_family(fam, FAMILY_DRIVERS["radial-1d"][0], TR,
-                                               L.GaussianLaw([0.0], [1.0]), 20, 0.1, 1.0,
-                                               seed=3, validate=False)
-        assert members[2].values.tobytes() == members[1].values.tobytes()
+        for f in (fam, replace(fam, limit=replace(fam.limit, gamma=1.0)),
+                  replace(fam, schedule=(2,)), L.CoefficientFamily(fam.limit, (3, 1))):
+            stacked = f.stacked(4)
+            assert isinstance(stacked, StackedFamily)
+            assert stacked.names == [f"member n={n}" for n in f.schedule] + ["limit"]
+        # an ensemble is a family with no members: it marches its one set
+        assert L.CoefficientFamily(limit=fam.limit).stacked(4) is fam.limit
 
     def test_pool_task_is_one_stacked_march(self, monkeypatch):
         fam = parametric_family(2, 0.4, 0.6, "sine", 1.0, 0.5)
@@ -882,7 +884,7 @@ class TestStackedFamily:
         monkeypatch.setattr(BlockMarch, "run",
                             lambda self, *a: marched.append(self.x.shape[0]) or run(self, *a))
         grid = make_base_grid(1.0, 0.1)
-        out, _, _ = engine._pool_block((fam.config, FAMILY_DRIVERS["linear-2d"][0], TR,
+        out, _, _ = engine._pool_block((pool_params(fam), FAMILY_DRIVERS["linear-2d"][0], TR,
                                         FAMILY_DRIVERS["linear-2d"][1], grid,
                                         engine.kept_slices(grid), range(5, 30), 13,
                                         R.SIGNAL))

@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 
 import levylab as L
 from levylab import rng as R
-from levylab.filtering import (_SLICE_ENTRIES, FilterError, FilterResult,
-                               ObservationRecord, ObservationSetup, filter_run,
-                               log_likelihood, observation_model_from_config,
-                               robustness_experiment)
+from levylab.filtering import (_SLICE_ENTRIES, FilterError, ObservationRecord,
+                               ObservationSetup, filter_run, log_likelihood,
+                               observation_model_from_config, robustness_experiment)
 from levylab.measures import TruncationConfig
 
 from oracles import discrete_kalman, quad_radial, riccati_closed_form
@@ -470,17 +469,18 @@ def _same_states(a, b) -> bool:
 
 
 class TestFilterRunSequences:
-    """filter_run over sequences of coefficient sets and records."""
+    """filter_run over a family and its sequence of records, one per set."""
 
     def setup_method(self):
         self.model = make_model(lam=("state_logistic", {"base": 0.8, "decay": 0.5}))
         self.drv = L.AtomicLevyMeasure([[0.8], [-0.8]], [1.5, 1.5])
         self.mu0 = L.GaussianLaw([0.0], [0.5])
-        self.sets = [ou_dynamics(gamma=0.4), ou_dynamics(theta=2.0, gamma=0.2),
-                     ou_dynamics(sigma=0.5, gamma=0.4)]
+        # a hand-built family: a limit and its scalars, no family config
+        self.fam = L.CoefficientFamily(ou_dynamics(gamma=0.4), (2, 1), "shift", 1.0, -0.2,
+                                       -0.5)
         self.setup = ObservationSetup(self.model, 1.0, 0.05, seed=43)
         self.records = []
-        for k, cs in enumerate(self.sets):
+        for k, cs in enumerate(self.fam.all_sets()):
             sig = L.simulate_path(cs, self.drv, TR, [0.5], 0.05, 1.0, seed=430 + k,
                                   extra_times=self.setup.prop_times)
             self.records.append(self.setup.record_for(
@@ -491,48 +491,25 @@ class TestFilterRunSequences:
                           seed=44, ess_threshold=0.98, **kw)
 
     def test_sequence_equals_independent_runs(self):
-        results = self.run(self.sets, self.records)
-        assert not isinstance(results, FilterResult)
-        count = 0
-        for cs, rec, got in zip(self.sets, self.records, results):
+        results = self.run(self.fam, self.records)
+        assert isinstance(results, list) and len(results) == 3
+        for cs, rec, got in zip(self.fam.all_sets(), self.records, results):
             want = self.run(cs, rec)
             assert want.resampled_at and got.resampled_at == want.resampled_at
             assert _same_states(got.states, want.states)
-            count += 1
-        assert count == len(self.sets)
-
-    def test_draws_once_and_marches_lazily(self, monkeypatch):
-        import levylab.filtering as F
-
-        drawn, marched = [], []
-
-        def counted(calls, fn):
-            def wrapper(*args, **kwargs):
-                calls.append(1)
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(F, "_prepare_block", counted(drawn, F._prepare_block))
-        monkeypatch.setattr(F, "_march_filter", counted(marched, F._march_filter))
-        results = self.run(self.sets, self.records)
-        assert (len(drawn), len(marched)) == (1, 0)
-        next(results)
-        assert (len(drawn), len(marched)) == (1, 1)
-        assert len(list(results)) == 2
-        assert (len(drawn), len(marched)) == (1, 3)
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(FilterError, match="2 coefficient sets for 3 records"):
-            self.run(self.sets[:2], self.records)
-        with pytest.raises(FilterError, match="0 coefficient sets for 0 records"):
-            self.run([], [])
+        with pytest.raises(FilterError, match="3 coefficient sets for 2 records"):
+            self.run(self.fam, self.records[:2])
+        with pytest.raises(FilterError, match="3 coefficient sets for 0 records"):
+            self.run(self.fam, [])
 
     def test_records_on_different_grids_rejected(self):
         other = ObservationSetup(self.model, 1.0, 0.05, seed=45)
         assert not np.array_equal(other.grid, self.setup.grid)
         rec = other.record_for(np.zeros((other.grid.size, 1)))
         with pytest.raises(FilterError, match="different grids"):
-            self.run(self.sets[:2], [self.records[0], rec])
+            self.run(self.fam, [*self.records[:2], rec])
 
 
 class TestKalmanBenchmark:
@@ -590,9 +567,8 @@ class TestRobustness:
         fam = self.family(amp=0.0, gpert=0.0)
         drv = L.AtomicLevyMeasure([[0.8]], [0.4])
         model = make_model(lam=("state_logistic", {"base": 0.8, "decay": 0.5}))
-        rep = robustness_experiment(fam, model, drv, TR, L.PointMass([0.2]),
-                                    [1, 2, 4, 8], 200, 0.05, 0.5, seed=21,
-                                    reps=1)
+        rep = robustness_experiment(fam, model, drv, TR, L.PointMass([0.2]), 200, 0.05,
+                                    0.5, seed=21, reps=1)
         assert all(r["distance"] == 0.0 for r in rep.rows)
         assert rep.passed
 
@@ -601,9 +577,8 @@ class TestRobustness:
         drv = L.AtomicLevyMeasure([[0.8], [-0.8]], [0.25, 0.25])
         model = make_model(lam=("state_logistic", {"base": 0.8, "decay": 0.5}))
         rep = robustness_experiment(fam, model, drv, TR,
-                                    L.GaussianLaw([0.0], [0.5]),
-                                    [1, 2, 4, 8], 1000, 0.02, 1.0, seed=22,
-                                    reps=2)
+                                    L.GaussianLaw([0.0], [0.5]), 1000, 0.02, 1.0,
+                                    seed=22, reps=2)
         ds = [r["distance"] for r in rep.rows]
         assert rep.non_increasing
         assert ds[-1] < 0.5 * ds[0]
@@ -611,11 +586,12 @@ class TestRobustness:
     def test_uninformative_reduces_to_prior_gap(self):
         # sensor 0 and state-free lambda: weights cancel, D is the coupled
         # prior-marginal gap of the single signal path driven through phis
-        fam = self.family(amp=0.0, gpert=0.0)
+        fam = dataclasses.replace(self.family(amp=0.0, gpert=0.0), schedule=(1, 2))
         drv = L.AtomicLevyMeasure([[0.8]], [0.4])
         model = make_model(sensor={"name": "zero", "params": {"k": 1}})
-        rep = robustness_experiment(fam, model, drv, TR, L.PointMass([0.2]),
-                                    [1, 2], 100, 0.05, 0.5, seed=23, reps=1)
+        rep = robustness_experiment(fam, model, drv, TR, L.PointMass([0.2]), 100, 0.05,
+                                    0.5, seed=23, reps=1)
+        assert [r["n"] for r in rep.rows] == [1, 2]
         assert all(r["distance"] == 0.0 for r in rep.rows)
 
     def test_matches_independent_filter_runs(self):
@@ -650,7 +626,7 @@ class TestRobustness:
                                              for a, b in zip(mem.states, lim.states)
                                              for _, fn in phis]))
         assert resampled > 0
-        rep = robustness_experiment(fam, model, drv, TR, mu0, keys, n_part, h, T,
+        rep = robustness_experiment(fam, model, drv, TR, mu0, n_part, h, T,
                                     seed, phis=phis, n_checkpoints=5, reps=reps,
                                     ess_threshold=ess)
         se = dists.std(axis=0, ddof=1) / math.sqrt(reps)
@@ -666,8 +642,7 @@ class TestRobustness:
         model = make_model(lam=("state_logistic", {"base": 0.8, "decay": 0.5}))
         mu0 = L.GaussianLaw([0.0], [0.5])
         n_part, h, T, seed = 200, 0.02, 0.5, 27
-        rep = robustness_experiment(fam, model, drv, TR, mu0, sorted(fam.members),
-                                    n_part, h, T, seed, reps=2)
+        rep = robustness_experiment(fam, model, drv, TR, mu0, n_part, h, T, seed, reps=2)
         setup = ObservationSetup(model, T, h, seed)
         _, sig_limit = L.simulate_coupled_family(fam, drv, TR, mu0, 1, h, T, seed,
                                                  extra_times=setup.prop_times)
@@ -690,15 +665,15 @@ class TestRobustness:
         monkeypatch.setattr(F, "_prepare_block", counting)
         fam = self.family()
         drv = L.AtomicLevyMeasure([[0.8]], [0.4])
-        robustness_experiment(fam, make_model(), drv, TR, L.PointMass([0.2]),
-                              [1, 2, 4, 8], 50, 0.1, 0.5, seed=25, reps=3)
+        robustness_experiment(fam, make_model(), drv, TR, L.PointMass([0.2]), 50, 0.1,
+                              0.5, seed=25, reps=3)
         assert drawn == [(25 + 1000 * r, R.FILTER, 50) for r in range(3)]
 
     def test_reps_below_one_rejected(self):
         with pytest.raises(FilterError, match="reps"):
             robustness_experiment(self.family(), make_model(), L.zero_measure(1),
-                                  TR, L.PointMass([0.2]), [1, 2], 10, 0.1, 0.5,
-                                  seed=26, reps=0)
+                                  TR, L.PointMass([0.2]), 10, 0.1, 0.5, seed=26,
+                                  reps=0)
 
 
 def filter_family(kind="sine", amp=1.0, gpert=0.4):
@@ -715,46 +690,47 @@ NU2S = {"atomic": None,
 
 
 class TestStackedFilter:
-    """A family_from_config family's filters march as one BlockMarch over
-    stacked copies of the particle block; each filter must get the bits of
-    a filter_run of its set and record alone."""
+    """A family's filters march as one BlockMarch over stacked copies of the
+    particle block; each filter must get the bits of a filter_run of its set
+    and record alone."""
 
     DRV = L.AtomicLevyMeasure([[0.8], [-0.8]], [1.5, 1.5])
     MU0 = L.GaussianLaw([0.0], [0.5])
     T, H = 0.5, 0.05
 
-    def records(self, fam, model, seed):
+    def records(self, fam, model, seed, workers=1):
         """One record per set of fam, in all_sets() order."""
         setup = ObservationSetup(model, self.T, self.H, seed)
         members, limit = L.simulate_coupled_family(fam, self.DRV, TR, self.MU0, 1, self.H,
-                                                   self.T, seed, extra_times=setup.prop_times)
+                                                   self.T, seed, extra_times=setup.prop_times,
+                                                   workers=workers)
         return [setup.record_for(e.values[0]) for e in [*members.values(), limit]]
 
     @settings(max_examples=30, deadline=None)
     @given(ess=st.sampled_from([None, 0.98]), nu2=st.sampled_from(sorted(NU2S)),
            kind=st.sampled_from(["sine", "shift"]), amp=st.sampled_from([0.0, 1.0]),
            gpert=st.sampled_from([0.0, 0.4]), n=st.sampled_from([1, 3, 64]),
-           custom=st.booleans(), seed=st.integers(0, 2 ** 16))
+           custom=st.booleans(), hand=st.booleans(), workers=st.sampled_from([1, 2]),
+           seed=st.integers(0, 2 ** 16))
     def test_matches_per_set_filter_runs(self, ess, nu2, kind, amp, gpert, n, custom,
-                                         seed):
+                                         hand, workers, seed):
         fam = filter_family(kind, amp, gpert)
-        assert fam.stacked(n) is not None
+        if hand:    # a hand-built limit (no registry config): its signals run in process
+            fam = dataclasses.replace(fam, limit=dataclasses.replace(fam.limit))
         model = make_model(lam=("state_logistic", {"base": 0.8, "decay": 0.5}),
                            nu2=NU2S[nu2])
-        records = self.records(fam, model, seed)
+        records = self.records(fam, model, seed, workers if hand else 1)
         checkpoints = np.linspace(0.1, self.T, 4) if custom else None
         got = filter_run(model, fam, self.DRV, TR, self.MU0, records, n, seed + 1, ess,
                          checkpoints)
-        count = 0
+        assert len(got) == 4
         for cs, rec, res in zip(fam.all_sets(), records, got):
             want = filter_run(model, cs, self.DRV, TR, self.MU0, rec, n, seed + 1, ess,
                               checkpoints)
             assert res.resampled_at == want.resampled_at
             assert _same_states(res.states, want.states)
-            count += 1
-        assert count == 4
 
-    def test_family_marches_once_and_hand_built_set_by_set(self, monkeypatch):
+    def test_family_and_hand_built_family_march_once(self, monkeypatch):
         import levylab.filtering as F
 
         marched = []
@@ -764,19 +740,16 @@ class TestStackedFilter:
         fam = filter_family()
         model = make_model(lam=("state_logistic", {"base": 0.8, "decay": 0.5}))
         records = self.records(fam, model, 46)
-        results = list(filter_run(model, fam, self.DRV, TR, self.MU0, records, 60, 47,
-                                  0.98))
+        results = filter_run(model, fam, self.DRV, TR, self.MU0, records, 60, 47, 0.98)
         assert marched == [("StackedFamily", 4)]
         assert all(res.resampled_at for res in results)
-        hand = L.CoefficientFamily(limit=fam.limit, members=dict(fam.members))
-        assert hand.stacked(60) is None
+        hand = L.CoefficientFamily(dataclasses.replace(fam.limit), fam.schedule, fam.drift,
+                                   fam.drift_amp, fam.gamma_amp, fam.sigma_amp)
         again = filter_run(model, hand, self.DRV, TR, self.MU0, records, 60, 47, 0.98)
-        assert len(marched) == 1        # lazily, one set per step
-        for res, want in zip(again, results):
-            assert marched[-1] == ("CoefficientSet", 1)
+        assert marched == [("StackedFamily", 4)] * 2
+        for res, want in zip(again, results, strict=True):
             assert res.resampled_at == want.resampled_at
             assert _same_states(res.states, want.states)
-        assert len(marched) == 5
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("index, which", [(1, "member n=1"), (3, "limit")])
@@ -791,4 +764,4 @@ class TestStackedFilter:
         with pytest.raises(FilterError, match=re.escape(
                 f"filter collapsed: all weights -inf at t={t:.6g} ({which}, seed 49, "
                 f"namespace {R.FILTER})")):
-            list(filter_run(model, fam, self.DRV, TR, self.MU0, records, 40, 49))
+            filter_run(model, fam, self.DRV, TR, self.MU0, records, 40, 49)
