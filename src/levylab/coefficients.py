@@ -25,9 +25,14 @@ class CoefficientError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoefficientSet:
-    """One set of SDE coefficients with a scalar jump coefficient gamma * g."""
+    """One set of SDE coefficients with a scalar jump coefficient gamma * g.
+
+    Frozen, like CoefficientFamily: a pool worker rebuilds a set from its
+    config, so a set changed in place would march other dynamics there; a
+    changed copy is a dataclasses.replace, which has no config and stays in
+    process."""
 
     b: callable
     sigma: callable
@@ -42,7 +47,7 @@ class CoefficientSet:
 
     def __post_init__(self):
         if self.g is None:
-            self.g = lambda t, x: np.ones(np.atleast_2d(x).shape[0])
+            object.__setattr__(self, "g", _g_one(None))
 
     def f(self, t, x):
         """Jump coefficient gamma * g(t, x), shape (n,)."""
@@ -391,7 +396,7 @@ def coefficients_from_config(cfg: dict) -> CoefficientSet:
     cs = CoefficientSet(b=b, sigma=sigma, d=d, m=m,
                         gamma=float(cfg.get("gamma", 0.0)), g=g,
                         growth_bound=cfg.get("growth_bound"))
-    cs.config = cfg
+    object.__setattr__(cs, "config", cfg)
     return cs
 
 

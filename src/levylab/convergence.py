@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import PathEnsemble
+from .engine import PathEnsemble, linear_quantile
 from .psi import PsiFunction
 
 
@@ -131,7 +131,7 @@ def tightness_diagnostics(ensembles: dict, K_grid, theta_grid,
                                     int(frac * (times.size - 1)), dtype=int))
             # first-exit times of centered balls at sup-norm quantiles
             for qv in (0.5, 0.9):
-                radius = float(np.quantile(norms.max(axis=1), qv))
+                radius = linear_quantile(norms.max(axis=1), qv)
                 exited = norms > radius
                 first = np.where(exited.any(axis=1),
                                  exited.argmax(axis=1), times.size - 1)

@@ -13,9 +13,12 @@ every particle p owns three streams keyed by (seed, namespace, purpose, p) --
 one for its initial condition, one for its driver atoms, one for its Brownian
 rows.  Brownian rows are consumed one row per positive-length sub-interval of
 the particle's own grid (base grid plus its jump times), in time order.
-A block builds one generator and re-keys it (rng.rekey) to each particle's
-three streams in turn; a stream is still a pure function of its four labels,
-so block partitioning and worker counts cannot change any drawn number.
+A block draws its particles' driver atoms in one sample_jump_events call on
+their DRIVER streams (rng.Streams), whose words the numpy Philox kernel
+(rng.philox4x64) computes as arrays; it re-keys one generator (rng.rekey)
+only to each particle's INIT and BROWNIAN streams, whose Gaussian draws
+numpy makes.  A stream is still a pure function of its four labels, so
+block partitioning and worker counts cannot change any drawn number.
 
 Every simulation runs through one block runner: each particle block's
 randomness is drawn once (_prepare_block) and the S sets of a family march
@@ -207,13 +210,37 @@ class PathEnsemble:
 # the block march
 # ---------------------------------------------------------------------------
 
+def sorted_unique(a) -> np.ndarray:
+    """The sorted distinct values of a, as np.unique(a) gives them for
+    numbers with no NaN, without the numpy.ma import np.unique makes."""
+    a = np.sort(np.ravel(a))
+    keep = np.ones(a.size, dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
+def linear_quantile(x, q: float) -> float:
+    """np.quantile(x, q) (its default "linear" rule) for q in [0, 1] and a
+    sample with no NaN, bit for bit, from a full sort: np.quantile's
+    partition imports numpy.ma."""
+    a = np.sort(np.ravel(x))
+    v = (a.size - 1) * q
+    # np.quantile's neighbours; at the top both are index -1, and the
+    # weight is still taken from that index
+    i = -1 if v >= a.size - 1 else math.floor(v)
+    j = -1 if i == -1 else i + 1
+    lo, hi, w = float(a[i]), float(a[j]), v - i
+    d = hi - lo
+    return hi - d * (1 - w) if w >= 0.5 else lo + d * w
+
+
 def make_base_grid(T: float, grid_step: float, extra_times=()) -> np.ndarray:
     n_cells = max(1, int(round(T / grid_step)))
     grid = np.linspace(0.0, T, n_cells + 1)
     if len(extra_times):
         extra = np.asarray(extra_times, dtype=float)
         extra = extra[(extra > 0) & (extra < T)]
-        grid = np.unique(np.concatenate([grid, extra]))
+        grid = sorted_unique(np.concatenate([grid, extra]))
     return grid
 
 
@@ -279,30 +306,17 @@ def _prepare_block(driver: LevyMeasure, trunc: TruncationConfig, mu0: InitialLaw
     (row s*B + j is slot j of copy s) that all read the same noise rows."""
     T = float(grid[-1])
     floor = trunc.sampling_floor
-    sampled_mass = driver.mass(floor, math.inf)
-    if not math.isfinite(sampled_mass):
+    if not math.isfinite(driver.mass(floor, math.inf)):
         raise LevyConfigError(
             "driver has infinite activity above the sampling floor; use "
             "discard_below_eps with a positive eps")
-    B = len(particles)
-    x0 = np.empty((B, mu0.dim))
-    jt_list, jm_list = [], []
-    # one generator per block, re-keyed to each particle's streams
-    gen = rngmod.stream(seed, rngmod.INIT, 0, namespace)
-    for j, p in enumerate(particles):
-        x0[j] = mu0.sample_one(rngmod.rekey(gen, seed, rngmod.INIT, p, namespace))
-        if sampled_mass > 0.0:
-            ev = sample_jump_events(driver, (floor, math.inf), T,
-                                    rngmod.rekey(gen, seed, rngmod.DRIVER, p, namespace))
-        else:
-            ev = JumpEvents.empty(driver.dim)
-        jt_list.append(ev.times)
-        jm_list.append(ev.marks)
-    # flatten events in (particle, time) order; a jump off the grid adds one
-    # row to its particle's cells
-    ev_p = np.repeat(np.arange(B, dtype=np.int64), [len(t) for t in jt_list])
-    ev_t = np.concatenate([np.empty(0), *jt_list])
-    ev_z = np.vstack([np.empty((0, driver.dim)), *jm_list])
+    ids = np.array(particles, dtype=np.int64)
+    B = ids.size
+    # every particle's driver atoms as arrays, in (particle, time) order
+    counts, ev_t, ev_z = sample_jump_events(
+        driver, (floor, math.inf), T, rngmod.Streams(seed, rngmod.DRIVER, ids, namespace))
+    ev_p = np.repeat(np.arange(B, dtype=np.int64), counts)
+    # a jump off the grid adds one row to its particle's cells
     at = np.searchsorted(grid, ev_t, side="left")
     inner = grid[np.minimum(at, grid.size - 1)] != ev_t
     n_cells = grid.size - 1
@@ -311,21 +325,28 @@ def _prepare_block(driver: LevyMeasure, trunc: TruncationConfig, mu0: InitialLaw
     # the row of the sub-step that ends at a jump: its particle's rows, one
     # per earlier cell and one per earlier off-grid jump
     ev_row = ev_p * n_cells + (at - 1) + (np.cumsum(inner) - inner)
-    # the events once per copy, copy s's on its slots s*B + p; built before
-    # the noise, so its temporaries are gone before that is drawn
-    each = np.tile(np.arange(ev_t.size), copies)
-    slot = ev_p[each] + B * np.repeat(np.arange(copies), ev_t.size)
-    schedule = _jump_schedule(grid, slot, ev_t[each], ev_z[each], (at - 1)[each],
-                              ev_row[each])
+    # built before the noise, so its temporaries are gone before that is drawn
+    schedule = _stacked_schedule(_jump_schedule(grid, ev_p, ev_t, ev_z, at - 1, ev_row),
+                                 copies, B)
+    x0 = np.empty((B, mu0.dim))
     noise = np.empty((int(offsets[-1]), m))
     bounds = offsets.tolist()
-    for j, p in enumerate(particles):
+    # one generator per block, re-keyed to each particle's Gaussian streams
+    gen = rngmod.stream(seed, rngmod.INIT, 0, namespace)
+    for j, p in enumerate(ids.tolist()):
+        x0[j] = mu0.sample_one(rngmod.rekey(gen, seed, rngmod.INIT, p, namespace))
         rngmod.rekey(gen, seed, rngmod.BROWNIAN, p, namespace).standard_normal(
             out=noise[bounds[j]:bounds[j + 1]])
-    ids = np.array(particles, dtype=np.int64)
     arrays = [a for a in vars(schedule).values() if isinstance(a, np.ndarray)]
-    for a in [ids, x0, noise, offsets, *arrays] + jt_list + jm_list:
+    for a in [ids, x0, noise, offsets, ev_t, ev_z, *arrays]:
         a.flags.writeable = False
+    # each particle's events, as read-only views; most particles have none,
+    # and share the one empty pair rather than hold two views each
+    empty = JumpEvents.empty(driver.dim)
+    ends = np.cumsum(counts).tolist()
+    spans = list(zip([0] + ends[:-1], ends))
+    jt_list = [ev_t[a:b] if b > a else empty.times for a, b in spans]
+    jm_list = [ev_z[a:b] if b > a else empty.marks for a, b in spans]
     return _BlockInputs(ids, seed, namespace, x0, schedule, noise, offsets[:-1],
                         jt_list, jm_list, copies)
 
@@ -365,6 +386,46 @@ def _jump_schedule(grid, ev_p, ev_t, ev_z, ev_c, ev_row) -> _JumpSchedule:
         idx=p_local[pair[by_step]].astype(np.int32), start=start[by_step],
         time=ev_t[by_step], mark=ev_z[by_step], tail_idx=p_local[tail].astype(np.int32),
         tail_start=ev_t[last[tail]])
+
+
+def _stacked_schedule(one: _JumpSchedule, copies: int, B: int) -> _JumpSchedule:
+    """The schedule of `copies` stacked copies of a block (slot s*B + p is
+    slot p of copy s), from the block's own: what _jump_schedule gives for
+    the events repeated on every copy's slots, by index arithmetic.
+
+    Within a cell the copies' pairs and tails follow each other copy by
+    copy, and so do their jumps within each step; copy s's pair indices in
+    the cell are shifted by s times the cell's pair count."""
+    if copies == 1:
+        return one
+    n_pairs = np.diff(one.pairs)
+
+    def tiled(bounds):
+        """Per element of each segment bounds[i]:bounds[i+1] repeated copies
+        times: its index in the one-copy arrays, its copy and its segment."""
+        lo, n = np.array(bounds[:-1], dtype=np.int64), np.diff(bounds)
+        seg = np.repeat(np.arange(n.size), n * copies)
+        r = np.arange(seg.size) - copies * lo[seg]
+        return lo[seg] + r % n[seg], r // n[seg], seg
+
+    pair, pair_copy, _ = tiled(one.pairs)
+    tail, tail_copy, tail_cell = tiled(one.tails)
+    jump, jump_copy, step = tiled(one.step_jumps)
+    jump_cell = np.repeat(np.arange(n_pairs.size), np.diff(one.steps))[step]
+
+    def shifted(local, copy, cell):
+        return (local + copy * n_pairs[cell]).astype(np.int32)
+
+    return _JumpSchedule(
+        pairs=tuple(copies * i for i in one.pairs),
+        tails=tuple(copies * i for i in one.tails), steps=one.steps,
+        step_jumps=tuple(copies * i for i in one.step_jumps),
+        slots=(one.slots[pair] + B * pair_copy).astype(np.int32),
+        next_row=one.next_row[pair],
+        idx=shifted(one.idx[jump], jump_copy, jump_cell),
+        start=one.start[jump], time=one.time[jump], mark=one.mark[jump],
+        tail_idx=shifted(one.tail_idx[tail], tail_copy, tail_cell),
+        tail_start=one.tail_start[tail])
 
 
 class BlockMarch:
@@ -512,7 +573,7 @@ def kept_slices(grid: np.ndarray, record_times=None) -> np.ndarray:
     if record_times is None:
         return np.arange(grid.size)
     at = np.searchsorted(grid, np.asarray(record_times, dtype=float), side="right") - 1
-    return np.unique(np.concatenate([[0], np.maximum(at, 0)]))
+    return sorted_unique(np.concatenate([[0], np.maximum(at, 0)]))
 
 
 def _run_block(family, driver, trunc, mu0, grid, keep, block, seed, namespace, out):

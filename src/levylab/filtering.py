@@ -38,7 +38,7 @@ import numpy as np
 from . import rng as rngmod
 from .coefficients import CoefficientFamily, CoefficientSet
 from .engine import (BlockMarch, InitialLaw, _prepare_block, make_base_grid,
-                     simulate_coupled_family)
+                     simulate_coupled_family, sorted_unique)
 from .manifests import _check_keys, _is_finite, _registry_entry
 from .measures import (AtomicLevyMeasure, JumpEvents, LevyMeasure, Radial1DMeasure,
                        TruncationConfig, sample_jump_events)
@@ -389,7 +389,7 @@ def _band_events_by_index(record: ObservationRecord) -> dict:
     if np.any(off):
         t_ev = ev.times[np.argmax(off)]
         raise FilterError(f"band event at t={t_ev} is not aligned with the grid")
-    return {int(j): ev.marks[idx == j] for j in np.unique(idx)}
+    return {int(j): ev.marks[idx == j] for j in sorted_unique(idx)}
 
 
 def _cell_loglik(model: ObservationModel, x: np.ndarray, conts: np.ndarray,

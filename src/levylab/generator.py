@@ -43,7 +43,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .coefficients import CoefficientSet, linear_growth_report
-from .engine import PathEnsemble
+from .engine import PathEnsemble, linear_quantile, sorted_unique
 from .measures import AtomicLevyMeasure, LevyMeasure, TruncationConfig
 from .testfunctions import COMPACT, TestFunction, evaluate
 
@@ -396,7 +396,7 @@ def martingale_residual(ensemble: PathEnsemble, ctx: GeneratorContext,
     max_abs = 0.0
     max_se = math.inf
     max_sig = 0.0
-    for bid in np.unique(ids):
+    for bid in sorted_unique(ids):
         sel = ids == bid
         cnt = int(sel.sum())
         scored = cnt >= min_bin
@@ -453,7 +453,7 @@ def integrability_guards(ensemble: PathEnsemble, ctx: GeneratorContext,
     n = vals.shape[0]
     level = ctx.trunc.level
     if radius is None:
-        radius = float(np.quantile(path_sup_norms(vals), 0.95))
+        radius = linear_quantile(path_sup_norms(vals), 0.95)
     g1 = 0.0
     g2 = 0.0
     for i in range(times.size - 1):

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rng as rngmod
 from .manifests import _check_keys, _registry_entry
 
 
@@ -151,10 +152,16 @@ class LevyMeasure:
 
     # -- sampling --------------------------------------------------------
 
+    def marks(self, u: np.ndarray, r_lo: float = 0.0, r_hi: float = math.inf) -> np.ndarray:
+        """(len(u), dim) marks of the normalized restriction to the annulus,
+        one from each uniform in u, elementwise (a mark depends on its own
+        uniform only)."""
+        raise NotImplementedError
+
     def sample(self, rng: np.random.Generator, n: int, r_lo: float = 0.0,
                r_hi: float = math.inf) -> np.ndarray:
         """n i.i.d. marks from the measure restricted to the annulus, normalized."""
-        raise NotImplementedError
+        return self.marks(rng.random(n), r_lo, r_hi)
 
     # -- helpers ---------------------------------------------------------
 
@@ -201,7 +208,7 @@ class AtomicLevyMeasure(LevyMeasure):
 
     def _restriction(self, r_lo, r_hi):
         """(mass, atoms, normalized cumulative masses) of the annulus, memoized:
-        the engine asks for the same sampling region once per particle."""
+        every draw and every march asks for the same sampling region again."""
         key = (r_lo, r_hi)
         if key not in self._restrictions:
             if len(self._restrictions) >= self._MAX_RESTRICTIONS:
@@ -257,16 +264,14 @@ class AtomicLevyMeasure(LevyMeasure):
         ind = (self._radii[None, :] > r_lo[:, None]) & (self._radii[None, :] <= r_hi)
         return ind @ self.masses
 
-    def sample(self, rng, n, r_lo=0.0, r_hi=math.inf):
+    def marks(self, u, r_lo=0.0, r_hi=math.inf):
         total, atoms, cum = self._restriction(r_lo, r_hi)
         if total <= 0:
-            if n == 0:
+            if u.size == 0:
                 return np.empty((0, self.dim))
             raise LevyConfigError("cannot sample from a zero-mass region")
-        idx = np.searchsorted(cum, rng.random(n), side="right")
+        idx = np.searchsorted(cum, u, side="right")
         return atoms[np.minimum(idx, atoms.shape[0] - 1)]
-
-
 
 
 class _RadialSide:
@@ -366,7 +371,17 @@ class _PowerSide(_RadialSide):
 # radial_integral's rule: geometric panels follow both the r^-beta spike at a
 # small r_lo and the exponential decay over a long [r_lo, hi]
 _PANELS = 16
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# 16-point Gauss-Legendre rule on [-1, 1], bit for bit as
+# np.polynomial.legendre.leggauss(16) gives it (a test pins it), written out
+# because importing numpy.polynomial adds about 2 ms to every run's set-up
+_GL_HALF = np.array([0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+                     0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+                     0.9445750230732326, 0.9894009349916499])
+_GL_HALF_WEIGHTS = np.array([0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+                             0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+                             0.062253523938647456, 0.027152459411754176])
+_GL_NODES = np.concatenate([-_GL_HALF[::-1], _GL_HALF])
+_GL_WEIGHTS = np.concatenate([_GL_HALF_WEIGHTS[::-1], _GL_HALF_WEIGHTS])
 
 
 class Radial1DMeasure(LevyMeasure):
@@ -444,19 +459,18 @@ class Radial1DMeasure(LevyMeasure):
             total += float(np.sum(half * _GL_WEIGHTS * fn(r) * side.density(r)))
         return total
 
-    def sample(self, rng, n, r_lo=0.0, r_hi=math.inf):
+    def marks(self, u, r_lo=0.0, r_hi=math.inf):
         mp, mn = self._side_moment(0, r_lo, r_hi)
         total = mp + mn
         if not math.isfinite(total):
             raise InfiniteMassError(
                 f"measure has infinite mass on region {r_lo} < |z| <= {r_hi}")
         if total <= 0:
-            if n == 0:
+            if u.size == 0:
                 return np.empty((0, 1))
             raise LevyConfigError("cannot sample from a zero-mass region")
-        u = rng.random(n)
         p_pos = mp / total
-        out = np.empty(n)
+        out = np.empty(u.size)
         take_pos = u < p_pos
         if take_pos.any():
             u_pos = u[take_pos] / p_pos
@@ -502,28 +516,106 @@ def zero_measure(dim: int = 1) -> AtomicLevyMeasure:
 # ---------------------------------------------------------------------------
 
 def sample_jump_events(spec: LevyMeasure, region: tuple[float, float],
-                       t_max: float, rng: np.random.Generator) -> JumpEvents:
+                       t_max: float, rng: np.random.Generator | rngmod.Streams):
     """Atoms of the Poisson random measure with intensity dt x nu on a region.
 
     The event count is Poisson(nu(region) * t_max), times are uniform on
     (0, t_max] and sorted, marks are i.i.d. from the normalized restriction.
+    rng is one path's generator, and the result its JumpEvents; or a block
+    of fresh streams (rng.Streams), and the result (counts, times, marks):
+    every stream's events, the same bits as a fresh generator of each
+    stream gives, concatenated in stream order.
     """
-    r_lo, r_hi = region
     if t_max < 0:
         raise LevyConfigError("horizon must be non-negative")
-    total = spec.require_finite(r_lo, r_hi)
+    total = spec.require_finite(*region)
+    if isinstance(rng, rngmod.Streams):
+        return _block_events(spec, region, total, t_max, rng)
+    return _path_events(spec, region, total, t_max, rng)
+
+
+def _path_events(spec, region, total, t_max, rng) -> JumpEvents:
+    """One path's events drawn from the generator rng."""
     if total == 0.0 or t_max == 0.0:
         return JumpEvents.empty(spec.dim)
     n = int(rng.poisson(total * t_max))
     if n == 0:
         return JumpEvents.empty(spec.dim)
     times = np.sort(t_max * (1.0 - rng.random(n)))  # in (0, t_max]
-    marks = spec.sample(rng, n, r_lo, r_hi)
-    # ties have probability zero but would break strict ordering; nudge them
-    for i in range(1, n):
+    marks = spec.marks(rng.random(n), *region)
+    _nudge_ties(times)
+    return JumpEvents(times, marks)
+
+
+def _block_events(spec, region, total, t_max, streams):
+    """Every stream's events, drawn as _path_events draws them from a fresh
+    generator of the stream, from the stream words philox4x64 computes."""
+    lam = total * t_max
+    if lam >= 10.0:
+        # numpy draws such a count by transformed rejection (PTRS), which is
+        # not reproduced here: the streams draw one by one
+        evs = [_path_events(spec, region, total, t_max, g) for g in streams.generators()]
+        return (np.array([len(ev) for ev in evs], dtype=np.int64),
+                np.concatenate([np.empty(0)] + [ev.times for ev in evs]),
+                np.vstack([np.empty((0, spec.dim))] + [ev.marks for ev in evs]))
+    keys = streams.keys()
+    counts = np.zeros(len(keys), dtype=np.int64)
+    if lam == 0.0:
+        return counts, np.empty(0), np.empty((0, spec.dim))
+    # numpy's multiplication method: the count is the number of uniforms
+    # whose running product stays above exp(-lam); blocks are drawn only
+    # for the streams still counting
+    e_lam, prod, live, block = math.exp(-lam), np.ones(len(keys)), np.arange(len(keys)), 0
+    while live.size:
+        block += 1
+        u = _uniforms(rngmod.philox4x64(keys[live], _counters(block, live.size)))
+        p, c, alive = prod[live], counts[live], np.ones(live.size, dtype=bool)
+        for j in range(4):
+            p = p * u[:, j]
+            alive &= p > e_lam
+            c += alive
+        prod[live], counts[live], live = p, c, live[alive]
+    # a stream with n events reads n + 1 uniforms for its count, then n for
+    # its times and n for its marks: its first ceil((3n + 1) / 4) blocks
+    jumped = np.flatnonzero(counts)
+    n = counts[jumped]
+    blocks = (3 * n + 4) // 4
+    first = np.cumsum(blocks) - blocks
+    counter = np.arange(blocks.sum()) - np.repeat(first, blocks) + 1
+    words = rngmod.philox4x64(np.repeat(keys[jumped], blocks, axis=0),
+                              _counters(counter, counter.size)).reshape(-1)
+    # event k of a stream with n events: time word n + 1 + k, mark word 2n + 1 + k
+    stream = np.repeat(np.arange(n.size), n)
+    k = np.arange(stream.size) - np.repeat(np.cumsum(n) - n, n)
+    word = 4 * first[stream] + n[stream] + 1 + k
+    times = t_max * (1.0 - _uniforms(words[word]))
+    marks = spec.marks(_uniforms(words[word + n[stream]]), *region)
+    times = times[np.lexsort((times, stream))]
+    ends = np.cumsum(n)
+    tied = (times[1:] <= times[:-1]) & (stream[1:] == stream[:-1])
+    for i in dict.fromkeys(stream[1:][tied].tolist()):
+        _nudge_ties(times[ends[i] - n[i]:ends[i]])
+    return counts, times, marks
+
+
+def _counters(low, size: int) -> np.ndarray:
+    """(size, 4) Philox counters whose low word is low and the rest zero."""
+    out = np.zeros((size, 4), dtype=np.uint64)
+    out[:, 0] = low
+    return out
+
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """numpy's next_double of each 64-bit word: its top 53 bits / 2^53."""
+    return (words >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+
+
+def _nudge_ties(times: np.ndarray):
+    """Make sorted times strictly increasing in place: ties have probability
+    zero, but would break strict ordering."""
+    for i in range(1, times.size):
         if times[i] <= times[i - 1]:
             times[i] = np.nextafter(times[i - 1], math.inf)
-    return JumpEvents(times, marks)
 
 
 def discarded_second_moment(spec: LevyMeasure, trunc: TruncationConfig) -> float:

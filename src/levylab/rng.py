@@ -8,8 +8,12 @@ draws the same numbers no matter which worker simulates it, or in what order.
 
 Philox is counter-based, so the key is the whole stream: `rekey` resets a
 generator to the start of another stream, and it then draws exactly what a
-fresh `stream` would.  The engine re-keys one generator per particle block
-instead of constructing three per particle.
+fresh `stream` would.  `philox4x64` computes the Philox4x64-10 blocks of
+whole arrays of keys and counters in numpy, the same words numpy's Philox
+gives, so the streams of a particle block (`Streams`) can be drawn as
+arrays: the engine draws a block's DRIVER words so, and re-keys one
+generator per block only for the INIT and BROWNIAN streams, whose Gaussian
+draws (numpy's ziggurat) are not reproduced here.
 
 Layout of the key (most significant first):
 
@@ -59,13 +63,83 @@ def stream(seed: int, purpose: int, index: int = 0, namespace: int = SIGNAL) -> 
     return np.random.Generator(np.random.Philox(key=stream_key(seed, purpose, index, namespace)))
 
 
+# the state a stream starts in (zero counter and buffer, no half-used 32-bit
+# word), but for its key; the state setter copies every value, so rekey
+# fills in the key and hands over this one dict on every call
+_START = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": (0, 0)},
+          "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
 def rekey(gen: np.random.Generator, seed: int, purpose: int, index: int = 0,
           namespace: int = SIGNAL) -> np.random.Generator:
-    """Reset a Philox generator to the state `stream(...)` starts in (zero
-    counter and buffer, no half-used 32-bit word) and return it."""
+    """Reset a Philox generator to the state `stream(...)` starts in and
+    return it."""
     key = stream_key(seed, purpose, index, namespace)
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": (key & _MASK64, key >> 64)},
-        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    _START["state"]["key"] = (key & _MASK64, key >> 64)
+    gen.bit_generator.state = _START
     return gen
+
+
+# Philox4x64-10 (Salmon et al., SC'11): round multipliers and key bumps
+_M0, _M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_W0, _W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+_LO32 = 0xFFFFFFFF
+
+
+def _mulhilo(m: int, x: np.ndarray):
+    """The high and low 64-bit words of the 128-bit products m * x, with the
+    high word summed from 32-bit halves so no partial product overflows."""
+    m_lo, m_hi = np.uint64(m & _LO32), np.uint64(m >> 32)
+    x_lo, x_hi = x & np.uint64(_LO32), x >> np.uint64(32)
+    lh, hl = m_lo * x_hi, m_hi * x_lo
+    mid = ((m_lo * x_lo) >> np.uint64(32)) + (lh & np.uint64(_LO32)) + (hl & np.uint64(_LO32))
+    hi = m_hi * x_hi + (lh >> np.uint64(32)) + (hl >> np.uint64(32)) + (mid >> np.uint64(32))
+    return hi, np.uint64(m) * x
+
+
+def philox4x64(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """Philox4x64-10 blocks of keys (n, 2) and counters (n, 4), uint64 words
+    least significant first: (n, 4) words, the four that
+    `np.random.Philox(key=k, counter=c - 1).random_raw(4)` gives, so a
+    stream's counter 1 block holds its first four words."""
+    keys = np.asarray(keys, dtype=np.uint64)
+    counters = np.asarray(counters, dtype=np.uint64)
+    k0, k1 = keys[:, 0].copy(), keys[:, 1].copy()
+    c0, c1, c2, c3 = (counters[:, j] for j in range(4))
+    for r in range(10):
+        if r:
+            k0 += np.uint64(_W0)
+            k1 += np.uint64(_W1)
+        hi0, lo0 = _mulhilo(_M0, c0)
+        hi1, lo1 = _mulhilo(_M1, c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return np.stack([c0, c1, c2, c3], axis=1)
+
+
+class Streams:
+    """The streams (seed, namespace, purpose, i), i in indices, each from its
+    start: what `stream(seed, purpose, i, namespace)` draws, for a block.
+    A plain class: building a dataclass would add about 0.6 ms to every
+    import of the package."""
+
+    def __init__(self, seed: int, purpose: int, indices: np.ndarray,
+                 namespace: int = SIGNAL):
+        self.seed, self.purpose, self.indices, self.namespace = seed, purpose, indices, namespace
+
+    def keys(self) -> np.ndarray:
+        """(n, 2) uint64 key words, low then high, of the streams."""
+        idx = np.asarray(self.indices, dtype=np.int64).reshape(-1)
+        if idx.size and not (0 <= idx.min() and idx.max() < _MAX_INDEX):
+            bad = idx[(idx < 0) | (idx >= _MAX_INDEX)][0]
+            raise ValueError(f"stream index out of range: {bad}")
+        key = stream_key(self.seed, self.purpose, 0, self.namespace)
+        keys = np.empty((idx.size, 2), dtype=np.uint64)
+        keys[:, 0] = idx.astype(np.uint64) | np.uint64(key & _MASK64)
+        keys[:, 1] = key >> 64
+        return keys
+
+    def generators(self):
+        """One generator re-keyed to each stream in turn."""
+        gen = stream(self.seed, self.purpose, 0, self.namespace)
+        for i in self.indices:
+            yield rekey(gen, self.seed, self.purpose, int(i), self.namespace)

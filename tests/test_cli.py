@@ -736,6 +736,37 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+RUN_MODULES = """
+import sys
+import levylab, levylab.experiments, levylab.cli
+print("numpy.random" in sys.modules, "numpy.polynomial" in sys.modules)
+for path, out in zip(sys.argv[1::2], sys.argv[2::2]):
+    levylab.experiments.run(levylab.RunManifest.load(path), out)
+    print("numpy.ma" in sys.modules)
+"""
+
+
+def test_runs_load_no_numpy_ma(tmp_path):
+    # np.unique and np.quantile import numpy.ma (about 10 ms) on their first
+    # call: no run of any kind may make one, and importing the package may
+    # not import numpy.random or numpy.polynomial, which would move every
+    # run's set-up
+    expnu2 = filter_robustness_manifest()
+    expnu2.spec = dict(expnu2.spec, observation=dict(
+        expnu2.spec["observation"], nu2={"name": "exponential_tails_1d",
+                                         "params": {"intensity_pos": 1.0, "rate_pos": 2.0}}))
+    args = []
+    for i, man in enumerate([small_superposition_manifest(), small_limit_manifest(),
+                             filter_robustness_manifest(), expnu2, diagnostics_manifest()]):
+        man.n_particles = 100
+        man.save(str(tmp_path / f"{i}.json"))
+        args += [str(tmp_path / f"{i}.json"), str(tmp_path / f"out{i}")]
+    proc = subprocess.run([sys.executable, "-c", RUN_MODULES, *args], capture_output=True,
+                          text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"] * 7
+
+
 def test_horizon_and_step_stored_as_floats(tmp_path):
     d = dict(small_limit_manifest().to_dict(), T=1, h=0.05)
     man = RunManifest.from_dict(d)

@@ -1,6 +1,6 @@
 import hashlib
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -465,6 +465,41 @@ class TestNoiseProtocol:
             assert [z.tobytes() for z in a.jump_marks] == \
                 [z.tobytes() for z in b.jump_marks]
 
+    @pytest.mark.parametrize("B", [1, 3, 64, 150])
+    def test_stacked_schedule_is_the_tiled_events_schedule(self, B):
+        # the schedule of S stacked copies, expanded from the one-copy
+        # schedule, is the one that lays out the events repeated on every
+        # copy's slots (slot s*B + p), array for array; some jumps sit on
+        # grid points, and many cells hold several jumps of one slot
+        drv = L.AtomicLevyMeasure([[0.9], [-0.9]], [4.0, 4.0])
+        law = L.GaussianLaw([0.0], [1.0])
+        base = make_base_grid(1.0, 0.1)
+        taken = np.concatenate(_prepare_block(drv, TR, law, base, 1, range(B), 7,
+                                              R.SIGNAL).jump_times)[::3]
+        grid = np.union1d(base, taken)
+        one = _prepare_block(drv, TR, law, grid, 1, range(B), 7, R.SIGNAL)
+        ev_p = np.repeat(np.arange(B), [len(t) for t in one.jump_times])
+        ev_t, ev_z = np.concatenate(one.jump_times), np.concatenate(one.jump_marks)
+        at = np.searchsorted(grid, ev_t, side="left")
+        inner = grid[np.minimum(at, grid.size - 1)] != ev_t
+        ev_row = ev_p * (grid.size - 1) + (at - 1) + (np.cumsum(inner) - inner)
+        # a cell with two steps has a slot that jumps twice in it
+        assert (~inner).any() and np.diff(one.schedule.steps).max() > 1
+        for copies in range(1, 9):
+            each = np.tile(np.arange(ev_t.size), copies)
+            slot = ev_p[each] + B * np.repeat(np.arange(copies), ev_t.size)
+            want = engine._jump_schedule(grid, slot, ev_t[each], ev_z[each], (at - 1)[each],
+                                         ev_row[each])
+            got = _prepare_block(drv, TR, law, grid, 1, range(B), 7, R.SIGNAL,
+                                 copies).schedule
+            for name, w in vars(want).items():
+                g = getattr(got, name)
+                if isinstance(w, tuple):
+                    assert g == w, (copies, name)
+                else:
+                    assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes()), \
+                        (copies, name)
+
     def test_block_inputs_read_only(self):
         # marches share one draw, so the draw must reject writes
         drv = L.AtomicLevyMeasure([[0.9], [-0.9]], [2.0, 2.0])
@@ -762,6 +797,22 @@ class TestBlockRunner:
         assert limit.values.tobytes() != self.family(L.family_from_config(
             self.FAMILY), block_size=64)[1].values.tobytes()
 
+    def test_a_set_is_changed_by_a_copy_not_in_place(self):
+        # a worker rebuilds a registry set from its config, so a set changed
+        # in place would march other dynamics there: a set is frozen, and a
+        # changed copy has no config and marches the same bits on any workers
+        cs = L.coefficients_from_config({"name": "ou", "d": 2, "m": 2, "gamma": 0.4,
+                                         "params": {"theta": 1.0, "sigma": 1.0}})
+        for name, value in (("gamma", 1.0), ("g", None), ("b", cs.sigma), ("config", None)):
+            with pytest.raises(FrozenInstanceError):
+                setattr(cs, name, value)
+        assert cs.gamma == 0.4 and cs.config is not None
+        copy = replace(cs, gamma=1.0)
+        assert copy.config is None
+        want = self.ensemble(copy, block_size=64)
+        self.same(self.ensemble(copy, block_size=64, workers=2), want)
+        assert want.values.tobytes() != self.ensemble(cs, block_size=64).values.tobytes()
+
     def test_pool_iff_the_limit_has_a_registry_config(self, monkeypatch):
         # workers rebuild the limit from its config and the members from the
         # family's scalars: an ensemble and a family pool alike, a copy whose
@@ -849,14 +900,17 @@ class TestStackedFamily:
     def test_rows_get_their_own_sets_bits(self, kind, amp, sp, gammas):
         fam = parametric_family(1, *gammas, kind, amp, sp)
         sets, g = fam.all_sets(), fam.limit.g
-        stacked = fam.stacked(3)
+        # the same family, with a limit g that counts the rows it is called on
+        called = []
+        counted = replace(fam, limit=replace(
+            fam.limit, g=lambda t, x: called.append(len(x)) or g(t, x)))
+        stacked = counted.stacked(3)
         for slots in (None, np.array([0, 2, 4, 5, 7, 9, 10]), np.array([1, 6]),
                       np.array([9, 11])):
             rows = np.arange(12) if slots is None else slots
             x = self.X[rows]
             t = 0.3 if slots is None else np.linspace(0.0, 1.0, rows.size)
-            called = []
-            fam.limit.g = lambda t, x: called.append(len(x)) or g(t, x)
+            called.clear()
             cs = stacked.on_rows(slots)
             got = [cs.b(t, x), cs.sigma(t, x), cs.f(t, x)]
             # a row with gamma = 0 gets +0.0 from f without a call of g

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from levylab import rng as R
@@ -149,6 +151,15 @@ def test_radial_integral_from_zero_against_quad(rate, beta):
         assert got == pytest.approx(want, rel=1e-12)
 
 
+def test_radial_integral_rule_is_numpys_gauss_legendre():
+    # the rule is written out so that no run imports numpy.polynomial; its
+    # bits must stay leggauss(16)'s
+    from levylab import measures
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    assert measures._GL_NODES.tobytes() == nodes.tobytes()
+    assert measures._GL_WEIGHTS.tobytes() == weights.tobytes()
+
+
 def test_radial_integral_needs_finite_mass_at_zero():
     message = "needs r_lo > 0, or r_lo = 0 with finite mass near 0; got "
     with pytest.raises(LevyConfigError, match=message + "-0.1"):
@@ -275,6 +286,92 @@ class TestSampling:
         with pytest.raises(InfiniteMassError) as exc:
             sample_jump_events(spec, (0.0, 1.0), 1.0, R.stream(1, R.DRIVER))
         assert "0.0 < |z| <= 1" in str(exc.value)
+
+
+def _block_drivers(lam):
+    """Drivers whose mass above their floor is exactly lam: (measure, floor)."""
+    return {
+        "atomic-1d": (AtomicLevyMeasure([[0.9], [-0.4]], [lam / 2, lam / 2]), 0.0),
+        "atomic-2d": (AtomicLevyMeasure([[0.7, 0.1], [-0.4, 0.3], [0.2, -1.1]],
+                                        [lam / 4, lam / 4, lam / 2]), 0.0),
+        # each side has mass intensity / rate
+        "radial-exponential": (exponential_tails_1d(lam, 2.0), 0.0),
+        # each side has mass coef * (1 / floor - 1 / r_max) = coef above 0.5
+        "power-law-above-floor": (power_law_tails_1d(lam / 2, 2.0, r_max=1.0), 0.5),
+        "zero": (zero_measure(2), 0.0),
+    }
+
+
+class TestBlockDraw:
+    """One draw over a block of fresh streams (rng.Streams) gives every
+    stream's events bit for bit as a fresh generator of that stream does,
+    for any cut of the particles into blocks, on both sides of numpy's
+    switch from the multiplication method to PTRS at a mean of 10."""
+
+    N = 40
+
+    @pytest.mark.parametrize("lam", [0.0, 0.6, 9.99, 10.0, 40.0])
+    @pytest.mark.parametrize("name", list(_block_drivers(1.0)))
+    @given(seed=st.integers(0, 2 ** 64 - 1), first=st.integers(0, (1 << 48) - 41),
+           namespace=st.sampled_from([R.SIGNAL, R.FILTER]))
+    @settings(max_examples=3)
+    def test_block_equals_per_stream_draws(self, name, lam, seed, first, namespace):
+        spec, floor = _block_drivers(lam)[name]
+        assert spec.mass(floor, math.inf) == (lam if name != "zero" else 0.0)
+        particles = np.arange(first, first + self.N)
+        for T in (0.0, 1.0):
+            want = [sample_jump_events(spec, (floor, math.inf), T,
+                                       R.stream(seed, R.DRIVER, int(p), namespace))
+                    for p in particles]
+            for block in (1, 3, 64, self.N):
+                got = [sample_jump_events(spec, (floor, math.inf), T,
+                                          R.Streams(seed, R.DRIVER, particles[lo:lo + block],
+                                                    namespace))
+                       for lo in range(0, self.N, block)]
+                counts = np.concatenate([c for c, _, _ in got])
+                times = np.concatenate([t for _, t, _ in got])
+                marks = np.concatenate([z for _, _, z in got])
+                assert counts.tolist() == [len(ev) for ev in want]
+                assert times.tobytes() == np.concatenate(
+                    [np.empty(0)] + [ev.times for ev in want]).tobytes()
+                assert marks.shape == (times.size, spec.dim)
+                assert marks.tobytes() == np.concatenate(
+                    [np.empty((0, spec.dim))] + [ev.marks for ev in want]).tobytes()
+            if T and lam and name != "zero":
+                assert counts.sum() > 0
+
+    def test_tied_times_are_nudged_apart(self, monkeypatch):
+        # three jumps of one stream whose time uniforms are forced equal: the
+        # sorted times become t, t+ and t++ (the next floats up), as the
+        # per-path draw nudges them; every other event is unchanged
+        spec = AtomicLevyMeasure([[0.9], [-0.4]], [1.5, 1.5])
+        streams = R.Streams(5, R.DRIVER, np.arange(20))
+        counts, times, marks = sample_jump_events(spec, (0.0, math.inf), 1.0, streams)
+        j = int(np.flatnonzero(counts == 3)[0])
+        n, key = 3, streams.keys()[j]
+        # the stream's words n + 1 .. 2n are its time uniforms
+        kernel = R.philox4x64
+        words = kernel(np.repeat(key[None], 3, axis=0),
+                       np.array([[b, 0, 0, 0] for b in (1, 2, 3)], dtype=np.uint64)).ravel()
+
+        def tied(keys, counters):
+            out = kernel(keys, counters)
+            for r in np.flatnonzero((keys == key).all(axis=1)):
+                block = int(counters[r, 0]) - 1
+                for w in range(n + 2, 2 * n + 1):
+                    if w // 4 == block:
+                        out[r, w % 4] = words[n + 1]
+            return out
+
+        monkeypatch.setattr(R, "philox4x64", tied)
+        c2, t2, z2 = sample_jump_events(spec, (0.0, math.inf), 1.0, streams)
+        t = 1.0 * (1.0 - (int(words[n + 1]) >> 11) * 2.0 ** -53)
+        at = int(counts[:j].sum())
+        assert c2.tolist() == counts.tolist() and z2.tobytes() == marks.tobytes()
+        assert t2[at:at + 3].tolist() == [t, np.nextafter(t, 2.0),
+                                          np.nextafter(np.nextafter(t, 2.0), 2.0)]
+        rest = np.r_[0:at, at + 3:times.size]
+        assert t2[rest].tobytes() == times[rest].tobytes()
 
 
 class TestTruncation:

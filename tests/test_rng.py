@@ -90,3 +90,54 @@ def test_rekey_checks_the_key_range():
         R.rekey(gen, 1, R.INIT, 1 << 48)
     with pytest.raises(ValueError):
         R.rekey(gen, 1, R.INIT, 0, 256)
+
+
+# -- the numpy Philox kernel gives numpy's words ----------------------------
+
+_KEYS = st.one_of(st.sampled_from([0, 2 ** 64 - 1, 2 ** 128 - 1]), st.integers(0, 2 ** 128 - 1))
+# a counter whose next blocks carry into every higher word, and random ones
+_COUNTERS = st.one_of(st.sampled_from([0, 2 ** 64 - 2, 2 ** 128 - 1, 2 ** 192 - 3,
+                                       2 ** 256 - 4]),
+                      st.integers(0, 2 ** 256 - 4))
+
+
+def _words(value: int, n: int) -> list:
+    return [(value >> (64 * i)) & (2 ** 64 - 1) for i in range(n)]
+
+
+@given(pairs=st.lists(st.tuples(_KEYS, _COUNTERS), min_size=1, max_size=6))
+@settings(max_examples=40)
+def test_philox_kernel_gives_numpys_words(pairs):
+    # counter c + b is the b-th block numpy draws after starting at counter c
+    keys = np.array([_words(k, 2) for k, _ in pairs for b in (1, 2, 3)], dtype=np.uint64)
+    counters = np.array([_words(c + b, 4) for _, c in pairs for b in (1, 2, 3)],
+                        dtype=np.uint64)
+    got = R.philox4x64(keys, counters).reshape(len(pairs), 12)
+    for (k, c), row in zip(pairs, got):
+        want = np.random.Philox(key=k, counter=c).random_raw(12)
+        assert row.tolist() == want.tolist()
+
+
+@given(seed=_SEEDS, purpose=st.sampled_from(_PURPOSES), namespace=st.sampled_from(_NAMESPACES),
+       indices=st.lists(_INDICES, min_size=1, max_size=5))
+@settings(max_examples=25)
+def test_block_streams_are_the_fresh_streams(seed, purpose, namespace, indices):
+    streams = R.Streams(seed, purpose, np.array(indices), namespace)
+    keys = streams.keys()
+    assert [lo | hi << 64 for lo, hi in keys.tolist()] == \
+        [R.stream_key(seed, purpose, i, namespace) for i in indices]
+    counters = np.zeros((len(indices), 4), dtype=np.uint64)
+    counters[:, 0] = 1
+    first = R.philox4x64(keys, counters)
+    for i, gen, words in zip(indices, streams.generators(), first):
+        fresh = R.stream(seed, purpose, i, namespace)
+        assert words.tolist() == fresh.bit_generator.random_raw(4).tolist()
+        assert gen.random(5).tobytes() == R.stream(seed, purpose, i, namespace).random(5).tobytes()
+
+
+def test_block_stream_keys_check_the_index_range():
+    with pytest.raises(ValueError, match="out of range: 281474976710656"):
+        R.Streams(1, R.DRIVER, np.array([0, 1 << 48])).keys()
+    with pytest.raises(ValueError, match="out of range: -1"):
+        R.Streams(1, R.DRIVER, np.array([-1])).keys()
+    assert R.Streams(1, R.DRIVER, np.array([], dtype=np.int64)).keys().shape == (0, 2)
