@@ -21,7 +21,7 @@ from .filtering import (FilterState, ObservationModel, ObservationRecord,
 from .generator import (GeneratorContext, eval_generator, fpe_weak_residual,
                         martingale_residual, validate_hypotheses)
 from .manifests import RunManifest
-from .measures import (AtomicLevyMeasure, JumpEvent, JumpEvents, LevyMeasure,
+from .measures import (AtomicLevyMeasure, JumpEvents, LevyMeasure,
                        TruncationConfig, exponential_tails_1d, power_law_tails_1d,
                        sample_jump_events, zero_measure)
 from .psi import PsiFunction, construct_psi

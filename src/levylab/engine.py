@@ -181,15 +181,13 @@ class PathEnsemble:
     """Ensemble of paths recorded on a shared base grid.
 
     values has shape (n, len(times), d): every grid slice, or the ones a
-    caller asked to record; per-particle jump events are kept for
-    diagnostics.  Values at a grid time are post-jump (cadlag convention).
+    caller asked to record.  Values at a grid time are post-jump (cadlag
+    convention).
     """
 
-    def __init__(self, times, values, jump_times, jump_marks, trunc_report=None):
+    def __init__(self, times, values, trunc_report=None):
         self.times = np.asarray(times, dtype=float)
         self.values = values
-        self.jump_times = jump_times
-        self.jump_marks = jump_marks
         self.trunc_report = trunc_report or {}
 
     @property
@@ -282,9 +280,9 @@ class _BlockInputs:
     """Pre-drawn randomness for one block of particles, reusable across a family.
 
     particles are the global indices of the block's slots, drawn from the
-    (seed, namespace) streams.  schedule holds the block's jumps in the order
-    the march replays them.  Every array is read-only: marches share one
-    draw, so a write into it would silently couple them.
+    (seed, namespace) streams.  schedule holds the block's jumps, their only
+    copy, in the order the march replays them.  Every array is read-only:
+    marches share one draw, so a write into it would silently couple them.
     """
 
     particles: np.ndarray
@@ -294,8 +292,6 @@ class _BlockInputs:
     schedule: _JumpSchedule
     noise: np.ndarray           # Brownian rows, particle-major
     offsets: np.ndarray         # first noise row of each particle
-    jump_times: list
-    jump_marks: list
     copies: int = 1             # stacked copies of the block the schedule lays out
 
 
@@ -304,17 +300,12 @@ def _prepare_block(driver: LevyMeasure, trunc: TruncationConfig, mu0: InitialLaw
                    namespace: int, copies: int = 1) -> _BlockInputs:
     """One block's randomness, for `copies` stacked copies of the block
     (row s*B + j is slot j of copy s) that all read the same noise rows."""
-    T = float(grid[-1])
-    floor = trunc.sampling_floor
-    if not math.isfinite(driver.mass(floor, math.inf)):
-        raise LevyConfigError(
-            "driver has infinite activity above the sampling floor; use "
-            "discard_below_eps with a positive eps")
     ids = np.array(particles, dtype=np.int64)
     B = ids.size
     # every particle's driver atoms as arrays, in (particle, time) order
     counts, ev_t, ev_z = sample_jump_events(
-        driver, (floor, math.inf), T, rngmod.Streams(seed, rngmod.DRIVER, ids, namespace))
+        driver, _driver_region(driver, trunc), float(grid[-1]),
+        rngmod.Streams(seed, rngmod.DRIVER, ids, namespace))
     ev_p = np.repeat(np.arange(B, dtype=np.int64), counts)
     # a jump off the grid adds one row to its particle's cells
     at = np.searchsorted(grid, ev_t, side="left")
@@ -338,17 +329,20 @@ def _prepare_block(driver: LevyMeasure, trunc: TruncationConfig, mu0: InitialLaw
         rngmod.rekey(gen, seed, rngmod.BROWNIAN, p, namespace).standard_normal(
             out=noise[bounds[j]:bounds[j + 1]])
     arrays = [a for a in vars(schedule).values() if isinstance(a, np.ndarray)]
-    for a in [ids, x0, noise, offsets, ev_t, ev_z, *arrays]:
+    for a in [ids, x0, noise, offsets, *arrays]:
         a.flags.writeable = False
-    # each particle's events, as read-only views; most particles have none,
-    # and share the one empty pair rather than hold two views each
-    empty = JumpEvents.empty(driver.dim)
-    ends = np.cumsum(counts).tolist()
-    spans = list(zip([0] + ends[:-1], ends))
-    jt_list = [ev_t[a:b] if b > a else empty.times for a, b in spans]
-    jm_list = [ev_z[a:b] if b > a else empty.marks for a, b in spans]
-    return _BlockInputs(ids, seed, namespace, x0, schedule, noise, offsets[:-1],
-                        jt_list, jm_list, copies)
+    return _BlockInputs(ids, seed, namespace, x0, schedule, noise, offsets[:-1], copies)
+
+
+def _driver_region(driver: LevyMeasure, trunc: TruncationConfig) -> tuple:
+    """The radii (floor, inf) whose driver atoms a path draws; their mass
+    must be finite."""
+    floor = trunc.sampling_floor
+    if not math.isfinite(driver.mass(floor, math.inf)):
+        raise LevyConfigError(
+            "driver has infinite activity above the sampling floor; use "
+            "discard_below_eps with a positive eps")
+    return floor, math.inf
 
 
 def _run_starts(*keys) -> np.ndarray:
@@ -581,21 +575,22 @@ def _run_block(family, driver, trunc, mu0, grid, keep, block, seed, namespace, o
     over it, as one BlockMarch of family.stacked(B).
 
     Set k's (B, len(keep), d) values at the grid indices keep are written
-    into out[k].  Returns the block's jump times and marks.
+    into out[k].
     """
     inputs = _prepare_block(driver, trunc, mu0, grid, family.limit.m, block, seed,
                             namespace, len(out))
     BlockMarch(family.stacked(len(block)), driver, trunc, grid, inputs).run(out, keep)
-    return inputs.jump_times, inputs.jump_marks
 
 
-def _pool_block(args):
+def _pool_block(args) -> np.ndarray:
     """Worker task: one block, with the family rebuilt from its limit's
-    config and its scalars; returns only the kept slices."""
+    config and its scalars; returns the (S, B, len(keep), d) values of the
+    kept slices alone."""
     (config, *scalars), driver, trunc, mu0, grid, keep, block, *rest = args
     family = CoefficientFamily(coefficients_from_config(config), *scalars)
     out = np.empty((len(family.all_sets()), len(block), len(keep), family.limit.d))
-    return out, *_run_block(family, driver, trunc, mu0, grid, keep, block, *rest, out)
+    _run_block(family, driver, trunc, mu0, grid, keep, block, *rest, out)
+    return out
 
 
 def _simulate_blocks(family: CoefficientFamily, driver, trunc, mu0, n_particles,
@@ -606,7 +601,6 @@ def _simulate_blocks(family: CoefficientFamily, driver, trunc, mu0, n_particles,
     grid = make_base_grid(T, grid_step, extra_times)
     keep = kept_slices(grid, record_times)
     values = np.empty((len(family.all_sets()), n_particles, keep.size, family.limit.d))
-    jump_times, jump_marks = [], []
     # workers rebuild the family from its limit's registry config and its scalars
     if workers > 1 and family.limit.config is not None:
         # a multiple of workers of near-equal blocks, none over block_size
@@ -617,21 +611,16 @@ def _simulate_blocks(family: CoefficientFamily, driver, trunc, mu0, n_particles,
         tasks = [(params, driver, trunc, mu0, grid, keep, r, seed, namespace)
                  for r in ranges]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for r, (out, jt, jm) in zip(ranges, pool.map(_pool_block, tasks)):
+            for r, out in zip(ranges, pool.map(_pool_block, tasks)):
                 values[:, r.start:r.stop] = out
-                jump_times += jt
-                jump_marks += jm
     else:
         for lo in range(0, n_particles, block_size):
             r = range(lo, min(lo + block_size, n_particles))
-            jt, jm = _run_block(family, driver, trunc, mu0, grid, keep, r, seed,
-                                namespace, values[:, r.start:r.stop])
-            jump_times += jt
-            jump_marks += jm
+            _run_block(family, driver, trunc, mu0, grid, keep, r, seed, namespace,
+                       values[:, r.start:r.stop])
     report = {"sampling_floor": trunc.sampling_floor,
               "discarded_second_moment": discarded_second_moment(driver, trunc)}
-    return [PathEnsemble(grid[keep], v, jump_times, jump_marks, trunc_report=report)
-            for v in values]
+    return [PathEnsemble(grid[keep], v, trunc_report=report) for v in values]
 
 
 def simulate_ensemble(coeffs: CoefficientSet, driver: LevyMeasure,
@@ -664,9 +653,8 @@ def simulate_path(coeffs: CoefficientSet, driver: LevyMeasure,
     if coeffs.growth_bound is not None:
         require_linear_growth(coeffs)
     mu0 = x0 if isinstance(x0, InitialLaw) else PointMass(x0)
-    base = _prepare_block(driver, trunc, mu0, make_base_grid(T, grid_step, extra_times),
-                          coeffs.m, [particle_index], seed, namespace)
-    jumps = JumpEvents(base.jump_times[0], base.jump_marks[0])
+    jumps = sample_jump_events(driver, _driver_region(driver, trunc), float(T),
+                               rngmod.stream(seed, rngmod.DRIVER, particle_index, namespace))
     # on the grid with the jumps inserted the particle consumes the same rows
     grid = make_base_grid(T, grid_step, [*extra_times, *jumps.times])
     inputs = _prepare_block(driver, trunc, mu0, grid, coeffs.m, [particle_index],

@@ -32,14 +32,8 @@ class InfiniteMassError(LevyConfigError):
     """Raised when an operation needs a finite mass on a region that has none."""
 
 
-@dataclass(frozen=True)
-class JumpEvent:
-    time: float
-    mark: np.ndarray
-
-
 class JumpEvents:
-    """Jump events of one path, stored as arrays, viewable as JumpEvent items.
+    """Jump events of one path, stored as arrays.
 
     Times are strictly increasing; marks are (n, dim).
     """
@@ -58,13 +52,6 @@ class JumpEvents:
 
     def __len__(self) -> int:
         return self.times.shape[0]
-
-    def __getitem__(self, i: int) -> JumpEvent:
-        return JumpEvent(float(self.times[i]), self.marks[i].copy())
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
 
     @staticmethod
     @functools.cache

@@ -91,7 +91,7 @@ class TestLyapunovAndTightness:
     def test_constant_zero_paths(self):
         times = np.linspace(0, 1, 11)
         values = np.zeros((40, 11, 1))
-        ens = L.PathEnsemble(times, values, [None] * 40, [None] * 40)
+        ens = L.PathEnsemble(times, values)
         m, se = lyapunov_moment(ens, identity_psi())
         assert m == 0.0
 
@@ -99,14 +99,14 @@ class TestLyapunovAndTightness:
         # |x| = sqrt(e - 1): log(1 + |x|^2) = 1, so the statistic is exactly 1
         times = np.linspace(0, 1, 6)
         values = np.full((10, 6, 1), math.sqrt(math.e - 1.0))
-        ens = L.PathEnsemble(times, values, [None] * 10, [None] * 10)
+        ens = L.PathEnsemble(times, values)
         m, se = lyapunov_moment(ens, identity_psi())
         assert m == pytest.approx(1.0, rel=1e-12)
 
     def test_tightness_trivial_cases(self):
         times = np.linspace(0, 1, 11)
         values = np.full((30, 11, 1), 0.5)
-        ens = L.PathEnsemble(times, values, [None] * 30, [None] * 30)
+        ens = L.PathEnsemble(times, values)
         rep = tightness_diagnostics({"0": ens}, K_grid=[0.4, 0.6, 1.0],
                                     theta_grid=[0.2, 0.1], N_threshold=0.1)
         assert rep.sup_tail[0][1] == 1.0     # below the constant radius

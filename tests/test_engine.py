@@ -13,7 +13,8 @@ from levylab import rng as R
 from levylab import engine
 from levylab.coefficients import StackedFamily
 from levylab.engine import BlockMarch, SimulationError, _prepare_block, make_base_grid
-from levylab.measures import AtomicLevyMeasure, TruncationConfig, sample_jump_events
+from levylab.measures import (AtomicLevyMeasure, LevyConfigError, TruncationConfig,
+                              sample_jump_events)
 
 from oracles import ou_euler_chain_variance, quad_radial
 
@@ -27,6 +28,30 @@ def ou_coeffs(theta=1.0, sigma=math.sqrt(2.0), gamma=0.0, bound=4.0):
 
 NO_JUMPS = L.zero_measure(1)
 TR = TruncationConfig(level=0.5)
+
+
+def drawn_events(driver, particles, seed, namespace=R.SIGNAL, T=1.0):
+    """The driver atoms a block of particles draws: (counts, times, marks),
+    from sample_jump_events on the block's DRIVER streams."""
+    return sample_jump_events(driver, (TR.sampling_floor, math.inf), T,
+                              R.Streams(seed, R.DRIVER, np.asarray(particles), namespace))
+
+
+def per_particle(counts, a):
+    """The flat event array a split into each particle's events."""
+    return np.split(a, np.cumsum(counts)[:-1])
+
+
+def schedule_events(inp):
+    """Each slot's jumps as the block's schedule lays them out, in time
+    order: per-slot lists of times and of marks."""
+    sch = inp.schedule
+    step_cell = np.repeat(np.arange(len(sch.steps) - 1), np.diff(sch.steps))
+    jump_cell = np.repeat(step_cell, np.diff(sch.step_jumps))
+    slot = sch.slots[np.asarray(sch.pairs, dtype=np.int64)[jump_cell] + sch.idx]
+    order = np.lexsort((sch.time, slot))
+    counts = np.bincount(slot, minlength=inp.x0.shape[0] * inp.copies)
+    return per_particle(counts, sch.time[order]), per_particle(counts, sch.mark[order])
 
 
 class UnionRecordMarch:
@@ -49,9 +74,9 @@ class UnionRecordMarch:
         self.cursor = np.zeros(len(inp.offsets), dtype=np.int64)
         self.needs_comp = driver.mass(trunc.sampling_floor, math.inf) > 0.0
         # every jump of the block, sorted by (cell, slot, time)
-        p = np.repeat(np.arange(len(inp.jump_times)), [len(t) for t in inp.jump_times])
-        t = np.concatenate([np.empty(0), *inp.jump_times])
-        z = np.vstack([np.empty((0, driver.dim)), *inp.jump_marks])
+        counts, t, z = drawn_events(driver, inp.particles, inp.seed, inp.namespace,
+                                    float(grid[-1]))
+        p = np.repeat(np.arange(counts.size), counts)
         c = np.searchsorted(grid, t, side="left") - 1
         order = np.lexsort((t, p, c))
         self.jp, self.jt, self.jz, jc = p[order], t[order], z[order], c[order]
@@ -161,16 +186,16 @@ class TestSinglePath:
         p = L.simulate_path(cs, NO_JUMPS, TR, [0.0], 0.25, 1.0, seed=2)
         assert p.values[-1, 0] == pytest.approx(1.0, abs=1e-12)
 
-    def test_jump_times_are_grid_points(self):
+    def test_jumps_are_grid_points(self):
         cs = L.coefficients_from_config({"name": "zero", "d": 1, "m": 1, "gamma": 1.0})
         drv = L.AtomicLevyMeasure([[1.0]], [5.0])
         p = L.simulate_path(cs, drv, TR, [0.0], 0.2, 1.0, seed=9)
         assert len(p.jumps) > 0
         assert np.all(np.isin(p.jumps.times, p.grid))
         # pure-jump path: value changes exactly at jumps by the mark size
-        for ev in p.jumps:
-            i = int(np.searchsorted(p.grid, ev.time))
-            assert p.values[i, 0] - p.values[i - 1, 0] == pytest.approx(ev.mark[0])
+        for time, mark in zip(p.jumps.times, p.jumps.marks):
+            i = int(np.searchsorted(p.grid, time))
+            assert p.values[i, 0] - p.values[i - 1, 0] == pytest.approx(mark[0])
 
     @pytest.mark.parametrize("case", sorted(SINGLE_PATH_CASES))
     def test_matches_union_record_march(self, case):
@@ -181,8 +206,7 @@ class TestSinglePath:
         seen = {"on_grid": 0, "shared_cell": 0}
         for seed in range(6):
             for h, particle in ((0.1, 0), (0.5, 3)):
-                drawn = _prepare_block(driver, TR, L.PointMass(x0), make_base_grid(1.0, h),
-                                       cs.m, [particle], seed, R.SIGNAL).jump_times[0]
+                drawn = drawn_events(driver, [particle], seed)[1]
                 extra = drawn[:1] if seed % 2 else ()
                 times, values, grid = union_record_path(cs, driver, x0, h, 1.0, seed,
                                                         particle, extra)
@@ -238,9 +262,8 @@ class TestWholeBlockMarch:
         # the first jump of every eighth particle is put on the grid
         driver, make_coeffs, mu0 = MARCH_CASES[case]
         cs = make_coeffs()
-        base = make_base_grid(1.0, 0.1)
-        drawn = _prepare_block(driver, TR, mu0, base, cs.m, range(self.N), seed,
-                               R.SIGNAL).jump_times
+        counts, times, _ = drawn_events(driver, range(self.N), seed)
+        drawn = per_particle(counts, times)
         grid = make_base_grid(1.0, 0.1, [t[0] for t in drawn[::8] if t.size])
         return cs, driver, mu0, grid
 
@@ -263,7 +286,7 @@ class TestWholeBlockMarch:
         cs, driver, mu0, grid = self.draw(case, 0)
         inp = _prepare_block(driver, TR, mu0, grid, cs.m, range(self.N), 0, R.SIGNAL)
         sch = inp.schedule
-        on_grid = sum(np.isin(t, grid).sum() for t in inp.jump_times)
+        on_grid = np.isin(sch.time, grid).sum()
         cells = range(grid.size - 1)
         assert on_grid >= 5
         # a second step in a cell replays a slot's second jump there
@@ -368,12 +391,16 @@ class TestEnsembleLaws:
             quad_radial(lambda r: r * r, lambda r: 0.5 * r ** -1.5, 0.0, 0.02),
             rel=1e-9)
 
-    def test_exact_mode_requires_finite_activity(self):
+    @pytest.mark.parametrize("simulate", [
+        lambda cs, drv, tr: L.simulate_ensemble(cs, drv, tr, L.PointMass([0.0]), 10, 0.1,
+                                                1.0, seed=1),
+        lambda cs, drv, tr: L.simulate_path(cs, drv, tr, [0.0], 0.1, 1.0, seed=1)],
+        ids=["simulate_ensemble", "simulate_path"])
+    def test_exact_mode_requires_finite_activity(self, simulate):
         cs = L.coefficients_from_config({"name": "zero", "d": 1, "m": 1, "gamma": 1.0})
         drv = L.power_law_tails_1d(exponent=1.5)
-        with pytest.raises(Exception, match="infinite activity"):
-            L.simulate_ensemble(cs, drv, TruncationConfig(level=0.5),
-                                L.PointMass([0.0]), 10, 0.1, 1.0, seed=1)
+        with pytest.raises(LevyConfigError, match="infinite activity above the sampling floor"):
+            simulate(cs, drv, TruncationConfig(level=0.5))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_reports_first_time(self):
@@ -433,21 +460,22 @@ class TestNoiseProtocol:
         grid = make_base_grid(1.0, 0.1)
         particles = range(3, 10)
         inp = _prepare_block(drv, TR, law, grid, 2, particles, 17, R.FILTER)
+        times, marks = schedule_events(inp)
         rows = 0
         for j, p in enumerate(particles):
             z = R.stream(17, R.INIT, p, R.FILTER).standard_normal(2)
             assert inp.x0[j].tobytes() == (law.mean + law.std * z).tobytes()
             ev = sample_jump_events(drv, (0.0, math.inf), 1.0,
                                     R.stream(17, R.DRIVER, p, R.FILTER))
-            assert inp.jump_times[j].tobytes() == ev.times.tobytes()
-            assert inp.jump_marks[j].tobytes() == ev.marks.tobytes()
+            assert times[j].tobytes() == ev.times.tobytes()
+            assert marks[j].tobytes() == ev.marks.tobytes()
             n_rows = grid.size - 1 + np.count_nonzero(~np.isin(ev.times, grid))
             want = R.stream(17, R.BROWNIAN, p, R.FILTER).standard_normal((n_rows, 2))
             assert inp.offsets[j] == rows
             assert inp.noise[rows:rows + n_rows].tobytes() == want.tobytes()
             rows += n_rows
         assert inp.noise.shape == (rows, 2)
-        assert sum(len(t) for t in inp.jump_times) > len(particles)
+        assert inp.schedule.time.size > len(particles)
 
     def test_block_size_invariance(self):
         # both atoms lie in the compensated band, so the compensator sums a
@@ -460,10 +488,6 @@ class TestNoiseProtocol:
             a = L.simulate_ensemble(cs, drv, TR, L.GaussianLaw([0.0], [1.0]), 300,
                                     0.05, 1.0, seed=13, block_size=block)
             assert a.values.tobytes() == b.values.tobytes(), block
-            assert [t.tobytes() for t in a.jump_times] == \
-                [t.tobytes() for t in b.jump_times]
-            assert [z.tobytes() for z in a.jump_marks] == \
-                [z.tobytes() for z in b.jump_marks]
 
     @pytest.mark.parametrize("B", [1, 3, 64, 150])
     def test_stacked_schedule_is_the_tiled_events_schedule(self, B):
@@ -473,13 +497,10 @@ class TestNoiseProtocol:
         # grid points, and many cells hold several jumps of one slot
         drv = L.AtomicLevyMeasure([[0.9], [-0.9]], [4.0, 4.0])
         law = L.GaussianLaw([0.0], [1.0])
-        base = make_base_grid(1.0, 0.1)
-        taken = np.concatenate(_prepare_block(drv, TR, law, base, 1, range(B), 7,
-                                              R.SIGNAL).jump_times)[::3]
-        grid = np.union1d(base, taken)
+        counts, ev_t, ev_z = drawn_events(drv, range(B), 7)
+        grid = np.union1d(make_base_grid(1.0, 0.1), ev_t[::3])
         one = _prepare_block(drv, TR, law, grid, 1, range(B), 7, R.SIGNAL)
-        ev_p = np.repeat(np.arange(B), [len(t) for t in one.jump_times])
-        ev_t, ev_z = np.concatenate(one.jump_times), np.concatenate(one.jump_marks)
+        ev_p = np.repeat(np.arange(B), counts)
         at = np.searchsorted(grid, ev_t, side="left")
         inner = grid[np.minimum(at, grid.size - 1)] != ev_t
         ev_row = ev_p * (grid.size - 1) + (at - 1) + (np.cumsum(inner) - inner)
@@ -510,7 +531,7 @@ class TestNoiseProtocol:
         assert sch.time.size and inp.particles.tolist() == [4, 5, 6, 7, 8]
         arrays = [inp.particles, inp.x0, inp.noise, inp.offsets, sch.slots, sch.next_row,
                   sch.idx, sch.start, sch.time, sch.mark, sch.tail_idx,
-                  sch.tail_start] + inp.jump_times + inp.jump_marks
+                  sch.tail_start]
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
@@ -523,16 +544,16 @@ class TestNoiseProtocol:
         drv = L.AtomicLevyMeasure([[0.9], [-0.9]], [2.0, 2.0])
         law = L.GaussianLaw([0.0], [1.0])
         base = make_base_grid(1.0, 0.1)
-        first = _prepare_block(drv, TR, law, base, 1, range(6), 13, R.FILTER)
-        taken = np.concatenate([t[::2] for t in first.jump_times])
+        counts, times, _ = drawn_events(drv, range(6), 13, R.FILTER)
+        drawn = per_particle(counts, times)
+        taken = np.concatenate([t[::2] for t in drawn])
         assert taken.size
         grid = np.union1d(base, taken)
         inp = _prepare_block(drv, TR, law, grid, 1, range(6), 13, R.FILTER)
-        rows = [grid.size - 1 + np.count_nonzero(~np.isin(t, grid))
-                for t in inp.jump_times]
+        rows = [grid.size - 1 + np.count_nonzero(~np.isin(t, grid)) for t in drawn]
         assert inp.offsets.tolist() == np.cumsum([0] + rows[:-1]).tolist()
         assert inp.noise.shape[0] == sum(rows)
-        assert sum(rows) < 6 * (grid.size - 1) + sum(len(t) for t in inp.jump_times)
+        assert sum(rows) < 6 * (grid.size - 1) + counts.sum()
 
     def test_weak_order_one(self):
         # engine matches the exact Euler-chain variance at two step sizes,
@@ -660,8 +681,6 @@ class TestBlockRunner:
     @staticmethod
     def same(a, b):
         assert a.values.tobytes() == b.values.tobytes()
-        assert [t.tobytes() for t in a.jump_times] == [t.tobytes() for t in b.jump_times]
-        assert [z.tobytes() for z in a.jump_marks] == [z.tobytes() for z in b.jump_marks]
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("block", [1, 3, 64, N])
@@ -698,8 +717,6 @@ class TestBlockRunner:
     def same_slices(self, thin, full, keep, times):
         assert thin.times.tobytes() == full.times[keep].tobytes()
         assert thin.values.tobytes() == full.values[:, keep].tobytes()
-        assert [t.tobytes() for t in thin.jump_times] == [t.tobytes() for t in full.jump_times]
-        assert [z.tobytes() for z in thin.jump_marks] == [z.tobytes() for z in full.jump_marks]
         # a recorded time reads the slice it reads on the full grid; index_at
         # refuses times past the last recorded slice (checkpoints end at T)
         for t in (t for t in times if 0.0 <= t <= thin.times[-1]):
@@ -718,18 +735,36 @@ class TestBlockRunner:
             self.same_slices(members[n], full_members[n], keep, times)
         self.same_slices(limit, full_limit, keep, times)
 
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 40), data=st.data(), seed=st.integers(0, 2 ** 16),
+           times=st.none() | TIMES)
+    def test_any_block_size_gives_the_one_block_bits(self, n, data, seed, times):
+        # the determinism contract: no block partition changes a bit of any
+        # set's values, whichever slices are recorded
+        block = data.draw(st.integers(1, n), label="block")
+        fam = L.family_from_config({**self.FAMILY, "schedule": [1, 2]})
+
+        def run(**kw):
+            members, limit = L.simulate_coupled_family(fam, self.DRIVER, TR, self.MU0, n,
+                                                       0.05, 1.0, seed, **kw)
+            return [*members.values(), limit]
+
+        keep = (slice(None) if times is None else self.last_at_or_before(self.GRID, times))
+        for got, want in zip(run(block_size=block, record_times=times), run(block_size=n)):
+            assert got.values.tobytes() == want.values[:, keep].tobytes()
+
     def test_pool_block_returns_only_the_kept_slices(self):
         fam = L.family_from_config(self.FAMILY)
         # grid[6] = 6/20 and grid[14] round above 0.3 and 0.7
         keep = engine.kept_slices(self.GRID, [0.3, 0.7, 1.0])
         assert keep.tolist() == [0, 5, 13, 20]
-        out, jt, jm = engine._pool_block((pool_params(fam), self.DRIVER, TR, self.MU0,
-                                          self.GRID, keep, range(3, 40), 13, R.SIGNAL))
-        assert out.shape == (4, 37, keep.size, 2)
+        out = engine._pool_block((pool_params(fam), self.DRIVER, TR, self.MU0,
+                                  self.GRID, keep, range(3, 40), 13, R.SIGNAL))
+        # one array: nothing but the kept values goes back through the pipe
+        assert type(out) is np.ndarray and out.shape == (4, 37, keep.size, 2)
         full_members, full_limit = self.family(fam)
         for vals, ens in zip(out, [*full_members.values(), full_limit]):
             assert vals.tobytes() == ens.values[3:40, keep].tobytes()
-        assert [t.tobytes() for t in jt] == [t.tobytes() for t in full_limit.jump_times[3:40]]
 
     @pytest.mark.parametrize("workers, sizes", [(2, [37, 38, 37, 38]), (3, [50, 50, 50])])
     def test_pool_blocks_are_balanced(self, monkeypatch, workers, sizes):
@@ -938,10 +973,9 @@ class TestStackedFamily:
         monkeypatch.setattr(BlockMarch, "run",
                             lambda self, *a: marched.append(self.x.shape[0]) or run(self, *a))
         grid = make_base_grid(1.0, 0.1)
-        out, _, _ = engine._pool_block((pool_params(fam), FAMILY_DRIVERS["linear-2d"][0], TR,
-                                        FAMILY_DRIVERS["linear-2d"][1], grid,
-                                        engine.kept_slices(grid), range(5, 30), 13,
-                                        R.SIGNAL))
+        out = engine._pool_block((pool_params(fam), FAMILY_DRIVERS["linear-2d"][0], TR,
+                                  FAMILY_DRIVERS["linear-2d"][1], grid,
+                                  engine.kept_slices(grid), range(5, 30), 13, R.SIGNAL))
         assert marched == [4 * 25] and out.shape == (4, 25, grid.size, 2)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
