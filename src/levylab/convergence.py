@@ -51,6 +51,10 @@ class EmpiricalDistanceConfig:
                 raise ConvergenceError(f"dictionary entry {name} is not 1-Lipschitz")
         return self
 
+    def at(self, x: np.ndarray) -> list:
+        """Every entry's values at the points x, in dictionary order."""
+        return [fn(x) for _, fn in self.dictionary]
+
 
 def default_bl_dictionary(dim: int = 1) -> EmpiricalDistanceConfig:
     entries = []
@@ -68,12 +72,17 @@ def default_bl_dictionary(dim: int = 1) -> EmpiricalDistanceConfig:
 
 
 def bl_distance_coupled(values1: np.ndarray, values2: np.ndarray,
-                        cfg: EmpiricalDistanceConfig):
-    """Distance plus the common-random-number s.e. for coupled particle sets."""
+                        cfg: EmpiricalDistanceConfig, at2: list | None = None):
+    """Distance plus the common-random-number s.e. for coupled particle sets.
+
+    at2 is cfg.at(values2), for a caller that compares several sets with
+    one values2 and so evaluates the dictionary there once."""
     best, best_se = 0.0, 0.0
     n = values1.shape[0]
-    for _, fn in cfg.dictionary:
-        diff = fn(values1) - fn(values2)
+    if at2 is None:
+        at2 = cfg.at(values2)
+    for (_, fn), f2 in zip(cfg.dictionary, at2):
+        diff = fn(values1) - f2
         gap = abs(float(diff.mean()))
         if gap >= best:
             best = gap

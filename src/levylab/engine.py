@@ -15,24 +15,27 @@ rows.  Brownian rows are consumed one row per positive-length sub-interval of
 the particle's own grid (base grid plus its jump times), in time order.
 A block draws its particles' driver atoms in one sample_jump_events call on
 their DRIVER streams (rng.Streams), whose words the numpy Philox kernel
-(rng.philox4x64) computes as arrays; it re-keys one generator (rng.rekey)
-only to each particle's INIT and BROWNIAN streams, whose Gaussian draws
-numpy makes.  A stream is still a pure function of its four labels, so
-block partitioning and worker counts cannot change any drawn number.
+(rng.philox4x64) computes as arrays; it re-keys one generator
+(Streams.generators) only to each particle's INIT and BROWNIAN streams,
+whose Gaussian draws numpy makes, and the initial law maps the block's
+draws at once (InitialLaw.sample_block).  A stream is still a pure function
+of its four labels, so block partitioning and worker counts cannot change
+any drawn number.
 
 Every simulation runs through one block runner: each particle block's
 randomness is drawn once (_prepare_block) and the S sets of a family march
 over that draw as one: one BlockMarch of S*B rows (member-major copies of
 the block, on the block's noise rows) under its StackedFamily, so each
-cell pays the numpy calls, noise gather and schedule loop once (the filter
-marches a family's filters so too).  An ensemble is a family with no
-members, and marches its one set.  With several workers the blocks go to
-one process pool when the limit carries its registry config: coefficient
-closures do not pickle, so each worker rebuilds the limit from that config
-and the members from the family's scalars; a limit with no config stays in
-process.  A caller that reads only some times (record_times) gets only
-those grid slices: every cell is still marched, but no other slice is
-stored, nor sent back from a worker.
+cell pays the numpy calls and schedule loop once, and gathers the block's
+B noise rows once for all S copies (the filter marches a family's filters
+so too).  An ensemble is a family with no members, and marches its one
+set.  With several workers the blocks go to one process pool when the
+limit carries its registry config: coefficient closures do not pickle, so
+each worker rebuilds the limit from that config and the members from the
+family's scalars; a limit with no config stays in process.  A caller that
+reads only some times (record_times) gets only those grid slices: every
+cell is still marched, but no other slice is stored, nor sent back from a
+worker.
 
 The draw also carries each cell's jump schedule: the slots that jump in the
 cell, their sub-step start times, the jump times and marks, and each
@@ -84,6 +87,14 @@ class InitialLaw:
     def sample_one(self, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
+    def sample_block(self, rngs, n: int) -> np.ndarray:
+        """(n, dim) draws, row j from the j-th generator rngs yields: what
+        sample_one gives on each, bit for bit."""
+        x = np.empty((n, self.dim))
+        for j, rng in enumerate(rngs):
+            x[j] = self.sample_one(rng)
+        return x
+
 
 class PointMass(InitialLaw):
     def __init__(self, x0):
@@ -106,6 +117,13 @@ class GaussianLaw(InitialLaw):
 
     def sample_one(self, rng):
         return self.mean + self.std * rng.standard_normal(self.dim)
+
+    def sample_block(self, rngs, n):
+        # the normals row by row, then mean + std z on the whole block
+        z = np.empty((n, self.dim))
+        for j, rng in enumerate(rngs):
+            rng.standard_normal(out=z[j])
+        return self.mean + self.std * z
 
 
 class UniformBallLaw(InitialLaw):
@@ -319,15 +337,15 @@ def _prepare_block(driver: LevyMeasure, trunc: TruncationConfig, mu0: InitialLaw
     # built before the noise, so its temporaries are gone before that is drawn
     schedule = _stacked_schedule(_jump_schedule(grid, ev_p, ev_t, ev_z, at - 1, ev_row),
                                  copies, B)
-    x0 = np.empty((B, mu0.dim))
-    noise = np.empty((int(offsets[-1]), m))
-    bounds = offsets.tolist()
     # one generator per block, re-keyed to each particle's Gaussian streams
     gen = rngmod.stream(seed, rngmod.INIT, 0, namespace)
-    for j, p in enumerate(ids.tolist()):
-        x0[j] = mu0.sample_one(rngmod.rekey(gen, seed, rngmod.INIT, p, namespace))
-        rngmod.rekey(gen, seed, rngmod.BROWNIAN, p, namespace).standard_normal(
-            out=noise[bounds[j]:bounds[j + 1]])
+    init, brownian = (rngmod.Streams(seed, purpose, ids, namespace).generators(gen)
+                      for purpose in (rngmod.INIT, rngmod.BROWNIAN))
+    x0 = mu0.sample_block(init, B)
+    noise = np.empty((int(offsets[-1]), m))
+    bounds = offsets.tolist()
+    for j, g in enumerate(brownian):
+        g.standard_normal(out=noise[bounds[j]:bounds[j + 1]])
     arrays = [a for a in vars(schedule).values() if isinstance(a, np.ndarray)]
     for a in [ids, x0, noise, offsets, *arrays]:
         a.flags.writeable = False
@@ -453,6 +471,10 @@ class BlockMarch:
         # each slot's state and its noise row in this cell
         self.x = np.tile(inputs.x0, (inputs.copies, 1))
         self.row = np.tile(inputs.offsets, inputs.copies)
+        # stacked copies take the block's increments tiled into one buffer for
+        # the march: a new S*B-row array each cell ran slower
+        self._tiled = (np.empty((inputs.copies, inputs.particles.size, inputs.noise.shape[1]))
+                       if inputs.copies > 1 else None)
         self.cell = 0
         self._whole = coeffs.on_rows(None)
         self._needs_comp = driver.mass(trunc.sampling_floor, math.inf) > 0.0
@@ -484,14 +506,17 @@ class BlockMarch:
             out[nz] = -fv[nz, None] * self._band_moment(fv[nz])
         return out
 
-    def _step(self, cs, t, dt, xs, rows):
-        """Euler step of the states xs under cs from t over dt, on the noise rows `rows`."""
-        dt = np.asarray(dt)[..., None]
+    def _increments(self, dt, rows):
+        """Brownian increments over dt (a scalar or one per row) on the noise rows `rows`."""
         dw = self.inp.noise[rows]
-        dw *= np.sqrt(dt)
+        dw *= np.sqrt(np.asarray(dt)[..., None])
+        return dw
+
+    def _step(self, cs, t, dt, xs, dw):
+        """Euler step of the states xs under cs from t over dt, with increments dw."""
         # xs + (b + comp) dt + sigma dw, computed in place in the drift array
         out = cs.b(t, xs) + self._compensator(cs, t, xs)
-        out *= dt
+        out *= np.asarray(dt)[..., None]
         out += xs
         out += np.einsum("kim,km->ki", cs.sigma(t, xs), dw)
         return out
@@ -500,7 +525,14 @@ class BlockMarch:
 
     def advance_cell(self, i: int):
         t0, t1 = self.grid[i], self.grid[i + 1]
-        x = self._step(self._whole, float(t0), t1 - t0, self.x, self.row)
+        # every copy of a slot is on its slot's row: the stacked schedule gives
+        # the copies one next_row, and resampling moves only x; so the block's
+        # increments are gathered once and tiled over the copies
+        dw = self._increments(t1 - t0, self.row[:self.inp.particles.size])
+        if self._tiled is not None:
+            self._tiled[:] = dw
+            dw = self._tiled.reshape(-1, dw.shape[1])
+        x = self._step(self._whole, float(t0), t1 - t0, self.x, dw)
         self.row += 1
         sch = self.inp.schedule
         pairs = slice(sch.pairs[i], sch.pairs[i + 1])
@@ -512,15 +544,16 @@ class BlockMarch:
             for k, j in enumerate(range(sch.steps[i], sch.steps[i + 1])):
                 s = slice(sch.step_jumps[j], sch.step_jumps[j + 1])
                 idx, t = sch.idx[s], sch.time[s]
-                cs = self.coeffs.on_rows(slots[idx])
-                xk = self._step(cs, sch.start[s], t - sch.start[s], xs[idx], rows[idx] + k)
+                cs, dt = self.coeffs.on_rows(slots[idx]), t - sch.start[s]
+                xk = self._step(cs, sch.start[s], dt, xs[idx],
+                                self._increments(dt, rows[idx] + k))
                 xs[idx] = xk + cs.f(t, xk)[:, None] * sch.mark[s]
             next_row = sch.next_row[pairs]
             tails = slice(sch.tails[i], sch.tails[i + 1])
             if tails.start < tails.stop:
                 idx, start = sch.tail_idx[tails], sch.tail_start[tails]
                 xs[idx] = self._step(self.coeffs.on_rows(slots[idx]), start, t1 - start,
-                                     xs[idx], next_row[idx] - 1)
+                                     xs[idx], self._increments(t1 - start, next_row[idx] - 1))
             x[slots] = xs
             self.row[slots] = next_row
         self.x = x

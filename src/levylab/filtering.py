@@ -239,8 +239,17 @@ def sensor_from_config(cfg: dict):
     return build(params)
 
 
+def _lambda_param(params: dict, key: str, default: float) -> float:
+    """The lambda parameter key as a float; it must be a finite number, not
+    a bool or a string that float() would take."""
+    v = params.get(key, default)
+    if not _is_finite(v):
+        raise FilterError(f"lambda.params.{key} must be a finite number, got {v!r}")
+    return float(v)
+
+
 def _constant_lambda(params):
-    c = float(params.get("c", 0.5))
+    c = _lambda_param(params, "c", 0.5)
     if not 0 < c < 1:
         raise FilterError("constant lambda needs c in (0,1)")
 
@@ -253,8 +262,8 @@ def _constant_lambda(params):
 
 def _state_logistic_lambda(params):
     # lambda(x, u) = Lbar(u) / (1 + exp(-|x|)), in (Lbar/2, Lbar)
-    base = float(params.get("base", 0.8))
-    decay = float(params.get("decay", 0.0))
+    base = _lambda_param(params, "base", 0.8)
+    decay = _lambda_param(params, "decay", 0.0)
     if not 0 < base < 1:
         raise FilterError("state_logistic needs base in (0,1)")
 
@@ -264,7 +273,10 @@ def _state_logistic_lambda(params):
 
     def lam(x, U):
         s = 1.0 / (1.0 + np.exp(-np.linalg.norm(np.atleast_2d(x), axis=1)))
-        return np.outer(s, lbar(U))
+        # np.outer(s, lbar(U))'s products, computed mark-major: the inner loop
+        # runs over the n states, not the few marks, and the (n, q) result is
+        # an F-ordered view whose transpose the band sum reads contiguously
+        return (lbar(U)[:, None] * s).T
 
     lam.mark_profile = lambda r: base * np.exp(-decay * r)
     return lam, (lambda u: 0.49 * lbar(u)), None

@@ -108,15 +108,14 @@ def _jump_terms(ctx: GeneratorContext, phis: list, jets: list, t, X: np.ndarray)
     ses = np.zeros((len(phis), n))
     fv = ctx.coeffs.f(t, X)
     if isinstance(ctx.driver, AtomicLevyMeasure):
-        z, total = ctx.driver.atoms, None                         # (k, d)
-    else:
-        z, total = ctx.quad_nodes()                               # (q, d)
-        if total == 0.0:
-            return vals, ses
-    q = z.shape[0]
-    if q == 0:
+        if ctx.driver.atoms.shape[0]:
+            _atomic_sums(ctx, phis, jets, fv, X, vals)
         return vals, ses
-    step = max(1, n if total is None else _IMAGE_ENTRIES // (q * d))
+    z, total = ctx.quad_nodes()                                   # (q, d)
+    q = z.shape[0]
+    if total == 0.0 or q == 0:
+        return vals, ses
+    step = max(1, _IMAGE_ENTRIES // (q * d))
     for lo in range(0, n, step):
         rows = slice(lo, lo + step)
         U = fv[rows, None, None] * z[None, :, :]                  # (chunk, q, d)
@@ -130,12 +129,38 @@ def _jump_terms(ctx: GeneratorContext, phis: list, jets: list, t, X: np.ndarray)
             integrand = phi_images.reshape(-1, q) - base[rows, None]
             if any_small:
                 integrand -= np.where(small, np.einsum("nqd,nd->nq", U, grad[rows]), 0.0)
-            if total is None:
-                vals[k, rows] = integrand @ ctx.driver.masses
-            else:
-                vals[k, rows] = total * integrand.mean(axis=1)
-                ses[k, rows] = total * integrand.std(axis=1, ddof=1) / math.sqrt(q)
+            vals[k, rows] = total * integrand.mean(axis=1)
+            ses[k, rows] = total * integrand.std(axis=1, ddof=1) / math.sqrt(q)
     return vals, ses
+
+
+def _atomic_sums(ctx: GeneratorContext, phis: list, jets: list, fv, X, vals):
+    """An atomic driver's jump terms, written into vals (K, n): per row, the
+    sum over the atoms z_j of mass_j (phi(x + u_j) - phi(x) - 1_{|u_j| <= l}
+    u_j . grad phi(x)), u_j = f(x) z_j.
+
+    The images are laid out atom-major, (k, n, d) with atom j's block the n
+    rows, so every broadcast runs along the n rows and not along the k atoms
+    or d coordinates.  The integrand is filled column by column into a
+    C-contiguous (n, k) array: the one matmul with the masses may round a
+    row otherwise."""
+    z = ctx.driver.atoms                                          # (k, d)
+    k, (n, d) = z.shape[0], X.shape
+    U = z[:, None, :] * fv[None, :, None]                         # (k, n, d)
+    images = (X + U).reshape(-1, d)
+    # |u| as np.linalg.norm computes it for real input
+    small = np.sqrt(np.add.reduce(U * U, axis=2)) <= ctx.trunc.level
+    # with no image in the band the compensator term is +0.0 everywhere,
+    # and subtracting +0.0 changes no bit
+    any_small = small.any()
+    at_images = evaluate(phis, images, derivatives=False)
+    integrand = np.empty((n, k))
+    for out, phi_images, (base, grad, _) in zip(vals, at_images, jets):
+        for j, column in enumerate(phi_images.reshape(k, n)):
+            np.subtract(column, base, out=integrand[:, j])
+        if any_small:
+            integrand -= np.where(small, np.einsum("knd,nd->kn", U, grad), 0.0).T
+        out[:] = integrand @ ctx.driver.masses
 
 
 def generator_apply(ctx: GeneratorContext, phis, t, X: np.ndarray, jets=None):

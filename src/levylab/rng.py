@@ -6,14 +6,15 @@ pure function of those four labels, so ensembles partitioned across workers
 produce bit-identical results regardless of scheduling: particle p always
 draws the same numbers no matter which worker simulates it, or in what order.
 
-Philox is counter-based, so the key is the whole stream: `rekey` resets a
-generator to the start of another stream, and it then draws exactly what a
-fresh `stream` would.  `philox4x64` computes the Philox4x64-10 blocks of
-whole arrays of keys and counters in numpy, the same words numpy's Philox
-gives, so the streams of a particle block (`Streams`) can be drawn as
-arrays: the engine draws a block's DRIVER words so, and re-keys one
-generator per block only for the INIT and BROWNIAN streams, whose Gaussian
-draws (numpy's ziggurat) are not reproduced here.
+Philox is counter-based, so the key is the whole stream: re-keying a
+generator (`Streams.generators`) resets it to the start of another stream,
+and it then draws exactly what a fresh `stream` would.  `philox4x64`
+computes the Philox4x64-10 blocks of whole arrays of keys and counters in
+numpy, the same words numpy's Philox gives, so the streams of a particle
+block (`Streams`) can be drawn as arrays: the engine draws a block's DRIVER
+words so, and re-keys one generator per block only for the INIT and
+BROWNIAN streams, whose Gaussian draws (numpy's ziggurat) are not
+reproduced here.
 
 Layout of the key (most significant first):
 
@@ -64,20 +65,10 @@ def stream(seed: int, purpose: int, index: int = 0, namespace: int = SIGNAL) -> 
 
 
 # the state a stream starts in (zero counter and buffer, no half-used 32-bit
-# word), but for its key; the state setter copies every value, so rekey
-# fills in the key and hands over this one dict on every call
+# word), but for its key; the state setter copies every value, so
+# Streams.generators fills in the key and hands over this one dict per stream
 _START = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": (0, 0)},
           "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-
-
-def rekey(gen: np.random.Generator, seed: int, purpose: int, index: int = 0,
-          namespace: int = SIGNAL) -> np.random.Generator:
-    """Reset a Philox generator to the state `stream(...)` starts in and
-    return it."""
-    key = stream_key(seed, purpose, index, namespace)
-    _START["state"]["key"] = (key & _MASK64, key >> 64)
-    gen.bit_generator.state = _START
-    return gen
 
 
 # Philox4x64-10 (Salmon et al., SC'11): round multipliers and key bumps
@@ -138,8 +129,16 @@ class Streams:
         keys[:, 1] = key >> 64
         return keys
 
-    def generators(self):
-        """One generator re-keyed to each stream in turn."""
-        gen = stream(self.seed, self.purpose, 0, self.namespace)
-        for i in self.indices:
-            yield rekey(gen, self.seed, self.purpose, int(i), self.namespace)
+    def generators(self, gen: np.random.Generator | None = None):
+        """One Philox generator, gen or else a new one, re-keyed to the start
+        of each stream in turn: whatever gen drew before, it then draws what
+        a fresh `stream` would.  The keys are built once for the block; only
+        their low word differs, so the loop holds one Python int per stream."""
+        keys = self.keys()
+        if gen is None:
+            gen = stream(self.seed, self.purpose, 0, self.namespace)
+        high = int(self.seed) & _MASK64
+        for low in keys[:, 0].tolist():
+            _START["state"]["key"] = (low, high)
+            gen.bit_generator.state = _START
+            yield gen

@@ -9,11 +9,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import levylab
+import levylab as L
 from levylab.coefficients import family_from_config
 from levylab.cli import main
 from levylab.experiments import replay, run
@@ -114,6 +116,49 @@ class TestRunAndReplay:
         assert summary["verdicts"]["limit_pass"]
         result = replay(str(out))
         assert result["identical"], result["diffs"]
+
+    def test_limit_distances_equal_a_per_member_recomputation(self, tmp_path, monkeypatch):
+        # the runner evaluates the limit's dictionary once per checkpoint and
+        # shares it among the members; the table must be the per-member
+        # recomputation's, bit for bit
+        import levylab.experiments as X
+        from levylab.convergence import bl_distance_coupled, density_sup_estimate
+
+        man = small_limit_manifest()
+        calls = []
+        build = X.default_bl_dictionary
+
+        def counting(dim):
+            cfg = build(dim)
+            cfg.dictionary = [(name, lambda x, fn=fn, name=name: calls.append(name) or fn(x))
+                              for name, fn in cfg.dictionary]
+            return cfg
+
+        monkeypatch.setattr(X, "default_bl_dictionary", counting)
+        run(man, str(tmp_path / "out"))
+        checkpoints = np.linspace(man.T / 10, man.T, 10)
+        members = man.spec["family"]["schedule"]
+        names = [name for name, _ in build(1).dictionary]
+        # one call per checkpoint on each member's values and on the limit's
+        assert sorted(calls) == sorted(names * 10 * (len(members) + 1))
+        family, driver, trunc, mu0 = X._context_from(man)
+        cfg = build(1)
+        ens, limit = L.simulate_coupled_family(family, driver, trunc, mu0, man.n_particles,
+                                               man.h, man.T, man.seed,
+                                               record_times=checkpoints)
+        want = []
+        for n in sorted(members):
+            best, best_se, dens = 0.0, 0.0, 0.0
+            for tc in checkpoints:
+                i = limit.index_at(float(tc))
+                x = ens[n].values[:, i, :]
+                gap, se = bl_distance_coupled(x, limit.values[:, i, :], cfg)
+                if gap >= best:
+                    best, best_se = gap, se
+                dens = max(dens, density_sup_estimate(x))
+            want.append([str(n), repr(best), repr(best_se), repr(dens)])
+        with open(tmp_path / "out" / "distances.csv") as fh:
+            assert list(csv.reader(fh))[1:] == want
 
     def test_replay_detects_seed_change(self, tmp_path):
         man = small_limit_manifest()
@@ -494,6 +539,45 @@ def test_unknown_observation_and_driver_params_rejected(edit, message):
     assert d["spec"]["observation"]["nu2"]["name"] == "atomic"     # filter-atomic
     edit(d["spec"])
     assert RunManifest.from_dict(d).validate() == [message]
+
+
+# a lambda parameter must be a finite number: decay NaN once passed validate
+# and failed mid-march, and float() took the strings
+LAMBDA = "observation: lambda.params."
+
+
+@pytest.mark.parametrize("lam, message", [
+    ({"name": "state_logistic", "params": {"base": 0.8, "decay": math.nan}},
+     "decay must be a finite number, got nan"),
+    ({"name": "state_logistic", "params": {"base": 0.8, "decay": "0.5"}},
+     "decay must be a finite number, got '0.5'"),
+    ({"name": "state_logistic", "params": {"base": "0.8", "decay": 0.5}},
+     "base must be a finite number, got '0.8'"),
+    ({"name": "state_logistic", "params": {"base": 0.8, "decay": True}},
+     "decay must be a finite number, got True"),
+    ({"name": "state_logistic", "params": {"base": math.inf}},
+     "base must be a finite number, got inf"),
+    ({"name": "constant", "params": {"c": math.nan}}, "c must be a finite number, got nan"),
+    ({"name": "constant", "params": {"c": "0.5"}}, "c must be a finite number, got '0.5'")],
+    ids=["decay-nan", "decay-string", "base-string", "decay-bool", "base-inf", "c-nan",
+         "c-string"])
+def test_bad_lambda_params_rejected_before_compute(tmp_path, capsys, lam, message):
+    d = next(m for m in _bench_manifests() if m["kind"] == "filter_robustness")
+    d["spec"]["observation"]["lambda"] = lam
+    mpath = tmp_path / "man.json"
+    mpath.write_text(json.dumps(d))
+    out = tmp_path / "never"
+    assert main(["validate", str(mpath)]) == 1
+    assert capsys.readouterr().err == f"INVALID: {LAMBDA}{message}\n"
+    assert main(["run", str(mpath), "--out", str(out)]) == 1
+    assert f"INVALID: {LAMBDA}{message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_lambda_decay_stays_valid():
+    d = next(m for m in _bench_manifests() if m["kind"] == "filter_robustness")
+    d["spec"]["observation"]["lambda"]["params"]["decay"] = -1.0
+    assert RunManifest.from_dict(d).validate() == []
 
 
 def test_every_registry_entry_lists_its_params():

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 from dataclasses import FrozenInstanceError, replace
 
@@ -454,28 +455,39 @@ class TestNoiseProtocol:
     def test_block_inputs_match_fresh_per_particle_streams(self):
         # the block re-keys one generator; every draw must be the one a fresh
         # (seed, namespace, purpose, particle) stream gives: INIT for the
-        # Gaussian start, DRIVER for the jump atoms, BROWNIAN for the rows
+        # initial law, DRIVER for the jump atoms, BROWNIAN for the rows; for
+        # every initial law, at several block sizes, with one and 7 copies
         drv = L.AtomicLevyMeasure([[0.9], [-0.9]], [2.0, 2.0])
-        law = L.GaussianLaw([0.5, -1.0], [1.0, 0.3])
+        laws = [engine.initial_law_from_config({"name": name, "params": params})
+                for name, params in [
+                    ("point", {"x0": [0.5, -1.0]}),
+                    ("gaussian", {"mean": [0.5, -1.0], "std": [1.0, 0.3]}),
+                    ("uniform_ball", {"center": [0.5, -1.0], "radius": 2.0}),
+                    ("atomic", {"points": [[0.0, 1.0], [2.0, -1.0], [1.0, 1.0]],
+                                "weights": [0.2, 0.5, 0.3]})]]
         grid = make_base_grid(1.0, 0.1)
-        particles = range(3, 10)
-        inp = _prepare_block(drv, TR, law, grid, 2, particles, 17, R.FILTER)
-        times, marks = schedule_events(inp)
-        rows = 0
-        for j, p in enumerate(particles):
-            z = R.stream(17, R.INIT, p, R.FILTER).standard_normal(2)
-            assert inp.x0[j].tobytes() == (law.mean + law.std * z).tobytes()
-            ev = sample_jump_events(drv, (0.0, math.inf), 1.0,
-                                    R.stream(17, R.DRIVER, p, R.FILTER))
-            assert times[j].tobytes() == ev.times.tobytes()
-            assert marks[j].tobytes() == ev.marks.tobytes()
-            n_rows = grid.size - 1 + np.count_nonzero(~np.isin(ev.times, grid))
-            want = R.stream(17, R.BROWNIAN, p, R.FILTER).standard_normal((n_rows, 2))
-            assert inp.offsets[j] == rows
-            assert inp.noise[rows:rows + n_rows].tobytes() == want.tobytes()
-            rows += n_rows
-        assert inp.noise.shape == (rows, 2)
-        assert inp.schedule.time.size > len(particles)
+        for law, B, copies in itertools.product(laws, (1, 3, 64), (1, 7)):
+            particles = range(3, 3 + B)
+            inp = _prepare_block(drv, TR, law, grid, 2, particles, 17, R.FILTER, copies)
+            times, marks = schedule_events(inp)
+            rows = 0
+            for j, p in enumerate(particles):
+                x0 = law.sample_one(R.stream(17, R.INIT, p, R.FILTER))
+                assert inp.x0[j].tobytes() == x0.tobytes()
+                ev = sample_jump_events(drv, (0.0, math.inf), 1.0,
+                                        R.stream(17, R.DRIVER, p, R.FILTER))
+                assert times[j].tobytes() == ev.times.tobytes()
+                assert marks[j].tobytes() == ev.marks.tobytes()
+                n_rows = grid.size - 1 + np.count_nonzero(~np.isin(ev.times, grid))
+                want = R.stream(17, R.BROWNIAN, p, R.FILTER).standard_normal((n_rows, 2))
+                assert inp.offsets[j] == rows
+                assert inp.noise[rows:rows + n_rows].tobytes() == want.tobytes()
+                rows += n_rows
+            assert inp.x0.shape == (B, 2) and inp.noise.shape == (rows, 2)
+            assert inp.schedule.time.size == copies * sum(t.size for t in times[:B])
+        z = R.stream(17, R.INIT, 3, R.FILTER).standard_normal(2)
+        assert laws[1].sample_one(R.stream(17, R.INIT, 3, R.FILTER)).tobytes() == \
+            (laws[1].mean + laws[1].std * z).tobytes()
 
     def test_block_size_invariance(self):
         # both atoms lie in the compensated band, so the compensator sums a
@@ -921,6 +933,26 @@ class TestStackedFamily:
             workers=workers, validate=False)
         for ens, vals in zip([*members.values(), limit], want):
             assert ens.values.tobytes() == vals.tobytes()
+
+    def test_copies_stay_on_their_slot_row(self):
+        # BlockMarch gathers the block's B noise rows once per cell for all
+        # S copies: every copy of a slot must be on the slot's row after
+        # every cell, jumps (several in a cell, some on the grid) included
+        fam = parametric_family(1, 0.4, 0.6, "sine", 1.0, 0.5)
+        drv = L.AtomicLevyMeasure([[0.9], [-0.9]], [4.0, 4.0])
+        S, B = len(fam.all_sets()), 64
+        counts, ev_t, _ = drawn_events(drv, range(B), 5)
+        grid = np.union1d(make_base_grid(1.0, 0.1), ev_t[::3])
+        inputs = _prepare_block(drv, TR, L.GaussianLaw([0.0], [1.0]), grid, 1, range(B), 5,
+                                R.SIGNAL, S)
+        march = BlockMarch(fam.stacked(B), drv, TR, grid, inputs)
+        for i in range(grid.size - 1):
+            march.advance_cell(i)
+            rows = march.row.reshape(S, B)
+            assert (rows == rows[0]).all(), i
+        # every jump off the grid took one more row
+        inner = np.count_nonzero(~np.isin(ev_t, grid))
+        assert inner and (march.row[:B] - inputs.offsets).sum() == B * (grid.size - 1) + inner
 
     # rows 0-11 of a block of B = 3 under sets n = 1, 2, 4 and the limit:
     # signed zeros, inf and NaN show a stray + 0.0 or 0 * sin(x)

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 import levylab as L
 from levylab import rng as R
 from levylab.filtering import (_SLICE_ENTRIES, FilterError, ObservationRecord,
-                               ObservationSetup, filter_run, log_likelihood,
-                               observation_model_from_config, robustness_experiment)
+                               ObservationSetup, filter_run, lambda_from_config,
+                               log_likelihood, observation_model_from_config,
+                               robustness_experiment)
 from levylab.measures import TruncationConfig
 
 from oracles import discrete_kalman, quad_radial, riccati_closed_form
@@ -180,6 +181,22 @@ EIGHT_ATOMS = {"name": "atomic", "params": {
     "masses": [0.9, 0.35, 1.7, 0.21, 0.66, 1.3, 0.48, 0.77]}}
 EXP_NU2 = {"name": "exponential_tails_1d",
            "params": {"intensity_pos": 1.0, "rate_pos": 2.0}}
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(0, 30), q=st.integers(0, 8), dx=st.integers(1, 3),
+       du=st.integers(1, 3), base=st.floats(0.01, 0.99), decay=st.floats(-2.0, 2.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_state_logistic_lambda_is_the_outer_product(n, q, dx, du, base, decay, seed):
+    # lambda is computed mark-major; it must hold np.outer's products, bit for bit
+    rng = np.random.default_rng(seed)
+    x, U = rng.normal(0.0, 3.0, (n, dx)), rng.normal(0.0, 1.0, (q, du))
+    lam = lambda_from_config({"name": "state_logistic",
+                              "params": {"base": base, "decay": decay}})[0]
+    s = 1.0 / (1.0 + np.exp(-np.linalg.norm(x, axis=1)))
+    want = np.outer(s, base * np.exp(-decay * np.linalg.norm(U, axis=1)))
+    got = lam(x, U)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def plain_logistic(x, U):
@@ -750,6 +767,26 @@ class TestStackedFilter:
         for res, want in zip(again, results, strict=True):
             assert res.resampled_at == want.resampled_at
             assert _same_states(res.states, want.states)
+
+    def test_copies_stay_on_their_slot_row_under_resampling(self, monkeypatch):
+        # resampling moves only the states, so every filter's copy of a slot
+        # stays on the slot's noise row, which BlockMarch gathers once per cell
+        import levylab.engine as E
+
+        advance, checked = E.BlockMarch.advance_cell, []
+
+        def checking(march, i):
+            advance(march, i)
+            rows = march.row.reshape(march.inp.copies, -1)
+            checked.append(bool((rows == rows[0]).all()))
+
+        fam = filter_family()
+        model = make_model(lam=("state_logistic", {"base": 0.8, "decay": 0.5}))
+        records = self.records(fam, model, 46)
+        monkeypatch.setattr(E.BlockMarch, "advance_cell", checking)
+        results = filter_run(model, fam, self.DRV, TR, self.MU0, records, 60, 47, 0.98)
+        assert all(res.resampled_at for res in results)
+        assert len(checked) == records[0].grid.size - 1 and all(checked)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("index, which", [(1, "member n=1"), (3, "limit")])

@@ -580,3 +580,37 @@ def test_handed_increments_must_match_phi_window_and_paths():
         martingale_residual(ens, ctx, bump0, 0.2, 0.5, increments=short)
     assert (martingale_residual(ens, ctx, bump0, 0.2, 0.5, increments=inc).bins
             == martingale_residual(ens, ctx, bump0, 0.2, 0.5).bins)
+
+
+_DICTIONARIES = {d: default_dictionary(d, validate=False) for d in (1, 2, 3)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 40), d=st.integers(1, 3), k=st.integers(1, 5), band=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_atomic_jump_terms_are_the_particle_major_sums(n, d, k, band, seed):
+    # the atom-major layout of _jump_terms must give the bits of the
+    # particle-major formula written out here; with band False no image lies
+    # in the compensated band, with band True some may
+    rng = np.random.default_rng(seed)
+    atoms, masses = rng.uniform(-1.5, 1.5, (k, d)), rng.uniform(0.1, 2.0, k)
+    cs = L.coefficients_from_config({"name": "zero", "d": d, "m": d, "gamma": 0.7,
+                                     "g": {"name": "cosine", "params": {"a": 0.5}}})
+    ctx = GeneratorContext(cs, L.AtomicLevyMeasure(atoms, masses),
+                           TruncationConfig(level=0.8 if band else 1e-9))
+    X = rng.normal(0.0, 2.0, (n, d))
+    phis = _DICTIONARIES[d]
+    jets = L.testfunctions.evaluate(phis, X)
+    got, ses = G._jump_terms(ctx, phis, jets, 0.3, X)
+    fv = cs.f(0.3, X)
+    U = fv[:, None, None] * atoms[None, :, :]
+    small = np.linalg.norm(U, axis=2) <= ctx.trunc.level
+    assert band or not small.any()
+    at_images = L.testfunctions.evaluate(phis, (X[:, None, :] + U).reshape(-1, d),
+                                         derivatives=False)
+    for k_, (phi_images, (base, grad, _)) in enumerate(zip(at_images, jets)):
+        integrand = phi_images.reshape(-1, k) - base[:, None]
+        if small.any():
+            integrand -= np.where(small, np.einsum("nqd,nd->nq", U, grad), 0.0)
+        assert got[k_].tobytes() == (integrand @ masses).tobytes()
+    assert not ses.any()

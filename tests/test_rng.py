@@ -72,7 +72,8 @@ def test_rekey_equals_fresh_stream(namespace, seed, purpose, index, prev, odd, n
     gen.poisson(3.0)
     gen.standard_normal(normals)
     assert gen.bit_generator.state["has_uint32"] == 1
-    assert R.rekey(gen, seed, purpose, index, namespace) is gen
+    rekeyed = R.Streams(seed, purpose, np.array([index]), namespace).generators(gen)
+    assert next(rekeyed) is gen
     fresh = R.stream(seed, purpose, index, namespace)
     got, want = gen.bit_generator.state, fresh.bit_generator.state
     assert got["state"]["key"].tolist() == want["state"]["key"].tolist()
@@ -87,9 +88,9 @@ def test_rekey_equals_fresh_stream(namespace, seed, purpose, index, prev, odd, n
 def test_rekey_checks_the_key_range():
     gen = R.stream(1, R.INIT)
     with pytest.raises(ValueError):
-        R.rekey(gen, 1, R.INIT, 1 << 48)
+        next(R.Streams(1, R.INIT, np.array([1 << 48])).generators(gen))
     with pytest.raises(ValueError):
-        R.rekey(gen, 1, R.INIT, 0, 256)
+        next(R.Streams(1, R.INIT, np.array([0]), 256).generators(gen))
 
 
 # -- the numpy Philox kernel gives numpy's words ----------------------------
