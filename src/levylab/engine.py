@@ -59,7 +59,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .coefficients import (CoefficientFamily, CoefficientSet, coefficients_from_config,
-                           require_linear_growth)
+                           default_probe_points, require_linear_growth)
 from .manifests import _check_keys, _registry_entry
 from .measures import (JumpEvents, LevyConfigError, LevyMeasure,
                        TruncationConfig, discarded_second_moment,
@@ -714,8 +714,9 @@ def simulate_coupled_family(family: CoefficientFamily, driver: LevyMeasure,
     Returns (members: dict n -> PathEnsemble, limit: PathEnsemble).
     """
     if validate:
+        probes = default_probe_points(family.limit.d, 1.0)     # one grid for every set
         for cs in family.all_sets():
-            require_linear_growth(cs)
+            require_linear_growth(cs, probes)
     ensembles = _simulate_blocks(family, driver, trunc, mu0, n_particles, grid_step,
                                  T, seed, namespace, extra_times, block_size, workers,
                                  record_times)

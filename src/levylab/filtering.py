@@ -48,13 +48,6 @@ class FilterError(RuntimeError):
     pass
 
 
-def _logsumexp(v):
-    m = float(np.max(v))
-    if not math.isfinite(m):
-        return m
-    return m + math.log(float(np.sum(np.exp(v - m))))
-
-
 # ---------------------------------------------------------------------------
 # observation model
 # ---------------------------------------------------------------------------
@@ -451,19 +444,36 @@ def log_likelihood(path_values: np.ndarray, record: ObservationRecord,
 # the particle filter
 # ---------------------------------------------------------------------------
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass
 class FilterState:
+    """The weighted particles of one filter at time t.
+
+    A snapshot of filter_run normalises its log-weights once, in the pass
+    that gives every filter's log_normalizer and ess, and carries the
+    normalised weights in weights; its particles, log_weights and weights
+    are read-only, so the carried weights cannot go stale.  A hand-built
+    state (weights None) normalises its log_weights whenever asked.
+    """
+
     t: float
     particles: np.ndarray
     log_weights: np.ndarray
     log_normalizer: float
     ess: float
+    weights: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def estimate(self, fn) -> float:
         w = self.normalized_weights()
         return float(w @ fn(self.particles))
 
     def normalized_weights(self) -> np.ndarray:
+        if self.weights is not None:
+            return self.weights
         lw = self.log_weights
         m = float(np.max(lw))
         w = np.exp(lw - m)
@@ -534,7 +544,14 @@ def _march_filter(model: ObservationModel, coeffs, driver: LevyMeasure,
     """filter_run's filters, one per record, over the particle draw inputs
     (only read): coeffs is one set, or a StackedFamily of S sets on the S
     copies of the block that inputs lays out.  Filter s owns the states'
-    rows s*n..(s+1)*n - 1 and row s of the log-weights."""
+    rows s*n..(s+1)*n - 1 and row s of the log-weights.
+
+    A snapshot normalises the (S, n) log-weights once, row by row: each
+    row's max m, its exponentials w = exp(lw - m) and their sum give the
+    filter's log-normaliser (m + log sum w, then the log n shift), its ESS
+    and the weights its state carries, the bits each filter gets alone.  A
+    resampling check normalises its filter's row once for the ESS, the
+    parent draw and the log-normaliser."""
     grid, S, n = records[0].grid, len(records), inputs.particles.size
     march = BlockMarch(coeffs, driver, trunc, grid, inputs)
     checkpoints = np.asarray(_default_checkpoints(grid) if checkpoints is None
@@ -542,8 +559,9 @@ def _march_filter(model: ObservationModel, coeffs, driver: LevyMeasure,
     dts = np.diff(grid)
     conts = np.stack([rec.cont_increments for rec in records], axis=1)
     events = [_band_events_by_index(rec) for rec in records]
-    rngs = [rngmod.stream(inputs.seed, rngmod.RESAMPLE, namespace=rngmod.FILTER)
-            for _ in records]
+    if ess_threshold is not None:
+        rngs = [rngmod.stream(inputs.seed, rngmod.RESAMPLE, namespace=rngmod.FILTER)
+                for _ in records]
     lw = np.zeros((S, n))
     log_norm = [0.0] * S
     results = [FilterResult(states=[], checkpoint_times=checkpoints) for _ in records]
@@ -551,15 +569,23 @@ def _march_filter(model: ObservationModel, coeffs, driver: LevyMeasure,
     where = [f"({name}, {tag}" for name in coeffs.names] if S > 1 else [f"({tag}"]
 
     def snapshot(t):
+        m = lw.max(axis=1)
+        with np.errstate(invalid="ignore"):     # a row whose max is not finite collapsed
+            w = lw - m[:, None]
+            np.exp(w, out=w)
+        total, sq = w.sum(axis=1), (w * w).sum(axis=1)
         for s, res in enumerate(results):
-            ln = log_norm[s] + _logsumexp(lw[s]) - math.log(n)
+            ms = float(m[s])
+            lse = ms + math.log(float(total[s])) if math.isfinite(ms) else ms
+            ln = log_norm[s] + lse - math.log(n)
             if not math.isfinite(ln):
                 raise FilterError(f"filter collapsed: all weights vanished by "
                                   f"t={t:.6g} {where[s]}")
-            w = np.exp(lw[s] - np.max(lw[s]))
-            st = FilterState(t=float(t), particles=march.x[s * n:(s + 1) * n].copy(),
-                             log_weights=lw[s].copy(), log_normalizer=ln,
-                             ess=float(w.sum() ** 2 / np.sum(w * w)))
+            st = FilterState(t=float(t),
+                             particles=_read_only(march.x[s * n:(s + 1) * n].copy()),
+                             log_weights=_read_only(lw[s].copy()), log_normalizer=ln,
+                             ess=float(total[s] ** 2 / sq[s]),
+                             weights=_read_only(w[s] / total[s]))
             res.states.append(st if keeps[s] is None else keeps[s](len(res.states), st))
 
     ck = 0
@@ -578,11 +604,13 @@ def _march_filter(model: ObservationModel, coeffs, driver: LevyMeasure,
                 raise FilterError(f"filter collapsed: all weights -inf at "
                                   f"t={grid[i + 1]:.6g} {where[s]}")
             if ess_threshold is not None:
-                w = np.exp(lws - np.max(lws))
-                if float(w.sum() ** 2 / np.sum(w * w)) < ess_threshold * n:
-                    parents = rngs[s].choice(n, size=n, p=w / w.sum())
+                m = float(np.max(lws))
+                w = np.exp(lws - m)
+                total = w.sum()
+                if float(total ** 2 / np.sum(w * w)) < ess_threshold * n:
+                    parents = rngs[s].choice(n, size=n, p=w / total)
                     march.x[rows] = march.x[rows][parents]
-                    log_norm[s] += _logsumexp(lws) - math.log(n)
+                    log_norm[s] += m + math.log(float(total)) - math.log(n)
                     lws[:] = 0.0
                     res.resampled_at.append(float(grid[i + 1]))
         while ck < checkpoints.size and grid[i + 1] >= checkpoints[ck] - 1e-12:

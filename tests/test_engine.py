@@ -12,7 +12,7 @@ from scipy import stats
 import levylab as L
 from levylab import rng as R
 from levylab import engine
-from levylab.coefficients import StackedFamily
+from levylab.coefficients import CoefficientError, StackedFamily, require_linear_growth
 from levylab.engine import BlockMarch, SimulationError, _prepare_block, make_base_grid
 from levylab.measures import (AtomicLevyMeasure, LevyConfigError, TruncationConfig,
                               sample_jump_events)
@@ -665,6 +665,31 @@ class TestCoupledFamily:
         with pytest.raises(Exception, match="violated"):
             L.simulate_coupled_family(fam, drv, TR, L.PointMass([0.0]), 10,
                                       0.1, 1.0, seed=6)
+
+    @pytest.mark.parametrize("amp", [1.0, 50.0])
+    def test_validation_builds_one_probe_grid(self, monkeypatch, amp):
+        # every set is checked on one probe grid, with the verdict and the
+        # message each set gets on a grid of its own
+        fam = self.family(amp=amp)
+        want = None
+        for cs in fam.all_sets():
+            try:
+                require_linear_growth(cs)
+            except CoefficientError as exc:
+                want = str(exc)
+                break
+        built, build = [], engine.default_probe_points
+        monkeypatch.setattr(engine, "default_probe_points",
+                            lambda *a: built.append(a) or build(*a))
+        drv = L.AtomicLevyMeasure([[0.8]], [0.5])
+        try:
+            L.simulate_coupled_family(fam, drv, TR, L.PointMass([0.0]), 10, 0.1, 1.0,
+                                      seed=6)
+            got = None
+        except CoefficientError as exc:
+            got = str(exc)
+        assert built == [(1, 1.0)]
+        assert got == want and (want is None) == (amp == 1.0)
 
 
 class TestBlockRunner:

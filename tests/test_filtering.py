@@ -3,6 +3,8 @@ import functools
 import hashlib
 import math
 import re
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import levylab as L
+from levylab import filtering as F
 from levylab import rng as R
 from levylab.filtering import (_SLICE_ENTRIES, FilterError, ObservationRecord,
                                ObservationSetup, filter_run, lambda_from_config,
@@ -474,6 +477,147 @@ class TestFilterRun:
         assert len(res.resampled_at) > 0
         for st in res.states:
             assert st.estimate(lambda x: np.ones(x.shape[0])) == pytest.approx(1.0)
+
+
+def old_logsumexp(v):
+    """log sum exp(v), as a snapshot took it for each filter on its own."""
+    m = float(np.max(v))
+    if not math.isfinite(m):
+        return m
+    return m + math.log(float(np.sum(np.exp(v - m))))
+
+
+def old_normalized_weights(lw):
+    """exp(lw - max lw), normalised: FilterState's weights of one filter."""
+    m = float(np.max(lw))
+    w = np.exp(lw - m)
+    return w / w.sum()
+
+
+def old_ess(lw):
+    """The effective sample size of one filter's log-weights."""
+    w = np.exp(lw - np.max(lw))
+    return float(w.sum() ** 2 / np.sum(w * w))
+
+
+class TestSnapshotNormalisation:
+    """A snapshot normalises the S filters' log-weights in one (S, n) pass.
+    Each filter must get the bits of the per-filter formulas above.  The
+    log-likelihood increments are replaced by given (S, n) arrays, one per
+    cell, so the weights can take any values."""
+
+    MU0 = L.GaussianLaw([0.0], [1.0])
+    SEED = 61
+
+    def run(self, incs, ess=None):
+        """filter_run of S sets (one set alone when S = 1) whose log-weights
+        grow by incs[c] over cell c; returns the S FilterResults."""
+        cells, S, n = incs.shape
+        lim = ou_dynamics(gamma=0.4)
+        coeffs = lim if S == 1 else L.CoefficientFamily(lim, tuple(range(1, S)), "shift",
+                                                        1.0, -0.2, -0.5)
+        grid = np.linspace(0.0, 0.1 * cells, cells + 1)
+        rec = ObservationRecord(grid, np.zeros((cells, 1)), L.JumpEvents.empty(1),
+                                L.JumpEvents.empty(1))
+        it = iter(incs)
+        with mock.patch.object(F, "_cell_loglik", lambda *a: next(it)):
+            out = filter_run(make_model(), coeffs, L.zero_measure(1), TR, self.MU0,
+                             rec if S == 1 else [rec] * S, n, self.SEED, ess)
+        return [out] if S == 1 else out
+
+    @staticmethod
+    def reference(incs, s, ess):
+        """Filter s's (t, log-weights, log-normaliser, ESS) at each grid point
+        and its resampling times, one filter at a time."""
+        cells, _, n = incs.shape
+        grid = np.linspace(0.0, 0.1 * cells, cells + 1)
+        lw, log_norm, snaps, resampled = np.zeros(n), 0.0, [], []
+        for c in range(cells + 1):
+            if c:
+                lw = lw + incs[c - 1, s]
+                if ess is not None and old_ess(lw) < ess * n:
+                    log_norm += old_logsumexp(lw) - math.log(n)
+                    lw = np.zeros(n)
+                    resampled.append(float(grid[c]))
+            snaps.append((float(grid[c]), lw,
+                          log_norm + old_logsumexp(lw) - math.log(n), old_ess(lw)))
+        return snaps, resampled
+
+    @settings(max_examples=60, deadline=None)
+    @given(S=st.sampled_from([1, 2, 7]), n=st.sampled_from([1, 3, 64]),
+           cells=st.integers(1, 4), offset=st.floats(0.0, 700.0),
+           spread=st.sampled_from([0.0, 1.0, 30.0]), p_inf=st.sampled_from([0.0, 0.3]),
+           ess=st.sampled_from([None, 0.98]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_snapshot_matches_per_filter_formulas(self, S, n, cells, offset, spread, p_inf,
+                                                  ess, seed):
+        rng = np.random.default_rng(seed)
+        incs = (rng.normal(0.0, spread, (cells, S, n))
+                + rng.uniform(-1.0, 1.0, (cells, S, 1)) * offset)
+        drop = rng.random((cells, S, n)) < p_inf
+        drop[..., 0] = False                  # every filter keeps a finite weight
+        incs[drop] = -np.inf
+        fn = lambda x: np.tanh(x[:, 0])      # noqa: E731
+        results = self.run(incs, ess)
+        for s, res in enumerate(results):
+            snaps, resampled = self.reference(incs, s, ess)
+            assert res.resampled_at == resampled
+            assert len(res.states) == len(snaps)
+            for st_, (t, lw, ln, ess_s) in zip(res.states, snaps):
+                w = old_normalized_weights(st_.log_weights)
+                assert st_.t == t and st_.log_weights.tobytes() == lw.tobytes()
+                assert st_.log_normalizer == ln and st_.ess == ess_s
+                assert st_.normalized_weights().tobytes() == w.tobytes()
+                assert st_.estimate(fn) == float(w @ fn(st_.particles))
+                assert st_.mean().tobytes() == (w @ st_.particles).tobytes()
+        for k in range(cells + 1):
+            arrays = [(s, a) for s, res in enumerate(results) for a in (
+                res.states[k].particles, res.states[k].log_weights, res.states[k].weights)]
+            assert all(a.base is None for _, a in arrays)    # no state pins the (S, n) pass
+            assert not any(np.shares_memory(a, b) for s, a in arrays for r, b in arrays
+                           if r != s)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("ess", [None, 0.98])
+    @pytest.mark.parametrize("S, rows, which", [(1, (0,), None), (7, (2, 5), "member n=3"),
+                                                (7, (6,), "limit")])
+    def test_bad_row_raises_the_collapse_message(self, bad, ess, S, rows, which):
+        # one weight of each listed filter leaves the reals at cell 2: the
+        # snapshot after it names the first such filter and warns nothing
+        incs = np.random.default_rng(5).normal(0.0, 1.0, (3, S, 4))
+        incs[1, rows, 1] = bad
+        tag = f"seed {self.SEED}, namespace {R.FILTER})"
+        where = f"({which}, {tag}" if which else f"({tag}"
+        with warnings.catch_warnings():
+            if ess is None:         # the resampling check warns on an inf weight
+                warnings.simplefilter("error")
+            with pytest.raises(FilterError, match=re.escape(
+                    f"filter collapsed: all weights vanished by t={0.2:.6g} {where}")):
+                self.run(incs, ess)
+
+    @pytest.mark.parametrize("ess, streams", [(None, 0), (0.98, 7)])
+    def test_resample_streams_only_when_resampling(self, ess, streams):
+        made, stream = [], R.stream
+        with mock.patch.object(R, "stream", lambda seed, purpose, *a, **k: made.append(
+                purpose) or stream(seed, purpose, *a, **k)):
+            self.run(np.zeros((2, 7, 3)), ess)
+        assert made.count(R.RESAMPLE) == streams
+
+    def test_snapshot_arrays_are_read_only(self):
+        incs = np.random.default_rng(6).normal(0.0, 1.0, (2, 2, 5))
+        for res in self.run(incs):
+            for st_ in res.states:
+                for a in (st_.particles, st_.log_weights, st_.normalized_weights()):
+                    with pytest.raises(ValueError, match="read-only"):
+                        a[0] = 1.0
+
+    def test_hand_built_state_normalises_its_log_weights(self):
+        lw = np.array([0.5, -np.inf, 700.0, 699.0])
+        st_ = L.FilterState(0.0, np.arange(4.0)[:, None], lw, 0.0, 1.0)
+        w = st_.normalized_weights()
+        assert w.tobytes() == old_normalized_weights(lw).tobytes()
+        lw[2] = 0.0                 # a hand-built state reads its log-weights anew
+        assert st_.normalized_weights().tobytes() == old_normalized_weights(lw).tobytes()
 
 
 def _same_states(a, b) -> bool:
