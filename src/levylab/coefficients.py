@@ -202,41 +202,55 @@ def linear_growth_report(cs: CoefficientSet, probes=None) -> dict:
     Returns the fitted constant, and a violation witness when a declared
     growth bound exists and some probe exceeds it.
     """
+    return linear_growth_reports(CoefficientFamily(cs), probes)[0]
+
+
+def linear_growth_reports(family: CoefficientFamily, probes=None) -> list:
+    """linear_growth_report of each of family.all_sets(), from one call of b
+    and sigma per probe time on the family's stacked probe rows; each set
+    reads its constant and witness from its own rows, the same bits."""
     if probes is None:
-        probes = default_probe_points(cs.d, 1.0)
+        probes = default_probe_points(family.limit.d, 1.0)
     ts, x = probes
-    worst = 0.0
-    witness = None
-    norms = 1.0 + np.linalg.norm(x, axis=1)
+    sets = family.all_sets()
+    S, B = len(sets), x.shape[0]
+    coeffs, xs = family.stacked(B).on_rows(None), np.tile(x, (S, 1))
+    norms = 1.0 + np.linalg.norm(xs, axis=1)
+    worst, worst_at = [0.0] * S, [None] * S
     for t in ts:
-        bv = np.linalg.norm(cs.b(float(t), x), axis=1)
-        sv = np.linalg.norm(cs.sigma(float(t), x), axis=(1, 2))
-        ratio = (bv + sv) / norms
-        i = int(np.argmax(ratio))
-        if ratio[i] > worst:
-            worst = float(ratio[i])
-            worst_at = (float(t), x[i].copy())
-    if cs.growth_bound is not None and worst > cs.growth_bound * (1 + 1e-12):
-        witness = worst_at
-    return {"constant": worst, "declared": cs.growth_bound, "witness": witness}
+        bv = np.linalg.norm(coeffs.b(float(t), xs), axis=1)
+        sv = np.linalg.norm(coeffs.sigma(float(t), xs), axis=(1, 2))
+        ratio = ((bv + sv) / norms).reshape(S, B)
+        for s, i in enumerate(ratio.argmax(axis=1).tolist()):
+            if ratio[s, i] > worst[s]:
+                worst[s], worst_at[s] = float(ratio[s, i]), (float(t), x[i].copy())
+    return [{"constant": c, "declared": cs.growth_bound,
+             "witness": at if cs.growth_bound is not None
+             and c > cs.growth_bound * (1 + 1e-12) else None}
+            for cs, c, at in zip(sets, worst, worst_at)]
 
 
-def require_linear_growth(cs: CoefficientSet, probes=None):
-    rep = linear_growth_report(cs, probes)
-    if rep["witness"] is not None:
-        t, x = rep["witness"]
-        raise CoefficientError(
-            f"linear growth bound {cs.growth_bound} violated at t={t}, x={x} "
-            f"(fitted constant {rep['constant']:.6g})")
-    return rep
+def require_linear_growth(coeffs, probes=None):
+    """Raise for the first set of coeffs (a CoefficientSet, or a family's
+    all_sets()) that a probe shows over its declared growth bound."""
+    family = coeffs if isinstance(coeffs, CoefficientFamily) else CoefficientFamily(coeffs)
+    for cs, rep in zip(family.all_sets(), linear_growth_reports(family, probes)):
+        if rep["witness"] is not None:
+            t, x = rep["witness"]
+            raise CoefficientError(
+                f"linear growth bound {cs.growth_bound} violated at t={t}, x={x} "
+                f"(fitted constant {rep['constant']:.6g})")
 
 
 # ---------------------------------------------------------------------------
 # registry of named coefficient builders
 # ---------------------------------------------------------------------------
 
-def _const_sigma(mat):
+def _const_sigma(mat, d, m):
+    """A state-free sigma: the (d, m) matrix mat, or mat times the identity."""
     mat = np.asarray(mat, dtype=float)
+    if mat.ndim == 0:
+        mat = mat * np.eye(d, m)
 
     def sigma(t, x):
         n = np.atleast_2d(x).shape[0]
@@ -246,7 +260,7 @@ def _const_sigma(mat):
 
 
 def _build_zero(params, d, m):
-    return (lambda t, x: np.zeros_like(np.atleast_2d(x))), _const_sigma(np.zeros((d, m)))
+    return (lambda t, x: np.zeros_like(np.atleast_2d(x))), _const_sigma(0.0, d, m)
 
 
 def _build_constant_drift(params, d, m):
@@ -255,29 +269,22 @@ def _build_constant_drift(params, d, m):
     def b(t, x):
         return np.broadcast_to(c, np.atleast_2d(x).shape)
 
-    return b, _const_sigma(np.zeros((d, m)))
+    return b, _const_sigma(0.0, d, m)
 
 
 def _build_ou(params, d, m):
     theta = float(params.get("theta", 1.0))
     mean = np.broadcast_to(np.asarray(params.get("mean", 0.0), dtype=float), (d,))
-    s = params.get("sigma", math.sqrt(2.0))
-    mat = np.asarray(s, dtype=float)
-    if mat.ndim == 0:
-        mat = mat * np.eye(d, m)
 
     def b(t, x):
         return -theta * (np.atleast_2d(x) - mean)
 
-    return b, _const_sigma(mat)
+    return b, _const_sigma(params.get("sigma", math.sqrt(2.0)), d, m)
 
 
 def _build_linear(params, d, m):
     A = np.asarray(params.get("A", -np.eye(d)), dtype=float)
     c = np.broadcast_to(np.asarray(params.get("c", 0.0), dtype=float), (d,))
-    mat = np.asarray(params.get("sigma", np.zeros((d, m))), dtype=float)
-    if mat.ndim == 0:
-        mat = mat * np.eye(d, m)
 
     def b(t, x):
         # a fixed-order sum over columns, not a matmul: BLAS may round a lone
@@ -288,7 +295,7 @@ def _build_linear(params, d, m):
             out = out + x[:, j:j + 1] * A[:, j]
         return out + c
 
-    return b, _const_sigma(mat)
+    return b, _const_sigma(params.get("sigma", 0.0), d, m)
 
 
 def _build_rotation_degenerate(params, d, m):
@@ -302,7 +309,7 @@ def _build_rotation_degenerate(params, d, m):
     def b(t, x):
         return np.atleast_2d(x) @ J.T
 
-    return b, _const_sigma(np.array([[s], [0.0]]))
+    return b, _const_sigma([[s], [0.0]], d, m)
 
 
 def _build_bounded_nonlinear(params, d, m):

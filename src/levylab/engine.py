@@ -52,7 +52,6 @@ it), which the block-size contract already requires.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -615,6 +614,13 @@ def _run_block(family, driver, trunc, mu0, grid, keep, block, seed, namespace, o
     BlockMarch(family.stacked(len(block)), driver, trunc, grid, inputs).run(out, keep)
 
 
+def ProcessPoolExecutor(max_workers):
+    """concurrent.futures' process pool, imported on first use, so a run
+    that does not pool never loads it (nor multiprocessing)."""
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=max_workers)
+
+
 def _pool_block(args) -> np.ndarray:
     """Worker task: one block, with the family rebuilt from its limit's
     config and its scalars; returns the (S, B, len(keep), d) values of the
@@ -713,10 +719,8 @@ def simulate_coupled_family(family: CoefficientFamily, driver: LevyMeasure,
     kept_slices picks for them, the same bits as the full paths there.
     Returns (members: dict n -> PathEnsemble, limit: PathEnsemble).
     """
-    if validate:
-        probes = default_probe_points(family.limit.d, 1.0)     # one grid for every set
-        for cs in family.all_sets():
-            require_linear_growth(cs, probes)
+    if validate:        # every set on one probe grid, in one stacked evaluation
+        require_linear_growth(family, default_probe_points(family.limit.d, 1.0))
     ensembles = _simulate_blocks(family, driver, trunc, mu0, n_particles, grid_step,
                                  T, seed, namespace, extra_times, block_size, workers,
                                  record_times)

@@ -10,14 +10,11 @@ worker count.
 from __future__ import annotations
 
 import csv
-import filecmp
 import json
 import math
 import os
 import tempfile
 import time
-# the benchmark's layer trace patches this name; the pool itself is in engine
-from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 
 import numpy as np
 
@@ -26,6 +23,8 @@ from .convergence import (decreasing_verdict, default_bl_dictionary,
                           density_sup_estimate, enforce_level_bound,
                           lyapunov_moment, tightness_diagnostics)
 from .engine import initial_law_from_config, simulate_coupled_family, simulate_ensemble
+# the benchmark's layer trace patches this name; the pool itself is in engine
+from .engine import ProcessPoolExecutor  # noqa: F401
 from .filtering import observation_model_from_config, robustness_experiment
 # the benchmark's layer trace patches this name; the filters run in filtering
 from .filtering import filter_run  # noqa: F401
@@ -75,16 +74,28 @@ def run_superposition(man: RunManifest, seed: int, workers: int):
     dictionary = default_dictionary(coeffs.d)
     hyp = validate_hypotheses(ctx, T=man.T)
     block = int(man.spec.get("block_size", 4096))
+    # one march per ensemble for the whole dictionary; the h run's march also
+    # accumulates the martingale increments on the sub-window.  One path
+    # tensor is held at a time: the h run's is dropped before the h/2 run
+    s_win = man.spec.get("martingale_window", [0.25 * man.T, 0.5 * man.T])
+    window = (float(s_win[0]), float(s_win[1]))
     ens = simulate_ensemble(coeffs, driver, trunc, mu0, man.n_particles, man.h,
                             man.T, seed, workers=workers, block_size=block)
+    reports = fpe_weak_residual(ens, ctx, dictionary, martingale_window=window)
+    mart_rows = []
+    mart_pass = True
+    for phi, rep in zip(dictionary, reports):
+        mrep = martingale_residual(ens, ctx, phi, *window,
+                                   increments=rep.martingale_increments)
+        mart_pass = mart_pass and mrep.within
+        for b in mrep.bins:
+            mart_rows.append([phi.name, b["bin"], b["count"], b["estimate"],
+                              b["se"], b["scored"],
+                              (not b["scored"]) or abs(b["estimate"]) <= 3 * b["se"]])
+    del ens
     ens_half = simulate_ensemble(coeffs, driver, trunc, mu0, man.n_particles,
                                  man.h / 2, man.T, seed + 1, workers=workers,
                                  block_size=block)
-    # one march per ensemble for the whole dictionary; the h run's march also
-    # accumulates the martingale increments on the sub-window
-    s_win = man.spec.get("martingale_window", [0.25 * man.T, 0.5 * man.T])
-    window = (float(s_win[0]), float(s_win[1]))
-    reports = fpe_weak_residual(ens, ctx, dictionary, martingale_window=window)
     halves = fpe_weak_residual(ens_half, ctx, dictionary, run_guards=False)
     fpe_rows = []
     all_pass = True
@@ -98,16 +109,6 @@ def run_superposition(man: RunManifest, seed: int, workers: int):
             all_pass = all_pass and ok
             fpe_rows.append([float(t), phi.name, rep.residual[k], rep.mc_se[k],
                              budget, ok])
-    mart_rows = []
-    mart_pass = True
-    for phi, rep in zip(dictionary, reports):
-        mrep = martingale_residual(ens, ctx, phi, *window,
-                                   increments=rep.martingale_increments)
-        mart_pass = mart_pass and mrep.within
-        for b in mrep.bins:
-            mart_rows.append([phi.name, b["bin"], b["count"], b["estimate"],
-                              b["se"], b["scored"],
-                              (not b["scored"]) or abs(b["estimate"]) <= 3 * b["se"]])
     tables = {
         "fpe_residuals": (["t", "phi_id", "residual", "mc_se", "budget", "pass"],
                           fpe_rows),
@@ -289,6 +290,7 @@ def run(manifest: RunManifest, out_dir: str, seed: int | None = None,
 
 def replay(bundle_dir: str, workers: int = 1) -> dict:
     """Re-run a bundle's manifest and compare every table bit-for-bit."""
+    import filecmp
     man_path = os.path.join(bundle_dir, "manifest.json")
     if not os.path.exists(man_path):
         raise ManifestError(["bundle has no manifest.json"])

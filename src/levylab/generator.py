@@ -405,18 +405,11 @@ def martingale_residual(ensemble: PathEnsemble, ctx: GeneratorContext,
         raise GeneratorError(f"need one increment per path, got shape {inc.shape}")
     xs = ensemble.values[:, i_s, :]
     # bin on each coordinate with spread; combine bin ids
-    active = [j for j in range(xs.shape[1]) if np.ptp(xs[:, j]) > 0]
-    if not active:
-        ids = np.zeros(xs.shape[0], dtype=int)
-        edges = {}
-    else:
-        ids = np.zeros(xs.shape[0], dtype=int)
-        edges = {}
-        for j in active:
-            e = np.linspace(xs[:, j].min(), xs[:, j].max(), n_bins + 1)
-            e[-1] += 1e-12
-            ids = ids * n_bins + np.clip(np.digitize(xs[:, j], e) - 1, 0, n_bins - 1)
-            edges[j] = e
+    ids = np.zeros(xs.shape[0], dtype=int)
+    for j in [j for j in range(xs.shape[1]) if np.ptp(xs[:, j]) > 0]:
+        e = np.linspace(xs[:, j].min(), xs[:, j].max(), n_bins + 1)
+        e[-1] += 1e-12
+        ids = ids * n_bins + np.clip(np.digitize(xs[:, j], e) - 1, 0, n_bins - 1)
     bins = []
     max_abs = 0.0
     max_se = math.inf
@@ -430,12 +423,8 @@ def martingale_residual(ensemble: PathEnsemble, ctx: GeneratorContext,
         bins.append({"bin": int(bid), "count": cnt, "estimate": est,
                      "se": se, "scored": scored})
         if scored:
-            if est == 0.0:
-                sig = 0.0
-            else:
-                sig = abs(est) / se if se > 0 else math.inf
-            if sig > max_sig:
-                max_sig = sig
+            sig = 0.0 if est == 0.0 else abs(est) / se if se > 0 else math.inf
+            max_sig = max(max_sig, sig)
             if abs(est) > max_abs:
                 max_abs, max_se = abs(est), se
     overall = (float(inc.mean()), float(inc.std(ddof=1) / math.sqrt(inc.size)))

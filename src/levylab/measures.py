@@ -261,20 +261,9 @@ class AtomicLevyMeasure(LevyMeasure):
         return atoms[np.minimum(idx, atoms.shape[0] - 1)]
 
 
-class _RadialSide:
-    """One half-line component of a 1-d radial measure: analytic kernels."""
-
-    def moment(self, k: int, a: float, b: float) -> float:
-        raise NotImplementedError
-
-    def density(self, r):
-        raise NotImplementedError
-
-    def inverse_cdf(self, u, a: float, b: float):
-        raise NotImplementedError
-
-
-class _ExpSide(_RadialSide):
+# the half-line sides of a 1-d radial measure, each with its analytic
+# moment(k, a, b), density(r) and inverse_cdf(u, a, b)
+class _ExpSide:
     def __init__(self, intensity: float, rate: float):
         if intensity < 0 or rate <= 0:
             raise LevyConfigError("exponential side needs intensity >= 0, rate > 0")
@@ -311,7 +300,7 @@ class _ExpSide(_RadialSide):
         return -np.log(ea - u * (ea - eb)) / lam
 
 
-class _PowerSide(_RadialSide):
+class _PowerSide:
     def __init__(self, coef: float, exponent: float, r_max: float):
         if coef < 0 or not 0 < r_max < math.inf:
             raise LevyConfigError("power side needs coef >= 0 and a finite r_max > 0")
@@ -376,8 +365,8 @@ class Radial1DMeasure(LevyMeasure):
 
     dim = 1
 
-    def __init__(self, pos: _RadialSide | None, neg: _RadialSide | None,
-                 max_radius: float = math.inf):
+    def __init__(self, pos: _ExpSide | _PowerSide | None,
+                 neg: _ExpSide | _PowerSide | None, max_radius: float = math.inf):
         self.pos = pos
         self.neg = neg
         self.max_radius = max_radius

@@ -71,21 +71,12 @@ _START = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": (
           "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
-# Philox4x64-10 (Salmon et al., SC'11): round multipliers and key bumps
-_M0, _M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
-_W0, _W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
-_LO32 = 0xFFFFFFFF
-
-
-def _mulhilo(m: int, x: np.ndarray):
-    """The high and low 64-bit words of the 128-bit products m * x, with the
-    high word summed from 32-bit halves so no partial product overflows."""
-    m_lo, m_hi = np.uint64(m & _LO32), np.uint64(m >> 32)
-    x_lo, x_hi = x & np.uint64(_LO32), x >> np.uint64(32)
-    lh, hl = m_lo * x_hi, m_hi * x_lo
-    mid = ((m_lo * x_lo) >> np.uint64(32)) + (lh & np.uint64(_LO32)) + (hl & np.uint64(_LO32))
-    hi = m_hi * x_hi + (lh >> np.uint64(32)) + (hl >> np.uint64(32)) + (mid >> np.uint64(32))
-    return hi, np.uint64(m) * x
+# Philox4x64-10 (Salmon et al., SC'11): a round multiplies words 0 and 2 by
+# these, as one (2, n) product, then bumps the key words (kept swapped)
+_LO32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_M_LO, _M_HI = _M & _LO32, _M >> _32
+_W = np.array([[0xBB67AE8584CAA73B], [0x9E3779B97F4A7C15]], dtype=np.uint64)
 
 
 def philox4x64(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
@@ -93,18 +84,36 @@ def philox4x64(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
     least significant first: (n, 4) words, the four that
     `np.random.Philox(key=k, counter=c - 1).random_raw(4)` gives, so a
     stream's counter 1 block holds its first four words."""
-    keys = np.asarray(keys, dtype=np.uint64)
-    counters = np.asarray(counters, dtype=np.uint64)
-    k0, k1 = keys[:, 0].copy(), keys[:, 1].copy()
-    c0, c1, c2, c3 = (counters[:, j] for j in range(4))
-    for r in range(10):
-        if r:
-            k0 += np.uint64(_W0)
-            k1 += np.uint64(_W1)
-        hi0, lo0 = _mulhilo(_M0, c0)
-        hi1, lo1 = _mulhilo(_M1, c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    return np.stack([c0, c1, c2, c3], axis=1)
+    c, k = np.asarray(counters, dtype=np.uint64).T, np.asarray(keys, dtype=np.uint64).T
+    # rows: x the multiplied words (0, 2), y the others (1, 3), k the key
+    # words (1, 0), each meeting the high word it is xored with
+    x, y, k = c[0::2].copy(), c[1::2].copy(), k[::-1].copy()
+    xl, hi, t, u = (np.empty_like(x) for _ in range(4))
+    for _ in range(10):
+        # the high words of the 128-bit products, from 32-bit halves with no
+        # partial sum overflowing (Warren's mulhu), in kept buffers
+        np.bitwise_and(x, _LO32, out=xl)
+        np.right_shift(x, _32, out=hi)
+        np.multiply(_M_LO, xl, out=t)
+        t >>= _32
+        np.multiply(_M_LO, hi, out=u)
+        t += u
+        np.bitwise_and(t, _LO32, out=u)
+        t >>= _32
+        np.multiply(_M_HI, xl, out=xl)
+        u += xl
+        u >>= _32
+        hi *= _M_HI
+        hi += t
+        hi += u
+        hi ^= k
+        x *= _M                             # the low words
+        # words 0, 1, 2, 3 become hi1 ^ y0 ^ k0, lo1, hi0 ^ y1 ^ k1, lo0
+        np.bitwise_xor(hi[1], y[0], out=y[0])
+        np.bitwise_xor(hi[0], y[1], out=y[1])
+        x, y = y, x[::-1]
+        k += _W
+    return np.stack([x[0], y[0], x[1], y[1]], axis=1)
 
 
 class Streams:

@@ -823,10 +823,14 @@ def test_import_loads_no_scipy():
 RUN_MODULES = """
 import sys
 import levylab, levylab.experiments, levylab.cli
-print("numpy.random" in sys.modules, "numpy.polynomial" in sys.modules)
+pool = lambda: "concurrent.futures" in sys.modules or "multiprocessing" in sys.modules
+print("numpy.random" in sys.modules, "numpy.polynomial" in sys.modules, pool())
 for path, out in zip(sys.argv[1::2], sys.argv[2::2]):
     levylab.experiments.run(levylab.RunManifest.load(path), out)
-    print("numpy.ma" in sys.modules)
+    print("numpy.ma" in sys.modules, pool())
+# the second manifest is a limit run, which pools with two workers
+levylab.experiments.run(levylab.RunManifest.load(sys.argv[3]), sys.argv[4] + "w2", workers=2)
+print(pool())
 """
 
 
@@ -834,7 +838,9 @@ def test_runs_load_no_numpy_ma(tmp_path):
     # np.unique and np.quantile import numpy.ma (about 10 ms) on their first
     # call: no run of any kind may make one, and importing the package may
     # not import numpy.random or numpy.polynomial, which would move every
-    # run's set-up
+    # run's set-up.  Nor may the package or a one-worker run import the
+    # process pool (concurrent.futures, multiprocessing): only a run that
+    # pools, the two-worker limit run last, pays for it
     expnu2 = filter_robustness_manifest()
     expnu2.spec = dict(expnu2.spec, observation=dict(
         expnu2.spec["observation"], nu2={"name": "exponential_tails_1d",
@@ -848,7 +854,7 @@ def test_runs_load_no_numpy_ma(tmp_path):
     proc = subprocess.run([sys.executable, "-c", RUN_MODULES, *args], capture_output=True,
                           text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False"] * 7
+    assert proc.stdout.split() == ["False"] * 13 + ["True"]
 
 
 def test_horizon_and_step_stored_as_floats(tmp_path):

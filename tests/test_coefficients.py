@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from levylab.coefficients import (CoefficientError, coefficients_from_config,
-                                  family_from_config, linear_growth_report,
+                                  default_probe_points, family_from_config,
+                                  linear_growth_report, linear_growth_reports,
                                   require_linear_growth)
 
 
@@ -97,3 +98,44 @@ class TestFamily:
             assert sub.members[n].gamma == fam.members[n].gamma
         moved = replace(fam, limit=replace(fam.limit, gamma=0.25))
         assert [cs.gamma for cs in moved.all_sets()] == [1.25, 0.75, 0.5, 0.25]
+
+    @pytest.mark.parametrize("base", [
+        {"name": "ou", "d": 1, "m": 1, "params": {"theta": 1.0, "sigma": 1.0}},
+        {"name": "linear", "d": 2, "m": 2,
+         "params": {"A": [[-1.0, 0.3], [0.2, -0.7]], "sigma": 0.4}, "gamma": 0.3}])
+    @pytest.mark.parametrize("drift", ["sine", "shift"])
+    @pytest.mark.parametrize("sigma_amp", [0.0, 1.5])
+    @pytest.mark.parametrize("bound", [None, "between", 1e9])
+    def test_family_reports_are_the_per_set_reports(self, base, drift, sigma_amp, bound):
+        # one stacked evaluation gives each set the constant and witness of
+        # its own report, and the family fails at its first failing set with
+        # that set's message
+        cfg = {"base": base, "schedule": [4, 1, 2],
+               "drift_perturbation": {"name": drift, "amp": 3.0},
+               "sigma_perturbation": sigma_amp, "gamma_perturbation": 0.5}
+        if bound == "between":
+            sets = family_from_config(cfg).all_sets()
+            consts = sorted(linear_growth_report(cs)["constant"] for cs in sets)
+            bound = 0.5 * (consts[-2] + consts[-1])   # only member 1 exceeds it
+        if bound is not None:
+            cfg = dict(cfg, base=dict(base, growth_bound=bound))
+        fam = family_from_config(cfg)
+        probes = default_probe_points(fam.limit.d, 1.0)
+        got = linear_growth_reports(fam, probes)
+        want = [linear_growth_report(cs, probes) for cs in fam.all_sets()]
+        for g, w in zip(got, want):
+            assert (g["constant"], g["declared"]) == (w["constant"], w["declared"])
+            assert (g["witness"] is None) == (w["witness"] is None)
+            if w["witness"] is not None:
+                assert g["witness"][0] == w["witness"][0]
+                assert g["witness"][1].tobytes() == w["witness"][1].tobytes()
+        failing = [cs for cs, w in zip(fam.all_sets(), want) if w["witness"] is not None]
+        assert len(failing) == (1 if bound is not None and bound < 1e9 else 0)
+        if failing:
+            with pytest.raises(CoefficientError) as one:
+                require_linear_growth(failing[0], probes)
+            with pytest.raises(CoefficientError) as stacked:
+                require_linear_growth(fam, probes)
+            assert str(stacked.value) == str(one.value)
+        else:
+            require_linear_growth(fam, probes)

@@ -885,6 +885,26 @@ class TestBlockRunner:
         self.same(self.ensemble(copy, block_size=64, workers=2), want)
         assert want.values.tobytes() != self.ensemble(cs, block_size=64).values.tobytes()
 
+    def test_the_pool_is_a_working_concurrent_futures_pool(self, monkeypatch):
+        # the engine imports the pool on first use: what it builds is
+        # concurrent.futures' own, and a two-worker family marched in it
+        # gives the one-worker bits
+        from concurrent.futures import ProcessPoolExecutor
+        with engine.ProcessPoolExecutor(max_workers=2) as pool:
+            assert isinstance(pool, ProcessPoolExecutor)
+            assert list(pool.map(abs, [-1, 2, -3])) == [1, 2, 3]
+        built, build = [], engine.ProcessPoolExecutor
+        monkeypatch.setattr(engine, "ProcessPoolExecutor",
+                            lambda max_workers: built.append(max_workers) or build(max_workers))
+        fam = L.family_from_config(self.FAMILY)
+        want_members, want_limit = self.family(fam)
+        assert built == []
+        members, limit = self.family(fam, block_size=64, workers=2)
+        assert built == [2]
+        for n in fam.members:
+            self.same(members[n], want_members[n])
+        self.same(limit, want_limit)
+
     def test_pool_iff_the_limit_has_a_registry_config(self, monkeypatch):
         # workers rebuild the limit from its config and the members from the
         # family's scalars: an ensemble and a family pool alike, a copy whose

@@ -119,6 +119,23 @@ def test_philox_kernel_gives_numpys_words(pairs):
         assert row.tolist() == want.tolist()
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 200, 4097])
+def test_philox_kernel_gives_numpys_words_at_any_key_count(n):
+    # the rounds work on (2, n) rows in kept buffers: every count, from none
+    # to more than a block, with the all-ones and zero words among them
+    draw = np.random.default_rng(n)
+    keys = draw.integers(0, 2 ** 64, (n, 2), dtype=np.uint64)
+    counters = draw.integers(0, 2 ** 64, (n, 4), dtype=np.uint64)
+    keys[:2], counters[:2] = 2 ** 64 - 1, 0
+    got = R.philox4x64(keys, counters)
+    assert got.shape == (n, 4) and got.dtype == np.uint64
+    for k, c, row in zip(keys.tolist(), counters.tolist(), got.tolist()):
+        key = k[0] | k[1] << 64
+        counter = sum(w << (64 * i) for i, w in enumerate(c))
+        want = np.random.Philox(key=key, counter=(counter - 1) % 2 ** 256).random_raw(4)
+        assert row == want.tolist()
+
+
 @given(seed=_SEEDS, purpose=st.sampled_from(_PURPOSES), namespace=st.sampled_from(_NAMESPACES),
        indices=st.lists(_INDICES, min_size=1, max_size=5))
 @settings(max_examples=25)
