@@ -14,7 +14,7 @@ log-likelihood
 with left-point (predictable) evaluation of h and lambda.  The normalized
 filter is the ratio of weighted means, computed with log-sum-exp.  The band
 integral is exact for an atomic nu2 or a separable lambda(x, u) = c(x) rho(|u|)
-on a radial nu2, and a fixed-node Monte Carlo quadrature otherwise.
+on a radial nu2, and nu2's deterministic Gauss-Legendre rule otherwise.
 
 Coupling for the robustness experiment: family members share the Brownian
 observation noise, the proposal atoms, and one thinning uniform per atom
@@ -40,8 +40,8 @@ from .coefficients import CoefficientFamily, CoefficientSet
 from .engine import (BlockMarch, InitialLaw, _prepare_block, make_base_grid,
                      simulate_coupled_family, sorted_unique)
 from .manifests import _check_keys, _is_finite, _registry_entry
-from .measures import (AtomicLevyMeasure, JumpEvents, LevyMeasure, Radial1DMeasure,
-                       TruncationConfig, sample_jump_events)
+from .measures import (JumpEvents, LevyMeasure, Radial1DMeasure, TruncationConfig,
+                       sample_jump_events)
 
 
 class FilterError(RuntimeError):
@@ -55,9 +55,6 @@ class FilterError(RuntimeError):
 # caps the (particles x nodes) matrix of one lambda evaluation in a band
 # quadrature, so peak memory does not grow with the number of nodes
 _SLICE_ENTRIES = 1 << 16
-
-# master seed of the Monte Carlo band-quadrature nodes
-_QUAD_SEED = 77
 
 
 def _add_in_order(acc, terms):
@@ -89,7 +86,6 @@ class ObservationModel:
     nu2: LevyMeasure
     u0_region: tuple = (0.0, 1.0)
     eps_obs: float = 0.0
-    n_quad: int = 2000
 
     def __post_init__(self):
         lo, hi = self.u0_region
@@ -117,26 +113,16 @@ class ObservationModel:
             raise FilterError("nu2 must have a finite second moment on the band")
 
     def _quad_nodes(self):
-        """Fixed nodes and weights for integrals of g(x, u) over the observed
-        band (band_floor(), hi]."""
+        """Nodes and weights for integrals of g(x, u) over the observed band
+        (band_floor(), hi]: nu2's quadrature rule there, the atoms themselves
+        for an atomic nu2."""
         if self._quad is None:
             lo, hi = self.band_floor(), self.u0_region[1]
-            if isinstance(self.nu2, AtomicLevyMeasure):
-                radii = np.linalg.norm(self.nu2.atoms, axis=1)
-                sel = (radii > lo) & (radii <= hi)
-                self._quad = (self.nu2.atoms[sel], self.nu2.masses[sel])
-            else:
-                mass = self.nu2.mass(lo, hi)
-                if not math.isfinite(mass):
-                    raise FilterError(
-                        "band quadrature needs finite nu2 mass on the band; "
-                        "set eps_obs > 0 for infinite-activity nu2")
-                rng = rngmod.stream(_QUAD_SEED, rngmod.QUADRATURE,
-                                    namespace=rngmod.OBSERVATION)
-                nodes = (self.nu2.sample(rng, self.n_quad, lo, hi)
-                         if mass > 0 else np.empty((0, self.nu2.dim)))
-                w = np.full(nodes.shape[0], mass / max(nodes.shape[0], 1))
-                self._quad = (nodes, w)
+            if not math.isfinite(self.nu2.mass(lo, hi)):
+                raise FilterError(
+                    "band quadrature needs finite nu2 mass on the band; "
+                    "set eps_obs > 0 for infinite-activity nu2")
+            self._quad = self.nu2.quadrature(lo, hi)
         return self._quad
 
     def _separable(self):
@@ -160,7 +146,8 @@ class ObservationModel:
 
         Exact for atomic nu2 (a sum over the atoms) and for a separable
         lambda on a radial nu2: m - c A0 with c = lambda(x, 0) (see
-        _separable).  Otherwise a fixed-node Monte Carlo quadrature.
+        _separable).  Otherwise nu2's deterministic Gauss-Legendre rule on
+        the band (`LevyMeasure.quadrature`).
         """
         sep = self._separable()
         if sep is None:

@@ -9,8 +9,9 @@ with a = sigma sigma^T / 2 and nu_x the push-forward of the driver measure
 through z -> f(t, x) z.  Because f is scalar, the compensated region
 {|u| <= l} pulls back to the centered ball of radius l / |f(t, x)|, so all
 jump-term pieces reduce to annulus queries of the driver measure: exact sums
-for atomic drivers, Monte Carlo quadrature (with reported standard error)
-for parametric ones.
+for atomic drivers; for radial ones, the measure's deterministic
+Gauss-Legendre rule (`LevyMeasure.quadrature`) for phi(x + u) - phi(x) and
+the analytic first moment on the compensated ball.
 
 The two residual tests:
 
@@ -23,10 +24,10 @@ The two residual tests:
 
 Both are evaluated for a whole test-function dictionary in one march over
 the ensemble's time slices.  Each slice makes one generator_apply call:
-b, a, f, the jump images and the small-jump mask are computed once, and
-the whole dictionary's phi, grad and hess come from one dictionary pass
-(`testfunctions.evaluate`) over the slice, and its phi alone from one pass
-over each chunk of jump images.  The slice's phi(x_i) is both the
+b, a, f, the jump images and an atomic driver's small-jump mask are
+computed once, and the whole dictionary's phi, grad and hess come from one
+dictionary pass (`testfunctions.evaluate`) over the slice, and its phi
+alone from one pass over each chunk of jump images.  The slice's phi(x_i) is both the
 generator's base value and the FPE statistic at t_i, and the martingale
 increments on a sub-window accumulate in the same march.  Only O(K n)
 accumulators are kept, never per-slice values.  A single function is the
@@ -41,7 +42,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng as rngmod
 from .coefficients import CoefficientSet, linear_growth_report
 from .engine import PathEnsemble, linear_quantile, sorted_unique
 from .measures import AtomicLevyMeasure, LevyMeasure, TruncationConfig
@@ -52,86 +52,69 @@ class GeneratorError(RuntimeError):
     pass
 
 
-# master seed of the Monte Carlo jump-quadrature nodes
-_QUAD_SEED = 2024
-
-
 @dataclass
 class GeneratorContext:
     coeffs: CoefficientSet
     driver: LevyMeasure
     trunc: TruncationConfig
-    n_quad: int = 10_000
-
-    def __post_init__(self):
-        self._quad_nodes = None
-
-    def quad_nodes(self):
-        """Fixed Monte Carlo quadrature nodes, shared across evaluations."""
-        if self._quad_nodes is None:
-            total = self.driver.mass(0.0, math.inf)
-            if not math.isfinite(total):
-                raise GeneratorError(
-                    "Monte Carlo jump quadrature needs a finite-activity driver; "
-                    "the small-jump square integrability must be checked via "
-                    "validate_hypotheses instead")
-            rng = rngmod.stream(_QUAD_SEED, rngmod.QUADRATURE,
-                                namespace=rngmod.EXPERIMENT)
-            nodes = (self.driver.sample(rng, self.n_quad, 0.0, math.inf)
-                     if total > 0 else np.empty((0, self.driver.dim)))
-            self._quad_nodes = (nodes, total)
-        return self._quad_nodes
 
 
 @dataclass
 class GeneratorValue:
     value: float
-    quad_se: float = 0.0
 
 
-# cap on the entries of one (paths, nodes, d) Monte Carlo jump-image temporary;
-# a chunk's value-only dictionary pass holds every function's phi at once,
-# so a chunk peaks at about 20 arrays of this size
+# cap on the entries of one (paths, nodes, d) jump-image temporary; a chunk's
+# value-only dictionary pass holds every function's phi at once, so a chunk
+# peaks at about 20 arrays of this size
 _IMAGE_ENTRIES = 1 << 19
 
 
 def _jump_terms(ctx: GeneratorContext, phis: list, jets: list, t, X: np.ndarray):
-    """Non-local term and its quadrature s.e., (K, n) each, for the whole
-    dictionary: the images X + f(X) z and the small-jump mask are built
-    once, and one value-only dictionary pass gives every phi at a chunk's
-    images.  `jets` are the functions' (phi, grad, hess) at X.  Monte Carlo
-    nodes are taken in chunks of paths (mean and std reduce each row alone,
-    so no bit changes); an atomic driver's sum is a matmul, which may round
-    a row differently in a smaller batch, so it is never chunked."""
+    """Non-local term, (K, n), for the whole dictionary: the images X + f(X) z
+    are built once, and one value-only dictionary pass gives every phi at a
+    chunk's images.  `jets` are the functions' (phi, grad, hess) at X.
+
+    An atomic driver's sum is a matmul, which may round a row differently
+    in a smaller batch, so it is never chunked.  Any other driver is
+    integrated by its quadrature rule (nodes z_j, weights w_j) over the whole
+    line, per row sum_j w_j (phi(x + f z_j) - phi(x)) - f grad phi(x) .
+    first_moment_upper(0, l / |f|): the compensator is analytic, so the rule
+    needs no break where the small-jump indicator jumps.  The rule's images
+    are taken in chunks of paths, laid out (paths, nodes) with the nodes
+    innermost; each row is reduced on its own, so chunking changes no bit."""
     n, d = X.shape
     vals = np.zeros((len(phis), n))
-    ses = np.zeros((len(phis), n))
     fv = ctx.coeffs.f(t, X)
     if isinstance(ctx.driver, AtomicLevyMeasure):
         if ctx.driver.atoms.shape[0]:
             _atomic_sums(ctx, phis, jets, fv, X, vals)
-        return vals, ses
-    z, total = ctx.quad_nodes()                                   # (q, d)
-    q = z.shape[0]
-    if total == 0.0 or q == 0:
-        return vals, ses
+        return vals
+    if not math.isfinite(ctx.driver.mass(0.0, math.inf)):
+        raise GeneratorError(
+            "jump quadrature needs a finite-activity driver; the small-jump "
+            "square integrability must be checked via validate_hypotheses instead")
+    z, w = ctx.driver.quadrature(0.0, math.inf)                  # (q, d), (q,)
+    q = w.size
+    if q == 0:
+        return vals
     step = max(1, _IMAGE_ENTRIES // (q * d))
     for lo in range(0, n, step):
         rows = slice(lo, lo + step)
-        U = fv[rows, None, None] * z[None, :, :]                  # (chunk, q, d)
-        images = (X[rows, None, :] + U).reshape(-1, d)
-        small = np.linalg.norm(U, axis=2) <= ctx.trunc.level
-        # with no image in the band the compensator term is +0.0 everywhere,
-        # and subtracting +0.0 changes no bit
-        any_small = small.any()
-        at_images = evaluate(phis, images, derivatives=False)
-        for k, (phi_images, (base, grad, _)) in enumerate(zip(at_images, jets)):
+        # (d, chunk, q) products, handed to the pass as (chunk * q, d) points
+        images = X.T[:, rows, None] + fv[rows, None] * z.T[:, None, :]
+        at_images = evaluate(phis, np.moveaxis(images, 0, -1).reshape(-1, d),
+                             derivatives=False)
+        for out, phi_images, (base, _, _) in zip(vals, at_images, jets):
             integrand = phi_images.reshape(-1, q) - base[rows, None]
-            if any_small:
-                integrand -= np.where(small, np.einsum("nqd,nd->nq", U, grad[rows]), 0.0)
-            vals[k, rows] = total * integrand.mean(axis=1)
-            ses[k, rows] = total * integrand.std(axis=1, ddof=1) / math.sqrt(q)
-    return vals, ses
+            integrand *= w
+            out[rows] = integrand.sum(axis=1)
+    with np.errstate(divide="ignore"):
+        radius = ctx.trunc.level / np.abs(fv)                    # inf where f = 0
+    compensator = fv[:, None] * ctx.driver.first_moment_upper(0.0, radius)   # (n, d)
+    for out, (_, grad, _) in zip(vals, jets):
+        out -= np.einsum("nd,nd->n", compensator, grad)
+    return vals
 
 
 def _atomic_sums(ctx: GeneratorContext, phis: list, jets: list, fv, X, vals):
@@ -166,10 +149,10 @@ def _atomic_sums(ctx: GeneratorContext, phis: list, jets: list, fv, X, vals):
 def generator_apply(ctx: GeneratorContext, phis, t, X: np.ndarray, jets=None):
     """Generator values over rows of X for one function or a whole dictionary.
 
-    One TestFunction gives (values, quad_se) of shape (n,); a sequence of K
-    functions gives (K, n) arrays, with b, a and the jump images computed
-    once.  `jets` are the functions' (phi, grad, hess) at X when the caller
-    already has them.
+    One TestFunction gives values of shape (n,); a sequence of K functions
+    gives a (K, n) array, with b, a and the jump images computed once.
+    `jets` are the functions' (phi, grad, hess) at X when the caller already
+    has them.
     """
     single = isinstance(phis, TestFunction)
     phis = [phis] if single else list(phis)
@@ -178,10 +161,10 @@ def generator_apply(ctx: GeneratorContext, phis, t, X: np.ndarray, jets=None):
         jets = evaluate(phis, X)
     a = ctx.coeffs.a(t, X)
     b = ctx.coeffs.b(t, X)
-    vals, ses = _jump_terms(ctx, phis, jets, t, X)
+    vals = _jump_terms(ctx, phis, jets, t, X)
     for k, (_, g, h) in enumerate(jets):
         vals[k] = np.einsum("nij,nij->n", a, h) + np.einsum("ni,ni->n", b, g) + vals[k]
-    return (vals[0], ses[0]) if single else (vals, ses)
+    return vals[0] if single else vals
 
 
 def eval_generator(ctx: GeneratorContext, phi: TestFunction, t: float,
@@ -189,8 +172,7 @@ def eval_generator(ctx: GeneratorContext, phi: TestFunction, t: float,
     """Generator value at a single point, with integrability guards."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     _check_integrability_at(ctx, t, x)
-    vals, ses = generator_apply(ctx, phi, t, x)
-    return GeneratorValue(float(vals[0]), float(ses[0]))
+    return GeneratorValue(float(generator_apply(ctx, phi, t, x)[0]))
 
 
 def _check_integrability_at(ctx: GeneratorContext, t, x):
@@ -362,7 +344,7 @@ def _march(ensemble: PathEnsemble, ctx: GeneratorContext, phis: list,
                 se[k, i] = float(stat.std(ddof=1) / math.sqrt(n))
         if i == last:
             break
-        gv, _ = generator_apply(ctx, phis, float(times[i]), X, jets=jets)
+        gv = generator_apply(ctx, phis, float(times[i]), X, jets=jets)
         step = gv * (times[i + 1] - times[i])
         acc += step
         if window is not None and i_s <= i < i_t:

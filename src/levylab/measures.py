@@ -6,7 +6,8 @@ Two concrete representations are supported:
   every annulus query and every jump-operator sum is exact, and
 
 * parametric radial measures on the line, given by one-sided densities with
-  analytic (or quadrature) annulus masses and exact inverse-CDF samplers.
+  analytic annulus masses, exact inverse-CDF samplers and a deterministic
+  Gauss-Legendre rule for annulus integrals (`quadrature`).
 
 All annulus conventions are half-open: region(r_lo, r_hi) means
 {z : r_lo < |z| <= r_hi}.
@@ -116,6 +117,11 @@ class LevyMeasure:
         elementwise."""
         raise NotImplementedError
 
+    def quadrature(self, r_lo: float, r_hi: float) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes (q, dim) in the annulus and weights (q,): the integral of g(z)
+        over the annulus is taken as sum_j weights_j g(nodes_j)."""
+        raise NotImplementedError
+
     def first_moment_upper(self, r_lo: float, r_hi: np.ndarray) -> np.ndarray:
         """Vectorized first_moment(r_lo, r) for an array of upper radii.
 
@@ -144,11 +150,6 @@ class LevyMeasure:
         one from each uniform in u, elementwise (a mark depends on its own
         uniform only)."""
         raise NotImplementedError
-
-    def sample(self, rng: np.random.Generator, n: int, r_lo: float = 0.0,
-               r_hi: float = math.inf) -> np.ndarray:
-        """n i.i.d. marks from the measure restricted to the annulus, normalized."""
-        return self.marks(rng.random(n), r_lo, r_hi)
 
     # -- helpers ---------------------------------------------------------
 
@@ -224,6 +225,11 @@ class AtomicLevyMeasure(LevyMeasure):
         if not sel.any():
             return 0.0
         return float(np.sum(self.masses[sel] * fn(self._radii[sel])))
+
+    def quadrature(self, r_lo, r_hi):
+        # the atoms in the annulus and their masses: the sum is the integral
+        sel = self._sel(r_lo, r_hi)
+        return self.atoms[sel], self.masses[sel]
 
     def first_moment_upper(self, r_lo, r_hi):
         # a difference of prefix sums rounds a row the same in any batch (a
@@ -403,19 +409,20 @@ class Radial1DMeasure(LevyMeasure):
         p, n = self._side_moment(0, r_lo, r_hi)
         return np.asarray(p + n, dtype=float)
 
-    def radial_integral(self, fn, r_lo, r_hi):
-        """Integral of fn(|z|) over the annulus, for r_lo >= 0 and an fn that
-        takes an array of radii.  Per side: 16-point Gauss-Legendre on each of 16 geometric panels
-        of [r_lo, hi], with hi = r_max on a power side and r_lo + 60/rate on
-        an exponential one, where the density has fallen by e^-60; fn is
-        called once per side on all the panel nodes.  r_lo = 0 needs finite
-        mass: the panels start at a = 1e-6 hi, and [0, a] gets 16 points in
-        the side's CDF."""
+    def _rule(self, r_lo, r_hi) -> list:
+        """The annulus rule as pieces (sign, scale, radii, weights, density):
+        a piece integrates g over its radii as scale * sum(weights * g(radii)
+        * density), on the side of the given sign.  Per side: 16-point
+        Gauss-Legendre on each of 16 geometric panels of [r_lo, hi] (scale
+        1), with hi = r_max on a power side and r_lo + 60/rate on an
+        exponential one, where the density has fallen by e^-60.  r_lo = 0
+        needs finite mass: the panels start at a = 1e-6 hi, and [0, a] gets
+        16 points in the side's CDF (scale its mass there, density 1)."""
         if not (r_lo > 0 or r_lo == 0 and math.isfinite(self.mass(0.0, r_hi))):
             raise LevyConfigError(f"radial_integral needs r_lo > 0, or r_lo = 0 with "
                                   f"finite mass near 0; got {r_lo}")
-        total = 0.0
-        for side in (self.pos, self.neg):
+        pieces = []
+        for sign, side in ((1.0, self.pos), (-1.0, self.neg)):
             if side is None:
                 continue
             if isinstance(side, _ExpSide):
@@ -426,14 +433,32 @@ class Radial1DMeasure(LevyMeasure):
                 continue
             a = r_lo or 1e-6 * hi
             if r_lo == 0:
-                u = 0.5 * (1.0 + _GL_NODES)
-                total += side.moment(0, 0.0, a) * float(
-                    np.sum(0.5 * _GL_WEIGHTS * fn(side.inverse_cdf(u, 0.0, a))))
+                pieces.append((sign, side.moment(0, 0.0, a),
+                               side.inverse_cdf(0.5 * (1.0 + _GL_NODES), 0.0, a),
+                               0.5 * _GL_WEIGHTS, 1.0))
             edges = np.geomspace(a, hi, _PANELS + 1)[:, None]
             half = 0.5 * np.diff(edges, axis=0)
             r = edges[:-1] + half * (1.0 + _GL_NODES)       # (panels, nodes)
-            total += float(np.sum(half * _GL_WEIGHTS * fn(r) * side.density(r)))
-        return total
+            pieces.append((sign, 1.0, r, half * _GL_WEIGHTS, side.density(r)))
+        return pieces
+
+    def radial_integral(self, fn, r_lo, r_hi):
+        """Integral of fn(|z|) over the annulus by quadrature's rule, for
+        r_lo >= 0 and an fn that takes an array of radii, called once per
+        piece.  Each piece is summed in factored form, scale * sum(weights *
+        fn * density), which rounds otherwise than quadrature's products."""
+        return sum((scale * float(np.sum(w * fn(r) * density))
+                    for _, scale, r, w, density in self._rule(r_lo, r_hi)), 0.0)
+
+    def quadrature(self, r_lo, r_hi):
+        """radial_integral's rule as signed nodes (q, 1) and weights (q,):
+        16 x 16 panel nodes per side, and 16 more below the panels when
+        r_lo = 0."""
+        pieces = self._rule(r_lo, r_hi)
+        nodes = [sign * np.ravel(r) for sign, _, r, _, _ in pieces]
+        weights = [np.ravel(scale * w * density) for _, scale, _, w, density in pieces]
+        return (np.concatenate([np.empty(0)] + nodes)[:, None],
+                np.concatenate([np.empty(0)] + weights))
 
     def marks(self, u, r_lo=0.0, r_hi=math.inf):
         mp, mn = self._side_moment(0, r_lo, r_hi)

@@ -36,7 +36,6 @@ OBS_W = 4       # observation Brownian increments
 OBS_PROPOSAL = 5  # proposal atoms of the observation random measure
 OBS_THIN = 6    # thinning uniforms, one per proposal atom
 RESAMPLE = 7    # particle-filter resampling draws
-QUADRATURE = 8  # fixed Monte Carlo quadrature nodes
 PROBE = 9       # probe points for validators / randomized tests
 
 # Namespaces: which subsystem owns the stream, so e.g. the signal ensemble
@@ -44,7 +43,6 @@ PROBE = 9       # probe points for validators / randomized tests
 SIGNAL = 0
 OBSERVATION = 1
 FILTER = 2
-EXPERIMENT = 3
 
 _MASK64 = (1 << 64) - 1
 _MAX_INDEX = 1 << 48

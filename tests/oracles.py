@@ -8,6 +8,7 @@ textbook Kalman recursion.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 from scipy import integrate, stats
@@ -36,6 +37,35 @@ def quad_radial(fn, density, lo, hi):
     """Integral of fn(r) * density(r) over (lo, hi) by adaptive quadrature."""
     val, _ = integrate.quad(lambda r: fn(r) * density(r), lo, hi, limit=200)
     return val
+
+
+def radial_jump_term(phi, x, f, level, densities, grad_at, seams=()):
+    """int [phi(x + f z) - phi(x) - 1{|f z| <= level} f z grad_at] nu(dz) for a
+    1-d nu with density densities[0](r) at z = r > 0 and densities[1](r) at
+    z = -r, phi a float function and grad_at its derivative at x.
+
+    Adaptive quadrature on each side, split at level / |f| and wherever
+    x + f z crosses a point of seams (where phi is only C^2); an
+    IntegrationWarning is raised as an error."""
+    total = 0.0
+    for sign, density in zip((1.0, -1.0), densities):
+        u = sign * f
+        edges = [0.0]
+        for c in sorted([level / abs(u)] + [(s - x) / u for s in seams]):
+            if c > edges[-1] + 1e-9:       # cuts a rounding error apart are one
+                edges.append(c)
+        edges.append(math.inf)
+
+        def integrand(r):
+            jump = phi(x + u * r) - phi(x) - (u * r * grad_at if r <= level / abs(u) else 0.0)
+            return jump * density(r)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", integrate.IntegrationWarning)
+            for a, b in zip(edges[:-1], edges[1:]):
+                total += integrate.quad(integrand, a, b, epsabs=1e-14, epsrel=1e-12,
+                                        limit=200)[0]
+    return total
 
 
 def ou_euler_chain_variance(theta, sigma, h, n_steps, v0=0.0):

@@ -367,8 +367,8 @@ def test_superposition_bad_martingale_window_rejected(tmp_path, window):
     assert not (tmp_path / "never").exists()
 
 
-def test_superposition_monte_carlo_driver_end_to_end(tmp_path):
-    # a non-atomic driver takes the Monte Carlo branch of the generator's
+def test_superposition_radial_driver_end_to_end(tmp_path):
+    # a radial driver takes the quadrature-rule branch of the generator's
     # jump terms: phi at chunks of jump images from the value-only pass
     man = small_superposition_manifest(seed=11)
     man.T, man.h, man.n_particles = 0.2, 0.1, 150

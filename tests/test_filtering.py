@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import levylab as L
 from levylab import filtering as F
 from levylab import rng as R
-from levylab.filtering import (_SLICE_ENTRIES, FilterError, ObservationRecord,
+from levylab.filtering import (FilterError, ObservationRecord,
                                ObservationSetup, filter_run, lambda_from_config,
                                log_likelihood, observation_model_from_config,
                                robustness_experiment)
@@ -238,7 +238,7 @@ class TestBandQuadrature:
                              ids=["three-atoms", "eight-atoms", "exponential"])
     def test_matches_node_by_node_loop_bitwise(self, nu2, n):
         model = quadrature_model(nu2)
-        # 300 states split the 2000 exponential nodes into several slices
+        # 300 states split the 272 exponential nodes into two slices
         x1 = np.linspace(-3.0, 3.0, 300)[:n, None]
         assert np.array_equal(model.band_integral(x1), node_by_node(model, x1))
 
@@ -247,9 +247,10 @@ class TestBandQuadrature:
     @given(n=st.sampled_from([1, 2, 7, 200, 3000]), k=st.integers(0, 2),
            part=st.integers(0, 10 ** 6))
     def test_sliced_sum_equals_column_by_column_sum(self, n, k, part):
-        step = _SLICE_ENTRIES // n
-        model = quadrature_model(EXP_NU2, n_quad=k * step + 1 + part % (step - 1))
+        model = quadrature_model(EXP_NU2)
         nodes, weights = model._quad_nodes()
+        q = weights.size
+        steps = [s for s in range(1, 2 * q + 1) if q // s == k and q % s]
         x1 = np.linspace(-3.0, 3.0, n)[:, None]
         lam1 = model._lambda(x1, nodes)
 
@@ -259,7 +260,9 @@ class TestBandQuadrature:
                 acc = acc + weights[j] * terms[:, j]
             return acc
 
-        assert np.array_equal(model.band_integral(x1), column_by_column(1.0 - lam1))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(F, "_SLICE_ENTRIES", n * steps[part % len(steps)])
+            assert np.array_equal(model.band_integral(x1), column_by_column(1.0 - lam1))
 
     def test_exponential_nu2_closed_form_is_analytic(self):
         # lambda = s(x) Lbar(u): the band integral is m - s(x) A, with m and A
@@ -281,20 +284,13 @@ class TestBandQuadrature:
         np.testing.assert_allclose(model.band_integral(x), 0.7 * mass, rtol=1e-13)
 
     def test_exponential_nu2_against_closed_form(self):
-        # the quadrature of a lambda with no profile meets the closed form
-        # within 4 s.e. of its 2000 nodes
+        # the quadrature rule on a lambda with no profile meets the closed form
         closed = make_model(lam=("state_logistic", {"base": 0.8, "decay": 0.5}),
                             nu2=EXP_NU2)
         quad = quadrature_model(EXP_NU2)
-        mass = closed._separable()[0]
         x = np.array([[-2.0], [-0.3], [0.0], [0.7], [4.0]])
-        s = 1.0 / (1.0 + np.exp(-np.abs(x[:, 0])))
-        nodes, _ = quad._quad_nodes()
-        r = np.abs(nodes[:, 0])
-        root_n = math.sqrt(nodes.shape[0])
-        se = mass * s * np.std(0.8 * np.exp(-0.5 * r), ddof=1) / root_n
-        gap = quad.band_integral(x) - closed.band_integral(x)
-        assert np.all(np.abs(gap) <= 4.0 * se)
+        np.testing.assert_allclose(quad.band_integral(x), closed.band_integral(x),
+                                   rtol=1e-12, atol=0.0)
 
     def test_closed_form_names_out_of_range_x_and_u(self):
         # decay < 0 makes lambda grow with |u|: above 1 for large |x| and |u|

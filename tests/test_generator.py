@@ -19,7 +19,23 @@ from levylab.manifests import RunManifest
 from levylab.measures import TruncationConfig
 from levylab.testfunctions import default_dictionary, plateau_bump, windowed_monomial
 
-from oracles import brute_force_generator, poisson_marginal_expectation
+from oracles import brute_force_generator, poisson_marginal_expectation, radial_jump_term
+
+
+def _window_function(phi):
+    """A 1-d dictionary function written out in floats from its shape: coef
+    (x - c)^p W(|x - c|), W = 1 - S(clip((r - r0) / (r1 - r0), 0, 1)) with
+    the quintic step S, and the four seams c -+ r0, c -+ r1."""
+    shape = phi.shape
+    c, r0, r1 = float(shape.center[0]), shape.r0, shape.r1
+    power = int(shape.powers[0]) if hasattr(shape, "powers") else 0
+    coef = shape.coef if power else shape.height
+
+    def fn(y):
+        v = min(max((abs(y - c) - r0) / (r1 - r0), 0.0), 1.0)
+        return coef * (y - c) ** power * (1.0 - v ** 3 * (10.0 - 15.0 * v + 6.0 * v * v))
+
+    return fn, (c - r1, c - r0, c + r0, c + r1)
 
 
 def zero_coeffs(gamma=0.0):
@@ -91,23 +107,29 @@ class TestEvalGenerator:
                 x=x.tolist())
             assert got == pytest.approx(want, rel=1e-12, abs=1e-13)
 
-    def test_linearity_exact_for_atomic(self):
-        ctx = GeneratorContext(ou_coeffs(0.7),
-                               L.AtomicLevyMeasure([[0.6], [-1.1]], [0.4, 0.8]),
-                               TruncationConfig(level=0.5))
+    @pytest.mark.parametrize("driver", ["atomic", "radial"])
+    @settings(max_examples=30, deadline=None)
+    @given(c1=st.floats(-5.0, 5.0), c2=st.floats(-5.0, 5.0),
+           x=hnp.arrays(np.float64, st.integers(1, 6), elements=st.floats(-3.0, 3.0)))
+    def test_linearity_in_phi(self, driver, c1, c2, x):
+        # L(c1 f1 + c2 f2) = c1 L f1 + c2 L f2 at drawn points, for an atomic
+        # driver's exact sums and a radial driver's quadrature rule alike
+        drv = (L.AtomicLevyMeasure([[0.6], [-1.1]], [0.4, 0.8]) if driver == "atomic"
+               else L.exponential_tails_1d(1.0, 2.0))
+        ctx = GeneratorContext(ou_coeffs(0.7), drv, TruncationConfig(level=0.5))
         f1 = plateau_bump(center=0.0, r0=1.0, r1=3.0)
         f2 = windowed_monomial([1], r0=2.0, r1=4.0)
-        x = np.array([[0.4], [-0.2], [1.3]])
-        v1, _ = generator_apply(ctx, f1, 0.2, x)
-        v2, _ = generator_apply(ctx, f2, 0.2, x)
+        x = x[:, None]
+        v1 = generator_apply(ctx, f1, 0.2, x)
+        v2 = generator_apply(ctx, f2, 0.2, x)
         combo = L.TestFunction(
             "combo",
-            phi=lambda y: 2.0 * f1.phi(y) + 3.0 * f2.phi(y),
-            grad=lambda y: 2.0 * f1.grad(y) + 3.0 * f2.grad(y),
-            hess=lambda y: 2.0 * f1.hess(y) + 3.0 * f2.hess(y),
+            phi=lambda y: c1 * f1.phi(y) + c2 * f2.phi(y),
+            grad=lambda y: c1 * f1.grad(y) + c2 * f2.grad(y),
+            hess=lambda y: c1 * f1.hess(y) + c2 * f2.hess(y),
             dim=1, support_class="compact")
-        vc, _ = generator_apply(ctx, combo, 0.2, x)
-        np.testing.assert_allclose(vc, 2.0 * v1 + 3.0 * v2, rtol=1e-13, atol=1e-14)
+        vc = generator_apply(ctx, combo, 0.2, x)
+        np.testing.assert_allclose(vc, c1 * v1 + c2 * v2, rtol=1e-13, atol=1e-14)
 
     def test_compensation_reduces_to_big_jump_sum(self):
         # phi linear where compensated images land: the non-local term equals
@@ -119,24 +141,35 @@ class TestEvalGenerator:
         got = eval_generator(ctx, phi, 0.0, [0.0]).value
         assert got == pytest.approx(0.5 * (3.0 - 0.0), abs=1e-14)
 
-    def test_monte_carlo_quadrature_reports_se(self):
-        ctx = GeneratorContext(zero_coeffs(gamma=1.0),
-                               L.exponential_tails_1d(),
-                               TruncationConfig(level=0.5), n_quad=20_000)
+    @pytest.mark.parametrize("gamma", [0.5, 1.5])
+    def test_radial_jump_term_against_split_quad(self, gamma):
+        # the quadrature rule's jump term at 101 points, for the whole
+        # dictionary, within 1e-6 max|L phi| of adaptive quadrature split at
+        # l / |f| and at every seam of the function's window
+        ctx = GeneratorContext(ou_coeffs(gamma), L.exponential_tails_1d(1.0, 2.0),
+                               TruncationConfig(level=0.3))
+        dictionary = default_dictionary(1)
+        X = np.linspace(-2.5, 2.5, 101)[:, None]
+        jets = L.testfunctions.evaluate(dictionary, X)
+        got = G._jump_terms(ctx, dictionary, jets, 0.0, X)
+        scale = np.abs(generator_apply(ctx, dictionary, 0.0, X)).max()
+        fv = ctx.coeffs.f(0.0, X)
+        density = (lambda r: math.exp(-2.0 * r),) * 2
+        for k, phi in enumerate(dictionary):
+            fn, seams = _window_function(phi)
+            for i, x in enumerate(X[:, 0]):
+                want = radial_jump_term(fn, float(x), float(fv[i]), 0.3, density,
+                                        float(jets[k][1][i, 0]), seams)
+                assert abs(got[k, i] - want) <= 1e-6 * scale, (phi.name, x)
+
+    def test_infinite_activity_driver_refused(self):
+        # the quadrature rule needs finite mass near 0; an exponent in (1, 3)
+        # gives infinite activity with a finite small-jump second moment
+        ctx = GeneratorContext(zero_coeffs(gamma=1.0), L.power_law_tails_1d(exponent=1.5),
+                               TruncationConfig(level=0.5))
         phi = plateau_bump(center=0.0, r0=1.0, r1=3.0)
-        res = eval_generator(ctx, phi, 0.0, [0.0])
-        assert res.quad_se > 0.0
-        # oracle: two-sided quadrature of the integrand
-        from oracles import quad_radial
-
-        def integrand(r):
-            up = float(phi.phi(np.array([[r]]))[0]) - 1.0
-            dn = float(phi.phi(np.array([[-r]]))[0]) - 1.0
-            comp = 0.0  # grad phi = 0 at the plateau center
-            return up + dn - comp
-
-        want = quad_radial(integrand, lambda r: math.exp(-r), 0.0, 60.0)
-        assert abs(res.value - want) <= 4 * res.quad_se
+        with pytest.raises(GeneratorError, match="finite-activity driver"):
+            generator_apply(ctx, phi, 0.0, np.zeros((2, 1)))
 
     def test_infinite_second_moment_rejected(self):
         ctx = GeneratorContext(zero_coeffs(gamma=1.0),
@@ -411,20 +444,18 @@ def _reference_apply(ctx, phi, t, X):
     local = (np.einsum("nij,nij->n", ctx.coeffs.a(t, X), h)
              + np.einsum("ni,ni->n", ctx.coeffs.b(t, X), g))
     fv = ctx.coeffs.f(t, X)
-    if isinstance(ctx.driver, L.AtomicLevyMeasure):
-        z, total = ctx.driver.atoms, None
-    else:
-        z, total = ctx.quad_nodes()
+    atomic = isinstance(ctx.driver, L.AtomicLevyMeasure)
+    z, w = (ctx.driver.atoms, None) if atomic else ctx.driver.quadrature(0.0, math.inf)
     U = fv[:, None, None] * z[None, :, :]
     shifted = phi.phi((X[:, None, :] + U).reshape(-1, d)).reshape(n, -1)
-    comp = np.einsum("nkd,nd->nk", U, g)
-    small = np.linalg.norm(U, axis=2) <= ctx.trunc.level
-    integrand = shifted - phi.phi(X)[:, None] - np.where(small, comp, 0.0)
-    if total is None:
-        return local + integrand @ ctx.driver.masses, np.zeros(n)
-    q = z.shape[0]
-    return (local + total * integrand.mean(axis=1),
-            total * integrand.std(axis=1, ddof=1) / math.sqrt(q))
+    if atomic:
+        comp = np.einsum("nkd,nd->nk", U, g)
+        small = np.linalg.norm(U, axis=2) <= ctx.trunc.level
+        integrand = shifted - phi.phi(X)[:, None] - np.where(small, comp, 0.0)
+        return local + integrand @ ctx.driver.masses
+    moment = ctx.driver.first_moment_upper(0.0, ctx.trunc.level / np.abs(fv))
+    jump = ((shifted - phi.phi(X)[:, None]) * w).sum(axis=1)
+    return local + (jump - np.einsum("nd,nd->n", fv[:, None] * moment, g))
 
 
 def _reference_fpe(ens, ctx, phi):
@@ -434,7 +465,7 @@ def _reference_fpe(ens, ctx, phi):
     acc = np.zeros(n)
     residual, se = np.zeros(M1), np.zeros(M1)
     for i in range(M1 - 1):
-        gv, _ = _reference_apply(ctx, phi, float(times[i]), vals[:, i, :])
+        gv = _reference_apply(ctx, phi, float(times[i]), vals[:, i, :])
         acc += gv * (times[i + 1] - times[i])
         stat = phi.phi(vals[:, i + 1, :]) - phi0 - acc
         residual[i + 1] = float(stat.mean())
@@ -445,7 +476,7 @@ def _reference_fpe(ens, ctx, phi):
 def _reference_increment(ens, ctx, phi, i_s, i_t):
     acc = np.zeros(ens.n_particles)
     for i in range(i_s, i_t):
-        gv, _ = _reference_apply(ctx, phi, float(ens.times[i]), ens.values[:, i, :])
+        gv = _reference_apply(ctx, phi, float(ens.times[i]), ens.values[:, i, :])
         acc += gv * (ens.times[i + 1] - ens.times[i])
     return phi.phi(ens.values[:, i_t, :]) - phi.phi(ens.values[:, i_s, :]) - acc
 
@@ -458,13 +489,13 @@ def _handmade(dim):
 
 
 def _pass_context(case):
-    """(context, dim) of an atomic or a Monte Carlo driver."""
+    """(context, dim) of an atomic or a radial driver."""
     if case == "atomic-1d":
         drv = L.AtomicLevyMeasure([[0.3], [-1.6], [2.4]], [0.5, 0.8, 0.2])
         return GeneratorContext(ou_coeffs(0.7), drv, TruncationConfig(level=0.5)), 1
-    if case == "monte-carlo-1d":
+    if case == "radial-1d":
         return GeneratorContext(ou_coeffs(0.7), L.exponential_tails_1d(),
-                                TruncationConfig(level=0.5), n_quad=400), 1
+                                TruncationConfig(level=0.5)), 1
     if case == "atomic-no-band":
         # every image |0.5 * 0.9| lies above the level: no compensator term
         drv = L.AtomicLevyMeasure([[0.9], [-0.9]], [0.3, 0.3])
@@ -475,27 +506,24 @@ def _pass_context(case):
     return GeneratorContext(cs, drv, TruncationConfig(level=0.7)), 2
 
 
-@pytest.mark.parametrize("case", ["atomic-1d", "monte-carlo-1d", "atomic-2d",
+@pytest.mark.parametrize("case", ["atomic-1d", "radial-1d", "atomic-2d",
                                   "atomic-no-band"])
 def test_dictionary_pass_matches_per_function_reference(case):
     ctx, dim = _pass_context(case)
     dictionary = default_dictionary(dim) + [_handmade(dim)]
     X = np.random.default_rng(23).uniform(-3.0, 3.0, size=(150, dim))
-    vals, ses = generator_apply(ctx, dictionary, 0.4, X)
-    assert vals.shape == ses.shape == (len(dictionary), 150)
+    vals = generator_apply(ctx, dictionary, 0.4, X)
+    assert vals.shape == (len(dictionary), 150)
     for k, phi in enumerate(dictionary):
-        want_v, want_se = _reference_apply(ctx, phi, 0.4, X)
-        assert np.array_equal(vals[k], want_v), phi.name
-        assert np.array_equal(ses[k], want_se), phi.name
-        one_v, one_se = generator_apply(ctx, phi, 0.4, X)
-        assert np.array_equal(one_v, want_v) and np.array_equal(one_se, want_se)
-    if case == "monte-carlo-1d":
-        assert np.all(ses > 0.0)
+        want = _reference_apply(ctx, phi, 0.4, X)
+        assert np.array_equal(vals[k], want), phi.name
+        assert np.array_equal(generator_apply(ctx, phi, 0.4, X), want)
 
 
 @pytest.mark.parametrize("cap", [1, 450, 3000])
-def test_monte_carlo_chunks_equal_one_pass_bitwise(cap, monkeypatch):
-    ctx, dim = _pass_context("monte-carlo-1d")
+def test_radial_chunks_equal_one_pass_bitwise(cap, monkeypatch):
+    ctx, dim = _pass_context("radial-1d")
+    q = ctx.driver.quadrature(0.0, math.inf)[1].size
     seen = []
     f = _handmade(dim)
     recording = L.TestFunction("recording", lambda y: seen.append(len(y)) or f.phi(y),
@@ -506,25 +534,23 @@ def test_monte_carlo_chunks_equal_one_pass_bitwise(cap, monkeypatch):
     monkeypatch.setattr(G, "_IMAGE_ENTRIES", cap)
     seen.clear()
     chunked = generator_apply(ctx, dictionary, 0.4, X)
-    # 400 nodes: chunks of 1, 1 and 7 paths; the jet sees all 37 paths once
-    rows = {1: [1] * 37, 450: [1] * 37, 3000: [7] * 5 + [2]}[cap]
-    assert seen == [37] + [400 * r for r in rows]
-    for a, b in zip(whole, chunked):
-        assert a.tobytes() == b.tobytes()
+    # 544 nodes: chunks of 1, 1 and 5 paths; the jet sees all 37 paths once
+    rows = {1: [1] * 37, 450: [1] * 37, 3000: [5] * 7 + [2]}[cap]
+    assert q == 544 and seen == [37] + [q * r for r in rows]
+    assert whole.tobytes() == chunked.tobytes()
 
 
-def test_monte_carlo_jump_terms_memory_is_bounded(monkeypatch):
-    # one unchunked (paths, nodes) float temporary would take 8 MB here
+def test_radial_jump_terms_memory_is_bounded(monkeypatch):
+    # one unchunked (paths, nodes) float temporary would take 2 MB here
     cap = 1 << 13
     monkeypatch.setattr(G, "_IMAGE_ENTRIES", cap)
     ctx = GeneratorContext(ou_coeffs(0.7), L.exponential_tails_1d(),
-                           TruncationConfig(level=0.5), n_quad=2000)
-    ctx.quad_nodes()
+                           TruncationConfig(level=0.5))
     X = np.random.default_rng(5).uniform(-3.0, 3.0, size=(500, 1))
     dictionary = default_dictionary(1)
     tracemalloc.start()
     try:
-        vals, _ = generator_apply(ctx, dictionary, 0.4, X)
+        vals = generator_apply(ctx, dictionary, 0.4, X)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -601,7 +627,7 @@ def test_atomic_jump_terms_are_the_particle_major_sums(n, d, k, band, seed):
     X = rng.normal(0.0, 2.0, (n, d))
     phis = _DICTIONARIES[d]
     jets = L.testfunctions.evaluate(phis, X)
-    got, ses = G._jump_terms(ctx, phis, jets, 0.3, X)
+    got = G._jump_terms(ctx, phis, jets, 0.3, X)
     fv = cs.f(0.3, X)
     U = fv[:, None, None] * atoms[None, :, :]
     small = np.linalg.norm(U, axis=2) <= ctx.trunc.level
@@ -613,4 +639,3 @@ def test_atomic_jump_terms_are_the_particle_major_sums(n, d, k, band, seed):
         if small.any():
             integrand -= np.where(small, np.einsum("nqd,nd->nq", U, grad), 0.0)
         assert got[k_].tobytes() == (integrand @ masses).tobytes()
-    assert not ses.any()

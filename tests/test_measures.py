@@ -53,12 +53,12 @@ class TestAtomic:
                 cum = np.cumsum(masses[sel]) / total
                 u = R.stream(5, R.PROBE, i).random(40)
                 idx = np.minimum(np.searchsorted(cum, u, side="right"), sel.sum() - 1)
-                got = m.sample(R.stream(5, R.PROBE, i), 40, lo, hi)
+                got = m.marks(R.stream(5, R.PROBE, i).random(40), lo, hi)
                 assert got.tobytes() == atoms[sel][idx].tobytes()
             else:
-                assert m.sample(R.stream(5, R.PROBE, i), 0, lo, hi).shape == (0, 2)
+                assert m.marks(R.stream(5, R.PROBE, i).random(0), lo, hi).shape == (0, 2)
                 with pytest.raises(LevyConfigError, match="zero-mass region"):
-                    m.sample(R.stream(5, R.PROBE, i), 3, lo, hi)
+                    m.marks(R.stream(5, R.PROBE, i).random(3), lo, hi)
                 ev = sample_jump_events(m, (lo, hi), 1.0, R.stream(5, R.DRIVER, i))
                 assert len(ev) == 0 and ev.marks.shape == (0, 2)
 
@@ -188,7 +188,7 @@ class TestPowerLaw:
     def test_sampling_law(self):
         m = power_law_tails_1d(coef=1.0, exponent=1.5, r_max=1.0, two_sided=False)
         rng = R.stream(5, R.PROBE)
-        draws = m.sample(rng, 40_000, 0.1, 1.0)[:, 0]
+        draws = m.marks(rng.random(40_000), 0.1, 1.0)[:, 0]
         # inverse-CDF check via Kolmogorov-Smirnov against the analytic CDF
         a, b = 0.1 ** -0.5, 1.0 ** -0.5
 
