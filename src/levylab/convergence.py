@@ -109,7 +109,6 @@ def lyapunov_moment(ensemble: PathEnsemble, psi: PsiFunction):
 class TightnessReport:
     sup_tail: list          # rows (K, sup_n P(sup_t |X| > K))
     increment_tail: list    # rows (theta, sup over n and taus of P(|X_{tau+theta}-X_tau| >= N))
-    threshold: float
     sup_tail_decays: bool
     increment_tail_decays: bool
 
@@ -161,7 +160,7 @@ def tightness_diagnostics(ensembles: dict, K_grid, theta_grid,
     sup_vals = [p for _, p in sup_rows]
     inc_vals = [p for _, p in inc_rows]
     return TightnessReport(
-        sup_tail=sup_rows, increment_tail=inc_rows, threshold=N_threshold,
+        sup_tail=sup_rows, increment_tail=inc_rows,
         sup_tail_decays=all(b <= a + 1e-12 for a, b in zip(sup_vals, sup_vals[1:])),
         increment_tail_decays=all(a <= b + 1e-12 for a, b in zip(inc_vals, inc_vals[1:])),
     )
@@ -178,7 +177,6 @@ class GronwallResult:
     lhs_se: float
     rhs_se: float
     passed: bool
-    factor: float
 
 
 def gronwall_check(xi, eta, A, M, p: float, q: float, grid,
@@ -238,7 +236,7 @@ def gronwall_check(xi, eta, A, M, p: float, q: float, grid,
     rhs_se = factor * math.hypot(f2_se * m3, f2 * s3)
     passed = lhs <= rhs + 3.0 * (lhs_se + rhs_se)
     return GronwallResult(lhs=lhs, rhs=rhs, lhs_se=lhs_se, rhs_se=rhs_se,
-                          passed=passed, factor=factor)
+                          passed=passed)
 
 
 # ---------------------------------------------------------------------------

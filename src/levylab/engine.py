@@ -474,7 +474,6 @@ class BlockMarch:
         # the march: a new S*B-row array each cell ran slower
         self._tiled = (np.empty((inputs.copies, inputs.particles.size, inputs.noise.shape[1]))
                        if inputs.copies > 1 else None)
-        self.cell = 0
         self._whole = coeffs.on_rows(None)
         self._needs_comp = driver.mass(trunc.sampling_floor, math.inf) > 0.0
         # the band moment as one row when it is the same at every radius
@@ -565,7 +564,6 @@ class BlockMarch:
                 f"non-finite state first reached at t={float(t1):.6g} "
                 f"({which}particle {int(inp.particles[bad % B])}, seed {inp.seed}, "
                 f"namespace {inp.namespace})")
-        self.cell = i + 1
 
     def run(self, out=None, keep=None):
         """March every cell; out[..., j, :] gets the state at grid index
@@ -666,8 +664,7 @@ def simulate_ensemble(coeffs: CoefficientSet, driver: LevyMeasure,
                       trunc: TruncationConfig, mu0: InitialLaw, n_particles: int,
                       grid_step: float, T: float, seed: int,
                       namespace: int = rngmod.SIGNAL, extra_times=(),
-                      workers: int = 1, block_size: int = DEFAULT_BLOCK,
-                      validate: bool = True) -> PathEnsemble:
+                      workers: int = 1, block_size: int = DEFAULT_BLOCK) -> PathEnsemble:
     """Simulate n_particles independent paths on a uniform grid of step h.
 
     The ensemble runs through the block runner as a family with no members.
@@ -677,7 +674,7 @@ def simulate_ensemble(coeffs: CoefficientSet, driver: LevyMeasure,
     identical for any worker count and block size, because every particle
     owns its streams.
     """
-    if validate and coeffs.growth_bound is not None:
+    if coeffs.growth_bound is not None:
         require_linear_growth(coeffs)
     return _simulate_blocks(CoefficientFamily(limit=coeffs), driver, trunc, mu0,
                             n_particles, grid_step, T, seed, namespace, extra_times,
@@ -707,8 +704,7 @@ def simulate_coupled_family(family: CoefficientFamily, driver: LevyMeasure,
                             n_particles: int, grid_step: float, T: float,
                             seed: int, namespace: int = rngmod.SIGNAL,
                             extra_times=(), workers: int = 1,
-                            block_size: int = DEFAULT_BLOCK,
-                            validate: bool = True, record_times=None):
+                            block_size: int = DEFAULT_BLOCK, record_times=None):
     """Simulate every family member and the limit under the same randomness.
 
     For each particle index the same initial draw, the same driver atoms and
@@ -719,8 +715,8 @@ def simulate_coupled_family(family: CoefficientFamily, driver: LevyMeasure,
     kept_slices picks for them, the same bits as the full paths there.
     Returns (members: dict n -> PathEnsemble, limit: PathEnsemble).
     """
-    if validate:        # every set on one probe grid, in one stacked evaluation
-        require_linear_growth(family, default_probe_points(family.limit.d, 1.0))
+    # every set on one probe grid, in one stacked evaluation
+    require_linear_growth(family, default_probe_points(family.limit.d, 1.0))
     ensembles = _simulate_blocks(family, driver, trunc, mu0, n_particles, grid_step,
                                  T, seed, namespace, extra_times, block_size, workers,
                                  record_times)

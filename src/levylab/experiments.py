@@ -28,8 +28,8 @@ from .engine import ProcessPoolExecutor  # noqa: F401
 from .filtering import observation_model_from_config, robustness_experiment
 # the benchmark's layer trace patches this name; the filters run in filtering
 from .filtering import filter_run  # noqa: F401
-from .generator import (GeneratorContext, fpe_weak_residual, martingale_residual,
-                        richardson_slope, validate_hypotheses)
+from .generator import (GeneratorContext, fpe_verdict, fpe_weak_residual,
+                        martingale_residual, validate_hypotheses)
 from .manifests import ManifestError, RunManifest
 from .measures import TruncationConfig, measure_from_config
 from .psi import construct_psi, weighted_big_psi_sum
@@ -88,10 +88,8 @@ def run_superposition(man: RunManifest, seed: int, workers: int):
         mrep = martingale_residual(ens, ctx, phi, *window,
                                    increments=rep.martingale_increments)
         mart_pass = mart_pass and mrep.within
-        for b in mrep.bins:
-            mart_rows.append([phi.name, b["bin"], b["count"], b["estimate"],
-                              b["se"], b["scored"],
-                              (not b["scored"]) or abs(b["estimate"]) <= 3 * b["se"]])
+        mart_rows += [[phi.name, b["bin"], b["count"], b["estimate"], b["se"],
+                       b["scored"], b["pass"]] for b in mrep.bins]
     del ens
     ens_half = simulate_ensemble(coeffs, driver, trunc, mu0, man.n_particles,
                                  man.h / 2, man.T, seed + 1, workers=workers,
@@ -101,14 +99,12 @@ def run_superposition(man: RunManifest, seed: int, workers: int):
     all_pass = True
     halving_ok = True
     for phi, rep, rep_half in zip(dictionary, reports, halves):
-        slope, halves_ok = richardson_slope(rep, rep_half, man.h)
-        halving_ok = halving_ok and halves_ok
-        for k, t in enumerate(rep.times):
-            budget = 3.0 * rep.mc_se[k] + slope * man.h
-            ok = abs(rep.residual[k]) <= budget
-            all_pass = all_pass and ok
-            fpe_rows.append([float(t), phi.name, rep.residual[k], rep.mc_se[k],
-                             budget, ok])
+        verdict = fpe_verdict(rep, rep_half, man.h)
+        all_pass = all_pass and verdict.within
+        halving_ok = halving_ok and verdict.halving
+        fpe_rows += [[float(t), phi.name, res, se, budget, ok] for t, res, se, budget, ok
+                     in zip(rep.times, rep.residual, rep.mc_se, verdict.budget,
+                            verdict.passes)]
     tables = {
         "fpe_residuals": (["t", "phi_id", "residual", "mc_se", "budget", "pass"],
                           fpe_rows),

@@ -299,18 +299,17 @@ def observation_model_from_config(cfg: dict) -> ObservationModel:
 
 @dataclass
 class ObservationRecord:
-    """What the filter is allowed to see, plus a truth link for diagnostics.
+    """What the filter is allowed to see.
 
     cont_increments are the per-cell continuous-part increments
     (Brownian plus sensor drift); the band and big jump events are the
-    accepted atoms.  truth_link is never read by the filter.
+    accepted atoms.
     """
 
     grid: np.ndarray
     cont_increments: np.ndarray
     events_band: JumpEvents
     events_big: JumpEvents
-    truth_link: str = ""
 
 
 class ObservationSetup:
@@ -346,7 +345,7 @@ class ObservationSetup:
                              * np.sqrt(dts)[:, None])
         self._prop_idx = np.searchsorted(self.grid, self.prop_times, side="left")
 
-    def record_for(self, signal_values: np.ndarray, truth_link: str = "") -> ObservationRecord:
+    def record_for(self, signal_values: np.ndarray) -> ObservationRecord:
         """Thin the shared proposals against one signal path on self.grid."""
         model = self.model
         # lambda at each proposal's own (x, u): diagonals of square blocks
@@ -364,8 +363,7 @@ class ObservationSetup:
         return ObservationRecord(
             grid=self.grid, cont_increments=cont,
             events_band=JumpEvents(self.prop_times[band], self.prop_marks[band]),
-            events_big=JumpEvents(self.prop_times[big], self.prop_marks[big]),
-            truth_link=truth_link)
+            events_big=JumpEvents(self.prop_times[big], self.prop_marks[big]))
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +476,6 @@ class FilterState:
 @dataclass
 class FilterResult:
     states: list
-    checkpoint_times: np.ndarray
     resampled_at: list = field(default_factory=list)
 
 
@@ -551,7 +548,7 @@ def _march_filter(model: ObservationModel, coeffs, driver: LevyMeasure,
                 for _ in records]
     lw = np.zeros((S, n))
     log_norm = [0.0] * S
-    results = [FilterResult(states=[], checkpoint_times=checkpoints) for _ in records]
+    results = [FilterResult(states=[]) for _ in records]
     tag = f"seed {inputs.seed}, namespace {inputs.namespace})"
     where = [f"({name}, {tag}" for name in coeffs.names] if S > 1 else [f"({tag}"]
 
@@ -613,7 +610,6 @@ def _march_filter(model: ObservationModel, coeffs, driver: LevyMeasure,
 @dataclass
 class RobustnessReport:
     rows: list             # dicts: n, distance, se
-    checkpoint_times: np.ndarray
     non_increasing: bool
     ratio: float | None
     passed: bool
@@ -654,9 +650,9 @@ def robustness_experiment(family, model: ObservationModel, driver, trunc,
         setup = ObservationSetup(model, T, h, rep_seed)
         sig_members, sig_limit = simulate_coupled_family(
             family, driver, trunc, mu0, 1, h, T, rep_seed,
-            extra_times=setup.prop_times, validate=(r == 0))
-        records = [setup.record_for(sig_members[n].values[0], f"member-{n}")
-                   for n in family.members] + [setup.record_for(sig_limit.values[0], "limit")]
+            extra_times=setup.prop_times)
+        records = [setup.record_for(sig_members[n].values[0]) for n in family.members]
+        records.append(setup.record_for(sig_limit.values[0]))
         wanted = checkpoints if r else np.concatenate(
             [checkpoints, _default_checkpoints(setup.grid)])
         order = np.argsort(wanted, kind="stable")
@@ -682,7 +678,6 @@ def robustness_experiment(family, model: ObservationModel, driver, trunc,
             for j, n in enumerate(keys)]
     non_inc, ratio, passed = decreasing_verdict([r["distance"] for r in rows],
                                                 [r["se"] for r in rows])
-    return RobustnessReport(rows=rows, checkpoint_times=checkpoints,
-                            non_increasing=non_inc, ratio=ratio, passed=passed,
+    return RobustnessReport(rows=rows, non_increasing=non_inc, ratio=ratio, passed=passed,
                             limit_states=limit_states)
 

@@ -22,8 +22,13 @@ The two residual tests:
   which together with the simulation engine is the empirical rendering of
   the equivalence between path laws and weak forward solutions.
 
-Both are evaluated for a whole test-function dictionary in one march over
-the ensemble's time slices.  Each slice makes one generator_apply call:
+The superposition kind's two verdict rules live here too: fpe_verdict
+holds each residual to 3 s.e. plus a first-order C h term at its own time,
+with the halving check between the h and h/2 runs, and each bin of a
+MartingaleReport carries its own 3-s.e. `pass`.
+
+Both tests are evaluated for a whole test-function dictionary in one march
+over the ensemble's time slices.  Each slice makes one generator_apply call:
 b, a, f, the jump images and an atomic driver's small-jump mask are
 computed once, and the whole dictionary's phi, grad and hess come from one
 dictionary pass (`testfunctions.evaluate`) over the slice, and its phi
@@ -277,15 +282,14 @@ class MartingaleReport:
     s: float
     t: float
     phi_name: str
-    bins: list           # per-bin dicts: lo, hi, count, estimate, se, scored
-    max_abs: float       # max |estimate| over scored bins
-    max_se: float        # s.e. at the argmax bin
+    bins: list           # per-bin dicts: bin, count, estimate, se, scored, pass
     max_sigmas: float    # max |estimate| / se over scored bins
     overall: tuple       # (estimate, se) without conditioning
 
     @property
     def within(self) -> bool:
-        return self.max_sigmas <= 3.0
+        """Every bin passes: it is not scored, or |estimate| <= 3 se."""
+        return all(b["pass"] for b in self.bins)
 
 
 @dataclass
@@ -393,8 +397,6 @@ def martingale_residual(ensemble: PathEnsemble, ctx: GeneratorContext,
         e[-1] += 1e-12
         ids = ids * n_bins + np.clip(np.digitize(xs[:, j], e) - 1, 0, n_bins - 1)
     bins = []
-    max_abs = 0.0
-    max_se = math.inf
     max_sig = 0.0
     for bid in sorted_unique(ids):
         sel = ids == bid
@@ -402,17 +404,15 @@ def martingale_residual(ensemble: PathEnsemble, ctx: GeneratorContext,
         scored = cnt >= min_bin
         est = float(inc[sel].mean())
         se = float(inc[sel].std(ddof=1) / math.sqrt(cnt)) if cnt > 1 else math.inf
-        bins.append({"bin": int(bid), "count": cnt, "estimate": est,
-                     "se": se, "scored": scored})
+        # the bin rule: a scored bin's mean within 3 s.e. of zero; NaN fails
+        bins.append({"bin": int(bid), "count": cnt, "estimate": est, "se": se,
+                     "scored": scored, "pass": (not scored) or abs(est) <= 3 * se})
         if scored:
             sig = 0.0 if est == 0.0 else abs(est) / se if se > 0 else math.inf
             max_sig = max(max_sig, sig)
-            if abs(est) > max_abs:
-                max_abs, max_se = abs(est), se
     overall = (float(inc.mean()), float(inc.std(ddof=1) / math.sqrt(inc.size)))
     return MartingaleReport(s=s, t=t, phi_name=phi.name, bins=bins,
-                            max_abs=max_abs, max_se=max_se, max_sigmas=max_sig,
-                            overall=overall)
+                            max_sigmas=max_sig, overall=overall)
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +427,6 @@ class FpeReport:
     mc_se: np.ndarray
     sup_abs: float
     sup_se: float
-    guards: dict
-    h: float
     martingale_increments: MartingaleIncrements | None = None   # see fpe_weak_residual
 
 
@@ -442,7 +440,7 @@ def path_sup_norms(vals: np.ndarray) -> np.ndarray:
 
 
 def integrability_guards(ensemble: PathEnsemble, ctx: GeneratorContext,
-                         radius: float | None = None) -> dict:
+                         radius: float | None = None) -> None:
     """Empirical finiteness checks of the two integrability conditions that
     make the weak forward identity well-posed; divergent estimates abort."""
     times, vals = ensemble.times, ensemble.values
@@ -472,7 +470,6 @@ def integrability_guards(ensemble: PathEnsemble, ctx: GeneratorContext,
             bigmass_far[nz] = ctx.driver.mass_lower(far, math.inf)
         g1 += dt * float(np.mean(np.where(inside, bnorm + anorm + sm, 0.0)))
         g2 += dt * float(np.mean(bigmass_far + np.where(inside, bigmass_l, 0.0)))
-    report = {"radius": radius, "local_integrals": g1, "jump_mass_integrals": g2}
     if not math.isfinite(g1):
         raise GeneratorError(
             "integrability guard failed: local coefficient/compensated-jump "
@@ -481,7 +478,6 @@ def integrability_guards(ensemble: PathEnsemble, ctx: GeneratorContext,
         raise GeneratorError(
             "integrability guard failed: big-jump mass integral diverges "
             "(second well-posedness condition)")
-    return report
 
 
 def fpe_weak_residual(ensemble: PathEnsemble, ctx: GeneratorContext,
@@ -501,9 +497,9 @@ def fpe_weak_residual(ensemble: PathEnsemble, ctx: GeneratorContext,
                              "compactly supported functions")
     window = (None if martingale_window is None
               else _window_indices(ensemble, *martingale_window))
-    guards = integrability_guards(ensemble, ctx) if run_guards else {}
+    if run_guards:
+        integrability_guards(ensemble, ctx)
     times = ensemble.times
-    h_eff = float(np.max(np.diff(times)))
     residual, se, increments = _march(ensemble, ctx, phis, fpe=True, window=window)
     reports = []
     for k, phi in enumerate(phis):
@@ -511,23 +507,37 @@ def fpe_weak_residual(ensemble: PathEnsemble, ctx: GeneratorContext,
         reports.append(FpeReport(
             phi_name=phi.name, times=times.copy(), residual=residual[k],
             mc_se=se[k], sup_abs=float(abs(residual[k, j])), sup_se=float(se[k, j]),
-            guards=guards, h=h_eff,
             martingale_increments=None if increments is None else increments[k]))
     return reports[0] if single else reports
 
 
 # ---------------------------------------------------------------------------
-# the superposition budget's step-size term
+# the superposition kind's forward-identity verdict
 # ---------------------------------------------------------------------------
 
-def richardson_slope(rep, rep_half, h: float):
-    """Slope C of the C * h budget term, and whether the residual halves.
+@dataclass
+class FpeVerdict:
+    budget: np.ndarray   # 3 mc_se + C h per time
+    passes: np.ndarray   # |residual| <= budget per time; a NaN residual fails
+    halving: bool        # the h/2 sup-residual is about half the h one
 
-    C is the first-order decay between the h and h/2 runs' sup-residuals,
-    with 25% headroom.  The refined sup-residual passes the halving check
-    unless it exceeds half the coarse one by more than 3 combined standard
-    errors, so a NaN residual does not fail it.
+    @property
+    def within(self) -> bool:
+        return bool(self.passes.all())
+
+
+def fpe_verdict(rep: FpeReport, rep_half: FpeReport, h: float) -> FpeVerdict:
+    """The forward-identity verdict of one function from its h and h/2 runs.
+
+    Each residual at step h must lie within the budget 3 mc_se + C h at its
+    own time.  C is the first-order decay between the two runs'
+    sup-residuals, C = 2.5 |sup_h - sup_{h/2}| / (h/2), so with 25% headroom.
+    The refined sup-residual passes the halving check unless it exceeds half
+    the coarse one by more than 3 combined standard errors, so a NaN
+    residual does not fail it (it fails the budget).
     """
     slope = 2.5 * abs(rep.sup_abs - rep_half.sup_abs) / (h / 2)
+    budget = 3.0 * rep.mc_se + slope * h
     combined = 3.0 * (rep_half.sup_se + 0.5 * rep.sup_se)
-    return slope, not rep_half.sup_abs > 0.5 * rep.sup_abs + combined
+    return FpeVerdict(budget=budget, passes=np.abs(rep.residual) <= budget,
+                      halving=not rep_half.sup_abs > 0.5 * rep.sup_abs + combined)

@@ -97,7 +97,6 @@ class LevyMeasure:
     """Base class: annulus mass/moment queries plus restricted sampling."""
 
     dim: int
-    max_radius: float = math.inf
 
     # -- queries ---------------------------------------------------------
 
@@ -181,7 +180,6 @@ class AtomicLevyMeasure(LevyMeasure):
         self.masses = masses
         self.dim = atoms.shape[1] if atoms.size else 1
         self._radii = np.linalg.norm(atoms, axis=1) if atoms.size else np.empty(0)
-        self.max_radius = float(self._radii.max()) if self._radii.size else 0.0
         self._restrictions = {}
         # first moments summed in increasing radius, for first_moment_upper
         order = np.argsort(self._radii, kind="stable")
@@ -372,10 +370,9 @@ class Radial1DMeasure(LevyMeasure):
     dim = 1
 
     def __init__(self, pos: _ExpSide | _PowerSide | None,
-                 neg: _ExpSide | _PowerSide | None, max_radius: float = math.inf):
+                 neg: _ExpSide | _PowerSide | None):
         self.pos = pos
         self.neg = neg
-        self.max_radius = max_radius
 
     def _side_moment(self, k, r_lo, r_hi):
         p = self.pos.moment(k, r_lo, r_hi) if self.pos else 0.0
@@ -503,7 +500,7 @@ def power_law_tails_1d(coef=1.0, exponent=1.5, r_max=1.0, two_sided=True) -> Rad
     """
     pos = _PowerSide(coef, exponent, r_max)
     neg = _PowerSide(coef, exponent, r_max) if two_sided else None
-    return Radial1DMeasure(pos, neg, max_radius=r_max)
+    return Radial1DMeasure(pos, neg)
 
 
 def zero_measure(dim: int = 1) -> AtomicLevyMeasure:

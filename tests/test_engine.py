@@ -975,7 +975,7 @@ class TestStackedFamily:
         want = [BlockMarch(cs, driver, TR, grid, inputs).run() for cs in fam.all_sets()]
         members, limit = L.simulate_coupled_family(
             fam, driver, TR, mu0, self.N, 0.1, 1.0, seed, block_size=block,
-            workers=workers, validate=False)
+            workers=workers)
         for ens, vals in zip([*members.values(), limit], want):
             assert ens.values.tobytes() == vals.tobytes()
 
@@ -1073,4 +1073,4 @@ class TestStackedFamily:
         msg = rf"t=2 \({which}, particle {bad}, seed {seed}, namespace {R.SIGNAL}\)"
         with pytest.raises(SimulationError, match=msg):
             L.simulate_coupled_family(fam, NO_JUMPS, TR, mu0, 9, 1.0, 2.0, seed,
-                                      block_size=3, validate=False)
+                                      block_size=3)

@@ -770,15 +770,15 @@ class TestRobustness:
             sig_members, sig_limit = L.simulate_coupled_family(
                 fam, drv, TR, mu0, 1, h, T, rep_seed, extra_times=setup.prop_times)
 
-            def run(cs, sig, link):
-                rec = setup.record_for(sig.values[0], link)
+            def run(cs, sig):
+                rec = setup.record_for(sig.values[0])
                 return filter_run(model, cs, drv, TR, mu0, rec, n_part, rep_seed,
                                   ess_threshold=ess, checkpoints=checkpoints)
 
-            lim = run(fam.limit, sig_limit, "limit")
+            lim = run(fam.limit, sig_limit)
             resampled += len(lim.resampled_at)
             for j, n in enumerate(keys):
-                mem = run(fam.members[n], sig_members[n], f"member-{n}")
+                mem = run(fam.members[n], sig_members[n])
                 dists[r, j] = float(np.mean([abs(a.estimate(fn) - b.estimate(fn))
                                              for a, b in zip(mem.states, lim.states)
                                              for _, fn in phis]))
@@ -803,7 +803,7 @@ class TestRobustness:
         setup = ObservationSetup(model, T, h, seed)
         _, sig_limit = L.simulate_coupled_family(fam, drv, TR, mu0, 1, h, T, seed,
                                                  extra_times=setup.prop_times)
-        rec = setup.record_for(sig_limit.values[0], "limit")
+        rec = setup.record_for(sig_limit.values[0])
         want = filter_run(model, fam.limit, drv, TR, mu0, rec, n_part, seed)
         assert len(want.states) == 21
         assert _same_states(rep.limit_states, want.states)

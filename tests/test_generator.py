@@ -13,8 +13,8 @@ from levylab import generator as G
 from levylab.generator import (GeneratorContext, GeneratorError,
                                MartingaleIncrements, eval_generator,
                                fpe_weak_residual, generator_apply,
-                               integrability_guards, martingale_residual,
-                               path_sup_norms, richardson_slope, validate_hypotheses)
+                               fpe_verdict, integrability_guards, martingale_residual,
+                               path_sup_norms, validate_hypotheses)
 from levylab.manifests import RunManifest
 from levylab.measures import TruncationConfig
 from levylab.testfunctions import default_dictionary, plateau_bump, windowed_monomial
@@ -246,14 +246,15 @@ class TestMartingaleResidual:
         ens = L.simulate_ensemble(cs, L.zero_measure(1), TruncationConfig(level=1.0),
                                   L.GaussianLaw([0.0], [1.0]), 500, 0.1, 1.0, seed=1)
         rep = martingale_residual(ens, ctx, plateau_bump(r0=1.0, r1=3.0), 0.2, 0.8)
-        assert rep.max_abs == 0.0
+        assert [b["estimate"] for b in rep.bins] == [0.0] * len(rep.bins)
+        assert rep.within
         assert rep.overall[0] == 0.0
 
     def test_ou_within_three_sigma(self):
         ctx, ens = _acceptance_setup()
         for phi in default_dictionary(1)[:3]:
             rep = martingale_residual(ens, ctx, phi, 0.25, 0.5)
-            assert rep.max_sigmas <= 3.0, phi.name
+            assert rep.within, phi.name
 
     def test_corrupted_drift_detected_and_bias_matches_oracle(self):
         ctx, ens = _acceptance_setup()
@@ -263,7 +264,7 @@ class TestMartingaleResidual:
         bad_ctx = GeneratorContext(bad, ctx.driver, ctx.trunc)
         phi = default_dictionary(1)[1]
         rep = martingale_residual(ens, bad_ctx, phi, 0.25, 0.5)
-        assert rep.max_sigmas > 3.0
+        assert not rep.within
         # the unconditional bias is -E int grad phi dr, computable directly
         i_s, i_t = ens.index_at(0.25), ens.index_at(0.5)
         acc = np.zeros(ens.n_particles)
@@ -367,6 +368,15 @@ class TestFpeResidual:
             martingale_residual(ens, ctx, unbounded, 0.25, 0.5)
 
 
+def _assert_verdicts_are_pass_columns(tables, verdicts):
+    """Each table verdict is the conjunction of its table's pass column."""
+    for table, verdict in (("fpe_residuals", "fpe_within_budget"),
+                           ("martingale_residuals", "martingale_within_3se")):
+        header, rows = tables[table]
+        column = header.index("pass")
+        assert verdicts[verdict] == all(row[column] for row in rows), verdict
+
+
 class TestSuperpositionCrosscheck:
     def test_zero_dynamics_pass(self):
         man = RunManifest(
@@ -377,21 +387,50 @@ class TestSuperpositionCrosscheck:
                   "mu0": {"name": "point", "params": {"x0": [0.1]}}})
         tables, verdicts = experiments.run_superposition(man, man.seed, workers=1)
         assert all(verdicts.values())
+        _assert_verdicts_are_pass_columns(tables, verdicts)
         assert all(residual == 0.0 for _, _, residual, *_ in tables["fpe_residuals"][1])
 
-    def test_richardson_slope_and_halving(self):
+    def test_fpe_verdict_budget_and_halving(self):
         from types import SimpleNamespace as Rep
-        coarse = Rep(sup_abs=0.2, sup_se=0.01)
-        slope, ok = richardson_slope(coarse, Rep(sup_abs=0.1, sup_se=0.02), h=0.1)
-        assert slope == 2.5 * abs(0.2 - 0.1) / 0.05 and ok
+
+        def rep(residual, mc_se):
+            residual, mc_se = np.array(residual), np.array(mc_se)
+            j = int(np.argmax(np.abs(residual)))
+            return Rep(residual=residual, mc_se=mc_se, sup_abs=abs(residual[j]),
+                       sup_se=mc_se[j])
+
+        coarse = rep([0.0, 0.2], [0.0, 0.01])
+        v = fpe_verdict(coarse, rep([0.0, 0.1], [0.0, 0.02]), h=0.1)
+        slope = 2.5 * abs(0.2 - 0.1) / 0.05
+        assert v.budget.tolist() == [3.0 * 0.0 + slope * 0.1, 3.0 * 0.01 + slope * 0.1]
+        assert v.within and v.halving
         # the refined residual may exceed half the coarse one by 3 combined s.e.
         edge = 0.5 * 0.2 + 3.0 * (0.02 + 0.5 * 0.01)
-        assert richardson_slope(coarse, Rep(sup_abs=edge, sup_se=0.02), h=0.1)[1]
-        assert not richardson_slope(coarse, Rep(sup_abs=edge + 1e-9, sup_se=0.02),
-                                    h=0.1)[1]
-        # a NaN residual gives a NaN slope and does not fail the halving check
-        slope, ok = richardson_slope(coarse, Rep(sup_abs=math.nan, sup_se=0.02), h=0.1)
-        assert math.isnan(slope) and ok
+        assert fpe_verdict(coarse, rep([0.0, edge], [0.0, 0.02]), h=0.1).halving
+        assert not fpe_verdict(coarse, rep([0.0, edge + 1e-9], [0.0, 0.02]),
+                               h=0.1).halving
+        # a NaN refined residual gives a NaN budget: every time fails the
+        # budget, and the halving check does not fail
+        v = fpe_verdict(coarse, rep([0.0, math.nan], [0.0, 0.02]), h=0.1)
+        assert np.isnan(v.budget).all() and not v.passes.any()
+        assert not v.within and v.halving
+        # a NaN coarse residual fails at its own time
+        v = fpe_verdict(rep([0.0, math.nan], [0.0, 0.01]), rep([0.0, 0.1], [0.0, 0.02]),
+                        h=0.1)
+        assert not v.within
+
+    def test_fpe_verdict_is_per_time(self):
+        # the sup rule passes: the argmax time's 0.5 is within 3 * 1.0.  At
+        # t_2, 0.1 is far outside 3 * 0.001 plus the small C h
+        from types import SimpleNamespace as Rep
+        coarse = Rep(residual=np.array([0.0, 0.5, 0.1]), mc_se=np.array([0.0, 1.0, 0.001]),
+                     sup_abs=0.5, sup_se=1.0)
+        half = Rep(sup_abs=0.4999, sup_se=1.0)
+        v = fpe_verdict(coarse, half, h=0.01)
+        assert v.budget[2] < 0.1
+        assert coarse.sup_abs <= 3.0 * coarse.sup_se + v.budget[0]
+        assert v.passes.tolist() == [True, True, False]
+        assert not v.within and v.halving
 
     def test_corrupted_jump_scale_fails(self):
         cs = ou_coeffs(0.5)
@@ -420,8 +459,9 @@ class TestSuperpositionCrosscheck:
                              "params": {"atoms": [[0.9], [-0.9]], "masses": [0.3, 0.3]}},
                   "truncation": {"level": 0.3},
                   "mu0": {"name": "gaussian", "params": {"mean": [0.0], "std": [0.5]}}})
-        clean = experiments.run_superposition(man, man.seed, workers=1)[1]
+        tables, clean = experiments.run_superposition(man, man.seed, workers=1)
         assert clean["fpe_within_budget"]
+        _assert_verdicts_are_pass_columns(tables, clean)
 
         def corrupted(cs, driver, trunc):
             bad = L.CoefficientSet(b=cs.b, sigma=cs.sigma, d=1, m=1, gamma=1.0,
@@ -429,8 +469,9 @@ class TestSuperpositionCrosscheck:
             return GeneratorContext(bad, driver, trunc)
 
         monkeypatch.setattr(experiments, "GeneratorContext", corrupted)
-        verdicts = experiments.run_superposition(man, man.seed, workers=1)[1]
+        tables, verdicts = experiments.run_superposition(man, man.seed, workers=1)
         assert not verdicts["fpe_within_budget"]
+        _assert_verdicts_are_pass_columns(tables, verdicts)
 
 
 # ---------------------------------------------------------------------------

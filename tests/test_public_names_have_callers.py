@@ -1,4 +1,5 @@
-"""Every public name of the package has a caller in the package or the benchmark.
+"""Every public name of the package has a caller in the package or the
+benchmark, and every field of its classes is read somewhere.
 
 The scan takes the public top-level functions, classes and constants of
 src/levylab/*.py and the public methods of those classes.  A name is called
@@ -9,6 +10,14 @@ its layer targets by name).  A method that overrides one of a base class in
 the same module is reached through that class and is not listed on its own.
 The scan compares identifiers only, so a name that shares its identifier
 with a called name passes.
+
+The field scan takes the fields of every top-level class of
+src/levylab/*.py: the annotated names of its body and the `self.x = ...`
+targets of its methods.  A field is read when it is loaded as an attribute,
+or named by a string of dotted identifiers, anywhere in src/levylab,
+perfbench/ or tests/.  It too compares identifiers only, so it cannot see
+a field whose identifier is read elsewhere: a report's `h` shares it with
+ObservationModel.h, and `guards` is a part of the benchmark's layer names.
 """
 
 import ast
@@ -67,6 +76,15 @@ def _public_names() -> dict:
     return names
 
 
+def _string_names(node) -> list:
+    """The identifiers of a string constant of dotted identifiers."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        parts = node.value.split(".")
+        if all(p.isidentifier() for p in parts):
+            return parts
+    return []
+
+
 def _identifiers_read() -> set:
     files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     files += sorted((ROOT / "perfbench").rglob("*.py"))
@@ -81,10 +99,39 @@ def _identifiers_read() -> set:
                 read.add(node.name.rsplit(".", 1)[-1])
             elif isinstance(node, ast.keyword) and node.arg:
                 read.add(node.arg)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                parts = node.value.split(".")
-                if all(p.isidentifier() for p in parts):
-                    read.update(parts)
+            else:
+                read.update(_string_names(node))
+    return read
+
+
+def _class_fields() -> dict:
+    """Qualified field (module.Class.field) -> identifier."""
+    fields = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.parse(path.read_text()).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            found = [node.target.id for node in cls.body
+                     if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+            found += [node.attr for method in cls.body if isinstance(method, ast.FunctionDef)
+                      for node in ast.walk(method)
+                      if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                      and isinstance(node.value, ast.Name) and node.value.id == "self"]
+            for name in found:
+                fields[f"{path.stem}.{cls.name}.{name}"] = name
+    return fields
+
+
+def _fields_read() -> set:
+    files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
+    files += sorted((ROOT / "tests").rglob("*.py"))
+    read = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            else:
+                read.update(_string_names(node))
     return read
 
 
@@ -96,3 +143,9 @@ def test_public_names_have_callers():
     # a kept name that gained a caller, or no longer exists, leaves the list
     stale = sorted(set(KEPT) - uncalled)
     assert not stale, f"entries of KEPT that are called or gone: {stale}"
+
+
+def test_class_fields_are_read():
+    read = _fields_read()
+    unread = sorted(q for q, ident in _class_fields().items() if ident not in read)
+    assert not unread, f"class fields that nothing reads: {unread}"
