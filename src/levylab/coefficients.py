@@ -182,18 +182,16 @@ class _StackedRows:
 # validators
 # ---------------------------------------------------------------------------
 
-def default_probe_points(d: int, T: float, n_radial: int = 24, seed: int = 7):
-    """Probe (t, x) grid used by the growth validators: radial fan + random fill."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
+def default_probe_points(d: int, T: float):
+    """The probe (t, x) grid of every hypothesis check: the times 0, T/2, T
+    and the origin plus 3 random directions at each radius 0.5 ... 200."""
+    rng = np.random.Generator(np.random.Philox(key=99))
     xs = [np.zeros(d)]
-    for r in (0.1, 1.0, 3.0, 10.0, 30.0, 100.0):
-        for _ in range(max(1, n_radial // 6)):
+    for r in (0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 200.0):
+        for _ in range(3):
             v = rng.standard_normal(d)
-            v /= np.linalg.norm(v)
-            xs.append(r * v)
-    x = np.array(xs)
-    ts = np.array([0.0, 0.5 * T, T])
-    return ts, x
+            xs.append(r * v / np.linalg.norm(v))
+    return np.array([0.0, 0.5 * T, T]), np.array(xs)
 
 
 def linear_growth_report(cs: CoefficientSet, probes=None) -> dict:

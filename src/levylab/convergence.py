@@ -180,7 +180,7 @@ class GronwallResult:
 
 
 def gronwall_check(xi, eta, A, M, p: float, q: float, grid,
-                   tau=None, hypothesis_tol: float = 1e-9) -> GronwallResult:
+                   tau=None) -> GronwallResult:
     """Monte Carlo check of the stochastic Gronwall bound.
 
     Inputs are arrays of shape (paths, len(grid)).  The pathwise hypothesis
@@ -204,7 +204,7 @@ def gronwall_check(xi, eta, A, M, p: float, q: float, grid,
     integ = np.zeros_like(xi)
     integ[:, 1:] = np.cumsum(xi[:, 1:] * np.diff(A, axis=1), axis=1)
     slack = xi - (eta + integ + M)
-    tol = hypothesis_tol * max(1.0, float(np.max(np.abs(xi))))
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(xi))))
     if np.any(slack > tol):
         r, k = np.unravel_index(int(np.argmax(slack)), slack.shape)
         raise ConvergenceError(

@@ -683,18 +683,18 @@ def simulate_ensemble(coeffs: CoefficientSet, driver: LevyMeasure,
 
 def simulate_path(coeffs: CoefficientSet, driver: LevyMeasure,
                   trunc: TruncationConfig, x0, grid_step: float, T: float,
-                  seed: int, particle_index: int = 0,
-                  namespace: int = rngmod.SIGNAL, extra_times=()) -> CadlagPath:
-    """One path, on its own grid with the driver jump times inserted."""
+                  seed: int, particle_index: int = 0, extra_times=()) -> CadlagPath:
+    """One path of the signal namespace, on its own grid with the driver jump
+    times inserted."""
     if coeffs.growth_bound is not None:
         require_linear_growth(coeffs)
     mu0 = x0 if isinstance(x0, InitialLaw) else PointMass(x0)
     jumps = sample_jump_events(driver, _driver_region(driver, trunc), float(T),
-                               rngmod.stream(seed, rngmod.DRIVER, particle_index, namespace))
+                               rngmod.stream(seed, rngmod.DRIVER, particle_index))
     # on the grid with the jumps inserted the particle consumes the same rows
     grid = make_base_grid(T, grid_step, [*extra_times, *jumps.times])
     inputs = _prepare_block(driver, trunc, mu0, grid, coeffs.m, [particle_index],
-                            seed, namespace)
+                            seed, rngmod.SIGNAL)
     values = BlockMarch(coeffs, driver, trunc, grid, inputs).run()
     return CadlagPath(grid, values[0], jumps)
 

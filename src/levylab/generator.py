@@ -22,6 +22,11 @@ The two residual tests:
   which together with the simulation engine is the empirical rendering of
   the equivalence between path laws and weak forward solutions.
 
+The paper's two jump hypotheses, H^s (square-integrable compensated small
+jumps) and H^l (finite big-jump mass), are evaluated per row by
+jump_hypotheses alone: eval_generator, validate_hypotheses and the forward
+residual's integrability_guards all read it.
+
 The superposition kind's two verdict rules live here too: fpe_verdict
 holds each residual to 3 s.e. plus a first-order C h term at its own time,
 with the halving check between the h and h/2 runs, and each bin of a
@@ -47,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import CoefficientSet, linear_growth_report
+from .coefficients import CoefficientSet, default_probe_points, linear_growth_report
 from .engine import PathEnsemble, linear_quantile, sorted_unique
 from .measures import AtomicLevyMeasure, LevyMeasure, TruncationConfig
 from .testfunctions import COMPACT, TestFunction, evaluate
@@ -62,11 +67,6 @@ class GeneratorContext:
     coeffs: CoefficientSet
     driver: LevyMeasure
     trunc: TruncationConfig
-
-
-@dataclass
-class GeneratorValue:
-    value: float
 
 
 # cap on the entries of one (paths, nodes, d) jump-image temporary; a chunk's
@@ -172,30 +172,34 @@ def generator_apply(ctx: GeneratorContext, phis, t, X: np.ndarray, jets=None):
     return vals[0] if single else vals
 
 
-def eval_generator(ctx: GeneratorContext, phi: TestFunction, t: float,
-                   x) -> GeneratorValue:
-    """Generator value at a single point, with integrability guards."""
+def jump_hypotheses(ctx: GeneratorContext, t, X: np.ndarray):
+    """The paper's two jump hypotheses on each row of X, as (f, small, big).
+
+    f is f(t, x); small is the compensated band's second moment
+    f^2 int_{|z| <= l/|f|} |z|^2 nu(dz) (H^s) and big the uncompensated mass
+    nu(|z| > l/|f|) (H^l).  A row with f = 0 has no jump images and gets 0
+    and 0.  Either may be inf; the callers decide what that means."""
+    f = ctx.coeffs.f(t, X)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        radius = ctx.trunc.level / np.abs(f)                     # inf where f = 0
+        # inf * 0 is NaN on a row with f = 0, which the mask replaces
+        small = np.where(f != 0.0, ctx.driver.second_moment_upper(0.0, radius) * f * f, 0.0)
+    return f, small, ctx.driver.mass_lower(radius, math.inf)     # 0 at radius inf
+
+
+def eval_generator(ctx: GeneratorContext, phi: TestFunction, t: float, x) -> float:
+    """Generator value at a single point, once both jump hypotheses hold there."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    _check_integrability_at(ctx, t, x)
-    return GeneratorValue(float(generator_apply(ctx, phi, t, x)[0]))
-
-
-def _check_integrability_at(ctx: GeneratorContext, t, x):
-    fv = ctx.coeffs.f(t, x)
-    level = ctx.trunc.level
-    for f in np.atleast_1d(fv):
-        if f == 0.0:
-            continue
-        r = level / abs(float(f))
-        sm = ctx.driver.second_moment(0.0, r) * f * f
-        if not math.isfinite(sm):
-            raise GeneratorError(
-                "small-jump square integrability fails at this point "
-                "(hypothesis H^s on the compensated band)")
-        if not math.isfinite(ctx.driver.mass(r, math.inf)):
-            raise GeneratorError(
-                "big-jump mass is infinite at this point "
-                "(hypothesis H^l on the uncompensated region)")
+    _, small, big = jump_hypotheses(ctx, t, x)
+    if not np.isfinite(small).all():
+        raise GeneratorError(
+            "small-jump square integrability fails at this point "
+            "(hypothesis H^s on the compensated band)")
+    if not np.isfinite(big).all():
+        raise GeneratorError(
+            "big-jump mass is infinite at this point "
+            "(hypothesis H^l on the uncompensated region)")
+    return float(generator_apply(ctx, phi, t, x)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -215,57 +219,36 @@ class HypothesisReport:
                 and self.large_jump["witness"] is None)
 
 
-def default_probe_grid(d: int, T: float):
-    rng = np.random.Generator(np.random.Philox(key=99))
-    radii = np.array([0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 200.0])
-    xs = []
-    for r in radii:
-        if r == 0.0:
-            xs.append(np.zeros(d))
-            continue
-        for _ in range(3):
-            v = rng.standard_normal(d)
-            xs.append(r * v / np.linalg.norm(v))
-    return np.array([0.0, 0.5 * T, T]), np.array(xs)
-
-
-def validate_hypotheses(ctx: GeneratorContext, probe_grid=None,
-                        T: float = 1.0) -> HypothesisReport:
-    """Fit the smallest hypothesis constants on a probe grid, or find witnesses.
+def validate_hypotheses(ctx: GeneratorContext, T: float = 1.0) -> HypothesisReport:
+    """Fit the smallest hypothesis constants on the probe grid, or find witnesses.
 
     Fits C1 for the linear growth of (b, sigma), C2 for the normalized
     second moment of compensated jump images, C3 for the log-moment of the
-    uncompensated images.  A witness is a probe point where a required
-    integral is not finite; constants are reported even when large.
+    uncompensated images, on default_probe_points(d, T), the grid that a
+    simulation's growth check reads.  A witness is the first probe (t, x), in
+    time then point order, where a required integral is not finite; a point
+    that fails H^s is not tested for H^l.  Constants are reported even when
+    large.
     """
-    if probe_grid is None:
-        probe_grid = default_probe_grid(ctx.coeffs.d, T)
-    ts, xs = probe_grid
-    lg = linear_growth_report(ctx.coeffs, (ts, xs))
-
-    level = ctx.trunc.level
+    ts, xs = probes = default_probe_points(ctx.coeffs.d, T)
+    lg = linear_growth_report(ctx.coeffs, probes)
+    norms = np.linalg.norm(xs, axis=1)
     c2, c3 = 0.0, 0.0
     w2 = w3 = None
     for t in ts:
-        fv = ctx.coeffs.f(float(t), xs)
-        norms = np.linalg.norm(xs, axis=1)
-        for i, f in enumerate(fv):
-            if f == 0.0:
-                continue
-            r = level / abs(float(f))
-            sm = ctx.driver.second_moment(0.0, r) * f * f
-            if not math.isfinite(sm):
-                w2 = w2 or (float(t), xs[i].copy())
-                continue
-            c2 = max(c2, sm / (1.0 + norms[i] ** 2))
-            big_mass = ctx.driver.mass(r, math.inf)
-            if not math.isfinite(big_mass):
-                w3 = w3 or (float(t), xs[i].copy())
-                continue
-            scale = abs(float(f)) / (1.0 + norms[i])
-            lm = ctx.driver.radial_integral(
-                lambda rr: np.log1p(scale * rr), r, math.inf)
-            c3 = max(c3, lm)
+        f, small, big = jump_hypotheses(ctx, float(t), xs)
+        ok2 = np.isfinite(small)
+        bad3 = ok2 & ~np.isfinite(big)
+        if w2 is None and not ok2.all():
+            w2 = (float(t), xs[np.argmin(ok2)].copy())
+        if w3 is None and bad3.any():
+            w3 = (float(t), xs[np.argmax(bad3)].copy())
+        if ok2.any():
+            c2 = max(c2, float(np.max(small[ok2] / (1.0 + norms[ok2] ** 2))))
+        for i in np.flatnonzero(ok2 & ~bad3 & (f != 0.0)):
+            r, scale = ctx.trunc.level / abs(f[i]), abs(f[i]) / (1.0 + norms[i])
+            c3 = max(c3, ctx.driver.radial_integral(lambda rr: np.log1p(scale * rr),
+                                                    float(r), math.inf))
     return HypothesisReport(
         linear_growth=lg,
         small_jump={"constant": c2, "witness": w2},
@@ -439,37 +422,30 @@ def path_sup_norms(vals: np.ndarray) -> np.ndarray:
     return sup
 
 
-def integrability_guards(ensemble: PathEnsemble, ctx: GeneratorContext,
-                         radius: float | None = None) -> None:
+def integrability_guards(ensemble: PathEnsemble, ctx: GeneratorContext) -> None:
     """Empirical finiteness checks of the two integrability conditions that
-    make the weak forward identity well-posed; divergent estimates abort."""
+    make the weak forward identity well-posed; divergent estimates abort.
+    Inside the ball of the 95% quantile of the path sup-norms a path adds
+    |b| + |a| + H^s to the first and H^l to the second; every path adds to
+    the second the mass of the jumps that reach the ball."""
     times, vals = ensemble.times, ensemble.values
-    n = vals.shape[0]
     level = ctx.trunc.level
-    if radius is None:
-        radius = linear_quantile(path_sup_norms(vals), 0.95)
+    radius = linear_quantile(path_sup_norms(vals), 0.95)
     g1 = 0.0
     g2 = 0.0
     for i in range(times.size - 1):
         dt = times[i + 1] - times[i]
-        x = vals[:, i, :]
+        t, x = float(times[i]), vals[:, i, :]
         norms = np.linalg.norm(x, axis=1)
         inside = norms <= radius
-        bnorm = np.linalg.norm(ctx.coeffs.b(float(times[i]), x), axis=1)
-        anorm = np.linalg.norm(ctx.coeffs.a(float(times[i]), x), axis=(1, 2))
-        fv = ctx.coeffs.f(float(times[i]), x)
-        sm = np.zeros(n)
-        bigmass_l = np.zeros(n)
-        bigmass_far = np.zeros(n)
-        nz = fv != 0.0
-        if nz.any():
-            r_comp = level / np.abs(fv[nz])
-            sm[nz] = ctx.driver.second_moment_upper(0.0, r_comp) * fv[nz] ** 2
-            bigmass_l[nz] = ctx.driver.mass_lower(r_comp, math.inf)
-            far = np.maximum(level, norms[nz] - radius) / np.abs(fv[nz])
-            bigmass_far[nz] = ctx.driver.mass_lower(far, math.inf)
-        g1 += dt * float(np.mean(np.where(inside, bnorm + anorm + sm, 0.0)))
-        g2 += dt * float(np.mean(bigmass_far + np.where(inside, bigmass_l, 0.0)))
+        bnorm = np.linalg.norm(ctx.coeffs.b(t, x), axis=1)
+        anorm = np.linalg.norm(ctx.coeffs.a(t, x), axis=(1, 2))
+        f, small, big = jump_hypotheses(ctx, t, x)
+        with np.errstate(divide="ignore"):
+            far = np.maximum(level, norms - radius) / np.abs(f)   # inf where f = 0
+        g1 += dt * float(np.mean(np.where(inside, bnorm + anorm + small, 0.0)))
+        g2 += dt * float(np.mean(ctx.driver.mass_lower(far, math.inf)
+                                 + np.where(inside, big, 0.0)))
     if not math.isfinite(g1):
         raise GeneratorError(
             "integrability guard failed: local coefficient/compensated-jump "

@@ -155,8 +155,7 @@ def _build_from_slopes(knots, slopes):
     return PsiFunction(b[keep], v[keep])
 
 
-def construct_psi(samples, weights=None, budget_factor: float = 10.0,
-                  max_knots: int = 40) -> PsiFunction:
+def construct_psi(samples, weights=None, budget_factor: float = 10.0) -> PsiFunction:
     """Profile adapted to an initial law given by samples or weighted atoms.
 
     With r = log(1 + |x|^2): if the weighted mean of r is within the budget
@@ -180,9 +179,9 @@ def construct_psi(samples, weights=None, budget_factor: float = 10.0,
     budget = budget_factor * (1.0 + med)
     if float(w @ r) <= budget:
         return identity_psi()
-    # knots at quantile levels 1 - 2^-m
+    # knots at quantile levels 1 - 2^-m, m = 1 ... 40
     knots = []
-    for m2 in range(1, max_knots + 1):
+    for m2 in range(1, 41):
         k = float(_weighted_quantile(r, w, 1.0 - 0.5 ** m2))
         if not knots or k > knots[-1] + 2 * MIN_BLEND:
             knots.append(k)

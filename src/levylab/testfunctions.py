@@ -63,10 +63,11 @@ class TestFunction:
     def __call__(self, x):
         return self.phi(np.atleast_2d(x))
 
-    def validate_derivatives(self, probes: np.ndarray, rel_tol: float = 1e-5,
-                             fd_step: float = 1e-6):
-        """Cross-check grad/hess against central finite differences of phi,
-        and the jet's phi against phi bit for bit."""
+    def validate_derivatives(self, probes: np.ndarray):
+        """Cross-check grad/hess against central finite differences of phi
+        (step 1e-6, relative tolerance 1e-5), and the jet's phi against phi
+        bit for bit."""
+        rel_tol, fd_step = 1e-5, 1e-6
         probes = np.atleast_2d(probes)
         n, d = probes.shape
         if not np.array_equal(self.jet(probes)[0], self.phi(probes)):
@@ -298,12 +299,10 @@ def _windowed_function(name, shape, support_radius) -> TestFunction:
     return fn
 
 
-def plateau_bump(center=0.0, r0=1.0, r1=2.0, height=1.0, dim=None,
-                 name=None) -> TestFunction:
-    """Compactly supported C^2 bump: equal to `height` on |x-c| <= r0."""
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    d = dim or center.shape[0]
-    center = np.broadcast_to(center, (d,)).copy()
+def plateau_bump(center=0.0, r0=1.0, r1=2.0, height=1.0, name=None) -> TestFunction:
+    """Compactly supported C^2 bump: equal to `height` on |x-c| <= r0; the
+    dimension is the center's."""
+    center = np.atleast_1d(np.asarray(center, dtype=float)).copy()
     if not 0 < r0 < r1:
         raise TestFunctionError("need 0 < r0 < r1")
     return _windowed_function(name or f"bump(c={center.tolist()},r0={r0},r1={r1})",

@@ -101,7 +101,7 @@ def test_criterion_01_generator_exactness():
                                height=rng.uniform(0.5, 2.0))
         x = rng.uniform(-1.2, 1.2, size=d)
         t = rng.uniform(0.0, 1.0)
-        got = eval_generator(ctx, phi, t, x).value
+        got = eval_generator(ctx, phi, t, x)
         want = brute_force_generator(
             b_val=cs.b(t, x[None, :])[0], a_val=cs.a(t, x[None, :])[0],
             f_val=float(cs.f(t, x[None, :])[0]),

@@ -223,6 +223,27 @@ class TestGronwall:
             res = gronwall_check(xi, eta, A, M, p, q, grid)
             assert res.lhs <= res.rhs + 3.0 * (res.lhs_se + res.rhs_se), batch
 
+    def test_stopping_time_tau(self):
+        # the lemma at a stopping time: tau at the grid's end is the default,
+        # and a shared tau = grid[k] is the check of the paths cut at column k
+        rng = np.random.default_rng(29)
+        grid = np.linspace(0, 1, 51)
+        R = 64
+        xi = np.abs(rng.normal(1.0, 0.5, size=(R, 51))).cumsum(axis=1) * 0.05
+        A = np.cumsum(np.minimum(0.04 * np.abs(rng.normal(size=(R, 51))), 1.0), axis=1)
+        A -= A[:, :1]
+        M = np.cumsum(rng.choice([-1.0, 1.0], size=(R, 51)) * 0.2, axis=1)
+        M -= M[:, :1]
+        integ = np.zeros_like(xi)
+        integ[:, 1:] = np.cumsum(xi[:, 1:] * np.diff(A, axis=1), axis=1)
+        eta = np.maximum(xi - integ - M, 0.0)
+        full = gronwall_check(xi, eta, A, M, 0.8, 0.3, grid)
+        assert gronwall_check(xi, eta, A, M, 0.8, 0.3, grid, tau=grid[-1]) == full
+        for k in (0, 17, 50):
+            cut = [z[:, :k + 1] for z in (xi, eta, A, M)]
+            want = gronwall_check(*cut, 0.8, 0.3, grid[:k + 1])
+            assert gronwall_check(xi, eta, A, M, 0.8, 0.3, grid, tau=grid[k]) == want, k
+
     def test_bad_exponents_rejected(self):
         grid = np.linspace(0, 1, 5)
         z = np.zeros((1, 5))

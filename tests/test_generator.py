@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 import levylab as L
 from levylab import experiments
 from levylab import generator as G
+from levylab.coefficients import default_probe_points
 from levylab.generator import (GeneratorContext, GeneratorError,
                                MartingaleIncrements, eval_generator,
                                fpe_weak_residual, generator_apply,
@@ -59,21 +60,21 @@ class TestEvalGenerator:
             "const", phi=lambda y: np.full(len(y), 4.0), grad=np.zeros_like,
             hess=lambda y: np.zeros((len(y), 1, 1)), dim=1, support_class="compact")
         for x in (-3.0, 0.0, 1.7):
-            assert eval_generator(ctx, const, 0.3, [x]).value == 0.0
+            assert eval_generator(ctx, const, 0.3, [x]) == 0.0
 
     def test_pure_drift(self):
         cs = L.coefficients_from_config({"name": "constant_drift", "d": 1, "m": 1,
                                          "params": {"c": 2.0}})
         ctx = GeneratorContext(cs, L.zero_measure(1), TruncationConfig(level=1.0))
         phi = windowed_monomial([1], r0=3.0, r1=6.0)
-        assert eval_generator(ctx, phi, 0.0, [0.5]).value == 2.0
+        assert eval_generator(ctx, phi, 0.0, [0.5]) == 2.0
 
     def test_pure_diffusion(self):
         cs = L.coefficients_from_config({"name": "ou", "d": 1, "m": 1,
                                          "params": {"theta": 0.0, "sigma": math.sqrt(2.0)}})
         ctx = GeneratorContext(cs, L.zero_measure(1), TruncationConfig(level=1.0))
         phi = windowed_monomial([2], r0=3.0, r1=6.0)
-        assert eval_generator(ctx, phi, 0.0, [0.7]).value == pytest.approx(2.0, abs=1e-14)
+        assert eval_generator(ctx, phi, 0.0, [0.7]) == pytest.approx(2.0, abs=1e-14)
 
     def test_uncompensated_atom(self):
         # single atom at z=2 with mass 3 and level 1: no compensation, value 12
@@ -81,7 +82,7 @@ class TestEvalGenerator:
                                L.AtomicLevyMeasure([[2.0]], [3.0]),
                                TruncationConfig(level=1.0))
         phi = windowed_monomial([2], r0=3.0, r1=6.0)
-        assert eval_generator(ctx, phi, 0.0, [0.0]).value == 12.0
+        assert eval_generator(ctx, phi, 0.0, [0.0]) == 12.0
 
     def test_matches_brute_force_random(self):
         rng = np.random.default_rng(51)
@@ -97,7 +98,7 @@ class TestEvalGenerator:
             ctx = GeneratorContext(cs, drv, TruncationConfig(level=level))
             x = rng.uniform(-1.0, 1.0, size=1)
             t = rng.uniform(0.0, 1.0)
-            got = eval_generator(ctx, phi, t, x).value
+            got = eval_generator(ctx, phi, t, x)
             want = brute_force_generator(
                 b_val=cs.b(t, x[None, :])[0], a_val=cs.a(t, x[None, :])[0],
                 f_val=float(cs.f(t, x[None, :])[0]),
@@ -138,7 +139,7 @@ class TestEvalGenerator:
                                L.AtomicLevyMeasure([[0.2], [3.0]], [1.0, 0.5]),
                                TruncationConfig(level=0.5))
         phi = windowed_monomial([1], r0=4.0, r1=8.0)
-        got = eval_generator(ctx, phi, 0.0, [0.0]).value
+        got = eval_generator(ctx, phi, 0.0, [0.0])
         assert got == pytest.approx(0.5 * (3.0 - 0.0), abs=1e-14)
 
     @pytest.mark.parametrize("gamma", [0.5, 1.5])
@@ -227,6 +228,83 @@ class TestValidateHypotheses:
         rep = validate_hypotheses(ctx)
         assert rep.small_jump["witness"] is not None
         assert not rep.ok
+
+
+HYPOTHESIS_DRIVERS = {
+    "atomic": L.AtomicLevyMeasure([[0.8], [-1.7], [0.2]], [0.4, 0.2, 1.1]),
+    "exponential": L.exponential_tails_1d(),
+    "power-1.5": L.power_law_tails_1d(exponent=1.5),
+    "power-3.5": L.power_law_tails_1d(exponent=3.5),
+}
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def _scalar_hypotheses(ctx, f):
+    """H^s and H^l of one row from the measure's scalar queries."""
+    if f == 0.0:
+        return 0.0, 0.0
+    r = ctx.trunc.level / abs(float(f))
+    return ctx.driver.second_moment(0.0, r) * f * f, ctx.driver.mass(r, math.inf)
+
+
+def _scalar_validation(ctx, T):
+    """validate_hypotheses' C2, C3 and witnesses, point by point."""
+    ts, xs = default_probe_points(ctx.coeffs.d, T)
+    norms = np.linalg.norm(xs, axis=1)
+    c2 = c3 = 0.0
+    w2 = w3 = None
+    for t in ts:
+        for i, f in enumerate(ctx.coeffs.f(float(t), xs)):
+            if f == 0.0:
+                continue
+            r = ctx.trunc.level / abs(float(f))
+            sm = ctx.driver.second_moment(0.0, r) * f * f
+            if not math.isfinite(sm):
+                w2 = w2 or (float(t), xs[i].copy())
+                continue
+            c2 = max(c2, sm / (1.0 + norms[i] ** 2))
+            if not math.isfinite(ctx.driver.mass(r, math.inf)):
+                w3 = w3 or (float(t), xs[i].copy())
+                continue
+            scale = abs(float(f)) / (1.0 + norms[i])
+            c3 = max(c3, ctx.driver.radial_integral(lambda rr: np.log1p(scale * rr),
+                                                    r, math.inf))
+    return c2, c3, w2, w3
+
+
+class TestJumpHypotheses:
+    @pytest.mark.parametrize("name", HYPOTHESIS_DRIVERS)
+    def test_rows_equal_the_scalar_rule_bitwise(self, name):
+        # f = 0.7 x takes zero, negative, tiny and huge values on these rows
+        X = np.array([[0.0], [1.0], [-2.5], [1e-300], [-0.3], [40.0], [-0.0], [7e5]])
+        cs = L.CoefficientSet(b=lambda t, x: x, sigma=lambda t, x: np.zeros((len(x), 1, 1)),
+                              d=1, m=1, gamma=0.7, g=lambda t, x: x[:, 0])
+        ctx = GeneratorContext(cs, HYPOTHESIS_DRIVERS[name], TruncationConfig(level=0.5))
+        f, small, big = G.jump_hypotheses(ctx, 0.2, X)
+        assert _bits(f) == _bits(cs.f(0.2, X))
+        want = [_scalar_hypotheses(ctx, fi) for fi in f]
+        assert _bits(small) == _bits([w[0] for w in want])
+        assert _bits(big) == _bits([w[1] for w in want])
+        assert np.isinf(small).any() == (name == "power-3.5")
+
+    @pytest.mark.parametrize("g", ["one", "cosine", "linear_growth"])
+    @pytest.mark.parametrize("name", HYPOTHESIS_DRIVERS)
+    def test_validation_equals_the_scalar_loop(self, name, g):
+        cs = L.coefficients_from_config({"name": "ou", "d": 1, "m": 1, "gamma": 0.4,
+                                         "g": {"name": g}})
+        ctx = GeneratorContext(cs, HYPOTHESIS_DRIVERS[name], TruncationConfig(level=0.5))
+        rep = validate_hypotheses(ctx, T=0.7)
+        c2, c3, w2, w3 = _scalar_validation(ctx, 0.7)
+        assert (_bits(rep.small_jump["constant"]), _bits(rep.large_jump["constant"])) \
+            == (_bits(c2), _bits(c3))
+        for got, want in ((rep.small_jump["witness"], w2), (rep.large_jump["witness"], w3)):
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got[0] == want[0] and _bits(got[1]) == _bits(want[1])
+        assert (w2 is not None) == (name == "power-3.5")
 
 
 def _acceptance_setup(n=20_000, h=0.01, seed=11):

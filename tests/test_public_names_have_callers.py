@@ -18,6 +18,14 @@ or named by a string of dotted identifiers, anywhere in src/levylab,
 perfbench/ or tests/.  It too compares identifiers only, so it cannot see
 a field whose identifier is read elsewhere: a report's `h` shares it with
 ObservationModel.h, and `guards` is a part of the benchmark's layer names.
+
+The parameter scan takes every optional parameter (one with a default) of a
+public top-level function, of a public method of a public class, and of a
+public class's own __init__ (a dataclass's generated constructor is left
+to the field scan).  A parameter is set when some call in src/levylab, perfbench/ or
+tests/ of a function, method or class of the same identifier passes it: by
+keyword, by position, or through a *args or **kwargs that may hold it.  An
+option that no call sets is a constant in disguise.
 """
 
 import ast
@@ -122,11 +130,15 @@ def _class_fields() -> dict:
     return fields
 
 
+def _all_files() -> list:
+    """src/levylab, perfbench/ and tests/."""
+    return (sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
+            + sorted((ROOT / "tests").rglob("*.py")))
+
+
 def _fields_read() -> set:
-    files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
-    files += sorted((ROOT / "tests").rglob("*.py"))
     read = set()
-    for path in files:
+    for path in _all_files():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
@@ -149,3 +161,62 @@ def test_class_fields_are_read():
     read = _fields_read()
     unread = sorted(q for q, ident in _class_fields().items() if ident not in read)
     assert not unread, f"class fields that nothing reads: {unread}"
+
+
+def _optional_parameters() -> dict:
+    """Qualified parameter (module.function.param) -> (callee identifier,
+    position, or None for a keyword-only parameter, and name)."""
+    params = {}
+
+    def add(qual, ident, args: ast.arguments, skip: int):
+        positional = (args.posonlyargs + args.args)[skip:]
+        first = len(positional) - len(args.defaults)
+        for i, arg in enumerate(positional[first:], first):
+            params[f"{qual}.{arg.arg}"] = (ident, i, arg.arg)
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                params[f"{qual}.{arg.arg}"] = (ident, None, arg.arg)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            qual = f"{path.stem}.{node.name}"
+            if isinstance(node, ast.FunctionDef):
+                add(qual, node.name, node.args, 0)
+                continue
+            for method in node.body:
+                if not isinstance(method, ast.FunctionDef):
+                    continue
+                static = any(ast.unparse(d) == "staticmethod" for d in method.decorator_list)
+                if method.name == "__init__":
+                    add(qual, node.name, method.args, 1)
+                elif not method.name.startswith("_"):
+                    add(f"{qual}.{method.name}", method.name, method.args, 0 if static else 1)
+    return params
+
+
+def _calls() -> dict:
+    """Callee identifier -> (positional count, has *args, keyword names,
+    has **kwargs) of each call in src/levylab, perfbench/ and tests/."""
+    calls = {}
+    for path in _all_files():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                ident = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(ident, []).append((
+                    len(node.args), any(isinstance(a, ast.Starred) for a in node.args),
+                    {kw.arg for kw in node.keywords}, any(kw.arg is None for kw in node.keywords)))
+    return calls
+
+
+def test_optional_parameters_are_set():
+    calls = _calls()
+
+    def is_set(ident, pos, name):
+        return any(name in keywords or double_star
+                   or pos is not None and (pos < n_pos or star)
+                   for n_pos, star, keywords, double_star in calls.get(ident, []))
+
+    unset = sorted(q for q, spec in _optional_parameters().items() if not is_set(*spec))
+    assert not unset, f"optional parameters that no call sets: {unset}"
