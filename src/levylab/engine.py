@@ -74,14 +74,9 @@ class SimulationError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 class InitialLaw:
-    """Initial distribution: one draw per particle from its own stream.
-
-    density_sup is an optional declared bound on the Lebesgue density; the
-    engine cannot verify it and experiments record it as an assumption.
-    """
+    """Initial distribution: one draw per particle from its own stream."""
 
     dim: int
-    density_sup: float | None = None
 
     def sample_one(self, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
@@ -99,20 +94,16 @@ class PointMass(InitialLaw):
     def __init__(self, x0):
         self.x0 = np.atleast_1d(np.asarray(x0, dtype=float))
         self.dim = self.x0.shape[0]
-        self.density_sup = None
 
     def sample_one(self, rng):
         return self.x0
 
 
 class GaussianLaw(InitialLaw):
-    def __init__(self, mean, std, density_sup=None):
+    def __init__(self, mean, std):
         self.mean = np.atleast_1d(np.asarray(mean, dtype=float))
         self.std = np.broadcast_to(np.asarray(std, dtype=float), self.mean.shape)
         self.dim = self.mean.shape[0]
-        if density_sup is None:
-            density_sup = float(np.prod(1.0 / (math.sqrt(2 * math.pi) * self.std)))
-        self.density_sup = density_sup
 
     def sample_one(self, rng):
         return self.mean + self.std * rng.standard_normal(self.dim)
@@ -152,11 +143,11 @@ class AtomicLaw(InitialLaw):
 
 INITIAL_LAW_REGISTRY = {
     "point": lambda p: PointMass(p["x0"]),
-    "gaussian": lambda p: GaussianLaw(p["mean"], p["std"], p.get("density_sup")),
+    "gaussian": lambda p: GaussianLaw(p["mean"], p["std"]),
     "uniform_ball": lambda p: UniformBallLaw(p["center"], p["radius"]),
     "atomic": lambda p: AtomicLaw(p["points"], p["weights"]),
 }
-INITIAL_LAW_PARAMS = {"point": ("x0",), "gaussian": ("mean", "std", "density_sup"),
+INITIAL_LAW_PARAMS = {"point": ("x0",), "gaussian": ("mean", "std"),
                       "uniform_ball": ("center", "radius"), "atomic": ("points", "weights")}
 
 
@@ -478,7 +469,7 @@ class BlockMarch:
         self._needs_comp = driver.mass(trunc.sampling_floor, math.inf) > 0.0
         # the band moment as one row when it is the same at every radius
         # (a symmetric atomic driver): it is then never looked up per step
-        self._moment = driver.constant_first_moment_upper(trunc.sampling_floor)
+        self._moment = driver.constant_first_moment(trunc.sampling_floor)
 
     # -- pieces ----------------------------------------------------------
 
@@ -486,8 +477,8 @@ class BlockMarch:
         """int_{floor<|z|<=l/|f|} z nu(dz) for each nonzero f in fv."""
         if self._moment is not None:
             return self._moment
-        return self.driver.first_moment_upper(self.trunc.sampling_floor,
-                                              self.trunc.level / np.abs(fv))
+        return self.driver.first_moment(self.trunc.sampling_floor,
+                                        self.trunc.level / np.abs(fv))
 
     def _compensator(self, cs, t, xs):
         """Drift of the compensated jump band: -f * int_{floor<|z|<=l/|f|} z nu(dz)."""

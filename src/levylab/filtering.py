@@ -394,35 +394,35 @@ def _cell_loglik(model: ObservationModel, x: np.ndarray, conts: np.ndarray,
             + (model.band_integral(x) * dt).reshape(drift.shape))
 
 
-def loglik_cell_increments(values: np.ndarray, record: ObservationRecord,
-                           model: ObservationModel) -> np.ndarray:
-    """Per-cell increments of log S_t for every particle, shape (n, M).
-
-    values must be aligned with record.grid (particle paths recorded at its
-    points).  Band events at a grid point t contribute log lambda(X_t-, u)
-    to the cell ending at t.
-    """
-    grid = record.grid
-    n, M1, d = values.shape
-    if M1 != grid.size:
-        raise FilterError("particle values are not aligned with the record grid")
-    events = _band_events_by_index(record)
-    dts = np.diff(grid)
-    out = np.zeros((n, dts.size))
-    for i in range(dts.size):
-        out[:, i] = _cell_loglik(model, values[:, i, :], record.cont_increments[i, None],
-                                 dts[i])[0]
-    for j, marks in events.items():
-        out[:, j - 1] = _add_in_order(out[:, j - 1],
-                                      np.log(model._lambda(values[:, j, :], marks)))
-    return out
+def _log_s_cell(lw: np.ndarray, model: ObservationModel, x: np.ndarray,
+                conts: np.ndarray, dt: float, advance, marks: list):
+    """One cell of log S, added to the (S, n) log-weights lw in place: first
+    _cell_loglik at the states x at the cell's left end; then advance()
+    returns the states at the cell's end, and each band event there adds
+    log lambda(X_t-, u) in record order.  marks[s] are the marks (q, k) of
+    row s's band events at the cell's end, or None."""
+    lw += _cell_loglik(model, x, conts, dt)
+    x = advance()
+    n = lw.shape[1]
+    for s, m in enumerate(marks):
+        if m is not None:
+            lw[s] = _add_in_order(lw[s], np.log(model._lambda(x[s * n:(s + 1) * n], m)))
 
 
 def log_likelihood(path_values: np.ndarray, record: ObservationRecord,
                    model: ObservationModel) -> float:
-    """log S_T for one particle path aligned with the record grid."""
-    inc = loglik_cell_increments(path_values[None, :, :], record, model)
-    return float(inc.sum())
+    """log S_T for one particle path aligned with the record grid (its
+    states at the grid points), accumulated cell by cell as a filter's
+    log-weights are."""
+    grid = record.grid
+    if path_values.shape[0] != grid.size:
+        raise FilterError("particle values are not aligned with the record grid")
+    events = _band_events_by_index(record)
+    lw = np.zeros((1, 1))
+    for i, dt in enumerate(np.diff(grid)):
+        _log_s_cell(lw, model, path_values[i:i + 1], record.cont_increments[i, None], dt,
+                    lambda i=i: path_values[i + 1:i + 2], [events.get(i + 1)])
+    return float(lw[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -576,14 +576,16 @@ def _march_filter(model: ObservationModel, coeffs, driver: LevyMeasure,
     if ck < checkpoints.size and abs(grid[0] - checkpoints[ck]) < 1e-12:
         snapshot(grid[0])
         ck += 1
-    for i in range(dts.size):
-        lw += _cell_loglik(model, march.x, conts[i], dts[i])
+
+    def advance(i):
         march.advance_cell(i)
+        return march.x
+
+    for i in range(dts.size):
+        _log_s_cell(lw, model, march.x, conts[i], dts[i], lambda i=i: advance(i),
+                    [ev.get(i + 1) for ev in events])
         for s, res in enumerate(results):
             rows, lws = slice(s * n, (s + 1) * n), lw[s]
-            if i + 1 in events[s]:
-                lws[:] = _add_in_order(lws, np.log(model._lambda(march.x[rows],
-                                                                 events[s][i + 1])))
             if not np.any(np.isfinite(lws)):
                 raise FilterError(f"filter collapsed: all weights -inf at "
                                   f"t={grid[i + 1]:.6g} {where[s]}")

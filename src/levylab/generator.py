@@ -84,7 +84,7 @@ def _jump_terms(ctx: GeneratorContext, phis: list, jets: list, t, X: np.ndarray)
     in a smaller batch, so it is never chunked.  Any other driver is
     integrated by its quadrature rule (nodes z_j, weights w_j) over the whole
     line, per row sum_j w_j (phi(x + f z_j) - phi(x)) - f grad phi(x) .
-    first_moment_upper(0, l / |f|): the compensator is analytic, so the rule
+    first_moment(0, l / |f|): the compensator is analytic, so the rule
     needs no break where the small-jump indicator jumps.  The rule's images
     are taken in chunks of paths, laid out (paths, nodes) with the nodes
     innermost; each row is reduced on its own, so chunking changes no bit."""
@@ -116,7 +116,7 @@ def _jump_terms(ctx: GeneratorContext, phis: list, jets: list, t, X: np.ndarray)
             out[rows] = integrand.sum(axis=1)
     with np.errstate(divide="ignore"):
         radius = ctx.trunc.level / np.abs(fv)                    # inf where f = 0
-    compensator = fv[:, None] * ctx.driver.first_moment_upper(0.0, radius)   # (n, d)
+    compensator = fv[:, None] * ctx.driver.first_moment(0.0, radius)   # (n, d)
     for out, (_, grad, _) in zip(vals, jets):
         out -= np.einsum("nd,nd->n", compensator, grad)
     return vals
@@ -183,8 +183,8 @@ def jump_hypotheses(ctx: GeneratorContext, t, X: np.ndarray):
     with np.errstate(divide="ignore", invalid="ignore"):
         radius = ctx.trunc.level / np.abs(f)                     # inf where f = 0
         # inf * 0 is NaN on a row with f = 0, which the mask replaces
-        small = np.where(f != 0.0, ctx.driver.second_moment_upper(0.0, radius) * f * f, 0.0)
-    return f, small, ctx.driver.mass_lower(radius, math.inf)     # 0 at radius inf
+        small = np.where(f != 0.0, ctx.driver.second_moment(0.0, radius) * f * f, 0.0)
+    return f, small, ctx.driver.mass(radius, math.inf)     # 0 at radius inf
 
 
 def eval_generator(ctx: GeneratorContext, phi: TestFunction, t: float, x) -> float:
@@ -262,7 +262,6 @@ def validate_hypotheses(ctx: GeneratorContext, T: float = 1.0) -> HypothesisRepo
 
 @dataclass
 class MartingaleReport:
-    s: float
     t: float
     phi_name: str
     bins: list           # per-bin dicts: bin, count, estimate, se, scored, pass
@@ -394,7 +393,7 @@ def martingale_residual(ensemble: PathEnsemble, ctx: GeneratorContext,
             sig = 0.0 if est == 0.0 else abs(est) / se if se > 0 else math.inf
             max_sig = max(max_sig, sig)
     overall = (float(inc.mean()), float(inc.std(ddof=1) / math.sqrt(inc.size)))
-    return MartingaleReport(s=s, t=t, phi_name=phi.name, bins=bins,
+    return MartingaleReport(t=t, phi_name=phi.name, bins=bins,
                             max_sigmas=max_sig, overall=overall)
 
 
@@ -444,7 +443,7 @@ def integrability_guards(ensemble: PathEnsemble, ctx: GeneratorContext) -> None:
         with np.errstate(divide="ignore"):
             far = np.maximum(level, norms - radius) / np.abs(f)   # inf where f = 0
         g1 += dt * float(np.mean(np.where(inside, bnorm + anorm + small, 0.0)))
-        g2 += dt * float(np.mean(ctx.driver.mass_lower(far, math.inf)
+        g2 += dt * float(np.mean(ctx.driver.mass(far, math.inf)
                                  + np.where(inside, big, 0.0)))
     if not math.isfinite(g1):
         raise GeneratorError(

@@ -99,15 +99,19 @@ class LevyMeasure:
     dim: int
 
     # -- queries ---------------------------------------------------------
+    # mass, first_moment and second_moment broadcast over arrays of radii,
+    # for either bound or both; two scalar radii give a float, and
+    # first_moment's vector integral has shape (..., dim)
 
-    def mass(self, r_lo: float = 0.0, r_hi: float = math.inf) -> float:
+    def mass(self, r_lo=0.0, r_hi=math.inf):
+        """Mass of the annulus (may be inf)."""
         raise NotImplementedError
 
-    def first_moment(self, r_lo: float, r_hi: float) -> np.ndarray:
+    def first_moment(self, r_lo, r_hi) -> np.ndarray:
         """Vector integral of z over the annulus."""
         raise NotImplementedError
 
-    def second_moment(self, r_lo: float, r_hi: float) -> float:
+    def second_moment(self, r_lo, r_hi):
         """Integral of |z|^2 over the annulus (may be inf)."""
         raise NotImplementedError
 
@@ -121,26 +125,12 @@ class LevyMeasure:
         over the annulus is taken as sum_j weights_j g(nodes_j)."""
         raise NotImplementedError
 
-    def first_moment_upper(self, r_lo: float, r_hi: np.ndarray) -> np.ndarray:
-        """Vectorized first_moment(r_lo, r) for an array of upper radii.
-
-        Returns shape (len(r_hi), dim).  Used by the SDE engine, whose
-        compensated region has a state-dependent upper radius.
-        """
-        raise NotImplementedError
-
-    def constant_first_moment_upper(self, r_lo: float) -> np.ndarray | None:
-        """The row that first_moment_upper(r_lo, r) returns for every r > 0,
-        bit for bit, or None when the rows differ or it is not known."""
+    def constant_first_moment(self, r_lo: float) -> np.ndarray | None:
+        """The row that first_moment(r_lo, r) returns for every r > 0, bit for
+        bit, or None when the rows differ or it is not known.  Used by the
+        SDE engine, whose compensated region has a state-dependent upper
+        radius."""
         return None
-
-    def second_moment_upper(self, r_lo: float, r_hi: np.ndarray) -> np.ndarray:
-        """Vectorized second_moment(r_lo, r) for an array of upper radii."""
-        raise NotImplementedError
-
-    def mass_lower(self, r_lo: np.ndarray, r_hi: float) -> np.ndarray:
-        """Vectorized mass(r, r_hi) for an array of lower radii."""
-        raise NotImplementedError
 
     # -- sampling --------------------------------------------------------
 
@@ -180,8 +170,7 @@ class AtomicLevyMeasure(LevyMeasure):
         self.masses = masses
         self.dim = atoms.shape[1] if atoms.size else 1
         self._radii = np.linalg.norm(atoms, axis=1) if atoms.size else np.empty(0)
-        self._restrictions = {}
-        # first moments summed in increasing radius, for first_moment_upper
+        # first moments summed in increasing radius, for first_moment
         order = np.argsort(self._radii, kind="stable")
         self._sorted_radii = self._radii[order]
         self._moment_prefix = np.zeros((order.size + 1, atoms.shape[1]))
@@ -190,33 +179,33 @@ class AtomicLevyMeasure(LevyMeasure):
     def _sel(self, r_lo, r_hi):
         return (self._radii > r_lo) & (self._radii <= r_hi)
 
-    _MAX_RESTRICTIONS = 256
-
-    def _restriction(self, r_lo, r_hi):
-        """(mass, atoms, normalized cumulative masses) of the annulus, memoized:
-        every draw and every march asks for the same sampling region again."""
-        key = (r_lo, r_hi)
-        if key not in self._restrictions:
-            if len(self._restrictions) >= self._MAX_RESTRICTIONS:
-                self._restrictions.clear()
-            sel = self._sel(r_lo, r_hi)
-            total = float(self.masses[sel].sum())
-            cum = np.cumsum(self.masses[sel]) / total if total > 0 else None
-            self._restrictions[key] = (total, self.atoms[sel], cum)
-        return self._restrictions[key]
+    def _annulus_sum(self, r_lo, r_hi, w):
+        """Sum of w over the atoms in each annulus, added atom by atom in
+        order: it rounds alike for scalar radii and in any batch of radii
+        (a matmul does not)."""
+        r_lo, r_hi = np.asarray(r_lo, dtype=float), np.asarray(r_hi, dtype=float)
+        out = np.zeros(np.broadcast_shapes(r_lo.shape, r_hi.shape))
+        for r, wj in zip(self._radii, w):
+            out += np.where((r_lo < r) & (r <= r_hi), wj, 0.0)
+        return out
 
     def mass(self, r_lo=0.0, r_hi=math.inf):
-        return self._restriction(r_lo, r_hi)[0]
+        # the samplers' Poisson total sums the selected masses pairwise (np.sum),
+        # which agrees with the atom-by-atom sum up to 7 atoms in the annulus
+        if np.ndim(r_lo) == np.ndim(r_hi) == 0:
+            return float(self.masses[self._sel(r_lo, r_hi)].sum())
+        return self._annulus_sum(r_lo, r_hi, self.masses)
 
     def first_moment(self, r_lo, r_hi):
-        sel = self._sel(r_lo, r_hi)
-        if not sel.any():
-            return np.zeros(self.dim)
-        return self.masses[sel] @ self.atoms[sel]
+        # a difference of prefix sums rounds a row the same in any batch (a
+        # matmul does not), so the march does not depend on the block size
+        lo = np.searchsorted(self._sorted_radii, r_lo, side="right")
+        hi = np.maximum(np.searchsorted(self._sorted_radii, r_hi, side="right"), lo)
+        return self._moment_prefix[hi] - self._moment_prefix[lo]
 
     def second_moment(self, r_lo, r_hi):
-        sel = self._sel(r_lo, r_hi)
-        return float(np.sum(self.masses[sel] * self._radii[sel] ** 2))
+        out = self._annulus_sum(r_lo, r_hi, self.masses * self._radii ** 2)
+        return float(out) if out.ndim == 0 else out
 
     def radial_integral(self, fn, r_lo, r_hi):
         sel = self._sel(r_lo, r_hi)
@@ -229,40 +218,24 @@ class AtomicLevyMeasure(LevyMeasure):
         sel = self._sel(r_lo, r_hi)
         return self.atoms[sel], self.masses[sel]
 
-    def first_moment_upper(self, r_lo, r_hi):
-        # a difference of prefix sums rounds a row the same in any batch (a
-        # matmul does not), so the march does not depend on the block size
-        r_hi = np.asarray(r_hi, dtype=float)
-        lo = np.searchsorted(self._sorted_radii, r_lo, side="right")
-        hi = np.maximum(np.searchsorted(self._sorted_radii, r_hi, side="right"), lo)
-        return self._moment_prefix[hi] - self._moment_prefix[lo]
-
-    def constant_first_moment_upper(self, r_lo):
+    def constant_first_moment(self, r_lo):
         # the rows are the empty band (r = r_lo) and the band up to each radius
         # above r_lo; compared as bits, so a -0.0 row differs from +0.0
         radii = self._sorted_radii
-        rows = self.first_moment_upper(r_lo, np.append(r_lo, radii[radii > r_lo]))
+        rows = self.first_moment(r_lo, np.append(r_lo, radii[radii > r_lo]))
         bits = rows.view(np.int64)
         return rows[0] if np.all(bits == bits[0]) else None
 
-    def second_moment_upper(self, r_lo, r_hi):
-        r_hi = np.asarray(r_hi, dtype=float)
-        ind = (self._radii[None, :] > r_lo) & (self._radii[None, :] <= r_hi[:, None])
-        return ind @ (self.masses * self._radii ** 2)
-
-    def mass_lower(self, r_lo, r_hi):
-        r_lo = np.asarray(r_lo, dtype=float)
-        ind = (self._radii[None, :] > r_lo[:, None]) & (self._radii[None, :] <= r_hi)
-        return ind @ self.masses
-
     def marks(self, u, r_lo=0.0, r_hi=math.inf):
-        total, atoms, cum = self._restriction(r_lo, r_hi)
+        sel = self._sel(r_lo, r_hi)
+        masses = self.masses[sel]
+        total = float(masses.sum())                     # mass(r_lo, r_hi)
         if total <= 0:
             if u.size == 0:
                 return np.empty((0, self.dim))
             raise LevyConfigError("cannot sample from a zero-mass region")
-        idx = np.searchsorted(cum, u, side="right")
-        return atoms[np.minimum(idx, atoms.shape[0] - 1)]
+        idx = np.searchsorted(np.cumsum(masses) / total, u, side="right")
+        return self.atoms[sel][np.minimum(idx, masses.size - 1)]
 
 
 # the half-line sides of a 1-d radial measure, each with its analytic
@@ -284,7 +257,9 @@ class _ExpSide:
         def anti(r):  # -antiderivative of r^k e^{-lam r}
             r = np.asarray(r, dtype=float)
             er = np.exp(-lam * np.minimum(r, 1e306))
-            r0 = np.where(np.isinf(r), 0.0, r)
+            # the polynomial is 0 where exp(-lam r) is: r r overflows above
+            # about 1.3e154 (and is inf at r = inf), and inf * 0 is NaN
+            r0 = np.where(er == 0.0, 0.0, r)
             if k == 0:
                 return er / lam
             if k == 1:
@@ -381,30 +356,17 @@ class Radial1DMeasure(LevyMeasure):
 
     def mass(self, r_lo=0.0, r_hi=math.inf):
         p, n = self._side_moment(0, r_lo, r_hi)
-        return float(p + n)
+        out = p + n
+        return float(out) if np.ndim(out) == 0 else out
 
     def first_moment(self, r_lo, r_hi):
         p, n = self._side_moment(1, r_lo, r_hi)
-        return np.array([p - n])
+        return np.asarray(p - n, dtype=float)[..., None]
 
     def second_moment(self, r_lo, r_hi):
         p, n = self._side_moment(2, r_lo, r_hi)
-        return float(p + n)
-
-    def first_moment_upper(self, r_lo, r_hi):
-        r_hi = np.asarray(r_hi, dtype=float)
-        p, n = self._side_moment(1, r_lo, r_hi)
-        return np.asarray(p - n, dtype=float)[:, None]
-
-    def second_moment_upper(self, r_lo, r_hi):
-        r_hi = np.asarray(r_hi, dtype=float)
-        p, n = self._side_moment(2, r_lo, r_hi)
-        return np.asarray(p + n, dtype=float)
-
-    def mass_lower(self, r_lo, r_hi):
-        r_lo = np.asarray(r_lo, dtype=float)
-        p, n = self._side_moment(0, r_lo, r_hi)
-        return np.asarray(p + n, dtype=float)
+        out = p + n
+        return float(out) if np.ndim(out) == 0 else out
 
     def _rule(self, r_lo, r_hi) -> list:
         """The annulus rule as pieces (sign, scale, radii, weights, density):

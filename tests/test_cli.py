@@ -511,7 +511,7 @@ def _rename(obj, key, typo):
      "family: unknown key 'kk' in the params of jump shape 'cosine'; allowed: a, k"),
     (lambda spec: _rename(spec["mu0"]["params"], "std", "sdt"),
      "mu0: unknown key 'sdt' in the params of initial law 'gaussian'; "
-     "allowed: mean, std, density_sup"),
+     "allowed: mean, std"),
     (lambda spec: spec["mu0"].update(name="gauss"),
      "mu0: unknown initial law 'gauss'; known: ['atomic', 'gaussian', 'point', "
      "'uniform_ball']")],

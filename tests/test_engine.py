@@ -92,7 +92,7 @@ class UnionRecordMarch:
         nz = fv != 0.0
         if nz.any():
             r_hi = self.trunc.level / np.abs(fv[nz])
-            out[nz] = -fv[nz, None] * self.driver.first_moment_upper(
+            out[nz] = -fv[nz, None] * self.driver.first_moment(
                 self.trunc.sampling_floor, r_hi)
         return out
 
@@ -306,45 +306,45 @@ class TestWholeBlockMarch:
 
 
 class TestConstantBandMoment:
-    """AtomicLevyMeasure.constant_first_moment_upper gives the row that
-    first_moment_upper returns at every radius, bit for bit, or None."""
+    """AtomicLevyMeasure.constant_first_moment gives the row that
+    first_moment returns at every radius, bit for bit, or None."""
 
     @staticmethod
     def rows(drv, floor):
         radii = np.linalg.norm(drv.atoms, axis=1)
         r = np.concatenate([[floor, 1e-3, 1e9, np.inf], radii, np.nextafter(radii, 0.0)])
-        return drv.first_moment_upper(floor, r)
+        return drv.first_moment(floor, r)
 
     def test_symmetric_driver_has_the_zero_row(self):
         drv = AtomicLevyMeasure([[0.9, 0.2], [-0.9, -0.2], [0.2, -0.1], [-0.2, 0.1]],
                                 [1.5, 1.5, 1.0, 1.0])
-        c = drv.constant_first_moment_upper(0.0)
+        c = drv.constant_first_moment(0.0)
         assert c.tobytes() == np.zeros(2).tobytes()
         rows = self.rows(drv, 0.0)
         assert rows.tobytes() == np.tile(c, (len(rows), 1)).tobytes()
 
     def test_the_empty_band_row_counts(self):
         # every nonempty band holds the one atom; the empty band gives 0
-        assert AtomicLevyMeasure([[0.9]], [1.0]).constant_first_moment_upper(0.0) is None
+        assert AtomicLevyMeasure([[0.9]], [1.0]).constant_first_moment(0.0) is None
 
     def test_minus_zero_differs_from_plus_zero(self):
         # a zero-mass negative atom makes the prefix -0.0, which is == 0.0
         drv = AtomicLevyMeasure([[-0.5]], [0.0])
         assert np.all(self.rows(drv, 0.0) == 0.0)
-        assert drv.constant_first_moment_upper(0.0) is None
+        assert drv.constant_first_moment(0.0) is None
 
     def test_rows_start_at_the_sampling_floor(self):
         drv = AtomicLevyMeasure([[0.25], [0.75], [-0.75]], [1.0, 1.0, 1.0])
-        assert drv.constant_first_moment_upper(0.0) is None
-        assert drv.constant_first_moment_upper(0.5).tobytes() == np.zeros(1).tobytes()
+        assert drv.constant_first_moment(0.0) is None
+        assert drv.constant_first_moment(0.5).tobytes() == np.zeros(1).tobytes()
         # 0.1 + 0.9 - 0.9 rounds away from 0.1, so above a floor of 0.2 the
         # band moment is not exactly 0
         drv = AtomicLevyMeasure([[0.1], [0.9], [-0.9]], [1.0, 1.0, 1.0])
         assert np.any(self.rows(drv, 0.2) != 0.0)
-        assert drv.constant_first_moment_upper(0.2) is None
+        assert drv.constant_first_moment(0.2) is None
 
     def test_non_atomic_driver_has_no_constant_row(self):
-        assert L.exponential_tails_1d().constant_first_moment_upper(0.0) is None
+        assert L.exponential_tails_1d().constant_first_moment(0.0) is None
 
 
 class TestEnsembleLaws:

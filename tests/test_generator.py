@@ -289,6 +289,7 @@ class TestJumpHypotheses:
         assert _bits(small) == _bits([w[0] for w in want])
         assert _bits(big) == _bits([w[1] for w in want])
         assert np.isinf(small).any() == (name == "power-3.5")
+        assert not np.isnan(small).any()
 
     @pytest.mark.parametrize("g", ["one", "cosine", "linear_growth"])
     @pytest.mark.parametrize("name", HYPOTHESIS_DRIVERS)
@@ -305,6 +306,14 @@ class TestJumpHypotheses:
             if want is not None:
                 assert got[0] == want[0] and _bits(got[1]) == _bits(want[1])
         assert (w2 is not None) == (name == "power-3.5")
+
+    def test_tiny_gamma_has_no_small_jump_witness(self):
+        # every radius l/|f| is above 1e157, where r r overflows
+        cs = L.coefficients_from_config({"name": "ou", "d": 1, "m": 1, "gamma": 1e-160})
+        ctx = GeneratorContext(cs, HYPOTHESIS_DRIVERS["exponential"], TruncationConfig(level=0.5))
+        rep = validate_hypotheses(ctx, T=0.7)
+        assert rep.small_jump["witness"] is None
+        assert _bits(rep.small_jump["constant"]) == _bits(_scalar_validation(ctx, 0.7)[0])
 
 
 def _acceptance_setup(n=20_000, h=0.01, seed=11):
@@ -572,7 +581,7 @@ def _reference_apply(ctx, phi, t, X):
         small = np.linalg.norm(U, axis=2) <= ctx.trunc.level
         integrand = shifted - phi.phi(X)[:, None] - np.where(small, comp, 0.0)
         return local + integrand @ ctx.driver.masses
-    moment = ctx.driver.first_moment_upper(0.0, ctx.trunc.level / np.abs(fv))
+    moment = ctx.driver.first_moment(0.0, ctx.trunc.level / np.abs(fv))
     jump = ((shifted - phi.phi(X)[:, None]) * w).sum(axis=1)
     return local + (jump - np.einsum("nd,nd->n", fv[:, None] * moment, g))
 

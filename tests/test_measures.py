@@ -27,24 +27,15 @@ class TestAtomic:
                                    + 0.25 * np.array([3, 4]))
         assert m.second_moment(0, 10) == 0.5 * 1 + 1.5 * 4 + 0.25 * 25
 
-    def test_vectorized_queries_match_scalar(self):
-        m = AtomicLevyMeasure([[0.5], [-1.0], [2.0]], [1.0, 2.0, 3.0])
-        radii = np.array([0.4, 0.9, 1.7, 3.0])
-        fm = m.first_moment_upper(0.1, radii)
-        for i, r in enumerate(radii):
-            np.testing.assert_array_equal(fm[i], m.first_moment(0.1, float(r)))
-        np.testing.assert_array_equal(m.mass_lower(radii, 5.0),
-                                      [m.mass(float(r), 5.0) for r in radii])
-
     ANNULI = [(0.0, math.inf), (0.0, 1.0), (0.5, 2.0), (0.95, 4.9), (1.0, 5.0),
               (2.0, 2.2), (5.0, math.inf), (0.0, 0.3)]
 
-    def test_memoized_restriction_matches_formulas(self):
+    def test_annulus_mass_and_marks_match_formulas(self):
         atoms = np.array([[0.5, 0.0], [0.0, -1.0], [3.0, 4.0], [-1.2, 1.6], [0.6, 0.8]])
         masses = np.array([0.3, 1.1, 0.25, 0.7, 0.45])
         m = AtomicLevyMeasure(atoms, masses)
         radii = np.linalg.norm(atoms, axis=1)
-        for i, (lo, hi) in enumerate(self.ANNULI * 2):  # second pass reads the memo
+        for i, (lo, hi) in enumerate(self.ANNULI):
             sel = (radii > lo) & (radii <= hi)
             total = masses[sel].sum()
             assert m.mass(lo, hi) == float(total)
@@ -62,22 +53,19 @@ class TestAtomic:
                 ev = sample_jump_events(m, (lo, hi), 1.0, R.stream(5, R.DRIVER, i))
                 assert len(ev) == 0 and ev.marks.shape == (0, 2)
 
-    def test_restriction_memo_stays_bounded(self):
-        m = AtomicLevyMeasure([[0.5], [-1.0], [2.0]], [1.0, 2.0, 3.0])
-        for r in np.linspace(0.0, 3.0, 3 * AtomicLevyMeasure._MAX_RESTRICTIONS):
-            assert m.mass(float(r), math.inf) == float(
-                m.masses[m._radii > r].sum())
-        assert len(m._restrictions) <= AtomicLevyMeasure._MAX_RESTRICTIONS
-
-    def test_first_moment_upper_is_rowwise(self):
+    def test_first_moment_is_rowwise(self):
         # a row's compensator moment must not depend on the batch it comes in
         m = AtomicLevyMeasure([[0.9], [-0.9], [0.4], [1.7]], [0.6, 0.6, 0.35, 0.2])
         r_hi = np.random.default_rng(8).uniform(0.1, 2.5, 200)
-        whole = m.first_moment_upper(0.2, r_hi)
-        alone = np.vstack([m.first_moment_upper(0.2, r_hi[i:i + 1]) for i in range(200)])
+        whole = m.first_moment(0.2, r_hi)
+        alone = np.vstack([m.first_moment(0.2, r_hi[i:i + 1]) for i in range(200)])
         assert whole.tobytes() == alone.tobytes()
-        want = np.vstack([m.first_moment(0.2, float(r)) for r in r_hi])
-        np.testing.assert_allclose(whole, want, rtol=0.0, atol=1e-15)
+        radii = np.linalg.norm(m.atoms, axis=1)
+        want = []
+        for r in r_hi:
+            sel = (radii > 0.2) & (radii <= r)
+            want.append(m.masses[sel] @ m.atoms[sel])
+        np.testing.assert_allclose(whole, np.vstack(want), rtol=0.0, atol=1e-15)
 
     def test_negative_mass_rejected(self):
         with pytest.raises(LevyConfigError):
@@ -106,12 +94,63 @@ class TestExponential:
         m = exponential_tails_1d()
         assert m.first_moment(0.0, 5.0)[0] == 0.0
 
+    def test_second_moment_at_a_huge_radius_is_the_whole_line(self):
+        # r r overflows above about 1.3e154 where exp(-r) is already 0
+        m = exponential_tails_1d()
+        assert m.second_moment(0.0, 2e154) == m.second_moment(0.0, math.inf) == 4.0
+
     def test_radial_integral_matches_quad(self):
         m = exponential_tails_1d()
         got = m.radial_integral(lambda r: np.log1p(r), 0.5, math.inf)
         want = quad_radial(lambda r: math.log1p(r), lambda r: 2 * math.exp(-r),
                           0.5, 80.0)
         assert got == pytest.approx(want, rel=1e-8)
+
+
+BROADCAST_MEASURES = {
+    "atomic-1d": AtomicLevyMeasure([[0.5], [-1.0], [2.0], [0.75]], [1.0, 2.0, 3.0, 0.3]),
+    "atomic-2d-9": AtomicLevyMeasure(
+        [[0.5, 0.0], [0.0, -1.0], [3.0, 4.0], [-1.2, 1.6], [0.6, 0.8], [0.1, 0.2],
+         [-0.3, -0.3], [1.5, -0.5], [0.0, 2.5]],
+        [0.3, 1.1, 0.25, 0.7, 0.45, 0.9, 1.3, 0.15, 0.55]),
+    "zero": zero_measure(2),
+    "exponential": exponential_tails_1d(1.0, 1.0, 0.5, 2.0),
+    "power-law": power_law_tails_1d(exponent=1.5, r_max=2.0),
+}
+
+
+@pytest.mark.parametrize("query", ["mass", "first_moment", "second_moment"])
+@pytest.mark.parametrize("name", BROADCAST_MEASURES)
+def test_queries_broadcast_over_radii(name, query):
+    """A query on arrays of radii, for either bound or both, is the query at
+    each pair of scalar radii, bit for bit.  The one exception: the atomic
+    mass of two scalar radii sums the annulus's masses pairwise, like
+    np.sum, and an array's mass adds them one by one; the two round alike
+    up to 7 atoms in the annulus."""
+    m = BROADCAST_MEASURES[name]
+    fn = getattr(m, query)
+    radii = [0.0, 1e-3, 0.3, 0.75, 1.0, 2.0, 2.5, 40.0, 2e154, math.inf]
+    exact = np.ones((len(radii), len(radii)), dtype=bool)
+    if isinstance(m, AtomicLevyMeasure):
+        own = np.linalg.norm(m.atoms, axis=1)
+        radii += own.tolist() + np.nextafter(own, 0.0).tolist()
+        inside = (own > np.array(radii)[:, None, None]) & (own <= np.array(radii)[:, None])
+        exact = (query != "mass") | (inside.sum(axis=2) < 8)
+        assert exact.all() == (name != "atomic-2d-9" or query != "mass")
+    radii = np.array(radii)
+    want = np.array([[fn(float(a), float(b)) for b in radii] for a in radii])
+    one = fn(0.3, 2.0)
+    if query == "first_moment":
+        assert want.shape == radii.shape * 2 + (m.dim,) and one.shape == (m.dim,)
+    else:
+        assert want.shape == radii.shape * 2 and type(one) is float
+    cases = [(fn(radii[:, None], radii), want, exact)]
+    cases += [(fn(radii, float(b)), want[:, j], exact[:, j]) for j, b in enumerate(radii)]
+    cases += [(fn(float(a), radii), want[i], exact[i]) for i, a in enumerate(radii)]
+    for got, ref, bitwise in cases:
+        assert got.shape == ref.shape
+        assert got[bitwise].tobytes() == ref[bitwise].tobytes()
+        np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("rate", [0.5, 1.0, 2.0, 5.0])

@@ -14,8 +14,9 @@ with a called name passes.
 The field scan takes the fields of every top-level class of
 src/levylab/*.py: the annotated names of its body and the `self.x = ...`
 targets of its methods.  A field is read when it is loaded as an attribute,
-or named by a string of dotted identifiers, anywhere in src/levylab,
-perfbench/ or tests/.  It too compares identifiers only, so it cannot see
+or named by a dotted path in a string ("module.Class.field", never a bare
+"field", which a dict key or a column name would match), anywhere in
+src/levylab, perfbench/ or tests/.  It too compares identifiers only, so it cannot see
 a field whose identifier is read elsewhere: a report's `h` shares it with
 ObservationModel.h, and `guards` is a part of the benchmark's layer names.
 
@@ -48,7 +49,6 @@ KEPT = {
                             "tests and the acceptance suite",
     "engine.CadlagPath.value_at": "the acceptance suite reads simulate_path's "
                                   "signal on the observation grid with it",
-    "measures.LevyMeasure.first_moment": "the tests' reference for first_moment_upper",
     "psi.PsiFunction.deriv": "tests/test_psi.py checks constructed profiles against it",
     "psi.PsiFunction.second": "tests/test_psi.py checks constructed profiles against it",
     "rng.PROBE": "the tests' stream purpose",
@@ -84,11 +84,12 @@ def _public_names() -> dict:
     return names
 
 
-def _string_names(node) -> list:
-    """The identifiers of a string constant of dotted identifiers."""
+def _string_names(node, dotted=False) -> list:
+    """The identifiers of a string constant of dotted identifiers; with
+    dotted=True, only of one with at least one dot."""
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         parts = node.value.split(".")
-        if all(p.isidentifier() for p in parts):
+        if all(p.isidentifier() for p in parts) and len(parts) > dotted:
             return parts
     return []
 
@@ -143,7 +144,7 @@ def _fields_read() -> set:
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
             else:
-                read.update(_string_names(node))
+                read.update(_string_names(node, dotted=True))
     return read
 
 
