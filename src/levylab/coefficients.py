@@ -61,7 +61,7 @@ class CoefficientSet:
         return 0.5 * np.einsum("nim,njm->nij", s, s)
 
     def on_rows(self, slots):
-        """The coefficients of the rows slots of a march: a set's, on any row."""
+        """The coefficients of a march's block slots `slots`: a set's, on any slot."""
         return self
 
 
@@ -122,7 +122,7 @@ class CoefficientFamily:
 
 
 class StackedFamily:
-    """Every set of a family on one stacked block of S*B rows.
+    """Every set of a family on one block of B slots, S*B rows set by set.
 
     Row s*B + p is slot p under set s of all_sets().  A member is the limit
     plus three scalars: a drift term amp/n, a sigma factor 1 + sp/n and its
@@ -134,7 +134,7 @@ class StackedFamily:
     def __init__(self, family: CoefficientFamily, B: int):
         amp, sp = family.drift_amp, family.sigma_amp
         n = np.array(family.schedule, dtype=float)
-        self.limit, self.B, self.cut = family.limit, B, n.size * B
+        self.limit, self.B = family.limit, B
         self.sine = family.drift == "sine"
         self.names = [f"member n={k}" for k in family.schedule] + ["limit"]
         self.scale = amp / n if amp != 0.0 else None
@@ -142,19 +142,18 @@ class StackedFamily:
         self.gamma = np.array([cs.gamma for cs in family.all_sets()])
 
     def on_rows(self, slots):
-        """b, sigma and f on the sorted rows slots (None: every row)."""
-        if slots is None:
-            return _StackedRows(self, np.repeat(np.arange(self.gamma.size), self.B), self.cut)
-        return _StackedRows(self, slots // self.B, int(np.searchsorted(slots, self.cut)))
+        """b, sigma and f on the block slots `slots` (None: all) of every set, set by set."""
+        return _StackedRows(self, self.B if slots is None else len(slots))
 
 
 class _StackedRows:
-    """A StackedFamily on rows of the sets s; the first cut are member rows."""
+    """A StackedFamily on k slots of every set: the first (S-1)*k are member rows."""
 
-    def __init__(self, fam: StackedFamily, s, cut: int):
-        self.lim, self.cut, self.sine, self.gamma = fam.limit, cut, fam.sine, fam.gamma[s]
-        self.scale = None if fam.scale is None else fam.scale[s[:cut], None]
-        self.fac = None if fam.fac is None else fam.fac[s[:cut], None, None]
+    def __init__(self, fam: StackedFamily, k: int):
+        self.lim, self.cut, self.sine = fam.limit, (fam.gamma.size - 1) * k, fam.sine
+        self.gamma = np.repeat(fam.gamma, k)
+        self.scale = None if fam.scale is None else np.repeat(fam.scale, k)[:, None]
+        self.fac = None if fam.fac is None else np.repeat(fam.fac, k)[:, None, None]
         self.nz = None if self.gamma.all() else self.gamma != 0.0
 
     def b(self, t, x):

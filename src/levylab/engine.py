@@ -24,11 +24,11 @@ any drawn number.
 
 Every simulation runs through one block runner: each particle block's
 randomness is drawn once (_prepare_block) and the S sets of a family march
-over that draw as one: one BlockMarch of S*B rows (member-major copies of
-the block, on the block's noise rows) under its StackedFamily, so each
-cell pays the numpy calls and schedule loop once, and gathers the block's
-B noise rows once for all S copies (the filter marches a family's filters
-so too).  An ensemble is a family with no members, and marches its one
+over that draw as one: one BlockMarch of S*B rows (set by set, on the
+block's one schedule and noise rows) under its StackedFamily, so each cell
+pays the numpy calls and schedule loop once, and gathers the block's B
+noise rows once for all S sets (the filter marches a family's filters so
+too).  An ensemble is a family with no members, and marches its one
 set.  With several workers the blocks go to one process pool when the
 limit carries its registry config: coefficient closures do not pickle, so
 each worker rebuilds the limit from that config and the members from the
@@ -42,9 +42,9 @@ cell, their sub-step start times, the jump times and marks, and each
 slot's noise row in the next cell.  Every march over the draw, family
 members and filters alike, reads that schedule instead of rebuilding it.
 BlockMarch takes one Euler step of the whole block per cell, then replays
-only the slots that jump in the cell through their sub-steps and jumps and
-writes them back.  This gives the bits of a march that steps the quiet
-slots and the jumping slots apart, provided the coefficients are
+only the slots that jump in the cell, in every set, through their sub-steps
+and jumps and writes them back.  This gives the bits of a march that steps
+the quiet slots and the jumping slots apart, provided the coefficients are
 row-independent (a row's value does not depend on the rows evaluated with
 it), which the block-size contract already requires.
 """
@@ -57,8 +57,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .coefficients import (CoefficientFamily, CoefficientSet, coefficients_from_config,
-                           default_probe_points, require_linear_growth)
+from .coefficients import (CoefficientFamily, CoefficientSet, StackedFamily,
+                           coefficients_from_config, default_probe_points,
+                           require_linear_growth)
 from .manifests import _check_keys, _registry_entry
 from .measures import (JumpEvents, LevyConfigError, LevyMeasure,
                        TruncationConfig, discarded_second_moment,
@@ -300,14 +301,12 @@ class _BlockInputs:
     schedule: _JumpSchedule
     noise: np.ndarray           # Brownian rows, particle-major
     offsets: np.ndarray         # first noise row of each particle
-    copies: int = 1             # stacked copies of the block the schedule lays out
 
 
 def _prepare_block(driver: LevyMeasure, trunc: TruncationConfig, mu0: InitialLaw,
                    grid: np.ndarray, m: int, particles, seed: int,
-                   namespace: int, copies: int = 1) -> _BlockInputs:
-    """One block's randomness, for `copies` stacked copies of the block
-    (row s*B + j is slot j of copy s) that all read the same noise rows."""
+                   namespace: int) -> _BlockInputs:
+    """One block's randomness: its initial states, jump schedule and noise rows."""
     ids = np.array(particles, dtype=np.int64)
     B = ids.size
     # every particle's driver atoms as arrays, in (particle, time) order
@@ -325,8 +324,7 @@ def _prepare_block(driver: LevyMeasure, trunc: TruncationConfig, mu0: InitialLaw
     # per earlier cell and one per earlier off-grid jump
     ev_row = ev_p * n_cells + (at - 1) + (np.cumsum(inner) - inner)
     # built before the noise, so its temporaries are gone before that is drawn
-    schedule = _stacked_schedule(_jump_schedule(grid, ev_p, ev_t, ev_z, at - 1, ev_row),
-                                 copies, B)
+    schedule = _jump_schedule(grid, ev_p, ev_t, ev_z, at - 1, ev_row)
     # one generator per block, re-keyed to each particle's Gaussian streams
     gen = rngmod.stream(seed, rngmod.INIT, 0, namespace)
     init, brownian = (rngmod.Streams(seed, purpose, ids, namespace).generators(gen)
@@ -339,7 +337,7 @@ def _prepare_block(driver: LevyMeasure, trunc: TruncationConfig, mu0: InitialLaw
     arrays = [a for a in vars(schedule).values() if isinstance(a, np.ndarray)]
     for a in [ids, x0, noise, offsets, *arrays]:
         a.flags.writeable = False
-    return _BlockInputs(ids, seed, namespace, x0, schedule, noise, offsets[:-1], copies)
+    return _BlockInputs(ids, seed, namespace, x0, schedule, noise, offsets[:-1])
 
 
 def _driver_region(driver: LevyMeasure, trunc: TruncationConfig) -> tuple:
@@ -390,46 +388,6 @@ def _jump_schedule(grid, ev_p, ev_t, ev_z, ev_c, ev_row) -> _JumpSchedule:
         tail_start=ev_t[last[tail]])
 
 
-def _stacked_schedule(one: _JumpSchedule, copies: int, B: int) -> _JumpSchedule:
-    """The schedule of `copies` stacked copies of a block (slot s*B + p is
-    slot p of copy s), from the block's own: what _jump_schedule gives for
-    the events repeated on every copy's slots, by index arithmetic.
-
-    Within a cell the copies' pairs and tails follow each other copy by
-    copy, and so do their jumps within each step; copy s's pair indices in
-    the cell are shifted by s times the cell's pair count."""
-    if copies == 1:
-        return one
-    n_pairs = np.diff(one.pairs)
-
-    def tiled(bounds):
-        """Per element of each segment bounds[i]:bounds[i+1] repeated copies
-        times: its index in the one-copy arrays, its copy and its segment."""
-        lo, n = np.array(bounds[:-1], dtype=np.int64), np.diff(bounds)
-        seg = np.repeat(np.arange(n.size), n * copies)
-        r = np.arange(seg.size) - copies * lo[seg]
-        return lo[seg] + r % n[seg], r // n[seg], seg
-
-    pair, pair_copy, _ = tiled(one.pairs)
-    tail, tail_copy, tail_cell = tiled(one.tails)
-    jump, jump_copy, step = tiled(one.step_jumps)
-    jump_cell = np.repeat(np.arange(n_pairs.size), np.diff(one.steps))[step]
-
-    def shifted(local, copy, cell):
-        return (local + copy * n_pairs[cell]).astype(np.int32)
-
-    return _JumpSchedule(
-        pairs=tuple(copies * i for i in one.pairs),
-        tails=tuple(copies * i for i in one.tails), steps=one.steps,
-        step_jumps=tuple(copies * i for i in one.step_jumps),
-        slots=(one.slots[pair] + B * pair_copy).astype(np.int32),
-        next_row=one.next_row[pair],
-        idx=shifted(one.idx[jump], jump_copy, jump_cell),
-        start=one.start[jump], time=one.time[jump], mark=one.mark[jump],
-        tail_idx=shifted(one.tail_idx[tail], tail_copy, tail_cell),
-        tail_start=one.tail_start[tail])
-
-
 class BlockMarch:
     """Marches one block of particles cell by cell over a shared base grid.
 
@@ -442,8 +400,8 @@ class BlockMarch:
     (a row's value may not depend on the other rows passed with it), which
     the block-size contract already requires.
 
-    coeffs is a CoefficientSet, or a StackedFamily marching every set of a
-    family on stacked copies of the block (each step asks it for its rows).
+    coeffs is a CoefficientSet, or a StackedFamily of S sets on S*B rows of
+    x, set by set, which all read the block's schedule and its noise rows.
 
     Used directly by the particle filter, which interleaves weight updates
     and resampling between cells; whole-path simulation just runs all cells.
@@ -458,13 +416,14 @@ class BlockMarch:
         self.trunc = trunc
         self.grid = grid
         self.inp = inputs
-        # each slot's state and its noise row in this cell
-        self.x = np.tile(inputs.x0, (inputs.copies, 1))
-        self.row = np.tile(inputs.offsets, inputs.copies)
-        # stacked copies take the block's increments tiled into one buffer for
-        # the march: a new S*B-row array each cell ran slower
-        self._tiled = (np.empty((inputs.copies, inputs.particles.size, inputs.noise.shape[1]))
-                       if inputs.copies > 1 else None)
+        self.S = coeffs.gamma.size if isinstance(coeffs, StackedFamily) else 1
+        # each row's state, and each slot's noise row in this cell
+        self.x = np.tile(inputs.x0, (self.S, 1))
+        self.row = inputs.offsets.copy()
+        # a family's whole-block increments are tiled into one buffer for the
+        # march: a new S*B-row array each cell ran slower
+        self._tiled = (np.empty((self.S * inputs.particles.size, inputs.noise.shape[1]))
+                       if self.S > 1 else None)
         self._whole = coeffs.on_rows(None)
         self._needs_comp = driver.mass(trunc.sampling_floor, math.inf) > 0.0
         # the band moment as one row when it is the same at every radius
@@ -495,11 +454,12 @@ class BlockMarch:
             out[nz] = -fv[nz, None] * self._band_moment(fv[nz])
         return out
 
-    def _increments(self, dt, rows):
-        """Brownian increments over dt (a scalar or one per row) on the noise rows `rows`."""
+    def _increments(self, dt, rows, out=None):
+        """Brownian increments over dt (a scalar or one per row) on the noise
+        rows `rows`, once per set, set by set (into out, if given)."""
         dw = self.inp.noise[rows]
         dw *= np.sqrt(np.asarray(dt)[..., None])
-        return dw
+        return dw if self.S == 1 else np.concatenate((dw,) * self.S, out=out)
 
     def _step(self, cs, t, dt, xs, dw):
         """Euler step of the states xs under cs from t over dt, with increments dw."""
@@ -514,43 +474,45 @@ class BlockMarch:
 
     def advance_cell(self, i: int):
         t0, t1 = self.grid[i], self.grid[i + 1]
-        # every copy of a slot is on its slot's row: the stacked schedule gives
-        # the copies one next_row, and resampling moves only x; so the block's
-        # increments are gathered once and tiled over the copies
-        dw = self._increments(t1 - t0, self.row[:self.inp.particles.size])
-        if self._tiled is not None:
-            self._tiled[:] = dw
-            dw = self._tiled.reshape(-1, dw.shape[1])
+        # every set's row of a slot reads the slot's noise row, so the block's
+        # increments are gathered once and tiled over the sets
+        dw = self._increments(t1 - t0, self.row, self._tiled)
         x = self._step(self._whole, float(t0), t1 - t0, self.x, dw)
         self.row += 1
         sch = self.inp.schedule
         pairs = slice(sch.pairs[i], sch.pairs[i + 1])
         if pairs.start < pairs.stop:
-            slots = sch.slots[pairs]
-            xs = self.x[slots]
+            S, d, slots = self.S, self.x.shape[1], sch.slots[pairs]
+            # a replay step's times and marks, once per set
+            rep = (lambda a: a) if S == 1 else (lambda a: np.concatenate((a,) * S))
+            # the jumping slots' start states in every set, (S, pairs, d)
+            xs = self.x.reshape(S, -1, d)[:, slots]
             # the k-th sub-step of a slot reads the k-th row after its cell row
             rows = self.row[slots] - 1
             for k, j in enumerate(range(sch.steps[i], sch.steps[i + 1])):
                 s = slice(sch.step_jumps[j], sch.step_jumps[j + 1])
-                idx, t = sch.idx[s], sch.time[s]
-                cs, dt = self.coeffs.on_rows(slots[idx]), t - sch.start[s]
-                xk = self._step(cs, sch.start[s], dt, xs[idx],
-                                self._increments(dt, rows[idx] + k))
-                xs[idx] = xk + cs.f(t, xk)[:, None] * sch.mark[s]
+                idx, start, t = sch.idx[s], rep(sch.start[s]), rep(sch.time[s])
+                cs, dt = self.coeffs.on_rows(slots[idx]), t - start
+                xk = self._step(cs, start, dt, xs[:, idx].reshape(-1, d),
+                                self._increments(dt[:idx.size], rows[idx] + k))
+                xk += cs.f(t, xk)[:, None] * rep(sch.mark[s])
+                xs[:, idx] = xk.reshape(S, -1, d)
             next_row = sch.next_row[pairs]
             tails = slice(sch.tails[i], sch.tails[i + 1])
             if tails.start < tails.stop:
                 idx, start = sch.tail_idx[tails], sch.tail_start[tails]
-                xs[idx] = self._step(self.coeffs.on_rows(slots[idx]), start, t1 - start,
-                                     xs[idx], self._increments(t1 - start, next_row[idx] - 1))
-            x[slots] = xs
+                xs[:, idx] = self._step(
+                    self.coeffs.on_rows(slots[idx]), rep(start), rep(t1 - start),
+                    xs[:, idx].reshape(-1, d),
+                    self._increments(t1 - start, next_row[idx] - 1)).reshape(S, -1, d)
+            x.reshape(S, -1, d)[:, slots] = xs      # a view of x: it splits one axis
             self.row[slots] = next_row
         self.x = x
         if not np.all(np.isfinite(x)):
             bad = np.nonzero(~np.isfinite(x).all(axis=1))[0][0]
             inp, B = self.inp, self.inp.particles.size
-            # a stacked row is a particle under one set of the family
-            which = f"{self.coeffs.names[bad // B]}, " if inp.copies > 1 else ""
+            # a row of a family is a particle under one of its sets
+            which = f"{self.coeffs.names[bad // B]}, " if self.S > 1 else ""
             raise SimulationError(
                 f"non-finite state first reached at t={float(t1):.6g} "
                 f"({which}particle {int(inp.particles[bad % B])}, seed {inp.seed}, "
@@ -559,7 +521,7 @@ class BlockMarch:
     def run(self, out=None, keep=None):
         """March every cell; out[..., j, :] gets the state at grid index
         keep[j] (increasing from 0; default every grid index).  out is
-        (rows, len(keep), d), or (S, B, len(keep), d) for S stacked copies."""
+        (rows, len(keep), d), or (S, B, len(keep), d) for a family of S sets."""
         if keep is None:
             keep = range(self.grid.size)
         if out is None:
@@ -599,7 +561,7 @@ def _run_block(family, driver, trunc, mu0, grid, keep, block, seed, namespace, o
     into out[k].
     """
     inputs = _prepare_block(driver, trunc, mu0, grid, family.limit.m, block, seed,
-                            namespace, len(out))
+                            namespace)
     BlockMarch(family.stacked(len(block)), driver, trunc, grid, inputs).run(out, keep)
 
 

@@ -21,7 +21,7 @@ observation noise, the proposal atoms, and one thinning uniform per atom
 (member n accepts iff the shared uniform is below lambda(X^n, u)).  Each
 rep is one filter_run over the family, one record per set: the filter
 particles' randomness is drawn once, and every filter marches in one
-BlockMarch over S stacked copies of the block.  h, |h|^2 and the band
+BlockMarch of S*n rows on the one block.  h, |h|^2 and the band
 integral are taken once per cell on all rows; each filter's record,
 weights, resampling stream and snapshots stay on its own rows, so each
 filter equals a filter_run of its set alone, bit for bit.
@@ -515,7 +515,7 @@ def filter_run(model: ObservationModel, coeffs, driver: LevyMeasure,
     if any(not np.array_equal(rec.grid, grid) for rec in records[1:]):
         raise FilterError("the records lie on different grids")
     inputs = _prepare_block(driver, trunc, mu0, grid, family.limit.m, range(n_particles),
-                            seed, rngmod.FILTER, S)
+                            seed, rngmod.FILTER)
     results = _march_filter(model, family.stacked(n_particles), driver, trunc, records,
                             inputs, ess_threshold, checkpoints,
                             [None] * S if keep is None else list(keep))
@@ -526,9 +526,9 @@ def _march_filter(model: ObservationModel, coeffs, driver: LevyMeasure,
                   trunc: TruncationConfig, records: list, inputs, ess_threshold,
                   checkpoints, keeps) -> list:
     """filter_run's filters, one per record, over the particle draw inputs
-    (only read): coeffs is one set, or a StackedFamily of S sets on the S
-    copies of the block that inputs lays out.  Filter s owns the states'
-    rows s*n..(s+1)*n - 1 and row s of the log-weights.
+    (only read): coeffs is one set, or a StackedFamily of S sets on the
+    block that inputs draws.  Filter s owns the states' rows
+    s*n..(s+1)*n - 1 and row s of the log-weights.
 
     A snapshot normalises the (S, n) log-weights once, row by row: each
     row's max m, its exponentials w = exp(lw - m) and their sum give the

@@ -69,6 +69,11 @@ class GeneratorContext:
     trunc: TruncationConfig
 
 
+def _norms(y, axis=1):
+    """np.linalg.norm(y, axis=axis) for real y, bit for bit, without its overhead."""
+    return np.sqrt(np.add.reduce(y * y, axis=axis))
+
+
 # cap on the entries of one (paths, nodes, d) jump-image temporary; a chunk's
 # value-only dictionary pass holds every function's phi at once, so a chunk
 # peaks at about 20 arrays of this size
@@ -136,8 +141,7 @@ def _atomic_sums(ctx: GeneratorContext, phis: list, jets: list, fv, X, vals):
     k, (n, d) = z.shape[0], X.shape
     U = z[:, None, :] * fv[None, :, None]                         # (k, n, d)
     images = (X + U).reshape(-1, d)
-    # |u| as np.linalg.norm computes it for real input
-    small = np.sqrt(np.add.reduce(U * U, axis=2)) <= ctx.trunc.level
+    small = _norms(U, axis=2) <= ctx.trunc.level
     # with no image in the band the compensator term is +0.0 everywhere,
     # and subtracting +0.0 changes no bit
     any_small = small.any()
@@ -415,9 +419,9 @@ class FpeReport:
 def path_sup_norms(vals: np.ndarray) -> np.ndarray:
     """max over slices of |vals[p, i]| per path p of an (n, M+1, d) tensor,
     taken slice by slice, so no (n, M+1) temporary is built."""
-    sup = np.linalg.norm(vals[:, 0, :], axis=1)
+    sup = _norms(vals[:, 0, :])
     for i in range(1, vals.shape[1]):
-        np.maximum(sup, np.linalg.norm(vals[:, i, :], axis=1), out=sup)
+        np.maximum(sup, _norms(vals[:, i, :]), out=sup)
     return sup
 
 
@@ -435,10 +439,10 @@ def integrability_guards(ensemble: PathEnsemble, ctx: GeneratorContext) -> None:
     for i in range(times.size - 1):
         dt = times[i + 1] - times[i]
         t, x = float(times[i]), vals[:, i, :]
-        norms = np.linalg.norm(x, axis=1)
+        norms = _norms(x)
         inside = norms <= radius
-        bnorm = np.linalg.norm(ctx.coeffs.b(t, x), axis=1)
-        anorm = np.linalg.norm(ctx.coeffs.a(t, x), axis=(1, 2))
+        bnorm = _norms(ctx.coeffs.b(t, x))
+        anorm = _norms(ctx.coeffs.a(t, x), axis=(1, 2))
         f, small, big = jump_hypotheses(ctx, t, x)
         with np.errstate(divide="ignore"):
             far = np.maximum(level, norms - radius) / np.abs(f)   # inf where f = 0

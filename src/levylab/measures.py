@@ -248,7 +248,7 @@ class _ExpSide:
         self.rate = rate
 
     def moment(self, k, a, b):
-        # broadcasts over a and b; np.exp(-inf) underflows to 0, the limit value
+        # broadcasts over a and b, +0.0 where a >= b; np.exp(-inf) underflows to 0
         i, lam = self.i, self.rate
         if i == 0.0:
             shape = np.broadcast_shapes(np.shape(a), np.shape(b))
@@ -266,7 +266,7 @@ class _ExpSide:
                 return (r0 / lam + 1.0 / lam ** 2) * er
             return (r0 * r0 / lam + 2.0 * r0 / lam ** 2 + 2.0 / lam ** 3) * er
 
-        out = i * (anti(a) - anti(b))
+        out = np.where(np.less(a, b), i * (anti(a) - anti(b)), 0.0)
         return float(out) if out.ndim == 0 else out
 
     def density(self, r):

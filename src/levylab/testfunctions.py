@@ -143,7 +143,7 @@ class _Frame:
 
     def __init__(self, x, center, derivatives):
         self.y = x - center
-        self.r = np.linalg.norm(self.y, axis=1)
+        self.r = np.sqrt(np.add.reduce(self.y * self.y, axis=1))    # np.linalg.norm's
         self.derivatives = derivatives
         if derivatives:
             self.pos = self.r > 0

@@ -136,3 +136,13 @@ def bl_gap_normal_oracle(fns, mean1, mean2, sd=1.0):
             return val
         best = max(best, abs(e(mean1) - e(mean2)))
     return best
+
+
+def noise_rows_used(grid, counts, times, i):
+    """The Brownian rows each particle has used after cell i of grid: one
+    per cell, and one more per jump strictly inside a cell that has ended (a
+    jump at a grid time adds none).  counts and times are the particles'
+    drawn jumps, particle by particle."""
+    p = np.repeat(np.arange(counts.size), counts)
+    inner = ~np.isin(times, grid) & (times < grid[i + 1])
+    return i + 1 + np.bincount(p[inner], minlength=counts.size)

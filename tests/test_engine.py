@@ -17,7 +17,7 @@ from levylab.engine import BlockMarch, SimulationError, _prepare_block, make_bas
 from levylab.measures import (AtomicLevyMeasure, LevyConfigError, TruncationConfig,
                               sample_jump_events)
 
-from oracles import ou_euler_chain_variance, quad_radial
+from oracles import noise_rows_used, ou_euler_chain_variance, quad_radial
 
 
 def ou_coeffs(theta=1.0, sigma=math.sqrt(2.0), gamma=0.0, bound=4.0):
@@ -51,7 +51,7 @@ def schedule_events(inp):
     jump_cell = np.repeat(step_cell, np.diff(sch.step_jumps))
     slot = sch.slots[np.asarray(sch.pairs, dtype=np.int64)[jump_cell] + sch.idx]
     order = np.lexsort((sch.time, slot))
-    counts = np.bincount(slot, minlength=inp.x0.shape[0] * inp.copies)
+    counts = np.bincount(slot, minlength=inp.x0.shape[0])
     return per_particle(counts, sch.time[order]), per_particle(counts, sch.mark[order])
 
 
@@ -392,6 +392,28 @@ class TestEnsembleLaws:
             quad_radial(lambda r: r * r, lambda r: 0.5 * r ** -1.5, 0.0, 0.02),
             rel=1e-9)
 
+    def test_empty_band_gets_no_compensator(self):
+        # discard mode compensates eps < |z| <= level/|f|, which is empty for
+        # |f| > level/eps: such a row gets -f times a +0.0 moment (the zero a
+        # row with f = 0 gets is +0.0), though the asymmetric driver's band
+        # moment is nonzero wherever the band is not empty
+        drv = L.exponential_tails_1d(1.0, 1.0, 2.0, 3.0)
+        tr = TruncationConfig(level=0.5, small_jump_mode="discard_below_eps", eps=0.1)
+        cs = L.CoefficientSet(b=lambda t, x: 0.0 * x, sigma=lambda t, x: 0.0 * x[:, :, None],
+                              d=1, m=1, gamma=1.0, g=lambda t, x: x[:, 0])
+        grid = make_base_grid(1.0, 0.1)
+        march = BlockMarch(cs, drv, tr, grid,
+                           _prepare_block(drv, tr, L.PointMass([0.0]), grid, 1, [0], 3, R.SIGNAL))
+        comp = march._compensator(cs, 0.0, np.array([[10.0], [-20.0], [2.0], [0.0], [-2.0]]))
+        assert comp[[0, 1, 3], 0].tobytes() == np.array([-0.0, 0.0, 0.0]).tobytes()
+        want = -np.array([2.0, -2.0])[:, None] * drv.first_moment(0.1, 0.25)
+        assert comp[[2, 4]].tobytes() == want.tobytes() and (want != 0.0).all()
+        # a path with f = 10 everywhere moves only at its jumps
+        ten = L.coefficients_from_config({"name": "zero", "d": 1, "m": 1, "gamma": 10.0})
+        path = L.simulate_path(ten, drv, tr, [0.3], 0.1, 1.0, seed=3)
+        moved = np.diff(path.values[:, 0]) != 0.0
+        assert len(path.jumps) and (moved == np.isin(path.grid[1:], path.jumps.times)).all()
+
     @pytest.mark.parametrize("simulate", [
         lambda cs, drv, tr: L.simulate_ensemble(cs, drv, tr, L.PointMass([0.0]), 10, 0.1,
                                                 1.0, seed=1),
@@ -456,7 +478,7 @@ class TestNoiseProtocol:
         # the block re-keys one generator; every draw must be the one a fresh
         # (seed, namespace, purpose, particle) stream gives: INIT for the
         # initial law, DRIVER for the jump atoms, BROWNIAN for the rows; for
-        # every initial law, at several block sizes, with one and 7 copies
+        # every initial law, at several block sizes
         drv = L.AtomicLevyMeasure([[0.9], [-0.9]], [2.0, 2.0])
         laws = [engine.initial_law_from_config({"name": name, "params": params})
                 for name, params in [
@@ -466,9 +488,9 @@ class TestNoiseProtocol:
                     ("atomic", {"points": [[0.0, 1.0], [2.0, -1.0], [1.0, 1.0]],
                                 "weights": [0.2, 0.5, 0.3]})]]
         grid = make_base_grid(1.0, 0.1)
-        for law, B, copies in itertools.product(laws, (1, 3, 64), (1, 7)):
+        for law, B in itertools.product(laws, (1, 3, 64)):
             particles = range(3, 3 + B)
-            inp = _prepare_block(drv, TR, law, grid, 2, particles, 17, R.FILTER, copies)
+            inp = _prepare_block(drv, TR, law, grid, 2, particles, 17, R.FILTER)
             times, marks = schedule_events(inp)
             rows = 0
             for j, p in enumerate(particles):
@@ -484,7 +506,7 @@ class TestNoiseProtocol:
                 assert inp.noise[rows:rows + n_rows].tobytes() == want.tobytes()
                 rows += n_rows
             assert inp.x0.shape == (B, 2) and inp.noise.shape == (rows, 2)
-            assert inp.schedule.time.size == copies * sum(t.size for t in times[:B])
+            assert inp.schedule.time.size == sum(t.size for t in times)
         z = R.stream(17, R.INIT, 3, R.FILTER).standard_normal(2)
         assert laws[1].sample_one(R.stream(17, R.INIT, 3, R.FILTER)).tobytes() == \
             (laws[1].mean + laws[1].std * z).tobytes()
@@ -500,38 +522,6 @@ class TestNoiseProtocol:
             a = L.simulate_ensemble(cs, drv, TR, L.GaussianLaw([0.0], [1.0]), 300,
                                     0.05, 1.0, seed=13, block_size=block)
             assert a.values.tobytes() == b.values.tobytes(), block
-
-    @pytest.mark.parametrize("B", [1, 3, 64, 150])
-    def test_stacked_schedule_is_the_tiled_events_schedule(self, B):
-        # the schedule of S stacked copies, expanded from the one-copy
-        # schedule, is the one that lays out the events repeated on every
-        # copy's slots (slot s*B + p), array for array; some jumps sit on
-        # grid points, and many cells hold several jumps of one slot
-        drv = L.AtomicLevyMeasure([[0.9], [-0.9]], [4.0, 4.0])
-        law = L.GaussianLaw([0.0], [1.0])
-        counts, ev_t, ev_z = drawn_events(drv, range(B), 7)
-        grid = np.union1d(make_base_grid(1.0, 0.1), ev_t[::3])
-        one = _prepare_block(drv, TR, law, grid, 1, range(B), 7, R.SIGNAL)
-        ev_p = np.repeat(np.arange(B), counts)
-        at = np.searchsorted(grid, ev_t, side="left")
-        inner = grid[np.minimum(at, grid.size - 1)] != ev_t
-        ev_row = ev_p * (grid.size - 1) + (at - 1) + (np.cumsum(inner) - inner)
-        # a cell with two steps has a slot that jumps twice in it
-        assert (~inner).any() and np.diff(one.schedule.steps).max() > 1
-        for copies in range(1, 9):
-            each = np.tile(np.arange(ev_t.size), copies)
-            slot = ev_p[each] + B * np.repeat(np.arange(copies), ev_t.size)
-            want = engine._jump_schedule(grid, slot, ev_t[each], ev_z[each], (at - 1)[each],
-                                         ev_row[each])
-            got = _prepare_block(drv, TR, law, grid, 1, range(B), 7, R.SIGNAL,
-                                 copies).schedule
-            for name, w in vars(want).items():
-                g = getattr(got, name)
-                if isinstance(w, tuple):
-                    assert g == w, (copies, name)
-                else:
-                    assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes()), \
-                        (copies, name)
 
     def test_block_inputs_read_only(self):
         # marches share one draw, so the draw must reject writes
@@ -951,8 +941,9 @@ def pool_params(fam):
 
 
 class TestStackedFamily:
-    """A family marches as one StackedFamily over stacked copies of each
-    block; every set must get the bits it gets marched alone."""
+    """A family marches as one StackedFamily over each block, S*B rows set
+    by set on the block's one schedule and noise rows; every set must get
+    the bits it gets marched alone."""
 
     N = 80
 
@@ -979,25 +970,45 @@ class TestStackedFamily:
         for ens, vals in zip([*members.values(), limit], want):
             assert ens.values.tobytes() == vals.tobytes()
 
-    def test_copies_stay_on_their_slot_row(self):
-        # BlockMarch gathers the block's B noise rows once per cell for all
-        # S copies: every copy of a slot must be on the slot's row after
-        # every cell, jumps (several in a cell, some on the grid) included
+    @pytest.mark.parametrize("gammas", [(0.4, 0.6), (-0.3, 0.6)])
+    @pytest.mark.parametrize("block", [1, 3, 64, N])
+    def test_heavy_jumps_match_per_set_marches(self, block, gammas):
+        # many cells hold several jumps of one slot and some jumps sit on
+        # grid points; every set replays the block's one schedule and must
+        # get the bits of its own march over the whole draw
+        fam = parametric_family(1, *gammas, "sine", 1.0, 0.5)
+        drv, mu0 = L.AtomicLevyMeasure([[0.9], [-0.9]], [4.0, 4.0]), L.GaussianLaw([0.0], [1.0])
+        _, ev_t, _ = drawn_events(drv, range(self.N), 7)
+        grid = make_base_grid(1.0, 0.1, ev_t[::3])
+        inputs = _prepare_block(drv, TR, mu0, grid, 1, range(self.N), 7, R.SIGNAL)
+        # a cell with two steps has a slot that jumps twice in it
+        assert np.diff(inputs.schedule.steps).max() > 1
+        assert 0 < np.count_nonzero(np.isin(ev_t, grid)) < ev_t.size
+        want = [BlockMarch(cs, drv, TR, grid, inputs).run() for cs in fam.all_sets()]
+        members, limit = L.simulate_coupled_family(fam, drv, TR, mu0, self.N, 0.1, 1.0, 7,
+                                                   extra_times=ev_t[::3], block_size=block)
+        for ens, vals in zip([*members.values(), limit], want, strict=True):
+            assert ens.values.tobytes() == vals.tobytes()
+
+    def test_slot_rows_advance_one_per_cell_and_off_grid_jump(self):
+        # all S sets read a slot's one noise row: after every cell each slot
+        # is one row further, plus one per jump off the grid in the cell
+        # (several jumps in a cell, some on the grid, included)
         fam = parametric_family(1, 0.4, 0.6, "sine", 1.0, 0.5)
         drv = L.AtomicLevyMeasure([[0.9], [-0.9]], [4.0, 4.0])
-        S, B = len(fam.all_sets()), 64
+        B = 64
         counts, ev_t, _ = drawn_events(drv, range(B), 5)
-        grid = np.union1d(make_base_grid(1.0, 0.1), ev_t[::3])
+        grid = make_base_grid(1.0, 0.1, ev_t[::3])
         inputs = _prepare_block(drv, TR, L.GaussianLaw([0.0], [1.0]), grid, 1, range(B), 5,
-                                R.SIGNAL, S)
+                                R.SIGNAL)
         march = BlockMarch(fam.stacked(B), drv, TR, grid, inputs)
+        assert march.x.shape == (4 * B, 1) and march.row.shape == (B,)
+        assert 0 < np.count_nonzero(np.isin(ev_t, grid)) < ev_t.size
         for i in range(grid.size - 1):
             march.advance_cell(i)
-            rows = march.row.reshape(S, B)
-            assert (rows == rows[0]).all(), i
-        # every jump off the grid took one more row
-        inner = np.count_nonzero(~np.isin(ev_t, grid))
-        assert inner and (march.row[:B] - inputs.offsets).sum() == B * (grid.size - 1) + inner
+            assert (march.row - inputs.offsets == noise_rows_used(grid, counts, ev_t, i)).all(), i
+        # each slot used exactly its own rows
+        assert march.row.tolist() == [*inputs.offsets[1:], inputs.noise.shape[0]]
 
     # rows 0-11 of a block of B = 3 under sets n = 1, 2, 4 and the limit:
     # signed zeros, inf and NaN show a stray + 0.0 or 0 * sin(x)
@@ -1017,9 +1028,10 @@ class TestStackedFamily:
         counted = replace(fam, limit=replace(
             fam.limit, g=lambda t, x: called.append(len(x)) or g(t, x)))
         stacked = counted.stacked(3)
-        for slots in (None, np.array([0, 2, 4, 5, 7, 9, 10]), np.array([1, 6]),
-                      np.array([9, 11])):
-            rows = np.arange(12) if slots is None else slots
+        for slots in (None, np.array([0, 2]), np.array([1]), np.array([2])):
+            # the block slots' rows in every set, set by set
+            rows = (3 * np.arange(4)[:, None] + (np.arange(3) if slots is None
+                                                 else slots)).ravel()
             x = self.X[rows]
             t = 0.3 if slots is None else np.linspace(0.0, 1.0, rows.size)
             called.clear()
@@ -1060,8 +1072,8 @@ class TestStackedFamily:
                                                  (-1e307, 4.6e307, "limit")])
     def test_failure_names_set_and_global_particle(self, amp, big, which):
         # x0 + (x0 + amp/n) per unit cell gives 4 x0 + 3 amp/n at t = 2: only
-        # the named set overflows, and only where x0 = big; rows are
-        # member-major, so the first bad row is past the first copy
+        # the named set overflows, and only where x0 = big; rows are set by
+        # set, so the first bad row is past the first set
         fam = L.family_from_config({
             "base": {"name": "linear", "d": 1, "m": 1, "params": {"A": [[1.0]]}},
             "drift_perturbation": {"name": "shift", "amp": amp}, "schedule": [2, 1, 4]})

@@ -18,9 +18,9 @@ from levylab.filtering import (FilterError, ObservationRecord,
                                ObservationSetup, filter_run, lambda_from_config,
                                log_likelihood, observation_model_from_config,
                                robustness_experiment)
-from levylab.measures import TruncationConfig
+from levylab.measures import TruncationConfig, sample_jump_events
 
-from oracles import discrete_kalman, quad_radial, riccati_closed_form
+from oracles import discrete_kalman, noise_rows_used, quad_radial, riccati_closed_form
 
 TR = TruncationConfig(level=0.5)
 
@@ -847,7 +847,7 @@ NU2S = {"atomic": None,
 
 
 class TestStackedFilter:
-    """A family's filters march as one BlockMarch over stacked copies of the
+    """A family's filters march as one BlockMarch of S*n rows over the one
     particle block; each filter must get the bits of a filter_run of its set
     and record alone."""
 
@@ -908,17 +908,21 @@ class TestStackedFilter:
             assert res.resampled_at == want.resampled_at
             assert _same_states(res.states, want.states)
 
-    def test_copies_stay_on_their_slot_row_under_resampling(self, monkeypatch):
-        # resampling moves only the states, so every filter's copy of a slot
-        # stays on the slot's noise row, which BlockMarch gathers once per cell
+    def test_slot_rows_advance_one_per_cell_under_resampling(self, monkeypatch):
+        # resampling moves only the states: each particle slot, which every
+        # filter's rows read, is one noise row further after each cell, plus
+        # one per jump off the grid in the cell
         import levylab.engine as E
 
         advance, checked = E.BlockMarch.advance_cell, []
+        counts, times, _ = sample_jump_events(
+            self.DRV, (0.0, math.inf), self.T, R.Streams(47, R.DRIVER, np.arange(60), R.FILTER))
 
         def checking(march, i):
             advance(march, i)
-            rows = march.row.reshape(march.inp.copies, -1)
-            checked.append(bool((rows == rows[0]).all()))
+            used = noise_rows_used(march.grid, counts, times, i)
+            checked.append(march.row.shape == (60,) and
+                           bool((march.row - march.inp.offsets == used).all()))
 
         fam = filter_family()
         model = make_model(lam=("state_logistic", {"base": 0.8, "decay": 0.5}))
@@ -927,6 +931,7 @@ class TestStackedFilter:
         results = filter_run(model, fam, self.DRV, TR, self.MU0, records, 60, 47, 0.98)
         assert all(res.resampled_at for res in results)
         assert len(checked) == records[0].grid.size - 1 and all(checked)
+        assert (~np.isin(times, records[0].grid)).any()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("index, which", [(1, "member n=1"), (3, "limit")])

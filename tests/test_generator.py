@@ -441,6 +441,31 @@ class TestFpeResidual:
             assert np.array_equal(path_sup_norms(vals),
                                   np.linalg.norm(vals, axis=2).max(axis=1))
 
+    # signed zeros, subnormals, squares that underflow or overflow, inf and NaN
+    NORM_ENTRIES = [0.0, -0.0, 5e-324, -2.5e-310, 1e-170, 1e200, -3e300, np.inf, -np.inf,
+                    np.nan, 0.7, -1.3]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_row_norms_are_numpys_bits(self, d):
+        # the guards', path_sup_norms' and the test functions' row norms
+        # take np.linalg.norm's own formula for real input: its bits
+        from levylab.testfunctions import _Frame
+
+        y = np.random.default_rng(d).choice(self.NORM_ENTRIES, size=(480, d))
+        vals = y.reshape(40, 12, d)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            a = y[:, :, None] * y[:, None, ::-1]
+            want = np.linalg.norm(y, axis=1)
+            assert G._norms(y).tobytes() == want.tobytes()
+            assert _Frame(y, np.zeros(d), False).r.tobytes() == want.tobytes()
+            assert G._norms(a, axis=(1, 2)).tobytes() == \
+                np.linalg.norm(a, axis=(1, 2)).tobytes()
+            sup = np.linalg.norm(vals[:, 0], axis=1)
+            for i in range(1, vals.shape[1]):
+                np.maximum(sup, np.linalg.norm(vals[:, i], axis=1), out=sup)
+            assert path_sup_norms(vals).tobytes() == sup.tobytes()
+        assert np.isnan(want).any() and np.isinf(want).any() and (want == 0.0).any()
+
     def test_unbounded_function_rejected(self):
         # log(1 + x^2) is not compactly supported: both residual tests refuse it
         ctx, ens = _acceptance_setup(n=500)

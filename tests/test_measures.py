@@ -153,6 +153,33 @@ def test_queries_broadcast_over_radii(name, query):
         np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0.0)
 
 
+EMPTY_BAND_MEASURES = {**BROADCAST_MEASURES,
+                       "exponential-2-3": exponential_tails_1d(1.0, 1.0, 2.0, 3.0)}
+
+
+@pytest.mark.parametrize("query", ["mass", "first_moment", "second_moment"])
+@pytest.mark.parametrize("name", EMPTY_BAND_MEASURES)
+def test_empty_annulus_is_positive_zero(name, query):
+    """r_lo >= r_hi is the empty set: every query gives +0.0 there, on
+    scalar and on broadcast radii, and the query of a nonempty annulus
+    keeps its value."""
+    m = EMPTY_BAND_MEASURES[name]
+    fn = getattr(m, query)
+    radii = np.array([0.0, 1e-3, 0.15, 0.3, 0.75, 1.0, 2.0, 40.0, math.inf])
+    lo, hi = np.meshgrid(radii, radii, indexing="ij")
+    empty = lo >= hi
+    zero = np.zeros(m.dim if query == "first_moment" else ())
+    for a, b in zip(lo[empty], hi[empty]):
+        assert np.asarray(fn(float(a), float(b))).tobytes() == zero.tobytes(), (a, b)
+    for got in (fn(radii[:, None], radii), fn(lo, hi)):
+        assert got[empty].tobytes() == np.zeros(got[empty].shape).tobytes()
+        assert got[~empty].tobytes() == np.array(
+            [fn(float(a), float(b)) for a, b in zip(lo[~empty], hi[~empty])]).tobytes()
+    if name == "exponential-2-3":
+        # nonzero before the fix: mass -0.274, first 0.00704, second -0.0139
+        assert fn(0.15, 0.3) != 0.0 and np.asarray(fn(0.3, 0.15)).tobytes() == zero.tobytes()
+
+
 @pytest.mark.parametrize("rate", [0.5, 1.0, 2.0, 5.0])
 @pytest.mark.parametrize("r_lo", [0.01, 0.3, 2.0, 10.0])
 @pytest.mark.parametrize("s", [0.05, 1.0, 20.0])
