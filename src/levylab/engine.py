@@ -52,6 +52,7 @@ it), which the block-size contract already requires.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,8 +63,7 @@ from .coefficients import (CoefficientFamily, CoefficientSet, StackedFamily,
                            require_linear_growth)
 from .manifests import _check_keys, _registry_entry
 from .measures import (JumpEvents, LevyConfigError, LevyMeasure,
-                       TruncationConfig, discarded_second_moment,
-                       sample_jump_events)
+                       TruncationConfig, sample_jump_events)
 
 
 class SimulationError(RuntimeError):
@@ -194,10 +194,9 @@ class PathEnsemble:
     convention).
     """
 
-    def __init__(self, times, values, trunc_report=None):
+    def __init__(self, times, values):
         self.times = np.asarray(times, dtype=float)
         self.values = values
-        self.trunc_report = trunc_report or {}
 
     @property
     def n_particles(self):
@@ -572,6 +571,14 @@ def ProcessPoolExecutor(max_workers):
     return ProcessPoolExecutor(max_workers=max_workers)
 
 
+def pool_processes(workers: int, n_tasks: int) -> int:
+    """The processes a pool of `workers` starts for n_tasks tasks: no more
+    than the tasks, nor than the CPUs.  A pooled march of n particles cuts
+    them into at least min(workers, n) tasks, so pool_processes(workers, n)
+    is also its count."""
+    return min(workers, n_tasks, os.cpu_count() or 1)
+
+
 def _pool_block(args) -> np.ndarray:
     """Worker task: one block, with the family rebuilt from its limit's
     config and its scalars; returns the (S, B, len(keep), d) values of the
@@ -600,7 +607,7 @@ def _simulate_blocks(family: CoefficientFamily, driver, trunc, mu0, n_particles,
                   family.gamma_amp, family.sigma_amp)
         tasks = [(params, driver, trunc, mu0, grid, keep, r, seed, namespace)
                  for r in ranges]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=pool_processes(workers, len(tasks))) as pool:
             for r, out in zip(ranges, pool.map(_pool_block, tasks)):
                 values[:, r.start:r.stop] = out
     else:
@@ -608,9 +615,7 @@ def _simulate_blocks(family: CoefficientFamily, driver, trunc, mu0, n_particles,
             r = range(lo, min(lo + block_size, n_particles))
             _run_block(family, driver, trunc, mu0, grid, keep, r, seed, namespace,
                        values[:, r.start:r.stop])
-    report = {"sampling_floor": trunc.sampling_floor,
-              "discarded_second_moment": discarded_second_moment(driver, trunc)}
-    return [PathEnsemble(grid[keep], v, trunc_report=report) for v in values]
+    return [PathEnsemble(grid[keep], v) for v in values]
 
 
 def simulate_ensemble(coeffs: CoefficientSet, driver: LevyMeasure,

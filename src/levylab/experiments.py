@@ -22,7 +22,8 @@ from .coefficients import coefficients_from_config, family_from_config
 from .convergence import (decreasing_verdict, default_bl_dictionary,
                           density_sup_estimate, enforce_level_bound,
                           lyapunov_moment, tightness_diagnostics)
-from .engine import initial_law_from_config, simulate_coupled_family, simulate_ensemble
+from .engine import (initial_law_from_config, pool_processes, simulate_coupled_family,
+                     simulate_ensemble)
 # the benchmark's layer trace patches this name; the pool itself is in engine
 from .engine import ProcessPoolExecutor  # noqa: F401
 from .filtering import observation_model_from_config, robustness_experiment
@@ -84,11 +85,10 @@ def run_superposition(man: RunManifest, seed: int, workers: int):
     reports = fpe_weak_residual(ens, ctx, dictionary, martingale_window=window)
     mart_rows = []
     mart_pass = True
-    for phi, rep in zip(dictionary, reports):
-        mrep = martingale_residual(ens, ctx, phi, *window,
-                                   increments=rep.martingale_increments)
+    for rep in reports:
+        mrep = martingale_residual(ens, rep)
         mart_pass = mart_pass and mrep.within
-        mart_rows += [[phi.name, b["bin"], b["count"], b["estimate"], b["se"],
+        mart_rows += [[rep.phi_name, b["bin"], b["count"], b["estimate"], b["se"],
                        b["scored"], b["pass"]] for b in mrep.bins]
     del ens
     ens_half = simulate_ensemble(coeffs, driver, trunc, mu0, man.n_particles,
@@ -251,6 +251,8 @@ def run(manifest: RunManifest, out_dir: str, seed: int | None = None,
 
     `seed` overrides the manifest's seed; the bundle's manifest records the
     seed used.  Everything is validated before any compute."""
+    if workers < 1:
+        raise ManifestError([f"workers must be at least 1, got {workers}"])
     fields = manifest.to_dict()
     if seed is not None:
         fields["seed"] = seed
@@ -277,7 +279,8 @@ def run(manifest: RunManifest, out_dir: str, seed: int | None = None,
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     # only these kinds hand work to a process pool; the others ignore workers
-    used = max(workers, 1) if manifest.kind in ("superposition", "limit") else 1
+    pooled = manifest.kind in ("superposition", "limit")
+    used = pool_processes(workers, effective.n_particles) if pooled else 1
     with open(os.path.join(out_dir, "run_info.json"), "w") as fh:
         json.dump({"elapsed_seconds": elapsed, "workers": used}, fh)
         fh.write("\n")

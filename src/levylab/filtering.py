@@ -357,6 +357,10 @@ class ObservationSetup:
         accept = self.uniforms < lamv
         dts = np.diff(self.grid)
         hv = model.h(signal_values[:-1])
+        if hv.shape[1] != model.nu2.dim:
+            raise FilterError(f"the sensor has {hv.shape[1]} output channels but "
+                              f"nu2.dim is {model.nu2.dim}: each continuous channel "
+                              "needs its own Brownian noise")
         cont = self.w_increments + hv * dts[:, None]
         band = accept & self.prop_in_band
         big = accept & ~self.prop_in_band

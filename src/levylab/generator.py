@@ -39,10 +39,13 @@ computed once, and the whole dictionary's phi, grad and hess come from one
 dictionary pass (`testfunctions.evaluate`) over the slice, and its phi
 alone from one pass over each chunk of jump images.  The slice's phi(x_i) is both the
 generator's base value and the FPE statistic at t_i, and the martingale
-increments on a sub-window accumulate in the same march.  Only O(K n)
+increments on a sub-window accumulate in the same march: the martingale
+test bins the increments an FpeReport carries.  A caller that wants only
+the window marches the window's slices as an ensemble view,
+PathEnsemble(times[i_s:i_t+1], values[:, i_s:i_t+1]).  Only O(K n)
 accumulators are kept, never per-slice values.  A single function is the
-one-element dictionary of the same code; all results are bit for bit those
-of evaluating each function on its own.
+one-element dictionary; all results are bit for bit those of evaluating
+each function on its own.
 """
 
 from __future__ import annotations
@@ -156,15 +159,11 @@ def _atomic_sums(ctx: GeneratorContext, phis: list, jets: list, fv, X, vals):
 
 
 def generator_apply(ctx: GeneratorContext, phis, t, X: np.ndarray, jets=None):
-    """Generator values over rows of X for one function or a whole dictionary.
-
-    One TestFunction gives values of shape (n,); a sequence of K functions
-    gives a (K, n) array, with b, a and the jump images computed once.
-    `jets` are the functions' (phi, grad, hess) at X when the caller already
-    has them.
+    """Generator values, (K, n), of a sequence of K functions over the n rows
+    of X, with b, a and the jump images computed once.  `jets` are the
+    functions' (phi, grad, hess) at X when the caller already has them.
     """
-    single = isinstance(phis, TestFunction)
-    phis = [phis] if single else list(phis)
+    phis = list(phis)
     X = np.atleast_2d(X)
     if jets is None:
         jets = evaluate(phis, X)
@@ -173,7 +172,7 @@ def generator_apply(ctx: GeneratorContext, phis, t, X: np.ndarray, jets=None):
     vals = _jump_terms(ctx, phis, jets, t, X)
     for k, (_, g, h) in enumerate(jets):
         vals[k] = np.einsum("nij,nij->n", a, h) + np.einsum("ni,ni->n", b, g) + vals[k]
-    return vals[0] if single else vals
+    return vals
 
 
 def jump_hypotheses(ctx: GeneratorContext, t, X: np.ndarray):
@@ -203,7 +202,7 @@ def eval_generator(ctx: GeneratorContext, phi: TestFunction, t: float, x) -> flo
         raise GeneratorError(
             "big-jump mass is infinite at this point "
             "(hypothesis H^l on the uncompensated region)")
-    return float(generator_apply(ctx, phi, t, x)[0])
+    return float(generator_apply(ctx, [phi], t, x)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +265,6 @@ def validate_hypotheses(ctx: GeneratorContext, T: float = 1.0) -> HypothesisRepo
 
 @dataclass
 class MartingaleReport:
-    t: float
     phi_name: str
     bins: list           # per-bin dicts: bin, count, estimate, se, scored, pass
     max_sigmas: float    # max |estimate| / se over scored bins
@@ -278,110 +276,31 @@ class MartingaleReport:
         return all(b["pass"] for b in self.bins)
 
 
-@dataclass
-class MartingaleIncrements:
-    """Per-path compensated increments of one function over one window."""
-
-    phi_name: str
-    window: tuple        # (i_s, i_t), slice indices of s and t
-    values: np.ndarray   # (n,) phi(x_t) - phi(x_s) - sum_{[s, t)} (L phi) dt
+_N_BINS = 8   # bins per coordinate of the state at s that varies
 
 
-def _window_indices(ensemble: PathEnsemble, s: float, t: float):
-    if not s < t:
-        raise GeneratorError("need s < t")
-    return ensemble.index_at(s), ensemble.index_at(t)
-
-
-def _march(ensemble: PathEnsemble, ctx: GeneratorContext, phis: list,
-           fpe: bool, window=None):
-    """One pass over the ensemble's time slices for the whole dictionary.
-
-    Each slice i makes one dictionary pass (`testfunctions.evaluate`) for
-    the jets at x_i and one generator_apply call.  The jets give the
-    generator its base values and are also phi(x_i) for the FPE statistic
-    at t_i, so phi is evaluated once per slice and function.  The last
-    slice needs phi alone, from each function's own phi.  With
-    fpe=False only the slices of window = (i_s, i_t) are marched.  Returns
-    the (K, M1) residual and s.e. curves and, when a window is given, the
-    per-function MartingaleIncrements over it.  Only (K, n) accumulators
-    are kept, never per-slice generator values.
-    """
-    times, vals = ensemble.times, ensemble.values
-    n, M1, _ = vals.shape
-    K = len(phis)
-    first, last = (0, M1 - 1) if fpe else window
-    residual = np.zeros((K, M1))
-    se = np.zeros((K, M1))
-    acc = np.zeros((K, n))        # int_0^{t_i} L phi dr per path
-    win_acc = np.zeros((K, n))    # the same over the martingale window
-    i_s, i_t = window if window is not None else (None, None)
-    for i in range(first, last + 1):
-        X = vals[:, i, :]
-        jets = evaluate(phis, X) if i < last else None
-        base = ([jet[0] for jet in jets] if jets is not None
-                else [phi.phi(X) for phi in phis])
-        if i == first:
-            phi0 = base
-        if i == i_s:
-            phi_s = base
-        if i == i_t:
-            phi_t = base
-        if fpe and i > first:
-            for k in range(K):
-                stat = base[k] - phi0[k] - acc[k]
-                residual[k, i] = float(stat.mean())
-                se[k, i] = float(stat.std(ddof=1) / math.sqrt(n))
-        if i == last:
-            break
-        gv = generator_apply(ctx, phis, float(times[i]), X, jets=jets)
-        step = gv * (times[i + 1] - times[i])
-        acc += step
-        if window is not None and i_s <= i < i_t:
-            win_acc += step
-    increments = None
-    if window is not None:
-        increments = [MartingaleIncrements(phi.name, (i_s, i_t),
-                                           phi_t[k] - phi_s[k] - win_acc[k])
-                      for k, phi in enumerate(phis)]
-    return residual, se, increments
-
-
-def martingale_residual(ensemble: PathEnsemble, ctx: GeneratorContext,
-                        phi: TestFunction, s: float, t: float,
-                        n_bins: int = 8, min_bin: int = 100,
-                        increments=None) -> MartingaleReport:
-    """Conditional-mean test of the compensated increment over [s, t].
+def martingale_residual(ensemble: PathEnsemble, report: FpeReport,
+                        min_bin: int = 100) -> MartingaleReport:
+    """Conditional-mean test of the compensated increments over [s, t] that
+    `report` carries (`fpe_weak_residual(ensemble, ..., martingale_window=(s, t))`).
 
     Bins the ensemble on the state at time s (a coarse measurable partition
     of the past, hence a necessary condition for the martingale property)
-    and reports the worst normalized bin mean.  `increments` are the
-    MartingaleIncrements of phi over [s, t] when the caller already has them
-    (`fpe_weak_residual(..., martingale_window=(s, t))`); they must be of
-    this phi, this window and one value per path.  Otherwise the window's
-    slices are marched here.
+    and reports the worst normalized bin mean.
     """
-    if phi.support_class != COMPACT:
-        raise GeneratorError("martingale test needs a compactly supported function")
-    i_s, i_t = _window_indices(ensemble, s, t)
-    if increments is None:
-        increments = _march(ensemble, ctx, [phi], fpe=False, window=(i_s, i_t))[2][0]
-    if increments.phi_name != phi.name:
-        raise GeneratorError(f"increments are of {increments.phi_name!r}, "
-                             f"not of {phi.name!r}")
-    if tuple(increments.window) != (i_s, i_t):
-        raise GeneratorError(f"increments are over slices {tuple(increments.window)}, "
-                             f"not over the window's slices {(i_s, i_t)}")
-    inc = increments.values
+    if report.window is None:
+        raise GeneratorError(f"the report of {report.phi_name!r} has no martingale "
+                             "window: pass martingale_window to fpe_weak_residual")
+    inc = report.increments
     if inc.shape != (ensemble.n_particles,):
         raise GeneratorError(f"need one increment per path, got shape {inc.shape}")
-    xs = ensemble.values[:, i_s, :]
+    xs = ensemble.values[:, report.window[0], :]
     # bin on each coordinate with spread; combine bin ids
     ids = np.zeros(xs.shape[0], dtype=int)
     for j in [j for j in range(xs.shape[1]) if np.ptp(xs[:, j]) > 0]:
-        e = np.linspace(xs[:, j].min(), xs[:, j].max(), n_bins + 1)
+        e = np.linspace(xs[:, j].min(), xs[:, j].max(), _N_BINS + 1)
         e[-1] += 1e-12
-        ids = ids * n_bins + np.clip(np.digitize(xs[:, j], e) - 1, 0, n_bins - 1)
+        ids = ids * _N_BINS + np.clip(np.digitize(xs[:, j], e) - 1, 0, _N_BINS - 1)
     bins = []
     max_sig = 0.0
     for bid in sorted_unique(ids):
@@ -397,7 +316,7 @@ def martingale_residual(ensemble: PathEnsemble, ctx: GeneratorContext,
             sig = 0.0 if est == 0.0 else abs(est) / se if se > 0 else math.inf
             max_sig = max(max_sig, sig)
     overall = (float(inc.mean()), float(inc.std(ddof=1) / math.sqrt(inc.size)))
-    return MartingaleReport(t=t, phi_name=phi.name, bins=bins,
+    return MartingaleReport(phi_name=report.phi_name, bins=bins,
                             max_sigmas=max_sig, overall=overall)
 
 
@@ -413,7 +332,8 @@ class FpeReport:
     mc_se: np.ndarray
     sup_abs: float
     sup_se: float
-    martingale_increments: MartingaleIncrements | None = None   # see fpe_weak_residual
+    window: tuple | None = None              # (i_s, i_t), the martingale window's slices
+    increments: np.ndarray | None = None     # (n,) phi(x_t) - phi(x_s) - sum_{[s, t)} (L phi) dt
 
 
 def path_sup_norms(vals: np.ndarray) -> np.ndarray:
@@ -459,35 +379,86 @@ def integrability_guards(ensemble: PathEnsemble, ctx: GeneratorContext) -> None:
             "(second well-posedness condition)")
 
 
-def fpe_weak_residual(ensemble: PathEnsemble, ctx: GeneratorContext,
-                      phis, run_guards: bool = True, martingale_window=None):
-    """Residual curves of the empirical weak forward identity.
+def _march(ensemble: PathEnsemble, ctx: GeneratorContext, phis: list, window=None):
+    """One pass over all of the ensemble's time slices for the whole dictionary.
 
-    `phis` is one TestFunction, giving one FpeReport, or a dictionary, giving
-    a list of reports in its order; either way the ensemble's slices are
-    marched once.  With martingale_window=(s, t) each report also carries
-    the per-path compensated increments over [s, t], accumulated in the same
-    march, for martingale_residual(..., increments=...).
+    Each slice i makes one dictionary pass (`testfunctions.evaluate`) for
+    the jets at x_i and one generator_apply call.  The jets give the
+    generator its base values and are also phi(x_i) for the FPE statistic
+    at t_i, so phi is evaluated once per slice and function.  The last
+    slice needs phi alone, from each function's own phi.  Returns the
+    (K, M1) residual and s.e. curves and, when window = (i_s, i_t) is
+    given, the K per-path compensated increments over it, summed from zero
+    at i_s.  Only (K, n) accumulators are kept, never per-slice generator
+    values.
     """
-    single = isinstance(phis, TestFunction)
-    phis = [phis] if single else list(phis)
+    times, vals = ensemble.times, ensemble.values
+    n, M1, _ = vals.shape
+    K = len(phis)
+    last = M1 - 1
+    residual = np.zeros((K, M1))
+    se = np.zeros((K, M1))
+    acc = np.zeros((K, n))        # int_0^{t_i} L phi dr per path
+    win_acc = np.zeros((K, n))    # the same over the martingale window
+    i_s, i_t = window if window is not None else (M1, M1)
+    increments = None
+    for i in range(M1):
+        X = vals[:, i, :]
+        jets = evaluate(phis, X) if i < last else None
+        base = ([jet[0] for jet in jets] if jets is not None
+                else [phi.phi(X) for phi in phis])
+        if i == 0:
+            phi0 = base
+        else:
+            for k in range(K):
+                stat = base[k] - phi0[k] - acc[k]
+                residual[k, i] = float(stat.mean())
+                se[k, i] = float(stat.std(ddof=1) / math.sqrt(n))
+        if i == i_s:
+            phi_s = base
+        if i == i_t:
+            increments = [base[k] - phi_s[k] - win_acc[k] for k in range(K)]
+        if i == last:
+            break
+        gv = generator_apply(ctx, phis, float(times[i]), X, jets=jets)
+        step = gv * (times[i + 1] - times[i])
+        acc += step
+        if i_s <= i < i_t:
+            win_acc += step
+    return residual, se, increments
+
+
+def fpe_weak_residual(ensemble: PathEnsemble, ctx: GeneratorContext,
+                      phis, run_guards: bool = True, martingale_window=None) -> list:
+    """Residual curves of the empirical weak forward identity, one FpeReport
+    per function of the sequence `phis`, in its order, from one march over
+    the ensemble's slices.  With martingale_window=(s, t) each report also
+    carries the window's slice indices and the per-path compensated
+    increments over [s, t], accumulated in the same march, for
+    martingale_residual.
+    """
+    phis = list(phis)
     if any(phi.support_class != COMPACT for phi in phis):
         raise GeneratorError("the weak forward identity is tested on "
                              "compactly supported functions")
-    window = (None if martingale_window is None
-              else _window_indices(ensemble, *martingale_window))
+    window = None
+    if martingale_window is not None:
+        s, t = martingale_window
+        if not s < t:
+            raise GeneratorError("need s < t")
+        window = (ensemble.index_at(s), ensemble.index_at(t))
     if run_guards:
         integrability_guards(ensemble, ctx)
     times = ensemble.times
-    residual, se, increments = _march(ensemble, ctx, phis, fpe=True, window=window)
+    residual, se, increments = _march(ensemble, ctx, phis, window)
     reports = []
     for k, phi in enumerate(phis):
         j = int(np.argmax(np.abs(residual[k])))
         reports.append(FpeReport(
             phi_name=phi.name, times=times.copy(), residual=residual[k],
             mc_se=se[k], sup_abs=float(abs(residual[k, j])), sup_se=float(se[k, j]),
-            martingale_increments=None if increments is None else increments[k]))
-    return reports[0] if single else reports
+            window=window, increments=None if increments is None else increments[k]))
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -70,8 +70,8 @@ class TruncationConfig:
     level: the cutoff l > 0 separating compensated from raw jumps.
     small_jump_mode: 'exact_compound_poisson' samples every atom of the
         driver (requires the measure to have finite total activity);
-        'discard_below_eps' drops atoms with |z| <= eps and reports the
-        discarded variance so experiments can bound the bias.
+        'discard_below_eps' drops atoms with |z| <= eps; the discarded
+        variance, second_moment(0, eps) of the driver, bounds the bias.
     """
 
     level: float
@@ -576,14 +576,6 @@ def _nudge_ties(times: np.ndarray):
     for i in range(1, times.size):
         if times[i] <= times[i - 1]:
             times[i] = np.nextafter(times[i - 1], math.inf)
-
-
-def discarded_second_moment(spec: LevyMeasure, trunc: TruncationConfig) -> float:
-    """Variance integral of the jumps dropped below the sampling floor."""
-    eps = trunc.sampling_floor
-    if eps == 0.0:
-        return 0.0
-    return spec.second_moment(0.0, eps)
 
 
 # registry for manifest-driven construction ---------------------------------

@@ -24,7 +24,8 @@ from levylab.convergence import gronwall_check
 from levylab.experiments import run_limit, run_superposition
 from levylab.filtering import ObservationSetup, filter_run, log_likelihood, \
     observation_model_from_config, robustness_experiment
-from levylab.generator import GeneratorContext, eval_generator, martingale_residual
+from levylab.generator import GeneratorContext, eval_generator, fpe_weak_residual, \
+    martingale_residual
 from levylab.manifests import RunManifest
 from levylab.measures import TruncationConfig
 from levylab.psi import construct_psi, weighted_big_psi_sum
@@ -155,9 +156,13 @@ def test_criterion_03_martingale_residual(bench_superposition, bench_ensemble):
                            sigma=ctx.coeffs.sigma, d=1, m=1,
                            gamma=ctx.coeffs.gamma, g=ctx.coeffs.g)
     bad_ctx = GeneratorContext(bad, ctx.driver, ctx.trunc)
-    # the first of three functions whose report fails the bin rule
-    caught = next((rep for rep in (martingale_residual(ens, bad_ctx, phi, 0.25, 0.5)
-                                   for phi in default_dictionary(1)[:3])
+    # one march of three functions over the window's slices, as an ensemble
+    # view; the first function whose report fails the bin rule
+    i_s, i_t = ens.index_at(0.25), ens.index_at(0.5)
+    window = L.PathEnsemble(ens.times[i_s:i_t + 1], ens.values[:, i_s:i_t + 1])
+    reports = fpe_weak_residual(window, bad_ctx, default_dictionary(1)[:3],
+                                run_guards=False, martingale_window=(0.25, 0.5))
+    caught = next((rep for rep in (martingale_residual(window, r) for r in reports)
                    if not rep.within), None)
     elapsed = run_seconds + time.perf_counter() - t0
     ok = verdicts["martingale_within_3se"] and caught is not None and elapsed < 300.0

@@ -19,6 +19,7 @@ import levylab as L
 from levylab.coefficients import family_from_config
 from levylab.cli import main
 from levylab.experiments import replay, run
+from levylab.filtering import FilterError
 from levylab.manifests import ManifestError, RunManifest
 
 
@@ -173,13 +174,15 @@ class TestRunAndReplay:
         assert not result["identical"]
 
     def test_worker_counts_bitwise_identical(self, tmp_path):
+        # run_info.json records the processes started: at most one per CPU
         man = small_superposition_manifest()
         outs = {}
         for w in (1, 4):
             out = tmp_path / f"w{w}"
             run(man, str(out), workers=w)
             outs[w] = out
-            assert json.loads((out / "run_info.json").read_text())["workers"] == w
+            assert (json.loads((out / "run_info.json").read_text())["workers"]
+                    == min(w, os.cpu_count() or 1))
         for name in ("fpe_residuals.csv", "martingale_residuals.csv",
                      "summary.json"):
             assert filecmp.cmp(outs[1] / name, outs[4] / name, shallow=False)
@@ -193,7 +196,8 @@ class TestRunAndReplay:
             out = tmp_path / f"w{w}"
             run(man, str(out), workers=w)
             outs[w] = out
-            assert json.loads((out / "run_info.json").read_text())["workers"] == w
+            assert (json.loads((out / "run_info.json").read_text())["workers"]
+                    == min(w, os.cpu_count() or 1))
         for name in ("distances.csv", "summary.json", "manifest.json"):
             assert filecmp.cmp(outs[1] / name, outs[2] / name, shallow=False)
 
@@ -297,6 +301,14 @@ def test_filter_robustness_kind(tmp_path):
     assert summary["verdicts"]["robustness_pass"]
     lines = open(tmp_path / "rob" / "filter_limit.csv").read().splitlines()
     assert lines[0] == "t,phi_id,pi_t,rho_t_1,ess"
+
+
+def test_sensor_width_must_match_the_observation_noise(tmp_path):
+    # three continuous channels over a 1-d nu2 would share one Brownian noise
+    man = filter_robustness_manifest()
+    man.spec["observation"]["sensor"] = {"name": "linear", "params": {"H": [[1], [2], [-1]]}}
+    with pytest.raises(FilterError, match="3 output channels but nu2.dim is 1"):
+        run(man, str(tmp_path / "rob"))
 
 
 def test_filter_robustness_draws_filter_particles_once_per_rep(tmp_path, monkeypatch):
@@ -689,8 +701,11 @@ TOP_KEYS = "kind, seed, T, h, n_particles, spec, assumptions"
      "n_particles must be an integer in [1, 2**63), got True"),
     (lambda d: d.update(n_particles="1500"), [],
      "n_particles must be an integer in [1, 2**63), got '1500'"),
+    (lambda d: None, ["--workers", "0"], "workers must be at least 1, got 0"),
+    (lambda d: None, ["--workers=-3"], "workers must be at least 1, got -3"),
 ], ids=["top-level-key", "spec-key", "seed-negative", "seed-2**64", "seed-flag",
-        "seed-fraction", "seed-bool", "n-fraction", "n-bool", "n-string"])
+        "seed-fraction", "seed-bool", "n-fraction", "n-bool", "n-string", "workers-zero",
+        "workers-negative"])
 def test_unknown_keys_and_bad_seeds_rejected_before_compute(tmp_path, capsys, edit,
                                                             args, message):
     d = small_superposition_manifest().to_dict()

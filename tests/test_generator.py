@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,8 +12,7 @@ import levylab as L
 from levylab import experiments
 from levylab import generator as G
 from levylab.coefficients import default_probe_points
-from levylab.generator import (GeneratorContext, GeneratorError,
-                               MartingaleIncrements, eval_generator,
+from levylab.generator import (GeneratorContext, GeneratorError, eval_generator,
                                fpe_weak_residual, generator_apply,
                                fpe_verdict, integrability_guards, martingale_residual,
                                path_sup_norms, validate_hypotheses)
@@ -121,15 +121,14 @@ class TestEvalGenerator:
         f1 = plateau_bump(center=0.0, r0=1.0, r1=3.0)
         f2 = windowed_monomial([1], r0=2.0, r1=4.0)
         x = x[:, None]
-        v1 = generator_apply(ctx, f1, 0.2, x)
-        v2 = generator_apply(ctx, f2, 0.2, x)
+        v1, v2 = generator_apply(ctx, [f1, f2], 0.2, x)
         combo = L.TestFunction(
             "combo",
             phi=lambda y: c1 * f1.phi(y) + c2 * f2.phi(y),
             grad=lambda y: c1 * f1.grad(y) + c2 * f2.grad(y),
             hess=lambda y: c1 * f1.hess(y) + c2 * f2.hess(y),
             dim=1, support_class="compact")
-        vc = generator_apply(ctx, combo, 0.2, x)
+        vc = generator_apply(ctx, [combo], 0.2, x)[0]
         np.testing.assert_allclose(vc, c1 * v1 + c2 * v2, rtol=1e-13, atol=1e-14)
 
     def test_compensation_reduces_to_big_jump_sum(self):
@@ -170,7 +169,7 @@ class TestEvalGenerator:
                                TruncationConfig(level=0.5))
         phi = plateau_bump(center=0.0, r0=1.0, r1=3.0)
         with pytest.raises(GeneratorError, match="finite-activity driver"):
-            generator_apply(ctx, phi, 0.0, np.zeros((2, 1)))
+            generator_apply(ctx, [phi], 0.0, np.zeros((2, 1)))
 
     def test_infinite_second_moment_rejected(self):
         ctx = GeneratorContext(zero_coeffs(gamma=1.0),
@@ -316,6 +315,15 @@ class TestJumpHypotheses:
         assert _bits(rep.small_jump["constant"]) == _bits(_scalar_validation(ctx, 0.7)[0])
 
 
+def _window_reports(ens, ctx, phis, s, t):
+    """The window [s, t] of ens as an ensemble view, and phis' reports over
+    it with their martingale increments, from one march of its slices."""
+    i_s, i_t = ens.index_at(s), ens.index_at(t)
+    view = L.PathEnsemble(ens.times[i_s:i_t + 1], ens.values[:, i_s:i_t + 1])
+    return view, fpe_weak_residual(view, ctx, phis, run_guards=False,
+                                   martingale_window=(s, t))
+
+
 def _acceptance_setup(n=20_000, h=0.01, seed=11):
     cs = ou_coeffs(0.5)
     drv = L.AtomicLevyMeasure([[0.9], [-0.9]], [0.3, 0.3])
@@ -332,16 +340,18 @@ class TestMartingaleResidual:
         ctx = GeneratorContext(cs, L.zero_measure(1), TruncationConfig(level=1.0))
         ens = L.simulate_ensemble(cs, L.zero_measure(1), TruncationConfig(level=1.0),
                                   L.GaussianLaw([0.0], [1.0]), 500, 0.1, 1.0, seed=1)
-        rep = martingale_residual(ens, ctx, plateau_bump(r0=1.0, r1=3.0), 0.2, 0.8)
+        view, (fpe,) = _window_reports(ens, ctx, [plateau_bump(r0=1.0, r1=3.0)], 0.2, 0.8)
+        rep = martingale_residual(view, fpe)
         assert [b["estimate"] for b in rep.bins] == [0.0] * len(rep.bins)
         assert rep.within
         assert rep.overall[0] == 0.0
 
     def test_ou_within_three_sigma(self):
         ctx, ens = _acceptance_setup()
-        for phi in default_dictionary(1)[:3]:
-            rep = martingale_residual(ens, ctx, phi, 0.25, 0.5)
-            assert rep.within, phi.name
+        view, reports = _window_reports(ens, ctx, default_dictionary(1)[:3], 0.25, 0.5)
+        for fpe in reports:
+            rep = martingale_residual(view, fpe)
+            assert rep.within, fpe.phi_name
 
     def test_corrupted_drift_detected_and_bias_matches_oracle(self):
         ctx, ens = _acceptance_setup()
@@ -350,7 +360,8 @@ class TestMartingaleResidual:
                                gamma=ctx.coeffs.gamma, g=ctx.coeffs.g)
         bad_ctx = GeneratorContext(bad, ctx.driver, ctx.trunc)
         phi = default_dictionary(1)[1]
-        rep = martingale_residual(ens, bad_ctx, phi, 0.25, 0.5)
+        view, (fpe,) = _window_reports(ens, bad_ctx, [phi], 0.25, 0.5)
+        rep = martingale_residual(view, fpe)
         assert not rep.within
         # the unconditional bias is -E int grad phi dr, computable directly
         i_s, i_t = ens.index_at(0.25), ens.index_at(0.5)
@@ -362,8 +373,8 @@ class TestMartingaleResidual:
 
     def test_small_bins_flagged_not_scored(self):
         ctx, ens = _acceptance_setup(n=900)
-        rep = martingale_residual(ens, ctx, default_dictionary(1)[0], 0.25, 0.5,
-                                  min_bin=100)
+        view, (fpe,) = _window_reports(ens, ctx, default_dictionary(1)[:1], 0.25, 0.5)
+        rep = martingale_residual(view, fpe, min_bin=100)
         assert any(not b["scored"] for b in rep.bins)
         scored = [b for b in rep.bins if b["scored"]]
         assert all(b["count"] >= 100 for b in scored)
@@ -375,7 +386,7 @@ class TestFpeResidual:
         ctx = GeneratorContext(cs, L.zero_measure(1), TruncationConfig(level=1.0))
         ens = L.simulate_ensemble(cs, L.zero_measure(1), TruncationConfig(level=1.0),
                                   L.PointMass([0.4]), 200, 0.1, 1.0, seed=2)
-        rep = fpe_weak_residual(ens, ctx, plateau_bump(r0=1.0, r1=3.0))
+        rep, = fpe_weak_residual(ens, ctx, [plateau_bump(r0=1.0, r1=3.0)])
         assert rep.sup_abs == 0.0
 
     def test_pure_jump_matches_master_equation(self):
@@ -388,7 +399,7 @@ class TestFpeResidual:
         ens = L.simulate_ensemble(cs, drv, trunc, L.PointMass([0.2]), n, 0.02,
                                   1.0, seed=3)
         phi = plateau_bump(center=1.0, r0=1.2, r1=3.0)
-        rep = fpe_weak_residual(ens, ctx, phi)
+        rep, = fpe_weak_residual(ens, ctx, [phi])
         assert rep.sup_abs <= 3 * rep.sup_se + 0.02
         for k in (10, 25, 50):
             t = float(ens.times[k])
@@ -408,7 +419,7 @@ class TestFpeResidual:
         ens = L.simulate_ensemble(cs, drv, trunc, L.PointMass([0.2]), n, 0.02,
                                   1.0, seed=4)
         phi = plateau_bump(center=0.5, r0=1.2, r1=3.0)
-        rep = fpe_weak_residual(ens, ctx, phi)
+        rep, = fpe_weak_residual(ens, ctx, [phi])
         assert rep.sup_abs <= 3 * rep.sup_se + 0.02
         t = float(ens.times[-1])
         emp = float(phi.phi(ens.values[:, -1, :]).mean())
@@ -467,7 +478,8 @@ class TestFpeResidual:
         assert np.isnan(want).any() and np.isinf(want).any() and (want == 0.0).any()
 
     def test_unbounded_function_rejected(self):
-        # log(1 + x^2) is not compactly supported: both residual tests refuse it
+        # log(1 + x^2) is not compactly supported: the march behind both
+        # residual tests refuses it
         ctx, ens = _acceptance_setup(n=500)
         unbounded = L.TestFunction(
             "log1p", phi=lambda y: np.log1p(y[:, 0] ** 2),
@@ -475,9 +487,7 @@ class TestFpeResidual:
             hess=lambda y: (2.0 * (1.0 - y ** 2) / (1.0 + y ** 2) ** 2)[:, :, None],
             dim=1, support_class="log_growth")
         with pytest.raises(GeneratorError, match="compactly supported"):
-            fpe_weak_residual(ens, ctx, unbounded)
-        with pytest.raises(GeneratorError, match="compactly supported"):
-            martingale_residual(ens, ctx, unbounded, 0.25, 0.5)
+            fpe_weak_residual(ens, ctx, [unbounded], martingale_window=(0.25, 0.5))
 
 
 def _assert_verdicts_are_pass_columns(tables, verdicts):
@@ -554,7 +564,7 @@ class TestSuperpositionCrosscheck:
                                   20_000, 0.01, 1.0, seed=7)
         bad_ctx = GeneratorContext(bad, drv, trunc)
         phi = default_dictionary(1)[0]
-        rep = fpe_weak_residual(ens, bad_ctx, phi)
+        rep, = fpe_weak_residual(ens, bad_ctx, [phi])
         assert rep.sup_abs > 3 * rep.sup_se + 0.02
 
     def test_corrupted_generator_fails_the_fpe_budget(self, monkeypatch):
@@ -670,7 +680,7 @@ def test_dictionary_pass_matches_per_function_reference(case):
     for k, phi in enumerate(dictionary):
         want = _reference_apply(ctx, phi, 0.4, X)
         assert np.array_equal(vals[k], want), phi.name
-        assert np.array_equal(generator_apply(ctx, phi, 0.4, X), want)
+        assert np.array_equal(generator_apply(ctx, [phi], 0.4, X)[0], want)
 
 
 @pytest.mark.parametrize("cap", [1, 450, 3000])
@@ -716,49 +726,44 @@ def test_fpe_and_martingale_share_one_pass_bitwise():
     dictionary = default_dictionary(1) + [_handmade(1)]
     reports = fpe_weak_residual(ens, ctx, dictionary, martingale_window=(0.25, 0.5))
     i_s, i_t = ens.index_at(0.25), ens.index_at(0.5)
-    for phi, rep in zip(dictionary, reports):
+    view, alone = _window_reports(ens, ctx, dictionary, 0.25, 0.5)
+    for phi, rep, window_rep in zip(dictionary, reports, alone):
         residual, se = _reference_fpe(ens, ctx, phi)
         assert np.array_equal(rep.residual, residual), phi.name
         assert np.array_equal(rep.mc_se, se), phi.name
-        single = fpe_weak_residual(ens, ctx, phi, run_guards=False)
+        single, = fpe_weak_residual(ens, ctx, [phi], run_guards=False)
         assert np.array_equal(single.residual, residual)
-        assert rep.martingale_increments.phi_name == phi.name
-        assert rep.martingale_increments.window == (i_s, i_t)
-        assert np.array_equal(rep.martingale_increments.values,
+        assert rep.window == (i_s, i_t) and window_rep.window == (0, i_t - i_s)
+        assert np.array_equal(rep.increments,
                               _reference_increment(ens, ctx, phi, i_s, i_t))
-        shared = martingale_residual(ens, ctx, phi, 0.25, 0.5,
-                                     increments=rep.martingale_increments)
-        alone = martingale_residual(ens, ctx, phi, 0.25, 0.5)
-        assert shared.bins == alone.bins
-        assert shared.overall == alone.overall
+        assert np.array_equal(window_rep.increments, rep.increments)
+        # the full march and the window view's march bin for bin
+        full = martingale_residual(ens, rep)
+        windowed = martingale_residual(view, window_rep)
+        assert full.bins == windowed.bins
+        assert full.overall == windowed.overall
 
 
 def test_martingale_window_reaching_the_horizon():
     ctx, ens = _acceptance_setup(n=300, h=0.1, seed=13)
     phi = default_dictionary(1)[0]
-    rep = fpe_weak_residual(ens, ctx, phi, martingale_window=(0.3, 1.0))
+    rep, = fpe_weak_residual(ens, ctx, [phi], martingale_window=(0.3, 1.0))
     i_s, i_t = ens.index_at(0.3), ens.index_at(1.0)
-    assert np.array_equal(rep.martingale_increments.values,
+    assert np.array_equal(rep.increments,
                           _reference_increment(ens, ctx, phi, i_s, i_t))
 
 
-def test_handed_increments_must_match_phi_window_and_paths():
+def test_martingale_report_needs_a_window_and_one_increment_per_path():
     ctx, ens = _acceptance_setup(n=300, h=0.1, seed=13)
-    bump0, bump1 = default_dictionary(1)[:2]
-    reports = fpe_weak_residual(ens, ctx, [bump0, bump1], run_guards=False,
-                                martingale_window=(0.2, 0.5))
-    inc = reports[0].martingale_increments
-    with pytest.raises(GeneratorError, match="not over the window"):
-        martingale_residual(ens, ctx, bump0, 0.2, 0.75, increments=inc)
-    with pytest.raises(GeneratorError, match="not over the window"):
-        martingale_residual(ens, ctx, bump0, 0.05, 0.5, increments=inc)
-    with pytest.raises(GeneratorError, match="not of 'bump\\+1'"):
-        martingale_residual(ens, ctx, bump1, 0.2, 0.5, increments=inc)
-    short = MartingaleIncrements(inc.phi_name, inc.window, inc.values[:-1])
+    bump0 = default_dictionary(1)[0]
+    bare, = fpe_weak_residual(ens, ctx, [bump0], run_guards=False)
+    with pytest.raises(GeneratorError, match="'bump0' has no martingale window"):
+        martingale_residual(ens, bare)
+    rep, = fpe_weak_residual(ens, ctx, [bump0], run_guards=False,
+                             martingale_window=(0.2, 0.5))
+    short = replace(rep, increments=rep.increments[:-1])
     with pytest.raises(GeneratorError, match="one increment per path"):
-        martingale_residual(ens, ctx, bump0, 0.2, 0.5, increments=short)
-    assert (martingale_residual(ens, ctx, bump0, 0.2, 0.5, increments=inc).bins
-            == martingale_residual(ens, ctx, bump0, 0.2, 0.5).bins)
+        martingale_residual(ens, short)
 
 
 _DICTIONARIES = {d: default_dictionary(d, validate=False) for d in (1, 2, 3)}

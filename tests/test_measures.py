@@ -9,7 +9,6 @@ from scipy import integrate, stats
 from levylab import rng as R
 from levylab.measures import (AtomicLevyMeasure, InfiniteMassError, JumpEvents,
                               LevyConfigError, TruncationConfig,
-                              discarded_second_moment,
                               exponential_tails_1d, measure_from_config,
                               power_law_tails_1d, sample_jump_events,
                               zero_measure)
@@ -454,10 +453,11 @@ class TestTruncation:
         assert cfg.sampling_floor == 0.1
 
     def test_discarded_variance_report(self):
+        # the variance of the jumps discard_below_eps drops, second_moment(0, eps)
         spec = power_law_tails_1d(coef=1.0, exponent=1.5, r_max=1.0)
         cfg = TruncationConfig(level=0.5, small_jump_mode="discard_below_eps", eps=0.05)
         want = quad_radial(lambda r: r * r, lambda r: 2 * r ** -1.5, 0.0, 0.05)
-        assert discarded_second_moment(spec, cfg) == pytest.approx(want, rel=1e-10)
+        assert spec.second_moment(0.0, cfg.sampling_floor) == pytest.approx(want, rel=1e-10)
 
 
 def test_registry_roundtrip():
