@@ -7,10 +7,15 @@ Coefficient callables take every particle in one call:
     g(t, x)     -> (n,)     scalar jump shape
 
 The jump coefficient of the state equation is f(t, x) = gamma * g(t, x).
+Each also takes out=None, an array of its result's shape that it may fill
+(the march's work array) or ignore, returning an array of its own, which
+may be x or a read-only broadcast; callers use the returned array.  A
+hand-built callable with no out parameter is wrapped to ignore it.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -46,14 +51,15 @@ class CoefficientSet:
     config: dict | None = field(default=None, init=False)
 
     def __post_init__(self):
-        if self.g is None:
-            object.__setattr__(self, "g", _g_one(None))
+        for name, fn in (("b", self.b), ("sigma", self.sigma),
+                         ("g", _g_one(None) if self.g is None else self.g)):
+            object.__setattr__(self, name, _taking_out(fn))
 
-    def f(self, t, x):
-        """Jump coefficient gamma * g(t, x), shape (n,)."""
+    def f(self, t, x, out=None):
+        """Jump coefficient gamma * g(t, x), shape (n,) (into out, if given)."""
         if self.gamma == 0.0:
             return np.zeros(np.atleast_2d(x).shape[0])
-        return self.gamma * self.g(t, x)
+        return np.multiply(self.gamma, self.g(t, x, out=out), out=out)
 
     def a(self, t, x):
         """Diffusion matrix a = sigma sigma^T / 2, shape (n, d, d)."""
@@ -147,7 +153,9 @@ class StackedFamily:
 
 
 class _StackedRows:
-    """A StackedFamily on k slots of every set: the first (S-1)*k are member rows."""
+    """A StackedFamily on k slots of every set: the first (S-1)*k are member rows.
+    The member terms are added in out (a new array if None) and the sine term
+    in an array the rows keep."""
 
     def __init__(self, fam: StackedFamily, k: int):
         self.lim, self.cut, self.sine = fam.limit, (fam.gamma.size - 1) * k, fam.sine
@@ -155,26 +163,37 @@ class _StackedRows:
         self.scale = None if fam.scale is None else np.repeat(fam.scale, k)[:, None]
         self.fac = None if fam.fac is None else np.repeat(fam.fac, k)[:, None, None]
         self.nz = None if self.gamma.all() else self.gamma != 0.0
+        self._sin = np.empty((self.cut, fam.limit.d)) if self.sine else None
 
-    def b(self, t, x):
-        bv, c = self.lim.b(t, x), self.cut
+    def _members(self, op, v, term, out):
+        """v with op(v, term) on the member rows, into out (new if None)."""
+        c, out = self.cut, np.empty(np.shape(v)) if out is None else out
+        op(v[:c], term, out=out[:c])
+        if v is not out:
+            out[c:] = v[c:]
+        return out
+
+    def b(self, t, x, out=None):
+        bv = self.lim.b(t, x, out=out)
         if self.scale is None:
             return bv
-        return np.concatenate([bv[:c] + (self.scale * np.sin(x[:c]) if self.sine
-                                         else self.scale), bv[c:]])
+        term = self.scale
+        if self.sine:
+            term = np.multiply(term, np.sin(x[:self.cut], out=self._sin), out=self._sin)
+        return self._members(np.add, bv, term, out)
 
-    def sigma(self, t, x):
-        sv, c = self.lim.sigma(t, x), self.cut
-        return sv if self.fac is None else np.concatenate([self.fac * sv[:c], sv[c:]])
+    def sigma(self, t, x, out=None):
+        sv = self.lim.sigma(t, x, out=out)
+        return sv if self.fac is None else self._members(np.multiply, sv, self.fac, out)
 
-    def f(self, t, x):
+    def f(self, t, x, out=None):
         """gamma * g; a row with gamma = 0 gets +0.0 without a call of g."""
         if self.nz is None:
-            return self.gamma * self.lim.g(t, x)
-        out, nz = np.zeros(self.nz.size), self.nz
+            return np.multiply(self.gamma, self.lim.g(t, x, out=out), out=out)
+        fv, nz = np.zeros(self.nz.size), self.nz
         if nz.any():
-            out[nz] = self.gamma[nz] * self.lim.g(t if np.ndim(t) == 0 else t[nz], x[nz])
-        return out
+            fv[nz] = self.gamma[nz] * self.lim.g(t if np.ndim(t) == 0 else t[nz], x[nz])
+        return fv
 
 
 # ---------------------------------------------------------------------------
@@ -243,13 +262,23 @@ def require_linear_growth(coeffs, probes=None):
 # registry of named coefficient builders
 # ---------------------------------------------------------------------------
 
+def _taking_out(fn):
+    """fn if it takes an out= keyword, else fn wrapped to ignore one."""
+    try:
+        if "out" in inspect.signature(fn).parameters:
+            return fn
+    except (TypeError, ValueError):         # a callable with no signature to read
+        pass
+    return lambda t, x, out=None: fn(t, x)
+
+
 def _const_sigma(mat, d, m):
     """A state-free sigma: the (d, m) matrix mat, or mat times the identity."""
     mat = np.asarray(mat, dtype=float)
     if mat.ndim == 0:
         mat = mat * np.eye(d, m)
 
-    def sigma(t, x):
+    def sigma(t, x, out=None):
         n = np.atleast_2d(x).shape[0]
         return np.broadcast_to(mat, (n,) + mat.shape)
 
@@ -257,13 +286,13 @@ def _const_sigma(mat, d, m):
 
 
 def _build_zero(params, d, m):
-    return (lambda t, x: np.zeros_like(np.atleast_2d(x))), _const_sigma(0.0, d, m)
+    return (lambda t, x, out=None: np.zeros_like(np.atleast_2d(x))), _const_sigma(0.0, d, m)
 
 
 def _build_constant_drift(params, d, m):
     c = np.broadcast_to(np.asarray(params.get("c", 1.0), dtype=float), (d,))
 
-    def b(t, x):
+    def b(t, x, out=None):      # a read-only broadcast: out is not filled
         return np.broadcast_to(c, np.atleast_2d(x).shape)
 
     return b, _const_sigma(0.0, d, m)
@@ -273,8 +302,9 @@ def _build_ou(params, d, m):
     theta = float(params.get("theta", 1.0))
     mean = np.broadcast_to(np.asarray(params.get("mean", 0.0), dtype=float), (d,))
 
-    def b(t, x):
-        return -theta * (np.atleast_2d(x) - mean)
+    def b(t, x, out=None):
+        out = np.subtract(np.atleast_2d(x), mean, out=out)
+        return np.multiply(-theta, out, out=out)
 
     return b, _const_sigma(params.get("sigma", math.sqrt(2.0)), d, m)
 
@@ -283,14 +313,14 @@ def _build_linear(params, d, m):
     A = np.asarray(params.get("A", -np.eye(d)), dtype=float)
     c = np.broadcast_to(np.asarray(params.get("c", 0.0), dtype=float), (d,))
 
-    def b(t, x):
+    def b(t, x, out=None):
         # a fixed-order sum over columns, not a matmul: BLAS may round a lone
         # row differently from a batch, which would tie bits to the block size
         x = np.atleast_2d(x)
-        out = x[:, 0:1] * A[:, 0]
+        out = np.multiply(x[:, 0:1], A[:, 0], out=out)
         for j in range(1, x.shape[1]):
-            out = out + x[:, j:j + 1] * A[:, j]
-        return out + c
+            out += x[:, j:j + 1] * A[:, j]
+        return np.add(out, c, out=out)
 
     return b, _const_sigma(params.get("sigma", 0.0), d, m)
 
@@ -303,8 +333,8 @@ def _build_rotation_degenerate(params, d, m):
     s = float(params.get("s", 1.0))
     J = np.array([[0.0, -omega], [omega, 0.0]])
 
-    def b(t, x):
-        return np.atleast_2d(x) @ J.T
+    def b(t, x, out=None):
+        return np.matmul(np.atleast_2d(x), J.T, out=out)
 
     return b, _const_sigma([[s], [0.0]], d, m)
 
@@ -315,13 +345,14 @@ def _build_bounded_nonlinear(params, d, m):
     s0 = float(params.get("s0", 0.5))
     s1 = float(params.get("s1", 0.25))
 
-    def b(t, x):
-        return amp * np.sin(freq * np.atleast_2d(x))
+    def b(t, x, out=None):
+        out = np.sin(np.multiply(freq, np.atleast_2d(x), out=out), out=out)
+        return np.multiply(amp, out, out=out)
 
-    def sigma(t, x):
+    def sigma(t, x, out=None):
         x = np.atleast_2d(x)
-        n = x.shape[0]
-        out = np.zeros((n, d, m))
+        out = np.empty((x.shape[0], d, m)) if out is None else out
+        out[...] = 0.0
         diag = s0 + s1 * np.cos(x[:, :min(d, m)])
         for i in range(min(d, m)):
             out[:, i, i] = diag[:, i]
@@ -345,16 +376,22 @@ _DRIFT_SIGMA_PARAMS = {"zero": (), "constant_drift": ("c",), "ou": ("theta", "me
 
 
 def _g_one(params):
-    return lambda t, x: np.ones(np.atleast_2d(x).shape[0])
+    def g(t, x, out=None):
+        if out is None:
+            return np.ones(np.atleast_2d(x).shape[0])
+        out.fill(1.0)
+        return out
+
+    return g
 
 
 def _g_cosine(params):
     a = float(params.get("a", 0.5))
     k = float(params.get("k", 1.0))
 
-    def g(t, x):
-        x = np.atleast_2d(x)
-        return 1.0 + a * np.cos(k * x.sum(axis=1))
+    def g(t, x, out=None):
+        out = np.multiply(k, np.sum(np.atleast_2d(x), axis=1, out=out), out=out)
+        return np.add(1.0, np.multiply(a, np.cos(out, out=out), out=out), out=out)
 
     return g
 
@@ -364,9 +401,9 @@ def _g_linear_growth(params):
     # a fat-tailed measure; used to build hypothesis-check counterexamples
     c = float(params.get("c", 1.0))
 
-    def g(t, x):
-        x = np.atleast_2d(x)
-        return c * (1.0 + np.linalg.norm(x, axis=1))
+    def g(t, x, out=None):
+        norms = np.linalg.norm(np.atleast_2d(x), axis=1)
+        return np.multiply(c, np.add(1.0, norms, out=out), out=out)
 
     return g
 

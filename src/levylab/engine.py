@@ -54,6 +54,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -387,6 +388,9 @@ def _jump_schedule(grid, ev_p, ev_t, ev_z, ev_c, ev_row) -> _JumpSchedule:
         tail_start=ev_t[last[tail]])
 
 
+_NEW = MappingProxyType({})     # the work of a step that keeps no arrays
+
+
 class BlockMarch:
     """Marches one block of particles cell by cell over a shared base grid.
 
@@ -406,6 +410,11 @@ class BlockMarch:
     and resampling between cells; whole-path simulation just runs all cells.
     Resampling may overwrite `x` between cells: a particle slot keeps its own
     future noise and driver atoms, which is a valid branching of the dynamics.
+
+    The whole-block step fills work arrays the march keeps, sized once: the
+    next state, b, sigma, f, the compensator and the diffusion term.  The
+    next state and `x` swap after each cell, so `x` is valid until the next
+    advance_cell; a caller that keeps a state copies it.
     """
 
     def __init__(self, coeffs: CoefficientSet, driver: LevyMeasure,
@@ -419,10 +428,13 @@ class BlockMarch:
         # each row's state, and each slot's noise row in this cell
         self.x = np.tile(inputs.x0, (self.S, 1))
         self.row = inputs.offsets.copy()
-        # a family's whole-block increments are tiled into one buffer for the
-        # march: a new S*B-row array each cell ran slower
-        self._tiled = (np.empty((self.S * inputs.particles.size, inputs.noise.shape[1]))
-                       if self.S > 1 else None)
+        # the whole-block step's work arrays (a family's increments are tiled
+        # into _tiled): a new S*B-row array each cell costs page faults
+        rows, d, m = *self.x.shape, inputs.noise.shape[1]
+        self._tiled = np.empty((rows, m)) if self.S > 1 else None
+        self._work = {k: np.empty_like(self.x) for k in ("x", "b", "comp", "diff")}
+        self._work.update(sigma=np.empty((rows, d, m)), f=np.empty(rows))
+        self._finite = np.empty(self.x.shape, dtype=bool)
         self._whole = coeffs.on_rows(None)
         self._needs_comp = driver.mass(trunc.sampling_floor, math.inf) > 0.0
         # the band moment as one row when it is the same at every radius
@@ -438,15 +450,16 @@ class BlockMarch:
         return self.driver.first_moment(self.trunc.sampling_floor,
                                         self.trunc.level / np.abs(fv))
 
-    def _compensator(self, cs, t, xs):
+    def _compensator(self, cs, t, xs, work=_NEW):
         """Drift of the compensated jump band: -f * int_{floor<|z|<=l/|f|} z nu(dz)."""
         if not self._needs_comp:
             return 0.0
-        fv = cs.f(t, xs)
+        fv, out = cs.f(t, xs, out=work.get("f")), work.get("comp")
         # a row with f = 0 must get +0.0: its radius l/|f| is infinite, and
         # -0 * moment would be -0.0, or NaN for an infinite first moment
         if fv.all():
-            return -fv[:, None] * self._band_moment(fv)
+            return np.multiply(np.negative(fv[:, None], out=out), self._band_moment(fv),
+                               out=out)
         out = np.zeros_like(xs)
         nz = fv != 0.0
         if nz.any():
@@ -460,13 +473,17 @@ class BlockMarch:
         dw *= np.sqrt(np.asarray(dt)[..., None])
         return dw if self.S == 1 else np.concatenate((dw,) * self.S, out=out)
 
-    def _step(self, cs, t, dt, xs, dw):
-        """Euler step of the states xs under cs from t over dt, with increments dw."""
-        # xs + (b + comp) dt + sigma dw, computed in place in the drift array
-        out = cs.b(t, xs) + self._compensator(cs, t, xs)
+    def _step(self, cs, t, dt, xs, dw, work=_NEW):
+        """Euler step of the states xs under cs from t over dt, with increments
+        dw, in the arrays of work (the march's for the whole block; new
+        arrays for a replay step)."""
+        # xs + (b + comp) dt + sigma dw, computed in place in the state array
+        out = np.add(cs.b(t, xs, out=work.get("b")), self._compensator(cs, t, xs, work),
+                     out=work.get("x"))
         out *= np.asarray(dt)[..., None]
         out += xs
-        out += np.einsum("kim,km->ki", cs.sigma(t, xs), dw)
+        out += np.einsum("kim,km->ki", cs.sigma(t, xs, out=work.get("sigma")), dw,
+                         out=work.get("diff"))
         return out
 
     # -- one cell --------------------------------------------------------
@@ -476,7 +493,7 @@ class BlockMarch:
         # every set's row of a slot reads the slot's noise row, so the block's
         # increments are gathered once and tiled over the sets
         dw = self._increments(t1 - t0, self.row, self._tiled)
-        x = self._step(self._whole, float(t0), t1 - t0, self.x, dw)
+        x = self._step(self._whole, float(t0), t1 - t0, self.x, dw, self._work)
         self.row += 1
         sch = self.inp.schedule
         pairs = slice(sch.pairs[i], sch.pairs[i + 1])
@@ -506,9 +523,10 @@ class BlockMarch:
                     self._increments(t1 - start, next_row[idx] - 1)).reshape(S, -1, d)
             x.reshape(S, -1, d)[:, slots] = xs      # a view of x: it splits one axis
             self.row[slots] = next_row
-        self.x = x
-        if not np.all(np.isfinite(x)):
-            bad = np.nonzero(~np.isfinite(x).all(axis=1))[0][0]
+        # the old state's array takes the next cell's step
+        self._work["x"], self.x = self.x, x
+        if not np.isfinite(x, out=self._finite).all():
+            bad = np.nonzero(~self._finite.all(axis=1))[0][0]
             inp, B = self.inp, self.inp.particles.size
             # a row of a family is a particle under one of its sets
             which = f"{self.coeffs.names[bad // B]}, " if self.S > 1 else ""

@@ -57,6 +57,16 @@ class FilterError(RuntimeError):
 _SLICE_ENTRIES = 1 << 16
 
 
+def _kept(work, name, shape):
+    """work[name], a zero-filled array of this shape kept from one cell to the
+    next and refilled by its user; a new zero array when work is None."""
+    if work is None:
+        return np.zeros(shape)
+    if name not in work or work[name].shape != shape:
+        work[name] = np.zeros(shape)
+    return work[name]
+
+
 def _add_in_order(acc, terms):
     """acc + terms[:, 0] + terms[:, 1] + ..., added left to right like a loop
     over the columns.  numpy adds row by row along an array's slow axis but
@@ -141,17 +151,18 @@ class ObservationModel:
                          profile(np.abs(nodes[:, 0])) / p0, nodes)
         return self._sep
 
-    def band_integral(self, x: np.ndarray) -> np.ndarray:
+    def band_integral(self, x: np.ndarray, work=None) -> np.ndarray:
         """Integral of 1 - lambda(x, u) over the observed band against nu2.
 
         Exact for atomic nu2 (a sum over the atoms) and for a separable
         lambda on a radial nu2: m - c A0 with c = lambda(x, 0) (see
         _separable).  Otherwise nu2's deterministic Gauss-Legendre rule on
-        the band (`LevyMeasure.quadrature`).
+        the band (`LevyMeasure.quadrature`).  A node sum is taken in work's
+        arrays (see _kept).
         """
         sep = self._separable()
         if sep is None:
-            return self._band_sum(x)
+            return self._band_sum(x, work)
         mass, a0, rho, nodes = sep
         x = np.atleast_2d(x)
         c = self._lambda(x, np.zeros((1, self.nu2.dim)))        # (n, 1)
@@ -162,24 +173,35 @@ class ObservationModel:
                     self._lambda(x[[i]], nodes[[j]])    # raises there, naming x and u
         return (mass - c * a0)[:, 0]
 
-    def _band_sum(self, x):
+    def _band_sum(self, x, work=None):
         """sum over the band nodes u of w(u) * (1 - lambda(x, u)), node by node
         in order, with one lambda call per slice of nodes."""
         x = np.atleast_2d(x)
         nodes, weights = self._quad_nodes()
         n = x.shape[0]
         step = max(1, _SLICE_ENTRIES // max(n, 1))
-        # _add_in_order's layout, allocated once: row 0 takes the running sum,
-        # rows 1..q a slice's weighted terms, and the spare column stays 0
-        rows = np.zeros((min(step, nodes.shape[0]) + 1, n + 1))
-        acc = np.zeros(n + 1)
+        # _add_in_order's layout: row 0 takes the running sum, rows 1..q a
+        # slice's weighted terms, and the spare column stays 0
+        rows = _kept(work, "rows", (min(step, nodes.shape[0]) + 1, n + 1))
+        acc = _kept(work, "acc", (n + 1,))
+        acc.fill(0.0)
         for a in range(0, nodes.shape[0], step):
-            vals = 1.0 - self._lambda(x, nodes[a:a + step])
-            q = vals.shape[1]
+            lamv = self._lambda(x, nodes[a:a + step])
+            terms = rows[1:lamv.shape[1] + 1, :-1]
             rows[0] = acc
-            np.multiply(vals.T, weights[a:a + step, None], out=rows[1:q + 1, :-1])
-            np.add.reduce(rows[:q + 1], axis=0, out=acc)
+            np.subtract(1.0, lamv.T, out=terms)
+            terms *= weights[a:a + step, None]
+            np.add.reduce(rows[:terms.shape[0] + 1], axis=0, out=acc)
         return acc[:-1]
+
+    def sensor(self, x):
+        """h(x), checked to give one output channel per dimension of nu2."""
+        hv = self.h(x)
+        if hv.shape[1] != self.nu2.dim:
+            raise FilterError(f"the sensor has {hv.shape[1]} output channels but "
+                              f"nu2.dim is {self.nu2.dim}: each continuous channel "
+                              "needs its own Brownian noise")
+        return hv
 
     def _lambda(self, x, U):
         """lambda(x, U) as an (n, q) matrix, checked to lie in (0, 1)."""
@@ -356,12 +378,7 @@ class ObservationSetup:
              for a in range(0, U.shape[0], step)] + [np.empty(0)])
         accept = self.uniforms < lamv
         dts = np.diff(self.grid)
-        hv = model.h(signal_values[:-1])
-        if hv.shape[1] != model.nu2.dim:
-            raise FilterError(f"the sensor has {hv.shape[1]} output channels but "
-                              f"nu2.dim is {model.nu2.dim}: each continuous channel "
-                              "needs its own Brownian noise")
-        cont = self.w_increments + hv * dts[:, None]
+        cont = self.w_increments + model.sensor(signal_values[:-1]) * dts[:, None]
         band = accept & self.prop_in_band
         big = accept & ~self.prop_in_band
         return ObservationRecord(
@@ -387,25 +404,31 @@ def _band_events_by_index(record: ObservationRecord) -> dict:
 
 
 def _cell_loglik(model: ObservationModel, x: np.ndarray, conts: np.ndarray,
-                 dt: float) -> np.ndarray:
+                 dt: float, work=None) -> np.ndarray:
     """The continuous and compensator terms of log S over one cell of length
     dt for states x at its left end, as (S, n): row s for the s-th block of
-    rows of x and continuous increment conts[s]."""
+    rows of x and continuous increment conts[s], in work's arrays (_kept)."""
     hv = model.h(x)
-    n = hv.shape[0] // len(conts)
-    drift = np.stack([hv[s * n:(s + 1) * n] @ c for s, c in enumerate(conts)])
-    return (drift - (0.5 * np.sum(hv * hv, axis=1) * dt).reshape(drift.shape)
-            + (model.band_integral(x) * dt).reshape(drift.shape))
+    S, n = len(conts), hv.shape[0] // len(conts)
+    out = _kept(work, "drift", (S, n))
+    for s, c in enumerate(conts):
+        np.matmul(hv[s * n:(s + 1) * n], c, out=out[s])
+    hh = np.sum(np.multiply(hv, hv, out=_kept(work, "hv2", hv.shape)), axis=1,
+                out=_kept(work, "hh", (S * n,)))
+    out -= np.multiply(np.multiply(0.5, hh, out=hh), dt, out=hh).reshape(S, n)
+    band = model.band_integral(x, work)
+    out += np.multiply(band, dt, out=band).reshape(S, n)
+    return out
 
 
 def _log_s_cell(lw: np.ndarray, model: ObservationModel, x: np.ndarray,
-                conts: np.ndarray, dt: float, advance, marks: list):
+                conts: np.ndarray, dt: float, advance, marks: list, work=None):
     """One cell of log S, added to the (S, n) log-weights lw in place: first
     _cell_loglik at the states x at the cell's left end; then advance()
     returns the states at the cell's end, and each band event there adds
     log lambda(X_t-, u) in record order.  marks[s] are the marks (q, k) of
     row s's band events at the cell's end, or None."""
-    lw += _cell_loglik(model, x, conts, dt)
+    lw += _cell_loglik(model, x, conts, dt, work)
     x = advance()
     n = lw.shape[1]
     for s, m in enumerate(marks):
@@ -585,9 +608,10 @@ def _march_filter(model: ObservationModel, coeffs, driver: LevyMeasure,
         march.advance_cell(i)
         return march.x
 
+    work = {}       # the cell's arrays, kept from one cell to the next
     for i in range(dts.size):
         _log_s_cell(lw, model, march.x, conts[i], dts[i], lambda i=i: advance(i),
-                    [ev.get(i + 1) for ev in events])
+                    [ev.get(i + 1) for ev in events], work)
         for s, res in enumerate(results):
             rows, lws = slice(s * n, (s + 1) * n), lw[s]
             if not np.any(np.isfinite(lws)):

@@ -227,10 +227,13 @@ class RunManifest:
         if "coefficients" in _REQUIRED[self.kind]:
             attempt("coefficients", coefficients_from_config, self.spec["coefficients"])
         if "family" in _REQUIRED[self.kind]:
-            attempt("family", family_from_config, self.spec["family"])
+            family = attempt("family", family_from_config, self.spec["family"])
         if "observation" in _REQUIRED[self.kind]:
-            attempt("observation", observation_model_from_config,
-                    self.spec["observation"])
+            model = attempt("observation", observation_model_from_config,
+                            self.spec["observation"])
+            # the sensor's width, probed once at the signal's origin
+            if model is not None and family is not None:
+                attempt("observation", model.sensor, [[0.0] * family.limit.d])
         return errors
 
     def require_valid(self):

@@ -19,7 +19,6 @@ import levylab as L
 from levylab.coefficients import family_from_config
 from levylab.cli import main
 from levylab.experiments import replay, run
-from levylab.filtering import FilterError
 from levylab.manifests import ManifestError, RunManifest
 
 
@@ -303,12 +302,20 @@ def test_filter_robustness_kind(tmp_path):
     assert lines[0] == "t,phi_id,pi_t,rho_t_1,ess"
 
 
-def test_sensor_width_must_match_the_observation_noise(tmp_path):
-    # three continuous channels over a 1-d nu2 would share one Brownian noise
+def test_sensor_width_must_match_the_observation_noise(tmp_path, capsys):
+    # three continuous channels over a 1-d nu2 would share one Brownian noise:
+    # validate probes the sensor once, so run refuses before any compute
     man = filter_robustness_manifest()
     man.spec["observation"]["sensor"] = {"name": "linear", "params": {"H": [[1], [2], [-1]]}}
-    with pytest.raises(FilterError, match="3 output channels but nu2.dim is 1"):
-        run(man, str(tmp_path / "rob"))
+    mpath, out = tmp_path / "man.json", tmp_path / "never"
+    man.save(str(mpath))
+    message = ("INVALID: observation: the sensor has 3 output channels but nu2.dim is 1: "
+               "each continuous channel needs its own Brownian noise\n")
+    assert main(["validate", str(mpath)]) == 1
+    assert capsys.readouterr().err == message
+    assert main(["run", str(mpath), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
 
 
 def test_filter_robustness_draws_filter_particles_once_per_rep(tmp_path, monkeypatch):

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import os
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -976,11 +977,20 @@ class TestStackedFamily:
 
     @pytest.mark.parametrize("gammas", [(0.4, 0.6), (-0.3, 0.6)])
     @pytest.mark.parametrize("block", [1, 3, 64, N])
-    def test_heavy_jumps_match_per_set_marches(self, block, gammas):
+    @pytest.mark.parametrize("kind, drift", [("sine", None), *itertools.product(
+        ["sine", "shift"], ["returns x", "ignores out", "constant"])])
+    def test_heavy_jumps_match_per_set_marches(self, block, gammas, kind, drift):
         # many cells hold several jumps of one slot and some jumps sit on
         # grid points; every set replays the block's one schedule and must
-        # get the bits of its own march over the whole draw
-        fam = parametric_family(1, *gammas, "sine", 1.0, 0.5)
+        # get the bits of its own march over the whole draw.  A limit drift
+        # may return its own x, ignore the march's out array, or return a
+        # read-only broadcast: the march writes none of them
+        fam = parametric_family(1, *gammas, kind, 1.0, 0.5)
+        b = {None: fam.limit.b, "returns x": lambda t, x: x,
+             "ignores out": lambda t, x, out=None: 0.5 * np.sin(x),
+             "constant": L.coefficients_from_config({
+                 "name": "constant_drift", "d": 1, "m": 1, "params": {"c": -0.3}}).b}[drift]
+        fam = replace(fam, limit=replace(fam.limit, b=b))
         drv, mu0 = L.AtomicLevyMeasure([[0.9], [-0.9]], [4.0, 4.0]), L.GaussianLaw([0.0], [1.0])
         _, ev_t, _ = drawn_events(drv, range(self.N), 7)
         grid = make_base_grid(1.0, 0.1, ev_t[::3])
@@ -993,6 +1003,47 @@ class TestStackedFamily:
                                                    extra_times=ev_t[::3], block_size=block)
         for ens, vals in zip([*members.values(), limit], want, strict=True):
             assert ens.values.tobytes() == vals.tobytes()
+
+    def test_run_slices_keep_their_values(self):
+        # the march swaps its state with a kept work array every cell: what
+        # run() recorded, and a copy taken after a cell, must not move later
+        fam = parametric_family(1, 0.4, 0.6, "sine", 1.0, 0.5)
+        drv, B = L.AtomicLevyMeasure([[0.9], [-0.9]], [4.0, 4.0]), 16
+        grid = make_base_grid(1.0, 0.1)
+        inputs = _prepare_block(drv, TR, L.GaussianLaw([0.0], [1.0]), grid, 1, range(B), 3,
+                                R.SIGNAL)
+        ran = BlockMarch(fam.stacked(B), drv, TR, grid, inputs).run()
+        march = BlockMarch(fam.stacked(B), drv, TR, grid, inputs)
+        states = [march.x.copy()]
+        for i in range(grid.size - 1):
+            march.advance_cell(i)
+            states.append(march.x.copy())
+        assert len({s.tobytes() for s in states}) == grid.size
+        assert ran.tobytes() == np.stack(states, axis=1).tobytes()
+
+    def test_cell_allocates_no_row_sized_array(self):
+        # the README limit family on a 4,096-slot block: once warm, a cell
+        # fills the march's work arrays and allocates no S*B-row temporary
+        fam = L.family_from_config({
+            "base": {"name": "ou", "d": 1, "m": 1, "gamma": 0.5,
+                     "params": {"theta": 1.0, "sigma": math.sqrt(2.0)}},
+            "drift_perturbation": {"name": "sine", "amp": 1.0}, "gamma_perturbation": 0.5,
+            "schedule": [1, 2, 4, 8, 16, 32]})
+        drv, B = L.AtomicLevyMeasure([[0.9], [-0.9]], [0.3, 0.3]), 4096
+        grid = make_base_grid(1.0, 0.01)
+        march = BlockMarch(fam.stacked(B), drv, TruncationConfig(level=0.3), grid,
+                           _prepare_block(drv, TruncationConfig(level=0.3),
+                                          L.GaussianLaw([0.0], [0.5]), grid, 1, range(B),
+                                          2024, R.SIGNAL))
+        march.advance_cell(0)
+        march.advance_cell(1)
+        tracemalloc.start()
+        try:
+            march.advance_cell(2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert march.S == 7 and peak < march.S * B * 8, peak
 
     def test_slot_rows_advance_one_per_cell_and_off_grid_jump(self):
         # all S sets read a slot's one noise row: after every cell each slot

@@ -3,6 +3,7 @@ import functools
 import hashlib
 import math
 import re
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 import levylab as L
 from levylab import filtering as F
 from levylab import rng as R
+from levylab.engine import BlockMarch
 from levylab.filtering import (FilterError, ObservationRecord,
                                ObservationSetup, filter_run, lambda_from_config,
                                log_likelihood, observation_model_from_config,
@@ -841,9 +843,22 @@ def filter_family(kind="sine", amp=1.0, gpert=0.4):
         "gamma_perturbation": gpert, "schedule": [2, 1, 4]})
 
 
+FILTER_FAMILY_7 = {"base": {"name": "ou", "d": 1, "m": 1, "gamma": 0.4, "growth_bound": 4.0,
+                            "params": {"theta": 1.0, "sigma": 1.0}},
+                   "drift_perturbation": {"name": "sine", "amp": 1.0},
+                   "gamma_perturbation": 0.4, "schedule": [1, 2, 4, 8, 16, 32]}
+
+
 NU2S = {"atomic": None,
         "exponential": {"name": "exponential_tails_1d",
                         "params": {"intensity_pos": 1.0, "rate_pos": 2.0}}}
+
+
+# limit drifts that return their own x, ignore out, or return a read-only broadcast
+LIMIT_DRIFTS = {"ou": None, "returns x": lambda t, x: x,
+                "ignores out": lambda t, x, out=None: 0.5 * np.sin(x),
+                "constant": L.coefficients_from_config({
+                    "name": "constant_drift", "d": 1, "m": 1, "params": {"c": -0.3}}).b}
 
 
 class TestStackedFilter:
@@ -868,12 +883,15 @@ class TestStackedFilter:
            kind=st.sampled_from(["sine", "shift"]), amp=st.sampled_from([0.0, 1.0]),
            gpert=st.sampled_from([0.0, 0.4]), n=st.sampled_from([1, 3, 64]),
            custom=st.booleans(), hand=st.booleans(), workers=st.sampled_from([1, 2]),
-           seed=st.integers(0, 2 ** 16))
+           seed=st.integers(0, 2 ** 16), drift=st.sampled_from(sorted(LIMIT_DRIFTS)))
     def test_matches_per_set_filter_runs(self, ess, nu2, kind, amp, gpert, n, custom,
-                                         hand, workers, seed):
+                                         hand, workers, seed, drift):
         fam = filter_family(kind, amp, gpert)
         if hand:    # a hand-built limit (no registry config): its signals run in process
             fam = dataclasses.replace(fam, limit=dataclasses.replace(fam.limit))
+        if drift != "ou":   # a limit drift the march's out array does not hold
+            fam = dataclasses.replace(fam, limit=dataclasses.replace(
+                fam.limit, b=LIMIT_DRIFTS[drift]))
         model = make_model(lam=("state_logistic", {"base": 0.8, "decay": 0.5}),
                            nu2=NU2S[nu2])
         records = self.records(fam, model, seed, workers if hand else 1)
@@ -886,6 +904,49 @@ class TestStackedFilter:
                               checkpoints)
             assert res.resampled_at == want.resampled_at
             assert _same_states(res.states, want.states)
+
+    def test_snapshot_particles_keep_their_values(self):
+        # the march refills its arrays every cell: each snapshot's particles
+        # are the states of an independent march over the same draw
+        fam, n = filter_family(), 30
+        model = make_model(lam=("state_logistic", {"base": 0.8, "decay": 0.5}))
+        records = self.records(fam, model, 46)
+        grid = records[0].grid
+        results = filter_run(model, fam, self.DRV, TR, self.MU0, records, n, 47, None, grid)
+        inputs = F._prepare_block(self.DRV, TR, self.MU0, grid, 1, range(n), 47, R.FILTER)
+        states = BlockMarch(fam.stacked(n), self.DRV, TR, grid, inputs).run()
+        for s, res in enumerate(results):
+            assert len(res.states) == grid.size
+            for k, st in enumerate(res.states):
+                assert st.particles.tobytes() == states[s * n:(s + 1) * n, k].tobytes()
+
+    def test_cell_allocates_no_row_sized_array(self):
+        # 7 filters of 2,000 particles, atomic nu2, a sensor and a lambda that
+        # allocate nothing: once warm, a cell of log S fills kept arrays and
+        # allocates no (S*n)-row temporary
+        fam = L.family_from_config(FILTER_FAMILY_7)
+        model = F.ObservationModel(
+            h=np.atleast_2d, lam=lambda x, U: np.broadcast_to(0.5, (len(x), len(U))),
+            nu2=L.AtomicLevyMeasure([[0.3], [-0.5], [1.8]], [0.8, 0.7, 0.4]))
+        S, n, grid = 7, 2000, np.linspace(0.0, 1.0, 101)
+        inputs = F._prepare_block(self.DRV, TR, self.MU0, grid, 1, range(n), 5, R.FILTER)
+        march = BlockMarch(fam.stacked(n), self.DRV, TR, grid, inputs)
+        lw, conts, work = np.zeros((S, n)), np.full((S, 1), 0.01), {}
+        marks = [np.array([[0.3]])] + [None] * (S - 1)
+
+        def cell(i):
+            F._log_s_cell(lw, model, march.x, conts, 0.01,
+                          lambda: march.advance_cell(i) or march.x, marks, work)
+
+        cell(0)
+        cell(1)
+        tracemalloc.start()
+        try:
+            cell(2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(lw).all() and peak < S * n * 8, peak
 
     def test_family_and_hand_built_family_march_once(self, monkeypatch):
         import levylab.filtering as F
