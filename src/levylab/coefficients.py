@@ -7,15 +7,13 @@ Coefficient callables take every particle in one call:
     g(t, x)     -> (n,)     scalar jump shape
 
 The jump coefficient of the state equation is f(t, x) = gamma * g(t, x).
-Each also takes out=None, an array of its result's shape that it may fill
-(the march's work array) or ignore, returning an array of its own, which
-may be x or a read-only broadcast; callers use the returned array.  A
-hand-built callable with no out parameter is wrapped to ignore it.
+Each may fill out=, an array of its result's shape; callers use what it
+returns, which may be x or a read-only broadcast.  A callable with no out
+parameter is wrapped to ignore it.
 """
 
 from __future__ import annotations
 
-import inspect
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -153,9 +151,7 @@ class StackedFamily:
 
 
 class _StackedRows:
-    """A StackedFamily on k slots of every set: the first (S-1)*k are member rows.
-    The member terms are added in out (a new array if None) and the sine term
-    in an array the rows keep."""
+    """A StackedFamily on k slots of every set: the first (S-1)*k are member rows."""
 
     def __init__(self, fam: StackedFamily, k: int):
         self.lim, self.cut, self.sine = fam.limit, (fam.gamma.size - 1) * k, fam.sine
@@ -165,26 +161,19 @@ class _StackedRows:
         self.nz = None if self.gamma.all() else self.gamma != 0.0
         self._sin = np.empty((self.cut, fam.limit.d)) if self.sine else None
 
-    def _members(self, op, v, term, out):
-        """v with op(v, term) on the member rows, into out (new if None)."""
-        c, out = self.cut, np.empty(np.shape(v)) if out is None else out
-        op(v[:c], term, out=out[:c])
-        if v is not out:
-            out[c:] = v[c:]
-        return out
-
     def b(self, t, x, out=None):
-        bv = self.lim.b(t, x, out=out)
+        bv, c = self.lim.b(t, x, out=out), self.cut
         if self.scale is None:
             return bv
-        term = self.scale
-        if self.sine:
-            term = np.multiply(term, np.sin(x[:self.cut], out=self._sin), out=self._sin)
-        return self._members(np.add, bv, term, out)
+        term = self.scale if not self.sine else np.multiply(
+            self.scale, np.sin(x[:c], out=self._sin), out=self._sin)
+        bv = bv if bv is out else np.array(bv)      # a copy unless b filled out
+        bv[:c] += term
+        return bv
 
     def sigma(self, t, x, out=None):
-        sv = self.lim.sigma(t, x, out=out)
-        return sv if self.fac is None else self._members(np.multiply, sv, self.fac, out)
+        sv, c = self.lim.sigma(t, x, out=out), self.cut
+        return sv if self.fac is None else np.concatenate([self.fac * sv[:c], sv[c:]])
 
     def f(self, t, x, out=None):
         """gamma * g; a row with gamma = 0 gets +0.0 without a call of g."""
@@ -263,12 +252,11 @@ def require_linear_growth(coeffs, probes=None):
 # ---------------------------------------------------------------------------
 
 def _taking_out(fn):
-    """fn if it takes an out= keyword, else fn wrapped to ignore one."""
-    try:
-        if "out" in inspect.signature(fn).parameters:
-            return fn
-    except (TypeError, ValueError):         # a callable with no signature to read
-        pass
+    """fn if it is a function with an out parameter, else fn wrapped to ignore
+    one (read from its code: inspect.signature costs more than a small march)."""
+    code = getattr(fn, "__code__", None)
+    if code is not None and "out" in code.co_varnames[:code.co_argcount]:
+        return fn
     return lambda t, x, out=None: fn(t, x)
 
 
@@ -278,7 +266,7 @@ def _const_sigma(mat, d, m):
     if mat.ndim == 0:
         mat = mat * np.eye(d, m)
 
-    def sigma(t, x, out=None):
+    def sigma(t, x):
         n = np.atleast_2d(x).shape[0]
         return np.broadcast_to(mat, (n,) + mat.shape)
 
@@ -286,13 +274,13 @@ def _const_sigma(mat, d, m):
 
 
 def _build_zero(params, d, m):
-    return (lambda t, x, out=None: np.zeros_like(np.atleast_2d(x))), _const_sigma(0.0, d, m)
+    return (lambda t, x: np.zeros_like(np.atleast_2d(x))), _const_sigma(0.0, d, m)
 
 
 def _build_constant_drift(params, d, m):
     c = np.broadcast_to(np.asarray(params.get("c", 1.0), dtype=float), (d,))
 
-    def b(t, x, out=None):      # a read-only broadcast: out is not filled
+    def b(t, x):
         return np.broadcast_to(c, np.atleast_2d(x).shape)
 
     return b, _const_sigma(0.0, d, m)
@@ -313,14 +301,14 @@ def _build_linear(params, d, m):
     A = np.asarray(params.get("A", -np.eye(d)), dtype=float)
     c = np.broadcast_to(np.asarray(params.get("c", 0.0), dtype=float), (d,))
 
-    def b(t, x, out=None):
+    def b(t, x):
         # a fixed-order sum over columns, not a matmul: BLAS may round a lone
         # row differently from a batch, which would tie bits to the block size
         x = np.atleast_2d(x)
-        out = np.multiply(x[:, 0:1], A[:, 0], out=out)
+        out = x[:, 0:1] * A[:, 0]
         for j in range(1, x.shape[1]):
-            out += x[:, j:j + 1] * A[:, j]
-        return np.add(out, c, out=out)
+            out = out + x[:, j:j + 1] * A[:, j]
+        return out + c
 
     return b, _const_sigma(params.get("sigma", 0.0), d, m)
 
@@ -333,8 +321,8 @@ def _build_rotation_degenerate(params, d, m):
     s = float(params.get("s", 1.0))
     J = np.array([[0.0, -omega], [omega, 0.0]])
 
-    def b(t, x, out=None):
-        return np.matmul(np.atleast_2d(x), J.T, out=out)
+    def b(t, x):
+        return np.atleast_2d(x) @ J.T
 
     return b, _const_sigma([[s], [0.0]], d, m)
 
@@ -345,14 +333,13 @@ def _build_bounded_nonlinear(params, d, m):
     s0 = float(params.get("s0", 0.5))
     s1 = float(params.get("s1", 0.25))
 
-    def b(t, x, out=None):
-        out = np.sin(np.multiply(freq, np.atleast_2d(x), out=out), out=out)
-        return np.multiply(amp, out, out=out)
+    def b(t, x):
+        return amp * np.sin(freq * np.atleast_2d(x))
 
-    def sigma(t, x, out=None):
+    def sigma(t, x):
         x = np.atleast_2d(x)
-        out = np.empty((x.shape[0], d, m)) if out is None else out
-        out[...] = 0.0
+        n = x.shape[0]
+        out = np.zeros((n, d, m))
         diag = s0 + s1 * np.cos(x[:, :min(d, m)])
         for i in range(min(d, m)):
             out[:, i, i] = diag[:, i]
@@ -376,22 +363,17 @@ _DRIFT_SIGMA_PARAMS = {"zero": (), "constant_drift": ("c",), "ou": ("theta", "me
 
 
 def _g_one(params):
-    def g(t, x, out=None):
-        if out is None:
-            return np.ones(np.atleast_2d(x).shape[0])
-        out.fill(1.0)
-        return out
-
-    return g
+    return lambda t, x, out=None: np.positive(      # 1.0 in each row, filled into out
+        1.0, out=np.empty(np.atleast_2d(x).shape[0]) if out is None else out)
 
 
 def _g_cosine(params):
     a = float(params.get("a", 0.5))
     k = float(params.get("k", 1.0))
 
-    def g(t, x, out=None):
-        out = np.multiply(k, np.sum(np.atleast_2d(x), axis=1, out=out), out=out)
-        return np.add(1.0, np.multiply(a, np.cos(out, out=out), out=out), out=out)
+    def g(t, x):
+        x = np.atleast_2d(x)
+        return 1.0 + a * np.cos(k * x.sum(axis=1))
 
     return g
 
@@ -401,9 +383,9 @@ def _g_linear_growth(params):
     # a fat-tailed measure; used to build hypothesis-check counterexamples
     c = float(params.get("c", 1.0))
 
-    def g(t, x, out=None):
-        norms = np.linalg.norm(np.atleast_2d(x), axis=1)
-        return np.multiply(c, np.add(1.0, norms, out=out), out=out)
+    def g(t, x):
+        x = np.atleast_2d(x)
+        return c * (1.0 + np.linalg.norm(x, axis=1))
 
     return g
 

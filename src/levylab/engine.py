@@ -54,7 +54,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from types import MappingProxyType
 
 import numpy as np
 
@@ -388,9 +387,6 @@ def _jump_schedule(grid, ev_p, ev_t, ev_z, ev_c, ev_row) -> _JumpSchedule:
         tail_start=ev_t[last[tail]])
 
 
-_NEW = MappingProxyType({})     # the work of a step that keeps no arrays
-
-
 class BlockMarch:
     """Marches one block of particles cell by cell over a shared base grid.
 
@@ -411,10 +407,8 @@ class BlockMarch:
     Resampling may overwrite `x` between cells: a particle slot keeps its own
     future noise and driver atoms, which is a valid branching of the dynamics.
 
-    The whole-block step fills work arrays the march keeps, sized once: the
-    next state, b, sigma, f, the compensator and the diffusion term.  The
-    next state and `x` swap after each cell, so `x` is valid until the next
-    advance_cell; a caller that keeps a state copies it.
+    The whole-block step fills arrays the march keeps, the next state's among
+    them: `x` is valid until the next advance_cell (keep a copy, not `x`).
     """
 
     def __init__(self, coeffs: CoefficientSet, driver: LevyMeasure,
@@ -434,7 +428,6 @@ class BlockMarch:
         self._tiled = np.empty((rows, m)) if self.S > 1 else None
         self._work = {k: np.empty_like(self.x) for k in ("x", "b", "comp", "diff")}
         self._work.update(sigma=np.empty((rows, d, m)), f=np.empty(rows))
-        self._finite = np.empty(self.x.shape, dtype=bool)
         self._whole = coeffs.on_rows(None)
         self._needs_comp = driver.mass(trunc.sampling_floor, math.inf) > 0.0
         # the band moment as one row when it is the same at every radius
@@ -450,7 +443,7 @@ class BlockMarch:
         return self.driver.first_moment(self.trunc.sampling_floor,
                                         self.trunc.level / np.abs(fv))
 
-    def _compensator(self, cs, t, xs, work=_NEW):
+    def _compensator(self, cs, t, xs, work):
         """Drift of the compensated jump band: -f * int_{floor<|z|<=l/|f|} z nu(dz)."""
         if not self._needs_comp:
             return 0.0
@@ -473,10 +466,9 @@ class BlockMarch:
         dw *= np.sqrt(np.asarray(dt)[..., None])
         return dw if self.S == 1 else np.concatenate((dw,) * self.S, out=out)
 
-    def _step(self, cs, t, dt, xs, dw, work=_NEW):
+    def _step(self, cs, t, dt, xs, dw, work):
         """Euler step of the states xs under cs from t over dt, with increments
-        dw, in the arrays of work (the march's for the whole block; new
-        arrays for a replay step)."""
+        dw, into the arrays of work ({} for a replay step)."""
         # xs + (b + comp) dt + sigma dw, computed in place in the state array
         out = np.add(cs.b(t, xs, out=work.get("b")), self._compensator(cs, t, xs, work),
                      out=work.get("x"))
@@ -510,7 +502,7 @@ class BlockMarch:
                 idx, start, t = sch.idx[s], rep(sch.start[s]), rep(sch.time[s])
                 cs, dt = self.coeffs.on_rows(slots[idx]), t - start
                 xk = self._step(cs, start, dt, xs[:, idx].reshape(-1, d),
-                                self._increments(dt[:idx.size], rows[idx] + k))
+                                self._increments(dt[:idx.size], rows[idx] + k), {})
                 xk += cs.f(t, xk)[:, None] * rep(sch.mark[s])
                 xs[:, idx] = xk.reshape(S, -1, d)
             next_row = sch.next_row[pairs]
@@ -520,13 +512,12 @@ class BlockMarch:
                 xs[:, idx] = self._step(
                     self.coeffs.on_rows(slots[idx]), rep(start), rep(t1 - start),
                     xs[:, idx].reshape(-1, d),
-                    self._increments(t1 - start, next_row[idx] - 1)).reshape(S, -1, d)
+                    self._increments(t1 - start, next_row[idx] - 1), {}).reshape(S, -1, d)
             x.reshape(S, -1, d)[:, slots] = xs      # a view of x: it splits one axis
             self.row[slots] = next_row
-        # the old state's array takes the next cell's step
-        self._work["x"], self.x = self.x, x
-        if not np.isfinite(x, out=self._finite).all():
-            bad = np.nonzero(~self._finite.all(axis=1))[0][0]
+        self._work["x"], self.x = self.x, x     # the old state's array takes the next step
+        if not np.all(np.isfinite(x)):
+            bad = np.nonzero(~np.isfinite(x).all(axis=1))[0][0]
             inp, B = self.inp, self.inp.particles.size
             # a row of a family is a particle under one of its sets
             which = f"{self.coeffs.names[bad // B]}, " if self.S > 1 else ""

@@ -58,13 +58,8 @@ _SLICE_ENTRIES = 1 << 16
 
 
 def _kept(work, name, shape):
-    """work[name], a zero-filled array of this shape kept from one cell to the
-    next and refilled by its user; a new zero array when work is None."""
-    if work is None:
-        return np.zeros(shape)
-    if name not in work or work[name].shape != shape:
-        work[name] = np.zeros(shape)
-    return work[name]
+    """work[name], a zero array of this shape made on first use; users refill it."""
+    return work[name] if name in work else work.setdefault(name, np.zeros(shape))
 
 
 def _add_in_order(acc, terms):
@@ -151,18 +146,18 @@ class ObservationModel:
                          profile(np.abs(nodes[:, 0])) / p0, nodes)
         return self._sep
 
-    def band_integral(self, x: np.ndarray, work=None) -> np.ndarray:
+    def band_integral(self, x: np.ndarray, work: dict | None = None) -> np.ndarray:
         """Integral of 1 - lambda(x, u) over the observed band against nu2.
 
         Exact for atomic nu2 (a sum over the atoms) and for a separable
         lambda on a radial nu2: m - c A0 with c = lambda(x, 0) (see
         _separable).  Otherwise nu2's deterministic Gauss-Legendre rule on
-        the band (`LevyMeasure.quadrature`).  A node sum is taken in work's
-        arrays (see _kept).
+        the band (`LevyMeasure.quadrature`).  A node sum keeps its arrays in
+        work, when given, from one call to the next (a filter's cells).
         """
         sep = self._separable()
         if sep is None:
-            return self._band_sum(x, work)
+            return self._band_sum(x, {} if work is None else work)
         mass, a0, rho, nodes = sep
         x = np.atleast_2d(x)
         c = self._lambda(x, np.zeros((1, self.nu2.dim)))        # (n, 1)
@@ -173,9 +168,9 @@ class ObservationModel:
                     self._lambda(x[[i]], nodes[[j]])    # raises there, naming x and u
         return (mass - c * a0)[:, 0]
 
-    def _band_sum(self, x, work=None):
+    def _band_sum(self, x, work):
         """sum over the band nodes u of w(u) * (1 - lambda(x, u)), node by node
-        in order, with one lambda call per slice of nodes."""
+        in order, with one lambda call per slice of nodes, in work's arrays."""
         x = np.atleast_2d(x)
         nodes, weights = self._quad_nodes()
         n = x.shape[0]
@@ -404,17 +399,16 @@ def _band_events_by_index(record: ObservationRecord) -> dict:
 
 
 def _cell_loglik(model: ObservationModel, x: np.ndarray, conts: np.ndarray,
-                 dt: float, work=None) -> np.ndarray:
+                 dt: float, work: dict) -> np.ndarray:
     """The continuous and compensator terms of log S over one cell of length
     dt for states x at its left end, as (S, n): row s for the s-th block of
     rows of x and continuous increment conts[s], in work's arrays (_kept)."""
     hv = model.h(x)
     S, n = len(conts), hv.shape[0] // len(conts)
-    out = _kept(work, "drift", (S, n))
+    out, hh = _kept(work, "drift", (S, n)), _kept(work, "hh", (S * n,))
     for s, c in enumerate(conts):
         np.matmul(hv[s * n:(s + 1) * n], c, out=out[s])
-    hh = np.sum(np.multiply(hv, hv, out=_kept(work, "hv2", hv.shape)), axis=1,
-                out=_kept(work, "hh", (S * n,)))
+    np.sum(np.multiply(hv, hv, out=_kept(work, "hv2", hv.shape)), axis=1, out=hh)
     out -= np.multiply(np.multiply(0.5, hh, out=hh), dt, out=hh).reshape(S, n)
     band = model.band_integral(x, work)
     out += np.multiply(band, dt, out=band).reshape(S, n)
@@ -422,12 +416,12 @@ def _cell_loglik(model: ObservationModel, x: np.ndarray, conts: np.ndarray,
 
 
 def _log_s_cell(lw: np.ndarray, model: ObservationModel, x: np.ndarray,
-                conts: np.ndarray, dt: float, advance, marks: list, work=None):
+                conts: np.ndarray, dt: float, advance, marks: list, work: dict):
     """One cell of log S, added to the (S, n) log-weights lw in place: first
     _cell_loglik at the states x at the cell's left end; then advance()
     returns the states at the cell's end, and each band event there adds
     log lambda(X_t-, u) in record order.  marks[s] are the marks (q, k) of
-    row s's band events at the cell's end, or None."""
+    row s's band events at the cell's end, or None.  work holds kept arrays."""
     lw += _cell_loglik(model, x, conts, dt, work)
     x = advance()
     n = lw.shape[1]
@@ -445,10 +439,10 @@ def log_likelihood(path_values: np.ndarray, record: ObservationRecord,
     if path_values.shape[0] != grid.size:
         raise FilterError("particle values are not aligned with the record grid")
     events = _band_events_by_index(record)
-    lw = np.zeros((1, 1))
+    lw, work = np.zeros((1, 1)), {}
     for i, dt in enumerate(np.diff(grid)):
         _log_s_cell(lw, model, path_values[i:i + 1], record.cont_increments[i, None], dt,
-                    lambda i=i: path_values[i + 1:i + 2], [events.get(i + 1)])
+                    lambda i=i: path_values[i + 1:i + 2], [events.get(i + 1)], work)
     return float(lw[0, 0])
 
 
@@ -573,7 +567,7 @@ def _march_filter(model: ObservationModel, coeffs, driver: LevyMeasure,
     if ess_threshold is not None:
         rngs = [rngmod.stream(inputs.seed, rngmod.RESAMPLE, namespace=rngmod.FILTER)
                 for _ in records]
-    lw = np.zeros((S, n))
+    lw, work = np.zeros((S, n)), {}         # work: the cell's arrays, kept (_kept)
     log_norm = [0.0] * S
     results = [FilterResult(states=[]) for _ in records]
     tag = f"seed {inputs.seed}, namespace {inputs.namespace})"
@@ -608,7 +602,6 @@ def _march_filter(model: ObservationModel, coeffs, driver: LevyMeasure,
         march.advance_cell(i)
         return march.x
 
-    work = {}       # the cell's arrays, kept from one cell to the next
     for i in range(dts.size):
         _log_s_cell(lw, model, march.x, conts[i], dts[i], lambda i=i: advance(i),
                     [ev.get(i + 1) for ev in events], work)

@@ -19,6 +19,7 @@ import levylab as L
 from levylab.coefficients import family_from_config
 from levylab.cli import main
 from levylab.experiments import replay, run
+from levylab.filtering import FilterError, ObservationSetup, observation_model_from_config
 from levylab.manifests import ManifestError, RunManifest
 
 
@@ -316,6 +317,11 @@ def test_sensor_width_must_match_the_observation_noise(tmp_path, capsys):
     assert main(["run", str(mpath), "--out", str(out)]) == 1
     assert capsys.readouterr().err == message
     assert not out.exists()
+    # a library caller that builds the setup without a manifest meets the same check
+    setup = ObservationSetup(observation_model_from_config(man.spec["observation"]),
+                             man.T, man.h, seed=man.seed)
+    with pytest.raises(FilterError, match="3 output channels but nu2.dim is 1"):
+        setup.record_for(np.zeros((setup.grid.size, 1)))
 
 
 def test_filter_robustness_draws_filter_particles_once_per_rep(tmp_path, monkeypatch):

@@ -403,7 +403,7 @@ class TestEnsembleLaws:
         grid = make_base_grid(1.0, 0.1)
         march = BlockMarch(cs, drv, tr, grid,
                            _prepare_block(drv, tr, L.PointMass([0.0]), grid, 1, [0], 3, R.SIGNAL))
-        comp = march._compensator(cs, 0.0, np.array([[10.0], [-20.0], [2.0], [0.0], [-2.0]]))
+        comp = march._compensator(cs, 0.0, np.array([[10.0], [-20.0], [2.0], [0.0], [-2.0]]), {})
         assert comp[[0, 1, 3], 0].tobytes() == np.array([-0.0, 0.0, 0.0]).tobytes()
         want = -np.array([2.0, -2.0])[:, None] * drv.first_moment(0.1, 0.25)
         assert comp[[2, 4]].tobytes() == want.tobytes() and (want != 0.0).all()
