@@ -18,21 +18,17 @@ import time
 
 import numpy as np
 
-from .coefficients import coefficients_from_config, family_from_config
 from .convergence import (decreasing_verdict, default_bl_dictionary,
-                          density_sup_estimate, enforce_level_bound,
-                          lyapunov_moment, tightness_diagnostics)
-from .engine import (initial_law_from_config, pool_processes, simulate_coupled_family,
-                     simulate_ensemble)
+                          density_sup_estimate, lyapunov_moment, tightness_diagnostics)
+from .engine import pool_processes, simulate_coupled_family, simulate_ensemble
 # the benchmark's layer trace patches this name; the pool itself is in engine
 from .engine import ProcessPoolExecutor  # noqa: F401
-from .filtering import observation_model_from_config, robustness_experiment
+from .filtering import robustness_experiment
 # the benchmark's layer trace patches this name; the filters run in filtering
 from .filtering import filter_run  # noqa: F401
 from .generator import (GeneratorContext, fpe_verdict, fpe_weak_residual,
                         martingale_residual, validate_hypotheses)
 from .manifests import ManifestError, RunManifest
-from .measures import TruncationConfig, measure_from_config
 from .psi import construct_psi, weighted_big_psi_sum
 from .testfunctions import default_dictionary
 
@@ -53,24 +49,12 @@ def write_csv(path: str, header: list, rows: list):
             w.writerow([_fmt(v) for v in row])
 
 
-def _context_from(man: RunManifest):
-    """The manifest's dynamics (its coefficient family, or else its one
-    coefficient set), driver, truncation and initial law."""
-    spec = man.spec
-    dynamics = (family_from_config(spec["family"]) if "family" in spec
-                else coefficients_from_config(spec["coefficients"]))
-    driver = measure_from_config(spec["driver"])
-    trunc = TruncationConfig(**spec["truncation"])
-    mu0 = initial_law_from_config(spec["mu0"])
-    return dynamics, driver, trunc, mu0
-
-
 # ---------------------------------------------------------------------------
 # kind: superposition
 # ---------------------------------------------------------------------------
 
-def run_superposition(man: RunManifest, seed: int, workers: int):
-    coeffs, driver, trunc, mu0 = _context_from(man)
+def run_superposition(man: RunManifest, built: tuple, seed: int, workers: int):
+    coeffs, driver, trunc, mu0 = built
     ctx = GeneratorContext(coeffs, driver, trunc)
     dictionary = default_dictionary(coeffs.d)
     hyp = validate_hypotheses(ctx, T=man.T)
@@ -83,8 +67,7 @@ def run_superposition(man: RunManifest, seed: int, workers: int):
     ens = simulate_ensemble(coeffs, driver, trunc, mu0, man.n_particles, man.h,
                             man.T, seed, workers=workers, block_size=block)
     reports = fpe_weak_residual(ens, ctx, dictionary, martingale_window=window)
-    mart_rows = []
-    mart_pass = True
+    mart_rows, mart_pass = [], True
     for rep in reports:
         mrep = martingale_residual(ens, rep)
         mart_pass = mart_pass and mrep.within
@@ -95,9 +78,7 @@ def run_superposition(man: RunManifest, seed: int, workers: int):
                                  man.h / 2, man.T, seed + 1, workers=workers,
                                  block_size=block)
     halves = fpe_weak_residual(ens_half, ctx, dictionary, run_guards=False)
-    fpe_rows = []
-    all_pass = True
-    halving_ok = True
+    fpe_rows, all_pass, halving_ok = [], True, True
     for phi, rep, rep_half in zip(dictionary, reports, halves):
         verdict = fpe_verdict(rep, rep_half, man.h)
         all_pass = all_pass and verdict.within
@@ -124,9 +105,8 @@ def run_superposition(man: RunManifest, seed: int, workers: int):
 # kind: limit
 # ---------------------------------------------------------------------------
 
-def run_limit(man: RunManifest, seed: int, workers: int):
-    family, driver, trunc, mu0 = _context_from(man)
-    enforce_level_bound(trunc.level, family.gamma_sup)
+def run_limit(man: RunManifest, built: tuple, seed: int, workers: int):
+    family, driver, trunc, mu0 = built
     keys = sorted(family.members)
     cfg = default_bl_dictionary(family.limit.d)
     n_checkpoints = int(man.spec.get("n_checkpoints", 10))
@@ -162,10 +142,8 @@ def run_limit(man: RunManifest, seed: int, workers: int):
 # kind: filter_robustness
 # ---------------------------------------------------------------------------
 
-def run_filter_robustness(man: RunManifest, seed: int, workers: int):
-    family, driver, trunc, mu0 = _context_from(man)
-    model = observation_model_from_config(man.spec["observation"])
-    model.check_measure_invariants()
+def run_filter_robustness(man: RunManifest, built: tuple, seed: int, workers: int):
+    family, model, driver, trunc, mu0 = built
     reps = int(man.spec.get("reps", 3))
     rep = robustness_experiment(family, model, driver, trunc, mu0, man.n_particles, man.h,
                                 man.T, seed, reps=reps)
@@ -174,11 +152,8 @@ def run_filter_robustness(man: RunManifest, seed: int, workers: int):
     # limit filter at filter_run's default checkpoints
     phi_list = [("mean", lambda x: x[:, 0]),
                 ("second_moment", lambda x: x[:, 0] ** 2)]
-    ftable = []
-    for st in rep.limit_states:
-        for name, fn in phi_list:
-            ftable.append([st.t, name, st.estimate(fn),
-                           math.exp(st.log_normalizer), st.ess])
+    ftable = [[st.t, name, st.estimate(fn), math.exp(st.log_normalizer), st.ess]
+              for st in rep.limit_states for name, fn in phi_list]
     tables = {
         "robustness": (["n", "distance", "se"], rows),
         "filter_limit": (["t", "phi_id", "pi_t", "rho_t_1", "ess"], ftable),
@@ -193,8 +168,8 @@ def run_filter_robustness(man: RunManifest, seed: int, workers: int):
 # kind: diagnostics
 # ---------------------------------------------------------------------------
 
-def run_diagnostics(man: RunManifest, seed: int, workers: int):
-    coeffs, driver, trunc, mu0 = _context_from(man)
+def run_diagnostics(man: RunManifest, built: tuple, seed: int, workers: int):
+    coeffs, driver, trunc, mu0 = built
     ctx = GeneratorContext(coeffs, driver, trunc)
     hyp = validate_hypotheses(ctx, T=man.T)
     ens = simulate_ensemble(coeffs, driver, trunc, mu0, man.n_particles, man.h,
@@ -207,14 +182,9 @@ def run_diagnostics(man: RunManifest, seed: int, workers: int):
                                   theta_grid=man.spec.get("theta_grid",
                                                           [0.2, 0.1, 0.05]),
                                   N_threshold=man.spec.get("N_threshold", 1.0))
-    hyp_rows = [
-        ["linear_growth_C1", hyp.linear_growth["constant"],
-         hyp.linear_growth["witness"] is None],
-        ["small_jump_C2", hyp.small_jump["constant"],
-         hyp.small_jump["witness"] is None],
-        ["large_jump_C3", hyp.large_jump["constant"],
-         hyp.large_jump["witness"] is None],
-    ]
+    hyp_rows = [[name, fit["constant"], fit["witness"] is None] for name, fit in (
+        ("linear_growth_C1", hyp.linear_growth), ("small_jump_C2", hyp.small_jump),
+        ("large_jump_C3", hyp.large_jump))]
     tight_rows = [["sup_tail", K, p] for K, p in tight.sup_tail]
     tight_rows += [["increment_tail", th, p] for th, p in tight.increment_tail]
     tables = {
@@ -250,19 +220,20 @@ def run(manifest: RunManifest, out_dir: str, seed: int | None = None,
     """Execute a manifest into a bundle directory; returns the summary.
 
     `seed` overrides the manifest's seed; the bundle's manifest records the
-    seed used.  Everything is validated before any compute."""
+    seed used.  The runner computes with the objects validate() built."""
     if workers < 1:
         raise ManifestError([f"workers must be at least 1, got {workers}"])
     fields = manifest.to_dict()
     if seed is not None:
         fields["seed"] = seed
     effective = RunManifest.from_dict(fields)
-    effective.require_valid()
+    built = effective.require_valid()
     seed = effective.seed
-    os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
-    tables, verdicts = _RUNNERS[manifest.kind](effective, seed, workers)
+    tables, verdicts = _RUNNERS[manifest.kind](effective, built, seed, workers)
     elapsed = time.perf_counter() - t0
+    # made only now, so a run that raises leaves no bundle directory
+    os.makedirs(out_dir, exist_ok=True)
     effective.save(os.path.join(out_dir, "manifest.json"))
     for name, (header, rows) in tables.items():
         write_csv(os.path.join(out_dir, f"{name}.csv"), header, rows)

@@ -83,6 +83,14 @@ def _norms(y, axis=1):
 _IMAGE_ENTRIES = 1 << 19
 
 
+def _require_finite_activity(driver: LevyMeasure):
+    """The jump quadrature integrates the driver over the whole line."""
+    if not math.isfinite(driver.mass(0.0, math.inf)):
+        raise GeneratorError(
+            "jump quadrature needs a finite-activity driver; the small-jump "
+            "square integrability must be checked via validate_hypotheses instead")
+
+
 def _jump_terms(ctx: GeneratorContext, phis: list, jets: list, t, X: np.ndarray):
     """Non-local term, (K, n), for the whole dictionary: the images X + f(X) z
     are built once, and one value-only dictionary pass gives every phi at a
@@ -103,10 +111,7 @@ def _jump_terms(ctx: GeneratorContext, phis: list, jets: list, t, X: np.ndarray)
         if ctx.driver.atoms.shape[0]:
             _atomic_sums(ctx, phis, jets, fv, X, vals)
         return vals
-    if not math.isfinite(ctx.driver.mass(0.0, math.inf)):
-        raise GeneratorError(
-            "jump quadrature needs a finite-activity driver; the small-jump "
-            "square integrability must be checked via validate_hypotheses instead")
+    _require_finite_activity(ctx.driver)
     z, w = ctx.driver.quadrature(0.0, math.inf)                  # (q, d), (q,)
     q = w.size
     if q == 0:

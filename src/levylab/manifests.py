@@ -146,28 +146,31 @@ class RunManifest:
     # -- validation -------------------------------------------------------
 
     def validate(self) -> list[str]:
-        """All validation failures, enumerated before any compute."""
-        errors = []
+        """All validation failures, enumerated before any compute: each
+        configured object is built once, every refusal runs on it, and
+        require_valid hands the objects to the run."""
         if self.kind not in KINDS:
-            errors.append(f"unknown kind {self.kind!r}; known: {KINDS}")
-            return errors
+            return [f"unknown kind {self.kind!r}; known: {KINDS}"]
+        errors = []
         if not (isinstance(self.seed, numbers.Integral) and not isinstance(self.seed, bool)
                 and 0 <= self.seed < _SEEDS):
             errors.append(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         allowed = _REQUIRED[self.kind] + _OPTIONAL[self.kind]
-        for key in self.spec:
-            if key not in allowed:
-                errors.append(f"unknown key spec.{key} for kind {self.kind!r}; "
-                              f"allowed: {', '.join(allowed)}")
+        errors += [f"unknown key spec.{key} for kind {self.kind!r}; allowed: {', '.join(allowed)}"
+                   for key in self.spec if key not in allowed]
         # the checks against T below are skipped when T itself is invalid
         T_ok = _positive_reals([self.T])
         if not T_ok:
             errors.append(f"T must be a finite number > 0, got {self.T!r}")
-        if not (_positive_reals([self.h]) and (not T_ok or self.h <= self.T)):
+        h_ok = _positive_reals([self.h]) and (not T_ok or self.h <= self.T)
+        if not h_ok:
             errors.append(f"grid step h must be a finite number in (0, T], got {self.h!r}")
         if not (_is_int(self.n_particles) and 1 <= self.n_particles < _PARTICLES):
             errors.append(f"n_particles must be an integer in [1, 2**63), "
                           f"got {self.n_particles!r}")
+        elif self.n_particles < 2 and self.kind in ("superposition", "diagnostics"):
+            errors.append(f"n_particles must be at least 2 for kind {self.kind!r} (its "
+                          f"s.e. needs two paths), got {self.n_particles!r}")
         if self.kind == "filter_robustness":
             reps = self.spec.get("reps", 3)
             if not _is_int(reps) or reps < 2:
@@ -177,6 +180,11 @@ class RunManifest:
             block = self.spec.get("block_size", 4096)
             if not _is_int(block) or block < 1:
                 errors.append(f"spec.block_size must be an integer >= 1, got {block!r}")
+            # the h and h/2 runs march whole cells, which fpe_verdict's h assumes
+            cells = self.T / self.h if T_ok and h_ok else 1.0
+            if not (math.isfinite(cells) and abs(cells - round(cells)) <= 1e-9 * cells):
+                errors.append(f"grid step h must divide T = {self.T!r} into whole cells "
+                              f"for kind 'superposition', got {self.h!r}")
             if T_ok:    # the window is checked against T
                 window = self.spec.get("martingale_window",
                                        [0.25 * self.T, 0.5 * self.T])
@@ -199,45 +207,59 @@ class RunManifest:
             for key, (what, ok) in checks.items():
                 if key in self.spec and not ok(self.spec[key]):
                     errors.append(f"spec.{key} must be {what}, got {self.spec[key]!r}")
-        missing = set()
-        for key in _REQUIRED[self.kind]:
-            if key not in self.spec:
-                errors.append(f"{self.kind} manifest needs spec.{key}")
-                missing.add(key)
+        missing = [key for key in _REQUIRED[self.kind] if key not in self.spec]
+        errors += [f"{self.kind} manifest needs spec.{key}" for key in missing]
         if missing:
             return errors
-        # construct each configured object to surface field-level errors
-        from .coefficients import (CoefficientError, coefficients_from_config,
-                                   family_from_config)
-        from .engine import initial_law_from_config
+        # build each configured object once and run every refusal on it; the
+        # run reads what was built (require_valid)
+        from .coefficients import CoefficientError, coefficients_from_config, family_from_config
+        from .convergence import enforce_level_bound
+        from .engine import _driver_region, initial_law_from_config
         from .filtering import FilterError, observation_model_from_config
+        from .generator import GeneratorError, _require_finite_activity
         from .measures import LevyConfigError, TruncationConfig, measure_from_config
 
         def attempt(label, fn, *args):
             try:
                 return fn(*args)
-            except (LevyConfigError, CoefficientError, FilterError, KeyError,
-                    TypeError, ValueError, OverflowError) as exc:
+            except (LevyConfigError, CoefficientError, FilterError, GeneratorError,
+                    KeyError, TypeError, ValueError, OverflowError) as exc:
                 errors.append(f"{label}: {exc}")
                 return None
 
-        attempt("driver", measure_from_config, self.spec["driver"])
-        attempt("truncation", lambda c: TruncationConfig(**c), self.spec["truncation"])
-        attempt("mu0", initial_law_from_config, self.spec["mu0"])
-        if "coefficients" in _REQUIRED[self.kind]:
-            attempt("coefficients", coefficients_from_config, self.spec["coefficients"])
-        if "family" in _REQUIRED[self.kind]:
-            family = attempt("family", family_from_config, self.spec["family"])
-        if "observation" in _REQUIRED[self.kind]:
-            model = attempt("observation", observation_model_from_config,
-                            self.spec["observation"])
+        builders = {"driver": measure_from_config, "truncation": lambda c: TruncationConfig(**c),
+                    "mu0": initial_law_from_config, "coefficients": coefficients_from_config,
+                    "family": family_from_config, "observation": observation_model_from_config}
+        built = {key: attempt(key, build, self.spec[key]) for key, build in builders.items()
+                 if key in _REQUIRED[self.kind]}
+        if None in built.values():      # the refusals below read every object
+            return errors
+        driver, trunc, family = built["driver"], built["truncation"], built.get("family")
+        coeffs = family.limit if family is not None else built["coefficients"]
+        for key in ("mu0", "driver"):
+            if built[key].dim != coeffs.d:
+                errors.append(f"{key}: dimension {built[key].dim} does not match the "
+                              f"signal's d = {coeffs.d}")
+        attempt("driver", _driver_region, driver, trunc)
+        if self.kind == "superposition":
+            attempt("driver", _require_finite_activity, driver)
+        if family is not None:
+            attempt("family", lambda: enforce_level_bound(trunc.level, family.gamma_sup))
+        if "observation" in built:
+            model = built["observation"]
+            attempt("observation", model.check_measure_invariants)
+            attempt("observation", model._quad_nodes)
             # the sensor's width, probed once at the signal's origin
-            if model is not None and family is not None:
-                attempt("observation", model.sensor, [[0.0] * family.limit.d])
+            attempt("observation", model.sensor, [[0.0] * coeffs.d])
+        self._built = tuple(built[key] for key in _REQUIRED[self.kind])
         return errors
 
-    def require_valid(self):
+    def require_valid(self) -> tuple:
+        """The objects validate() built from the kind's required spec
+        fields, in the order _REQUIRED lists them; raises ManifestError with
+        every refusal instead."""
         errors = self.validate()
         if errors:
             raise ManifestError(errors)
-        return self
+        return self._built

@@ -65,7 +65,7 @@ def bench_superposition():
               "mu0": {"name": "gaussian", "params": {"mean": [0.0], "std": [0.5]}},
               "martingale_window": [0.25, 0.5]})
     t0 = time.perf_counter()
-    tables, verdicts = run_superposition(man, SEED, workers=1)
+    tables, verdicts = run_superposition(man, man.require_valid(), SEED, workers=1)
     return tables, verdicts, time.perf_counter() - t0
 
 
@@ -261,7 +261,7 @@ def test_criterion_06_limit_theorem():
               "driver": {"name": "atomic", "params": BENCH_ATOMS},
               "truncation": {"level": BENCH_LEVEL},
               "mu0": {"name": "gaussian", "params": {"mean": [0.0], "std": [0.5]}}})
-    tables, verdicts = run_limit(man, SEED, workers=1)
+    tables, verdicts = run_limit(man, man.require_valid(), SEED, workers=1)
     elapsed = time.perf_counter() - t0
     ratio = verdicts["final_to_initial_ratio"]
     ok = verdicts["limit_pass"] and elapsed < 600.0

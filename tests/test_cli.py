@@ -7,6 +7,7 @@ import re
 import runpy
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -142,7 +143,7 @@ class TestRunAndReplay:
         names = [name for name, _ in build(1).dictionary]
         # one call per checkpoint on each member's values and on the limit's
         assert sorted(calls) == sorted(names * 10 * (len(members) + 1))
-        family, driver, trunc, mu0 = X._context_from(man)
+        family, driver, trunc, mu0 = man.require_valid()
         cfg = build(1)
         ens, limit = L.simulate_coupled_family(family, driver, trunc, mu0, man.n_particles,
                                                man.h, man.T, man.seed,
@@ -322,6 +323,179 @@ def test_sensor_width_must_match_the_observation_noise(tmp_path, capsys):
                              man.T, man.h, seed=man.seed)
     with pytest.raises(FilterError, match="3 output channels but nu2.dim is 1"):
         setup.record_for(np.zeros((setup.grid.size, 1)))
+
+
+# manifests whose fields are each valid but do not fit together: each once
+# passed validate, then died mid-run (a driver or band refusal at the first
+# draw or integral, the level bound, a bare numpy error for a dimension, the
+# generator's refusal after the whole simulation) or, for an h that does not
+# divide T, judged its h/2 run by the wrong step, and for one path, took an
+# s.e. of one sample
+POWER_LAW = {"name": "power_law_tails_1d", "params": {"exponent": 2.5}}
+DISCARD = {"level": 0.3, "small_jump_mode": "discard_below_eps", "eps": 0.05}
+INFINITE = ("driver: driver has infinite activity above the sampling floor; use "
+            "discard_below_eps with a positive eps")
+NO_QUADRATURE = ("driver: jump quadrature needs a finite-activity driver; the small-jump "
+                 "square integrability must be checked via validate_hypotheses instead")
+
+
+def _steep_family(spec):
+    spec["family"]["base"]["gamma"] = 5.0
+    spec["family"]["gamma_perturbation"] = 0.5
+    spec["truncation"]["level"] = 0.3
+
+
+@pytest.mark.parametrize("factory, edit, messages", [
+    (small_limit_manifest, lambda d: d["spec"].update(driver=POWER_LAW), [INFINITE]),
+    (small_superposition_manifest, lambda d: d["spec"].update(driver=POWER_LAW),
+     [INFINITE, NO_QUADRATURE]),
+    (small_limit_manifest, lambda d: _steep_family(d["spec"]),
+     ["family: truncation level 0.3 exceeds 1/(sqrt(2)*Gamma) = 0.128565 required "
+      "by the limit experiment"]),
+    (filter_robustness_manifest, lambda d: d["spec"]["observation"].update(nu2=POWER_LAW),
+     ["observation: band quadrature needs finite nu2 mass on the band; set eps_obs > 0 "
+      "for infinite-activity nu2"]),
+    (small_limit_manifest,
+     lambda d: d["spec"].update(mu0={"name": "point", "params": {"x0": [0.0, 0.0]}}),
+     ["mu0: dimension 2 does not match the signal's d = 1"]),
+    (small_limit_manifest,
+     lambda d: d["spec"]["driver"].update(params={"atoms": [[0.8, 0.1]], "masses": [0.3]}),
+     ["driver: dimension 2 does not match the signal's d = 1"]),
+    (small_superposition_manifest,
+     lambda d: d["spec"].update(driver=POWER_LAW, truncation=DISCARD), [NO_QUADRATURE]),
+    (small_superposition_manifest, lambda d: d.update(T=1.0, h=0.7),
+     ["grid step h must divide T = 1.0 into whole cells for kind 'superposition', "
+      "got 0.7"]),
+    (small_superposition_manifest, lambda d: d.update(n_particles=1),
+     ["n_particles must be at least 2 for kind 'superposition' (its s.e. needs two "
+      "paths), got 1"]),
+    (diagnostics_manifest, lambda d: d.update(n_particles=1),
+     ["n_particles must be at least 2 for kind 'diagnostics' (its s.e. needs two "
+      "paths), got 1"])],
+    ids=["limit-infinite-activity", "superposition-infinite-activity", "level-bound",
+         "nu2-infinite-on-band", "mu0-dimension", "driver-dimension",
+         "superposition-discard-mode", "superposition-h-not-dividing-T",
+         "superposition-one-path", "diagnostics-one-path"])
+def test_ill_fitting_fields_refused_before_any_draw(tmp_path, capsys, monkeypatch, factory,
+                                                    edit, messages):
+    import levylab.engine as E
+    import levylab.filtering as F
+
+    def never(*args, **kwargs):
+        raise AssertionError("a refused manifest drew randomness")
+
+    monkeypatch.setattr(E, "_prepare_block", never)
+    monkeypatch.setattr(F, "_prepare_block", never)
+    d = factory().to_dict()
+    edit(d)
+    mpath, out = tmp_path / "man.json", tmp_path / "never"
+    mpath.write_text(json.dumps(d))
+    want = "".join(f"INVALID: {m}\n" for m in messages)
+    assert main(["validate", str(mpath)]) == 1
+    assert capsys.readouterr().err == want
+    assert main(["run", str(mpath), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == want
+    assert not out.exists()
+
+
+def test_growth_bound_refused_at_simulation_start_without_a_bundle(tmp_path, monkeypatch):
+    # the declared growth bound is checked where the simulation starts, on
+    # probe points: still before any draw, and the run leaves no directory
+    import levylab.engine as E
+    from levylab.coefficients import CoefficientError
+
+    def never(*args, **kwargs):
+        raise AssertionError("the growth check came after a draw")
+
+    monkeypatch.setattr(E, "_prepare_block", never)
+    d = next(m for m in _bench_manifests() if m["kind"] == "superposition")
+    d["spec"]["coefficients"]["growth_bound"] = 0.5
+    man = RunManifest.from_dict(d)
+    assert man.validate() == []
+    with pytest.raises(CoefficientError, match="linear growth bound 0.5 violated"):
+        run(man, str(tmp_path / "bundle"))
+    assert not (tmp_path / "bundle").exists()
+
+
+def test_a_run_builds_each_object_once(tmp_path, monkeypatch):
+    # validate builds the family and the observation model, and the run reads
+    # them: no levylab module builds either a second time
+    from levylab import coefficients as C
+    from levylab import filtering as F
+
+    calls = []
+    for name, build in (("family_from_config", C.family_from_config),
+                        ("observation_model_from_config", F.observation_model_from_config)):
+        def counting(cfg, name=name, build=build):
+            calls.append(name)
+            return build(cfg)
+
+        for module in [m for key, m in sys.modules.items()
+                       if key.split(".")[0] == "levylab" and getattr(m, name, None) is build]:
+            monkeypatch.setattr(module, name, counting)
+    man = filter_robustness_manifest()
+    man.n_particles = 50
+    run(man, str(tmp_path / "rob"))
+    assert sorted(calls) == ["family_from_config", "observation_model_from_config"]
+
+
+@st.composite
+def registry_manifests(draw):
+    """Tiny manifests of every kind from registry configs with d in {1, 2},
+    every driver in both small-jump modes, and dimensions that may not fit."""
+    kind = draw(st.sampled_from(["superposition", "limit", "filter_robustness",
+                                 "diagnostics"]))
+    d = draw(st.sampled_from([1, 2]))
+    k, k0 = (draw(st.sampled_from([d, d, 3 - d])) for _ in range(2))   # mostly fitting
+    coeffs = {"name": draw(st.sampled_from(["zero", "constant_drift", "ou", "linear",
+                                            "rotation_degenerate", "bounded_nonlinear"])),
+              "d": d, "m": draw(st.sampled_from([1, d])),
+              "gamma": draw(st.sampled_from([0.0, 0.5, 3.0])),
+              "g": {"name": draw(st.sampled_from(["one", "cosine"]))},
+              "growth_bound": draw(st.sampled_from([0.5, 20.0]))}
+    drivers = [{"name": "atomic", "params": {"atoms": [[0.8] * k, [-0.5] * k],
+                                             "masses": [0.5, 0.5]}},
+               {"name": "exponential_tails_1d", "params": {"intensity_pos": 1.0,
+                                                           "rate_pos": 2.0}},
+               POWER_LAW, {"name": "zero", "params": {"dim": k}}]
+    trunc = draw(st.sampled_from([{"level": 0.1}, {"level": 0.5}, DISCARD]))
+    spec = {"driver": draw(st.sampled_from(drivers)), "truncation": trunc,
+            "mu0": {"name": "point", "params": {"x0": [0.1] * k0}}}
+    if kind in ("limit", "filter_robustness"):
+        spec["family"] = {"base": coeffs, "schedule": [1, 2], "gamma_perturbation": 0.5,
+                          "drift_perturbation": {"name": "sine", "amp": 1.0}}
+    else:
+        spec["coefficients"] = coeffs
+    if kind == "filter_robustness":
+        spec["observation"] = {
+            "sensor": {"name": "identity"},
+            "lambda": {"name": "state_logistic", "params": {"base": 0.8, "decay": 0.5}},
+            "nu2": draw(st.sampled_from(drivers[:3])),
+            **draw(st.sampled_from([{}, {"eps_obs": 0.1}]))}
+        spec["reps"] = 2
+    return RunManifest(kind=kind, seed=draw(st.integers(0, 9)),
+                       T=draw(st.sampled_from([0.2, 0.3])),
+                       h=draw(st.sampled_from([0.1, 0.15])),
+                       n_particles=draw(st.integers(1, 4)), spec=spec)
+
+
+@settings(max_examples=600)
+@given(man=registry_manifests())
+def test_accepted_manifests_run_or_raise_a_declared_error(man):
+    # the one declared run-time refusal is the growth bound, checked where the
+    # simulation starts; a numerical failure names its particle
+    from levylab.coefficients import CoefficientError
+    from levylab.engine import SimulationError
+
+    if man.validate():
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            run(man, os.path.join(tmp, "bundle"))
+        except SimulationError as exc:
+            assert "particle" in str(exc)
+        except CoefficientError as exc:
+            assert "linear growth bound" in str(exc)
 
 
 def test_filter_robustness_draws_filter_particles_once_per_rep(tmp_path, monkeypatch):
@@ -853,6 +1027,9 @@ import sys
 import levylab, levylab.experiments, levylab.cli
 pool = lambda: "concurrent.futures" in sys.modules or "multiprocessing" in sys.modules
 print("numpy.random" in sys.modules, "numpy.polynomial" in sys.modules, pool())
+for path in sys.argv[1::2]:
+    levylab.RunManifest.load(path).validate()
+print("numpy.random" in sys.modules)
 for path, out in zip(sys.argv[1::2], sys.argv[2::2]):
     levylab.experiments.run(levylab.RunManifest.load(path), out)
     print("numpy.ma" in sys.modules, pool())
@@ -866,9 +1043,10 @@ def test_runs_load_no_numpy_ma(tmp_path):
     # np.unique and np.quantile import numpy.ma (about 10 ms) on their first
     # call: no run of any kind may make one, and importing the package may
     # not import numpy.random or numpy.polynomial, which would move every
-    # run's set-up.  Nor may the package or a one-worker run import the
-    # process pool (concurrent.futures, multiprocessing): only a run that
-    # pools, the two-worker limit run last, pays for it
+    # run's set-up; nor may validate(), which is part of that set-up.  Nor
+    # may the package or a one-worker run import the process pool
+    # (concurrent.futures, multiprocessing): only a run that pools, the
+    # two-worker limit run last, pays for it
     expnu2 = filter_robustness_manifest()
     expnu2.spec = dict(expnu2.spec, observation=dict(
         expnu2.spec["observation"], nu2={"name": "exponential_tails_1d",
@@ -882,7 +1060,7 @@ def test_runs_load_no_numpy_ma(tmp_path):
     proc = subprocess.run([sys.executable, "-c", RUN_MODULES, *args], capture_output=True,
                           text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False"] * 13 + ["True"]
+    assert proc.stdout.split() == ["False"] * 14 + ["True"]
 
 
 def test_horizon_and_step_stored_as_floats(tmp_path):

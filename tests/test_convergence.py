@@ -12,7 +12,7 @@ from levylab.convergence import (ConvergenceError, EmpiricalDistanceConfig,
                                  density_sup_estimate, enforce_level_bound,
                                  gronwall_check, lyapunov_moment,
                                  tightness_diagnostics)
-from levylab.manifests import RunManifest
+from levylab.manifests import ManifestError, RunManifest
 from levylab.measures import TruncationConfig
 from levylab.psi import construct_psi, identity_psi
 
@@ -269,7 +269,8 @@ class TestLimitExperiment:
                   "mu0": mu0, **spec})
 
     def run(self, man):
-        tables, verdicts = experiments.run_limit(man, man.seed, workers=1)
+        tables, verdicts = experiments.run_limit(man, man.require_valid(), man.seed,
+                                                 workers=1)
         return tables["distances"][1], verdicts
 
     def test_trivial_family_all_zero(self):
@@ -306,11 +307,14 @@ class TestLimitExperiment:
         assert full == thinned
 
     def test_level_bound_enforced(self):
-        # gamma_sup = 1.0 -> level must be <= 0.7071
+        # gamma_sup = 1.0 -> level must be <= 0.7071; the manifest's pre-flight
+        # refuses with the library check's message
         man = self.manifest({"name": "point", "params": {"x0": [0.0]}}, 10, 0.1, 0.5,
                             seed=1, level=1.0)
-        with pytest.raises(ConvergenceError, match="exceeds"):
+        with pytest.raises(ManifestError, match="family: truncation level 1.0 exceeds"):
             self.run(man)
+        with pytest.raises(ConvergenceError, match="exceeds"):
+            enforce_level_bound(1.0, 1.0)
         enforce_level_bound(0.5, 1.0)  # fine
 
 

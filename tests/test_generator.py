@@ -507,7 +507,8 @@ class TestSuperpositionCrosscheck:
                   "driver": {"name": "zero", "params": {"dim": 1}},
                   "truncation": {"level": 1.0},
                   "mu0": {"name": "point", "params": {"x0": [0.1]}}})
-        tables, verdicts = experiments.run_superposition(man, man.seed, workers=1)
+        tables, verdicts = experiments.run_superposition(man, man.require_valid(), man.seed,
+                                                         workers=1)
         assert all(verdicts.values())
         _assert_verdicts_are_pass_columns(tables, verdicts)
         assert all(residual == 0.0 for _, _, residual, *_ in tables["fpe_residuals"][1])
@@ -581,7 +582,8 @@ class TestSuperpositionCrosscheck:
                              "params": {"atoms": [[0.9], [-0.9]], "masses": [0.3, 0.3]}},
                   "truncation": {"level": 0.3},
                   "mu0": {"name": "gaussian", "params": {"mean": [0.0], "std": [0.5]}}})
-        tables, clean = experiments.run_superposition(man, man.seed, workers=1)
+        tables, clean = experiments.run_superposition(man, man.require_valid(), man.seed,
+                                                      workers=1)
         assert clean["fpe_within_budget"]
         _assert_verdicts_are_pass_columns(tables, clean)
 
@@ -591,7 +593,8 @@ class TestSuperpositionCrosscheck:
             return GeneratorContext(bad, driver, trunc)
 
         monkeypatch.setattr(experiments, "GeneratorContext", corrupted)
-        tables, verdicts = experiments.run_superposition(man, man.seed, workers=1)
+        tables, verdicts = experiments.run_superposition(man, man.require_valid(), man.seed,
+                                                         workers=1)
         assert not verdicts["fpe_within_budget"]
         _assert_verdicts_are_pass_columns(tables, verdicts)
 
